@@ -2,8 +2,7 @@
 
 Exit codes: 0 on pass, 1 on a property violation, 2 on usage or config
 errors.  All commands are deterministic for a fixed seed; per-trial random
-streams are derived from (seed, trial index).  HYPEXPAND_THREADS caps the
-worker threads used for trial-level parallelism (default 1, sequential).
+streams are derived from (seed, trial index).
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,21 +41,6 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
-def _n_workers():
-    try:
-        return max(1, int(os.environ.get("HYPEXPAND_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, indices):
-    workers = _n_workers()
-    if workers == 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
-
-
 # --- verify-theorem ----------------------------------------------------------
 
 def _theorem_trial(seed, i, k_range, forced_k1, forced_k2, samples_per_edge,
@@ -78,12 +60,8 @@ def _theorem_trial(seed, i, k_range, forced_k1, forced_k2, samples_per_edge,
 def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6,
                        samples_per_edge=32, pair_samples=128, segment_samples=16):
     k_range = (1.0, 4.0)
-
-    def trial(i):
-        return _theorem_trial(seed, i, k_range, k1, k2, samples_per_edge,
-                              pair_samples, segment_samples)
-
-    results = _map_trials(trial, range(trials))
+    results = [_theorem_trial(seed, i, k_range, k1, k2, samples_per_edge,
+                              pair_samples, segment_samples) for i in range(trials)]
     max_defect = max(r["defect"] for r in results)
     failures = [r["trial"] for r in results if r["defect"] >= tol]
     return {
@@ -313,6 +291,20 @@ class UsageError(Exception):
     pass
 
 
+def _positive_float(text):
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypexpand",
@@ -321,20 +313,20 @@ def build_parser():
 
     def add_common(p, trials_default):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--trials", type=_positive_int, default=trials_default)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", type=str, default="json", choices=["json", "csv", "svg"])
 
     p = sub.add_parser("verify-theorem", help="randomized expansion trials")
     add_common(p, 200)
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--k2", type=float, default=None)
+    p.add_argument("--k1", type=_positive_float, default=None)
+    p.add_argument("--k2", type=_positive_float, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("search-counterexample", help="contraction defect search")
     add_common(p, 2000)
-    p.add_argument("--k1", type=float, default=0.25)
-    p.add_argument("--k2", type=float, default=1.0)
+    p.add_argument("--k1", type=_positive_float, default=0.25)
+    p.add_argument("--k2", type=_positive_float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--replay", type=str, default=None)
 
@@ -352,8 +344,8 @@ def build_parser():
 
     p = sub.add_parser("render", help="SVG overlay of a region and its image")
     add_common(p, 1)
-    p.add_argument("--k1", type=float, default=2.0)
-    p.add_argument("--k2", type=float, default=1.0)
+    p.add_argument("--k1", type=_positive_float, default=2.0)
+    p.add_argument("--k2", type=_positive_float, default=1.0)
     return parser
 
 

@@ -160,10 +160,15 @@ class TestParsing:
         main(["sphere-conjecture", "--trials", "6", "--seed", "4", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_env_does_not_change_results(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        main(["verify-theorem", "--trials", "6", "--seed", "3", "--out", str(out1)])
-        monkeypatch.setenv("HYPEXPAND_THREADS", "4")
-        main(["verify-theorem", "--trials", "6", "--seed", "3", "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ["verify-theorem", "--k1", "-1"],
+        ["verify-theorem", "--trials", "0"],
+        ["sphere-conjecture", "--trials", "0"],
+        ["render", "--k1", "0"],
+        ["search-counterexample", "--k1", "0"],
+    ])
+    def test_invalid_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be" in capsys.readouterr().err

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hypexpand import convexity
+from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
+    KD_NEIGHBORS,
     GeodesicPolygon,
     SampledRegion,
     convexity_defect,
@@ -16,6 +19,7 @@ from hypexpand.convexity import (
     polygon_from_json,
     polygon_region,
     polygon_to_json,
+    polyline_distance,
     random_hconvex_polygon,
     region_contains,
     region_from_json,
@@ -172,7 +176,6 @@ class TestRegionMembership:
         rng = np.random.default_rng(25)
         poly = random_hconvex_polygon(rng)
         region = polygon_region(poly, samples_per_edge=128)
-        from hypexpand.convexity import polyline_distance
         checked = 0
         disagreements = 0
         while checked < 1000:
@@ -185,6 +188,148 @@ class TestRegionMembership:
             if region_contains(region, p) != poly.contains(p):
                 disagreements += 1
         assert disagreements == 0
+
+
+dense_distance = convexity._dense_polyline_distance
+
+
+def broadcast_distance(loop, probes):
+    """The P x N broadcast formula the dense helper was written from."""
+    a, b = loop[:-1], loop[1:]
+    e = b - a
+    ee = np.sum(e * e, axis=1)
+    ee = np.where(ee < 1e-300, 1.0, ee)
+    d = probes[:, None, :] - a[None, :, :]
+    t = np.clip(np.sum(d * e[None, :, :], axis=2) / ee[None, :], 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * e[None, :, :]
+    return np.min(np.hypot(probes[:, None, 0] - proj[:, :, 0],
+                           probes[:, None, 1] - proj[:, :, 1]), axis=1)
+
+
+def circle_loop(n, radius=0.5, gap=0.0):
+    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    xy = radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    return np.vstack([xy, xy[:1] + [0.0, gap]])
+
+
+def near_and_far_probes(loop, rng):
+    """Probes on the vertices, jittered off them at several scales, and far out."""
+    verts = loop[:-1]
+    jitter = [verts + rng.normal(scale=s, size=verts.shape) for s in (1e-9, 1e-4, 1e-2, 0.1)]
+    far = 40.0 * rng.normal(size=(32, 2))
+    return np.vstack([verts] + jitter + [far])
+
+
+class TestPolylineDistance:
+    """The k-d tree path returns exactly the dense result, bit for bit."""
+
+    @pytest.fixture
+    def fallback_rows(self, monkeypatch):
+        rows = []
+
+        def counting(loop, probes):
+            rows.append(len(probes))
+            return dense_distance(loop, probes)
+
+        monkeypatch.setattr(convexity, "_dense_polyline_distance", counting)
+        return rows
+
+    @staticmethod
+    def assert_exact(loop, probes):
+        got = polyline_distance(loop, probes)
+        ref = dense_distance(loop, np.atleast_2d(probes))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(ref, broadcast_distance(loop, np.atleast_2d(probes)))
+
+    def test_search_probes(self, monkeypatch, fallback_rows):
+        calls = []
+
+        def recording(loop, probes):
+            calls.append((loop, probes))
+            return polyline_distance(loop, probes)
+
+        monkeypatch.setattr(convexity, "polyline_distance", recording)
+        for seed, k1 in [(0, 0.25), (3, 0.6)]:
+            assert run_search_counterexample(seed=seed, k1=k1, trials=50)["found"]
+        assert len(calls) >= 4
+        # the bound settles almost every probe without the dense check
+        assert sum(fallback_rows) < 0.01 * sum(len(p) for _, p in calls)
+        for loop, probes in calls:
+            self.assert_exact(loop, probes)
+
+    def test_dilated_regions(self):
+        rng = np.random.default_rng(41)
+        for i in range(4):
+            center = rand_point(rng, 1.5)
+            poly = random_hconvex_polygon(rng, center=center)
+            params = DilationParams(center, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
+            region = dilate_region(poly, params)
+            self.assert_exact(region.boundary, near_and_far_probes(region.boundary, rng))
+            thin = dilate_region(_directed_thin_polygon(rng),
+                                 origin_params(rng.uniform(0.25, 0.97), 1.0))
+            self.assert_exact(thin.boundary, near_and_far_probes(thin.boundary, rng))
+
+    def test_one_long_segment_forces_the_fallback(self, fallback_rows):
+        # an arc of short segments closed by one long chord
+        thetas = np.linspace(0.0, 1.5 * math.pi, 200)
+        arc = 0.5 * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        loop = np.vstack([arc, arc[:1]])
+        self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(42)))
+        assert sum(fallback_rows) > 0
+
+    def test_nearest_segment_touches_only_far_vertices_at_one_end(self, fallback_rows):
+        # a hairpin: a strand of 0.1-long segments on y = 0 and, 0.07 above it,
+        # a strand of 0.001-long ones.  A probe on the sparse strand just before
+        # a vertex has that vertex among its nearest, but not the vertex its own
+        # segment starts at; the bound holds, so the tree path decides it.
+        sparse = np.stack([np.linspace(0.0, 1.0, 11), np.zeros(11)], axis=1)
+        dense = np.stack([np.linspace(1.0, 0.0, 1001), np.full(1001, 0.07)], axis=1)
+        loop = np.vstack([sparse, dense, sparse[:1]])
+        xs = np.linspace(0.0, 1.0, 201)
+        probes = np.stack([xs, np.zeros_like(xs)], axis=1)
+        self.assert_exact(loop, probes)
+        assert np.all(polyline_distance(loop, probes) < 1e-15)
+        assert sum(fallback_rows) < len(probes)
+
+    def test_closure_gap_enters_the_bound(self):
+        # the probe is the loop's last point; the first vertex, 0.05 away, and
+        # the last segment are beyond the 16 nearest vertices (a strand 0.01
+        # away), so only the gap term stops the bound from passing over the
+        # last segment
+        strand = np.stack([0.0048 * (np.arange(8, -10, -1) + 0.5), np.full(18, 0.01)], axis=1)
+        loop = np.vstack([[[0.05, 0.0], [0.05, 0.01]], strand,
+                          [[-0.05, 0.01], [-0.05, 0.0], [0.0, 0.0]]])
+        self.assert_exact(loop, loop[-1:])
+        assert polyline_distance(loop, loop[-1:])[0] == 0.0
+
+    def test_zero_length_segments(self):
+        loop = circle_loop(120)
+        loop = np.insert(loop, [5, 5, 40, 90], loop[[5, 5, 40, 90]], axis=0)
+        self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(43)))
+
+    def test_closure_gap(self):
+        loop = circle_loop(120, gap=1e-12)
+        probes = np.vstack([near_and_far_probes(loop, np.random.default_rng(44)), loop[-1]])
+        self.assert_exact(loop, probes)
+
+    def test_short_loop_goes_dense(self, fallback_rows):
+        loop = circle_loop(KD_NEIGHBORS)
+        self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(45)))
+        assert fallback_rows[0] == 5 * KD_NEIGHBORS + 32
+
+    def test_non_finite_probes_take_the_dense_path(self):
+        # the k-d tree refuses non-finite queries; the dense check returns nan
+        loop = circle_loop(100)
+        probes = np.array([[np.nan, 0.0], [0.1, 0.1]])
+        got = polyline_distance(loop, probes)
+        assert np.array_equal(got, dense_distance(loop, probes), equal_nan=True)
+        assert np.isnan(got[0]) and got[1] > 0.0
+
+    def test_single_probe(self):
+        loop = circle_loop(100)
+        got = polyline_distance(loop, np.array([0.1, 0.2]))
+        assert got.shape == (1,)
+        self.assert_exact(loop, np.array([0.1, 0.2]))
 
 
 class TestDefect:
