@@ -298,11 +298,14 @@ def _positive_float(text):
     return value
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -313,7 +316,7 @@ def build_parser():
 
     def add_common(p, trials_default):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_positive_int, default=trials_default)
+        p.add_argument("--trials", type=_int_at_least(1), default=trials_default)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", type=str, default="json", choices=["json", "csv", "svg"])
 
@@ -332,11 +335,12 @@ def build_parser():
 
     p = sub.add_parser("verify-lemmas", help="inequality grids")
     add_common(p, 1)
-    p.add_argument("--grid-n", type=int, default=500)
+    # the smallest n at which open_interval_grid gives about n points
+    p.add_argument("--grid-n", type=_int_at_least(18), default=500)
 
     p = sub.add_parser("curvature-sweep", help="decomposition grid and side ordering")
     add_common(p, 100)
-    p.add_argument("--grid-n", type=int, default=50)
+    p.add_argument("--grid-n", type=_int_at_least(2), default=50)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("sphere-conjecture", help="spherical contraction trials")

@@ -338,15 +338,9 @@ def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
     if samples_per_edge < 16:
         raise ValueError("samples_per_edge must be at least 16")
     ts = np.arange(samples_per_edge, dtype=float) / samples_per_edge
-    rs, ths = [], []
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        u, w = verts[i], verts[(i + 1) % n]
-        r, th = geodesic_chord_points(u.r, u.theta, w.r, w.theta, ts)
-        rs.append(r)
-        ths.append(th)
-    return np.concatenate(rs), np.concatenate(ths)
+    r, th = np.array(poly.polar()).T
+    r, th = geodesic_chord_points(r, th, np.roll(r, -1), np.roll(th, -1), ts)
+    return r.ravel(), th.ravel()
 
 
 def polygon_region(poly: GeodesicPolygon, samples_per_edge=32) -> SampledRegion:
@@ -429,21 +423,18 @@ def _exact_membership(region: SampledRegion):
 
 
 def _chord_pairs(n_boundary, pair_samples, vertex_indices):
-    """Deterministic chord endpoint pairs: all vertex pairs plus a stratified stream.
+    """Deterministic chord endpoint pairs (M, 2): all vertex pairs plus a stratified stream.
 
     The random stream is a fixed-seed prefix so that a larger pair_samples
     extends (never reshuffles) a smaller one, keeping the measured defect
     monotone under refinement.
     """
-    pairs = [(vertex_indices[i], vertex_indices[j])
-             for i in range(len(vertex_indices))
-             for j in range(i + 1, len(vertex_indices))]
+    vertex_indices = np.asarray(vertex_indices, dtype=int)
+    i, j = np.triu_indices(len(vertex_indices), k=1)
     rng = np.random.default_rng(1905)
     extra = rng.integers(0, n_boundary, size=(pair_samples, 2))
-    for i, j in extra:
-        if i != j:
-            pairs.append((int(i), int(j)))
-    return pairs
+    return np.concatenate([np.stack([vertex_indices[i], vertex_indices[j]], axis=1),
+                           extra[extra[:, 0] != extra[:, 1]]])
 
 
 def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16) -> float:
@@ -462,21 +453,15 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
 
     spe = region.provenance.get("samples_per_edge")
     if spe and region.provenance.get("vertices_polar"):
-        vertex_indices = list(range(0, n, spe))
+        vertex_indices = range(0, n, spe)
     else:
-        vertex_indices = list(np.linspace(0, n - 1, 12, dtype=int))
+        vertex_indices = np.linspace(0, n - 1, 12, dtype=int)
 
-    pairs = _chord_pairs(n, pair_samples, vertex_indices)
+    i, j = _chord_pairs(n, pair_samples, vertex_indices).T
     ts = van_der_corput(segment_samples)
+    probes_r, probes_th = geodesic_chord_points(r_bnd[i], th_bnd[i], r_bnd[j], th_bnd[j], ts)
+    probes_r, probes_th = probes_r.ravel(), probes_th.ravel()
     exact = _exact_membership(region)
-
-    probes_r, probes_th = [], []
-    for i, j in pairs:
-        r, th = geodesic_chord_points(r_bnd[i], th_bnd[i], r_bnd[j], th_bnd[j], ts)
-        probes_r.append(r)
-        probes_th.append(th)
-    probes_r = np.concatenate(probes_r)
-    probes_th = np.concatenate(probes_th)
 
     if exact is not None:
         inside = exact(probes_r, probes_th)

@@ -429,26 +429,39 @@ def _diameter_curve(u, v):
     return ParamCurve(eval=ev, d1=d1, d2=d2, start=u, end=v, meta=meta)
 
 
+# libm scalars, elementwise: numpy's sinh/cosh/arccosh can differ from libm in
+# the last ulp, and the endpoint lift fixes every sample of a chord
+_sinh = np.vectorize(math.sinh, otypes=[float])
+_cosh = np.vectorize(math.cosh, otypes=[float])
+_cos = np.vectorize(math.cos, otypes=[float])
+_sin = np.vectorize(math.sin, otypes=[float])
+_acosh = np.vectorize(math.acosh, otypes=[float])
+
+
 def geodesic_chord_points(r1, th1, r2, th2, ts):
-    """Sample the geodesic between two polar points; robust at large radii.
+    """Sample the geodesics between polar endpoints of shape (...); robust at large radii.
 
     Works on the hyperboloid sheet, where the geodesic is a plane section and
-    interpolation is a sinh-weighted combination.  Returns (r, theta) arrays.
-    Stays accurate where the Cartesian chart saturates (r up to ~300).
+    interpolation is a sinh-weighted combination.  Returns (r, theta) arrays
+    of shape (..., T).  Stays accurate where the Cartesian chart saturates (r
+    up to ~300).  Endpoints closer than 1e-9 are interpolated linearly.
     """
-    a = np.array([math.sinh(r1) * math.cos(th1), math.sinh(r1) * math.sin(th1), math.cosh(r1)])
-    b = np.array([math.sinh(r2) * math.cos(th2), math.sinh(r2) * math.sin(th2), math.cosh(r2)])
-    cosh_d = a[2] * b[2] - a[0] * b[0] - a[1] * b[1]
-    d = math.acosh(max(cosh_d, 1.0))
+    r1, th1, r2, th2 = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None]
+                                             for x in (r1, th1, r2, th2)))
+    s1, s2 = _sinh(r1), _sinh(r2)
+    a = np.stack([s1 * _cos(th1), s1 * _sin(th1), _cosh(r1)], axis=-1)
+    b = np.stack([s2 * _cos(th2), s2 * _sin(th2), _cosh(r2)], axis=-1)
+    cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+    d = _acosh(np.maximum(cosh_d, 1.0))
+    short = d < 1e-9
+    sinh_d = _sinh(np.where(short, 1.0, d))
     ts = np.asarray(ts, dtype=float)
-    if d < 1e-9:
-        pts = (1.0 - ts)[:, None] * a + ts[:, None] * b
-        norm = np.sqrt(np.maximum(pts[:, 2] ** 2 - pts[:, 0] ** 2 - pts[:, 1] ** 2, 1e-300))
-        pts = pts / norm[:, None]
-    else:
-        sinh_d = math.sinh(d)
-        pts = (np.sinh((1.0 - ts) * d) / sinh_d)[:, None] * a \
-            + (np.sinh(ts * d) / sinh_d)[:, None] * b
-    r = np.arccosh(np.maximum(pts[:, 2], 1.0))
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    pts = (np.sinh((1.0 - ts) * d) / sinh_d)[..., None] * a \
+        + (np.sinh(ts * d) / sinh_d)[..., None] * b
+    if np.any(short):
+        lin = (1.0 - ts)[:, None] * a + ts[:, None] * b
+        norm = np.sqrt(np.maximum(lin[..., 2] ** 2 - lin[..., 0] ** 2 - lin[..., 1] ** 2, 1e-300))
+        pts = np.where(short[..., None], lin / norm[..., None], pts)
+    r = np.arccosh(np.maximum(pts[..., 2], 1.0))
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
     return r, theta

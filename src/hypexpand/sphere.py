@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convexity import _chord_pairs, _convex_hull_2d, van_der_corput, winding_contains
+
 CONTRACTION_DEFINITION = (
     "geodesic-polar contraction about the center: rho scales by "
     "sqrt(k1^2 cos^2 theta + k2^2 sin^2 theta) and theta maps through "
@@ -167,9 +169,9 @@ class SphericalPolygon:
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        for v in self.vertices:
-            if angular_distance(v, self.center) >= math.pi / 2 - HEMISPHERE_MARGIN:
-                raise ValueError("vertex outside the open hemisphere about the center")
+        verts = np.array([v.xyz for v in self.vertices])
+        if np.any(angular_distance(verts, self.center) >= math.pi / 2 - HEMISPHERE_MARGIN):
+            raise ValueError("vertex outside the open hemisphere about the center")
         uv = self.gnomonic_vertices()
         x, y = uv[:, 0], uv[:, 1]
         area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
@@ -190,18 +192,22 @@ class SphericalPolygon:
 
 
 def great_circle_points(a, b, ts):
-    """Samples of the minor great-circle arc between unit vectors a and b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Samples of the minor great-circle arcs between unit vectors a and b.
+
+    a and b have shape (..., 3); returns shape (..., T, 3).  Endpoints closer
+    than 1e-12 are interpolated linearly.
+    """
+    a = np.asarray(a, dtype=float)[..., None, :]
+    b = np.asarray(b, dtype=float)[..., None, :]
     omega = angular_distance(a, b)
+    short = omega < 1e-12
+    so = np.sin(np.where(short, 1.0, omega))
     ts = np.asarray(ts, dtype=float)
-    if omega < 1e-12:
-        pts = (1.0 - ts)[:, None] * a + ts[:, None] * b
-    else:
-        so = math.sin(omega)
-        pts = (np.sin((1.0 - ts) * omega) / so)[:, None] * a \
-            + (np.sin(ts * omega) / so)[:, None] * b
-    return pts / np.linalg.norm(pts, axis=-1)[:, None]
+    pts = (np.sin((1.0 - ts) * omega) / so)[..., None] * a \
+        + (np.sin(ts * omega) / so)[..., None] * b
+    if np.any(short):
+        pts = np.where(short[..., None], (1.0 - ts)[:, None] * a + ts[:, None] * b, pts)
+    return pts / np.linalg.norm(pts, axis=-1)[..., None]
 
 
 # --- sampled spherical regions ----------------------------------------------
@@ -221,12 +227,9 @@ class SphericalRegion:
 
 
 def sample_polygon_boundary(poly: SphericalPolygon, per_edge=24) -> SphericalRegion:
-    pts = []
-    verts = [v.xyz for v in poly.vertices]
+    verts = np.array([v.xyz for v in poly.vertices])
     ts = np.arange(per_edge, dtype=float) / per_edge
-    for i in range(len(verts)):
-        pts.append(great_circle_points(verts[i], verts[(i + 1) % len(verts)], ts))
-    loop = np.vstack(pts)
+    loop = great_circle_points(verts, np.roll(verts, -1, axis=0), ts).reshape(-1, 3)
     loop = np.vstack([loop, loop[:1]])
     return SphericalRegion(loop, poly.center, provenance={
         "kind": "polygon",
@@ -246,17 +249,6 @@ def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=24,
         "k1": float(k1), "k2": float(k2),
         "per_edge": per_edge, "frame_angle": float(frame_angle),
     })
-
-
-def _winding_contains_2d(loop, probes):
-    x0, y0 = loop[:-1, 0], loop[:-1, 1]
-    x1, y1 = loop[1:, 0], loop[1:, 1]
-    px = probes[:, 0][:, None]
-    py = probes[:, 1][:, None]
-    is_left = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
-    up = (y0 <= py) & (y1 > py) & (is_left > 0)
-    down = (y0 > py) & (y1 <= py) & (is_left < 0)
-    return (up.sum(axis=1) - down.sum(axis=1)) != 0
 
 
 def _exact_membership(region: SphericalRegion):
@@ -291,18 +283,6 @@ def _exact_membership(region: SphericalRegion):
     return contains
 
 
-def _vdc(m):
-    out = np.empty(m)
-    for i in range(m):
-        n, denom, v = i + 1, 1.0, 0.0
-        while n:
-            denom *= 2.0
-            v += (n & 1) / denom
-            n >>= 1
-        out[i] = v
-    return out
-
-
 def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     """Largest angular outside excursion of sampled great-circle chords.
 
@@ -317,19 +297,11 @@ def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
 
     per_edge = region.provenance.get("per_edge")
     if per_edge:
-        vertex_indices = list(range(0, n, per_edge))
+        vertex_indices = range(0, n, per_edge)
     else:
-        vertex_indices = list(np.linspace(0, n - 1, 10, dtype=int))
-    pairs = [(vertex_indices[i], vertex_indices[j])
-             for i in range(len(vertex_indices))
-             for j in range(i + 1, len(vertex_indices))]
-    rng = np.random.default_rng(1905)
-    for i, j in rng.integers(0, n, size=(pair_samples, 2)):
-        if i != j:
-            pairs.append((int(i), int(j)))
-
-    ts = _vdc(segment_samples)
-    probes = np.vstack([great_circle_points(loop[i], loop[j], ts) for i, j in pairs])
+        vertex_indices = np.linspace(0, n - 1, 10, dtype=int)
+    i, j = _chord_pairs(n, pair_samples, vertex_indices).T
+    probes = great_circle_points(loop[i], loop[j], van_der_corput(segment_samples)).reshape(-1, 3)
 
     exact = _exact_membership(region)
     if exact is not None:
@@ -337,20 +309,17 @@ def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     else:
         uv_loop = gnomonic(region.center, loop)
         uv_probes = gnomonic(region.center, probes)
-        inside = _winding_contains_2d(uv_loop, uv_probes)
+        inside = winding_contains(uv_loop, uv_probes)
     if np.all(inside):
         return 0.0
     out_pts = probes[~inside]
     # angular distance to the (densely sampled) boundary
-    dots = np.clip(out_pts @ loop[:-1].T, -1.0, 1.0)
-    dist = np.arccos(np.max(dots, axis=1))
+    dist = np.arccos(np.clip(np.max(out_pts @ loop[:-1].T, axis=1), -1.0, 1.0))
     return float(np.max(dist))
 
 
 def random_convex_spherical_polygon(rng, center=None, rho_max=1.2, n_max=10):
     """Random convex polygon in the open hemisphere about a (random) center."""
-    from .convexity import _convex_hull_2d
-
     if center is None:
         v = rng.normal(size=3)
         center = SpherePoint.from_vec(v)

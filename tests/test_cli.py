@@ -166,6 +166,10 @@ class TestParsing:
         ["sphere-conjecture", "--trials", "0"],
         ["render", "--k1", "0"],
         ["search-counterexample", "--k1", "0"],
+        ["verify-lemmas", "--grid-n", "-5"],
+        ["verify-lemmas", "--grid-n", "17"],
+        ["curvature-sweep", "--grid-n", "0"],
+        ["curvature-sweep", "--grid-n", "1"],
     ])
     def test_invalid_input_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

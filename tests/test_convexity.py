@@ -371,6 +371,14 @@ class TestDefect:
         assert d2 >= d1
         assert d3 >= d2
 
+    def test_chord_pairs_match_the_list_form(self):
+        vertex_indices = [0, 32, 64, 96, 128]
+        ref = [(a, b) for k, a in enumerate(vertex_indices) for b in vertex_indices[k + 1:]]
+        ref += [(int(a), int(b)) for a, b in
+                np.random.default_rng(1905).integers(0, 160, size=(64, 2)) if a != b]
+        pairs = convexity._chord_pairs(160, 64, vertex_indices)
+        assert pairs.dtype.kind == "i" and pairs.tolist() == [list(p) for p in ref]
+
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
         region = polygon_region(random_hconvex_polygon(rng))

@@ -359,3 +359,50 @@ def test_mobius_translate_array_shape():
     out = mobius_translate(c, pts)
     assert out.shape == (17, 2)
     assert np.all(np.hypot(out[:, 0], out[:, 1]) < 1.0)
+
+
+def chord_points_per_pair(r1, th1, r2, th2, ts):
+    """Reference: the one-pair-at-a-time form of geodesic_chord_points."""
+    a = np.array([math.sinh(r1) * math.cos(th1), math.sinh(r1) * math.sin(th1), math.cosh(r1)])
+    b = np.array([math.sinh(r2) * math.cos(th2), math.sinh(r2) * math.sin(th2), math.cosh(r2)])
+    cosh_d = a[2] * b[2] - a[0] * b[0] - a[1] * b[1]
+    d = math.acosh(max(cosh_d, 1.0))
+    if d < 1e-9:
+        pts = (1.0 - ts)[:, None] * a + ts[:, None] * b
+        norm = np.sqrt(np.maximum(pts[:, 2] ** 2 - pts[:, 0] ** 2 - pts[:, 1] ** 2, 1e-300))
+        pts = pts / norm[:, None]
+    else:
+        sinh_d = math.sinh(d)
+        pts = (np.sinh((1.0 - ts) * d) / sinh_d)[:, None] * a \
+            + (np.sinh(ts * d) / sinh_d)[:, None] * b
+    return np.arccosh(np.maximum(pts[:, 2], 1.0)), np.arctan2(pts[:, 1], pts[:, 0])
+
+
+class TestBatchedChordPoints:
+    TS = np.concatenate([[0.0, 1.0], np.random.default_rng(0).uniform(size=14)])
+
+    def assert_matches_per_pair(self, r1, th1, r2, th2):
+        r, th = geodesic_chord_points(r1, th1, r2, th2, self.TS)
+        assert r.shape == th.shape == r1.shape + self.TS.shape
+        for idx in np.ndindex(r1.shape):
+            r_ref, th_ref = chord_points_per_pair(r1[idx], th1[idx], r2[idx], th2[idx], self.TS)
+            assert np.array_equal(r[idx], r_ref) and np.array_equal(th[idx], th_ref)
+
+    def test_random_pairs_up_to_r30(self):
+        rng = np.random.default_rng(41)
+        r1, r2 = rng.uniform(0.0, 30.0, (2, 300))
+        th1, th2 = rng.uniform(-math.pi, math.pi, (2, 300))
+        self.assert_matches_per_pair(r1, th1, r2, th2)
+
+    def test_short_identical_and_ordinary_pairs_in_one_batch(self):
+        rng = np.random.default_rng(42)
+        r1 = rng.uniform(0.0, 20.0, (6, 5))
+        th1 = rng.uniform(-math.pi, math.pi, (6, 5))
+        r2 = np.where(rng.uniform(size=r1.shape) < 0.5, r1 + 1e-11, rng.uniform(0.0, 20.0, r1.shape))
+        th2 = np.where(r2 == r1 + 1e-11, th1, rng.uniform(-math.pi, math.pi, r1.shape))
+        r2[0], th2[0] = r1[0], th1[0]
+        self.assert_matches_per_pair(r1, th1, r2, th2)
+
+    def test_scalar_call_keeps_its_shape(self):
+        r, th = geodesic_chord_points(1.3, -0.4, 2.1, 0.9, self.TS)
+        assert r.shape == th.shape == self.TS.shape

@@ -289,3 +289,48 @@ def test_great_circle_endpoints():
 def test_region_closure_validation():
     with pytest.raises(ValueError):
         SphericalRegion(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), NORTH)
+
+
+def great_circle_points_per_pair(a, b, ts):
+    """Reference: the one-pair-at-a-time form of great_circle_points."""
+    omega = angular_distance(a, b)
+    if omega < 1e-12:
+        pts = (1.0 - ts)[:, None] * a + ts[:, None] * b
+    else:
+        so = math.sin(omega)
+        pts = (np.sin((1.0 - ts) * omega) / so)[:, None] * a \
+            + (np.sin(ts * omega) / so)[:, None] * b
+    return pts / np.linalg.norm(pts, axis=-1)[:, None]
+
+
+class TestBatchedGreatCirclePoints:
+    TS = np.concatenate([[0.0, 1.0], np.random.default_rng(0).uniform(size=14)])
+
+    def assert_matches_per_pair(self, a, b):
+        pts = great_circle_points(a, b, self.TS)
+        assert pts.shape == a.shape[:-1] + (len(self.TS), 3)
+        for idx in np.ndindex(a.shape[:-1]):
+            assert np.array_equal(pts[idx], great_circle_points_per_pair(a[idx], b[idx], self.TS))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(43)
+        a, b = rng.normal(size=(2, 300, 3))
+        self.assert_matches_per_pair(a / np.linalg.norm(a, axis=-1)[:, None],
+                                     b / np.linalg.norm(b, axis=-1)[:, None])
+
+    def test_short_identical_and_ordinary_pairs_in_one_batch(self):
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(6, 5, 3))
+        a /= np.linalg.norm(a, axis=-1)[..., None]
+        b = rng.normal(size=a.shape)
+        near = rng.uniform(size=a.shape[:-1]) < 0.5
+        b = np.where(near[..., None], a + 1e-14 * b, b)
+        b /= np.linalg.norm(b, axis=-1)[..., None]
+        b[0] = a[0]
+        assert np.any(angular_distance(a, b)[near] > 0.0)
+        self.assert_matches_per_pair(a, b)
+
+    def test_scalar_call_keeps_its_shape(self):
+        a = from_polar(NORTH, 0.8, 0.3)
+        b = from_polar(NORTH, 1.1, 2.0)
+        assert great_circle_points(a, b, self.TS).shape == (len(self.TS), 3)
