@@ -28,9 +28,36 @@ from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
 
+# Rows per `%` formatting call of a CSV: the temporary tuple of boxed values
+# holds one block, not the whole table, which keeps peak memory down.
+CSV_BLOCK_ROWS = 1024
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header, values, prefix=None) -> str:
+    """CSV of a header line and the rows of a 2-D float array.
+
+    Each value is written as ``%.17g``, which round-trips to the same double.
+    ``prefix``, if given, holds one preformatted string per row that is
+    written, followed by a comma, before the row's values.
+    """
+    n_rows, n_cols = values.shape
+    row = ",".join(["%.17g"] * n_cols) + "\n"
+    if prefix is not None:
+        row = "%s," + row
+    parts = [header + "\n"]
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        block = values[start:start + CSV_BLOCK_ROWS]
+        if prefix is not None:
+            cells = np.empty((len(block), n_cols + 1), dtype=object)
+            cells[:, 0] = prefix[start:start + CSV_BLOCK_ROWS]
+            cells[:, 1:] = block
+            block = cells
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _write(path, text):
@@ -190,12 +217,14 @@ def run_curvature_sweep(seed=0, n_r=50, n_theta=50, n_s=9, specs=100,
     rel = np.abs(out["kg_closed"] - out["kg_generic"]) / np.abs(out["kg_generic"])
     sign_bad = int(np.sum((out["p0"] <= 0) | (out["p1"] >= 0)
                           | (out["discriminant"] >= 0) | (out["kg_generic"] >= 0)))
-    rows = np.stack([R.ravel(), T.ravel(), S.ravel(), out["p0"].ravel(),
-                     out["p1"].ravel(), out["p2"].ravel(), out["p3"].ravel(),
-                     out["discriminant"].ravel(), out["kg_closed"].ravel(),
-                     out["kg_generic"].ravel()], axis=1)
-    header = "r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic"
-    csv_lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    # r_hat, theta_hat and s are the grid axes: format each distinct value
+    # once and build the rows' leading fields in meshgrid "ij" order
+    r_txt, t_txt, s_txt = ([f"{v:.17g}" for v in axis] for axis in (r_hat, theta_hat, s_vals))
+    prefix = [f"{a},{b},{c}" for a in r_txt for b in t_txt for c in s_txt]
+    values = np.stack([out[k].ravel() for k in ("p0", "p1", "p2", "p3", "discriminant",
+                                                "kg_closed", "kg_generic")], axis=1)
+    csv_text = _csv_text("r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic",
+                         values, prefix)
 
     ordering = []
     for i in range(specs):
@@ -220,7 +249,7 @@ def run_curvature_sweep(seed=0, n_r=50, n_theta=50, n_s=9, specs=100,
         "ordering_specs": specs, "ordering_violations": ordering_bad,
         "side_ordering": ordering,
         "passed": bool(np.max(rel) < rel_tol) and sign_bad == 0 and ordering_bad == 0,
-    }, "\n".join(csv_lines) + "\n"
+    }, csv_text
 
 
 # --- sphere-conjecture -------------------------------------------------------
@@ -240,10 +269,7 @@ def curve_trace_csv(curve, n=128) -> str:
     r, theta = curve.eval(ts)
     xy = polar_to_cart(r, theta)
     kg = curve.curvature(ts)
-    lines = ["t,r,theta,x,y,kg"]
-    for row in zip(ts, r, theta, xy[:, 0], xy[:, 1], kg):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_text("t,r,theta,x,y,kg", np.stack([ts, r, theta, xy[:, 0], xy[:, 1], kg], axis=1))
 
 
 def _render_scene(seed, k1, k2):
@@ -314,11 +340,11 @@ def build_parser():
         description="anisotropic dilations in the Poincare disk: verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, trials_default):
+    def add_common(p, trials_default=None):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_int_at_least(1), default=trials_default)
+        if trials_default is not None:
+            p.add_argument("--trials", type=_int_at_least(1), default=trials_default)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default="json", choices=["json", "csv", "svg"])
 
     p = sub.add_parser("verify-theorem", help="randomized expansion trials")
     add_common(p, 200)
@@ -334,12 +360,13 @@ def build_parser():
     p.add_argument("--replay", type=str, default=None)
 
     p = sub.add_parser("verify-lemmas", help="inequality grids")
-    add_common(p, 1)
+    add_common(p)
     # the smallest n at which open_interval_grid gives about n points
     p.add_argument("--grid-n", type=_int_at_least(18), default=500)
 
     p = sub.add_parser("curvature-sweep", help="decomposition grid and side ordering")
     add_common(p, 100)
+    p.add_argument("--format", type=str, default="json", choices=["json", "csv"])
     p.add_argument("--grid-n", type=_int_at_least(2), default=50)
     p.add_argument("--tol", type=float, default=1e-8)
 
@@ -347,7 +374,8 @@ def build_parser():
     add_common(p, 500)
 
     p = sub.add_parser("render", help="SVG overlay of a region and its image")
-    add_common(p, 1)
+    add_common(p)
+    p.add_argument("--format", type=str, default="svg", choices=["svg", "csv"])
     p.add_argument("--k1", type=_positive_float, default=2.0)
     p.add_argument("--k2", type=_positive_float, default=1.0)
     return parser
@@ -376,7 +404,8 @@ def main(argv=None) -> int:
         if args.command == "verify-lemmas":
             report = run_verify_lemmas(grid_n=args.grid_n)
             _write(args.out, _dumps(report))
-            sys.stdout.write(lemma_table(report))
+            # keep stdout pure JSON when the report goes there
+            (sys.stdout if args.out else sys.stderr).write(lemma_table(report))
             return PASS if report["passed"] else VIOLATION
 
         if args.command == "curvature-sweep":
