@@ -1,8 +1,8 @@
 """Command-line front end: experiment drivers, counterexample search, rendering.
 
 Exit codes: 0 on pass, 1 on a property violation, 2 on usage or config
-errors.  All commands are deterministic for a fixed seed; per-trial random
-streams are derived from (seed, trial index).
+errors.  Every command but verify-lemmas takes a seed and is deterministic
+for it; per-trial random streams are derived from (seed, trial index).
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ def build_parser():
     p.add_argument("--replay", type=str, default=None)
 
     p = sub.add_parser("verify-lemmas", help="inequality grids")
-    add_common(p)
+    p.add_argument("--out", type=str, default=None)
     # the smallest n at which open_interval_grid gives about n points
     p.add_argument("--grid-n", type=_int_at_least(18), default=500)
 

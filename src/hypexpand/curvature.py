@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import DiskPoint, ParamCurve, curvature_from_derivatives
+from .disk import DiskPoint, ParamCurve, chord_jet, chord_rpp, curvature_from_derivatives
 
 # series branch for the auxiliary functions below this argument; the direct
 # forms lose ~eps/a^2 relative accuracy to cancellation as a -> 0
@@ -88,67 +88,56 @@ class ChordSpec:
 
 
 def chord_radius(spec: ChordSpec, t):
-    """Radius of the chord at parameter t from the inverse-coth combination."""
-    dth = spec.delta_theta
-    if not 0.0 < dth < math.pi:
-        raise ValueError("subtended angle must lie in (0, pi)")
-    t = np.asarray(t, dtype=float)
-    c = (np.sin((1.0 - t) * dth) / math.tanh(spec.r1)
-         + np.sin(t * dth) / math.tanh(spec.r2)) / math.sin(dth)
-    out = np.arctanh(1.0 / c)
+    """Radius of the chord at parameter t, from the cancellation-free disk.chord_jet."""
+    out = chord_jet(spec.r1, spec.r2, spec.delta_theta, t)[0]
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _chord_jet(spec: ChordSpec, t):
-    """(r_hat, r_hat', r_hat'') of the chord at t."""
-    dth = spec.delta_theta
-    t = np.asarray(t, dtype=float)
-    coth1, coth2 = 1.0 / math.tanh(spec.r1), 1.0 / math.tanh(spec.r2)
-    r = chord_radius(spec, t)
-    rp = dth * np.sinh(r) ** 2 * (
-        coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / math.sin(dth)
-    rpp = 2.0 * rp ** 2 / np.tanh(r) + dth ** 2 * np.sinh(2.0 * r) / 2.0
-    return r, rp, rpp
+def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth):
+    """Preimage 2-jet of a chord 2-jet under the axis dilation, in the inputs' dtype.
+
+    The chord sits at angle theta_hat and turns at the constant rate dth.
+    Returns beta and its derivatives (bp, bpp), the preimage jet (r, rp, rpp,
+    thp, thpp) and the pieces the decomposition reuses (ct, st, sb = sqrt(beta),
+    one_m_s2 = 1 - s^2).  beta - s^2 and 1 - beta are formed from their product
+    identities, not by subtraction, to avoid cancellation near the window
+    boundaries.
+    """
+    ct, st = np.cos(theta_hat), np.sin(theta_hat)
+    one_m_s2 = (1.0 - s) * (1.0 + s)
+    b = (s * ct) ** 2 + st ** 2
+    sb = np.sqrt(b)
+    bp = one_m_s2 * dth * 2.0 * st * ct
+    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
+    thp = s * dth / b
+    return {
+        "ct": ct, "st": st, "one_m_s2": one_m_s2, "sb": sb,
+        "beta": b, "beta_minus_s2": one_m_s2 * st * st, "one_minus_beta": one_m_s2 * ct * ct,
+        "bp": bp, "bpp": bpp,
+        "r": r_hat * sb,
+        "rp": rp_hat * sb + r_hat * bp / (2.0 * sb),
+        "rpp": rpp_hat * sb + rp_hat * bp / sb + (r_hat / 2.0) * (
+            (bpp * sb - bp * bp / (2.0 * sb)) / b),
+        "thp": thp, "thpp": -thp * bp / b,
+    }
 
 
 def preimage_state(spec: ChordSpec, s, t):
     """Full derivative chain of the preimage curve at t.
 
-    Returns a dict with the chord jet (r_hat, rp_hat, rpp_hat), the angular
-    quantities (theta_hat, beta, beta', beta''), and the preimage jet
-    (r, r', r'', theta, theta', theta'').  beta - s^2 and 1 - beta are formed
-    from their product identities, not by subtraction, to avoid cancellation
-    near the window boundaries.
+    Returns a dict with the chord jet (r_hat, rp_hat, rpp_hat), theta_hat, the
+    preimage angle theta, and everything _preimage_jet returns.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     dth = spec.delta_theta
     t = np.asarray(t, dtype=float)
     th_hat = spec.theta(t)
-    ct, st = np.cos(th_hat), np.sin(th_hat)
-    one_m_s2 = (1.0 - s) * (1.0 + s)
-    b = (s * ct) ** 2 + st ** 2
-    b_m_s2 = one_m_s2 * st * st
-    one_m_b = one_m_s2 * ct * ct
-    sb = np.sqrt(b)
-    r_hat, rp_hat, rpp_hat = _chord_jet(spec, t)
-    bp = one_m_s2 * dth * 2.0 * st * ct
-    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
-    r = r_hat * sb
-    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
-    rpp = rpp_hat * sb + rp_hat * bp / sb + (r_hat / 2.0) * (
-        (bpp * sb - bp * bp / (2.0 * sb)) / b)
-    theta = np.arctan2(st, s * ct)
-    thp = s * dth / b
-    thpp = -thp * bp / b
-    return {
-        "t": t, "theta_hat": th_hat,
-        "r_hat": r_hat, "rp_hat": rp_hat, "rpp_hat": rpp_hat,
-        "beta": b, "beta_minus_s2": b_m_s2, "one_minus_beta": one_m_b,
-        "bp": bp, "bpp": bpp,
-        "r": r, "rp": rp, "rpp": rpp,
-        "theta": theta, "thp": thp, "thpp": thpp,
-    }
+    r_hat, rp_hat, rpp_hat = chord_jet(spec.r1, spec.r2, dth, t)
+    jet = _preimage_jet(r_hat, rp_hat, rpp_hat, th_hat, s, dth)
+    return {**jet, "t": t, "theta_hat": th_hat,
+            "r_hat": r_hat, "rp_hat": rp_hat, "rpp_hat": rpp_hat,
+            "theta": np.arctan2(jet["st"], s * jet["ct"])}
 
 
 def preimage_curve(spec: ChordSpec, s) -> ParamCurve:
@@ -209,7 +198,7 @@ class PCoefficients:
 
 
 def p_coefficients(r_hat, theta_hat, s, rp_hat, delta_theta_hat) -> PCoefficients:
-    """Curvature decomposition coefficients at one chord state.
+    """Curvature decomposition at one chord state: a scalar view of p_coefficients_grid.
 
     The chord second derivative is determined by the chord equation, so the
     state (r_hat, theta_hat, s, rp_hat, dth) fixes the full preimage 2-jet.
@@ -220,31 +209,10 @@ def p_coefficients(r_hat, theta_hat, s, rp_hat, delta_theta_hat) -> PCoefficient
         raise ValueError("s must lie in (0, 1)")
     if not 0.0 < delta_theta_hat < math.pi:
         raise ValueError("delta_theta_hat must lie in (0, pi)")
-    ct, st = math.cos(theta_hat), math.sin(theta_hat)
-    one_m_s2 = (1.0 - s) * (1.0 + s)
-    b = (s * ct) ** 2 + st ** 2
-    b_m_s2 = one_m_s2 * st * st
-    one_m_b = one_m_s2 * ct * ct
-    sb = math.sqrt(b)
-
-    # preimage jet pieces needed for v and P0
-    bp = one_m_s2 * delta_theta_hat * 2.0 * st * ct
-    r = r_hat * sb
-    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
-    thp = s * delta_theta_hat / b
-    v = math.sqrt(rp ** 2 + math.sinh(r) ** 2 * thp ** 2)
-
-    psi_rb = float(psi(r_hat * sb))
-    p0 = (1.0 / v ** 3) * (s * delta_theta_hat / b) * math.sinh(r)
-    p1 = 2.0 * sb * (psi_rb - float(psi(r_hat))) / r_hat
-    p2 = 2.0 * one_m_s2 * (2.0 * st * ct) * psi_rb / sb
-    p2_sq = 16.0 * b_m_s2 * one_m_b * psi_rb ** 2 / b
-    p3 = (1.0 / (2.0 * b * sb)) * (
-        (s * s / sb) * float(phi(2.0 * r_hat * sb))
-        - b ** 2 * float(phi(2.0 * r_hat))
-        + 4.0 * r_hat * b_m_s2 * one_m_b * psi_rb)
-    return PCoefficients(p0, p1, p2, p2_sq, p3, float(r_hat), float(theta_hat),
-                         float(s), float(rp_hat), float(delta_theta_hat), b, v)
+    g = p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat)
+    return PCoefficients(*(float(g[k]) for k in ("p0", "p1", "p2", "p2_sq", "p3")),
+                         float(r_hat), float(theta_hat), float(s), float(rp_hat),
+                         float(delta_theta_hat), float(g["beta"]), float(g["v"]))
 
 
 def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
@@ -255,77 +223,42 @@ def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
     chained preimage jet and is the independent route the closed form is
     checked against.  The raw formula suffers cancellation where the curve is
     nearly geodesic (its terms are large while k_g is tiny), so the reference
-    is evaluated in extended precision; the grouped closed form needs no such
-    help.
+    is evaluated on the same jet chain in extended precision; the grouped
+    closed form needs no such help.
     """
-    r_hat = np.asarray(r_hat, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    s = np.asarray(s, dtype=float)
-    rp_hat = np.asarray(rp_hat, dtype=float)
-    dth = np.asarray(delta_theta_hat, dtype=float)
-
-    ct, st = np.cos(theta_hat), np.sin(theta_hat)
-    one_m_s2 = (1.0 - s) * (1.0 + s)
-    b = (s * ct) ** 2 + st ** 2
-    b_m_s2 = one_m_s2 * st * st
-    one_m_b = one_m_s2 * ct * ct
-    sb = np.sqrt(b)
-
-    rpp_hat = 2.0 * rp_hat ** 2 / np.tanh(r_hat) + dth ** 2 * np.sinh(2.0 * r_hat) / 2.0
-    bp = one_m_s2 * dth * 2.0 * st * ct
-    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
-    r = r_hat * sb
-    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
-    rpp = rpp_hat * sb + rp_hat * bp / sb + (r_hat / 2.0) * (
-        (bpp * sb - bp * bp / (2.0 * sb)) / b)
-    thp = s * dth / b
-    thpp = -thp * bp / b
-    v = np.sqrt(rp ** 2 + np.sinh(r) ** 2 * thp ** 2)
+    r_hat, theta_hat, s, rp_hat, dth = (np.asarray(x, dtype=float) for x in (
+        r_hat, theta_hat, s, rp_hat, delta_theta_hat))
+    j = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth), theta_hat, s, dth)
+    b, sb, one_m_s2 = j["beta"], j["sb"], j["one_m_s2"]
+    b_m_s2, one_m_b = j["beta_minus_s2"], j["one_minus_beta"]
+    v = np.sqrt(j["rp"] ** 2 + np.sinh(j["r"]) ** 2 * j["thp"] ** 2)
 
     psi_rb = psi(r_hat * sb)
-    p0 = (1.0 / v ** 3) * (s * dth / b) * np.sinh(r)
+    p0 = (1.0 / v ** 3) * j["thp"] * np.sinh(j["r"])
     p1 = 2.0 * sb * (psi_rb - psi(r_hat)) / r_hat
-    p2 = 2.0 * one_m_s2 * (2.0 * st * ct) * psi_rb / sb
+    p2 = 2.0 * one_m_s2 * (2.0 * j["st"] * j["ct"]) * psi_rb / sb
     p2_sq = 16.0 * b_m_s2 * one_m_b * psi_rb ** 2 / b
     p3 = (1.0 / (2.0 * b * sb)) * (
         (s * s / sb) * phi(2.0 * r_hat * sb) - b ** 2 * phi(2.0 * r_hat)
         + 4.0 * r_hat * b_m_s2 * one_m_b * psi_rb)
     kg_closed = p0 * (p1 * rp_hat ** 2 + p2 * rp_hat * dth + p3 * dth ** 2)
-    kg_generic = _generic_curvature_extended(r_hat, theta_hat, s, rp_hat, dth)
+
+    kg_generic = _raw_curvature(*(np.asarray(x, dtype=np.longdouble)
+                                  for x in (r_hat, theta_hat, s, rp_hat, dth)))
     return {
         "p0": p0, "p1": p1, "p2": p2, "p2_sq": p2_sq, "p3": p3,
         "discriminant": p2_sq - 4.0 * p1 * p3,
-        "kg_closed": kg_closed, "kg_generic": kg_generic, "v": v, "beta": b,
+        "kg_closed": kg_closed, "kg_generic": kg_generic.astype(float), "v": v, "beta": b,
     }
 
 
-def _generic_curvature_extended(r_hat, theta_hat, s, rp_hat, dth):
-    """Raw polar curvature of the chained preimage jet, in extended precision."""
-    ld = np.longdouble
-    r_hat = np.asarray(r_hat, dtype=ld)
-    theta_hat = np.asarray(theta_hat, dtype=ld)
-    s = np.asarray(s, dtype=ld)
-    rp_hat = np.asarray(rp_hat, dtype=ld)
-    dth = np.asarray(dth, dtype=ld)
-    ct, st = np.cos(theta_hat), np.sin(theta_hat)
-    one_m_s2 = (1.0 - s) * (1.0 + s)
-    b = (s * ct) ** 2 + st ** 2
-    sb = np.sqrt(b)
-    rpp_hat = 2.0 * rp_hat ** 2 / np.tanh(r_hat) + dth ** 2 * np.sinh(2.0 * r_hat) / 2.0
-    bp = one_m_s2 * dth * 2.0 * st * ct
-    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
-    r = r_hat * sb
-    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
-    rpp = rpp_hat * sb + rp_hat * bp / sb + (r_hat / 2.0) * (
-        (bpp * sb - bp * bp / (2.0 * sb)) / b)
-    thp = s * dth / b
-    thpp = -thp * bp / b
-    G = np.sinh(r) ** 2
-    G_r = np.sinh(2.0 * r)
-    v = np.sqrt(rp ** 2 + G * thp ** 2)
-    out = np.sqrt(G) * ((G_r / G) * rp ** 2 * thp + 0.5 * G_r * thp ** 3
-                        + rp * thpp - rpp * thp) / v ** 3
-    return out.astype(float)
+def _raw_curvature(r_hat, theta_hat, s, rp_hat, dth):
+    """Raw polar curvature of the chained preimage jet, in the inputs' dtype.
+
+    Its own function so the extended-precision jet is freed on return (peak RSS).
+    """
+    e = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth), theta_hat, s, dth)
+    return curvature_from_derivatives(e["r"], e["rp"], e["rpp"], e["thp"], e["thpp"])
 
 
 # --- comparison curve --------------------------------------------------------

@@ -293,9 +293,9 @@ def curvature_from_derivatives(r, dr, d2r, dtheta, d2theta):
 
     k_g = sqrt(EG)/v^3 * ( (G_r/G) r'^2 th' + (G_r/2E) th'^3 + r' th'' - r'' th' )
     with E = 1, G = sinh^2 r, G_r = sinh 2r.  Positive for counterclockwise
-    circles about the origin.
+    circles about the origin.  Keeps the jet's dtype (float64 for Python floats).
     """
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r)
     G = np.sinh(r) ** 2
     G_r = np.sinh(2.0 * r)
     v = np.sqrt(np.asarray(dr) ** 2 + G * np.asarray(dtheta) ** 2)
@@ -347,46 +347,51 @@ def geodesic_between(u: DiskPoint, v: DiskPoint, angle_eps=1e-14) -> ParamCurve:
     return _diameter_curve(u, v)
 
 
-def _polar_chord_curve(u, v, dth):
-    r1, r2 = u.r, v.r
-    th1 = u.theta
-    coth1, coth2 = 1.0 / math.tanh(r1), 1.0 / math.tanh(r2)
-    sin_dth = math.sin(dth)
+def chord_rpp(r, rp, dth):
+    """Second radial derivative of a geodesic traversed at constant angular speed dth.
 
-    # the inverse-coth combination evaluated through delta = coth(r(t)) - 1,
-    # assembled from positive terms only: naive evaluation of arctanh(1/c)
-    # loses ~eps*e^(2r) absolute accuracy, which finite differencing of the
-    # curve then amplifies by 1/h^2
+    The polar chord equation gives r'' = 2 r'^2 coth r + dth^2 sinh(2r) / 2.
+    Evaluated in the dtype of its arguments.
+    """
+    return 2.0 * rp ** 2 / np.tanh(r) + dth ** 2 * np.sinh(2.0 * r) / 2.0
+
+
+def chord_jet(r1, r2, dth, t):
+    """(r, r', r'') at t of the polar chord from (r1, 0) to (r2, dth), 0 < |dth| < pi.
+
+    The radius solves coth r(t) = (coth r1 sin((1-t) dth) + coth r2 sin(t dth))
+    / sin(dth), evaluated through delta = coth(r(t)) - 1 assembled from
+    positive terms only: naive evaluation of arctanh(1/c) loses ~eps*e^(2r)
+    absolute accuracy, which finite differencing of the curve then amplifies
+    by 1/h^2.
+    """
+    t = np.asarray(t, dtype=float)
     a = abs(dth)
-    sin_a = math.sin(a)
     q1 = 2.0 / math.expm1(2.0 * r1)
     q2 = 2.0 / math.expm1(2.0 * r2)
-    half = math.sin(a / 2.0)
+    ua, ta = (1.0 - t) * a, t * a
+    bracket = 4.0 * math.sin(a / 2.0) * np.sin(ua / 2.0) * np.sin(ta / 2.0)
+    delta = (q1 * np.sin(ua) + q2 * np.sin(ta) + bracket) / math.sin(a)
+    w = np.sqrt(delta * (2.0 + delta)) - delta  # w = 1 - tanh(r/2)
+    r = np.log((2.0 - w) / w)
+    coth1, coth2 = 1.0 / math.tanh(r1), 1.0 / math.tanh(r2)
+    rp = dth * np.sinh(r) ** 2 * (
+        coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / math.sin(dth)
+    return r, rp, chord_rpp(r, rp, dth)
 
-    def radius(t):
-        t = np.asarray(t, dtype=float)
-        bracket = 4.0 * half * np.sin((1.0 - t) * a / 2.0) * np.sin(t * a / 2.0)
-        delta = (q1 * np.sin((1.0 - t) * a) + q2 * np.sin(t * a) + bracket) / sin_a
-        w = np.sqrt(delta * (2.0 + delta)) - delta  # w = 1 - tanh(r/2)
-        return np.log((2.0 - w) / w)
 
+def _polar_chord_curve(u, v, dth):
     def ev(t):
         t = np.asarray(t, dtype=float)
-        return radius(t), th1 + t * dth
+        return chord_jet(u.r, v.r, dth, t)[0], u.theta + t * dth
 
     def d1(t):
         t = np.asarray(t, dtype=float)
-        r = radius(t)
-        dr = dth * np.sinh(r) ** 2 * (
-            coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / sin_dth
-        return dr, np.full_like(t, dth)
+        return chord_jet(u.r, v.r, dth, t)[1], np.full_like(t, dth)
 
     def d2(t):
         t = np.asarray(t, dtype=float)
-        r = radius(t)
-        dr, _ = d1(t)
-        d2r = 2.0 * dr ** 2 / np.tanh(r) + dth ** 2 * np.sinh(2.0 * r) / 2.0
-        return d2r, np.zeros_like(t)
+        return chord_jet(u.r, v.r, dth, t)[2], np.zeros_like(t)
 
     meta = {"branch": "polar-chord", "delta_theta": dth,
             "orientation": "ccw" if dth > 0 else "cw", "swapped": dth < 0}

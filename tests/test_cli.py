@@ -279,6 +279,7 @@ class TestParsing:
         ["verify-theorem", "--format", "json"],
         ["search-counterexample", "--format", "csv"],
         ["sphere-conjecture", "--format", "json"],
+        ["verify-lemmas", "--seed", "5"],
     ])
     def test_option_the_command_does_not_take_is_a_usage_error(self, argv):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,116 @@ from hypexpand.curvature import (
     psi,
     side_ordering,
 )
-from hypexpand.disk import DiskPoint, ParamCurve, curvature_from_derivatives, geodesic_curvature
+from hypexpand.disk import (
+    DiskPoint,
+    ParamCurve,
+    chord_jet,
+    curvature_from_derivatives,
+    geodesic_curvature,
+)
+
+
+# --- references: the hand-expanded chains the one jet chain replaced ----------
+
+def reference_preimage_chain(r_hat, rp_hat, rpp_hat, th_hat, s, dth):
+    """The preimage 2-jet as preimage_state wrote it out before the shared chain."""
+    ct, st = np.cos(th_hat), np.sin(th_hat)
+    one_m_s2 = (1.0 - s) * (1.0 + s)
+    b = (s * ct) ** 2 + st ** 2
+    b_m_s2 = one_m_s2 * st * st
+    one_m_b = one_m_s2 * ct * ct
+    sb = np.sqrt(b)
+    bp = one_m_s2 * dth * 2.0 * st * ct
+    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
+    r = r_hat * sb
+    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
+    rpp = rpp_hat * sb + rp_hat * bp / sb + (r_hat / 2.0) * (
+        (bpp * sb - bp * bp / (2.0 * sb)) / b)
+    theta = np.arctan2(st, s * ct)
+    thp = s * dth / b
+    thpp = -thp * bp / b
+    return {
+        "beta": b, "beta_minus_s2": b_m_s2, "one_minus_beta": one_m_b,
+        "bp": bp, "bpp": bpp,
+        "r": r, "rp": rp, "rpp": rpp,
+        "theta": theta, "thp": thp, "thpp": thpp,
+    }
+
+
+def reference_closed_form(r_hat, theta_hat, s, rp_hat, dth):
+    """p0..p3, p2_sq, kg_closed, v and beta from the float64 hand-expanded chain."""
+    r_hat, theta_hat, s, rp_hat, dth = (np.asarray(x, dtype=float)
+                                        for x in (r_hat, theta_hat, s, rp_hat, dth))
+    ct, st = np.cos(theta_hat), np.sin(theta_hat)
+    one_m_s2 = (1.0 - s) * (1.0 + s)
+    b = (s * ct) ** 2 + st ** 2
+    b_m_s2 = one_m_s2 * st * st
+    one_m_b = one_m_s2 * ct * ct
+    sb = np.sqrt(b)
+    bp = one_m_s2 * dth * 2.0 * st * ct
+    r = r_hat * sb
+    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
+    thp = s * dth / b
+    v = np.sqrt(rp ** 2 + np.sinh(r) ** 2 * thp ** 2)
+    psi_rb = psi(r_hat * sb)
+    p0 = (1.0 / v ** 3) * (s * dth / b) * np.sinh(r)
+    p1 = 2.0 * sb * (psi_rb - psi(r_hat)) / r_hat
+    p2 = 2.0 * one_m_s2 * (2.0 * st * ct) * psi_rb / sb
+    p2_sq = 16.0 * b_m_s2 * one_m_b * psi_rb ** 2 / b
+    p3 = (1.0 / (2.0 * b * sb)) * (
+        (s * s / sb) * phi(2.0 * r_hat * sb) - b ** 2 * phi(2.0 * r_hat)
+        + 4.0 * r_hat * b_m_s2 * one_m_b * psi_rb)
+    kg_closed = p0 * (p1 * rp_hat ** 2 + p2 * rp_hat * dth + p3 * dth ** 2)
+    return {"p0": p0, "p1": p1, "p2": p2, "p2_sq": p2_sq, "p3": p3,
+            "discriminant": p2_sq - 4.0 * p1 * p3, "kg_closed": kg_closed,
+            "v": v, "beta": b}
+
+
+def reference_generic_curvature_extended(r_hat, theta_hat, s, rp_hat, dth):
+    """Raw polar curvature of the chained preimage jet, in extended precision."""
+    ld = np.longdouble
+    r_hat = np.asarray(r_hat, dtype=ld)
+    theta_hat = np.asarray(theta_hat, dtype=ld)
+    s = np.asarray(s, dtype=ld)
+    rp_hat = np.asarray(rp_hat, dtype=ld)
+    dth = np.asarray(dth, dtype=ld)
+    ct, st = np.cos(theta_hat), np.sin(theta_hat)
+    one_m_s2 = (1.0 - s) * (1.0 + s)
+    b = (s * ct) ** 2 + st ** 2
+    sb = np.sqrt(b)
+    rpp_hat = 2.0 * rp_hat ** 2 / np.tanh(r_hat) + dth ** 2 * np.sinh(2.0 * r_hat) / 2.0
+    bp = one_m_s2 * dth * 2.0 * st * ct
+    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
+    r = r_hat * sb
+    rp = rp_hat * sb + r_hat * bp / (2.0 * sb)
+    rpp = rpp_hat * sb + rp_hat * bp / sb + (r_hat / 2.0) * (
+        (bpp * sb - bp * bp / (2.0 * sb)) / b)
+    thp = s * dth / b
+    thpp = -thp * bp / b
+    G = np.sinh(r) ** 2
+    G_r = np.sinh(2.0 * r)
+    v = np.sqrt(rp ** 2 + G * thp ** 2)
+    out = np.sqrt(G) * ((G_r / G) * rp ** 2 * thp + 0.5 * G_r * thp ** 3
+                        + rp * thpp - rpp * thp) / v ** 3
+    return out.astype(float)
+
+
+def sweep_grid():
+    r_hat = np.geomspace(0.05, 10.0, 50)
+    theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 50)
+    s_vals = np.linspace(0.1, 0.9, 9)
+    R, T, S = np.meshgrid(r_hat, theta_hat, s_vals, indexing="ij")
+    return R, T, S, np.random.default_rng(1).uniform(-2.0, 2.0, size=R.shape), 1.0
+
+
+def random_states():
+    # the state set of TestDecomposition.test_reconstruction_matches_raw_formula
+    rng = np.random.default_rng(44)
+    R = rng.uniform(0.05, 10.0, 4000)
+    T = rng.uniform(-math.pi / 2 + 0.005, math.pi / 2 - 0.005, 4000)
+    S = rng.uniform(0.05, 0.95, 4000)
+    RP = rng.uniform(-3.0, 3.0, 4000)
+    return R, T, S, RP, 1.0
 
 
 class TestAuxiliaryFunctions:
@@ -91,6 +201,25 @@ class TestChord:
         r_mid = chord_radius(spec, 0.5)
         assert 1.0 / math.tanh(r_mid) == pytest.approx(
             (1.0 / math.tanh(1.0)) / math.cos(0.5), rel=1e-13)
+
+    def test_large_radii_match_mpmath(self):
+        # acoth of the chord equation at 50 digits, on the exact float inputs;
+        # the naive arctanh(1/c) misses this by ~5e-12 relative
+        rng = np.random.default_rng(48)
+        worst = 0.0
+        with mp.workdps(50):
+            for _ in range(500):
+                th1 = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.1)
+                th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
+                spec = ChordSpec(rng.uniform(5.0, 30.0), rng.uniform(5.0, 30.0), th1, th2)
+                ts = rng.uniform(0.0, 1.0, 8)
+                dth = mp.mpf(spec.delta_theta)
+                for t, got in zip(ts, chord_radius(spec, ts)):
+                    c = (mp.coth(spec.r1) * mp.sin((1 - mp.mpf(t)) * dth)
+                         + mp.coth(spec.r2) * mp.sin(mp.mpf(t) * dth)) / mp.sin(dth)
+                    ref = mp.acoth(c)
+                    worst = max(worst, abs(float((mp.mpf(got) - ref) / ref)))
+        assert worst < 1e-13
 
     def test_chord_is_a_geodesic(self):
         spec = ChordSpec(1.5, 2.2, -0.6, 0.9)
@@ -174,6 +303,18 @@ class TestDerivativeChain:
             scaled = np.abs(fd - mid[deriv]) / (1.0 + np.abs(mid[deriv]))
             assert float(np.max(scaled)) < 1e-6, (base, deriv)
 
+    @pytest.mark.parametrize("t", [0.0, 0.37, np.linspace(0.0, 1.0, 33)])
+    def test_jet_is_the_reference_chain_on_the_chord_jet(self, t):
+        spec = ChordSpec(1.4, 2.1, -0.5, 0.9)
+        s = 0.4
+        state = preimage_state(spec, s, t)
+        chord = chord_jet(spec.r1, spec.r2, spec.delta_theta, t)
+        ref = reference_preimage_chain(*chord, spec.theta(t), s, spec.delta_theta)
+        for key, value in zip(("r_hat", "rp_hat", "rpp_hat"), chord):
+            assert np.array_equal(state[key], value), key
+        for key, value in ref.items():
+            assert np.array_equal(state[key], value), key
+
     def test_beta_prime_square_identity(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -233,6 +374,17 @@ class TestDecomposition:
         grid = p_coefficients_grid(1.7, 0.4, 0.45, -0.8, 1.2)
         assert pc.curvature() == pytest.approx(float(grid["kg_closed"]), rel=1e-14)
         assert pc.discriminant() == pytest.approx(float(grid["discriminant"]), rel=1e-12)
+        for key in ("p0", "p1", "p2", "p2_sq", "p3", "beta", "v"):
+            assert getattr(pc, key) == float(grid[key]), key
+
+    @pytest.mark.parametrize("states", [sweep_grid, random_states])
+    def test_grid_is_the_reference_chains_bitwise(self, states):
+        args = states()
+        out = p_coefficients_grid(*args)
+        for key, value in reference_closed_form(*args).items():
+            assert np.array_equal(out[key], value), key
+        assert out["kg_generic"].dtype == np.float64
+        assert np.array_equal(out["kg_generic"], reference_generic_curvature_extended(*args))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -325,6 +477,17 @@ class TestSideOrdering:
         rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=16, slack=1e-9)
         assert rep.violations == []
         assert rep.samples == 16
+
+
+class TestCurvatureDtype:
+    def test_extended_jet_gives_extended_result(self):
+        jet = [np.asarray(x, dtype=np.longdouble) for x in (1.3, 0.4, -0.2, 0.7, 0.1)]
+        assert curvature_from_derivatives(*jet).dtype == np.longdouble
+        # an extended radius alone is not rounded to float64
+        assert curvature_from_derivatives(jet[0], 0.4, -0.2, 0.7, 0.1).dtype == np.longdouble
+
+    def test_python_floats_give_float64(self):
+        assert curvature_from_derivatives(1.3, 0.4, -0.2, 0.7, 0.1).dtype == np.float64
 
 
 def test_raw_formula_agrees_with_conformal_oracle():

@@ -267,6 +267,65 @@ class TestGeodesic:
         assert np.max(np.abs(r_curve - r_s)) < 1e-10
 
 
+def reference_polar_chord_closures(u, v, dth):
+    """eval, d1 and d2 of the polar-chord branch as written before the shared chord jet."""
+    r1, r2 = u.r, v.r
+    th1 = u.theta
+    coth1, coth2 = 1.0 / math.tanh(r1), 1.0 / math.tanh(r2)
+    sin_dth = math.sin(dth)
+    a = abs(dth)
+    sin_a = math.sin(a)
+    q1 = 2.0 / math.expm1(2.0 * r1)
+    q2 = 2.0 / math.expm1(2.0 * r2)
+    half = math.sin(a / 2.0)
+
+    def radius(t):
+        t = np.asarray(t, dtype=float)
+        bracket = 4.0 * half * np.sin((1.0 - t) * a / 2.0) * np.sin(t * a / 2.0)
+        delta = (q1 * np.sin((1.0 - t) * a) + q2 * np.sin(t * a) + bracket) / sin_a
+        w = np.sqrt(delta * (2.0 + delta)) - delta
+        return np.log((2.0 - w) / w)
+
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        return radius(t), th1 + t * dth
+
+    def d1(t):
+        t = np.asarray(t, dtype=float)
+        r = radius(t)
+        dr = dth * np.sinh(r) ** 2 * (
+            coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / sin_dth
+        return dr, np.full_like(t, dth)
+
+    def d2(t):
+        t = np.asarray(t, dtype=float)
+        r = radius(t)
+        dr, _ = d1(t)
+        d2r = 2.0 * dr ** 2 / np.tanh(r) + dth ** 2 * np.sinh(2.0 * r) / 2.0
+        return d2r, np.zeros_like(t)
+
+    return ev, d1, d2
+
+
+def test_polar_chord_branch_matches_reference_closures_bitwise():
+    rng = np.random.default_rng(49)
+    ts = np.concatenate([[0.0, 1.0], rng.uniform(size=30)])
+    checked = 0
+    for _ in range(200):
+        u = rand_point(rng, r_max=30.0)
+        v = rand_point(rng, r_max=30.0)
+        g = geodesic_between(u, v)
+        if g.meta["branch"] != "polar-chord":
+            continue
+        checked += 1
+        ref = reference_polar_chord_closures(u, v, g.meta["delta_theta"])
+        for got_fn, ref_fn in zip((g.eval, g.d1, g.d2), ref):
+            for t in (ts, 0.3):
+                for got, want in zip(got_fn(t), ref_fn(t)):
+                    assert np.array_equal(got, want)
+    assert checked > 150
+
+
 class TestCurvature:
     def test_radial_segment_is_flat(self):
         u = DiskPoint.from_polar(0.5, 0.7)
