@@ -168,10 +168,19 @@ def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3,
     return report
 
 
+WITNESS_KEYS = ("vertices_polar", "center_cart", "k1", "k2", "samples_per_edge",
+                "pair_samples", "segment_samples", "defect")
+
+
 def run_replay(witness_path, tol=1e-9):
-    with open(witness_path) as fh:
-        doc = json.load(fh)
-    witness = doc["witness"] if "witness" in doc else doc
+    try:
+        with open(witness_path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read a witness from {witness_path}: {exc}") from None
+    witness = doc["witness"] if isinstance(doc, dict) and "witness" in doc else doc
+    if not (isinstance(witness, dict) and set(WITNESS_KEYS) <= witness.keys()):
+        raise UsageError(f"{witness_path} holds no witness with keys {', '.join(WITNESS_KEYS)}")
     defect = measure_witness(witness)
     return {
         "command": "replay-witness", "path": witness_path,
@@ -317,10 +326,14 @@ class UsageError(Exception):
     pass
 
 
+# search-counterexample options, each named as its run_search_counterexample argument
+SEARCH_OPTIONS = ("seed", "trials", "k1", "k2", "tol")
+
+
 def _positive_float(text):
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -350,14 +363,16 @@ def build_parser():
     add_common(p, 200)
     p.add_argument("--k1", type=_positive_float, default=None)
     p.add_argument("--k2", type=_positive_float, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p = sub.add_parser("search-counterexample", help="contraction defect search")
     add_common(p, 2000)
-    p.add_argument("--k1", type=_positive_float, default=0.25)
-    p.add_argument("--k2", type=_positive_float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--k1", type=_positive_float)
+    p.add_argument("--k2", type=_positive_float)
+    p.add_argument("--tol", type=_positive_float)
     p.add_argument("--replay", type=str, default=None)
+    # None marks an option not given: --replay takes none, the search its defaults
+    p.set_defaults(**dict.fromkeys(SEARCH_OPTIONS))
 
     p = sub.add_parser("verify-lemmas", help="inequality grids")
     p.add_argument("--out", type=str, default=None)
@@ -368,7 +383,7 @@ def build_parser():
     add_common(p, 100)
     p.add_argument("--format", type=str, default="json", choices=["json", "csv"])
     p.add_argument("--grid-n", type=_int_at_least(2), default=50)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
 
     p = sub.add_parser("sphere-conjecture", help="spherical contraction trials")
     add_common(p, 500)
@@ -392,12 +407,15 @@ def main(argv=None) -> int:
             return PASS if report["passed"] else VIOLATION
 
         if args.command == "search-counterexample":
-            if args.replay:
+            given = {k: getattr(args, k) for k in SEARCH_OPTIONS if getattr(args, k) is not None}
+            if args.replay is not None:
+                if given:
+                    raise UsageError("--replay takes none of "
+                                     + ", ".join(f"--{k}" for k in given))
                 report = run_replay(args.replay)
                 _write(args.out, _dumps(report))
                 return PASS if report["passed"] else VIOLATION
-            report = run_search_counterexample(seed=args.seed, k1=args.k1, k2=args.k2,
-                                               trials=args.trials, tol=args.tol)
+            report = run_search_counterexample(**given)
             _write(args.out, _dumps(report))
             return PASS if report["found"] else VIOLATION
 

@@ -73,6 +73,39 @@ class TestSearch:
         assert rep["passed"]
         assert rep["difference"] <= 1e-9
 
+    @pytest.mark.parametrize("content", [
+        None,
+        "not json",
+        "{}",
+        "[1, 2]",
+        '{"found": false, "witness": null}',
+        '{"witness": {"vertices_polar": [[1.0, 0.0]]}}',
+    ])
+    def test_unreadable_witness_is_a_usage_error(self, content, tmp_path, capsys):
+        path = tmp_path / "witness.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["search-counterexample", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", [["--seed", "0"], ["--trials", "3"], ["--k1", "0.5"],
+                                        ["--k2", "1"], ["--tol", "1e-3"]])
+    def test_replay_takes_no_search_option(self, option, tmp_path, capsys):
+        report = run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=3)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(report))
+        assert main(["search-counterexample", "--replay", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["search-counterexample", "--replay", str(path)] + option) == 2
+        assert capsys.readouterr().err == f"error: --replay takes none of {option[0]}\n"
+
+    def test_search_options_reach_the_search(self, capsys):
+        assert main(["search-counterexample", "--seed", "3", "--trials", "4", "--k1", "0.6",
+                     "--k2", "0.9", "--tol", "2e-3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == run_search_counterexample(seed=3, trials=4, k1=0.6, k2=0.9, tol=2e-3)
+
     def test_rejects_expansion_factor(self, capsys):
         code = main(["search-counterexample", "--k1", "1.0", "--trials", "3"])
         assert code == 2
@@ -262,6 +295,14 @@ class TestParsing:
         ["verify-lemmas", "--grid-n", "17"],
         ["curvature-sweep", "--grid-n", "0"],
         ["curvature-sweep", "--grid-n", "1"],
+        ["verify-theorem", "--tol", "nan"],
+        ["verify-theorem", "--tol", "inf"],
+        ["verify-theorem", "--tol", "0"],
+        ["search-counterexample", "--tol", "nan"],
+        ["search-counterexample", "--tol", "-0.001"],
+        ["curvature-sweep", "--tol", "inf"],
+        ["curvature-sweep", "--tol=-inf"],
+        ["render", "--k1", "inf"],
     ])
     def test_invalid_input_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

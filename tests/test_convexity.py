@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ import pytest
 from hypexpand import convexity
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
-    KD_NEIGHBORS,
     GeodesicPolygon,
     SampledRegion,
     convexity_defect,
@@ -16,6 +18,7 @@ from hypexpand.convexity import (
     from_klein_point,
     hyperbolic_hull,
     is_hconvex,
+    max_polyline_distance,
     polygon_from_json,
     polygon_region,
     polygon_to_json,
@@ -25,6 +28,7 @@ from hypexpand.convexity import (
     region_from_json,
     region_to_json,
     to_klein,
+    winding_contains,
 )
 from hypexpand.dilation import DilationParams, origin_params
 from hypexpand.disk import DiskPoint, ORIGIN, polar_to_cart, translate
@@ -190,11 +194,8 @@ class TestRegionMembership:
         assert disagreements == 0
 
 
-dense_distance = convexity._dense_polyline_distance
-
-
 def broadcast_distance(loop, probes):
-    """The P x N broadcast formula the dense helper was written from."""
+    """The P x N broadcast formula polyline_distance was written from."""
     a, b = loop[:-1], loop[1:]
     e = b - a
     ee = np.sum(e * e, axis=1)
@@ -221,39 +222,41 @@ def near_and_far_probes(loop, rng):
 
 
 class TestPolylineDistance:
-    """The k-d tree path returns exactly the dense result, bit for bit."""
+    """max_polyline_distance returns exactly the all-pairs maximum, bit for bit."""
 
     @pytest.fixture
-    def fallback_rows(self, monkeypatch):
+    def exact_rows(self, monkeypatch):
+        """Probe rows max_polyline_distance checks against every segment."""
         rows = []
 
         def counting(loop, probes):
             rows.append(len(probes))
-            return dense_distance(loop, probes)
+            return polyline_distance(loop, probes)
 
-        monkeypatch.setattr(convexity, "_dense_polyline_distance", counting)
+        monkeypatch.setattr(convexity, "polyline_distance", counting)
         return rows
 
     @staticmethod
     def assert_exact(loop, probes):
-        got = polyline_distance(loop, probes)
-        ref = dense_distance(loop, np.atleast_2d(probes))
-        assert np.array_equal(got, ref)
-        assert np.array_equal(ref, broadcast_distance(loop, np.atleast_2d(probes)))
+        probes = np.atleast_2d(probes)
+        ref = broadcast_distance(loop, probes)
+        assert np.array_equal(polyline_distance(loop, probes), ref)
+        got = max_polyline_distance(loop, probes)
+        assert type(got) is float and got == float(np.max(ref))
 
-    def test_search_probes(self, monkeypatch, fallback_rows):
+    def test_search_probes(self, monkeypatch, exact_rows):
         calls = []
 
         def recording(loop, probes):
             calls.append((loop, probes))
-            return polyline_distance(loop, probes)
+            return max_polyline_distance(loop, probes)
 
-        monkeypatch.setattr(convexity, "polyline_distance", recording)
+        monkeypatch.setattr(convexity, "max_polyline_distance", recording)
         for seed, k1 in [(0, 0.25), (3, 0.6)]:
             assert run_search_counterexample(seed=seed, k1=k1, trials=50)["found"]
         assert len(calls) >= 4
-        # the bound settles almost every probe without the dense check
-        assert sum(fallback_rows) < 0.01 * sum(len(p) for _, p in calls)
+        # the bounds settle most probes without checking every segment
+        assert sum(exact_rows) < sum(len(p) for _, p in calls)
         for loop, probes in calls:
             self.assert_exact(loop, probes)
 
@@ -269,38 +272,34 @@ class TestPolylineDistance:
                                  origin_params(rng.uniform(0.25, 0.97), 1.0))
             self.assert_exact(thin.boundary, near_and_far_probes(thin.boundary, rng))
 
-    def test_one_long_segment_forces_the_fallback(self, fallback_rows):
+    def test_one_long_segment(self):
         # an arc of short segments closed by one long chord
         thetas = np.linspace(0.0, 1.5 * math.pi, 200)
         arc = 0.5 * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         loop = np.vstack([arc, arc[:1]])
         self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(42)))
-        assert sum(fallback_rows) > 0
 
-    def test_nearest_segment_touches_only_far_vertices_at_one_end(self, fallback_rows):
+    def test_nearest_segment_touches_only_far_vertices_at_one_end(self):
         # a hairpin: a strand of 0.1-long segments on y = 0 and, 0.07 above it,
-        # a strand of 0.001-long ones.  A probe on the sparse strand just before
-        # a vertex has that vertex among its nearest, but not the vertex its own
-        # segment starts at; the bound holds, so the tree path decides it.
+        # a strand of 0.001-long ones.  A probe on the sparse strand more than
+        # 0.07 from its strand's bounding vertices (x = 0, 0.4, 0.8) is bounded
+        # through the dense strand: its bound is about 0.07, its distance 0.
         sparse = np.stack([np.linspace(0.0, 1.0, 11), np.zeros(11)], axis=1)
         dense = np.stack([np.linspace(1.0, 0.0, 1001), np.full(1001, 0.07)], axis=1)
         loop = np.vstack([sparse, dense, sparse[:1]])
         xs = np.linspace(0.0, 1.0, 201)
         probes = np.stack([xs, np.zeros_like(xs)], axis=1)
         self.assert_exact(loop, probes)
-        assert np.all(polyline_distance(loop, probes) < 1e-15)
-        assert sum(fallback_rows) < len(probes)
+        assert max_polyline_distance(loop, probes) < 1e-15
 
-    def test_closure_gap_enters_the_bound(self):
-        # the probe is the loop's last point; the first vertex, 0.05 away, and
-        # the last segment are beyond the 16 nearest vertices (a strand 0.01
-        # away), so only the gap term stops the bound from passing over the
-        # last segment
+    def test_wide_closure_gap(self):
+        # the probe is the loop's last point, 0.05 from the first vertex; only
+        # the last segment, across the gap, passes through it
         strand = np.stack([0.0048 * (np.arange(8, -10, -1) + 0.5), np.full(18, 0.01)], axis=1)
         loop = np.vstack([[[0.05, 0.0], [0.05, 0.01]], strand,
                           [[-0.05, 0.01], [-0.05, 0.0], [0.0, 0.0]]])
         self.assert_exact(loop, loop[-1:])
-        assert polyline_distance(loop, loop[-1:])[0] == 0.0
+        assert max_polyline_distance(loop, loop[-1:]) == 0.0
 
     def test_zero_length_segments(self):
         loop = circle_loop(120)
@@ -312,24 +311,39 @@ class TestPolylineDistance:
         probes = np.vstack([near_and_far_probes(loop, np.random.default_rng(44)), loop[-1]])
         self.assert_exact(loop, probes)
 
-    def test_short_loop_goes_dense(self, fallback_rows):
-        loop = circle_loop(KD_NEIGHBORS)
+    def test_short_loop(self):
+        # fewer segments than BOUND_STRIDE: one bounding vertex
+        loop = circle_loop(3)
         self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(45)))
-        assert fallback_rows[0] == 5 * KD_NEIGHBORS + 32
 
     def test_non_finite_probes_take_the_dense_path(self):
-        # the k-d tree refuses non-finite queries; the dense check returns nan
         loop = circle_loop(100)
         probes = np.array([[np.nan, 0.0], [0.1, 0.1]])
-        got = polyline_distance(loop, probes)
-        assert np.array_equal(got, dense_distance(loop, probes), equal_nan=True)
-        assert np.isnan(got[0]) and got[1] > 0.0
+        assert math.isnan(max_polyline_distance(loop, probes))
+        assert math.isnan(float(np.max(broadcast_distance(loop, probes))))
 
     def test_single_probe(self):
         loop = circle_loop(100)
         got = polyline_distance(loop, np.array([0.1, 0.2]))
         assert got.shape == (1,)
         self.assert_exact(loop, np.array([0.1, 0.2]))
+
+    def test_search_and_replay_do_not_import_scipy(self, tmp_path):
+        path = tmp_path / "witness.json"
+        script = (
+            "import json, sys\n"
+            "from hypexpand.cli import run_replay, run_search_counterexample\n"
+            "report = run_search_counterexample(seed=0, k1=0.25, trials=3)\n"
+            f"open({str(path)!r}, 'w').write(json.dumps(report))\n"
+            f"assert report['found'] and run_replay({str(path)!r})['passed']\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(convexity.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout == "False\n"
 
 
 class TestDefect:
@@ -348,6 +362,33 @@ class TestDefect:
         region = SampledRegion(np.vstack([xy, xy[:1]]), provenance={"kind": "boundary"})
         region.check_simple()
         assert convexity_defect(region, 256, 16) > 1e-3
+
+    def test_winding_path_matches_the_near_boundary_rule(self, monkeypatch):
+        # without exact membership a probe is inside when the loop winds
+        # around it or it lies within ON_BOUNDARY_TOL of the loop.  The
+        # crescent's defect is above that tolerance; the polygon's probes
+        # that the loop does not wind around all lie within it.
+        probes = []
+
+        def recording(loop, xy):
+            probes.append(xy)
+            return winding_contains(loop, xy)
+
+        monkeypatch.setattr(convexity, "winding_contains", recording)
+        thetas = np.linspace(-math.pi, math.pi, 257)[:-1]
+        r = np.full_like(thetas, 1.5)
+        dent = np.abs(thetas) < 0.8
+        r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
+        xy = polar_to_cart(r, thetas)
+        crescent = np.vstack([xy, xy[:1]])
+        polygon = polygon_region(random_hconvex_polygon(np.random.default_rng(26))).boundary
+        for loop in (crescent, polygon):
+            probes.clear()
+            got = convexity_defect(SampledRegion(loop, provenance={"kind": "boundary"}))
+            (xy,) = probes
+            dist = polyline_distance(loop, xy)
+            inside = winding_contains(loop, xy) | (dist < convexity.ON_BOUNDARY_TOL)
+            assert got == (0.0 if np.all(inside) else float(np.max(dist[~inside])))
 
     def test_expansion_image_is_convex(self):
         rng = np.random.default_rng(27)
