@@ -172,6 +172,37 @@ WITNESS_KEYS = ("vertices_polar", "center_cart", "k1", "k2", "samples_per_edge",
                 "pair_samples", "segment_samples", "defect")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
+
+
+def _check_witness(witness):
+    """Raise UsageError unless every witness field has its type and range."""
+    for key in ("k1", "k2"):
+        if not (_is_number(witness[key]) and witness[key] > 0):
+            raise UsageError(f"witness {key} must be a finite number > 0, got {witness[key]!r}")
+    for key in ("samples_per_edge", "pair_samples", "segment_samples"):
+        value = witness[key]
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 16):
+            raise UsageError(f"witness {key} must be an int >= 16, got {value!r}")
+    if not _is_number(witness["defect"]):
+        raise UsageError(f"witness defect must be a finite number, got {witness['defect']!r}")
+    if not (isinstance(witness["vertices_polar"], list)
+            and all(map(_is_pair, witness["vertices_polar"]))):
+        raise UsageError("witness vertices_polar must be a list of [r, theta] number pairs")
+    if not _is_pair(witness["center_cart"]):
+        raise UsageError("witness center_cart must be two numbers")
+    try:
+        GeodesicPolygon.from_polar(witness["vertices_polar"])
+        DiskPoint.from_cart(*witness["center_cart"])
+    except ValueError as exc:
+        raise UsageError(f"invalid witness: {exc}") from None
+
+
 def run_replay(witness_path, tol=1e-9):
     try:
         with open(witness_path) as fh:
@@ -181,6 +212,7 @@ def run_replay(witness_path, tol=1e-9):
     witness = doc["witness"] if isinstance(doc, dict) and "witness" in doc else doc
     if not (isinstance(witness, dict) and set(WITNESS_KEYS) <= witness.keys()):
         raise UsageError(f"{witness_path} holds no witness with keys {', '.join(WITNESS_KEYS)}")
+    _check_witness(witness)
     defect = measure_witness(witness)
     return {
         "command": "replay-witness", "path": witness_path,

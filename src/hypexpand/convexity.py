@@ -22,9 +22,10 @@ from .disk import (
     ORIGIN,
     cart_to_polar,
     geodesic_chord_points,
+    hyperboloid_chord_points,
+    hyperboloid_lift,
     mobius_translate,
     polar_to_cart,
-    translate,
 )
 
 SIDEDNESS_TOL = 1e-12
@@ -73,7 +74,7 @@ def _convex_hull_2d(pts):
     pts = pts[order]
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 1e-15, axis=1)
-    pts = pts[keep]
+    pts = pts[keep].tolist()  # the chain's scalar arithmetic is faster on floats
     if len(pts) < 3:
         raise ValueError("need at least 3 distinct points for a hull")
 
@@ -100,15 +101,22 @@ def _klein_signed_area(kverts):
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _segments_intersect(p1, p2, p3, p4):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _edges_cross(kverts) -> bool:
+    """True iff two non-adjacent edges of the closed polygon properly cross.
 
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    side[j, i] is the orientation (b - a) x (k[i] - a) of vertex i against
+    edge j = a -> b.  Edges i and j cross iff each has the endpoints of the
+    other on opposite sides, strictly positive against not.
+    """
+    n = len(kverts)
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    e = kverts[nxt] - kverts
+    d = kverts[None, :, :] - kverts[:, None, :]
+    side = e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0] > 0
+    splits = side != side[:, nxt]  # splits[j, i]: edge j separates the ends of edge i
+    gap = (idx[:, None] - idx) % n  # edges with gap 0, 1 or n - 1 share a vertex
+    return bool(np.any(splits & splits.T & (gap > 1) & (gap < n - 1)))
 
 
 # --- geodesic polygons -------------------------------------------------------
@@ -118,21 +126,18 @@ class GeodesicPolygon:
     """Ordered counterclockwise vertices of a simple geodesic polygon."""
 
     vertices: tuple
+    _klein: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        k = self.klein()
+        k = to_klein(np.array([v.cart for v in self.vertices]))
+        k.setflags(write=False)
+        object.__setattr__(self, "_klein", k)
         if _klein_signed_area(k) <= 0.0:
             raise ValueError("polygon must be counterclockwise")
-        n = len(k)
-        for i in range(n):
-            a, b = k[i], k[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_intersect(a, b, k[j], k[(j + 1) % n]):
-                    raise ValueError("polygon edges self-intersect")
+        if _edges_cross(k):
+            raise ValueError("polygon edges self-intersect")
 
     @classmethod
     def from_points(cls, points):
@@ -143,48 +148,55 @@ class GeodesicPolygon:
         return cls(tuple(DiskPoint.from_polar(r, th) for r, th in pairs))
 
     def klein(self):
-        return np.array([to_klein(v) for v in self.vertices])
+        """Klein-model vertices, shape (V, 2); read-only."""
+        return self._klein
 
     def polar(self):
         return [(v.r, v.theta) for v in self.vertices]
 
     def contains(self, p, tol=SIDEDNESS_TOL):
         """Half-plane membership; valid for h-convex polygons only."""
-        q = to_klein(p)
-        return bool(np.all(_edge_signs(self.klein(), np.atleast_2d(q))[0] >= -tol))
-
-
-def _edge_signs(kverts, probes):
-    """Signed cross products of probes against each directed polygon edge.
-
-    Shape (P, V); positive means left of the edge.
-    """
-    a = kverts
-    b = np.roll(kverts, -1, axis=0)
-    e = b - a
-    d = probes[:, None, :] - a[None, :, :]
-    return e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0]
+        return bool(klein_polygon_contains(self._klein, to_klein(p), tol)[0])
 
 
 def klein_polygon_contains(kverts, probes, tol=SIDEDNESS_TOL):
-    """Vectorized half-plane membership for a convex ccw Klein polygon."""
+    """Half-plane membership of probes (P, 2) in a convex ccw Klein polygon (V, 2).
+
+    A probe is inside iff its cross product against every directed edge
+    a -> b, (b - a) x (p - a), is at least -tol.  One pass over the edges,
+    each on the whole probe array.
+    """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    return np.all(_edge_signs(kverts, probes) >= -tol, axis=1)
+    px, py = probes[:, 0], probes[:, 1]
+    inside = np.ones(len(probes), dtype=bool)
+    verts = np.asarray(kverts, dtype=float).tolist()
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= -tol
+    return inside
+
+
+def _translate_rows(c, xy):
+    """mobius_translate(c, p) for each row p of xy (m, 2), bitwise as one call per row.
+
+    A stack of (1, 2) rows takes one dot product per point, as a single point
+    does; a plain (m, 2) array takes a matrix-vector product, which can round
+    differently.
+    """
+    return mobius_translate(c, xy[:, None, :])[:, 0]
 
 
 def hyperbolic_hull(points) -> GeodesicPolygon:
     """Minimal h-convex polygon containing the points (hull in the Klein model)."""
     if len(points) < 3:
         raise ValueError("need at least 3 points")
-    kpts = np.array([to_klein(p) for p in points])
-    hull = _convex_hull_2d(kpts)
-    return GeodesicPolygon(tuple(from_klein_point(q) for q in hull))
+    hull = from_klein(_convex_hull_2d(to_klein(np.array([p.cart for p in points]))))
+    return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()))
 
 
 def is_hconvex(poly: GeodesicPolygon, tol=SIDEDNESS_TOL) -> bool:
     """True iff every vertex lies weakly left of every directed edge geodesic."""
     k = poly.klein()
-    return bool(np.all(_edge_signs(k, k) >= -tol))
+    return bool(np.all(klein_polygon_contains(k, k, tol)))
 
 
 # --- sampled regions ---------------------------------------------------------
@@ -402,8 +414,8 @@ def _exact_membership(region: SampledRegion):
         inv_k1, inv_k2 = 1.0 / prov["k1"], 1.0 / prov["k2"]
         center = np.asarray(prov["center_cart"], dtype=float)
     centered_off = float(center @ center) > 0.0
-    verts = poly.klein() if not centered_off else np.array(
-        [to_klein(mobius_translate(-center, v.xy)) for v in poly.vertices])
+    verts = poly.klein() if not centered_off else to_klein(
+        _translate_rows(-center, np.array([v.cart for v in poly.vertices])))
 
     def contains(r, th):
         if centered_off:
@@ -443,7 +455,7 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
         raise ValueError("pair_samples and segment_samples must be at least 16")
     loop = region.boundary
     n = loop.shape[0] - 1
-    r_bnd, th_bnd = cart_to_polar(loop[:-1])
+    lifted = hyperboloid_lift(*cart_to_polar(loop[:-1]))
 
     spe = region.provenance.get("samples_per_edge")
     if spe and region.provenance.get("vertices_polar"):
@@ -453,7 +465,7 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
 
     i, j = _chord_pairs(n, pair_samples, vertex_indices).T
     ts = van_der_corput(segment_samples)
-    probes_r, probes_th = geodesic_chord_points(r_bnd[i], th_bnd[i], r_bnd[j], th_bnd[j], ts)
+    probes_r, probes_th = hyperboloid_chord_points(lifted[i], lifted[j], ts)
     probes_r, probes_th = probes_r.ravel(), probes_th.ravel()
     exact = _exact_membership(region)
 
@@ -484,7 +496,8 @@ def random_hconvex_polygon(rng, center: DiskPoint = ORIGIN,
     radii = rng.uniform(r_range[0], r_range[1], m)
     pts = [DiskPoint.from_polar(r, th) for r, th in zip(radii, thetas)]
     if center.r > 0.0:
-        pts = [translate(center, p) for p in pts]
+        xy = _translate_rows(center.xy, np.array([p.cart for p in pts]))
+        pts = [DiskPoint.from_cart(x, y) for x, y in xy.tolist()]
     return hyperbolic_hull(pts)
 
 

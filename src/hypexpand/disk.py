@@ -434,33 +434,37 @@ def _diameter_curve(u, v):
     return ParamCurve(eval=ev, d1=d1, d2=d2, start=u, end=v, meta=meta)
 
 
-# libm scalars, elementwise: numpy's sinh/cosh/arccosh can differ from libm in
-# the last ulp, and the endpoint lift fixes every sample of a chord
-_sinh = np.vectorize(math.sinh, otypes=[float])
-_cosh = np.vectorize(math.cosh, otypes=[float])
-_cos = np.vectorize(math.cos, otypes=[float])
-_sin = np.vectorize(math.sin, otypes=[float])
-_acosh = np.vectorize(math.acosh, otypes=[float])
+def _libm(f, x):
+    """Elementwise libm scalar function f over the array x.
 
-
-def geodesic_chord_points(r1, th1, r2, th2, ts):
-    """Sample the geodesics between polar endpoints of shape (...); robust at large radii.
-
-    Works on the hyperboloid sheet, where the geodesic is a plane section and
-    interpolation is a sinh-weighted combination.  Returns (r, theta) arrays
-    of shape (..., T).  Stays accurate where the Cartesian chart saturates (r
-    up to ~300).  Endpoints closer than 1e-9 are interpolated linearly.
+    numpy's sinh/cosh/arccosh can differ from libm in the last ulp, and the
+    endpoint lift fixes every sample of a chord.
     """
-    r1, th1, r2, th2 = np.broadcast_arrays(*(np.asarray(x, dtype=float)[..., None]
-                                             for x in (r1, th1, r2, th2)))
-    s1, s2 = _sinh(r1), _sinh(r2)
-    a = np.stack([s1 * _cos(th1), s1 * _sin(th1), _cosh(r1)], axis=-1)
-    b = np.stack([s2 * _cos(th2), s2 * _sin(th2), _cosh(r2)], axis=-1)
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
+
+
+def hyperboloid_lift(r, theta):
+    """Points (sinh r cos theta, sinh r sin theta, cosh r) of the hyperboloid sheet; shape (..., 3)."""
+    s = _libm(math.sinh, r)
+    return np.stack([s * _libm(math.cos, theta), s * _libm(math.sin, theta),
+                     _libm(math.cosh, r)], axis=-1)
+
+
+def hyperboloid_chord_points(a, b, ts):
+    """Sample the geodesics between lifted endpoints a, b of shape (..., 3).
+
+    On the hyperboloid sheet the geodesic is a plane section and interpolation
+    is a sinh-weighted combination.  Returns (r, theta) arrays of shape
+    (..., T).  Endpoints closer than 1e-9 are interpolated linearly.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-    d = _acosh(np.maximum(cosh_d, 1.0))
+    d = _libm(math.acosh, np.maximum(cosh_d, 1.0))[..., None]
     short = d < 1e-9
-    sinh_d = _sinh(np.where(short, 1.0, d))
+    sinh_d = _libm(math.sinh, np.where(short, 1.0, d))
     ts = np.asarray(ts, dtype=float)
+    a, b = a[..., None, :], b[..., None, :]
     pts = (np.sinh((1.0 - ts) * d) / sinh_d)[..., None] * a \
         + (np.sinh(ts * d) / sinh_d)[..., None] * b
     if np.any(short):
@@ -470,3 +474,15 @@ def geodesic_chord_points(r1, th1, r2, th2, ts):
     r = np.arccosh(np.maximum(pts[..., 2], 1.0))
     theta = np.arctan2(pts[..., 1], pts[..., 0])
     return r, theta
+
+
+def geodesic_chord_points(r1, th1, r2, th2, ts):
+    """Sample the geodesics between polar endpoints of shape (...); robust at large radii.
+
+    Lifts the endpoints to the hyperboloid and samples there
+    (hyperboloid_chord_points).  Returns (r, theta) arrays of shape (..., T).
+    Stays accurate where the Cartesian chart saturates (r up to ~300).
+    """
+    r1, th1, r2, th2 = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                             for x in (r1, th1, r2, th2)))
+    return hyperboloid_chord_points(hyperboloid_lift(r1, th1), hyperboloid_lift(r2, th2), ts)

@@ -89,6 +89,38 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("k1", "x"),
+        ("k1", 0.0),
+        ("k2", -1.0),
+        ("k2", math.inf),
+        ("k1", True),
+        ("samples_per_edge", 32.5),
+        ("samples_per_edge", "32"),
+        ("pair_samples", 15),
+        ("segment_samples", 16.0),
+        ("defect", None),
+        ("vertices_polar", "x"),
+        ("vertices_polar", [[1.0, 0.0], [1.2, 2.0], [0.8]]),
+        ("vertices_polar", [[1.0, 0.0], [1.2, "2"], [0.8, 4.0]]),
+        ("vertices_polar", [[1.0, 0.0], [1.2, 2.0], [math.nan, 4.0]]),
+        ("vertices_polar", [[1.0, 0.0], [0.8, 4.0], [1.2, 2.0]]),  # clockwise
+        ("vertices_polar", [[1.0, 2 * math.pi * k * 2 / 5] for k in range(5)]),  # pentagram
+        ("vertices_polar", [[1.0, 0.0], [1.2, 2.0]]),
+        ("vertices_polar", [[-1.0, 0.0], [1.2, 2.0], [0.8, 4.0]]),
+        ("center_cart", [0.0]),
+        ("center_cart", ["0", 0.0]),
+        ("center_cart", [1.5, 0.0]),
+    ])
+    def test_bad_witness_value_is_a_usage_error(self, key, value, tmp_path, capsys):
+        report = run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=3)
+        report["witness"][key] = value
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(report))
+        assert main(["search-counterexample", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("option", [["--seed", "0"], ["--trials", "3"], ["--k1", "0.5"],
                                         ["--k2", "1"], ["--tol", "1e-3"]])
     def test_replay_takes_no_search_option(self, option, tmp_path, capsys):

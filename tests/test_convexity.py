@@ -18,6 +18,7 @@ from hypexpand.convexity import (
     from_klein_point,
     hyperbolic_hull,
     is_hconvex,
+    klein_polygon_contains,
     max_polyline_distance,
     polygon_from_json,
     polygon_region,
@@ -162,6 +163,155 @@ class TestConvexityPredicate:
         with pytest.raises(ValueError):
             GeodesicPolygon.from_polar([(1.0, 0.0), (1.0, 2.8), (1.0, 1.2), (1.0, 4.2)])
 
+
+# --- reference copies of the per-vertex polygon layer, for bitwise comparison ---
+
+def broadcast_contains(kverts, probes, tol=convexity.SIDEDNESS_TOL):
+    """Half-plane membership through one (P, V, 2) broadcast."""
+    e = np.roll(kverts, -1, axis=0) - kverts
+    d = probes[:, None, :] - kverts[None, :, :]
+    return np.all(e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0] >= -tol, axis=1)
+
+
+def pairwise_edges_cross(k):
+    """Edge self-intersection test, one pair of edges at a time."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    n = len(k)
+    for i in range(n):
+        a, b = k[i], k[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            c, d = k[j], k[(j + 1) % n]
+            if ((orient(c, d, a) > 0) != (orient(c, d, b) > 0)) and \
+                    ((orient(a, b, c) > 0) != (orient(a, b, d) > 0)):
+                return True
+    return False
+
+
+def per_point_hconvex_polygon(rng, center):
+    """random_hconvex_polygon with one translate and one to_klein call per point."""
+    m = int(rng.integers(5, 13))
+    sector = 2.0 * math.pi / m
+    thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
+    radii = rng.uniform(0.2, 3.0, m)
+    pts = [DiskPoint.from_polar(r, th) for r, th in zip(radii, thetas)]
+    if center.r > 0.0:
+        pts = [translate(center, p) for p in pts]
+    hull = numpy_row_hull(np.array([to_klein(p) for p in pts]))
+    return [from_klein_point(q) for q in hull]
+
+
+def numpy_row_hull(pts):
+    """Monotone chain over numpy rows, the reference for _convex_hull_2d."""
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 1e-15, axis=1)
+    pts = pts[keep]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+class TestBatchedPolygonLayer:
+    def test_hull_matches_the_numpy_row_chain(self):
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            pts = rng.uniform(-0.7, 0.7, (int(rng.integers(3, 13)), 2))
+            pts[-1] = pts[0] + rng.choice([0.0, 1e-16, 1e-13])  # near and exact repeats
+            pts[1] = 0.5 * (pts[0] + pts[2])  # a point (nearly) on a segment
+            expected = numpy_row_hull(pts)
+            if len(expected) < 3:
+                continue
+            assert np.array_equal(convexity._convex_hull_2d(pts), expected)
+
+    def test_membership_matches_the_broadcast_form(self):
+        rng = np.random.default_rng(51)
+        for _ in range(40):
+            k = random_hconvex_polygon(rng, center=rand_point(rng, 1.5)).klein()
+            e = np.roll(k, -1, axis=0) - k
+            t = rng.uniform(0.0, 1.0, (64, 1))
+            idx = rng.integers(0, len(k), 64)
+            probes = np.concatenate([
+                rng.uniform(-1.0, 1.0, (3000, 2)),
+                k,                                 # vertices
+                k + 0.5 * e,                       # edge midpoints
+                k[idx] + t * e[idx],               # other points on edges
+                k[idx] + t * e[idx] + rng.choice([-1e-12, 1e-12], (64, 2)),
+            ])
+            inside = klein_polygon_contains(k, probes)
+            assert inside.dtype == bool and inside.shape == (len(probes),)
+            assert np.array_equal(inside, broadcast_contains(k, probes))
+            assert np.all(inside[3000:3000 + 2 * len(k)])
+
+    def test_membership_at_the_tolerance(self):
+        # the first edge lies on y = 0, so a probe's cross product against it is its y
+        k = np.array([[-0.5, 0.0], [0.5, 0.0], [0.5, 0.5], [-0.5, 0.5]])
+        tol = convexity.SIDEDNESS_TOL
+        y = np.array([-tol, np.nextafter(-tol, -1.0), 0.0, np.nextafter(-tol, 0.0)])
+        probes = np.stack([np.full(4, 0.1), y], axis=1)
+        inside = klein_polygon_contains(k, probes)
+        assert inside.tolist() == [True, False, True, True]
+        assert np.array_equal(inside, broadcast_contains(k, probes))
+
+    def test_edge_crossing_matches_the_pairwise_loop(self):
+        rng = np.random.default_rng(52)
+        crossed = 0
+        for _ in range(200):
+            k = rng.uniform(-0.7, 0.7, (int(rng.integers(3, 13)), 2))
+            expected = pairwise_edges_cross(k)
+            assert convexity._edges_cross(k) == expected
+            crossed += expected
+        assert 0 < crossed < 200
+
+    def test_bowtie_still_raises(self):
+        # counterclockwise by signed area (unequal lobes), but two edges cross
+        k = [(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)]
+        with pytest.raises(ValueError, match="self-intersect"):
+            GeodesicPolygon.from_points([from_klein_point(np.array(q)) for q in k])
+
+    def test_klein_vertices_match_per_vertex_conversion(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
+            assert np.array_equal(poly.klein(), np.array([to_klein(v) for v in poly.vertices]))
+
+    def test_klein_vertices_are_read_only(self):
+        poly = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
+        with pytest.raises(ValueError):
+            poly.klein()[0, 0] = 0.0
+        assert poly == GeodesicPolygon.from_polar(poly.polar())
+
+    def test_generator_matches_per_point_translation(self):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            center = rand_point(rng, 1.5) if seed % 4 else ORIGIN
+            state = rng.bit_generator.state
+            poly = random_hconvex_polygon(rng, center=center)
+            rng.bit_generator.state = state
+            expected = per_point_hconvex_polygon(rng, center)
+            assert [v.cart for v in poly.vertices] == [v.cart for v in expected]
+
+    def test_row_translation_matches_per_point_translation(self):
+        rng = np.random.default_rng(54)
+        for _ in range(200):
+            c = rand_point(rng, 3.0)
+            pts = [rand_point(rng, 3.0) for _ in range(int(rng.integers(3, 13)))]
+            rows = convexity._translate_rows(c.xy, np.array([p.cart for p in pts]))
+            assert rows.tolist() == [list(translate(c, p).cart) for p in pts]
 
 class TestRegionMembership:
     def test_disk_center_inside_circle_region(self):

@@ -13,6 +13,8 @@ from hypexpand.disk import (
     geodesic_chord_points,
     geodesic_curvature,
     hyperbolic_distance,
+    hyperboloid_chord_points,
+    hyperboloid_lift,
     mobius_translate,
     polar_cartesian_roundtrip,
     translate,
@@ -465,3 +467,20 @@ class TestBatchedChordPoints:
     def test_scalar_call_keeps_its_shape(self):
         r, th = geodesic_chord_points(1.3, -0.4, 2.1, 0.9, self.TS)
         assert r.shape == th.shape == self.TS.shape
+
+    def test_chords_of_a_lifted_indexed_boundary(self):
+        # a boundary lifted once and indexed per chord, as a defect
+        # measurement samples it, with repeated and identical endpoints
+        rng = np.random.default_rng(43)
+        r = rng.uniform(0.0, 30.0, 64)
+        th = rng.uniform(-math.pi, math.pi, 64)
+        r[1], th[1] = r[0] + 1e-11, th[0]
+        i, j = rng.integers(0, 64, (2, 300))
+        i[:3], j[:3] = (0, 0, 5), (1, 0, 5)
+        lifted = hyperboloid_lift(r, th)
+        assert lifted.shape == (64, 3)
+        rs, ths = hyperboloid_chord_points(lifted[i], lifted[j], self.TS)
+        assert rs.shape == ths.shape == (300,) + self.TS.shape
+        for k in range(300):
+            r_ref, th_ref = chord_points_per_pair(r[i[k]], th[i[k]], r[j[k]], th[j[k]], self.TS)
+            assert np.array_equal(rs[k], r_ref) and np.array_equal(ths[k], th_ref)
