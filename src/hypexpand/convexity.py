@@ -162,7 +162,8 @@ class GeodesicPolygon:
 def klein_polygon_contains(kverts, probes, tol=SIDEDNESS_TOL):
     """Half-plane membership of probes (P, 2) in a convex ccw Klein polygon (V, 2).
 
-    A probe is inside iff its cross product against every directed edge
+    The test is planar, so the gnomonic vertices of a spherical polygon serve
+    as well.  A probe is inside iff its cross product against every directed edge
     a -> b, (b - a) x (p - a), is at least -tol.  One pass over the edges,
     each on the whole probe array.
     """

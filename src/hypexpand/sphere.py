@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import _chord_pairs, _convex_hull_2d, van_der_corput, winding_contains
+from .convexity import (SIDEDNESS_TOL, _chord_pairs, _convex_hull_2d, klein_polygon_contains,
+                        van_der_corput, winding_contains)
 
 CONTRACTION_DEFINITION = (
     "geodesic-polar contraction about the center: rho scales by "
@@ -42,13 +43,15 @@ class SpherePoint:
 
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=float)
-        if abs(float(v @ v) - 1.0) > 2e-12:
-            raise ValueError("sphere point must be a unit vector")
+        if not abs(float(v @ v) - 1.0) <= 2e-12:  # nan and inf fail too
+            raise ValueError("sphere point must be a finite unit vector")
 
     @classmethod
     def from_vec(cls, v):
         v = np.asarray(v, dtype=float)
         n = float(np.linalg.norm(v))
+        if not math.isfinite(n):
+            raise ValueError("vector and its norm must be finite")
         if n == 0.0:
             raise ValueError("zero vector")
         return cls(tuple(v / n))
@@ -58,13 +61,20 @@ class SpherePoint:
         return np.array(self.vec)
 
 
+def _cross(a, b):
+    """Components of a x b over the last axis, the products np.cross forms."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def angular_distance(a, b):
     """Angle between unit vectors, robust near 0 and pi."""
     a = a.xyz if isinstance(a, SpherePoint) else np.asarray(a, dtype=float)
     b = b.xyz if isinstance(b, SpherePoint) else np.asarray(b, dtype=float)
-    cross = np.linalg.norm(np.cross(a, b), axis=-1)
-    dot = np.sum(a * b, axis=-1)
-    out = np.arctan2(cross, dot)
+    cx, cy, cz = _cross(a, b)
+    # the sum order of np.linalg.norm over the last axis
+    out = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), np.sum(a * b, axis=-1))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -74,37 +84,62 @@ def tangent_frame(c: SpherePoint, angle=0.0):
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = seed - (seed @ n) * n
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = np.array(_cross(n, e1))
     if angle:
         ca, sa = math.cos(angle), math.sin(angle)
         e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
     return e1, e2
 
 
+class _Chart:
+    """Polar and gnomonic maps about a center: one tangent_frame call, built once, passed down."""
+
+    def __init__(self, c: SpherePoint, frame_angle=0.0):
+        self.n = c.xyz
+        self.e1, self.e2 = tangent_frame(c, frame_angle)
+
+    def to_polar(self, v):
+        x = v @ self.e1
+        y = v @ self.e2
+        z = v @ self.n
+        return np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
+
+    def from_polar(self, rho, theta):
+        rho = np.asarray(rho, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        sr = np.sin(rho)
+        return (np.cos(rho)[..., None] * self.n
+                + (sr * np.cos(theta))[..., None] * self.e1
+                + (sr * np.sin(theta))[..., None] * self.e2)
+
+    def contract(self, k1, k2, pts):
+        rho, theta = self.to_polar(pts)
+        if not np.all(rho < math.pi / 2):
+            raise ValueError("points outside the open hemisphere about the center")
+        return self.from_polar(*contract_polar(k1, k2, rho, theta))
+
+    def gnomonic(self, pts):
+        v = np.atleast_2d(np.asarray(pts, dtype=float))
+        z = v @ self.n
+        if not np.all(z > HEMISPHERE_MARGIN):
+            raise ValueError("gnomonic projection requires the open hemisphere")
+        return np.stack([v @ self.e1 / z, v @ self.e2 / z], axis=-1)
+
+    def gnomonic_inverse(self, uv):
+        uv = np.atleast_2d(np.asarray(uv, dtype=float))
+        v = self.n + uv[:, 0][:, None] * self.e1 + uv[:, 1][:, None] * self.e2
+        return v / np.linalg.norm(v, axis=-1)[:, None]
+
+
 def to_polar(c: SpherePoint, p, frame_angle=0.0):
     """Geodesic polar coordinates (rho, theta) of p about c; arrays of shape (...)."""
-    e1, e2 = tangent_frame(c, frame_angle)
-    n = c.xyz
     v = p.xyz if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
-    x = v @ e1
-    y = v @ e2
-    z = v @ n
-    rho = np.arctan2(np.hypot(x, y), z)
-    theta = np.arctan2(y, x)
-    return rho, theta
+    return _Chart(c, frame_angle).to_polar(v)
 
 
 def from_polar(c: SpherePoint, rho, theta, frame_angle=0.0):
     """Inverse of to_polar; returns unit vectors of shape (..., 3)."""
-    e1, e2 = tangent_frame(c, frame_angle)
-    n = c.xyz
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    sr = np.sin(rho)
-    out = (np.cos(rho)[..., None] * n
-           + (sr * np.cos(theta))[..., None] * e1
-           + (sr * np.sin(theta))[..., None] * e2)
-    return out
+    return _Chart(c, frame_angle).from_polar(rho, theta)
 
 
 def contract_polar(k1, k2, rho, theta):
@@ -120,20 +155,12 @@ def s_contract(c: SpherePoint, k1, k2, p: SpherePoint, frame_angle=0.0) -> Spher
     """Contract p toward c; p must lie in the open hemisphere about c."""
     if not (0.0 < k1 <= 1.0 and 0.0 < k2 <= 1.0):
         raise ValueError("contraction factors must lie in (0, 1]")
-    rho, theta = to_polar(c, p, frame_angle)
-    if rho >= math.pi / 2:
-        raise ValueError("point outside the open hemisphere about the center")
-    rho2, theta2 = contract_polar(k1, k2, rho, theta)
-    return SpherePoint.from_vec(from_polar(c, float(rho2), float(theta2), frame_angle))
+    return SpherePoint.from_vec(_Chart(c, frame_angle).contract(k1, k2, p.xyz))
 
 
 def contract_many(c: SpherePoint, k1, k2, pts, frame_angle=0.0):
     """Contraction applied to an (N, 3) array of hemisphere points."""
-    rho, theta = to_polar(c, pts, frame_angle)
-    if np.any(rho >= math.pi / 2):
-        raise ValueError("points outside the open hemisphere about the center")
-    rho2, theta2 = contract_polar(k1, k2, rho, theta)
-    return from_polar(c, rho2, theta2, frame_angle)
+    return _Chart(c, frame_angle).contract(k1, k2, np.asarray(pts, dtype=float))
 
 
 def gnomonic(c: SpherePoint, pts, frame_angle=0.0):
@@ -142,21 +169,11 @@ def gnomonic(c: SpherePoint, pts, frame_angle=0.0):
     Great circles map to straight lines, so spherical convexity within the
     hemisphere becomes planar convexity.
     """
-    e1, e2 = tangent_frame(c, frame_angle)
-    n = c.xyz
-    v = np.atleast_2d(np.asarray(pts, dtype=float))
-    z = v @ n
-    if np.any(z <= HEMISPHERE_MARGIN):
-        raise ValueError("gnomonic projection requires the open hemisphere")
-    return np.stack([v @ e1 / z, v @ e2 / z], axis=-1)
+    return _Chart(c, frame_angle).gnomonic(pts)
 
 
 def gnomonic_inverse(c: SpherePoint, uv, frame_angle=0.0):
-    e1, e2 = tangent_frame(c, frame_angle)
-    n = c.xyz
-    uv = np.atleast_2d(np.asarray(uv, dtype=float))
-    v = n + uv[:, 0][:, None] * e1 + uv[:, 1][:, None] * e2
-    return v / np.linalg.norm(v, axis=-1)[:, None]
+    return _Chart(c, frame_angle).gnomonic_inverse(uv)
 
 
 @dataclass(frozen=True)
@@ -165,30 +182,35 @@ class SphericalPolygon:
 
     vertices: tuple
     center: SpherePoint
+    _chart: _Chart = field(init=False, repr=False, compare=False)
+    _xyz: np.ndarray = field(init=False, repr=False, compare=False)
+    _uv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        verts = np.array([v.xyz for v in self.vertices])
-        if np.any(angular_distance(verts, self.center) >= math.pi / 2 - HEMISPHERE_MARGIN):
+        verts = np.array([v.vec for v in self.vertices], dtype=float)
+        if not np.all(angular_distance(verts, self.center) < math.pi / 2 - HEMISPHERE_MARGIN):
             raise ValueError("vertex outside the open hemisphere about the center")
-        uv = self.gnomonic_vertices()
+        object.__setattr__(self, "_chart", _Chart(self.center))
+        uv = self._chart.gnomonic(verts)
+        for name, a in (("_xyz", verts), ("_uv", uv)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         x, y = uv[:, 0], uv[:, 1]
         area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-        if area <= 0.0:
+        if not area > 0.0:
             raise ValueError("polygon must be counterclockwise as seen from the center")
 
     def gnomonic_vertices(self):
-        return gnomonic(self.center, np.array([v.xyz for v in self.vertices]))
+        """Gnomonic vertices about the center, shape (V, 2); read-only."""
+        return self._uv
 
-    def is_convex(self, tol=1e-12):
-        uv = self.gnomonic_vertices()
-        a = uv
-        b = np.roll(uv, -1, axis=0)
-        e = b - a
-        d = uv[:, None, :] - a[None, :, :]
-        cross = e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0]
-        return bool(np.all(cross >= -tol))
+    def _frame_chart(self, frame_angle):
+        return self._chart if frame_angle == 0.0 else _Chart(self.center, frame_angle)
+
+    def is_convex(self, tol=SIDEDNESS_TOL):
+        return bool(np.all(klein_polygon_contains(self._uv, self._uv, tol)))
 
 
 def great_circle_points(a, b, ts):
@@ -219,6 +241,7 @@ class SphericalRegion:
     boundary: np.ndarray
     center: SpherePoint
     provenance: dict = field(default_factory=dict)
+    polygon: SphericalPolygon | None = None  # the validated polygon the provenance names
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
@@ -227,7 +250,7 @@ class SphericalRegion:
 
 
 def sample_polygon_boundary(poly: SphericalPolygon, per_edge=24) -> SphericalRegion:
-    verts = np.array([v.xyz for v in poly.vertices])
+    verts = poly._xyz
     ts = np.arange(per_edge, dtype=float) / per_edge
     loop = great_circle_points(verts, np.roll(verts, -1, axis=0), ts).reshape(-1, 3)
     loop = np.vstack([loop, loop[:1]])
@@ -235,60 +258,48 @@ def sample_polygon_boundary(poly: SphericalPolygon, per_edge=24) -> SphericalReg
         "kind": "polygon",
         "vertices": [list(v.vec) for v in poly.vertices],
         "per_edge": per_edge,
-    })
+    }, polygon=poly)
 
 
 def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=24,
                      frame_angle=0.0) -> SphericalRegion:
     """Sampled image of the polygon boundary under the contraction."""
     base = sample_polygon_boundary(poly, per_edge)
-    img = contract_many(poly.center, k1, k2, base.boundary, frame_angle)
+    img = poly._frame_chart(frame_angle).contract(k1, k2, base.boundary)
     return SphericalRegion(img, poly.center, provenance={
         "kind": "contracted-polygon",
         "vertices": [list(v.vec) for v in poly.vertices],
         "k1": float(k1), "k2": float(k2),
         "per_edge": per_edge, "frame_angle": float(frame_angle),
-    })
+    }, polygon=poly)
 
 
-def _exact_membership(region: SphericalRegion):
+def _exact_membership(region: SphericalRegion, pts):
+    """Membership of pts in the region through its carried polygon, or None without one."""
+    poly = region.polygon
+    if poly is None or not poly.is_convex():
+        return None
     prov = region.provenance
-    if prov.get("kind") not in ("polygon", "contracted-polygon"):
-        return None
-    poly = SphericalPolygon(tuple(SpherePoint(tuple(v)) for v in prov["vertices"]),
-                            region.center)
-    if not poly.is_convex():
-        return None
-    kuv = poly.gnomonic_vertices()
-    a = kuv
-    b = np.roll(kuv, -1, axis=0)
-    e = b - a
     inv_k1 = 1.0 / prov.get("k1", 1.0)
     inv_k2 = 1.0 / prov.get("k2", 1.0)
-    frame_angle = prov.get("frame_angle", 0.0)
-    c = region.center
-
-    def contains(pts):
-        rho, theta = to_polar(c, pts, frame_angle)
-        rho2, theta2 = contract_polar(inv_k1, inv_k2, rho, theta)
-        ok = rho2 < math.pi / 2 - HEMISPHERE_MARGIN
-        out = np.zeros(len(pts), dtype=bool)
-        if np.any(ok):
-            uv = gnomonic(c, from_polar(c, rho2[ok], theta2[ok], frame_angle))
-            d = uv[:, None, :] - a[None, :, :]
-            cross = e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0]
-            out[ok] = np.all(cross >= -1e-12, axis=1)
-        return out
-
-    return contains
+    frame = poly._frame_chart(prov.get("frame_angle", 0.0))
+    rho, theta = frame.to_polar(pts)
+    rho2, theta2 = contract_polar(inv_k1, inv_k2, rho, theta)
+    ok = rho2 < math.pi / 2 - HEMISPHERE_MARGIN
+    out = np.zeros(len(pts), dtype=bool)
+    if np.any(ok):
+        uv = poly._chart.gnomonic(frame.from_polar(rho2[ok], theta2[ok]))
+        out[ok] = klein_polygon_contains(poly._uv, uv)
+    return out
 
 
 def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     """Largest angular outside excursion of sampled great-circle chords.
 
     Membership is evaluated in the gnomonic chart about the region center
-    (exactly, via provenance, when the region is a contracted convex polygon);
-    outside samples contribute their angular distance to the boundary loop.
+    (exactly, through the polygon it carries, when the region is a sampled or
+    contracted convex polygon); outside samples contribute their angular
+    distance to the boundary loop.
     """
     if isinstance(region, SphericalPolygon):
         region = sample_polygon_boundary(region)
@@ -303,13 +314,10 @@ def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     i, j = _chord_pairs(n, pair_samples, vertex_indices).T
     probes = great_circle_points(loop[i], loop[j], van_der_corput(segment_samples)).reshape(-1, 3)
 
-    exact = _exact_membership(region)
-    if exact is not None:
-        inside = exact(probes)
-    else:
-        uv_loop = gnomonic(region.center, loop)
-        uv_probes = gnomonic(region.center, probes)
-        inside = winding_contains(uv_loop, uv_probes)
+    inside = _exact_membership(region, probes)
+    if inside is None:
+        chart = _Chart(region.center)
+        inside = winding_contains(chart.gnomonic(loop), chart.gnomonic(probes))
     if np.all(inside):
         return 0.0
     out_pts = probes[~inside]
@@ -327,10 +335,11 @@ def random_convex_spherical_polygon(rng, center=None, rho_max=1.2, n_max=10):
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     rhos = rng.uniform(0.1, rho_max, m)
-    pts = from_polar(center, rhos, thetas)
-    uv = gnomonic(center, pts)
+    chart = _Chart(center)
+    pts = chart.from_polar(rhos, thetas)
+    uv = chart.gnomonic(pts)
     hull_uv = _convex_hull_2d(uv)
-    verts = gnomonic_inverse(center, hull_uv)
+    verts = chart.gnomonic_inverse(hull_uv)
     return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center)
 
 

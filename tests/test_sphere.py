@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from hypexpand import sphere
 from hypexpand.sphere import (
     SpherePoint,
     SphericalPolygon,
@@ -19,6 +22,7 @@ from hypexpand.sphere import (
     s_contract,
     s_convexity_defect,
     sample_polygon_boundary,
+    tangent_frame,
     to_polar,
     from_polar,
 )
@@ -40,6 +44,27 @@ class TestSpherePoint:
             SpherePoint((1.0, 1.0, 0.0))
         p = SpherePoint.from_vec([3.0, 4.0, 0.0])
         assert np.linalg.norm(p.xyz) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("vec", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                     (0.0, -math.inf, math.nan)])
+    def test_non_finite_vectors_are_rejected(self, vec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+            with pytest.raises(ValueError):
+                SpherePoint(vec)
+            with pytest.raises(ValueError):
+                SpherePoint.from_vec(vec)
+
+    def test_polygon_rejects_a_non_finite_vertex(self):
+        near = [SpherePoint.from_vec(from_polar(NORTH, 0.5, a)) for a in (0.0, 2.1, 4.2)]
+        with pytest.raises(ValueError):
+            SphericalPolygon((near[0], near[1], SpherePoint.from_vec([math.nan, 0.0, 1.0])),
+                             NORTH)
+        # a vertex that got past SpherePoint's check is refused by the polygon's own
+        bad = object.__new__(SpherePoint)
+        object.__setattr__(bad, "vec", (math.nan, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            SphericalPolygon((near[0], near[1], bad), NORTH)
 
     def test_angular_distance(self):
         a = SpherePoint((1.0, 0.0, 0.0))
@@ -334,3 +359,182 @@ class TestBatchedGreatCirclePoints:
         a = from_polar(NORTH, 0.8, 0.3)
         b = from_polar(NORTH, 1.1, 2.0)
         assert great_circle_points(a, b, self.TS).shape == (len(self.TS), 3)
+
+
+# --- reference copies of the per-call polygon layer, for bitwise comparison ---
+
+def cross_angular_distance(a, b):
+    """angular_distance through np.cross and np.linalg.norm."""
+    out = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def cross_tangent_frame(c, angle=0.0):
+    """tangent_frame through np.cross."""
+    n = c.xyz
+    seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = seed - (seed @ n) * n
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    if angle:
+        ca, sa = math.cos(angle), math.sin(angle)
+        e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
+    return e1, e2
+
+
+def broadcast_contains(uv_verts, probes, tol=1e-12):
+    """Half-plane membership through one (P, V, 2) broadcast."""
+    e = np.roll(uv_verts, -1, axis=0) - uv_verts
+    d = probes[:, None, :] - uv_verts[None, :, :]
+    return np.all(e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0] >= -tol, axis=1)
+
+
+def rebuilt_membership(region, pts):
+    """Exact membership with the polygon rebuilt from provenance and every map rebuilt per call."""
+    prov, c = region.provenance, region.center
+    poly = SphericalPolygon(tuple(SpherePoint(tuple(v)) for v in prov["vertices"]), c)
+    uv_verts = gnomonic(c, np.array([v.xyz for v in poly.vertices]))
+    if not np.all(broadcast_contains(uv_verts, uv_verts)):
+        return None
+    frame_angle = prov.get("frame_angle", 0.0)
+    rho, theta = to_polar(c, pts, frame_angle)
+    rho2, theta2 = sphere.contract_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
+                                         rho, theta)
+    ok = rho2 < math.pi / 2 - sphere.HEMISPHERE_MARGIN
+    out = np.zeros(len(pts), dtype=bool)
+    uv = gnomonic(c, from_polar(c, rho2[ok], theta2[ok], frame_angle))
+    out[ok] = broadcast_contains(uv_verts, uv)
+    return out
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1)[..., None]
+
+
+def edge_probes(rng, uv_verts, n=64):
+    """Random, vertex, on-edge and 1e-12-off-edge probes of a gnomonic polygon."""
+    e = np.roll(uv_verts, -1, axis=0) - uv_verts
+    t = rng.uniform(0.0, 1.0, (n, 1))
+    idx = rng.integers(0, len(uv_verts), n)
+    return np.concatenate([
+        rng.uniform(-1.5, 1.5, (600, 2)),
+        uv_verts,
+        uv_verts + 0.5 * e,
+        uv_verts[idx] + t * e[idx],
+        uv_verts[idx] + t * e[idx] + rng.choice([-1e-12, 1e-12], (n, 2)),
+    ])
+
+
+class TestBatchedPolygonLayer:
+    def test_angular_distance_matches_np_cross(self):
+        rng = np.random.default_rng(70)
+        a = unit_rows(rng.normal(size=(2000, 3)))
+        b = unit_rows(rng.normal(size=(2000, 3)))
+        nudge = rng.normal(size=(2000, 3)) * rng.choice([1e-15, 1e-9, 1e-5], (2000, 1))
+        for x, y in [(a, b), (a, unit_rows(a + nudge)), (a, unit_rows(-a + nudge)),
+                     (a, a), (a, -a), (a[:, None, :], b[None, :50, :])]:
+            assert np.array_equal(angular_distance(x, y), cross_angular_distance(x, y))
+        for i in range(300):  # single vectors, nearly parallel and antiparallel among them
+            y = (b[i], unit_rows(a[i] + nudge[i]), unit_rows(-a[i] + nudge[i]))[i % 3]
+            d = angular_distance(a[i], y)
+            assert isinstance(d, float) and d == cross_angular_distance(a[i], y)
+        assert angular_distance(NORTH, b[0]) == cross_angular_distance(NORTH.xyz, b[0])
+
+    def test_tangent_frame_matches_np_cross(self):
+        rng = np.random.default_rng(71)
+        vecs = np.concatenate([rng.normal(size=(300, 3)),
+                               [[1.0, 0.0, 0.0], [-1.0, 1e-9, 0.0], [0.9, 0.1, 0.0]]])
+        for v in vecs:
+            c = SpherePoint.from_vec(v)
+            for angle in (0.0, 0.77, float(rng.uniform(-math.pi, math.pi))):
+                e1, e2 = tangent_frame(c, angle)
+                r1, r2 = cross_tangent_frame(c, angle)
+                assert np.array_equal(e1, r1) and np.array_equal(e2, r2)
+
+    def test_is_convex_matches_the_broadcast_form(self):
+        rng = np.random.default_rng(72)
+        convex = 0
+        for _ in range(200):
+            poly = random_convex_spherical_polygon(rng)
+            uv = poly.gnomonic_vertices().copy()
+            uv[rng.integers(len(uv))] *= rng.choice([1.0, 0.6, 0.9])  # pull a vertex in
+            i = int(rng.integers(len(uv)))  # or move one onto, or 1e-12 off, its chord
+            if rng.uniform() < 0.3:
+                uv[i] = 0.5 * (uv[i - 1] + uv[(i + 1) % len(uv)]) + rng.choice([-1e-12, 0, 1e-12])
+            try:
+                bent = SphericalPolygon(
+                    tuple(SpherePoint.from_vec(v) for v in gnomonic_inverse(poly.center, uv)),
+                    poly.center)
+            except ValueError:
+                continue
+            k = bent.gnomonic_vertices()
+            expected = bool(np.all(broadcast_contains(k, k)))
+            assert bent.is_convex() == expected
+            convex += expected
+        assert 0 < convex < 200
+
+    def test_exact_membership_matches_the_rebuilt_broadcast_form(self):
+        rng = np.random.default_rng(73)
+        for trial in range(40):
+            poly = random_convex_spherical_polygon(rng)
+            k1, k2 = rng.uniform(0.05, 1.0, 2)
+            frame_angle = 0.0 if trial % 2 else float(rng.uniform(-math.pi, math.pi))
+            region = (sample_polygon_boundary(poly) if trial % 5 == 0
+                      else contract_polygon(poly, k1, k2, frame_angle=frame_angle))
+            # probes in the preimage's chart, so that vertices and edges map onto the polygon's
+            pre = gnomonic_inverse(poly.center, edge_probes(rng, poly.gnomonic_vertices()))
+            prov = region.provenance
+            probes = (pre if prov["kind"] == "polygon" else
+                      contract_many(poly.center, prov["k1"], prov["k2"], pre, frame_angle))
+            inside = sphere._exact_membership(region, probes)
+            assert inside.dtype == bool and inside.shape == (len(probes),)
+            assert np.array_equal(inside, rebuilt_membership(region, probes))
+            assert 0 < np.count_nonzero(inside) < len(probes)
+
+    def test_a_region_without_its_polygon_is_measured_by_winding_number(self):
+        dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
+        dart = SphericalPolygon(
+            tuple(SpherePoint.from_vec(v) for v in gnomonic_inverse(NORTH, dart_uv)), NORTH)
+        region = sample_polygon_boundary(dart, per_edge=32)
+        assert region.polygon is dart
+        bare = dataclasses.replace(region, polygon=None)
+        assert sphere._exact_membership(region, region.boundary) is None  # the dart is not convex
+        assert sphere._exact_membership(bare, region.boundary) is None
+        assert s_convexity_defect(bare) == s_convexity_defect(region) > 0.0
+        poly = random_convex_spherical_polygon(np.random.default_rng(74))
+        contracted = contract_polygon(poly, 0.3, 0.8)
+        assert contracted.polygon is poly
+        assert sphere._exact_membership(contracted, contracted.boundary) is not None
+        assert sphere._exact_membership(
+            dataclasses.replace(contracted, polygon=None), contracted.boundary) is None
+
+    def test_gnomonic_vertices_are_stored_and_read_only(self):
+        poly = random_convex_spherical_polygon(np.random.default_rng(75))
+        uv = poly.gnomonic_vertices()
+        assert uv is poly.gnomonic_vertices()
+        assert np.array_equal(uv, gnomonic(poly.center, np.array([v.xyz for v in poly.vertices])))
+        with pytest.raises(ValueError):
+            uv[0, 0] = 0.0
+
+    def test_at_most_two_tangent_frames_per_trial(self, monkeypatch):
+        calls = []
+
+        def counted(c, angle=0.0):
+            calls.append(angle)
+            return tangent_frame(c, angle)
+
+        monkeypatch.setattr(sphere, "tangent_frame", counted)
+        report = conjecture_trial(0, 10)
+        assert any(r["defect_recheck_4x"] is not None for r in report["results"])
+        assert len(calls) <= 20  # the polygon's chart and the one it was drawn in
+
+    def test_replace_rebuilds_the_chart_from_the_new_center(self):
+        poly = SphericalPolygon(tuple(SpherePoint.from_vec(from_polar(NORTH, 0.3, t))
+                                      for t in (0.0, 2.0, 4.0)), NORTH)
+        other = SpherePoint.from_vec([0.2, -0.1, 1.0])
+        moved = dataclasses.replace(poly, center=other)
+        fresh = SphericalPolygon(poly.vertices, other)
+        assert np.array_equal(moved.gnomonic_vertices(), fresh.gnomonic_vertices())
+        assert not np.array_equal(moved.gnomonic_vertices(), poly.gnomonic_vertices())
+        with pytest.raises(TypeError):
+            SphericalPolygon(poly.vertices, NORTH, sphere._Chart(other))
