@@ -208,13 +208,14 @@ class SampledRegion:
 
     boundary has shape (N, 2) in Cartesian coordinates, first and last rows
     coinciding to 1e-12.  provenance describes how the boundary was produced;
-    when it identifies an invertible construction (a polygon, possibly
-    dilated), defect measurement can test membership exactly instead of
-    against the discretized loop.
+    when it is an invertible construction (a polygon, possibly dilated), the
+    region carries the validated polygon, and defect measurement tests
+    membership exactly through it instead of against the discretized loop.
     """
 
     boundary: np.ndarray
     provenance: dict = field(default_factory=dict)
+    polygon: GeodesicPolygon | None = None  # the validated polygon the provenance names
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
@@ -359,7 +360,7 @@ def polygon_region(poly: GeodesicPolygon, samples_per_edge=32) -> SampledRegion:
         "kind": "polygon",
         "vertices_polar": [[v.r, v.theta] for v in poly.vertices],
         "samples_per_edge": samples_per_edge,
-    })
+    }, polygon=poly)
 
 
 def dilate_region(poly: GeodesicPolygon, params: DilationParams,
@@ -375,7 +376,7 @@ def dilate_region(poly: GeodesicPolygon, params: DilationParams,
         "k1": params.k1,
         "k2": params.k2,
         "samples_per_edge": samples_per_edge,
-    })
+    }, polygon=poly)
 
 
 # --- convexity defect --------------------------------------------------------
@@ -393,8 +394,8 @@ def van_der_corput(m):
     return out
 
 
-def _exact_membership(region: SampledRegion):
-    """Membership oracle from provenance, or None when unavailable.
+def _exact_membership(region: SampledRegion, r, th):
+    """Membership of polar probes (r, th) through the region's polygon, or None without one.
 
     For a polygon (possibly dilated) the true region is known exactly: a probe
     lies in the image iff its preimage under the dilation lies in the polygon.
@@ -402,41 +403,32 @@ def _exact_membership(region: SampledRegion):
     the order of the boundary sagitta and far above the 1e-6 regime the
     harness must resolve.
     """
+    poly = region.polygon
+    if poly is None or not is_hconvex(poly):
+        return None
     prov = region.provenance
-    if prov.get("kind") not in ("polygon", "dilated-polygon"):
-        return None
-    poly = GeodesicPolygon.from_polar(prov["vertices_polar"])
-    if not is_hconvex(poly):
-        return None
-    if prov["kind"] == "polygon":
-        inv_k1 = inv_k2 = 1.0
-        center = np.zeros(2)
-    else:
-        inv_k1, inv_k2 = 1.0 / prov["k1"], 1.0 / prov["k2"]
-        center = np.asarray(prov["center_cart"], dtype=float)
-    centered_off = float(center @ center) > 0.0
-    verts = poly.klein() if not centered_off else to_klein(
-        _translate_rows(-center, np.array([v.cart for v in poly.vertices])))
-
-    def contains(r, th):
-        if centered_off:
-            xy = mobius_translate(-center, polar_to_cart(r, th))
-            r, th = cart_to_polar(xy)
-        r2, th2 = dilate_origin_polar(inv_k1, inv_k2, r, th)
-        q = to_klein(polar_to_cart(r2, th2))
-        return klein_polygon_contains(verts, q)
-
-    return contains
+    center = np.asarray(prov.get("center_cart", (0.0, 0.0)), dtype=float)
+    verts = poly.klein()
+    if float(center @ center) > 0.0:
+        verts = to_klein(_translate_rows(-center, np.array([v.cart for v in poly.vertices])))
+        r, th = cart_to_polar(mobius_translate(-center, polar_to_cart(r, th)))
+    r2, th2 = dilate_origin_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0), r, th)
+    return klein_polygon_contains(verts, to_klein(polar_to_cart(r2, th2)))
 
 
-def _chord_pairs(n_boundary, pair_samples, vertex_indices):
+def _chord_pairs(n_boundary, pair_samples, per_edge, n_fallback):
     """Deterministic chord endpoint pairs (M, 2): all vertex pairs plus a stratified stream.
 
-    The random stream is a fixed-seed prefix so that a larger pair_samples
-    extends (never reshuffles) a smaller one, keeping the measured defect
-    monotone under refinement.
+    The vertices are every per_edge-th boundary sample when per_edge is
+    given, else n_fallback evenly spaced samples.  The random stream is a
+    fixed-seed prefix so that a larger pair_samples extends (never
+    reshuffles) a smaller one, keeping the measured defect monotone under
+    refinement.
     """
-    vertex_indices = np.asarray(vertex_indices, dtype=int)
+    if per_edge:
+        vertex_indices = np.arange(0, n_boundary, per_edge)
+    else:
+        vertex_indices = np.linspace(0, n_boundary - 1, n_fallback, dtype=int)
     i, j = np.triu_indices(len(vertex_indices), k=1)
     rng = np.random.default_rng(1905)
     extra = rng.integers(0, n_boundary, size=(pair_samples, 2))
@@ -457,28 +449,23 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
     loop = region.boundary
     n = loop.shape[0] - 1
     lifted = hyperboloid_lift(*cart_to_polar(loop[:-1]))
-
-    spe = region.provenance.get("samples_per_edge")
-    if spe and region.provenance.get("vertices_polar"):
-        vertex_indices = range(0, n, spe)
-    else:
-        vertex_indices = np.linspace(0, n - 1, 12, dtype=int)
-
-    i, j = _chord_pairs(n, pair_samples, vertex_indices).T
+    prov = region.provenance
+    per_edge = prov.get("samples_per_edge") if prov.get("vertices_polar") else None
+    i, j = _chord_pairs(n, pair_samples, per_edge, 12).T
     ts = van_der_corput(segment_samples)
     probes_r, probes_th = hyperboloid_chord_points(lifted[i], lifted[j], ts)
     probes_r, probes_th = probes_r.ravel(), probes_th.ravel()
-    exact = _exact_membership(region)
 
-    if exact is not None:
-        outside = ~exact(probes_r, probes_th)
-    else:
-        outside = ~winding_contains(loop, polar_to_cart(probes_r, probes_th))
+    inside = _exact_membership(region, probes_r, probes_th)
+    exact = inside is not None
+    if not exact:
+        inside = winding_contains(loop, polar_to_cart(probes_r, probes_th))
+    outside = ~inside
     if not np.any(outside):
         return 0.0
     defect = max_polyline_distance(loop, polar_to_cart(probes_r[outside], probes_th[outside]))
     # without exact membership, probes within ON_BOUNDARY_TOL of the loop count inside
-    return 0.0 if exact is None and defect < ON_BOUNDARY_TOL else defect
+    return 0.0 if not exact and defect < ON_BOUNDARY_TOL else defect
 
 
 # --- random generation -------------------------------------------------------
@@ -510,9 +497,12 @@ def region_to_json(region: SampledRegion) -> str:
 
 
 def region_from_json(text: str) -> SampledRegion:
+    """Region from region_to_json text; the polygon its provenance names is rebuilt once."""
     doc = json.loads(text)
-    region = SampledRegion(np.asarray(doc["boundary"], dtype=float),
-                           provenance=doc.get("provenance", {}))
+    prov = doc.get("provenance", {})
+    poly = (GeodesicPolygon.from_polar(prov["vertices_polar"])
+            if prov.get("kind") in ("polygon", "dilated-polygon") else None)
+    region = SampledRegion(np.asarray(doc["boundary"], dtype=float), prov, poly)
     region.check_simple()
     return region
 

@@ -51,16 +51,23 @@ class DilationParams:
 
 
 def dilate_origin_polar(k1, k2, r, theta):
-    """Origin-centered dilation on (r, theta) arrays; returns (r', theta')."""
+    """Origin-centered dilation on (r, theta) arrays; returns (r', theta').
+
+    The map is the same on any geodesic polar chart: with factors <= 1 on
+    the sphere's it is the spherical contraction.
+    """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     kc = k1 * np.cos(theta)
     ks = k2 * np.sin(theta)
-    r_out = r * np.hypot(kc, ks)
-    if np.any(r_out > RADIUS_SATURATION):
+    return r * np.hypot(kc, ks), np.arctan2(ks, kc)
+
+
+def _warn_if_saturated(r):
+    """Warn when a dilated radius is past where the Poincare chart's Cartesian form saturates."""
+    if np.any(r > RADIUS_SATURATION):
         warnings.warn("dilated radius exceeds 50; Cartesian coordinates saturate",
-                      RuntimeWarning, stacklevel=2)
-    return r_out, np.arctan2(ks, kc)
+                      RuntimeWarning, stacklevel=3)
 
 
 def dilate_origin(params: DilationParams, p: DiskPoint) -> DiskPoint:
@@ -68,6 +75,7 @@ def dilate_origin(params: DilationParams, p: DiskPoint) -> DiskPoint:
     if params.center.r != 0.0:
         raise ValueError("dilate_origin requires params centered at the origin")
     r, theta = dilate_origin_polar(params.k1, params.k2, p.r, p.theta)
+    _warn_if_saturated(r)
     return DiskPoint.from_polar(float(r), float(theta))
 
 
@@ -78,6 +86,7 @@ def dilate_xy(params: DilationParams, xy):
     centered = xy if params.center.r == 0.0 else mobius_translate(-c, xy)
     r, theta = cart_to_polar(centered)
     r2, theta2 = dilate_origin_polar(params.k1, params.k2, r, theta)
+    _warn_if_saturated(r2)
     out = polar_to_cart(r2, theta2)
     return out if params.center.r == 0.0 else mobius_translate(c, out)
 

@@ -7,11 +7,11 @@ frame at c:
     rho   -> rho * sqrt(k1^2 cos^2 theta + k2^2 sin^2 theta)
     theta -> atan2(k2 sin theta, k1 cos theta)
 
-for factors k1, k2 in (0, 1].  This is the direct polar analog of the
-hyperbolic axis dilation and reduces to the symmetric contraction
-rho -> k*rho when k1 == k2.  Convexity within the open hemisphere about c is
-assessed through the gnomonic projection, which maps great circles to
-straight lines.
+for factors k1, k2 in (0, 1].  This is the hyperbolic axis dilation's polar
+map, dilation.dilate_origin_polar, applied with factors <= 1 to the sphere's
+polar chart, and reduces to the symmetric contraction rho -> k*rho when
+k1 == k2.  Convexity within the open hemisphere about c is assessed through
+the gnomonic projection, which maps great circles to straight lines.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .convexity import (SIDEDNESS_TOL, _chord_pairs, _convex_hull_2d, klein_polygon_contains,
                         van_der_corput, winding_contains)
+from .dilation import dilate_origin_polar
 
 CONTRACTION_DEFINITION = (
     "geodesic-polar contraction about the center: rho scales by "
@@ -91,7 +92,7 @@ def tangent_frame(c: SpherePoint, angle=0.0):
     return e1, e2
 
 
-class _Chart:
+class Chart:
     """Polar and gnomonic maps about a center: one tangent_frame call, built once, passed down."""
 
     def __init__(self, c: SpherePoint, frame_angle=0.0):
@@ -99,12 +100,14 @@ class _Chart:
         self.e1, self.e2 = tangent_frame(c, frame_angle)
 
     def to_polar(self, v):
+        """Geodesic polar coordinates (rho, theta) of unit vectors v (..., 3) about the center."""
         x = v @ self.e1
         y = v @ self.e2
         z = v @ self.n
         return np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
 
     def from_polar(self, rho, theta):
+        """Inverse of to_polar; returns unit vectors of shape (..., 3)."""
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         sr = np.sin(rho)
@@ -116,9 +119,10 @@ class _Chart:
         rho, theta = self.to_polar(pts)
         if not np.all(rho < math.pi / 2):
             raise ValueError("points outside the open hemisphere about the center")
-        return self.from_polar(*contract_polar(k1, k2, rho, theta))
+        return self.from_polar(*dilate_origin_polar(k1, k2, rho, theta))
 
     def gnomonic(self, pts):
+        """Central projection to the tangent plane at c; great circles map to straight lines."""
         v = np.atleast_2d(np.asarray(pts, dtype=float))
         z = v @ self.n
         if not np.all(z > HEMISPHERE_MARGIN):
@@ -131,49 +135,11 @@ class _Chart:
         return v / np.linalg.norm(v, axis=-1)[:, None]
 
 
-def to_polar(c: SpherePoint, p, frame_angle=0.0):
-    """Geodesic polar coordinates (rho, theta) of p about c; arrays of shape (...)."""
-    v = p.xyz if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
-    return _Chart(c, frame_angle).to_polar(v)
-
-
-def from_polar(c: SpherePoint, rho, theta, frame_angle=0.0):
-    """Inverse of to_polar; returns unit vectors of shape (..., 3)."""
-    return _Chart(c, frame_angle).from_polar(rho, theta)
-
-
-def contract_polar(k1, k2, rho, theta):
-    """The contraction on polar coordinate arrays."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    kc = k1 * np.cos(theta)
-    ks = k2 * np.sin(theta)
-    return rho * np.hypot(kc, ks), np.arctan2(ks, kc)
-
-
 def s_contract(c: SpherePoint, k1, k2, p: SpherePoint, frame_angle=0.0) -> SpherePoint:
     """Contract p toward c; p must lie in the open hemisphere about c."""
     if not (0.0 < k1 <= 1.0 and 0.0 < k2 <= 1.0):
         raise ValueError("contraction factors must lie in (0, 1]")
-    return SpherePoint.from_vec(_Chart(c, frame_angle).contract(k1, k2, p.xyz))
-
-
-def contract_many(c: SpherePoint, k1, k2, pts, frame_angle=0.0):
-    """Contraction applied to an (N, 3) array of hemisphere points."""
-    return _Chart(c, frame_angle).contract(k1, k2, np.asarray(pts, dtype=float))
-
-
-def gnomonic(c: SpherePoint, pts, frame_angle=0.0):
-    """Central projection of hemisphere points to the tangent plane at c.
-
-    Great circles map to straight lines, so spherical convexity within the
-    hemisphere becomes planar convexity.
-    """
-    return _Chart(c, frame_angle).gnomonic(pts)
-
-
-def gnomonic_inverse(c: SpherePoint, uv, frame_angle=0.0):
-    return _Chart(c, frame_angle).gnomonic_inverse(uv)
+    return SpherePoint.from_vec(Chart(c, frame_angle).contract(k1, k2, p.xyz))
 
 
 @dataclass(frozen=True)
@@ -182,7 +148,7 @@ class SphericalPolygon:
 
     vertices: tuple
     center: SpherePoint
-    _chart: _Chart = field(init=False, repr=False, compare=False)
+    _chart: Chart = field(init=False, repr=False, compare=False)
     _xyz: np.ndarray = field(init=False, repr=False, compare=False)
     _uv: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -192,7 +158,7 @@ class SphericalPolygon:
         verts = np.array([v.vec for v in self.vertices], dtype=float)
         if not np.all(angular_distance(verts, self.center) < math.pi / 2 - HEMISPHERE_MARGIN):
             raise ValueError("vertex outside the open hemisphere about the center")
-        object.__setattr__(self, "_chart", _Chart(self.center))
+        object.__setattr__(self, "_chart", Chart(self.center))
         uv = self._chart.gnomonic(verts)
         for name, a in (("_xyz", verts), ("_uv", uv)):
             a.setflags(write=False)
@@ -207,7 +173,7 @@ class SphericalPolygon:
         return self._uv
 
     def _frame_chart(self, frame_angle):
-        return self._chart if frame_angle == 0.0 else _Chart(self.center, frame_angle)
+        return self._chart if frame_angle == 0.0 else Chart(self.center, frame_angle)
 
     def is_convex(self, tol=SIDEDNESS_TOL):
         return bool(np.all(klein_polygon_contains(self._uv, self._uv, tol)))
@@ -284,7 +250,7 @@ def _exact_membership(region: SphericalRegion, pts):
     inv_k2 = 1.0 / prov.get("k2", 1.0)
     frame = poly._frame_chart(prov.get("frame_angle", 0.0))
     rho, theta = frame.to_polar(pts)
-    rho2, theta2 = contract_polar(inv_k1, inv_k2, rho, theta)
+    rho2, theta2 = dilate_origin_polar(inv_k1, inv_k2, rho, theta)
     ok = rho2 < math.pi / 2 - HEMISPHERE_MARGIN
     out = np.zeros(len(pts), dtype=bool)
     if np.any(ok):
@@ -304,19 +270,12 @@ def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     if isinstance(region, SphericalPolygon):
         region = sample_polygon_boundary(region)
     loop = region.boundary
-    n = loop.shape[0] - 1
-
-    per_edge = region.provenance.get("per_edge")
-    if per_edge:
-        vertex_indices = range(0, n, per_edge)
-    else:
-        vertex_indices = np.linspace(0, n - 1, 10, dtype=int)
-    i, j = _chord_pairs(n, pair_samples, vertex_indices).T
+    i, j = _chord_pairs(loop.shape[0] - 1, pair_samples, region.provenance.get("per_edge"), 10).T
     probes = great_circle_points(loop[i], loop[j], van_der_corput(segment_samples)).reshape(-1, 3)
 
     inside = _exact_membership(region, probes)
     if inside is None:
-        chart = _Chart(region.center)
+        chart = Chart(region.center)
         inside = winding_contains(chart.gnomonic(loop), chart.gnomonic(probes))
     if np.all(inside):
         return 0.0
@@ -335,7 +294,7 @@ def random_convex_spherical_polygon(rng, center=None, rho_max=1.2, n_max=10):
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     rhos = rng.uniform(0.1, rho_max, m)
-    chart = _Chart(center)
+    chart = Chart(center)
     pts = chart.from_polar(rhos, thetas)
     uv = chart.gnomonic(pts)
     hull_uv = _convex_hull_2d(uv)
@@ -374,27 +333,20 @@ def conjecture_trial(seed, trials, per_edge=24, pair_samples=64,
             "exceeds": bool((rechecked if rechecked is not None else defect)
                             > DEFECT_EXCEEDANCE),
         })
+
+    def summary(rs):
+        return {"max_defect": max((r["defect"] for r in rs), default=0.0),
+                "exceedances": sum(r["exceeds"] for r in rs)}
+
     sym = [r for r in results if r["symmetric"]]
     asym = [r for r in results if not r["symmetric"]]
-    report = {
+    return {
         "contraction_definition": CONTRACTION_DEFINITION,
         "seed": seed,
         "trials": trials,
         "exceedance_threshold": DEFECT_EXCEEDANCE,
         "results": results,
-        "summary": {
-            "max_defect": max(r["defect"] for r in results),
-            "exceedances": sum(r["exceeds"] for r in results),
-            "symmetric": {
-                "count": len(sym),
-                "max_defect": max(r["defect"] for r in sym) if sym else 0.0,
-                "exceedances": sum(r["exceeds"] for r in sym),
-            },
-            "asymmetric": {
-                "count": len(asym),
-                "max_defect": max(r["defect"] for r in asym) if asym else 0.0,
-                "exceedances": sum(r["exceeds"] for r in asym),
-            },
-        },
+        "summary": {**summary(results),
+                    "symmetric": {"count": len(sym), **summary(sym)},
+                    "asymmetric": {"count": len(asym), **summary(asym)}},
     }
-    return report

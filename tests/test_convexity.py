@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypexpand import convexity
+from hypexpand import cli, convexity
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
     GeodesicPolygon,
@@ -31,8 +32,9 @@ from hypexpand.convexity import (
     to_klein,
     winding_contains,
 )
-from hypexpand.dilation import DilationParams, origin_params
-from hypexpand.disk import DiskPoint, ORIGIN, polar_to_cart, translate
+from hypexpand.dilation import DilationParams, dilate_origin_polar, origin_params
+from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, mobius_translate, polar_to_cart,
+                            translate)
 
 
 def rand_point(rng, r_max=3.0):
@@ -563,18 +565,121 @@ class TestDefect:
         assert d3 >= d2
 
     def test_chord_pairs_match_the_list_form(self):
-        vertex_indices = [0, 32, 64, 96, 128]
-        ref = [(a, b) for k, a in enumerate(vertex_indices) for b in vertex_indices[k + 1:]]
-        ref += [(int(a), int(b)) for a, b in
-                np.random.default_rng(1905).integers(0, 160, size=(64, 2)) if a != b]
-        pairs = convexity._chord_pairs(160, 64, vertex_indices)
-        assert pairs.dtype.kind == "i" and pairs.tolist() == [list(p) for p in ref]
+        for per_edge, n_fallback, vertex_indices in [
+            (32, 12, [0, 32, 64, 96, 128]),
+            (None, 12, [0, 14, 28, 43, 57, 72, 86, 101, 115, 130, 144, 159]),
+            (None, 10, [0, 17, 35, 53, 70, 88, 106, 123, 141, 159]),
+        ]:
+            ref = [(a, b) for k, a in enumerate(vertex_indices) for b in vertex_indices[k + 1:]]
+            ref += [(int(a), int(b)) for a, b in
+                    np.random.default_rng(1905).integers(0, 160, size=(64, 2)) if a != b]
+            pairs = convexity._chord_pairs(160, 64, per_edge, n_fallback)
+            assert pairs.dtype.kind == "i" and pairs.tolist() == [list(p) for p in ref]
 
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
         region = polygon_region(random_hconvex_polygon(rng))
         with pytest.raises(ValueError):
             convexity_defect(region, 8, 16)
+
+
+def rebuilt_oracle(region):
+    """Membership oracle rebuilt from provenance on every call, as measurement once did it."""
+    prov = region.provenance
+    if prov.get("kind") not in ("polygon", "dilated-polygon"):
+        return None
+    poly = GeodesicPolygon.from_polar(prov["vertices_polar"])
+    if not is_hconvex(poly):
+        return None
+    if prov["kind"] == "polygon":
+        inv_k1 = inv_k2 = 1.0
+        center = np.zeros(2)
+    else:
+        inv_k1, inv_k2 = 1.0 / prov["k1"], 1.0 / prov["k2"]
+        center = np.asarray(prov["center_cart"], dtype=float)
+    centered_off = float(center @ center) > 0.0
+    verts = poly.klein() if not centered_off else to_klein(
+        convexity._translate_rows(-center, np.array([v.cart for v in poly.vertices])))
+
+    def contains(r, th):
+        if centered_off:
+            xy = mobius_translate(-center, polar_to_cart(r, th))
+            r, th = cart_to_polar(xy)
+        r2, th2 = dilate_origin_polar(inv_k1, inv_k2, r, th)
+        q = to_klein(polar_to_cart(r2, th2))
+        return klein_polygon_contains(verts, q)
+
+    return contains
+
+
+class TestCarriedPolygon:
+    def test_a_region_without_its_polygon_is_measured_by_winding_number(self, monkeypatch):
+        calls = []
+
+        def recording(loop, xy):
+            calls.append(len(xy))
+            return winding_contains(loop, xy)
+
+        monkeypatch.setattr(convexity, "winding_contains", recording)
+        dart = GeodesicPolygon.from_points([from_klein_point(np.array(q)) for q in
+                                            ([0.05, 0.0], [0.0, -0.6], [0.6, 0.0], [0.0, 0.6])])
+        region = polygon_region(dart)
+        assert region.polygon is dart and not is_hconvex(dart)
+        r, th = cart_to_polar(region.boundary)
+        assert convexity._exact_membership(region, r, th) is None  # the dart is not h-convex
+        bare = dataclasses.replace(region, polygon=None)
+        assert convexity._exact_membership(bare, r, th) is None
+        assert convexity_defect(bare) == convexity_defect(region) > 0.0
+        assert len(calls) == 2
+        center = DiskPoint.from_polar(0.7, 1.0)
+        poly = random_hconvex_polygon(np.random.default_rng(36), center=center)
+        dilated = dilate_region(poly, DilationParams(center, 0.4, 1.3))
+        assert dilated.polygon is poly
+        r, th = cart_to_polar(dilated.boundary)
+        assert convexity._exact_membership(dilated, r, th) is not None
+        calls.clear()
+        convexity_defect(dilated)
+        assert calls == []
+        bare = dataclasses.replace(dilated, polygon=None)
+        assert convexity._exact_membership(bare, r, th) is None
+        convexity_defect(bare)
+        assert len(calls) == 1
+
+    @staticmethod
+    def cli_defects(monkeypatch, run, rebuilt):
+        """Every defect a CLI run measures, through the carried or the rebuilt polygon."""
+        def rebuilt_membership(region, r, th):
+            oracle = rebuilt_oracle(region)
+            return None if oracle is None else oracle(r, th)
+
+        if rebuilt:
+            monkeypatch.setattr(convexity, "_exact_membership", rebuilt_membership)
+        defects = []
+
+        def recording(*args):
+            defects.append(convexity_defect(*args))
+            return defects[-1]
+
+        monkeypatch.setattr(cli, "convexity_defect", recording)
+        run()
+        monkeypatch.undo()
+        return defects
+
+    @pytest.mark.parametrize("run", [
+        lambda: cli.run_verify_theorem(seed=0, trials=100),
+        lambda: cli.run_verify_theorem(seed=1, trials=50, k1=1.0, k2=1.0),
+        lambda: cli.run_search_counterexample(seed=0, k1=0.25),  # a witness and its 4x recheck
+        # a threshold no defect reaches, so that every trial of the budget is measured
+        lambda: cli.run_search_counterexample(seed=0, k1=0.25, trials=100, tol=10.0),
+        lambda: cli.run_search_counterexample(seed=1, k1=0.6, trials=100, tol=10.0),
+        lambda: cli.run_search_counterexample(seed=2, k1=0.97, trials=100, tol=10.0),
+    ], ids=["theorem", "theorem-identity", "search-witness", "search-0.25", "search-0.6",
+            "search-0.97"])
+    def test_carried_and_rebuilt_polygons_measure_the_same_defects(self, monkeypatch, run):
+        carried = self.cli_defects(monkeypatch, run, rebuilt=False)
+        rebuilt = self.cli_defects(monkeypatch, run, rebuilt=True)
+        assert len(carried) >= 2
+        assert carried == rebuilt
 
 
 class TestDilateRegion:
@@ -646,6 +751,24 @@ class TestSerialization:
         back = region_from_json(doc)
         assert np.max(np.abs(back.boundary - region.boundary)) == 0.0
         assert back.provenance == region.provenance
+
+    def test_loaded_region_carries_its_polygon(self, monkeypatch):
+        poly = _directed_thin_polygon(np.random.default_rng(37))
+        region = dilate_region(poly, origin_params(0.25, 1.0))
+        back = region_from_json(region_to_json(region))
+        assert back.polygon is not None
+        rebuilt = GeodesicPolygon.from_polar(poly.polar())
+        assert np.array_equal(back.polygon.klein(), rebuilt.klein())
+        defect = convexity_defect(region)
+        assert defect > 1e-3
+
+        def refused(loop, xy):
+            raise AssertionError("measured by winding number")
+
+        monkeypatch.setattr(convexity, "winding_contains", refused)
+        assert convexity_defect(back) == defect
+        plain = SampledRegion(region.boundary, provenance={"kind": "boundary"})
+        assert region_from_json(region_to_json(plain)).polygon is None
 
     def test_polygon_roundtrip(self):
         rng = np.random.default_rng(34)

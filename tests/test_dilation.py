@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypexpand.dilation import (
     dilate_xy,
     origin_params,
 )
-from hypexpand.disk import DiskPoint, ORIGIN, translate
+from hypexpand.disk import DiskPoint, ORIGIN, polar_to_cart, translate
 
 
 def rand_point(rng, r_max=3.0):
@@ -73,6 +74,16 @@ class TestOriginDilation:
     def test_saturation_warning(self):
         with pytest.warns(RuntimeWarning):
             dilate_origin(origin_params(4.0, 1.0), DiskPoint.from_polar(15.0, 0.0))
+
+    def test_saturation_warning_comes_from_the_poincare_chart_callers(self):
+        xy = polar_to_cart(np.array([15.0, 1.0]), np.array([0.0, 0.5]))
+        for center in (ORIGIN, DiskPoint.from_polar(0.3, 1.0)):
+            with pytest.warns(RuntimeWarning, match="exceeds 50"):
+                dilate_xy(DilationParams(center, 4.0, 1.0), xy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, _ = dilate_origin_polar(4.0, 1.0, 15.0, 0.0)  # the polar map alone is chart-free
+            assert r == 60.0
 
 
 class TestCenteredDilation:

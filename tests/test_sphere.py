@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 
 from hypexpand import sphere
+from hypexpand.dilation import dilate_origin_polar
 from hypexpand.sphere import (
+    Chart,
     SpherePoint,
     SphericalPolygon,
     SphericalRegion,
     angular_distance,
     conjecture_trial,
-    contract_many,
     contract_polygon,
-    gnomonic,
-    gnomonic_inverse,
     great_circle_points,
     random_convex_spherical_polygon,
     s_contract,
     s_convexity_defect,
     sample_polygon_boundary,
     tangent_frame,
-    to_polar,
-    from_polar,
 )
 
 NORTH = SpherePoint((0.0, 0.0, 1.0))
@@ -56,7 +53,7 @@ class TestSpherePoint:
                 SpherePoint.from_vec(vec)
 
     def test_polygon_rejects_a_non_finite_vertex(self):
-        near = [SpherePoint.from_vec(from_polar(NORTH, 0.5, a)) for a in (0.0, 2.1, 4.2)]
+        near = [SpherePoint.from_vec(Chart(NORTH).from_polar(0.5, a)) for a in (0.0, 2.1, 4.2)]
         with pytest.raises(ValueError):
             SphericalPolygon((near[0], near[1], SpherePoint.from_vec([math.nan, 0.0, 1.0])),
                              NORTH)
@@ -76,7 +73,7 @@ class TestContraction:
     def test_identity_factors(self):
         rng = np.random.default_rng(60)
         for _ in range(50):
-            p = SpherePoint.from_vec(from_polar(NORTH, rng.uniform(0.1, 1.4),
+            p = SpherePoint.from_vec(Chart(NORTH).from_polar(rng.uniform(0.1, 1.4),
                                                 rng.uniform(-math.pi, math.pi)))
             q = s_contract(NORTH, 1.0, 1.0, p)
             assert np.max(np.abs(q.xyz - p.xyz)) < 1e-14
@@ -90,19 +87,19 @@ class TestContraction:
             rho = rng.uniform(0.1, 1.4)
             th = rng.uniform(-math.pi, math.pi)
             k = rng.uniform(0.2, 1.0)
-            p = SpherePoint.from_vec(from_polar(NORTH, rho, th))
+            p = SpherePoint.from_vec(Chart(NORTH).from_polar(rho, th))
             q = s_contract(NORTH, k, k, p)
-            rho2, th2 = to_polar(NORTH, q)
+            rho2, th2 = Chart(NORTH).to_polar(q.xyz)
             assert float(rho2) == pytest.approx(k * rho, rel=1e-12)
             assert float(th2) == pytest.approx(th, abs=1e-12)
 
     def test_rejects_outside_hemisphere(self):
-        p = SpherePoint.from_vec(from_polar(NORTH, 1.7, 0.0))
+        p = SpherePoint.from_vec(Chart(NORTH).from_polar(1.7, 0.0))
         with pytest.raises(ValueError):
             s_contract(NORTH, 0.5, 1.0, p)
 
     def test_rejects_expansion_factors(self):
-        p = SpherePoint.from_vec(from_polar(NORTH, 0.5, 0.0))
+        p = SpherePoint.from_vec(Chart(NORTH).from_polar(0.5, 0.0))
         with pytest.raises(ValueError):
             s_contract(NORTH, 1.5, 1.0, p)
 
@@ -110,22 +107,22 @@ class TestContraction:
         rng = np.random.default_rng(62)
         for _ in range(100):
             rho = rng.uniform(0.01, 1.5)
-            p = from_polar(NORTH, rho, rng.uniform(-math.pi, math.pi))
+            p = Chart(NORTH).from_polar(rho, rng.uniform(-math.pi, math.pi))
             k1, k2 = rng.uniform(0.1, 1.0, 2)
-            q = contract_many(NORTH, k1, k2, p[None, :])[0]
-            rho2, _ = to_polar(NORTH, q)
+            q = Chart(NORTH).contract(k1, k2, p[None, :])[0]
+            rho2, _ = Chart(NORTH).to_polar(q)
             assert float(rho2) <= rho + 1e-14
 
     def test_frame_rotation_equivariance(self):
         # contracting in a rotated frame equals rotate, contract, unrotate
         rng = np.random.default_rng(63)
         c = SpherePoint.from_vec(rng.normal(size=3))
-        pts = from_polar(c, rng.uniform(0.1, 1.3, 40), rng.uniform(-math.pi, math.pi, 40))
+        pts = Chart(c).from_polar(rng.uniform(0.1, 1.3, 40), rng.uniform(-math.pi, math.pi, 40))
         alpha = 0.77
         k1, k2 = 0.4, 0.9
-        direct = contract_many(c, k1, k2, pts, frame_angle=alpha)
+        direct = Chart(c, alpha).contract(k1, k2, pts)
         unrot = rotate_about(c.xyz, -alpha, pts)
-        via = rotate_about(c.xyz, alpha, contract_many(c, k1, k2, unrot))
+        via = rotate_about(c.xyz, alpha, Chart(c).contract(k1, k2, unrot))
         assert np.max(np.abs(direct - via)) < 1e-12
 
     def test_defect_frame_invariance(self):
@@ -145,31 +142,31 @@ class TestGnomonic:
     def test_roundtrip(self):
         rng = np.random.default_rng(65)
         c = SpherePoint.from_vec(rng.normal(size=3))
-        pts = from_polar(c, rng.uniform(0.01, 1.5, 200), rng.uniform(-math.pi, math.pi, 200))
-        uv = gnomonic(c, pts)
-        back = gnomonic_inverse(c, uv)
+        pts = Chart(c).from_polar(rng.uniform(0.01, 1.5, 200), rng.uniform(-math.pi, math.pi, 200))
+        uv = Chart(c).gnomonic(pts)
+        back = Chart(c).gnomonic_inverse(uv)
         assert np.max(np.abs(back - pts)) < 1e-12
 
     def test_rejects_equator(self):
-        p = from_polar(NORTH, math.pi / 2, 0.3)
+        p = Chart(NORTH).from_polar(math.pi / 2, 0.3)
         with pytest.raises(ValueError):
-            gnomonic(NORTH, p[None, :])
+            Chart(NORTH).gnomonic(p[None, :])
 
     def test_convexity_equivalence(self):
         # a polygon is spherically convex within the hemisphere iff its
         # gnomonic image is a convex planar polygon
         tri = SphericalPolygon(
-            tuple(SpherePoint.from_vec(from_polar(NORTH, 0.8, a))
+            tuple(SpherePoint.from_vec(Chart(NORTH).from_polar(0.8, a))
                   for a in (0.0, 2.1, 4.2)), NORTH)
         assert tri.is_convex()
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
         dart = SphericalPolygon(
-            tuple(SpherePoint.from_vec(v) for v in gnomonic_inverse(NORTH, dart_uv)), NORTH)
+            tuple(SpherePoint.from_vec(v) for v in Chart(NORTH).gnomonic_inverse(dart_uv)), NORTH)
         assert not dart.is_convex()
 
     def test_hemisphere_validation(self):
-        far = SpherePoint.from_vec(from_polar(NORTH, 1.8, 0.0))
-        near = [SpherePoint.from_vec(from_polar(NORTH, 0.5, a)) for a in (0.0, 2.1)]
+        far = SpherePoint.from_vec(Chart(NORTH).from_polar(1.8, 0.0))
+        near = [SpherePoint.from_vec(Chart(NORTH).from_polar(0.5, a)) for a in (0.0, 2.1)]
         with pytest.raises(ValueError):
             SphericalPolygon((near[0], near[1], far), NORTH)
 
@@ -177,14 +174,14 @@ class TestGnomonic:
 class TestSphericalDefect:
     def test_triangle_convex(self):
         tri = SphericalPolygon(
-            tuple(SpherePoint.from_vec(from_polar(NORTH, 0.9, a))
+            tuple(SpherePoint.from_vec(Chart(NORTH).from_polar(0.9, a))
                   for a in (0.2, 2.2, 4.4)), NORTH)
         assert s_convexity_defect(tri) < 1e-9
 
     def test_reflex_quad_defect(self):
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
         dart = SphericalPolygon(
-            tuple(SpherePoint.from_vec(v) for v in gnomonic_inverse(NORTH, dart_uv)), NORTH)
+            tuple(SpherePoint.from_vec(v) for v in Chart(NORTH).gnomonic_inverse(dart_uv)), NORTH)
         region = sample_polygon_boundary(dart, per_edge=32)
         assert s_convexity_defect(region, 128, 16) > 1e-3
 
@@ -295,6 +292,15 @@ class TestConjectureTrials:
         assert rep["summary"]["symmetric"]["exceedances"] == 0
         assert rep["summary"]["symmetric"]["max_defect"] < 1e-6
 
+    def test_zero_trials(self):
+        rep = conjecture_trial(5, 0)
+        assert rep["trials"] == 0 and rep["results"] == []
+        assert rep["summary"] == {
+            "max_defect": 0.0, "exceedances": 0,
+            "symmetric": {"count": 0, "max_defect": 0.0, "exceedances": 0},
+            "asymmetric": {"count": 0, "max_defect": 0.0, "exceedances": 0},
+        }
+
     def test_exceedances_are_rechecked(self):
         rep = conjecture_trial(0, 10)
         for rec in rep["results"]:
@@ -304,8 +310,8 @@ class TestConjectureTrials:
 
 
 def test_great_circle_endpoints():
-    a = from_polar(NORTH, 0.8, 0.3)
-    b = from_polar(NORTH, 1.1, 2.0)
+    a = Chart(NORTH).from_polar(0.8, 0.3)
+    b = Chart(NORTH).from_polar(1.1, 2.0)
     pts = great_circle_points(a, b, np.array([0.0, 1.0]))
     assert np.max(np.abs(pts[0] - a)) < 1e-15
     assert np.max(np.abs(pts[-1] - b)) < 1e-15
@@ -356,8 +362,8 @@ class TestBatchedGreatCirclePoints:
         self.assert_matches_per_pair(a, b)
 
     def test_scalar_call_keeps_its_shape(self):
-        a = from_polar(NORTH, 0.8, 0.3)
-        b = from_polar(NORTH, 1.1, 2.0)
+        a = Chart(NORTH).from_polar(0.8, 0.3)
+        b = Chart(NORTH).from_polar(1.1, 2.0)
         assert great_circle_points(a, b, self.TS).shape == (len(self.TS), 3)
 
 
@@ -393,16 +399,16 @@ def rebuilt_membership(region, pts):
     """Exact membership with the polygon rebuilt from provenance and every map rebuilt per call."""
     prov, c = region.provenance, region.center
     poly = SphericalPolygon(tuple(SpherePoint(tuple(v)) for v in prov["vertices"]), c)
-    uv_verts = gnomonic(c, np.array([v.xyz for v in poly.vertices]))
+    uv_verts = Chart(c).gnomonic(np.array([v.xyz for v in poly.vertices]))
     if not np.all(broadcast_contains(uv_verts, uv_verts)):
         return None
     frame_angle = prov.get("frame_angle", 0.0)
-    rho, theta = to_polar(c, pts, frame_angle)
-    rho2, theta2 = sphere.contract_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
-                                         rho, theta)
+    rho, theta = Chart(c, frame_angle).to_polar(pts)
+    rho2, theta2 = dilate_origin_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
+                                       rho, theta)
     ok = rho2 < math.pi / 2 - sphere.HEMISPHERE_MARGIN
     out = np.zeros(len(pts), dtype=bool)
-    uv = gnomonic(c, from_polar(c, rho2[ok], theta2[ok], frame_angle))
+    uv = Chart(c).gnomonic(Chart(c, frame_angle).from_polar(rho2[ok], theta2[ok]))
     out[ok] = broadcast_contains(uv_verts, uv)
     return out
 
@@ -462,9 +468,8 @@ class TestBatchedPolygonLayer:
             if rng.uniform() < 0.3:
                 uv[i] = 0.5 * (uv[i - 1] + uv[(i + 1) % len(uv)]) + rng.choice([-1e-12, 0, 1e-12])
             try:
-                bent = SphericalPolygon(
-                    tuple(SpherePoint.from_vec(v) for v in gnomonic_inverse(poly.center, uv)),
-                    poly.center)
+                back = Chart(poly.center).gnomonic_inverse(uv)
+                bent = SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in back), poly.center)
             except ValueError:
                 continue
             k = bent.gnomonic_vertices()
@@ -482,10 +487,10 @@ class TestBatchedPolygonLayer:
             region = (sample_polygon_boundary(poly) if trial % 5 == 0
                       else contract_polygon(poly, k1, k2, frame_angle=frame_angle))
             # probes in the preimage's chart, so that vertices and edges map onto the polygon's
-            pre = gnomonic_inverse(poly.center, edge_probes(rng, poly.gnomonic_vertices()))
+            pre = Chart(poly.center).gnomonic_inverse(edge_probes(rng, poly.gnomonic_vertices()))
             prov = region.provenance
             probes = (pre if prov["kind"] == "polygon" else
-                      contract_many(poly.center, prov["k1"], prov["k2"], pre, frame_angle))
+                      Chart(poly.center, frame_angle).contract(prov["k1"], prov["k2"], pre))
             inside = sphere._exact_membership(region, probes)
             assert inside.dtype == bool and inside.shape == (len(probes),)
             assert np.array_equal(inside, rebuilt_membership(region, probes))
@@ -494,7 +499,7 @@ class TestBatchedPolygonLayer:
     def test_a_region_without_its_polygon_is_measured_by_winding_number(self):
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
         dart = SphericalPolygon(
-            tuple(SpherePoint.from_vec(v) for v in gnomonic_inverse(NORTH, dart_uv)), NORTH)
+            tuple(SpherePoint.from_vec(v) for v in Chart(NORTH).gnomonic_inverse(dart_uv)), NORTH)
         region = sample_polygon_boundary(dart, per_edge=32)
         assert region.polygon is dart
         bare = dataclasses.replace(region, polygon=None)
@@ -508,11 +513,25 @@ class TestBatchedPolygonLayer:
         assert sphere._exact_membership(
             dataclasses.replace(contracted, polygon=None), contracted.boundary) is None
 
+    def test_membership_does_not_warn_past_the_disk_saturation_radius(self):
+        # the polar map is shared with the disk, whose Cartesian chart saturates
+        # past r' = 50; no such chart is involved here
+        poly = random_convex_spherical_polygon(np.random.default_rng(76), center=NORTH)
+        region = contract_polygon(poly, 0.01, 0.01)
+        thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        rho = np.full_like(thetas, 1.55)
+        assert np.all(dilate_origin_polar(100.0, 100.0, rho, thetas)[0] > 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = sphere._exact_membership(region, Chart(NORTH).from_polar(rho, thetas))
+        assert not np.any(inside)
+
     def test_gnomonic_vertices_are_stored_and_read_only(self):
         poly = random_convex_spherical_polygon(np.random.default_rng(75))
         uv = poly.gnomonic_vertices()
         assert uv is poly.gnomonic_vertices()
-        assert np.array_equal(uv, gnomonic(poly.center, np.array([v.xyz for v in poly.vertices])))
+        assert np.array_equal(
+            uv, Chart(poly.center).gnomonic(np.array([v.xyz for v in poly.vertices])))
         with pytest.raises(ValueError):
             uv[0, 0] = 0.0
 
@@ -529,7 +548,7 @@ class TestBatchedPolygonLayer:
         assert len(calls) <= 20  # the polygon's chart and the one it was drawn in
 
     def test_replace_rebuilds_the_chart_from_the_new_center(self):
-        poly = SphericalPolygon(tuple(SpherePoint.from_vec(from_polar(NORTH, 0.3, t))
+        poly = SphericalPolygon(tuple(SpherePoint.from_vec(Chart(NORTH).from_polar(0.3, t))
                                       for t in (0.0, 2.0, 4.0)), NORTH)
         other = SpherePoint.from_vec([0.2, -0.1, 1.0])
         moved = dataclasses.replace(poly, center=other)
@@ -537,4 +556,4 @@ class TestBatchedPolygonLayer:
         assert np.array_equal(moved.gnomonic_vertices(), fresh.gnomonic_vertices())
         assert not np.array_equal(moved.gnomonic_vertices(), poly.gnomonic_vertices())
         with pytest.raises(TypeError):
-            SphericalPolygon(poly.vertices, NORTH, sphere._Chart(other))
+            SphericalPolygon(poly.vertices, NORTH, Chart(other))
