@@ -10,20 +10,23 @@ curved boundaries are only known at samples.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dilation import DilationParams, dilate_origin_polar, dilate_xy
+from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
     DiskPoint,
     ORIGIN,
     cart_to_polar,
     geodesic_chord_points,
-    hyperboloid_chord_points,
+    hyperboloid_chord_vectors,
     hyperboloid_lift,
+    hyperboloid_polar,
+    hyperboloid_translate,
     mobius_translate,
     polar_to_cart,
 )
@@ -127,6 +130,7 @@ class GeodesicPolygon:
 
     vertices: tuple
     _klein: np.ndarray = field(init=False, repr=False, compare=False)
+    hconvex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
 
     def __post_init__(self):
         if len(self.vertices) < 3:
@@ -138,6 +142,7 @@ class GeodesicPolygon:
             raise ValueError("polygon must be counterclockwise")
         if _edges_cross(k):
             raise ValueError("polygon edges self-intersect")
+        object.__setattr__(self, "hconvex", is_hconvex(self))
 
     @classmethod
     def from_points(cls, points):
@@ -394,28 +399,31 @@ def van_der_corput(m):
     return out
 
 
-def _exact_membership(region: SampledRegion, r, th):
-    """Membership of polar probes (r, th) through the region's polygon, or None without one.
+def _exact_membership(region: SampledRegion, pts):
+    """Membership of hyperboloid probes (P, 3) through the region's polygon, or None without one.
 
     For a polygon (possibly dilated) the true region is known exactly: a probe
     lies in the image iff its preimage under the dilation lies in the polygon.
     This sidesteps the discretization floor of the sampled loop, which is on
     the order of the boundary sagitta and far above the 1e-6 regime the
-    harness must resolve.
+    harness must resolve.  Probes are boosted to the center, then mapped to the Klein chart.
     """
     poly = region.polygon
-    if poly is None or not is_hconvex(poly):
+    if poly is None or not poly.hconvex:
         return None
     prov = region.provenance
     center = np.asarray(prov.get("center_cart", (0.0, 0.0)), dtype=float)
     verts = poly.klein()
     if float(center @ center) > 0.0:
         verts = to_klein(_translate_rows(-center, np.array([v.cart for v in poly.vertices])))
-        r, th = cart_to_polar(mobius_translate(-center, polar_to_cart(r, th)))
-    r2, th2 = dilate_origin_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0), r, th)
-    return klein_polygon_contains(verts, to_klein(polar_to_cart(r2, th2)))
+        pts = hyperboloid_translate(-center, pts)
+    x, y = pts[:, 0], pts[:, 1]
+    q = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
+                            np.arcsinh(np.hypot(x, y)), x, y, np.tanh)
+    return klein_polygon_contains(verts, q)
 
 
+@functools.lru_cache(maxsize=64)
 def _chord_pairs(n_boundary, pair_samples, per_edge, n_fallback):
     """Deterministic chord endpoint pairs (M, 2): all vertex pairs plus a stratified stream.
 
@@ -423,7 +431,7 @@ def _chord_pairs(n_boundary, pair_samples, per_edge, n_fallback):
     given, else n_fallback evenly spaced samples.  The random stream is a
     fixed-seed prefix so that a larger pair_samples extends (never
     reshuffles) a smaller one, keeping the measured defect monotone under
-    refinement.
+    refinement.  Cached per size; the array is read-only.
     """
     if per_edge:
         vertex_indices = np.arange(0, n_boundary, per_edge)
@@ -432,8 +440,10 @@ def _chord_pairs(n_boundary, pair_samples, per_edge, n_fallback):
     i, j = np.triu_indices(len(vertex_indices), k=1)
     rng = np.random.default_rng(1905)
     extra = rng.integers(0, n_boundary, size=(pair_samples, 2))
-    return np.concatenate([np.stack([vertex_indices[i], vertex_indices[j]], axis=1),
-                           extra[extra[:, 0] != extra[:, 1]]])
+    pairs = np.concatenate([np.stack([vertex_indices[i], vertex_indices[j]], axis=1),
+                            extra[extra[:, 0] != extra[:, 1]]])
+    pairs.setflags(write=False)
+    return pairs
 
 
 def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16) -> float:
@@ -453,17 +463,16 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
     per_edge = prov.get("samples_per_edge") if prov.get("vertices_polar") else None
     i, j = _chord_pairs(n, pair_samples, per_edge, 12).T
     ts = van_der_corput(segment_samples)
-    probes_r, probes_th = hyperboloid_chord_points(lifted[i], lifted[j], ts)
-    probes_r, probes_th = probes_r.ravel(), probes_th.ravel()
+    probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
 
-    inside = _exact_membership(region, probes_r, probes_th)
+    inside = _exact_membership(region, probes)
     exact = inside is not None
     if not exact:
-        inside = winding_contains(loop, polar_to_cart(probes_r, probes_th))
+        inside = winding_contains(loop, polar_to_cart(*hyperboloid_polar(probes)))
     outside = ~inside
     if not np.any(outside):
         return 0.0
-    defect = max_polyline_distance(loop, polar_to_cart(probes_r[outside], probes_th[outside]))
+    defect = max_polyline_distance(loop, polar_to_cart(*hyperboloid_polar(probes[outside])))
     # without exact membership, probes within ON_BOUNDARY_TOL of the loop count inside
     return 0.0 if not exact and defect < ON_BOUNDARY_TOL else defect
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import DiskPoint, ParamCurve, chord_jet, chord_rpp, curvature_from_derivatives
+from .disk import (DiskPoint, ParamCurve, chord_jet, chord_rpp, curvature_from_derivatives,
+                   polar_chord_radius)
 
 # series branch for the auxiliary functions below this argument; the direct
 # forms lose ~eps/a^2 relative accuracy to cancellation as a -> 0
@@ -88,8 +89,8 @@ class ChordSpec:
 
 
 def chord_radius(spec: ChordSpec, t):
-    """Radius of the chord at parameter t, from the cancellation-free disk.chord_jet."""
-    out = chord_jet(spec.r1, spec.r2, spec.delta_theta, t)[0]
+    """Radius of the chord at parameter t, from the cancellation-free disk.polar_chord_radius."""
+    out = polar_chord_radius(spec.r1, spec.r2, spec.delta_theta, t)
     return float(out) if np.ndim(out) == 0 else out
 
 

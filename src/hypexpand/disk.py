@@ -356,8 +356,8 @@ def chord_rpp(r, rp, dth):
     return 2.0 * rp ** 2 / np.tanh(r) + dth ** 2 * np.sinh(2.0 * r) / 2.0
 
 
-def chord_jet(r1, r2, dth, t):
-    """(r, r', r'') at t of the polar chord from (r1, 0) to (r2, dth), 0 < |dth| < pi.
+def polar_chord_radius(r1, r2, dth, t):
+    """r(t) of the polar chord from (r1, 0) to (r2, dth), 0 < |dth| < pi.
 
     The radius solves coth r(t) = (coth r1 sin((1-t) dth) + coth r2 sin(t dth))
     / sin(dth), evaluated through delta = coth(r(t)) - 1 assembled from
@@ -373,7 +373,13 @@ def chord_jet(r1, r2, dth, t):
     bracket = 4.0 * math.sin(a / 2.0) * np.sin(ua / 2.0) * np.sin(ta / 2.0)
     delta = (q1 * np.sin(ua) + q2 * np.sin(ta) + bracket) / math.sin(a)
     w = np.sqrt(delta * (2.0 + delta)) - delta  # w = 1 - tanh(r/2)
-    r = np.log((2.0 - w) / w)
+    return np.log((2.0 - w) / w)
+
+
+def chord_jet(r1, r2, dth, t):
+    """(r, r', r'') at t of the chord of polar_chord_radius."""
+    t = np.asarray(t, dtype=float)
+    r = polar_chord_radius(r1, r2, dth, t)
     coth1, coth2 = 1.0 / math.tanh(r1), 1.0 / math.tanh(r2)
     rp = dth * np.sinh(r) ** 2 * (
         coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / math.sin(dth)
@@ -383,7 +389,7 @@ def chord_jet(r1, r2, dth, t):
 def _polar_chord_curve(u, v, dth):
     def ev(t):
         t = np.asarray(t, dtype=float)
-        return chord_jet(u.r, v.r, dth, t)[0], u.theta + t * dth
+        return polar_chord_radius(u.r, v.r, dth, t), u.theta + t * dth
 
     def d1(t):
         t = np.asarray(t, dtype=float)
@@ -451,12 +457,12 @@ def hyperboloid_lift(r, theta):
                      _libm(math.cosh, r)], axis=-1)
 
 
-def hyperboloid_chord_points(a, b, ts):
+def hyperboloid_chord_vectors(a, b, ts):
     """Sample the geodesics between lifted endpoints a, b of shape (..., 3).
 
     On the hyperboloid sheet the geodesic is a plane section and interpolation
-    is a sinh-weighted combination.  Returns (r, theta) arrays of shape
-    (..., T).  Endpoints closer than 1e-9 are interpolated linearly.
+    is a sinh-weighted combination.  Returns hyperboloid points of shape
+    (..., T, 3).  Endpoints closer than 1e-9 are interpolated linearly.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
@@ -471,18 +477,32 @@ def hyperboloid_chord_points(a, b, ts):
         lin = (1.0 - ts)[:, None] * a + ts[:, None] * b
         norm = np.sqrt(np.maximum(lin[..., 2] ** 2 - lin[..., 0] ** 2 - lin[..., 1] ** 2, 1e-300))
         pts = np.where(short[..., None], lin / norm[..., None], pts)
-    r = np.arccosh(np.maximum(pts[..., 2], 1.0))
-    theta = np.arctan2(pts[..., 1], pts[..., 0])
-    return r, theta
+    return pts
+
+
+def hyperboloid_polar(pts):
+    """Geodesic polar (r, theta) arrays of hyperboloid points (..., 3); elementwise."""
+    return np.arccosh(np.maximum(pts[..., 2], 1.0)), np.arctan2(pts[..., 1], pts[..., 0])
+
+
+def hyperboloid_translate(c, pts):
+    """mobius_translate(c, .) on hyperboloid points (..., 3): the Lorentz boost to the lift of c."""
+    cx, cy = (float(v) for v in c)
+    cc = cx * cx + cy * cy
+    ux, uy = 2.0 * cx / (1.0 - cc), 2.0 * cy / (1.0 - cc)  # (u, (1 + cc) / (1 - cc)) lifts c
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    d = ux * x + uy * y
+    return np.stack([x + d * cx + z * ux, y + d * cy + z * uy,
+                     (1.0 + cc) / (1.0 - cc) * z + d], axis=-1)
 
 
 def geodesic_chord_points(r1, th1, r2, th2, ts):
     """Sample the geodesics between polar endpoints of shape (...); robust at large radii.
 
-    Lifts the endpoints to the hyperboloid and samples there
-    (hyperboloid_chord_points).  Returns (r, theta) arrays of shape (..., T).
-    Stays accurate where the Cartesian chart saturates (r up to ~300).
+    Samples on the hyperboloid (hyperboloid_chord_vectors) and returns (r, theta)
+    arrays of shape (..., T), accurate where the Cartesian chart saturates (r up to ~300).
     """
     r1, th1, r2, th2 = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (r1, th1, r2, th2)))
-    return hyperboloid_chord_points(hyperboloid_lift(r1, th1), hyperboloid_lift(r2, th2), ts)
+    return hyperboloid_polar(hyperboloid_chord_vectors(hyperboloid_lift(r1, th1),
+                                                       hyperboloid_lift(r2, th2), ts))

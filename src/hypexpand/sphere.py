@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (SIDEDNESS_TOL, _chord_pairs, _convex_hull_2d, klein_polygon_contains,
-                        van_der_corput, winding_contains)
-from .dilation import dilate_origin_polar
+from .convexity import (SIDEDNESS_TOL, _chord_pairs, _convex_hull_2d, _klein_signed_area,
+                        klein_polygon_contains, van_der_corput, winding_contains)
+from .dilation import dilate_origin_chart, dilate_origin_polar
 
 CONTRACTION_DEFINITION = (
     "geodesic-polar contraction about the center: rho scales by "
@@ -151,6 +151,7 @@ class SphericalPolygon:
     _chart: Chart = field(init=False, repr=False, compare=False)
     _xyz: np.ndarray = field(init=False, repr=False, compare=False)
     _uv: np.ndarray = field(init=False, repr=False, compare=False)
+    convex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
 
     def __post_init__(self):
         if len(self.vertices) < 3:
@@ -163,10 +164,9 @@ class SphericalPolygon:
         for name, a in (("_xyz", verts), ("_uv", uv)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        x, y = uv[:, 0], uv[:, 1]
-        area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-        if not area > 0.0:
+        if not _klein_signed_area(uv) > 0.0:
             raise ValueError("polygon must be counterclockwise as seen from the center")
+        object.__setattr__(self, "convex", self.is_convex())
 
     def gnomonic_vertices(self):
         """Gnomonic vertices about the center, shape (V, 2); read-only."""
@@ -240,23 +240,26 @@ def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=24,
     }, polygon=poly)
 
 
+def _gnomonic_radius(rho):
+    """tan rho in the open hemisphere; nan beyond, which fails every half-plane test."""
+    return np.where(rho < math.pi / 2 - HEMISPHERE_MARGIN, np.tan(rho), np.nan)
+
+
 def _exact_membership(region: SphericalRegion, pts):
-    """Membership of pts in the region through its carried polygon, or None without one."""
+    """Membership of pts in the region through its carried polygon, or None without one.
+
+    Preimages are taken from the frame's (x, y, z) straight to its gnomonic chart.
+    """
     poly = region.polygon
-    if poly is None or not poly.is_convex():
+    if poly is None or not poly.convex:
         return None
     prov = region.provenance
-    inv_k1 = 1.0 / prov.get("k1", 1.0)
-    inv_k2 = 1.0 / prov.get("k2", 1.0)
     frame = poly._frame_chart(prov.get("frame_angle", 0.0))
-    rho, theta = frame.to_polar(pts)
-    rho2, theta2 = dilate_origin_polar(inv_k1, inv_k2, rho, theta)
-    ok = rho2 < math.pi / 2 - HEMISPHERE_MARGIN
-    out = np.zeros(len(pts), dtype=bool)
-    if np.any(ok):
-        uv = poly._chart.gnomonic(frame.from_polar(rho2[ok], theta2[ok]))
-        out[ok] = klein_polygon_contains(poly._uv, uv)
-    return out
+    x, y = pts @ frame.e1, pts @ frame.e2
+    uv = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
+                             np.arctan2(np.hypot(x, y), pts @ frame.n), x, y, _gnomonic_radius)
+    verts = poly._uv if frame is poly._chart else frame.gnomonic(poly._xyz)
+    return klein_polygon_contains(verts, uv)
 
 
 def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:

@@ -4,13 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import edge_probes, mp_dilate_chart, mp_margin
 from hypexpand import cli, convexity
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
+    SIDEDNESS_TOL,
     GeodesicPolygon,
     SampledRegion,
     convexity_defect,
@@ -32,9 +36,9 @@ from hypexpand.convexity import (
     to_klein,
     winding_contains,
 )
-from hypexpand.dilation import DilationParams, dilate_origin_polar, origin_params
-from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, mobius_translate, polar_to_cart,
-                            translate)
+from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy, origin_params
+from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_lift, hyperboloid_polar,
+                            mobius_translate, polar_to_cart, translate)
 
 
 def rand_point(rng, r_max=3.0):
@@ -575,6 +579,8 @@ class TestDefect:
                     np.random.default_rng(1905).integers(0, 160, size=(64, 2)) if a != b]
             pairs = convexity._chord_pairs(160, 64, per_edge, n_fallback)
             assert pairs.dtype.kind == "i" and pairs.tolist() == [list(p) for p in ref]
+            assert not pairs.flags.writeable
+            assert np.array_equal(convexity._chord_pairs(160, 64, per_edge, n_fallback), pairs)
 
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
@@ -625,32 +631,32 @@ class TestCarriedPolygon:
                                             ([0.05, 0.0], [0.0, -0.6], [0.6, 0.0], [0.0, 0.6])])
         region = polygon_region(dart)
         assert region.polygon is dart and not is_hconvex(dart)
-        r, th = cart_to_polar(region.boundary)
-        assert convexity._exact_membership(region, r, th) is None  # the dart is not h-convex
+        pts = hyperboloid_lift(*cart_to_polar(region.boundary))
+        assert convexity._exact_membership(region, pts) is None  # the dart is not h-convex
         bare = dataclasses.replace(region, polygon=None)
-        assert convexity._exact_membership(bare, r, th) is None
+        assert convexity._exact_membership(bare, pts) is None
         assert convexity_defect(bare) == convexity_defect(region) > 0.0
         assert len(calls) == 2
         center = DiskPoint.from_polar(0.7, 1.0)
         poly = random_hconvex_polygon(np.random.default_rng(36), center=center)
         dilated = dilate_region(poly, DilationParams(center, 0.4, 1.3))
         assert dilated.polygon is poly
-        r, th = cart_to_polar(dilated.boundary)
-        assert convexity._exact_membership(dilated, r, th) is not None
+        pts = hyperboloid_lift(*cart_to_polar(dilated.boundary))
+        assert convexity._exact_membership(dilated, pts) is not None
         calls.clear()
         convexity_defect(dilated)
         assert calls == []
         bare = dataclasses.replace(dilated, polygon=None)
-        assert convexity._exact_membership(bare, r, th) is None
+        assert convexity._exact_membership(bare, pts) is None
         convexity_defect(bare)
         assert len(calls) == 1
 
     @staticmethod
     def cli_defects(monkeypatch, run, rebuilt):
         """Every defect a CLI run measures, through the carried or the rebuilt polygon."""
-        def rebuilt_membership(region, r, th):
+        def rebuilt_membership(region, pts):
             oracle = rebuilt_oracle(region)
-            return None if oracle is None else oracle(r, th)
+            return None if oracle is None else oracle(*hyperboloid_polar(pts))
 
         if rebuilt:
             monkeypatch.setattr(convexity, "_exact_membership", rebuilt_membership)
@@ -680,6 +686,81 @@ class TestCarriedPolygon:
         rebuilt = self.cli_defects(monkeypatch, run, rebuilt=True)
         assert len(carried) >= 2
         assert carried == rebuilt
+
+
+def centered_klein_vertices(poly, center):
+    """Klein vertices of the polygon translated by -center, as exact membership tests them."""
+    if center.r == 0.0:
+        return poly.klein()
+    return to_klein(convexity._translate_rows(-center.xy,
+                                              np.array([v.cart for v in poly.vertices])))
+
+
+def exact_margin(region, p):
+    """mp_margin of the exact Klein preimage of the hyperboloid probe p (3,).
+
+    The center is undone by the disk translation in the Poincare chart, not by
+    the boost under test.
+    """
+    prov = region.provenance
+    c = prov.get("center_cart", (0.0, 0.0))
+    center = DiskPoint.from_cart(*c)
+    with mp.workdps(50):
+        x, y, z = (mp.mpf(float(a)) for a in p)
+        x, y = x / (1 + z), y / (1 + z)
+        cx, cy = -mp.mpf(c[0]), -mp.mpf(c[1])
+        cc, dot, nx = cx * cx + cy * cy, cx * x + cy * y, x * x + y * y
+        den = 1 + 2 * dot + cc * nx
+        x, y = (((1 + 2 * dot + nx) * cx + (1 - cc) * x) / den,
+                ((1 + 2 * dot + nx) * cy + (1 - cc) * y) / den)
+        u, v = mp_dilate_chart(1 / mp.mpf(prov.get("k1", 1.0)), 1 / mp.mpf(prov.get("k2", 1.0)),
+                               x, y, 2 * mp.atanh(mp.hypot(x, y)), mp.tanh)
+        return mp_margin(centered_klein_vertices(region.polygon, center), u, v)
+
+
+class TestProjectiveMembership:
+    """Exact membership from the probes' 3-vectors against the polar round trip it replaced."""
+
+    def test_matches_the_polar_round_trip(self):
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            center = ORIGIN if trial % 4 == 0 else rand_point(rng, 1.5)
+            poly = random_hconvex_polygon(rng, center=center)
+            k1, k2 = rng.uniform(0.25, 4.0, 2)
+            region = dilate_region(poly, DilationParams(center, k1, k2))
+            # probes in the preimage's centered Klein chart, mapped forward
+            pre = from_klein(edge_probes(rng, centered_klein_vertices(poly, center), spread=0.7))
+            img = dilate_xy(origin_params(k1, k2), pre)
+            if center.r > 0.0:
+                img = mobius_translate(center.xy, img)
+            pts = np.vstack([hyperboloid_lift(*cart_to_polar(img)),
+                             hyperboloid_lift(center.r, center.theta)])  # the center itself
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                inside = convexity._exact_membership(region, pts)
+            assert inside.dtype == bool and inside.shape == (len(pts),) and inside[-1]
+            old = rebuilt_oracle(region)(*hyperboloid_polar(pts))
+            # the two arithmetics differ by rounding, so they may only disagree
+            # on a probe whose exact margin is that close to the tolerance
+            for k in np.nonzero(inside != old)[0]:
+                assert abs(exact_margin(region, pts[k]) + SIDEDNESS_TOL) < 1e-15
+            assert 0 < np.count_nonzero(inside) < len(pts)
+
+    def test_convexity_is_computed_once_per_polygon(self, monkeypatch):
+        calls = []
+
+        def recording(poly, tol=SIDEDNESS_TOL):
+            calls.append(tol)
+            return is_hconvex(poly, tol)
+
+        monkeypatch.setattr(convexity, "is_hconvex", recording)
+        center = DiskPoint.from_polar(0.7, 1.0)
+        poly = random_hconvex_polygon(np.random.default_rng(38), center=center)
+        for k1 in (0.5, 2.0, 3.0):
+            convexity_defect(dilate_region(poly, DilationParams(center, k1, 1.5)))
+        assert calls == [SIDEDNESS_TOL] and poly.hconvex is True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            poly.hconvex = False
 
 
 class TestDilateRegion:

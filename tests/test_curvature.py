@@ -221,6 +221,18 @@ class TestChord:
                     worst = max(worst, abs(float((mp.mpf(got) - ref) / ref)))
         assert worst < 1e-13
 
+    def test_radius_is_the_chord_jet_radius(self):
+        rng = np.random.default_rng(49)
+        for _ in range(200):
+            th1 = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.02)
+            spec = ChordSpec(rng.uniform(0.01, 30.0), rng.uniform(0.01, 30.0),
+                             th1, rng.uniform(th1 + 0.01, math.pi / 2 - 0.001))
+            ts = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+            jet_r = chord_jet(spec.r1, spec.r2, spec.delta_theta, ts)[0]
+            assert np.array_equal(chord_radius(spec, ts), jet_r)
+            assert chord_radius(spec, ts[5]) == chord_jet(spec.r1, spec.r2, spec.delta_theta,
+                                                          ts[5])[0]
+
     def test_chord_is_a_geodesic(self):
         spec = ChordSpec(1.5, 2.2, -0.6, 0.9)
 

@@ -10,6 +10,7 @@ from hypexpand.dilation import (
     dilate,
     dilate_inverse,
     dilate_origin,
+    dilate_origin_chart,
     dilate_origin_polar,
     dilate_xy,
     origin_params,
@@ -84,6 +85,27 @@ class TestOriginDilation:
             warnings.simplefilter("error")
             r, _ = dilate_origin_polar(4.0, 1.0, 15.0, 0.0)  # the polar map alone is chart-free
             assert r == 60.0
+
+
+class TestOriginChartMap:
+    @pytest.mark.parametrize("f, r_max", [(np.tanh, 12.0), (np.tan, 0.6)])
+    def test_is_the_polar_map_then_the_chart(self, f, r_max):
+        rng = np.random.default_rng(22)
+        r = rng.uniform(0.0, r_max, 2000)
+        th = rng.uniform(-math.pi, math.pi, 2000)
+        scale = rng.choice([1e-3, 1.0, 1e3], 2000)  # only the direction of (x, y) counts
+        for k1, k2 in [(2.5, 1.0), (0.4, 1.7), (1.0, 0.3), (1.0, 1.0)]:
+            got = dilate_origin_chart(k1, k2, r, scale * np.cos(th), scale * np.sin(th), f)
+            r2, th2 = dilate_origin_polar(k1, k2, r, th)
+            ref = f(r2)[:, None] * np.stack([np.cos(th2), np.sin(th2)], axis=-1)
+            assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+    def test_the_center_maps_to_zero_without_warning(self):
+        x, y = np.array([0.0, 0.3, 0.0]), np.array([0.0, -0.2, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dilate_origin_chart(2.0, 0.5, np.array([0.0, 0.36, 0.0]), x, y, np.tanh)
+        assert np.array_equal(out[[0, 2]], np.zeros((2, 2))) and np.all(out[1] != 0.0)
 
 
 class TestCenteredDilation:

@@ -13,8 +13,10 @@ from hypexpand.disk import (
     geodesic_chord_points,
     geodesic_curvature,
     hyperbolic_distance,
-    hyperboloid_chord_points,
+    hyperboloid_chord_vectors,
     hyperboloid_lift,
+    hyperboloid_polar,
+    hyperboloid_translate,
     mobius_translate,
     polar_cartesian_roundtrip,
     translate,
@@ -103,6 +105,38 @@ class TestTranslate:
                       - hyperbolic_distance(u, v))
             worst = max(worst, err)
         assert worst < 1e-11
+
+
+class TestHyperboloidTranslate:
+    def test_matches_mobius_translate_to_a_few_ulps(self):
+        rng = np.random.default_rng(44)
+        worst = 0.0
+        for _ in range(300):
+            c = rand_point(rng, 1.0, 0.0)
+            r, th = rng.uniform(0.0, 2.0, 20), rng.uniform(-math.pi, math.pi, 20)
+            moved = hyperboloid_translate(c.xy, hyperboloid_lift(r, th))
+            poincare = moved[:, :2] / (1.0 + moved[:, 2:])
+            ref = mobius_translate(c.xy, np.stack([np.tanh(r / 2) * np.cos(th),
+                                                   np.tanh(r / 2) * np.sin(th)], axis=-1))
+            worst = max(worst, float(np.max(np.abs(poincare - ref))))
+        assert worst < 8 * np.finfo(float).eps
+
+    def test_finite_at_r30_and_undone_by_the_negated_center(self):
+        rng = np.random.default_rng(45)
+        c = rand_point(rng, 1.5)
+        pts = hyperboloid_lift(rng.uniform(29.0, 31.0, 200), rng.uniform(-math.pi, math.pi, 200))
+        moved = hyperboloid_translate(c.xy, pts)
+        assert np.all(np.isfinite(moved))
+        sheet = moved[:, 2] ** 2 - moved[:, 0] ** 2 - moved[:, 1] ** 2
+        assert np.max(np.abs(sheet - 1.0) / moved[:, 2] ** 2) < 1e-13
+        back = hyperboloid_translate(-c.xy, moved)
+        assert np.max(np.abs(back - pts) / pts[:, 2:]) < 1e-13
+
+    def test_carries_the_apex_to_the_lift_of_the_center(self):
+        c = DiskPoint.from_polar(1.2, -0.7)
+        apex = np.array([0.0, 0.0, 1.0])
+        assert np.allclose(hyperboloid_translate(c.xy, apex), hyperboloid_lift(c.r, c.theta),
+                           rtol=1e-15, atol=1e-15)
 
 
 class TestDistance:
@@ -479,7 +513,7 @@ class TestBatchedChordPoints:
         i[:3], j[:3] = (0, 0, 5), (1, 0, 5)
         lifted = hyperboloid_lift(r, th)
         assert lifted.shape == (64, 3)
-        rs, ths = hyperboloid_chord_points(lifted[i], lifted[j], self.TS)
+        rs, ths = hyperboloid_polar(hyperboloid_chord_vectors(lifted[i], lifted[j], self.TS))
         assert rs.shape == ths.shape == (300,) + self.TS.shape
         for k in range(300):
             r_ref, th_ref = chord_points_per_pair(r[i[k]], th[i[k]], r[j[k]], th[j[k]], self.TS)

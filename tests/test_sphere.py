@@ -3,10 +3,13 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import edge_probes, mp_dilate_chart, mp_margin
 from hypexpand import sphere
+from hypexpand.convexity import SIDEDNESS_TOL
 from hypexpand.dilation import dilate_origin_polar
 from hypexpand.sphere import (
     Chart,
@@ -413,22 +416,25 @@ def rebuilt_membership(region, pts):
     return out
 
 
+def exact_margin(region, p):
+    """mp_margin of the exact gnomonic preimage of the probe p (3,) in the region's polygon."""
+    poly, prov = region.polygon, region.provenance
+    frame, chart = Chart(poly.center, prov.get("frame_angle", 0.0)), Chart(poly.center)
+    with mp.workdps(50):
+        def dot(a, b):
+            return sum(mp.mpf(float(ai)) * bi for ai, bi in zip(a, b))
+
+        p = [mp.mpf(float(c)) for c in p]
+        x, y, z = dot(frame.e1, p), dot(frame.e2, p), dot(frame.n, p)
+        u, v = mp_dilate_chart(1 / mp.mpf(prov.get("k1", 1.0)), 1 / mp.mpf(prov.get("k2", 1.0)),
+                               x, y, mp.atan2(mp.hypot(x, y), z), mp.tan)
+        pre = [n + u * a + v * b for n, a, b in zip(frame.n, frame.e1, frame.e2)]
+        w = dot(chart.n, pre)
+        return mp_margin(poly.gnomonic_vertices(), dot(chart.e1, pre) / w, dot(chart.e2, pre) / w)
+
+
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=-1)[..., None]
-
-
-def edge_probes(rng, uv_verts, n=64):
-    """Random, vertex, on-edge and 1e-12-off-edge probes of a gnomonic polygon."""
-    e = np.roll(uv_verts, -1, axis=0) - uv_verts
-    t = rng.uniform(0.0, 1.0, (n, 1))
-    idx = rng.integers(0, len(uv_verts), n)
-    return np.concatenate([
-        rng.uniform(-1.5, 1.5, (600, 2)),
-        uv_verts,
-        uv_verts + 0.5 * e,
-        uv_verts[idx] + t * e[idx],
-        uv_verts[idx] + t * e[idx] + rng.choice([-1e-12, 1e-12], (n, 2)),
-    ])
 
 
 class TestBatchedPolygonLayer:
@@ -483,6 +489,8 @@ class TestBatchedPolygonLayer:
         for trial in range(40):
             poly = random_convex_spherical_polygon(rng)
             k1, k2 = rng.uniform(0.05, 1.0, 2)
+            if trial % 3 == 1:  # one factor above 1 as well, so one preimage factor is below 1
+                k1 += 1.0
             frame_angle = 0.0 if trial % 2 else float(rng.uniform(-math.pi, math.pi))
             region = (sample_polygon_boundary(poly) if trial % 5 == 0
                       else contract_polygon(poly, k1, k2, frame_angle=frame_angle))
@@ -493,7 +501,11 @@ class TestBatchedPolygonLayer:
                       Chart(poly.center, frame_angle).contract(prov["k1"], prov["k2"], pre))
             inside = sphere._exact_membership(region, probes)
             assert inside.dtype == bool and inside.shape == (len(probes),)
-            assert np.array_equal(inside, rebuilt_membership(region, probes))
+            old = rebuilt_membership(region, probes)
+            # the two arithmetics differ by rounding, so they may only disagree
+            # on a probe whose exact margin is that close to the tolerance
+            for k in np.nonzero(inside != old)[0]:
+                assert abs(exact_margin(region, probes[k]) + SIDEDNESS_TOL) < 1e-15
             assert 0 < np.count_nonzero(inside) < len(probes)
 
     def test_a_region_without_its_polygon_is_measured_by_winding_number(self):
@@ -525,6 +537,18 @@ class TestBatchedPolygonLayer:
             warnings.simplefilter("error")
             inside = sphere._exact_membership(region, Chart(NORTH).from_polar(rho, thetas))
         assert not np.any(inside)
+
+    def test_preimages_past_the_hemisphere_are_outside(self):
+        # tan has period pi: unmasked, a preimage at rho = pi + 0.05 would land by the center
+        poly = random_convex_spherical_polygon(np.random.default_rng(77), center=NORTH)
+        region = contract_polygon(poly, 0.3, 0.3)
+        thetas = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+        rho = np.full_like(thetas, 0.3 * (math.pi + 0.05))
+        probes = np.vstack([Chart(NORTH).from_polar(rho, thetas), NORTH.xyz])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = sphere._exact_membership(region, probes)
+        assert not np.any(inside[:-1]) and inside[-1]  # the center itself is inside
 
     def test_gnomonic_vertices_are_stored_and_read_only(self):
         poly = random_convex_spherical_polygon(np.random.default_rng(75))
