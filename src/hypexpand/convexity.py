@@ -415,7 +415,8 @@ def _exact_membership(region: SampledRegion, pts):
     center = np.asarray(prov.get("center_cart", (0.0, 0.0)), dtype=float)
     verts = poly.klein()
     if float(center @ center) > 0.0:
-        verts = to_klein(_translate_rows(-center, np.array([v.cart for v in poly.vertices])))
+        verts = hyperboloid_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
+        verts = verts[:, :2] / verts[:, 2:]  # the boost is linear, so Klein rows need no lift
         pts = hyperboloid_translate(-center, pts)
     x, y = pts[:, 0], pts[:, 1]
     q = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),

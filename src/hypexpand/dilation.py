@@ -67,12 +67,14 @@ def dilate_origin_chart(k1, k2, r, x, y, f):
     """dilate_origin_polar of the point at distance r along (x, y), in the chart f; shape (..., 2).
 
     The chart maps (r', theta') to f(r') (cos theta', sin theta'): np.tanh for Klein, np.tan
-    for gnomonic.  Computed without angles; (x, y) = 0 maps to 0.
+    for gnomonic.  Computed without angles; (x, y) = 0 maps to 0 * f(r): 0 at the center, nan
+    where f(r) is nan (the sphere's antipode).
     """
     kx, ky = k1 * x, k2 * y
     kn = np.hypot(kx, ky)
     off = kn > 0.0
-    s = f(r * kn / np.where(off, np.hypot(x, y), 1.0)) / np.where(off, kn, 1.0)
+    kn = np.where(off, kn, 1.0)
+    s = f(r * kn / np.where(off, np.hypot(x, y), 1.0)) / kn
     return np.stack([s * kx, s * ky], axis=-1)
 
 

@@ -6,7 +6,6 @@ Euclidean curvature plus the normal derivative of the conformal factor
 2/(1 - |z|^2), with the leftward normal convention.
 """
 
-import mpmath as mp
 import numpy as np
 
 
@@ -42,13 +41,13 @@ def curvature_via_conformal(curve, t):
     return conformal_curvature(*polar_jet_to_cart(r, dr, d2r, th, dth, d2th))
 
 
-
-
 def mp_dilate_chart(inv_k1, inv_k2, x, y, r, f):
     """dilation.dilate_origin_chart(inv_k1, inv_k2, r, x, y, f) on mpmath numbers.
 
     f is mp.tanh or mp.tan; evaluate under mp.workdps.
     """
+    import mpmath as mp
+
     kx, ky = mp.mpf(inv_k1) * x, mp.mpf(inv_k2) * y
     kn = mp.hypot(kx, ky)
     s = f(r * kn / mp.hypot(x, y)) / kn if kn else mp.mpf(0)
@@ -56,13 +55,16 @@ def mp_dilate_chart(inv_k1, inv_k2, x, y, r, f):
 
 
 def mp_margin(verts, u, v):
-    """Smallest half-plane margin (b - a) x (q - a) of q = (u, v) against float vertices (V, 2).
+    """Smallest half-plane margin (b - a) x (q - a) of q = (u, v) against vertices (V, 2).
 
     The probe is inside iff the margin is at least -SIDEDNESS_TOL.
     """
+    import mpmath as mp
+
     verts = [(mp.mpf(a), mp.mpf(b)) for a, b in np.asarray(verts).tolist()]
     return min((bx - ax) * (v - ay) - (by - ay) * (u - ax)
                for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]))
+
 
 def edge_probes(rng, verts, n=64, spread=1.5):
     """Random, vertex, on-edge and 1e-12-off-edge probes of a planar polygon (V, 2)."""

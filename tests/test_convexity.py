@@ -689,7 +689,7 @@ class TestCarriedPolygon:
 
 
 def centered_klein_vertices(poly, center):
-    """Klein vertices of the polygon translated by -center, as exact membership tests them."""
+    """Klein vertices of the polygon translated by -center."""
     if center.r == 0.0:
         return poly.klein()
     return to_klein(convexity._translate_rows(-center.xy,
@@ -699,23 +699,27 @@ def centered_klein_vertices(poly, center):
 def exact_margin(region, p):
     """mp_margin of the exact Klein preimage of the hyperboloid probe p (3,).
 
-    The center is undone by the disk translation in the Poincare chart, not by
-    the boost under test.
+    The probe and the polygon's vertices are carried to the center by the disk
+    translation in the Poincare chart, at 50 digits, not by the boost under test.
     """
     prov = region.provenance
-    c = prov.get("center_cart", (0.0, 0.0))
-    center = DiskPoint.from_cart(*c)
+    cx, cy = (-mp.mpf(c) for c in prov.get("center_cart", (0.0, 0.0)))
+    cc = cx * cx + cy * cy
+
+    def centered(x, y):
+        dot, nx = cx * x + cy * y, x * x + y * y
+        den = 1 + 2 * dot + cc * nx
+        return (((1 + 2 * dot + nx) * cx + (1 - cc) * x) / den,
+                ((1 + 2 * dot + nx) * cy + (1 - cc) * y) / den)
+
     with mp.workdps(50):
         x, y, z = (mp.mpf(float(a)) for a in p)
-        x, y = x / (1 + z), y / (1 + z)
-        cx, cy = -mp.mpf(c[0]), -mp.mpf(c[1])
-        cc, dot, nx = cx * cx + cy * cy, cx * x + cy * y, x * x + y * y
-        den = 1 + 2 * dot + cc * nx
-        x, y = (((1 + 2 * dot + nx) * cx + (1 - cc) * x) / den,
-                ((1 + 2 * dot + nx) * cy + (1 - cc) * y) / den)
+        x, y = centered(x / (1 + z), y / (1 + z))
         u, v = mp_dilate_chart(1 / mp.mpf(prov.get("k1", 1.0)), 1 / mp.mpf(prov.get("k2", 1.0)),
                                x, y, 2 * mp.atanh(mp.hypot(x, y)), mp.tanh)
-        return mp_margin(centered_klein_vertices(region.polygon, center), u, v)
+        verts = [centered(mp.mpf(a), mp.mpf(b)) for a, b in (q.cart for q in region.polygon.vertices)]
+        return mp_margin([(2 * a / (1 + a * a + b * b), 2 * b / (1 + a * a + b * b))
+                          for a, b in verts], u, v)
 
 
 class TestProjectiveMembership:
@@ -723,6 +727,7 @@ class TestProjectiveMembership:
 
     def test_matches_the_polar_round_trip(self):
         rng = np.random.default_rng(37)
+        flips = 0
         for trial in range(40):
             center = ORIGIN if trial % 4 == 0 else rand_point(rng, 1.5)
             poly = random_hconvex_polygon(rng, center=center)
@@ -740,11 +745,14 @@ class TestProjectiveMembership:
                 inside = convexity._exact_membership(region, pts)
             assert inside.dtype == bool and inside.shape == (len(pts),) and inside[-1]
             old = rebuilt_oracle(region)(*hyperboloid_polar(pts))
-            # the two arithmetics differ by rounding, so they may only disagree
-            # on a probe whose exact margin is that close to the tolerance
+            # the two arithmetics differ by rounding: they agree on every probe
+            # whose exact margin is more than 1e-15 from the tolerance, and on
+            # all but a few of the 1e-12-off-edge probes inside that band
             for k in np.nonzero(inside != old)[0]:
                 assert abs(exact_margin(region, pts[k]) + SIDEDNESS_TOL) < 1e-15
+            flips += np.count_nonzero(inside != old)
             assert 0 < np.count_nonzero(inside) < len(pts)
+        assert flips <= 5  # of 29,662 probes
 
     def test_convexity_is_computed_once_per_polygon(self, monkeypatch):
         calls = []
