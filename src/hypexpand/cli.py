@@ -32,6 +32,10 @@ PASS, VIOLATION, USAGE = 0, 1, 2
 # holds one block, not the whole table, which keeps peak memory down.
 CSV_BLOCK_ROWS = 1024
 
+# Sampling of verify-theorem and the search, recorded in reports and witnesses:
+# boundary samples per polygon edge, random chord pairs, samples per chord
+SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -70,33 +74,30 @@ def _write(path, text):
 
 # --- verify-theorem ----------------------------------------------------------
 
-def _theorem_trial(seed, i, k_range, forced_k1, forced_k2, samples_per_edge,
-                   pair_samples, segment_samples):
+def _theorem_trial(seed, i, k_range, forced_k1, forced_k2):
     rng = np.random.default_rng([seed, i])
     center = DiskPoint.from_polar(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
     poly = random_hconvex_polygon(rng, center=center)
     k1 = float(rng.uniform(*k_range)) if forced_k1 is None else forced_k1
     k2 = float(rng.uniform(*k_range)) if forced_k2 is None else forced_k2
     params = DilationParams(center, k1, k2)
-    region = dilate_region(poly, params, samples_per_edge=samples_per_edge)
-    defect = convexity_defect(region, pair_samples, segment_samples)
+    region = dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE)
+    defect = convexity_defect(region, PAIR_SAMPLES, SEGMENT_SAMPLES)
     return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.vertices),
             "center_polar": [center.r, center.theta], "defect": defect}
 
 
-def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6,
-                       samples_per_edge=32, pair_samples=128, segment_samples=16):
+def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6):
     k_range = (1.0, 4.0)
-    results = [_theorem_trial(seed, i, k_range, k1, k2, samples_per_edge,
-                              pair_samples, segment_samples) for i in range(trials)]
+    results = [_theorem_trial(seed, i, k_range, k1, k2) for i in range(trials)]
     max_defect = max(r["defect"] for r in results)
     failures = [r["trial"] for r in results if r["defect"] >= tol]
     return {
         "command": "verify-theorem", "seed": seed, "trials": trials,
         "k_range": list(k_range) if k1 is None and k2 is None else None,
         "forced_k": [k1, k2] if (k1 is not None or k2 is not None) else None,
-        "tolerance": tol, "samples_per_edge": samples_per_edge,
-        "pair_samples": pair_samples, "segment_samples": segment_samples,
+        "tolerance": tol, "samples_per_edge": SAMPLES_PER_EDGE,
+        "pair_samples": PAIR_SAMPLES, "segment_samples": SEGMENT_SAMPLES,
         "results": results, "max_defect": max_defect,
         "failures": failures, "passed": not failures,
     }
@@ -123,7 +124,7 @@ def _directed_thin_polygon(rng):
 
 
 def measure_witness(witness, scale=1):
-    """Defect of a serialized witness, optionally at a denser sampling."""
+    """Defect of a serialized witness at its own sampling, optionally denser."""
     poly = GeodesicPolygon.from_polar(witness["vertices_polar"])
     center = DiskPoint.from_cart(*witness["center_cart"])
     params = DilationParams(center, witness["k1"], witness["k2"])
@@ -133,9 +134,7 @@ def measure_witness(witness, scale=1):
                             witness["segment_samples"] * scale)
 
 
-def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3,
-                              samples_per_edge=32, pair_samples=128,
-                              segment_samples=16):
+def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3):
     if k1 >= 1.0:
         raise UsageError("counterexample search requires k1 < 1")
     report = {"command": "search-counterexample", "seed": seed, "k1": k1, "k2": k2,
@@ -148,15 +147,15 @@ def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3,
         else:
             poly = random_hconvex_polygon(rng, center=ORIGIN)
         params = DilationParams(ORIGIN, k1, k2)
-        region = dilate_region(poly, params, samples_per_edge=samples_per_edge)
-        defect = convexity_defect(region, pair_samples, segment_samples)
+        region = dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE)
+        defect = convexity_defect(region, PAIR_SAMPLES, SEGMENT_SAMPLES)
         report["trials_used"] = i + 1
         if defect > tol:
             witness = {
                 "vertices_polar": [[v.r, v.theta] for v in poly.vertices],
                 "center_cart": [0.0, 0.0], "k1": k1, "k2": k2,
-                "samples_per_edge": samples_per_edge,
-                "pair_samples": pair_samples, "segment_samples": segment_samples,
+                "samples_per_edge": SAMPLES_PER_EDGE,
+                "pair_samples": PAIR_SAMPLES, "segment_samples": SEGMENT_SAMPLES,
                 "seed": seed, "trial": i, "defect": defect,
             }
             recheck = measure_witness(witness, scale=4)

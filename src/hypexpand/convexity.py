@@ -41,6 +41,7 @@ DEFECT_CONVEX_THRESHOLD = 1e-6
 # 1-10%.
 BOUND_STRIDE = 4
 CHUNK_PROBES = 64
+MAX_VERTICES = 12  # random_hconvex_polygon draws 5 to MAX_VERTICES vertices
 
 
 # --- Klein model -------------------------------------------------------------
@@ -122,6 +123,16 @@ def _edges_cross(kverts) -> bool:
     return bool(np.any(splits & splits.T & (gap > 1) & (gap < n - 1)))
 
 
+def _check_polygon_chart(verts):
+    """Raise ValueError unless straight-edge chart vertices (V, 2) form a simple ccw polygon."""
+    if len(verts) < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    if not _klein_signed_area(verts) > 0.0:
+        raise ValueError("polygon must be counterclockwise")
+    if _edges_cross(verts):
+        raise ValueError("polygon edges self-intersect")
+
+
 # --- geodesic polygons -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -133,15 +144,10 @@ class GeodesicPolygon:
     hconvex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        k = to_klein(np.array([v.cart for v in self.vertices]))
+        k = to_klein(np.array([v.cart for v in self.vertices], dtype=float).reshape(-1, 2))
         k.setflags(write=False)
         object.__setattr__(self, "_klein", k)
-        if _klein_signed_area(k) <= 0.0:
-            raise ValueError("polygon must be counterclockwise")
-        if _edges_cross(k):
-            raise ValueError("polygon edges self-intersect")
+        _check_polygon_chart(k)
         object.__setattr__(self, "hconvex", is_hconvex(self))
 
     @classmethod
@@ -425,11 +431,11 @@ def _exact_membership(region: SampledRegion, pts):
 
 
 @functools.lru_cache(maxsize=64)
-def _chord_pairs(n_boundary, pair_samples, per_edge, n_fallback):
+def _chord_pairs(n_boundary, pair_samples, per_edge):
     """Deterministic chord endpoint pairs (M, 2): all vertex pairs plus a stratified stream.
 
     The vertices are every per_edge-th boundary sample when per_edge is
-    given, else n_fallback evenly spaced samples.  The random stream is a
+    given, else 12 evenly spaced samples.  The random stream is a
     fixed-seed prefix so that a larger pair_samples extends (never
     reshuffles) a smaller one, keeping the measured defect monotone under
     refinement.  Cached per size; the array is read-only.
@@ -437,7 +443,7 @@ def _chord_pairs(n_boundary, pair_samples, per_edge, n_fallback):
     if per_edge:
         vertex_indices = np.arange(0, n_boundary, per_edge)
     else:
-        vertex_indices = np.linspace(0, n_boundary - 1, n_fallback, dtype=int)
+        vertex_indices = np.linspace(0, n_boundary - 1, 12, dtype=int)
     i, j = np.triu_indices(len(vertex_indices), k=1)
     rng = np.random.default_rng(1905)
     extra = rng.integers(0, n_boundary, size=(pair_samples, 2))
@@ -462,7 +468,7 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
     lifted = hyperboloid_lift(*cart_to_polar(loop[:-1]))
     prov = region.provenance
     per_edge = prov.get("samples_per_edge") if prov.get("vertices_polar") else None
-    i, j = _chord_pairs(n, pair_samples, per_edge, 12).T
+    i, j = _chord_pairs(n, pair_samples, per_edge).T
     ts = van_der_corput(segment_samples)
     probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
 
@@ -481,14 +487,14 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
 # --- random generation -------------------------------------------------------
 
 def random_hconvex_polygon(rng, center: DiskPoint = ORIGIN,
-                           r_range=(0.2, 3.0), max_vertices=12) -> GeodesicPolygon:
+                           r_range=(0.2, 3.0)) -> GeodesicPolygon:
     """Random h-convex polygon strictly containing the requested center.
 
     Points are drawn in polar coordinates of the frame translated to the
-    center, with angles stratified over m >= 5 sectors so that consecutive
-    angular gaps stay below pi and the center is interior to the hull.
+    center, with angles stratified over 5 to MAX_VERTICES sectors so that
+    consecutive angular gaps stay below pi and the center is interior to the hull.
     """
-    m = int(rng.integers(5, max_vertices + 1))
+    m = int(rng.integers(5, MAX_VERTICES + 1))
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     radii = rng.uniform(r_range[0], r_range[1], m)

@@ -342,6 +342,8 @@ def side_ordering(spec: ChordSpec, s, samples=64, slack=1e-9) -> SideOrderingRep
     at matched angles, interpolating the other two curves at the preimage's
     angle. Records every violating sample with its full context.
     """
+    if samples < 2:
+        raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
     report = SideOrderingReport(spec=spec, s=float(s), samples=int(samples),
                                 slack=float(slack))
     ts = np.linspace(0.0, 1.0, samples)
@@ -350,11 +352,9 @@ def side_ordering(spec: ChordSpec, s, samples=64, slack=1e-9) -> SideOrderingRep
     kg_pre = curvature_from_derivatives(state["r"], state["rp"], state["rpp"],
                                         state["thp"], state["thpp"])
 
-    # preimage endpoints define the inner chord and the comparison curve
-    e0 = preimage_state(spec, s, 0.0)
-    e1 = preimage_state(spec, s, 1.0)
-    r1, th1 = float(e0["r"]), float(e0["theta"])
-    r2, th2 = float(e1["r"]), float(e1["theta"])
+    # the preimage's end samples (t = 0, 1) define the inner chord and the comparison curve
+    r1, th1 = float(state["r"][0]), float(state["theta"][0])
+    r2, th2 = float(state["r"][-1]), float(state["theta"][-1])
     dth = th2 - th1
 
     u = (state["theta"] - th1) / dth

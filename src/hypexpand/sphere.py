@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (SIDEDNESS_TOL, _chord_pairs, _convex_hull_2d, _klein_signed_area,
+from .convexity import (SIDEDNESS_TOL, _check_polygon_chart, _chord_pairs, _convex_hull_2d,
                         klein_polygon_contains, van_der_corput, winding_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 
@@ -34,6 +34,11 @@ CONTRACTION_DEFINITION = (
 
 HEMISPHERE_MARGIN = 1e-12
 DEFECT_EXCEEDANCE = 1e-6
+# random_convex_spherical_polygon draws 5 to MAX_VERTICES vertices at rho < MAX_RHO
+MAX_VERTICES, MAX_RHO = 10, 1.2
+# sampling of conjecture_trial (4x on a recheck); every SYMMETRIC_EVERY-th trial has k1 == k2
+PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 24, 64, 16
+SYMMETRIC_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -79,25 +84,21 @@ def angular_distance(a, b):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def tangent_frame(c: SpherePoint, angle=0.0):
-    """Deterministic orthonormal tangent frame (e1, e2) at c, rotated by angle."""
+def tangent_frame(c: SpherePoint):
+    """Deterministic orthonormal tangent frame (e1, e2) at c."""
     n = c.xyz
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = seed - (seed @ n) * n
     e1 /= np.linalg.norm(e1)
-    e2 = np.array(_cross(n, e1))
-    if angle:
-        ca, sa = math.cos(angle), math.sin(angle)
-        e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
-    return e1, e2
+    return e1, np.array(_cross(n, e1))
 
 
 class Chart:
     """Polar and gnomonic maps about a center: one tangent_frame call, built once, passed down."""
 
-    def __init__(self, c: SpherePoint, frame_angle=0.0):
+    def __init__(self, c: SpherePoint):
         self.n = c.xyz
-        self.e1, self.e2 = tangent_frame(c, frame_angle)
+        self.e1, self.e2 = tangent_frame(c)
 
     def to_polar(self, v):
         """Geodesic polar coordinates (rho, theta) of unit vectors v (..., 3) about the center."""
@@ -135,11 +136,11 @@ class Chart:
         return v / np.linalg.norm(v, axis=-1)[:, None]
 
 
-def s_contract(c: SpherePoint, k1, k2, p: SpherePoint, frame_angle=0.0) -> SpherePoint:
+def s_contract(c: SpherePoint, k1, k2, p: SpherePoint) -> SpherePoint:
     """Contract p toward c; p must lie in the open hemisphere about c."""
     if not (0.0 < k1 <= 1.0 and 0.0 < k2 <= 1.0):
         raise ValueError("contraction factors must lie in (0, 1]")
-    return SpherePoint.from_vec(Chart(c, frame_angle).contract(k1, k2, p.xyz))
+    return SpherePoint.from_vec(Chart(c).contract(k1, k2, p.xyz))
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,7 @@ class SphericalPolygon:
     convex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
 
     def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        verts = np.array([v.vec for v in self.vertices], dtype=float)
+        verts = np.array([v.vec for v in self.vertices], dtype=float).reshape(-1, 3)
         if not np.all(angular_distance(verts, self.center) < math.pi / 2 - HEMISPHERE_MARGIN):
             raise ValueError("vertex outside the open hemisphere about the center")
         object.__setattr__(self, "_chart", Chart(self.center))
@@ -164,16 +163,12 @@ class SphericalPolygon:
         for name, a in (("_xyz", verts), ("_uv", uv)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        if not _klein_signed_area(uv) > 0.0:
-            raise ValueError("polygon must be counterclockwise as seen from the center")
+        _check_polygon_chart(uv)
         object.__setattr__(self, "convex", self.is_convex())
 
     def gnomonic_vertices(self):
         """Gnomonic vertices about the center, shape (V, 2); read-only."""
         return self._uv
-
-    def _frame_chart(self, frame_angle):
-        return self._chart if frame_angle == 0.0 else Chart(self.center, frame_angle)
 
     def is_convex(self, tol=SIDEDNESS_TOL):
         return bool(np.all(klein_polygon_contains(self._uv, self._uv, tol)))
@@ -215,7 +210,7 @@ class SphericalRegion:
             raise ValueError("boundary loop is not closed")
 
 
-def sample_polygon_boundary(poly: SphericalPolygon, per_edge=24) -> SphericalRegion:
+def sample_polygon_boundary(poly: SphericalPolygon, per_edge=PER_EDGE) -> SphericalRegion:
     verts = poly._xyz
     ts = np.arange(per_edge, dtype=float) / per_edge
     loop = great_circle_points(verts, np.roll(verts, -1, axis=0), ts).reshape(-1, 3)
@@ -223,20 +218,19 @@ def sample_polygon_boundary(poly: SphericalPolygon, per_edge=24) -> SphericalReg
     return SphericalRegion(loop, poly.center, provenance={
         "kind": "polygon",
         "vertices": [list(v.vec) for v in poly.vertices],
-        "per_edge": per_edge,
+        "samples_per_edge": per_edge,
     }, polygon=poly)
 
 
-def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=24,
-                     frame_angle=0.0) -> SphericalRegion:
+def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:
     """Sampled image of the polygon boundary under the contraction."""
     base = sample_polygon_boundary(poly, per_edge)
-    img = poly._frame_chart(frame_angle).contract(k1, k2, base.boundary)
+    img = poly._chart.contract(k1, k2, base.boundary)
     return SphericalRegion(img, poly.center, provenance={
         "kind": "contracted-polygon",
         "vertices": [list(v.vec) for v in poly.vertices],
         "k1": float(k1), "k2": float(k2),
-        "per_edge": per_edge, "frame_angle": float(frame_angle),
+        "samples_per_edge": per_edge,
     }, polygon=poly)
 
 
@@ -248,21 +242,20 @@ def _gnomonic_radius(rho):
 def _exact_membership(region: SphericalRegion, pts):
     """Membership of pts in the region through its carried polygon, or None without one.
 
-    Preimages are taken from the frame's (x, y, z) straight to its gnomonic chart.
+    Preimages are taken from the chart's (x, y, z) straight to its gnomonic plane.
     """
     poly = region.polygon
     if poly is None or not poly.convex:
         return None
-    prov = region.provenance
-    frame = poly._frame_chart(prov.get("frame_angle", 0.0))
-    x, y = pts @ frame.e1, pts @ frame.e2
+    prov, chart = region.provenance, poly._chart
+    x, y = pts @ chart.e1, pts @ chart.e2
     uv = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
-                             np.arctan2(np.hypot(x, y), pts @ frame.n), x, y, _gnomonic_radius)
-    verts = poly._uv if frame is poly._chart else frame.gnomonic(poly._xyz)
-    return klein_polygon_contains(verts, uv)
+                             np.arctan2(np.hypot(x, y), pts @ chart.n), x, y, _gnomonic_radius)
+    return klein_polygon_contains(poly._uv, uv)
 
 
-def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
+def s_convexity_defect(region, pair_samples=PAIR_SAMPLES,
+                       segment_samples=SEGMENT_SAMPLES) -> float:
     """Largest angular outside excursion of sampled great-circle chords.
 
     Membership is evaluated in the gnomonic chart about the region center
@@ -273,7 +266,7 @@ def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     if isinstance(region, SphericalPolygon):
         region = sample_polygon_boundary(region)
     loop = region.boundary
-    i, j = _chord_pairs(loop.shape[0] - 1, pair_samples, region.provenance.get("per_edge"), 10).T
+    i, j = _chord_pairs(len(loop) - 1, pair_samples, region.provenance.get("samples_per_edge")).T
     probes = great_circle_points(loop[i], loop[j], van_der_corput(segment_samples)).reshape(-1, 3)
 
     inside = _exact_membership(region, probes)
@@ -288,15 +281,15 @@ def s_convexity_defect(region, pair_samples=64, segment_samples=16) -> float:
     return float(np.max(dist))
 
 
-def random_convex_spherical_polygon(rng, center=None, rho_max=1.2, n_max=10):
+def random_convex_spherical_polygon(rng, center=None):
     """Random convex polygon in the open hemisphere about a (random) center."""
     if center is None:
         v = rng.normal(size=3)
         center = SpherePoint.from_vec(v)
-    m = int(rng.integers(5, n_max + 1))
+    m = int(rng.integers(5, MAX_VERTICES + 1))
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
-    rhos = rng.uniform(0.1, rho_max, m)
+    rhos = rng.uniform(0.1, MAX_RHO, m)
     chart = Chart(center)
     pts = chart.from_polar(rhos, thetas)
     uv = chart.gnomonic(pts)
@@ -305,11 +298,10 @@ def random_convex_spherical_polygon(rng, center=None, rho_max=1.2, n_max=10):
     return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center)
 
 
-def conjecture_trial(seed, trials, per_edge=24, pair_samples=64,
-                     segment_samples=16, symmetric_every=5):
+def conjecture_trial(seed, trials):
     """Randomized contraction trials; reports measured defects, presumes nothing.
 
-    Every symmetric_every-th trial forces k1 == k2 (the regime covered by the
+    Every SYMMETRIC_EVERY-th trial forces k1 == k2 (the regime covered by the
     symmetric contraction theorem).  A defect above 1e-6 is re-measured at 4x
     sampling density before being reported as an exceedance, to exclude
     discretization artifacts.  Deterministic: per-trial generators are seeded
@@ -320,14 +312,13 @@ def conjecture_trial(seed, trials, per_edge=24, pair_samples=64,
         rng = np.random.default_rng([seed, i])
         poly = random_convex_spherical_polygon(rng)
         k1 = float(rng.uniform(0.01, 1.0))
-        symmetric = (i % symmetric_every == 0)
+        symmetric = (i % SYMMETRIC_EVERY == 0)
         k2 = k1 if symmetric else float(rng.uniform(0.01, 1.0))
-        region = contract_polygon(poly, k1, k2, per_edge=per_edge)
-        defect = s_convexity_defect(region, pair_samples, segment_samples)
+        defect = s_convexity_defect(contract_polygon(poly, k1, k2))
         rechecked = None
         if defect > DEFECT_EXCEEDANCE:
-            region4 = contract_polygon(poly, k1, k2, per_edge=4 * per_edge)
-            rechecked = s_convexity_defect(region4, 4 * pair_samples, 4 * segment_samples)
+            region4 = contract_polygon(poly, k1, k2, per_edge=4 * PER_EDGE)
+            rechecked = s_convexity_defect(region4, 4 * PAIR_SAMPLES, 4 * SEGMENT_SAMPLES)
         results.append({
             "trial": i, "seed": seed, "k1": k1, "k2": k2,
             "symmetric": symmetric, "n_vertices": len(poly.vertices),

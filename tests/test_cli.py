@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from hypexpand import curvature
+from hypexpand import cli, curvature
 from hypexpand.cli import (
     CSV_BLOCK_ROWS,
     _csv_text,
     _render_scene,
     build_parser,
     main,
+    measure_witness,
     run_curvature_sweep,
     run_render,
     run_render_trace,
@@ -21,7 +22,9 @@ from hypexpand.cli import (
     run_verify_lemmas,
     run_verify_theorem,
 )
-from hypexpand.disk import polar_to_cart
+from hypexpand.convexity import GeodesicPolygon, convexity_defect, dilate_region
+from hypexpand.dilation import DilationParams
+from hypexpand.disk import DiskPoint, polar_to_cart
 
 
 def reference_csv(header, rows):
@@ -72,6 +75,31 @@ class TestSearch:
         rep = run_replay(str(path))
         assert rep["passed"]
         assert rep["difference"] <= 1e-9
+
+    def test_replay_measures_at_the_witness_sampling(self, tmp_path, monkeypatch):
+        # a witness is input from outside: its own sampling is replayed, not the search's
+        report = run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=50)
+        w = report["witness"]
+        assert (w["samples_per_edge"], w["pair_samples"], w["segment_samples"]) == (32, 128, 16)
+        params = DilationParams(DiskPoint.from_cart(*w["center_cart"]), w["k1"], w["k2"])
+        region = dilate_region(GeodesicPolygon.from_polar(w["vertices_polar"]), params,
+                               samples_per_edge=48)
+        defect = convexity_defect(region, 160, 24)
+        assert defect != w["defect"]
+        w.update(samples_per_edge=48, pair_samples=160, segment_samples=24, defect=defect)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(report))
+        seen = []
+
+        def spy(region, pair_samples, segment_samples):
+            seen.append((region.provenance["samples_per_edge"], pair_samples, segment_samples))
+            return convexity_defect(region, pair_samples, segment_samples)
+
+        monkeypatch.setattr(cli, "convexity_defect", spy)
+        rep = run_replay(str(path))
+        assert rep["replayed_defect"] == defect and rep["passed"]
+        measure_witness(w, scale=4)
+        assert seen == [(48, 160, 24), (192, 640, 96)]
 
     @pytest.mark.parametrize("content", [
         None,

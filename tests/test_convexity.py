@@ -569,18 +569,17 @@ class TestDefect:
         assert d3 >= d2
 
     def test_chord_pairs_match_the_list_form(self):
-        for per_edge, n_fallback, vertex_indices in [
-            (32, 12, [0, 32, 64, 96, 128]),
-            (None, 12, [0, 14, 28, 43, 57, 72, 86, 101, 115, 130, 144, 159]),
-            (None, 10, [0, 17, 35, 53, 70, 88, 106, 123, 141, 159]),
+        for per_edge, vertex_indices in [
+            (32, [0, 32, 64, 96, 128]),
+            (None, [0, 14, 28, 43, 57, 72, 86, 101, 115, 130, 144, 159]),
         ]:
             ref = [(a, b) for k, a in enumerate(vertex_indices) for b in vertex_indices[k + 1:]]
             ref += [(int(a), int(b)) for a, b in
                     np.random.default_rng(1905).integers(0, 160, size=(64, 2)) if a != b]
-            pairs = convexity._chord_pairs(160, 64, per_edge, n_fallback)
+            pairs = convexity._chord_pairs(160, 64, per_edge)
             assert pairs.dtype.kind == "i" and pairs.tolist() == [list(p) for p in ref]
             assert not pairs.flags.writeable
-            assert np.array_equal(convexity._chord_pairs(160, 64, per_edge, n_fallback), pairs)
+            assert np.array_equal(convexity._chord_pairs(160, 64, per_edge), pairs)
 
     def test_counts_validated(self):
         rng = np.random.default_rng(28)

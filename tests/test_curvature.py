@@ -490,6 +490,15 @@ class TestSideOrdering:
         assert rep.violations == []
         assert rep.samples == 16
 
+    def test_ends_come_from_the_sample_array(self):
+        # the chord's ends are the samples at t = 0 and 1, so one sample is refused
+        spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
+        with pytest.raises(ValueError):
+            side_ordering(spec, 0.4, samples=1)
+        rep = side_ordering(spec, 0.4, samples=2)
+        # at the ends the three curves meet, up to the chord radius's rounding
+        assert rep.passed and max(abs(rep.min_chord_gap), abs(rep.min_gamma_gap)) < 1e-15
+
 
 class TestCurvatureDtype:
     def test_extended_jet_gives_extended_result(self):
