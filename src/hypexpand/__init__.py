@@ -10,7 +10,6 @@ from .convexity import (
     is_hconvex,
     polygon_region,
     random_hconvex_polygon,
-    region_contains,
     to_klein,
 )
 from .curvature import (

@@ -196,10 +196,12 @@ def _check_witness(witness):
     if not _is_pair(witness["center_cart"]):
         raise UsageError("witness center_cart must be two numbers")
     try:
-        GeodesicPolygon.from_polar(witness["vertices_polar"])
+        poly = GeodesicPolygon.from_polar(witness["vertices_polar"])
         DiskPoint.from_cart(*witness["center_cart"])
     except ValueError as exc:
         raise UsageError(f"invalid witness: {exc}") from None
+    if not poly.hconvex:
+        raise UsageError("witness vertices_polar must form an h-convex polygon")
 
 
 def run_replay(witness_path, tol=1e-9):

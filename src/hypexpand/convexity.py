@@ -11,7 +11,6 @@ curved boundaries are only known at samples.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,9 +31,7 @@ from .disk import (
 )
 
 SIDEDNESS_TOL = 1e-12
-ON_BOUNDARY_TOL = 1e-9
-# boolean convexity threshold for measured defects, fixed by config
-DEFECT_CONVEX_THRESHOLD = 1e-6
+MIN_SAMPLES = 16  # the fewest samples per edge, chord pairs or samples per chord
 # max_polyline_distance bounds probes through every BOUND_STRIDE-th vertex and
 # checks CHUNK_PROBES of them at a time.  On contraction-search probes, 4 and 64
 # were fastest: stride 2 took ~10% longer, stride 8 ~70%, chunks of 32 or 128
@@ -215,21 +212,23 @@ def is_hconvex(poly: GeodesicPolygon, tol=SIDEDNESS_TOL) -> bool:
 
 @dataclass
 class SampledRegion:
-    """Closed boundary loop of a Jordan region, with provenance.
+    """Sampled boundary loop of the image of an h-convex polygon, with provenance.
 
     boundary has shape (N, 2) in Cartesian coordinates, first and last rows
-    coinciding to 1e-12.  provenance describes how the boundary was produced;
-    when it is an invertible construction (a polygon, possibly dilated), the
-    region carries the validated polygon, and defect measurement tests
-    membership exactly through it instead of against the discretized loop.
+    coinciding to 1e-12.  provenance describes the map that produced it (the
+    identity, or a dilation); the region carries the validated polygon, and
+    defect measurement tests membership exactly through it instead of
+    against the discretized loop.
     """
 
     boundary: np.ndarray
     provenance: dict = field(default_factory=dict)
-    polygon: GeodesicPolygon | None = None  # the validated polygon the provenance names
+    polygon: GeodesicPolygon | None = None  # required; the polygon the provenance names
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
+        if self.polygon is None or not self.polygon.hconvex:
+            raise ValueError("a region must be the image of an h-convex polygon")
         if self.boundary.ndim != 2 or self.boundary.shape[1] != 2:
             raise ValueError("boundary must have shape (N, 2)")
         if self.boundary.shape[0] < 64:
@@ -238,49 +237,6 @@ class SampledRegion:
             raise ValueError("boundary loop is not closed")
         if np.any(np.hypot(self.boundary[:, 0], self.boundary[:, 1]) >= 1.0):
             raise ValueError("boundary leaves the open unit disk")
-
-    def check_simple(self):
-        """Verify the loop has no self-intersections as a Euclidean polyline."""
-        pts = self.boundary[:-1]
-        n = len(pts)
-        segs_a = pts
-        segs_b = np.roll(pts, -1, axis=0)
-        lengths = np.hypot(*(segs_b - segs_a).T)
-        for i in range(n):
-            if lengths[i] < 1e-14:
-                continue
-            j = np.arange(i + 2, n if i > 0 else n - 1)
-            j = j[lengths[j] >= 1e-14]
-            if len(j) == 0:
-                continue
-            a, b = segs_a[i], segs_b[i]
-            c, d = segs_a[j], segs_b[j]
-
-            def orient(p, q, r):
-                return (q[0] - p[0]) * (r[..., 1] - p[1]) - (q[1] - p[1]) * (r[..., 0] - p[0])
-
-            d1 = orient(a, b, c)
-            d2 = orient(a, b, d)
-            d3 = (d[:, 0] - c[:, 0]) * (a[1] - c[:, 1]) - (d[:, 1] - c[:, 1]) * (a[0] - c[:, 0])
-            d4 = (d[:, 0] - c[:, 0]) * (b[1] - c[:, 1]) - (d[:, 1] - c[:, 1]) * (b[0] - c[:, 0])
-            hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-            if np.any(hit):
-                raise ValueError(f"boundary self-intersects near segment {i}")
-        return True
-
-
-def winding_contains(loop, probes):
-    """Winding-number membership of probes (P, 2) against a closed loop (N, 2)."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    x0, y0 = loop[:-1, 0], loop[:-1, 1]
-    x1, y1 = loop[1:, 0], loop[1:, 1]
-    px = probes[:, 0][:, None]
-    py = probes[:, 1][:, None]
-    is_left = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
-    up = (y0 <= py) & (y1 > py) & (is_left > 0)
-    down = (y0 > py) & (y1 <= py) & (is_left < 0)
-    wn = up.sum(axis=1).astype(int) - down.sum(axis=1).astype(int)
-    return wn != 0
 
 
 def _loop_segments(loop):
@@ -339,24 +295,24 @@ def max_polyline_distance(loop, probes) -> float:
     return best
 
 
-def region_contains(region: SampledRegion, p) -> bool:
-    """Winding-number membership; points within 1e-9 of the boundary count inside."""
-    if isinstance(p, DiskPoint):
-        p = p.xy
-    probes = np.atleast_2d(np.asarray(p, dtype=float))
-    inside = winding_contains(region.boundary, probes)
-    near = polyline_distance(region.boundary, probes) < ON_BOUNDARY_TOL
-    out = inside | near
-    return bool(out[0]) if out.shape[0] == 1 else out
-
-
 # --- region construction -----------------------------------------------------
+
+def _check_samples(**counts):
+    """Raise ValueError unless every sample count is at least MIN_SAMPLES."""
+    for name, n in counts.items():
+        if n < MIN_SAMPLES:
+            raise ValueError(f"{name} must be at least {MIN_SAMPLES}, got {n!r}")
+
+
+def _edge_ts(per_edge):
+    """Parameters in [0, 1) of per_edge samples along an edge, its start included."""
+    _check_samples(samples_per_edge=per_edge)
+    return np.arange(per_edge, dtype=float) / per_edge
+
 
 def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
     """Boundary samples of the polygon, samples_per_edge per edge, closed loop."""
-    if samples_per_edge < 16:
-        raise ValueError("samples_per_edge must be at least 16")
-    ts = np.arange(samples_per_edge, dtype=float) / samples_per_edge
+    ts = _edge_ts(samples_per_edge)
     r, th = np.array(poly.polar()).T
     r, th = geodesic_chord_points(r, th, np.roll(r, -1), np.roll(th, -1), ts)
     return r.ravel(), th.ravel()
@@ -406,20 +362,17 @@ def van_der_corput(m):
 
 
 def _exact_membership(region: SampledRegion, pts):
-    """Membership of hyperboloid probes (P, 3) through the region's polygon, or None without one.
+    """Membership of hyperboloid probes (P, 3) in the region, through its polygon.
 
-    For a polygon (possibly dilated) the true region is known exactly: a probe
-    lies in the image iff its preimage under the dilation lies in the polygon.
-    This sidesteps the discretization floor of the sampled loop, which is on
-    the order of the boundary sagitta and far above the 1e-6 regime the
-    harness must resolve.  Probes are boosted to the center, then mapped to the Klein chart.
+    The region is known exactly: a probe lies in the image iff its preimage
+    under the dilation lies in the polygon.  This sidesteps the
+    discretization floor of the sampled loop, which is on the order of the
+    boundary sagitta and far above the 1e-6 regime the harness must resolve.
+    Probes are boosted to the center, then mapped to the Klein chart.
     """
-    poly = region.polygon
-    if poly is None or not poly.hconvex:
-        return None
     prov = region.provenance
     center = np.asarray(prov.get("center_cart", (0.0, 0.0)), dtype=float)
-    verts = poly.klein()
+    verts = region.polygon.klein()
     if float(center @ center) > 0.0:
         verts = hyperboloid_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
         verts = verts[:, :2] / verts[:, 2:]  # the boost is linear, so Klein rows need no lift
@@ -434,16 +387,12 @@ def _exact_membership(region: SampledRegion, pts):
 def _chord_pairs(n_boundary, pair_samples, per_edge):
     """Deterministic chord endpoint pairs (M, 2): all vertex pairs plus a stratified stream.
 
-    The vertices are every per_edge-th boundary sample when per_edge is
-    given, else 12 evenly spaced samples.  The random stream is a
-    fixed-seed prefix so that a larger pair_samples extends (never
+    The vertices are every per_edge-th boundary sample.  The random stream is
+    a fixed-seed prefix so that a larger pair_samples extends (never
     reshuffles) a smaller one, keeping the measured defect monotone under
     refinement.  Cached per size; the array is read-only.
     """
-    if per_edge:
-        vertex_indices = np.arange(0, n_boundary, per_edge)
-    else:
-        vertex_indices = np.linspace(0, n_boundary - 1, 12, dtype=int)
+    vertex_indices = np.arange(0, n_boundary, per_edge)
     i, j = np.triu_indices(len(vertex_indices), k=1)
     rng = np.random.default_rng(1905)
     extra = rng.integers(0, n_boundary, size=(pair_samples, 2))
@@ -451,6 +400,15 @@ def _chord_pairs(n_boundary, pair_samples, per_edge):
                             extra[extra[:, 0] != extra[:, 1]]])
     pairs.setflags(write=False)
     return pairs
+
+
+def _chord_plan(region, pair_samples, segment_samples):
+    """Endpoint indices i, j and parameters ts of a defect's chord samples, on either surface."""
+    per_edge = region.provenance["samples_per_edge"]
+    _check_samples(samples_per_edge=per_edge, pair_samples=pair_samples,
+                   segment_samples=segment_samples)
+    i, j = _chord_pairs(len(region.boundary) - 1, pair_samples, per_edge).T
+    return i, j, van_der_corput(segment_samples)
 
 
 def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16) -> float:
@@ -461,27 +419,14 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
     region contributes 0; an outside sample contributes its Euclidean distance
     to the boundary loop.  Zero, up to discretization, for h-convex regions.
     """
-    if pair_samples < 16 or segment_samples < 16:
-        raise ValueError("pair_samples and segment_samples must be at least 16")
+    i, j, ts = _chord_plan(region, pair_samples, segment_samples)
     loop = region.boundary
-    n = loop.shape[0] - 1
     lifted = hyperboloid_lift(*cart_to_polar(loop[:-1]))
-    prov = region.provenance
-    per_edge = prov.get("samples_per_edge") if prov.get("vertices_polar") else None
-    i, j = _chord_pairs(n, pair_samples, per_edge).T
-    ts = van_der_corput(segment_samples)
     probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
-
-    inside = _exact_membership(region, probes)
-    exact = inside is not None
-    if not exact:
-        inside = winding_contains(loop, polar_to_cart(*hyperboloid_polar(probes)))
-    outside = ~inside
+    outside = ~_exact_membership(region, probes)
     if not np.any(outside):
         return 0.0
-    defect = max_polyline_distance(loop, polar_to_cart(*hyperboloid_polar(probes[outside])))
-    # without exact membership, probes within ON_BOUNDARY_TOL of the loop count inside
-    return 0.0 if not exact and defect < ON_BOUNDARY_TOL else defect
+    return max_polyline_distance(loop, polar_to_cart(*hyperboloid_polar(probes[outside])))
 
 
 # --- random generation -------------------------------------------------------
@@ -503,30 +448,3 @@ def random_hconvex_polygon(rng, center: DiskPoint = ORIGIN,
         xy = _translate_rows(center.xy, np.array([p.cart for p in pts]))
         pts = [DiskPoint.from_cart(x, y) for x, y in xy.tolist()]
     return hyperbolic_hull(pts)
-
-
-# --- serialization -----------------------------------------------------------
-
-def region_to_json(region: SampledRegion) -> str:
-    doc = {"boundary": region.boundary.tolist(), "provenance": region.provenance}
-    return json.dumps(doc, sort_keys=True)
-
-
-def region_from_json(text: str) -> SampledRegion:
-    """Region from region_to_json text; the polygon its provenance names is rebuilt once."""
-    doc = json.loads(text)
-    prov = doc.get("provenance", {})
-    poly = (GeodesicPolygon.from_polar(prov["vertices_polar"])
-            if prov.get("kind") in ("polygon", "dilated-polygon") else None)
-    region = SampledRegion(np.asarray(doc["boundary"], dtype=float), prov, poly)
-    region.check_simple()
-    return region
-
-
-def polygon_to_json(poly: GeodesicPolygon) -> str:
-    return json.dumps({"vertices_polar": [[v.r, v.theta] for v in poly.vertices]},
-                      sort_keys=True)
-
-
-def polygon_from_json(text: str) -> GeodesicPolygon:
-    return GeodesicPolygon.from_polar(json.loads(text)["vertices_polar"])

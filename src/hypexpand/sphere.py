@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (SIDEDNESS_TOL, _check_polygon_chart, _chord_pairs, _convex_hull_2d,
-                        klein_polygon_contains, van_der_corput, winding_contains)
+from .convexity import (SIDEDNESS_TOL, _check_polygon_chart, _chord_plan, _convex_hull_2d,
+                        _edge_ts, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 
 CONTRACTION_DEFINITION = (
@@ -197,25 +197,25 @@ def great_circle_points(a, b, ts):
 
 @dataclass
 class SphericalRegion:
-    """Closed boundary loop (N, 3) of a region within a hemisphere, with provenance."""
+    """Closed boundary loop (N, 3) of the image of a convex polygon, with provenance."""
 
     boundary: np.ndarray
-    center: SpherePoint
     provenance: dict = field(default_factory=dict)
-    polygon: SphericalPolygon | None = None  # the validated polygon the provenance names
+    polygon: SphericalPolygon | None = None  # required; the polygon the provenance names
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
+        if self.polygon is None or not self.polygon.convex:
+            raise ValueError("a region must be the image of a convex polygon")
         if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
             raise ValueError("boundary loop is not closed")
 
 
 def sample_polygon_boundary(poly: SphericalPolygon, per_edge=PER_EDGE) -> SphericalRegion:
     verts = poly._xyz
-    ts = np.arange(per_edge, dtype=float) / per_edge
-    loop = great_circle_points(verts, np.roll(verts, -1, axis=0), ts).reshape(-1, 3)
+    loop = great_circle_points(verts, np.roll(verts, -1, axis=0), _edge_ts(per_edge)).reshape(-1, 3)
     loop = np.vstack([loop, loop[:1]])
-    return SphericalRegion(loop, poly.center, provenance={
+    return SphericalRegion(loop, provenance={
         "kind": "polygon",
         "vertices": [list(v.vec) for v in poly.vertices],
         "samples_per_edge": per_edge,
@@ -226,7 +226,7 @@ def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> Spher
     """Sampled image of the polygon boundary under the contraction."""
     base = sample_polygon_boundary(poly, per_edge)
     img = poly._chart.contract(k1, k2, base.boundary)
-    return SphericalRegion(img, poly.center, provenance={
+    return SphericalRegion(img, provenance={
         "kind": "contracted-polygon",
         "vertices": [list(v.vec) for v in poly.vertices],
         "k1": float(k1), "k2": float(k2),
@@ -240,13 +240,11 @@ def _gnomonic_radius(rho):
 
 
 def _exact_membership(region: SphericalRegion, pts):
-    """Membership of pts in the region through its carried polygon, or None without one.
+    """Membership of pts in the region through its carried polygon.
 
     Preimages are taken from the chart's (x, y, z) straight to its gnomonic plane.
     """
     poly = region.polygon
-    if poly is None or not poly.convex:
-        return None
     prov, chart = region.provenance, poly._chart
     x, y = pts @ chart.e1, pts @ chart.e2
     uv = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
@@ -258,21 +256,16 @@ def s_convexity_defect(region, pair_samples=PAIR_SAMPLES,
                        segment_samples=SEGMENT_SAMPLES) -> float:
     """Largest angular outside excursion of sampled great-circle chords.
 
-    Membership is evaluated in the gnomonic chart about the region center
-    (exactly, through the polygon it carries, when the region is a sampled or
-    contracted convex polygon); outside samples contribute their angular
-    distance to the boundary loop.
+    Membership is exact, through the polygon the region carries, in the
+    gnomonic chart about the polygon's center; outside samples contribute
+    their angular distance to the boundary loop.
     """
     if isinstance(region, SphericalPolygon):
         region = sample_polygon_boundary(region)
     loop = region.boundary
-    i, j = _chord_pairs(len(loop) - 1, pair_samples, region.provenance.get("samples_per_edge")).T
-    probes = great_circle_points(loop[i], loop[j], van_der_corput(segment_samples)).reshape(-1, 3)
-
+    i, j, ts = _chord_plan(region, pair_samples, segment_samples)
+    probes = great_circle_points(loop[i], loop[j], ts).reshape(-1, 3)
     inside = _exact_membership(region, probes)
-    if inside is None:
-        chart = Chart(region.center)
-        inside = winding_contains(chart.gnomonic(loop), chart.gnomonic(probes))
     if np.all(inside):
         return 0.0
     out_pts = probes[~inside]

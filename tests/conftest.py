@@ -3,10 +3,14 @@
 The conformal-chart curvature here is an independent route to geodesic
 curvature: it never touches the polar metric formula, going instead through
 Euclidean curvature plus the normal derivative of the conformal factor
-2/(1 - |z|^2), with the leftward normal convention.
+2/(1 - |z|^2), with the leftward normal convention.  The winding number and
+the polyline simplicity test check sampled loops without the polygon they
+were sampled from.
 """
 
 import numpy as np
+
+from hypexpand.convexity import polyline_distance
 
 
 def conformal_curvature(x, y, dx, dy, d2x, d2y):
@@ -78,3 +82,44 @@ def edge_probes(rng, verts, n=64, spread=1.5):
         verts[idx] + t * e[idx],
         verts[idx] + t * e[idx] + rng.choice([-1e-12, 1e-12], (n, 2)),
     ])
+
+
+def winding_contains(loop, probes):
+    """Winding-number membership of probes (P, 2) against a closed loop (N, 2)."""
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    x0, y0 = loop[:-1, 0], loop[:-1, 1]
+    x1, y1 = loop[1:, 0], loop[1:, 1]
+    px = probes[:, 0][:, None]
+    py = probes[:, 1][:, None]
+    is_left = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
+    up = (y0 <= py) & (y1 > py) & (is_left > 0)
+    down = (y0 > py) & (y1 <= py) & (is_left < 0)
+    return up.sum(axis=1) - down.sum(axis=1) != 0
+
+
+def region_contains(loop, p) -> bool:
+    """Winding-number membership of a DiskPoint in a closed loop; within 1e-9 counts inside."""
+    probes = p.xy[None, :]
+    inside = winding_contains(loop, probes) | (polyline_distance(loop, probes) < 1e-9)
+    return bool(inside[0])
+
+
+def check_simple(loop):
+    """Raise ValueError if the closed loop (N, 2) crosses itself as a Euclidean polyline."""
+    a = loop[:-1]
+    b = np.roll(a, -1, axis=0)
+    n = len(a)
+    long_enough = np.hypot(*(b - a).T) >= 1e-14
+
+    def orient(p, q, r):
+        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+
+    for i in np.nonzero(long_enough)[0]:
+        j = np.arange(i + 2, n if i > 0 else n - 1)
+        j = j[long_enough[j]]
+        c, d = a[j], b[j]
+        hit = ((orient(a[i], b[i], c) > 0) != (orient(a[i], b[i], d) > 0)) \
+            & ((orient(c, d, a[i]) > 0) != (orient(c, d, b[i]) > 0))
+        if np.any(hit):
+            raise ValueError(f"loop self-intersects near segment {i}")

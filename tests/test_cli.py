@@ -139,6 +139,8 @@ class TestSearch:
         ("center_cart", [0.0]),
         ("center_cart", ["0", 0.0]),
         ("center_cart", [1.5, 0.0]),
+        # a dart: simple and counterclockwise, but not h-convex
+        ("vertices_polar", [[0.05, 0.0], [0.7, -math.pi / 2], [0.7, 0.0], [0.7, math.pi / 2]]),
     ])
     def test_bad_witness_value_is_a_usage_error(self, key, value, tmp_path, capsys):
         report = run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=3)

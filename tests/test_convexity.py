@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -10,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import edge_probes, mp_dilate_chart, mp_margin
+from conftest import check_simple, edge_probes, mp_dilate_chart, mp_margin, region_contains
 from hypexpand import cli, convexity
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
@@ -25,16 +24,10 @@ from hypexpand.convexity import (
     is_hconvex,
     klein_polygon_contains,
     max_polyline_distance,
-    polygon_from_json,
     polygon_region,
-    polygon_to_json,
     polyline_distance,
     random_hconvex_polygon,
-    region_contains,
-    region_from_json,
-    region_to_json,
     to_klein,
-    winding_contains,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy, origin_params
 from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_lift, hyperboloid_polar,
@@ -105,7 +98,7 @@ class TestHull:
         hull = hyperbolic_hull(pts)
         region = polygon_region(hull, samples_per_edge=64)
         for p in pts:
-            assert region_contains(region, p)
+            assert region_contains(region.boundary, p)
 
 
 class TestConvexityPredicate:
@@ -124,8 +117,11 @@ class TestConvexityPredicate:
             from_klein_point(np.array([0.0, k])),
         ])
         assert not is_hconvex(dart)
-        region = polygon_region(dart, samples_per_edge=64)
-        assert convexity_defect(region, 64, 16) > 1e-3
+        # no region is built from it, so none is measured without exact membership
+        with pytest.raises(ValueError, match="h-convex polygon"):
+            polygon_region(dart, samples_per_edge=64)
+        with pytest.raises(ValueError, match="h-convex polygon"):
+            dilate_region(dart, origin_params(0.25, 1.0))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(23)
@@ -320,17 +316,17 @@ class TestBatchedPolygonLayer:
             assert rows.tolist() == [list(translate(c, p).cart) for p in pts]
 
 class TestRegionMembership:
+    """The winding-number oracle of the tests, on bare loops and against exact membership."""
+
     def test_disk_center_inside_circle_region(self):
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.2), thetas)
-        region = SampledRegion(np.vstack([xy, xy[:1]]))
-        assert region_contains(region, ORIGIN)
+        assert region_contains(np.vstack([xy, xy[:1]]), ORIGIN)
 
     def test_far_point_outside(self):
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.2), thetas)
-        region = SampledRegion(np.vstack([xy, xy[:1]]))
-        assert not region_contains(region, DiskPoint.from_polar(2.5, 0.3))
+        assert not region_contains(np.vstack([xy, xy[:1]]), DiskPoint.from_polar(2.5, 0.3))
 
     def test_agrees_with_half_plane_membership(self):
         rng = np.random.default_rng(25)
@@ -345,7 +341,7 @@ class TestRegionMembership:
             if float(polyline_distance(region.boundary, p.xy[None, :])[0]) < 1e-3:
                 continue
             checked += 1
-            if region_contains(region, p) != poly.contains(p):
+            if region_contains(region.boundary, p) != poly.contains(p):
                 disagreements += 1
         assert disagreements == 0
 
@@ -509,43 +505,6 @@ class TestDefect:
         region = polygon_region(poly, samples_per_edge=64)
         assert convexity_defect(region) < 1e-9
 
-    def test_crescent_defect(self):
-        thetas = np.linspace(-math.pi, math.pi, 257)[:-1]
-        r = np.full_like(thetas, 1.5)
-        dent = np.abs(thetas) < 0.8
-        r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
-        xy = polar_to_cart(r, thetas)
-        region = SampledRegion(np.vstack([xy, xy[:1]]), provenance={"kind": "boundary"})
-        region.check_simple()
-        assert convexity_defect(region, 256, 16) > 1e-3
-
-    def test_winding_path_matches_the_near_boundary_rule(self, monkeypatch):
-        # without exact membership a probe is inside when the loop winds
-        # around it or it lies within ON_BOUNDARY_TOL of the loop.  The
-        # crescent's defect is above that tolerance; the polygon's probes
-        # that the loop does not wind around all lie within it.
-        probes = []
-
-        def recording(loop, xy):
-            probes.append(xy)
-            return winding_contains(loop, xy)
-
-        monkeypatch.setattr(convexity, "winding_contains", recording)
-        thetas = np.linspace(-math.pi, math.pi, 257)[:-1]
-        r = np.full_like(thetas, 1.5)
-        dent = np.abs(thetas) < 0.8
-        r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
-        xy = polar_to_cart(r, thetas)
-        crescent = np.vstack([xy, xy[:1]])
-        polygon = polygon_region(random_hconvex_polygon(np.random.default_rng(26))).boundary
-        for loop in (crescent, polygon):
-            probes.clear()
-            got = convexity_defect(SampledRegion(loop, provenance={"kind": "boundary"}))
-            (xy,) = probes
-            dist = polyline_distance(loop, xy)
-            inside = winding_contains(loop, xy) | (dist < convexity.ON_BOUNDARY_TOL)
-            assert got == (0.0 if np.all(inside) else float(np.max(dist[~inside])))
-
     def test_expansion_image_is_convex(self):
         rng = np.random.default_rng(27)
         for _ in range(10):
@@ -556,22 +515,21 @@ class TestDefect:
             assert convexity_defect(region) < 1e-6
 
     def test_monotone_under_refinement(self):
-        thetas = np.linspace(-math.pi, math.pi, 257)[:-1]
-        r = np.full_like(thetas, 1.5)
-        dent = np.abs(thetas) < 0.8
-        r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
-        xy = polar_to_cart(r, thetas)
-        region = SampledRegion(np.vstack([xy, xy[:1]]), provenance={"kind": "boundary"})
+        # a contraction image, which is not convex: more pairs and more samples
+        # per chord extend the probe set, so the defect cannot fall
+        region = dilate_region(_directed_thin_polygon(np.random.default_rng(37)),
+                               origin_params(0.25, 1.0))
         d1 = convexity_defect(region, 32, 16)
         d2 = convexity_defect(region, 64, 16)
         d3 = convexity_defect(region, 64, 32)
+        assert d1 > 1e-3
         assert d2 >= d1
         assert d3 >= d2
 
     def test_chord_pairs_match_the_list_form(self):
         for per_edge, vertex_indices in [
             (32, [0, 32, 64, 96, 128]),
-            (None, [0, 14, 28, 43, 57, 72, 86, 101, 115, 130, 144, 159]),
+            (16, list(range(0, 160, 16))),
         ]:
             ref = [(a, b) for k, a in enumerate(vertex_indices) for b in vertex_indices[k + 1:]]
             ref += [(int(a), int(b)) for a, b in
@@ -583,19 +541,22 @@ class TestDefect:
 
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
-        region = polygon_region(random_hconvex_polygon(rng))
-        with pytest.raises(ValueError):
-            convexity_defect(region, 8, 16)
+        poly = random_hconvex_polygon(rng)
+        region = polygon_region(poly)
+        for counts in [(8, 16), (16, 0), (0, 16)]:
+            with pytest.raises(ValueError, match="at least 16"):
+                convexity_defect(region, *counts)
+        for per_edge in (0, 1, 15):
+            with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
+                polygon_region(poly, samples_per_edge=per_edge)
+            with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
+                dilate_region(poly, origin_params(0.5, 1.0), samples_per_edge=per_edge)
 
 
 def rebuilt_oracle(region):
     """Membership oracle rebuilt from provenance on every call, as measurement once did it."""
     prov = region.provenance
-    if prov.get("kind") not in ("polygon", "dilated-polygon"):
-        return None
     poly = GeodesicPolygon.from_polar(prov["vertices_polar"])
-    if not is_hconvex(poly):
-        return None
     if prov["kind"] == "polygon":
         inv_k1 = inv_k2 = 1.0
         center = np.zeros(2)
@@ -618,44 +579,30 @@ def rebuilt_oracle(region):
 
 
 class TestCarriedPolygon:
-    def test_a_region_without_its_polygon_is_measured_by_winding_number(self, monkeypatch):
-        calls = []
-
-        def recording(loop, xy):
-            calls.append(len(xy))
-            return winding_contains(loop, xy)
-
-        monkeypatch.setattr(convexity, "winding_contains", recording)
-        dart = GeodesicPolygon.from_points([from_klein_point(np.array(q)) for q in
-                                            ([0.05, 0.0], [0.0, -0.6], [0.6, 0.0], [0.0, 0.6])])
-        region = polygon_region(dart)
-        assert region.polygon is dart and not is_hconvex(dart)
-        pts = hyperboloid_lift(*cart_to_polar(region.boundary))
-        assert convexity._exact_membership(region, pts) is None  # the dart is not h-convex
-        bare = dataclasses.replace(region, polygon=None)
-        assert convexity._exact_membership(bare, pts) is None
-        assert convexity_defect(bare) == convexity_defect(region) > 0.0
-        assert len(calls) == 2
+    def test_a_region_without_an_hconvex_polygon_is_refused(self):
         center = DiskPoint.from_polar(0.7, 1.0)
         poly = random_hconvex_polygon(np.random.default_rng(36), center=center)
         dilated = dilate_region(poly, DilationParams(center, 0.4, 1.3))
         assert dilated.polygon is poly
         pts = hyperboloid_lift(*cart_to_polar(dilated.boundary))
-        assert convexity._exact_membership(dilated, pts) is not None
-        calls.clear()
-        convexity_defect(dilated)
-        assert calls == []
-        bare = dataclasses.replace(dilated, polygon=None)
-        assert convexity._exact_membership(bare, pts) is None
-        convexity_defect(bare)
-        assert len(calls) == 1
+        inside = convexity._exact_membership(dilated, pts)
+        assert inside.dtype == bool and inside.shape == (len(pts),)
+        with pytest.raises(ValueError, match="h-convex polygon"):
+            dataclasses.replace(dilated, polygon=None)
+        # a boundary alone, here a crescent, names no polygon
+        thetas = np.linspace(-math.pi, math.pi, 257)[:-1]
+        r = np.full_like(thetas, 1.5)
+        dent = np.abs(thetas) < 0.8
+        r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
+        xy = polar_to_cart(r, thetas)
+        with pytest.raises(ValueError, match="h-convex polygon"):
+            SampledRegion(np.vstack([xy, xy[:1]]), provenance={"kind": "boundary"})
 
     @staticmethod
     def cli_defects(monkeypatch, run, rebuilt):
         """Every defect a CLI run measures, through the carried or the rebuilt polygon."""
         def rebuilt_membership(region, pts):
-            oracle = rebuilt_oracle(region)
-            return None if oracle is None else oracle(*hyperboloid_polar(pts))
+            return rebuilt_oracle(region)(*hyperboloid_polar(pts))
 
         if rebuilt:
             monkeypatch.setattr(convexity, "_exact_membership", rebuilt_membership)
@@ -791,30 +738,32 @@ class TestDilateRegion:
         poly = random_hconvex_polygon(rng, center=c)
         region = dilate_region(poly, DilationParams(c, 2.0, 1.0))
         assert convexity_defect(region) < 1e-6
-        region.check_simple()
+        check_simple(region.boundary)
 
 
 class TestSampledRegionValidation:
+    # a valid polygon, so that each check below is what refuses the loop
+    TRIANGLE = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
+
     def test_requires_closure(self):
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
-        with pytest.raises(ValueError):
-            SampledRegion(xy[:-1])
+        with pytest.raises(ValueError, match="not closed"):
+            SampledRegion(xy[:-1], polygon=self.TRIANGLE)
 
     def test_requires_minimum_samples(self):
         thetas = np.linspace(-math.pi, math.pi, 33)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
-        with pytest.raises(ValueError):
-            SampledRegion(np.vstack([xy, xy[:1]]))
+        with pytest.raises(ValueError, match="at least 64 samples"):
+            SampledRegion(np.vstack([xy, xy[:1]]), polygon=self.TRIANGLE)
 
     def test_simplicity_check_catches_crossing(self):
         t = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
         # figure-eight: crosses itself at the origin
         xy = 0.4 * np.stack([np.sin(2.0 * t), np.sin(t)], axis=-1)
-        loop = np.vstack([xy, xy[:1]])
-        region = SampledRegion(loop)
-        with pytest.raises(ValueError):
-            region.check_simple()
+        with pytest.raises(ValueError, match="self-intersects"):
+            check_simple(np.vstack([xy, xy[:1]]))
+        check_simple(polygon_region(self.TRIANGLE).boundary)
 
 
 class TestGenerator:
@@ -826,42 +775,3 @@ class TestGenerator:
             assert poly.contains(c)
             assert is_hconvex(poly)
             assert 3 <= len(poly.vertices) <= 12
-
-
-class TestSerialization:
-    def test_region_roundtrip(self):
-        rng = np.random.default_rng(33)
-        poly = random_hconvex_polygon(rng)
-        region = dilate_region(poly, origin_params(1.5, 1.0))
-        doc = region_to_json(region)
-        parsed = json.loads(doc)
-        assert set(parsed.keys()) == {"boundary", "provenance"}
-        back = region_from_json(doc)
-        assert np.max(np.abs(back.boundary - region.boundary)) == 0.0
-        assert back.provenance == region.provenance
-
-    def test_loaded_region_carries_its_polygon(self, monkeypatch):
-        poly = _directed_thin_polygon(np.random.default_rng(37))
-        region = dilate_region(poly, origin_params(0.25, 1.0))
-        back = region_from_json(region_to_json(region))
-        assert back.polygon is not None
-        rebuilt = GeodesicPolygon.from_polar(poly.polar())
-        assert np.array_equal(back.polygon.klein(), rebuilt.klein())
-        defect = convexity_defect(region)
-        assert defect > 1e-3
-
-        def refused(loop, xy):
-            raise AssertionError("measured by winding number")
-
-        monkeypatch.setattr(convexity, "winding_contains", refused)
-        assert convexity_defect(back) == defect
-        plain = SampledRegion(region.boundary, provenance={"kind": "boundary"})
-        assert region_from_json(region_to_json(plain)).polygon is None
-
-    def test_polygon_roundtrip(self):
-        rng = np.random.default_rng(34)
-        poly = random_hconvex_polygon(rng)
-        back = polygon_from_json(polygon_to_json(poly))
-        a = np.array([v.xy for v in poly.vertices])
-        b = np.array([v.xy for v in back.vertices])
-        assert np.max(np.abs(a - b)) < 1e-15

@@ -159,11 +159,29 @@ class TestSphericalDefect:
         assert s_convexity_defect(tri) < 1e-9
 
     def test_reflex_quad_defect(self):
+        # a dart is no region's polygon, so none is measured without exact membership
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
         dart = SphericalPolygon(
             tuple(SpherePoint.from_vec(v) for v in Chart(NORTH).gnomonic_inverse(dart_uv)), NORTH)
-        region = sample_polygon_boundary(dart, per_edge=32)
-        assert s_convexity_defect(region, 128, 16) > 1e-3
+        assert not dart.convex
+        for build in (lambda: sample_polygon_boundary(dart, per_edge=32),
+                      lambda: contract_polygon(dart, 0.5, 0.5),
+                      lambda: s_convexity_defect(dart)):
+            with pytest.raises(ValueError, match="convex polygon"):
+                build()
+
+    def test_counts_validated(self):
+        poly = random_convex_spherical_polygon(np.random.default_rng(68), center=NORTH)
+        region = contract_polygon(poly, 0.5, 0.8)
+        for counts in [(64, 0), (8, 16), (16, 15)]:
+            with pytest.raises(ValueError, match="at least 16"):
+                s_convexity_defect(region, *counts)
+        for per_edge in (0, 1, 15):
+            with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
+                sample_polygon_boundary(poly, per_edge)
+            with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
+                contract_polygon(poly, 0.5, 0.8, per_edge=per_edge)
+        assert s_convexity_defect(contract_polygon(poly, 0.5, 0.8, per_edge=16), 16, 16) >= 0.0
 
     def test_symmetric_contraction_stays_convex(self):
         rng = np.random.default_rng(66)
@@ -298,8 +316,11 @@ def test_great_circle_endpoints():
 
 
 def test_region_closure_validation():
-    with pytest.raises(ValueError):
-        SphericalRegion(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), NORTH)
+    # a valid polygon, so that the open loop is what is refused
+    tri = SphericalPolygon(tuple(SpherePoint.from_vec(Chart(NORTH).from_polar(0.9, a))
+                                 for a in (0.2, 2.2, 4.4)), NORTH)
+    with pytest.raises(ValueError, match="not closed"):
+        SphericalRegion(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), polygon=tri)
 
 
 def great_circle_points_per_pair(a, b, ts):
@@ -373,11 +394,9 @@ def broadcast_contains(uv_verts, probes, tol=1e-12):
 
 def rebuilt_membership(region, pts):
     """Exact membership with the polygon rebuilt from provenance and every map rebuilt per call."""
-    prov, c = region.provenance, region.center
+    prov, c = region.provenance, region.polygon.center
     poly = SphericalPolygon(tuple(SpherePoint(tuple(v)) for v in prov["vertices"]), c)
     uv_verts = Chart(c).gnomonic(np.array([v.xyz for v in poly.vertices]))
-    if not np.all(broadcast_contains(uv_verts, uv_verts)):
-        return None
     rho, theta = Chart(c).to_polar(pts)
     rho2, theta2 = dilate_origin_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
                                        rho, theta)
@@ -480,22 +499,16 @@ class TestBatchedPolygonLayer:
             assert 0 < np.count_nonzero(inside) < len(probes)
         assert flips <= 1  # of 29,506 probes (0 flips measured)
 
-    def test_a_region_without_its_polygon_is_measured_by_winding_number(self):
-        dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
-        dart = SphericalPolygon(
-            tuple(SpherePoint.from_vec(v) for v in Chart(NORTH).gnomonic_inverse(dart_uv)), NORTH)
-        region = sample_polygon_boundary(dart, per_edge=32)
-        assert region.polygon is dart
-        bare = dataclasses.replace(region, polygon=None)
-        assert sphere._exact_membership(region, region.boundary) is None  # the dart is not convex
-        assert sphere._exact_membership(bare, region.boundary) is None
-        assert s_convexity_defect(bare) == s_convexity_defect(region) > 0.0
+    def test_a_region_without_a_convex_polygon_is_refused(self):
         poly = random_convex_spherical_polygon(np.random.default_rng(74))
         contracted = contract_polygon(poly, 0.3, 0.8)
         assert contracted.polygon is poly
-        assert sphere._exact_membership(contracted, contracted.boundary) is not None
-        assert sphere._exact_membership(
-            dataclasses.replace(contracted, polygon=None), contracted.boundary) is None
+        inside = sphere._exact_membership(contracted, contracted.boundary)
+        assert inside.dtype == bool and inside.shape == (len(contracted.boundary),)
+        with pytest.raises(ValueError, match="convex polygon"):
+            dataclasses.replace(contracted, polygon=None)
+        with pytest.raises(ValueError, match="convex polygon"):
+            SphericalRegion(contracted.boundary, provenance={"kind": "boundary"})
 
     def test_membership_does_not_warn_past_the_disk_saturation_radius(self):
         # the polar map is shared with the disk, whose Cartesian chart saturates
