@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
     DiskPoint,
     ORIGIN,
+    _polar_cart,
     cart_to_polar,
     geodesic_chord_points,
     hyperboloid_chord_vectors,
@@ -28,6 +29,7 @@ from .disk import (
     hyperboloid_translate,
     mobius_translate,
     polar_to_cart,
+    wrap_angle,
 )
 
 SIDEDNESS_TOL = 1e-12
@@ -35,9 +37,10 @@ MIN_SAMPLES = 16  # the fewest samples per edge, chord pairs or samples per chor
 # max_polyline_distance bounds probes through every BOUND_STRIDE-th vertex and
 # checks CHUNK_PROBES of them at a time.  On contraction-search probes, 4 and 64
 # were fastest: stride 2 took ~10% longer, stride 8 ~70%, chunks of 32 or 128
-# 1-10%.
+# 1-10%.  Bounds are formed BOUND_BLOCK probes at a time, which caps their temporaries.
 BOUND_STRIDE = 4
 CHUNK_PROBES = 64
+BOUND_BLOCK = 1024
 MAX_VERTICES = 12  # random_hconvex_polygon draws 5 to MAX_VERTICES vertices
 
 
@@ -97,37 +100,50 @@ def _convex_hull_2d(pts):
     return hull
 
 
+def _next_rows(verts):
+    """The rows of verts (V, ...) shifted by one, as np.roll(verts, -1, axis=0) has them."""
+    return np.concatenate((verts[1:], verts[:1]))
+
+
 def _klein_signed_area(kverts):
-    x, y = kverts[:, 0], kverts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    nxt = _next_rows(kverts)
+    return 0.5 * float(np.dot(kverts[:, 0], nxt[:, 1]) - np.dot(kverts[:, 1], nxt[:, 0]))
 
 
-def _edges_cross(kverts) -> bool:
+def _vertex_margins(kverts):
+    """klein_polygon_contains's margins (b - a) x (k[i] - a): edges j = a -> b by vertices i."""
+    e = _next_rows(kverts) - kverts
+    d = kverts[None, :, :] - kverts[:, None, :]
+    return e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0]
+
+
+def _edges_cross(margins) -> bool:
     """True iff two non-adjacent edges of the closed polygon properly cross.
 
-    side[j, i] is the orientation (b - a) x (k[i] - a) of vertex i against
-    edge j = a -> b.  Edges i and j cross iff each has the endpoints of the
+    side[j, i] says whether vertex i lies strictly left of edge j (its
+    _vertex_margins).  Edges i and j cross iff each has the endpoints of the
     other on opposite sides, strictly positive against not.
     """
-    n = len(kverts)
+    side = margins > 0
+    n = len(side)
     idx = np.arange(n)
-    nxt = (idx + 1) % n
-    e = kverts[nxt] - kverts
-    d = kverts[None, :, :] - kverts[:, None, :]
-    side = e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0] > 0
-    splits = side != side[:, nxt]  # splits[j, i]: edge j separates the ends of edge i
+    splits = side != side[:, (idx + 1) % n]  # splits[j, i]: edge j separates the ends of edge i
     gap = (idx[:, None] - idx) % n  # edges with gap 0, 1 or n - 1 share a vertex
     return bool(np.any(splits & splits.T & (gap > 1) & (gap < n - 1)))
 
 
-def _check_polygon_chart(verts):
-    """Raise ValueError unless straight-edge chart vertices (V, 2) form a simple ccw polygon."""
+def _check_polygon_chart(verts, hull=False) -> bool:
+    """Raise ValueError unless chart vertices (V, 2) form a simple ccw polygon; return convexity.
+
+    hull=True skips only the crossing test, which a convex hull cannot fail."""
     if len(verts) < 3:
         raise ValueError("polygon needs at least 3 vertices")
     if not _klein_signed_area(verts) > 0.0:
         raise ValueError("polygon must be counterclockwise")
-    if _edges_cross(verts):
+    margins = _vertex_margins(verts)
+    if not hull and _edges_cross(margins):
         raise ValueError("polygon edges self-intersect")
+    return bool(np.all(margins >= -SIDEDNESS_TOL))
 
 
 # --- geodesic polygons -------------------------------------------------------
@@ -139,13 +155,13 @@ class GeodesicPolygon:
     vertices: tuple
     _klein: np.ndarray = field(init=False, repr=False, compare=False)
     hconvex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
+    _hull: InitVar[bool] = field(default=False, kw_only=True)  # set by hyperbolic_hull alone
 
-    def __post_init__(self):
+    def __post_init__(self, _hull):
         k = to_klein(np.array([v.cart for v in self.vertices], dtype=float).reshape(-1, 2))
         k.setflags(write=False)
         object.__setattr__(self, "_klein", k)
-        _check_polygon_chart(k)
-        object.__setattr__(self, "hconvex", is_hconvex(self))
+        object.__setattr__(self, "hconvex", _check_polygon_chart(k, _hull))
 
     @classmethod
     def from_points(cls, points):
@@ -195,39 +211,42 @@ def _translate_rows(c, xy):
 
 
 def hyperbolic_hull(points) -> GeodesicPolygon:
-    """Minimal h-convex polygon containing the points (hull in the Klein model)."""
+    """Minimal h-convex polygon containing DiskPoints or Cartesian rows (m, 2), by a Klein hull."""
     if len(points) < 3:
         raise ValueError("need at least 3 points")
-    hull = from_klein(_convex_hull_2d(to_klein(np.array([p.cart for p in points]))))
-    return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()))
+    xy = points if isinstance(points, np.ndarray) else np.array([p.cart for p in points])
+    hull = from_klein(_convex_hull_2d(to_klein(xy)))
+    return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()), _hull=True)
 
 
 def is_hconvex(poly: GeodesicPolygon, tol=SIDEDNESS_TOL) -> bool:
     """True iff every vertex lies weakly left of every directed edge geodesic."""
-    k = poly.klein()
-    return bool(np.all(klein_polygon_contains(k, k, tol)))
+    return bool(np.all(_vertex_margins(poly.klein()) >= -tol))
 
 
 # --- sampled regions ---------------------------------------------------------
 
 @dataclass
 class SampledRegion:
-    """Sampled boundary loop of the image of an h-convex polygon, with provenance.
+    """Sampled boundary loop of the image of an h-convex polygon under a dilation.
 
-    boundary has shape (N, 2) in Cartesian coordinates, first and last rows
-    coinciding to 1e-12.  provenance describes the map that produced it (the
-    identity, or a dilation); the region carries the validated polygon, and
-    defect measurement tests membership exactly through it instead of
-    against the discretized loop.
+    boundary has shape (N, 2) in Cartesian coordinates, samples_per_edge
+    samples per polygon edge, first and last rows coinciding to 1e-12.  The
+    map is the dilation by (k1, k2) about center (the identity has factors 1);
+    the region carries the validated polygon, and defect measurement tests
+    membership exactly through it instead of against the discretized loop.
     """
 
     boundary: np.ndarray
-    provenance: dict = field(default_factory=dict)
-    polygon: GeodesicPolygon | None = None  # required; the polygon the provenance names
+    polygon: GeodesicPolygon
+    samples_per_edge: int
+    k1: float
+    k2: float
+    center: DiskPoint
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
-        if self.polygon is None or not self.polygon.hconvex:
+        if not (isinstance(self.polygon, GeodesicPolygon) and self.polygon.hconvex):
             raise ValueError("a region must be the image of an h-convex polygon")
         if self.boundary.ndim != 2 or self.boundary.shape[1] != 2:
             raise ValueError("boundary must have shape (N, 2)")
@@ -283,7 +302,11 @@ def max_polyline_distance(loop, probes) -> float:
     # nearest vertex by |v|^2 - 2 p.v: its rounding can only pick a worse
     # vertex, which loosens the bound but leaves the result as it is
     v = a[::BOUND_STRIDE]
-    near = BOUND_STRIDE * np.argmin(np.sum(v * v, axis=1) - 2.0 * (probes @ v.T), axis=1)
+    vv = np.sum(v * v, axis=1)
+    near = np.empty(len(probes), dtype=np.intp)
+    for s in range(0, len(probes), BOUND_BLOCK):
+        near[s:s + BOUND_BLOCK] = np.argmin(vv - 2.0 * (probes[s:s + BOUND_BLOCK] @ v.T), axis=1)
+    near *= BOUND_STRIDE
     bound = _segment_distances(*probes.T, *a[near].T, *e[near].T, ee[near])
     order = np.argsort(-bound, kind="stable")
     best = -math.inf
@@ -314,7 +337,7 @@ def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
     """Boundary samples of the polygon, samples_per_edge per edge, closed loop."""
     ts = _edge_ts(samples_per_edge)
     r, th = np.array(poly.polar()).T
-    r, th = geodesic_chord_points(r, th, np.roll(r, -1), np.roll(th, -1), ts)
+    r, th = geodesic_chord_points(r, th, _next_rows(r), _next_rows(th), ts)
     return r.ravel(), th.ravel()
 
 
@@ -322,12 +345,7 @@ def polygon_region(poly: GeodesicPolygon, samples_per_edge=32) -> SampledRegion:
     """Densely sampled boundary of a geodesic polygon."""
     r, th = _sample_polygon_boundary(poly, samples_per_edge)
     xy = polar_to_cart(r, th)
-    boundary = np.vstack([xy, xy[:1]])
-    return SampledRegion(boundary, provenance={
-        "kind": "polygon",
-        "vertices_polar": [[v.r, v.theta] for v in poly.vertices],
-        "samples_per_edge": samples_per_edge,
-    }, polygon=poly)
+    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge, 1.0, 1.0, ORIGIN)
 
 
 def dilate_region(poly: GeodesicPolygon, params: DilationParams,
@@ -335,15 +353,8 @@ def dilate_region(poly: GeodesicPolygon, params: DilationParams,
     """Image of a geodesic polygon under a dilation, as a sampled boundary loop."""
     r, th = _sample_polygon_boundary(poly, samples_per_edge)
     xy = dilate_xy(params, polar_to_cart(r, th))
-    boundary = np.vstack([xy, xy[:1]])
-    return SampledRegion(boundary, provenance={
-        "kind": "dilated-polygon",
-        "vertices_polar": [[v.r, v.theta] for v in poly.vertices],
-        "center_cart": list(params.center.cart),
-        "k1": params.k1,
-        "k2": params.k2,
-        "samples_per_edge": samples_per_edge,
-    }, polygon=poly)
+    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge,
+                         params.k1, params.k2, params.center)
 
 
 # --- convexity defect --------------------------------------------------------
@@ -370,27 +381,27 @@ def _exact_membership(region: SampledRegion, pts):
     boundary sagitta and far above the 1e-6 regime the harness must resolve.
     Probes are boosted to the center, then mapped to the Klein chart.
     """
-    prov = region.provenance
-    center = np.asarray(prov.get("center_cart", (0.0, 0.0)), dtype=float)
+    center = region.center.xy
     verts = region.polygon.klein()
     if float(center @ center) > 0.0:
         verts = hyperboloid_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
         verts = verts[:, :2] / verts[:, 2:]  # the boost is linear, so Klein rows need no lift
         pts = hyperboloid_translate(-center, pts)
     x, y = pts[:, 0], pts[:, 1]
-    q = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
-                            np.arcsinh(np.hypot(x, y)), x, y, np.tanh)
+    n = np.hypot(x, y)
+    q = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arcsinh(n), x, y, n, np.tanh)
     return klein_polygon_contains(verts, q)
 
 
 @functools.lru_cache(maxsize=64)
 def _chord_pairs(n_boundary, pair_samples, per_edge):
-    """Deterministic chord endpoint pairs (M, 2): all vertex pairs plus a stratified stream.
+    """Deterministic chord endpoint pairs: all vertex pairs plus a stratified stream.
 
     The vertices are every per_edge-th boundary sample.  The random stream is
     a fixed-seed prefix so that a larger pair_samples extends (never
     reshuffles) a smaller one, keeping the measured defect monotone under
-    refinement.  Cached per size; the array is read-only.
+    refinement.  Returns the sorted distinct endpoints and the pairs (M, 2) as
+    positions in them.  Cached per size; the arrays are read-only.
     """
     vertex_indices = np.arange(0, n_boundary, per_edge)
     i, j = np.triu_indices(len(vertex_indices), k=1)
@@ -398,17 +409,19 @@ def _chord_pairs(n_boundary, pair_samples, per_edge):
     extra = rng.integers(0, n_boundary, size=(pair_samples, 2))
     pairs = np.concatenate([np.stack([vertex_indices[i], vertex_indices[j]], axis=1),
                             extra[extra[:, 0] != extra[:, 1]]])
-    pairs.setflags(write=False)
-    return pairs
+    ends, at = np.unique(pairs, return_inverse=True)
+    at = at.reshape(pairs.shape)
+    for a in (ends, at):
+        a.setflags(write=False)
+    return ends, at
 
 
 def _chord_plan(region, pair_samples, segment_samples):
-    """Endpoint indices i, j and parameters ts of a defect's chord samples, on either surface."""
-    per_edge = region.provenance["samples_per_edge"]
-    _check_samples(samples_per_edge=per_edge, pair_samples=pair_samples,
+    """A defect's chord endpoint indices, its pairs i, j as positions in them, and parameters."""
+    _check_samples(samples_per_edge=region.samples_per_edge, pair_samples=pair_samples,
                    segment_samples=segment_samples)
-    i, j = _chord_pairs(len(region.boundary) - 1, pair_samples, per_edge).T
-    return i, j, van_der_corput(segment_samples)
+    ends, at = _chord_pairs(len(region.boundary) - 1, pair_samples, region.samples_per_edge)
+    return ends, at[:, 0], at[:, 1], van_der_corput(segment_samples)
 
 
 def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16) -> float:
@@ -419,9 +432,10 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
     region contributes 0; an outside sample contributes its Euclidean distance
     to the boundary loop.  Zero, up to discretization, for h-convex regions.
     """
-    i, j, ts = _chord_plan(region, pair_samples, segment_samples)
+    ends, i, j, ts = _chord_plan(region, pair_samples, segment_samples)
     loop = region.boundary
-    lifted = hyperboloid_lift(*cart_to_polar(loop[:-1]))
+    lifted = hyperboloid_lift(*cart_to_polar(loop[ends]))
+    # (M, T, 3) component-major, so the (P, 3) form is a view
     probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
     outside = ~_exact_membership(region, probes)
     if not np.any(outside):
@@ -443,8 +457,8 @@ def random_hconvex_polygon(rng, center: DiskPoint = ORIGIN,
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     radii = rng.uniform(r_range[0], r_range[1], m)
-    pts = [DiskPoint.from_polar(r, th) for r, th in zip(radii, thetas)]
+    # the Cartesian points DiskPoint.from_polar would hold, without the points
+    xy = np.array([_polar_cart(r, t) for r, t in zip(radii.tolist(), wrap_angle(thetas).tolist())])
     if center.r > 0.0:
-        xy = _translate_rows(center.xy, np.array([p.cart for p in pts]))
-        pts = [DiskPoint.from_cart(x, y) for x, y in xy.tolist()]
-    return hyperbolic_hull(pts)
+        xy = _translate_rows(center.xy, xy)
+    return hyperbolic_hull(xy)

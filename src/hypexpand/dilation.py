@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskPoint, ORIGIN, cart_to_polar, mobius_translate, polar_to_cart
+from .disk import DiskPoint, ORIGIN, _component_major, cart_to_polar, mobius_translate, polar_to_cart
 
 # beyond this output radius tanh(r/2) saturates to 1 ulp below 1.0
 RADIUS_SATURATION = 50.0
@@ -63,19 +63,23 @@ def dilate_origin_polar(k1, k2, r, theta):
     return r * np.hypot(kc, ks), np.arctan2(ks, kc)
 
 
-def dilate_origin_chart(k1, k2, r, x, y, f):
+def dilate_origin_chart(k1, k2, r, x, y, n, f):
     """dilate_origin_polar of the point at distance r along (x, y), in the chart f; shape (..., 2).
 
-    The chart maps (r', theta') to f(r') (cos theta', sin theta'): np.tanh for Klein, np.tan
-    for gnomonic.  Computed without angles; (x, y) = 0 maps to 0 * f(r): 0 at the center, nan
-    where f(r) is nan (the sphere's antipode).
+    n is |(x, y)|, which callers have formed.  The chart maps (r', theta') to f(r') (cos
+    theta', sin theta'): np.tanh for Klein, np.tan for gnomonic.  Computed without angles;
+    (x, y) = 0 maps to 0 * f(r): 0 at the center, nan where f(r) is nan (the sphere's
+    antipode).  Stored component-major.
     """
     kx, ky = k1 * x, k2 * y
     kn = np.hypot(kx, ky)
     off = kn > 0.0
     kn = np.where(off, kn, 1.0)
-    s = f(r * kn / np.where(off, np.hypot(x, y), 1.0)) / kn
-    return np.stack([s * kx, s * ky], axis=-1)
+    s = f(r * kn / np.where(off, n, 1.0)) / kn
+    buf, out = _component_major(2, s.shape)
+    np.multiply(s, kx, out=buf[0])
+    np.multiply(s, ky, out=buf[1])
+    return out
 
 
 def _warn_if_saturated(r):

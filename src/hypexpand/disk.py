@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+RHO_MAX = float(np.nextafter(1.0, 0.0))  # the largest Cartesian radius inside the disk
 
 # below these, curvature evaluation is treated as degenerate
 SPEED_EPS = 1e-12
@@ -57,6 +58,13 @@ def cart_to_polar(xy):
     return r, theta
 
 
+def _polar_cart(r, theta):
+    """Cartesian (x, y) of the polar floats (r, theta), through libm scalars."""
+    # tanh(r/2) rounds to 1.0 beyond r ~ 37: keep the point interior, r exact
+    rho = min(math.tanh(r / 2.0), RHO_MAX)
+    return rho * math.cos(theta), rho * math.sin(theta)
+
+
 @dataclass(frozen=True)
 class DiskPoint:
     """A point of the open unit disk in both polar and Cartesian form.
@@ -82,10 +90,7 @@ class DiskPoint:
     def from_polar(cls, r, theta):
         r = float(r)
         theta = 0.0 if r == 0.0 else float(wrap_angle(theta))
-        # tanh(r/2) rounds to 1.0 beyond r ~ 37; keep the Cartesian image
-        # strictly interior (the polar radius stays exact)
-        rho = min(math.tanh(r / 2.0), np.nextafter(1.0, 0.0))
-        return cls(r, theta, (rho * math.cos(theta), rho * math.sin(theta)))
+        return cls(r, theta, _polar_cart(r, theta))
 
     @classmethod
     def from_cart(cls, x, y):
@@ -145,7 +150,7 @@ def translate(c: DiskPoint, x: DiskPoint) -> DiskPoint:
 def hyperbolic_distance(u: DiskPoint, v: DiskPoint) -> float:
     """Distance via translation of u to the origin followed by the radial formula."""
     w = mobius_translate(-u.xy, v.xy)
-    rho = min(math.hypot(w[0], w[1]), np.nextafter(1.0, 0.0))
+    rho = min(math.hypot(w[0], w[1]), RHO_MAX)
     return 2.0 * math.atanh(rho)
 
 
@@ -457,12 +462,18 @@ def hyperboloid_lift(r, theta):
                      _libm(math.cosh, r)], axis=-1)
 
 
+def _component_major(k, shape):
+    """An empty (k, ...) buffer, and its (..., k) view whose [..., i] are contiguous."""
+    buf = np.empty((k,) + shape)
+    return buf, buf.transpose(*range(1, buf.ndim), 0)
+
+
 def hyperboloid_chord_vectors(a, b, ts):
     """Sample the geodesics between lifted endpoints a, b of shape (..., 3).
 
     On the hyperboloid sheet the geodesic is a plane section and interpolation
     is a sinh-weighted combination.  Returns hyperboloid points of shape
-    (..., T, 3).  Endpoints closer than 1e-9 are interpolated linearly.
+    (..., T, 3), component-major.  Endpoints closer than 1e-9 are interpolated linearly.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
@@ -470,13 +481,15 @@ def hyperboloid_chord_vectors(a, b, ts):
     short = d < 1e-9
     sinh_d = _libm(math.sinh, np.where(short, 1.0, d))
     ts = np.asarray(ts, dtype=float)
-    a, b = a[..., None, :], b[..., None, :]
-    pts = (np.sinh((1.0 - ts) * d) / sinh_d)[..., None] * a \
-        + (np.sinh(ts * d) / sinh_d)[..., None] * b
+    wa, wb = np.sinh((1.0 - ts) * d) / sinh_d, np.sinh(ts * d) / sinh_d
+    buf, pts = _component_major(3, wa.shape)
+    for k, out in enumerate(buf):
+        np.add(wa * a[..., k, None], wb * b[..., k, None], out=out)
     if np.any(short):
+        a, b = a[..., None, :], b[..., None, :]
         lin = (1.0 - ts)[:, None] * a + ts[:, None] * b
         norm = np.sqrt(np.maximum(lin[..., 2] ** 2 - lin[..., 0] ** 2 - lin[..., 1] ** 2, 1e-300))
-        pts = np.where(short[..., None], lin / norm[..., None], pts)
+        pts[...] = np.where(short[..., None], lin / norm[..., None], pts)
     return pts
 
 
@@ -486,14 +499,17 @@ def hyperboloid_polar(pts):
 
 
 def hyperboloid_translate(c, pts):
-    """mobius_translate(c, .) on hyperboloid points (..., 3): the Lorentz boost to the lift of c."""
+    """mobius_translate(c, .) on points (..., 3) of the sheet, component-major: a Lorentz boost."""
     cx, cy = (float(v) for v in c)
     cc = cx * cx + cy * cy
     ux, uy = 2.0 * cx / (1.0 - cc), 2.0 * cy / (1.0 - cc)  # (u, (1 + cc) / (1 - cc)) lifts c
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     d = ux * x + uy * y
-    return np.stack([x + d * cx + z * ux, y + d * cy + z * uy,
-                     (1.0 + cc) / (1.0 - cc) * z + d], axis=-1)
+    buf, out = _component_major(3, d.shape)
+    buf[0] = x + d * cx + z * ux
+    buf[1] = y + d * cy + z * uy
+    buf[2] = (1.0 + cc) / (1.0 - cc) * z + d
+    return out
 
 
 def geodesic_chord_points(r1, th1, r2, th2, ts):

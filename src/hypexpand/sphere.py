@@ -17,12 +17,12 @@ the gnomonic projection, which maps great circles to straight lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .convexity import (SIDEDNESS_TOL, _check_polygon_chart, _chord_plan, _convex_hull_2d,
-                        _edge_ts, klein_polygon_contains)
+                        _edge_ts, _next_rows, _vertex_margins, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 
 CONTRACTION_DEFINITION = (
@@ -153,8 +153,9 @@ class SphericalPolygon:
     _xyz: np.ndarray = field(init=False, repr=False, compare=False)
     _uv: np.ndarray = field(init=False, repr=False, compare=False)
     convex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
+    _hull: InitVar[bool] = field(default=False, kw_only=True)  # set by the hull builder alone
 
-    def __post_init__(self):
+    def __post_init__(self, _hull):
         verts = np.array([v.vec for v in self.vertices], dtype=float).reshape(-1, 3)
         if not np.all(angular_distance(verts, self.center) < math.pi / 2 - HEMISPHERE_MARGIN):
             raise ValueError("vertex outside the open hemisphere about the center")
@@ -163,15 +164,14 @@ class SphericalPolygon:
         for name, a in (("_xyz", verts), ("_uv", uv)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        _check_polygon_chart(uv)
-        object.__setattr__(self, "convex", self.is_convex())
+        object.__setattr__(self, "convex", _check_polygon_chart(uv, _hull))
 
     def gnomonic_vertices(self):
         """Gnomonic vertices about the center, shape (V, 2); read-only."""
         return self._uv
 
     def is_convex(self, tol=SIDEDNESS_TOL):
-        return bool(np.all(klein_polygon_contains(self._uv, self._uv, tol)))
+        return bool(np.all(_vertex_margins(self._uv) >= -tol))
 
 
 def great_circle_points(a, b, ts):
@@ -197,15 +197,19 @@ def great_circle_points(a, b, ts):
 
 @dataclass
 class SphericalRegion:
-    """Closed boundary loop (N, 3) of the image of a convex polygon, with provenance."""
+    """Closed boundary loop (N, 3) of the image of a convex polygon, samples_per_edge per edge.
+
+    The map is the contraction by (k1, k2) about the polygon's center (factors 1: the identity)."""
 
     boundary: np.ndarray
-    provenance: dict = field(default_factory=dict)
-    polygon: SphericalPolygon | None = None  # required; the polygon the provenance names
+    polygon: SphericalPolygon
+    samples_per_edge: int
+    k1: float
+    k2: float
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
-        if self.polygon is None or not self.polygon.convex:
+        if not (isinstance(self.polygon, SphericalPolygon) and self.polygon.convex):
             raise ValueError("a region must be the image of a convex polygon")
         if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
             raise ValueError("boundary loop is not closed")
@@ -213,25 +217,15 @@ class SphericalRegion:
 
 def sample_polygon_boundary(poly: SphericalPolygon, per_edge=PER_EDGE) -> SphericalRegion:
     verts = poly._xyz
-    loop = great_circle_points(verts, np.roll(verts, -1, axis=0), _edge_ts(per_edge)).reshape(-1, 3)
-    loop = np.vstack([loop, loop[:1]])
-    return SphericalRegion(loop, provenance={
-        "kind": "polygon",
-        "vertices": [list(v.vec) for v in poly.vertices],
-        "samples_per_edge": per_edge,
-    }, polygon=poly)
+    loop = great_circle_points(verts, _next_rows(verts), _edge_ts(per_edge)).reshape(-1, 3)
+    return SphericalRegion(np.vstack([loop, loop[:1]]), poly, per_edge, 1.0, 1.0)
 
 
 def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:
     """Sampled image of the polygon boundary under the contraction."""
     base = sample_polygon_boundary(poly, per_edge)
     img = poly._chart.contract(k1, k2, base.boundary)
-    return SphericalRegion(img, provenance={
-        "kind": "contracted-polygon",
-        "vertices": [list(v.vec) for v in poly.vertices],
-        "k1": float(k1), "k2": float(k2),
-        "samples_per_edge": per_edge,
-    }, polygon=poly)
+    return SphericalRegion(img, poly, per_edge, float(k1), float(k2))
 
 
 def _gnomonic_radius(rho):
@@ -245,10 +239,11 @@ def _exact_membership(region: SphericalRegion, pts):
     Preimages are taken from the chart's (x, y, z) straight to its gnomonic plane.
     """
     poly = region.polygon
-    prov, chart = region.provenance, poly._chart
+    chart = poly._chart
     x, y = pts @ chart.e1, pts @ chart.e2
-    uv = dilate_origin_chart(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
-                             np.arctan2(np.hypot(x, y), pts @ chart.n), x, y, _gnomonic_radius)
+    n = np.hypot(x, y)
+    uv = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(n, pts @ chart.n),
+                             x, y, n, _gnomonic_radius)
     return klein_polygon_contains(poly._uv, uv)
 
 
@@ -263,8 +258,9 @@ def s_convexity_defect(region, pair_samples=PAIR_SAMPLES,
     if isinstance(region, SphericalPolygon):
         region = sample_polygon_boundary(region)
     loop = region.boundary
-    i, j, ts = _chord_plan(region, pair_samples, segment_samples)
-    probes = great_circle_points(loop[i], loop[j], ts).reshape(-1, 3)
+    ends, i, j, ts = _chord_plan(region, pair_samples, segment_samples)
+    ends = loop[ends]
+    probes = great_circle_points(ends[i], ends[j], ts).reshape(-1, 3)
     inside = _exact_membership(region, probes)
     if np.all(inside):
         return 0.0
@@ -288,7 +284,7 @@ def random_convex_spherical_polygon(rng, center=None):
     uv = chart.gnomonic(pts)
     hull_uv = _convex_hull_2d(uv)
     verts = chart.gnomonic_inverse(hull_uv)
-    return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center)
+    return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center, _hull=True)
 
 
 def conjecture_trial(seed, trials):

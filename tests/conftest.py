@@ -5,12 +5,19 @@ curvature: it never touches the polar metric formula, going instead through
 Euclidean curvature plus the normal derivative of the conformal factor
 2/(1 - |z|^2), with the leftward normal convention.  The winding number and
 the polyline simplicity test check sampled loops without the polygon they
-were sampled from.
+were sampled from.  The stacked membership formulas are exact membership as
+it was computed with (P, 3) and (P, 2) probe stacks, before the probes were
+stored component-major: the references the copy-free forms must match bit
+for bit.
 """
+
+import math
 
 import numpy as np
 
-from hypexpand.convexity import polyline_distance
+from hypexpand import sphere
+from hypexpand.convexity import klein_polygon_contains, polyline_distance
+from hypexpand.disk import _libm
 
 
 def conformal_curvature(x, y, dx, dy, d2x, d2y):
@@ -46,7 +53,7 @@ def curvature_via_conformal(curve, t):
 
 
 def mp_dilate_chart(inv_k1, inv_k2, x, y, r, f):
-    """dilation.dilate_origin_chart(inv_k1, inv_k2, r, x, y, f) on mpmath numbers.
+    """dilation.dilate_origin_chart(inv_k1, inv_k2, r, x, y, |(x, y)|, f) on mpmath numbers.
 
     f is mp.tanh or mp.tan; evaluate under mp.workdps.
     """
@@ -123,3 +130,69 @@ def check_simple(loop):
             & ((orient(c, d, a[i]) > 0) != (orient(c, d, b[i]) > 0))
         if np.any(hit):
             raise ValueError(f"loop self-intersects near segment {i}")
+
+
+# --- stacked membership: the references for the component-major probe path ---
+
+def broadcast_chord_vectors(a, b, ts):
+    """hyperboloid_chord_vectors as one broadcast expression over (..., T, 3)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+    d = _libm(math.acosh, np.maximum(cosh_d, 1.0))[..., None]
+    short = d < 1e-9
+    sinh_d = _libm(math.sinh, np.where(short, 1.0, d))
+    ts = np.asarray(ts, dtype=float)
+    a, b = a[..., None, :], b[..., None, :]
+    pts = (np.sinh((1.0 - ts) * d) / sinh_d)[..., None] * a \
+        + (np.sinh(ts * d) / sinh_d)[..., None] * b
+    if np.any(short):
+        lin = (1.0 - ts)[:, None] * a + ts[:, None] * b
+        norm = np.sqrt(np.maximum(lin[..., 2] ** 2 - lin[..., 0] ** 2 - lin[..., 1] ** 2, 1e-300))
+        pts = np.where(short[..., None], lin / norm[..., None], pts)
+    return pts
+
+
+def stacked_translate(c, pts):
+    """hyperboloid_translate with its result stacked row-major."""
+    cx, cy = (float(v) for v in c)
+    cc = cx * cx + cy * cy
+    ux, uy = 2.0 * cx / (1.0 - cc), 2.0 * cy / (1.0 - cc)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    d = ux * x + uy * y
+    return np.stack([x + d * cx + z * ux, y + d * cy + z * uy,
+                     (1.0 + cc) / (1.0 - cc) * z + d], axis=-1)
+
+
+def stacked_chart(k1, k2, r, x, y, f):
+    """dilate_origin_chart with |(x, y)| formed again and its result stacked row-major."""
+    kx, ky = k1 * x, k2 * y
+    kn = np.hypot(kx, ky)
+    off = kn > 0.0
+    kn = np.where(off, kn, 1.0)
+    s = f(r * kn / np.where(off, np.hypot(x, y), 1.0)) / kn
+    return np.stack([s * kx, s * ky], axis=-1)
+
+
+def stacked_membership_h2(region, pts):
+    """convexity._exact_membership of hyperboloid probes (P, 3) through row-major stacks."""
+    pts = np.ascontiguousarray(pts)
+    center = np.asarray(region.center.cart, dtype=float)
+    verts = region.polygon.klein()
+    if float(center @ center) > 0.0:
+        verts = stacked_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
+        verts = verts[:, :2] / verts[:, 2:]
+        pts = stacked_translate(-center, pts)
+    x, y = pts[:, 0], pts[:, 1]
+    q = stacked_chart(1.0 / region.k1, 1.0 / region.k2, np.arcsinh(np.hypot(x, y)), x, y,
+                      np.tanh)
+    return klein_polygon_contains(verts, q)
+
+
+def stacked_membership_s2(region, pts):
+    """sphere._exact_membership of unit vectors (P, 3) through row-major stacks."""
+    pts = np.ascontiguousarray(pts)
+    chart = region.polygon._chart
+    x, y = pts @ chart.e1, pts @ chart.e2
+    uv = stacked_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(np.hypot(x, y), pts @ chart.n),
+                       x, y, sphere._gnomonic_radius)
+    return klein_polygon_contains(region.polygon.gnomonic_vertices(), uv)

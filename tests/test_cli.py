@@ -92,7 +92,7 @@ class TestSearch:
         seen = []
 
         def spy(region, pair_samples, segment_samples):
-            seen.append((region.provenance["samples_per_edge"], pair_samples, segment_samples))
+            seen.append((region.samples_per_edge, pair_samples, segment_samples))
             return convexity_defect(region, pair_samples, segment_samples)
 
         monkeypatch.setattr(cli, "convexity_defect", spy)

@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import check_simple, edge_probes, mp_dilate_chart, mp_margin, region_contains
+from conftest import (check_simple, edge_probes, mp_dilate_chart, mp_margin, region_contains,
+                      stacked_membership_h2)
 from hypexpand import cli, convexity
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
@@ -30,8 +31,9 @@ from hypexpand.convexity import (
     to_klein,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy, origin_params
-from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_lift, hyperboloid_polar,
-                            mobius_translate, polar_to_cart, translate)
+from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_chord_vectors,
+                            hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart,
+                            translate)
 
 
 def rand_point(rng, r_max=3.0):
@@ -275,7 +277,7 @@ class TestBatchedPolygonLayer:
         for _ in range(200):
             k = rng.uniform(-0.7, 0.7, (int(rng.integers(3, 13)), 2))
             expected = pairwise_edges_cross(k)
-            assert convexity._edges_cross(k) == expected
+            assert convexity._edges_cross(convexity._vertex_margins(k)) == expected
             crossed += expected
         assert 0 < crossed < 200
 
@@ -284,6 +286,32 @@ class TestBatchedPolygonLayer:
         k = [(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)]
         with pytest.raises(ValueError, match="self-intersect"):
             GeodesicPolygon.from_points([from_klein_point(np.array(q)) for q in k])
+        # a polygon from outside, such as a witness, keeps the crossing test
+        with pytest.raises(ValueError, match="self-intersect"):
+            GeodesicPolygon.from_polar([(from_klein_point(np.array(q)).r,
+                                         from_klein_point(np.array(q)).theta) for q in k])
+
+    def test_the_hull_flag_skips_only_the_crossing_test(self, monkeypatch):
+        calls = []
+
+        def recording(margins):
+            calls.append(len(margins))
+            return edges_cross(margins)
+
+        edges_cross = convexity._edges_cross
+        monkeypatch.setattr(convexity, "_edges_cross", recording)
+        rng = np.random.default_rng(54)
+        poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
+        hull = hyperbolic_hull(list(poly.vertices))
+        assert calls == [] and poly.hconvex and hull.hconvex
+        assert GeodesicPolygon(poly.vertices) == poly and calls == [len(poly.vertices)]
+        reversed_hull = tuple(reversed(poly.vertices))
+        with pytest.raises(ValueError, match="counterclockwise"):
+            GeodesicPolygon(reversed_hull, _hull=True)
+        with pytest.raises(ValueError, match="at least 3"):
+            GeodesicPolygon(poly.vertices[:2], _hull=True)
+        with pytest.raises(TypeError):
+            GeodesicPolygon(poly.vertices, True)  # the flag is keyword-only
 
     def test_klein_vertices_match_per_vertex_conversion(self):
         rng = np.random.default_rng(53)
@@ -463,6 +491,12 @@ class TestPolylineDistance:
         probes = np.vstack([near_and_far_probes(loop, np.random.default_rng(44)), loop[-1]])
         self.assert_exact(loop, probes)
 
+    def test_probes_spanning_several_bound_blocks(self):
+        loop = circle_loop(700)
+        probes = near_and_far_probes(loop, np.random.default_rng(47))
+        assert len(probes) > 3 * convexity.BOUND_BLOCK
+        self.assert_exact(loop, probes)
+
     def test_short_loop(self):
         # fewer segments than BOUND_STRIDE: one bounding vertex
         loop = circle_loop(3)
@@ -534,10 +568,13 @@ class TestDefect:
             ref = [(a, b) for k, a in enumerate(vertex_indices) for b in vertex_indices[k + 1:]]
             ref += [(int(a), int(b)) for a, b in
                     np.random.default_rng(1905).integers(0, 160, size=(64, 2)) if a != b]
-            pairs = convexity._chord_pairs(160, 64, per_edge)
-            assert pairs.dtype.kind == "i" and pairs.tolist() == [list(p) for p in ref]
-            assert not pairs.flags.writeable
-            assert np.array_equal(convexity._chord_pairs(160, 64, per_edge), pairs)
+            ends, at = convexity._chord_pairs(160, 64, per_edge)
+            # the pairs, as positions in the sorted distinct endpoints
+            assert at.dtype.kind == "i" and ends[at].tolist() == [list(p) for p in ref]
+            assert ends.tolist() == sorted({k for p in ref for k in p})
+            assert not ends.flags.writeable and not at.flags.writeable
+            again = convexity._chord_pairs(160, 64, per_edge)
+            assert again[0] is ends and again[1] is at
 
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
@@ -554,15 +591,10 @@ class TestDefect:
 
 
 def rebuilt_oracle(region):
-    """Membership oracle rebuilt from provenance on every call, as measurement once did it."""
-    prov = region.provenance
-    poly = GeodesicPolygon.from_polar(prov["vertices_polar"])
-    if prov["kind"] == "polygon":
-        inv_k1 = inv_k2 = 1.0
-        center = np.zeros(2)
-    else:
-        inv_k1, inv_k2 = 1.0 / prov["k1"], 1.0 / prov["k2"]
-        center = np.asarray(prov["center_cart"], dtype=float)
+    """Membership oracle rebuilt from the region's map on every call, as measurement once did it."""
+    poly = GeodesicPolygon.from_polar(region.polygon.polar())
+    inv_k1, inv_k2 = 1.0 / region.k1, 1.0 / region.k2
+    center = np.asarray(region.center.cart, dtype=float)
     centered_off = float(center @ center) > 0.0
     verts = poly.klein() if not centered_off else to_klein(
         convexity._translate_rows(-center, np.array([v.cart for v in poly.vertices])))
@@ -596,7 +628,18 @@ class TestCarriedPolygon:
         r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
         xy = polar_to_cart(r, thetas)
         with pytest.raises(ValueError, match="h-convex polygon"):
-            SampledRegion(np.vstack([xy, xy[:1]]), provenance={"kind": "boundary"})
+            SampledRegion(np.vstack([xy, xy[:1]]), None, 32, 1.0, 1.0, ORIGIN)
+
+    def test_a_region_without_its_map_is_refused_at_construction(self):
+        # the map and the sampling are fields without defaults: a region that
+        # names neither is not built, rather than measured as the bare polygon
+        poly = _directed_thin_polygon(np.random.default_rng(37))
+        img = dilate_region(poly, origin_params(0.25, 1.0))
+        assert convexity_defect(img) > 1e-3
+        with pytest.raises(TypeError):
+            SampledRegion(img.boundary, {"samples_per_edge": 32}, poly)
+        with pytest.raises(TypeError):
+            SampledRegion(img.boundary, polygon=poly)
 
     @staticmethod
     def cli_defects(monkeypatch, run, rebuilt):
@@ -648,8 +691,7 @@ def exact_margin(region, p):
     The probe and the polygon's vertices are carried to the center by the disk
     translation in the Poincare chart, at 50 digits, not by the boost under test.
     """
-    prov = region.provenance
-    cx, cy = (-mp.mpf(c) for c in prov.get("center_cart", (0.0, 0.0)))
+    cx, cy = (-mp.mpf(c) for c in region.center.cart)
     cc = cx * cx + cy * cy
 
     def centered(x, y):
@@ -661,7 +703,7 @@ def exact_margin(region, p):
     with mp.workdps(50):
         x, y, z = (mp.mpf(float(a)) for a in p)
         x, y = centered(x / (1 + z), y / (1 + z))
-        u, v = mp_dilate_chart(1 / mp.mpf(prov.get("k1", 1.0)), 1 / mp.mpf(prov.get("k2", 1.0)),
+        u, v = mp_dilate_chart(1 / mp.mpf(region.k1), 1 / mp.mpf(region.k2),
                                x, y, 2 * mp.atanh(mp.hypot(x, y)), mp.tanh)
         verts = [centered(mp.mpf(a), mp.mpf(b)) for a, b in (q.cart for q in region.polygon.vertices)]
         return mp_margin([(2 * a / (1 + a * a + b * b), 2 * b / (1 + a * a + b * b))
@@ -690,6 +732,7 @@ class TestProjectiveMembership:
                 warnings.simplefilter("error")
                 inside = convexity._exact_membership(region, pts)
             assert inside.dtype == bool and inside.shape == (len(pts),) and inside[-1]
+            assert np.array_equal(inside, stacked_membership_h2(region, pts))
             old = rebuilt_oracle(region)(*hyperboloid_polar(pts))
             # the two arithmetics differ by rounding: they agree on every probe
             # whose exact margin is more than 1e-15 from the tolerance, and on
@@ -700,19 +743,39 @@ class TestProjectiveMembership:
             assert 0 < np.count_nonzero(inside) < len(pts)
         assert flips <= 5  # of 29,662 probes
 
+    def test_copy_free_probes_match_the_stacked_formula(self):
+        # the component-major probes a defect measures, against the (P, 3) and (P, 2) stacks
+        rng = np.random.default_rng(39)
+        outside = 0
+        for trial in range(24):
+            center = ORIGIN if trial % 3 == 0 else rand_point(rng, 1.5)
+            poly = (_directed_thin_polygon(rng) if trial % 3 == 0
+                    else random_hconvex_polygon(rng, center=center))
+            k1, k2 = rng.uniform(0.25, 4.0, 2)
+            region = dilate_region(poly, DilationParams(center, k1, k2))
+            ends, i, j, ts = convexity._chord_plan(region, 128, 16)
+            lifted = hyperboloid_lift(*cart_to_polar(region.boundary[ends]))
+            probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
+            inside = convexity._exact_membership(region, probes)
+            assert np.array_equal(inside, stacked_membership_h2(region, probes))
+            outside += np.count_nonzero(~inside)
+        assert outside > 0
+
     def test_convexity_is_computed_once_per_polygon(self, monkeypatch):
         calls = []
 
-        def recording(poly, tol=SIDEDNESS_TOL):
-            calls.append(tol)
-            return is_hconvex(poly, tol)
+        def recording(kverts):
+            calls.append(kverts)
+            return margins(kverts)
 
-        monkeypatch.setattr(convexity, "is_hconvex", recording)
+        margins = convexity._vertex_margins
+        monkeypatch.setattr(convexity, "_vertex_margins", recording)
         center = DiskPoint.from_polar(0.7, 1.0)
         poly = random_hconvex_polygon(np.random.default_rng(38), center=center)
         for k1 in (0.5, 2.0, 3.0):
             convexity_defect(dilate_region(poly, DilationParams(center, k1, 1.5)))
-        assert calls == [SIDEDNESS_TOL] and poly.hconvex is True
+        assert len(calls) == 1 and calls[0] is poly.klein() and poly.hconvex is True
+        assert poly.hconvex == is_hconvex(poly, SIDEDNESS_TOL)
         with pytest.raises(dataclasses.FrozenInstanceError):
             poly.hconvex = False
 
@@ -749,13 +812,13 @@ class TestSampledRegionValidation:
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
         with pytest.raises(ValueError, match="not closed"):
-            SampledRegion(xy[:-1], polygon=self.TRIANGLE)
+            SampledRegion(xy[:-1], self.TRIANGLE, 32, 1.0, 1.0, ORIGIN)
 
     def test_requires_minimum_samples(self):
         thetas = np.linspace(-math.pi, math.pi, 33)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
         with pytest.raises(ValueError, match="at least 64 samples"):
-            SampledRegion(np.vstack([xy, xy[:1]]), polygon=self.TRIANGLE)
+            SampledRegion(np.vstack([xy, xy[:1]]), self.TRIANGLE, 32, 1.0, 1.0, ORIGIN)
 
     def test_simplicity_check_catches_crossing(self):
         t = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)

@@ -95,7 +95,8 @@ class TestOriginChartMap:
         th = rng.uniform(-math.pi, math.pi, 2000)
         scale = rng.choice([1e-3, 1.0, 1e3], 2000)  # only the direction of (x, y) counts
         for k1, k2 in [(2.5, 1.0), (0.4, 1.7), (1.0, 0.3), (1.0, 1.0)]:
-            got = dilate_origin_chart(k1, k2, r, scale * np.cos(th), scale * np.sin(th), f)
+            x, y = scale * np.cos(th), scale * np.sin(th)
+            got = dilate_origin_chart(k1, k2, r, x, y, np.hypot(x, y), f)
             r2, th2 = dilate_origin_polar(k1, k2, r, th)
             ref = f(r2)[:, None] * np.stack([np.cos(th2), np.sin(th2)], axis=-1)
             assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
@@ -104,7 +105,8 @@ class TestOriginChartMap:
         x, y = np.array([0.0, 0.3, 0.0]), np.array([0.0, -0.2, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = dilate_origin_chart(2.0, 0.5, np.array([0.0, 0.36, 0.0]), x, y, np.tanh)
+            out = dilate_origin_chart(2.0, 0.5, np.array([0.0, 0.36, 0.0]), x, y, np.hypot(x, y),
+                                      np.tanh)
         assert np.array_equal(out[[0, 2]], np.zeros((2, 2))) and np.all(out[1] != 0.0)
 
 

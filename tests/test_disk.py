@@ -21,7 +21,7 @@ from hypexpand.disk import (
     polar_cartesian_roundtrip,
     translate,
 )
-from conftest import curvature_via_conformal
+from conftest import broadcast_chord_vectors, curvature_via_conformal, stacked_translate
 
 RADII = st.floats(min_value=1e-3, max_value=8.0)
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
@@ -518,3 +518,24 @@ class TestBatchedChordPoints:
         for k in range(300):
             r_ref, th_ref = chord_points_per_pair(r[i[k]], th[i[k]], r[j[k]], th[j[k]], self.TS)
             assert np.array_equal(rs[k], r_ref) and np.array_equal(ths[k], th_ref)
+
+    def test_component_major_vectors_match_the_broadcast_formula(self):
+        rng = np.random.default_rng(44)
+        r = rng.uniform(0.0, 30.0, 64)
+        th = rng.uniform(-math.pi, math.pi, 64)
+        r[1], th[1] = r[0] + 1e-11, th[0]
+        lifted = hyperboloid_lift(r, th)
+        i, j = rng.integers(0, 64, (2, 300))
+        i[:3], j[:3] = (0, 0, 5), (1, 0, 5)  # a short, an identical and a repeated pair
+        for a, b in [(lifted[i], lifted[j]), (lifted[i].reshape(20, 15, 3), lifted[j][0]),
+                     (lifted[2], lifted[3]), (lifted[0], lifted[1])]:
+            pts = hyperboloid_chord_vectors(a, b, self.TS)
+            ref = broadcast_chord_vectors(a, b, self.TS)
+            assert pts.shape == ref.shape and np.array_equal(pts, ref)
+            # each coordinate is one contiguous array, and the flat (P, 3) form a view of it
+            assert pts[..., 0].flags.c_contiguous
+            assert np.shares_memory(pts.reshape(-1, 3), pts)
+            c = rand_point(rng)
+            moved = hyperboloid_translate(c.xy, pts)
+            assert np.array_equal(moved, stacked_translate(c.xy, pts))
+            assert moved[..., 2].flags.c_contiguous

@@ -7,9 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import edge_probes, mp_dilate_chart, mp_margin
+from conftest import edge_probes, mp_dilate_chart, mp_margin, stacked_membership_s2
 from hypexpand import sphere
-from hypexpand.convexity import SIDEDNESS_TOL, GeodesicPolygon
+from hypexpand.convexity import SIDEDNESS_TOL, GeodesicPolygon, _check_polygon_chart
 from hypexpand.dilation import dilate_origin_polar
 from hypexpand.sphere import (
     Chart,
@@ -320,7 +320,7 @@ def test_region_closure_validation():
     tri = SphericalPolygon(tuple(SpherePoint.from_vec(Chart(NORTH).from_polar(0.9, a))
                                  for a in (0.2, 2.2, 4.4)), NORTH)
     with pytest.raises(ValueError, match="not closed"):
-        SphericalRegion(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), polygon=tri)
+        SphericalRegion(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), tri, 24, 1.0, 1.0)
 
 
 def great_circle_points_per_pair(a, b, ts):
@@ -393,13 +393,12 @@ def broadcast_contains(uv_verts, probes, tol=1e-12):
 
 
 def rebuilt_membership(region, pts):
-    """Exact membership with the polygon rebuilt from provenance and every map rebuilt per call."""
-    prov, c = region.provenance, region.polygon.center
-    poly = SphericalPolygon(tuple(SpherePoint(tuple(v)) for v in prov["vertices"]), c)
+    """Exact membership with the polygon rebuilt from its vertices and every map rebuilt per call."""
+    c = region.polygon.center
+    poly = SphericalPolygon(tuple(SpherePoint(v.vec) for v in region.polygon.vertices), c)
     uv_verts = Chart(c).gnomonic(np.array([v.xyz for v in poly.vertices]))
     rho, theta = Chart(c).to_polar(pts)
-    rho2, theta2 = dilate_origin_polar(1.0 / prov.get("k1", 1.0), 1.0 / prov.get("k2", 1.0),
-                                       rho, theta)
+    rho2, theta2 = dilate_origin_polar(1.0 / region.k1, 1.0 / region.k2, rho, theta)
     ok = rho2 < math.pi / 2 - sphere.HEMISPHERE_MARGIN
     out = np.zeros(len(pts), dtype=bool)
     uv = Chart(c).gnomonic(Chart(c).from_polar(rho2[ok], theta2[ok]))
@@ -409,7 +408,7 @@ def rebuilt_membership(region, pts):
 
 def exact_margin(region, p):
     """mp_margin of the exact gnomonic preimage of the probe p (3,) in the region's polygon."""
-    poly, prov = region.polygon, region.provenance
+    poly = region.polygon
     chart = Chart(poly.center)
     with mp.workdps(50):
         def dot(a, b):
@@ -417,7 +416,7 @@ def exact_margin(region, p):
 
         p = [mp.mpf(float(c)) for c in p]
         x, y, z = dot(chart.e1, p), dot(chart.e2, p), dot(chart.n, p)
-        u, v = mp_dilate_chart(1 / mp.mpf(prov.get("k1", 1.0)), 1 / mp.mpf(prov.get("k2", 1.0)),
+        u, v = mp_dilate_chart(1 / mp.mpf(region.k1), 1 / mp.mpf(region.k2),
                                x, y, mp.atan2(mp.hypot(x, y), z), mp.tan)
         return mp_margin(poly.gnomonic_vertices(), u, v)
 
@@ -484,11 +483,11 @@ class TestBatchedPolygonLayer:
                       else contract_polygon(poly, k1, k2))
             # probes in the preimage's chart, so that vertices and edges map onto the polygon's
             pre = Chart(poly.center).gnomonic_inverse(edge_probes(rng, poly.gnomonic_vertices()))
-            prov = region.provenance
-            probes = (pre if prov["kind"] == "polygon" else
-                      Chart(poly.center).contract(prov["k1"], prov["k2"], pre))
+            probes = (pre if trial % 5 == 0 else
+                      Chart(poly.center).contract(region.k1, region.k2, pre))
             inside = sphere._exact_membership(region, probes)
             assert inside.dtype == bool and inside.shape == (len(probes),)
+            assert np.array_equal(inside, stacked_membership_s2(region, probes))
             old = rebuilt_membership(region, probes)
             # the two arithmetics differ by rounding: they agree on every probe
             # whose exact margin is more than 1e-15 from the tolerance, and on
@@ -508,7 +507,45 @@ class TestBatchedPolygonLayer:
         with pytest.raises(ValueError, match="convex polygon"):
             dataclasses.replace(contracted, polygon=None)
         with pytest.raises(ValueError, match="convex polygon"):
-            SphericalRegion(contracted.boundary, provenance={"kind": "boundary"})
+            SphericalRegion(contracted.boundary, None, 24, 0.3, 0.8)
+        # the map and the sampling are fields without defaults
+        with pytest.raises(TypeError):
+            SphericalRegion(contracted.boundary, {"samples_per_edge": 24}, poly)
+        with pytest.raises(TypeError):
+            SphericalRegion(contracted.boundary, polygon=poly)
+
+    def test_copy_free_probes_match_the_stacked_formula(self):
+        # the chord probes a defect measures, against the (P, 2) stack
+        outside = 0
+        # trials of the default sphere-conjecture run: symmetric ones, and asymmetric
+        # ones with chord samples outside the image
+        for trial in (0, 5, 7, 10, 77, 116):
+            rng = np.random.default_rng([0, trial])
+            poly = random_convex_spherical_polygon(rng)
+            k1 = float(rng.uniform(0.01, 1.0))
+            k2 = k1 if trial % sphere.SYMMETRIC_EVERY == 0 else float(rng.uniform(0.01, 1.0))
+            region = contract_polygon(poly, k1, k2)
+            ends, i, j, ts = sphere._chord_plan(region, 64, 16)
+            ends = region.boundary[ends]
+            probes = great_circle_points(ends[i], ends[j], ts).reshape(-1, 3)
+            inside = sphere._exact_membership(region, probes)
+            assert np.array_equal(inside, stacked_membership_s2(region, probes))
+            outside += np.count_nonzero(~inside)
+        assert outside > 0
+
+    def test_hull_built_polygons_skip_only_the_crossing_test(self, monkeypatch):
+        flags = []
+
+        def recording(uv, hull=False):
+            flags.append(hull)
+            return _check_polygon_chart(uv, hull)
+
+        monkeypatch.setattr(sphere, "_check_polygon_chart", recording)
+        poly = random_convex_spherical_polygon(np.random.default_rng(79))
+        again = SphericalPolygon(poly.vertices, poly.center)
+        assert flags == [True, False] and poly.convex and again.convex
+        moved = dataclasses.replace(poly, center=SpherePoint.from_vec(poly.center.xyz + 0.01))
+        assert flags[-1] is False and moved.convex
 
     def test_membership_does_not_warn_past_the_disk_saturation_radius(self):
         # the polar map is shared with the disk, whose Cartesian chart saturates
