@@ -120,7 +120,7 @@ def _directed_thin_polygon(rng):
         DiskPoint.from_polar(back, math.pi - rng.uniform(0.1, 0.5)),
         DiskPoint.from_polar(back, -math.pi + rng.uniform(0.1, 0.5)),
     ]
-    return convexity.hyperbolic_hull(pts)
+    return convexity.hyperbolic_hull(np.array([p.cart for p in pts]))
 
 
 def measure_witness(witness, scale=1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,14 +117,13 @@ def _vertex_margins(kverts):
     return e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0]
 
 
-def _edges_cross(margins) -> bool:
+def _edges_cross(side) -> bool:
     """True iff two non-adjacent edges of the closed polygon properly cross.
 
     side[j, i] says whether vertex i lies strictly left of edge j (its
-    _vertex_margins).  Edges i and j cross iff each has the endpoints of the
-    other on opposite sides, strictly positive against not.
+    _vertex_margins are > 0).  Edges i and j cross iff each has the endpoints
+    of the other on opposite sides, strictly positive against not.
     """
-    side = margins > 0
     n = len(side)
     idx = np.arange(n)
     splits = side != side[:, (idx + 1) % n]  # splits[j, i]: edge j separates the ends of edge i
@@ -132,16 +131,18 @@ def _edges_cross(margins) -> bool:
     return bool(np.any(splits & splits.T & (gap > 1) & (gap < n - 1)))
 
 
-def _check_polygon_chart(verts, hull=False) -> bool:
+def _check_polygon_chart(verts) -> bool:
     """Raise ValueError unless chart vertices (V, 2) form a simple ccw polygon; return convexity.
 
-    hull=True skips only the crossing test, which a convex hull cannot fail."""
+    A vertex's margins against its own two edges are exactly 0.  If all the others
+    are > 0, no two edges can cross, and the crossing test is skipped."""
     if len(verts) < 3:
         raise ValueError("polygon needs at least 3 vertices")
     if not _klein_signed_area(verts) > 0.0:
         raise ValueError("polygon must be counterclockwise")
     margins = _vertex_margins(verts)
-    if not hull and _edges_cross(margins):
+    side = margins > 0
+    if np.count_nonzero(side) < len(verts) * (len(verts) - 2) and _edges_cross(side):
         raise ValueError("polygon edges self-intersect")
     return bool(np.all(margins >= -SIDEDNESS_TOL))
 
@@ -155,13 +156,12 @@ class GeodesicPolygon:
     vertices: tuple
     _klein: np.ndarray = field(init=False, repr=False, compare=False)
     hconvex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
-    _hull: InitVar[bool] = field(default=False, kw_only=True)  # set by hyperbolic_hull alone
 
-    def __post_init__(self, _hull):
+    def __post_init__(self):
         k = to_klein(np.array([v.cart for v in self.vertices], dtype=float).reshape(-1, 2))
         k.setflags(write=False)
         object.__setattr__(self, "_klein", k)
-        object.__setattr__(self, "hconvex", _check_polygon_chart(k, _hull))
+        object.__setattr__(self, "hconvex", _check_polygon_chart(k))
 
     @classmethod
     def from_points(cls, points):
@@ -210,13 +210,10 @@ def _translate_rows(c, xy):
     return mobius_translate(c, xy[:, None, :])[:, 0]
 
 
-def hyperbolic_hull(points) -> GeodesicPolygon:
-    """Minimal h-convex polygon containing DiskPoints or Cartesian rows (m, 2), by a Klein hull."""
-    if len(points) < 3:
-        raise ValueError("need at least 3 points")
-    xy = points if isinstance(points, np.ndarray) else np.array([p.cart for p in points])
+def hyperbolic_hull(xy) -> GeodesicPolygon:
+    """Minimal h-convex polygon containing the points with Cartesian rows xy (m, 2), by a Klein hull."""
     hull = from_klein(_convex_hull_2d(to_klein(xy)))
-    return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()), _hull=True)
+    return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()))
 
 
 def is_hconvex(poly: GeodesicPolygon, tol=SIDEDNESS_TOL) -> bool:

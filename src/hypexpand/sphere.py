@@ -17,7 +17,7 @@ the gnomonic projection, which maps great circles to straight lines.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,9 +153,8 @@ class SphericalPolygon:
     _xyz: np.ndarray = field(init=False, repr=False, compare=False)
     _uv: np.ndarray = field(init=False, repr=False, compare=False)
     convex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
-    _hull: InitVar[bool] = field(default=False, kw_only=True)  # set by the hull builder alone
 
-    def __post_init__(self, _hull):
+    def __post_init__(self):
         verts = np.array([v.vec for v in self.vertices], dtype=float).reshape(-1, 3)
         if not np.all(angular_distance(verts, self.center) < math.pi / 2 - HEMISPHERE_MARGIN):
             raise ValueError("vertex outside the open hemisphere about the center")
@@ -164,7 +163,7 @@ class SphericalPolygon:
         for name, a in (("_xyz", verts), ("_uv", uv)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "convex", _check_polygon_chart(uv, _hull))
+        object.__setattr__(self, "convex", _check_polygon_chart(uv))
 
     def gnomonic_vertices(self):
         """Gnomonic vertices about the center, shape (V, 2); read-only."""
@@ -197,9 +196,8 @@ def great_circle_points(a, b, ts):
 
 @dataclass
 class SphericalRegion:
-    """Closed boundary loop (N, 3) of the image of a convex polygon, samples_per_edge per edge.
-
-    The map is the contraction by (k1, k2) about the polygon's center (factors 1: the identity)."""
+    """Closed boundary loop (N, 3), samples_per_edge per edge, of a convex polygon's image
+    under the contraction by (k1, k2) about its center (factors 1: the identity)."""
 
     boundary: np.ndarray
     polygon: SphericalPolygon
@@ -284,7 +282,7 @@ def random_convex_spherical_polygon(rng, center=None):
     uv = chart.gnomonic(pts)
     hull_uv = _convex_hull_2d(uv)
     verts = chart.gnomonic_inverse(hull_uv)
-    return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center, _hull=True)
+    return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center)
 
 
 def conjecture_trial(seed, trials):

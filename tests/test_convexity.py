@@ -36,6 +36,11 @@ from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_chord_
                             translate)
 
 
+def carts(points):
+    """Cartesian rows (m, 2) of DiskPoints, the input of hyperbolic_hull."""
+    return np.array([p.cart for p in points])
+
+
 def rand_point(rng, r_max=3.0):
     return DiskPoint.from_polar(rng.uniform(0.1, r_max), rng.uniform(-math.pi, math.pi))
 
@@ -66,13 +71,13 @@ class TestKleinChart:
 class TestHull:
     def test_triangle_is_its_own_hull(self):
         pts = [DiskPoint.from_polar(1.0, a) for a in (0.0, 2.0, 4.0)]
-        hull = hyperbolic_hull(pts)
+        hull = hyperbolic_hull(carts(pts))
         assert len(hull.vertices) == 3
 
     def test_interior_point_dropped(self):
         pts = [DiskPoint.from_polar(1.5, a) for a in (0.3, 1.8, 3.3, 4.8)]
         pts.append(DiskPoint.from_polar(0.05, 0.0))
-        hull = hyperbolic_hull(pts)
+        hull = hyperbolic_hull(carts(pts))
         assert len(hull.vertices) == 4
         assert all(v.r > 0.1 for v in hull.vertices)
 
@@ -80,8 +85,8 @@ class TestHull:
         rng = np.random.default_rng(21)
         for _ in range(100):
             pts = [rand_point(rng) for _ in range(10)]
-            hull = hyperbolic_hull(pts)
-            again = hyperbolic_hull(list(hull.vertices))
+            hull = hyperbolic_hull(carts(pts))
+            again = hyperbolic_hull(carts(hull.vertices))
             assert len(again.vertices) == len(hull.vertices)
             a = np.array([v.xy for v in hull.vertices])
             b = np.array([v.xy for v in again.vertices])
@@ -92,12 +97,12 @@ class TestHull:
     def test_collinear_rejected(self):
         pts = [DiskPoint.from_polar(r, 0.7) for r in (0.5, 1.0, 1.5)]
         with pytest.raises(ValueError):
-            hyperbolic_hull(pts)
+            hyperbolic_hull(carts(pts))
 
     def test_contains_all_inputs(self):
         rng = np.random.default_rng(22)
         pts = [rand_point(rng) for _ in range(12)]
-        hull = hyperbolic_hull(pts)
+        hull = hyperbolic_hull(carts(pts))
         region = polygon_region(hull, samples_per_edge=64)
         for p in pts:
             assert region_contains(region.boundary, p)
@@ -277,7 +282,7 @@ class TestBatchedPolygonLayer:
         for _ in range(200):
             k = rng.uniform(-0.7, 0.7, (int(rng.integers(3, 13)), 2))
             expected = pairwise_edges_cross(k)
-            assert convexity._edges_cross(convexity._vertex_margins(k)) == expected
+            assert convexity._edges_cross(convexity._vertex_margins(k) > 0) == expected
             crossed += expected
         assert 0 < crossed < 200
 
@@ -291,27 +296,31 @@ class TestBatchedPolygonLayer:
             GeodesicPolygon.from_polar([(from_klein_point(np.array(q)).r,
                                          from_klein_point(np.array(q)).theta) for q in k])
 
-    def test_the_hull_flag_skips_only_the_crossing_test(self, monkeypatch):
+    def test_strictly_convex_polygons_skip_the_crossing_test(self, monkeypatch):
         calls = []
 
-        def recording(margins):
-            calls.append(len(margins))
-            return edges_cross(margins)
+        def recording(side):
+            calls.append(len(side))
+            return edges_cross(side)
 
         edges_cross = convexity._edges_cross
         monkeypatch.setattr(convexity, "_edges_cross", recording)
         rng = np.random.default_rng(54)
-        poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
-        hull = hyperbolic_hull(list(poly.vertices))
-        assert calls == [] and poly.hconvex and hull.hconvex
-        assert GeodesicPolygon(poly.vertices) == poly and calls == [len(poly.vertices)]
-        reversed_hull = tuple(reversed(poly.vertices))
-        with pytest.raises(ValueError, match="counterclockwise"):
-            GeodesicPolygon(reversed_hull, _hull=True)
-        with pytest.raises(ValueError, match="at least 3"):
-            GeodesicPolygon(poly.vertices[:2], _hull=True)
-        with pytest.raises(TypeError):
-            GeodesicPolygon(poly.vertices, True)  # the flag is keyword-only
+        for _ in range(50):
+            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
+            assert poly.hconvex and GeodesicPolygon(poly.vertices) == poly
+            assert hyperbolic_hull(carts(poly.vertices)).hconvex
+        assert calls == []
+        # a bowtie, and a triangle traversed twice: every vertex weakly left of
+        # every edge (zero margins at the repeats), yet edges cross
+        tri = [(-0.3, -0.3), (0.0, -0.3), (-0.3, 0.0)]
+        for k in ([(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)], tri + tri):
+            k = np.array(k)
+            assert convexity._klein_signed_area(k) > 0.0 and pairwise_edges_cross(k)
+            with pytest.raises(ValueError, match="self-intersect"):
+                GeodesicPolygon.from_points([from_klein_point(q) for q in k])
+        assert np.all(convexity._vertex_margins(k) >= 0.0)
+        assert calls == [4, 6]
 
     def test_klein_vertices_match_per_vertex_conversion(self):
         rng = np.random.default_rng(53)

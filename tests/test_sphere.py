@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import edge_probes, mp_dilate_chart, mp_margin, stacked_membership_s2
-from hypexpand import sphere
-from hypexpand.convexity import SIDEDNESS_TOL, GeodesicPolygon, _check_polygon_chart
+from hypexpand import convexity, sphere
+from hypexpand.convexity import SIDEDNESS_TOL, GeodesicPolygon
 from hypexpand.dilation import dilate_origin_polar
 from hypexpand.sphere import (
     Chart,
@@ -533,19 +533,27 @@ class TestBatchedPolygonLayer:
             outside += np.count_nonzero(~inside)
         assert outside > 0
 
-    def test_hull_built_polygons_skip_only_the_crossing_test(self, monkeypatch):
-        flags = []
+    def test_strictly_convex_polygons_skip_the_crossing_test(self, monkeypatch):
+        calls = []
 
-        def recording(uv, hull=False):
-            flags.append(hull)
-            return _check_polygon_chart(uv, hull)
+        def recording(side):
+            calls.append(len(side))
+            return edges_cross(side)
 
-        monkeypatch.setattr(sphere, "_check_polygon_chart", recording)
-        poly = random_convex_spherical_polygon(np.random.default_rng(79))
-        again = SphericalPolygon(poly.vertices, poly.center)
-        assert flags == [True, False] and poly.convex and again.convex
-        moved = dataclasses.replace(poly, center=SpherePoint.from_vec(poly.center.xyz + 0.01))
-        assert flags[-1] is False and moved.convex
+        edges_cross = convexity._edges_cross
+        monkeypatch.setattr(convexity, "_edges_cross", recording)
+        rng = np.random.default_rng(79)
+        for _ in range(50):
+            poly = random_convex_spherical_polygon(rng)
+            again = SphericalPolygon(poly.vertices, poly.center)
+            moved = dataclasses.replace(poly, center=SpherePoint.from_vec(poly.center.xyz + 0.01))
+            assert poly.convex and again.convex and moved.convex
+        assert calls == []
+        # a triangle traversed twice: all vertices weakly left of all edges, edges crossing
+        tri = [Chart(NORTH).from_polar(0.8, a) for a in (0.0, 2.1, 4.2)]
+        with pytest.raises(ValueError, match="self-intersect"):
+            SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in tri + tri), NORTH)
+        assert calls == [6]
 
     def test_membership_does_not_warn_past_the_disk_saturation_radius(self):
         # the polar map is shared with the disk, whose Cartesian chart saturates
