@@ -7,35 +7,21 @@ from .convexity import (
     dilate_region,
     from_klein,
     hyperbolic_hull,
-    is_hconvex,
     polygon_region,
     random_hconvex_polygon,
     to_klein,
 )
 from .curvature import (
     ChordSpec,
-    PCoefficients,
-    beta,
     chord_radius,
     gamma_curve,
-    p_coefficients,
     phi,
     preimage_curve,
     psi,
     side_ordering,
 )
-from .dilation import DilationParams, dilate, dilate_inverse, dilate_origin, origin_params
-from .disk import (
-    DiskPoint,
-    FirstFundamentalForm,
-    ORIGIN,
-    ParamCurve,
-    geodesic_between,
-    geodesic_curvature,
-    hyperbolic_distance,
-    polar_cartesian_roundtrip,
-    translate,
-)
+from .dilation import DilationParams
+from .disk import DiskPoint, ORIGIN, ParamCurve, geodesic_curvature
 from .lemmas import (
     GridReport,
     lemma_coth_poly,
@@ -43,6 +29,6 @@ from .lemmas import (
     lemma_sin_scaling,
     lemma_sinh_scaling,
 )
-from .sphere import SpherePoint, SphericalPolygon, conjecture_trial, s_contract, s_convexity_defect
+from .sphere import SpherePoint, SphericalPolygon, conjecture_trial, s_convexity_defect
 
 __version__ = "0.1.0"

@@ -94,7 +94,7 @@ def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6):
     failures = [r["trial"] for r in results if r["defect"] >= tol]
     return {
         "command": "verify-theorem", "seed": seed, "trials": trials,
-        "k_range": list(k_range) if k1 is None and k2 is None else None,
+        "k_range": list(k_range) if k1 is None or k2 is None else None,  # a factor is drawn
         "forced_k": [k1, k2] if (k1 is not None or k2 is not None) else None,
         "tolerance": tol, "samples_per_edge": SAMPLES_PER_EDGE,
         "pair_samples": PAIR_SAMPLES, "segment_samples": SEGMENT_SAMPLES,

@@ -47,9 +47,7 @@ MAX_VERTICES = 12  # random_hconvex_polygon draws 5 to MAX_VERTICES vertices
 # --- Klein model -------------------------------------------------------------
 
 def to_klein(p):
-    """Poincare Cartesian -> Klein: q = 2p / (1 + |p|^2).  Accepts DiskPoint or arrays."""
-    if isinstance(p, DiskPoint):
-        p = p.xy
+    """Poincare Cartesian (..., 2) -> Klein: q = 2p / (1 + |p|^2)."""
     p = np.asarray(p, dtype=float)
     n2 = np.sum(p * p, axis=-1)
     if np.any(n2 >= 1.0):
@@ -64,11 +62,6 @@ def from_klein(q):
     if np.any(n2 >= 1.0):
         raise ValueError("point outside the open unit disk")
     return q / (1.0 + np.sqrt(1.0 - n2))[..., None]
-
-
-def from_klein_point(q) -> DiskPoint:
-    p = from_klein(q)
-    return DiskPoint.from_cart(p[0], p[1])
 
 
 def _convex_hull_2d(pts):
@@ -164,10 +157,6 @@ class GeodesicPolygon:
         object.__setattr__(self, "hconvex", _check_polygon_chart(k))
 
     @classmethod
-    def from_points(cls, points):
-        return cls(tuple(points))
-
-    @classmethod
     def from_polar(cls, pairs):
         return cls(tuple(DiskPoint.from_polar(r, th) for r, th in pairs))
 
@@ -177,10 +166,6 @@ class GeodesicPolygon:
 
     def polar(self):
         return [(v.r, v.theta) for v in self.vertices]
-
-    def contains(self, p, tol=SIDEDNESS_TOL):
-        """Half-plane membership; valid for h-convex polygons only."""
-        return bool(klein_polygon_contains(self._klein, to_klein(p), tol)[0])
 
 
 def klein_polygon_contains(kverts, probes, tol=SIDEDNESS_TOL):
@@ -214,11 +199,6 @@ def hyperbolic_hull(xy) -> GeodesicPolygon:
     """Minimal h-convex polygon containing the points with Cartesian rows xy (m, 2), by a Klein hull."""
     hull = from_klein(_convex_hull_2d(to_klein(xy)))
     return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()))
-
-
-def is_hconvex(poly: GeodesicPolygon, tol=SIDEDNESS_TOL) -> bool:
-    """True iff every vertex lies weakly left of every directed edge geodesic."""
-    return bool(np.all(_vertex_margins(poly.klein()) >= -tol))
 
 
 # --- sampled regions ---------------------------------------------------------
@@ -285,15 +265,16 @@ def max_polyline_distance(loop, probes) -> float:
     """Largest distance from the probes (P, 2) to the closed polyline.
 
     Bitwise equal to float(np.max(polyline_distance(loop, probes))), nan
-    included.  Each probe is bounded from above by its distance to one
-    segment: the one starting at its nearest of every BOUND_STRIDE-th vertex.
+    included, and like it raises ValueError when there are no probes.  Each
+    probe is bounded from above by its distance to one segment: the one
+    starting at its nearest of every BOUND_STRIDE-th vertex.
     That distance is computed as polyline_distance computes it, so it is one
     of the values polyline_distance takes the minimum of.  Probes are then
     checked against every segment in decreasing bound order, CHUNK_PROBES at
     a time, until no remaining bound exceeds the largest distance found.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if not (np.all(np.isfinite(loop)) and np.all(np.isfinite(probes))):
+    if not (len(probes) and np.all(np.isfinite(loop)) and np.all(np.isfinite(probes))):
         return float(np.max(polyline_distance(loop, probes)))
     a, e, ee = _loop_segments(loop)
     # nearest vertex by |v|^2 - 2 p.v: its rounding can only pick a worse

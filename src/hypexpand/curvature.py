@@ -52,15 +52,6 @@ def psi(a):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def beta(theta_hat, s):
-    """Direction-dependent radial compression: s^2 cos^2 + sin^2, in [s^2, 1]."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    out = (s * np.cos(theta_hat)) ** 2 + np.sin(theta_hat) ** 2
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class ChordSpec:
     """Endpoints of a geodesic chord in the half-angle window.
@@ -162,70 +153,22 @@ def preimage_curve(spec: ChordSpec, s) -> ParamCurve:
         eval=ev, d1=d1, d2=d2,
         start=DiskPoint.from_polar(float(s0["r"]), float(s0["theta"])),
         end=DiskPoint.from_polar(float(s1["r"]), float(s1["theta"])),
-        meta={"kind": "preimage", "s": s},
     )
 
 
-@dataclass(frozen=True)
-class PCoefficients:
-    """Coefficients of the quadratic-in-(rp, dth) curvature decomposition.
-
-    p2 carries the sign inherited from beta' (proportional to sin 2*theta_hat);
-    p2_sq is the squared value in its independent product form and must agree
-    with p2**2.
-    """
-
-    p0: float
-    p1: float
-    p2: float
-    p2_sq: float
-    p3: float
-    r_hat: float
-    theta_hat: float
-    s: float
-    rp_hat: float
-    delta_theta_hat: float
-    beta: float
-    v: float
-
-    def curvature(self):
-        """k_g reconstructed from the decomposition."""
-        return self.p0 * (self.p1 * self.rp_hat ** 2
-                          + self.p2 * self.rp_hat * self.delta_theta_hat
-                          + self.p3 * self.delta_theta_hat ** 2)
-
-    def discriminant(self):
-        return self.p2_sq - 4.0 * self.p1 * self.p3
-
-
-def p_coefficients(r_hat, theta_hat, s, rp_hat, delta_theta_hat) -> PCoefficients:
-    """Curvature decomposition at one chord state: a scalar view of p_coefficients_grid.
+def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
+    """Curvature decomposition over broadcastable chord states.
 
     The chord second derivative is determined by the chord equation, so the
     state (r_hat, theta_hat, s, rp_hat, dth) fixes the full preimage 2-jet.
-    """
-    if r_hat <= 0.0:
-        raise ValueError("r_hat must be positive")
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    if not 0.0 < delta_theta_hat < math.pi:
-        raise ValueError("delta_theta_hat must lie in (0, pi)")
-    g = p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat)
-    return PCoefficients(*(float(g[k]) for k in ("p0", "p1", "p2", "p2_sq", "p3")),
-                         float(r_hat), float(theta_hat), float(s), float(rp_hat),
-                         float(delta_theta_hat), float(g["beta"]), float(g["v"]))
-
-
-def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
-    """Vectorized decomposition over broadcastable arrays.
-
-    Returns a dict of arrays: p0, p1, p2, p2_sq, p3, kg_closed, kg_generic,
-    discriminant.  kg_generic evaluates the raw polar curvature formula on the
-    chained preimage jet and is the independent route the closed form is
-    checked against.  The raw formula suffers cancellation where the curve is
-    nearly geodesic (its terms are large while k_g is tiny), so the reference
-    is evaluated on the same jet chain in extended precision; the grouped
-    closed form needs no such help.
+    Returns a dict of arrays: p0, p1, p2, p2_sq (the square of p2 in its
+    independent product form), p3, discriminant, kg_closed, kg_generic, the
+    preimage speed v and beta = s^2 cos^2 + sin^2.  kg_generic evaluates the raw
+    polar curvature formula on the chained preimage jet and is the independent
+    route the closed form is checked against.  The raw formula suffers
+    cancellation where the curve is nearly geodesic (its terms are large while
+    k_g is tiny), so the reference is evaluated on the same jet chain in
+    extended precision; the grouped closed form needs no such help.
     """
     r_hat, theta_hat, s, rp_hat, dth = (np.asarray(x, dtype=float) for x in (
         r_hat, theta_hat, s, rp_hat, delta_theta_hat))
@@ -287,8 +230,7 @@ def gamma_curve(x1: DiskPoint, x2: DiskPoint) -> ParamCurve:
         t = np.asarray(t, dtype=float)
         return np.zeros_like(t), np.zeros_like(t)
 
-    return ParamCurve(eval=ev, d1=d1, d2=d2, start=x1, end=x2,
-                      meta={"kind": "polar-linear"})
+    return ParamCurve(eval=ev, d1=d1, d2=d2, start=x1, end=x2)
 
 
 def gamma_curvature_closed_form(r1, r2, theta1, theta2, t):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskPoint, ORIGIN, _component_major, cart_to_polar, mobius_translate, polar_to_cart
+from .disk import DiskPoint, _component_major, cart_to_polar, mobius_translate, polar_to_cart
 
 # beyond this output radius tanh(r/2) saturates to 1 ulp below 1.0
 RADIUS_SATURATION = 50.0
@@ -36,18 +36,6 @@ class DilationParams:
     def __post_init__(self):
         if not (self.k1 > 0.0 and self.k2 > 0.0):
             raise ValueError("dilation factors must be positive")
-
-    @property
-    def is_expansion(self) -> bool:
-        return self.k1 >= 1.0 and self.k2 >= 1.0
-
-    @property
-    def s(self):
-        """Reciprocal 1/k1 when the second factor is 1, else None."""
-        return 1.0 / self.k1 if self.k2 == 1.0 else None
-
-    def inverse(self) -> "DilationParams":
-        return DilationParams(self.center, 1.0 / self.k1, 1.0 / self.k2)
 
 
 def dilate_origin_polar(k1, k2, r, theta):
@@ -82,22 +70,6 @@ def dilate_origin_chart(k1, k2, r, x, y, n, f):
     return out
 
 
-def _warn_if_saturated(r):
-    """Warn when a dilated radius is past where the Poincare chart's Cartesian form saturates."""
-    if np.any(r > RADIUS_SATURATION):
-        warnings.warn("dilated radius exceeds 50; Cartesian coordinates saturate",
-                      RuntimeWarning, stacklevel=3)
-
-
-def dilate_origin(params: DilationParams, p: DiskPoint) -> DiskPoint:
-    """Dilation about the origin; params.center must be the origin."""
-    if params.center.r != 0.0:
-        raise ValueError("dilate_origin requires params centered at the origin")
-    r, theta = dilate_origin_polar(params.k1, params.k2, p.r, p.theta)
-    _warn_if_saturated(r)
-    return DiskPoint.from_polar(float(r), float(theta))
-
-
 def dilate_xy(params: DilationParams, xy):
     """Dilation about an arbitrary center on Cartesian points of shape (..., 2)."""
     xy = np.asarray(xy, dtype=float)
@@ -105,21 +77,8 @@ def dilate_xy(params: DilationParams, xy):
     centered = xy if params.center.r == 0.0 else mobius_translate(-c, xy)
     r, theta = cart_to_polar(centered)
     r2, theta2 = dilate_origin_polar(params.k1, params.k2, r, theta)
-    _warn_if_saturated(r2)
+    if np.any(r2 > RADIUS_SATURATION):  # the polar map is chart-free; the Poincare chart saturates
+        warnings.warn("dilated radius exceeds 50; Cartesian coordinates saturate",
+                      RuntimeWarning, stacklevel=2)
     out = polar_to_cart(r2, theta2)
     return out if params.center.r == 0.0 else mobius_translate(c, out)
-
-
-def dilate(params: DilationParams, p: DiskPoint) -> DiskPoint:
-    """Dilation about params.center: conjugation of the origin map by translation."""
-    out = dilate_xy(params, p.xy)
-    return DiskPoint.from_cart(out[0], out[1])
-
-
-def dilate_inverse(params: DilationParams, p: DiskPoint) -> DiskPoint:
-    """Inverse dilation; equals dilation with factors (1/k1, 1/k2) about the center."""
-    return dilate(params.inverse(), p)
-
-
-def origin_params(k1, k2) -> DilationParams:
-    return DilationParams(ORIGIN, float(k1), float(k2))

@@ -5,16 +5,17 @@ coordinates (r, theta), where r is the hyperbolic distance from the origin,
 and in Cartesian coordinates with norm tanh(r/2).  The metric in polar form
 is ds^2 = dr^2 + sinh^2(r) dtheta^2.
 
-The module provides the disk translation (the Mobius-style isometry carrying
-0 to c), hyperbolic distance, geodesic segments as parametric curves, and the
-signed geodesic curvature of a polar curve.  Counterclockwise circles about
-the origin have positive curvature (interior to the left).
+The module provides the disk translation (the Mobius-style isometry carrying 0
+to c), the polar chord equation of geodesics, geodesic sampling on the
+hyperboloid sheet, and the signed geodesic curvature of a polar curve.
+Counterclockwise circles about the origin have positive curvature (interior to
+the left).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,16 +26,6 @@ RHO_MAX = float(np.nextafter(1.0, 0.0))  # the largest Cartesian radius inside t
 # below these, curvature evaluation is treated as degenerate
 SPEED_EPS = 1e-12
 RADIUS_EPS = 1e-12
-
-# first-derivative finite-difference step on t; stencils are central and
-# Richardson-extrapolated once.  Second-derivative steps are chosen per
-# evaluation point: the 4*eps/h^2 rounding noise of a second difference and
-# the h^4 truncation error pull in opposite directions, and the balance point
-# tracks the local feature width r(t)/v(t) of the curve (short slow curves
-# want large steps, radial dips near the origin want small ones).
-FD_STEP_D1 = 1e-5
-FD_SCALE_D2 = 0.008
-
 
 def wrap_angle(theta):
     """Reduce an angle (scalar or array) to [-pi, pi)."""
@@ -106,21 +97,8 @@ class DiskPoint:
     def xy(self):
         return np.array(self.cart)
 
-    def neg(self):
-        """Antipodal parameter -p, used to invert translations."""
-        return DiskPoint.from_cart(-self.cart[0], -self.cart[1])
-
-    def isclose(self, other, tol=1e-12):
-        return (abs(self.cart[0] - other.cart[0]) <= tol
-                and abs(self.cart[1] - other.cart[1]) <= tol)
-
 
 ORIGIN = DiskPoint.from_polar(0.0, 0.0)
-
-
-def polar_cartesian_roundtrip(p: DiskPoint) -> DiskPoint:
-    """Rebuild p from its Cartesian representation alone."""
-    return DiskPoint.from_cart(*p.cart)
 
 
 def mobius_translate(c, x):
@@ -141,65 +119,7 @@ def mobius_translate(c, x):
     return num / den[..., None]
 
 
-def translate(c: DiskPoint, x: DiskPoint) -> DiskPoint:
-    """Apply the translation carrying 0 to c.  translate(c, ORIGIN) == c."""
-    out = mobius_translate(c.xy, x.xy)
-    return DiskPoint.from_cart(out[0], out[1])
-
-
-def hyperbolic_distance(u: DiskPoint, v: DiskPoint) -> float:
-    """Distance via translation of u to the origin followed by the radial formula."""
-    w = mobius_translate(-u.xy, v.xy)
-    rho = min(math.hypot(w[0], w[1]), RHO_MAX)
-    return 2.0 * math.atanh(rho)
-
-
-# --- first fundamental form -------------------------------------------------
-
-@dataclass(frozen=True)
-class FirstFundamentalForm:
-    """Metric coefficients of the disk in geodesic polar coordinates."""
-
-    E: float = 1.0
-    F: float = 0.0
-
-    @staticmethod
-    def G(r):
-        return np.sinh(r) ** 2
-
-    @staticmethod
-    def G_r(r):
-        return np.sinh(2.0 * np.asarray(r, dtype=float))
-
-
-METRIC = FirstFundamentalForm()
-
-
 # --- parametric curves ------------------------------------------------------
-
-def _fd_d1(f, t, h):
-    def diff(hh):
-        rp, tp = f(t + hh)
-        rm, tm = f(t - hh)
-        return (rp - rm) / (2.0 * hh), (tp - tm) / (2.0 * hh)
-
-    a = diff(h)
-    b = diff(h / 2.0)
-    return (4.0 * b[0] - a[0]) / 3.0, (4.0 * b[1] - a[1]) / 3.0
-
-
-def _fd_d2(f, t, h):
-    r0, t0 = f(t)
-
-    def diff(hh):
-        rp, tp = f(t + hh)
-        rm, tm = f(t - hh)
-        return (rp - 2.0 * r0 + rm) / hh ** 2, (tp - 2.0 * t0 + tm) / hh ** 2
-
-    a = diff(h)
-    b = diff(h / 2.0)
-    return (4.0 * b[0] - a[0]) / 3.0, (4.0 * b[1] - a[1]) / 3.0
-
 
 @dataclass
 class ParamCurve:
@@ -207,8 +127,7 @@ class ParamCurve:
 
     eval returns a pair of arrays; theta is kept continuous (unwrapped) along
     the curve so that derivatives are meaningful.  d1 and d2 return the first
-    and second derivative pairs; derivative_kind records whether they are
-    analytic or finite-difference.
+    and second derivative pairs.
     """
 
     eval: Callable
@@ -216,81 +135,9 @@ class ParamCurve:
     d2: Callable
     start: DiskPoint
     end: DiskPoint
-    derivative_kind: str = "analytic"
-    meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_polar_function(cls, f, h1=FD_STEP_D1, h2=None, meta=None):
-        """Wrap a plain t -> (r, theta) function with finite-difference derivatives.
-
-        Derivatives are central differences, Richardson-extrapolated once, and
-        require t and the stencil to stay inside [0, 1].  The radial coordinate
-        is differenced as tanh(r/2), which is bounded, and the jet converted
-        back; differencing r directly loses accuracy at large radii where its
-        derivatives grow like sinh(2r).  The second-derivative step follows
-        the local feature width r(t)/v(t) unless h2 is given explicitly.
-        """
-
-        def bounded(t):
-            r, theta = f(t)
-            return np.tanh(np.asarray(r) / 2.0), theta
-
-        def d2_step(t):
-            if h2 is not None:
-                return np.broadcast_to(h2, np.shape(t)) if np.ndim(t) else h2
-            r, _ = f(t)
-            drho, dtheta = _fd_d1(bounded, t, h1)
-            rho = np.tanh(np.asarray(r) / 2.0)
-            dr = 2.0 * drho / (1.0 - rho ** 2)
-            v = np.sqrt(np.asarray(dr) ** 2 + np.sinh(r) ** 2 * np.asarray(dtheta) ** 2)
-            # two feature scales: the radial dip width r/v of curves passing
-            # near the origin, and 1/|r'| where derivatives grow like e^r
-            width = np.minimum(np.asarray(r) / np.maximum(v, 1e-30),
-                               1.0 / (1.0 + np.abs(dr)))
-            scale = np.clip(FD_SCALE_D2 * width, 1e-8, 0.02)
-            return np.minimum(scale, 0.45 * np.minimum(t, 1.0 - t))
-
-        def d1(t):
-            t = np.asarray(t, dtype=float)
-            rho, _ = bounded(t)
-            drho, dtheta = _fd_d1(bounded, t, h1)
-            return 2.0 * drho / (1.0 - rho ** 2), dtheta
-
-        def d2(t):
-            t = np.asarray(t, dtype=float)
-            rho, _ = bounded(t)
-            drho, _ = _fd_d1(bounded, t, h1)
-            d2rho, d2theta = _fd_d2(bounded, t, d2_step(t))
-            one = 1.0 - rho ** 2
-            return 2.0 * d2rho / one + 4.0 * rho * drho ** 2 / one ** 2, d2theta
-
-        r0, t0 = f(0.0)
-        r1, t1 = f(1.0)
-        return cls(
-            eval=f,
-            d1=d1,
-            d2=d2,
-            start=DiskPoint.from_polar(float(r0), float(t0)),
-            end=DiskPoint.from_polar(float(r1), float(t1)),
-            derivative_kind="finite-difference",
-            meta=meta or {},
-        )
-
-    def point(self, t) -> DiskPoint:
-        r, theta = self.eval(t)
-        return DiskPoint.from_polar(float(r), float(theta))
-
-    def speed(self, t):
-        r, _ = self.eval(t)
-        dr, dth = self.d1(t)
-        return np.sqrt(np.asarray(dr) ** 2 + np.sinh(r) ** 2 * np.asarray(dth) ** 2)
 
     def curvature(self, t):
         return geodesic_curvature(self, t)
-
-    def check_regular(self, n=64):
-        """Smallest speed over n interior samples; must be positive for a regular curve."""
-        return float(np.min(self.speed(np.linspace(0.01, 0.99, n))))
 
 
 def curvature_from_derivatives(r, dr, d2r, dtheta, d2theta):
@@ -327,30 +174,6 @@ def geodesic_curvature(curve: ParamCurve, t):
 
 
 # --- geodesics ---------------------------------------------------------------
-
-def geodesic_between(u: DiskPoint, v: DiskPoint, angle_eps=1e-14) -> ParamCurve:
-    """The geodesic segment from u to v as a ParamCurve with analytic derivatives.
-
-    For endpoints subtending an angle in (0, pi) at the origin, the curve uses
-    the polar chord equation
-
-        coth r(t) = (coth r1 sin((1-t) dth) + coth r2 sin(t dth)) / sin(dth)
-
-    with theta(t) = theta1 + t*dth.  Configurations collinear with the origin
-    (dth in {0, pi} or an endpoint at 0) are parametrized by a signed
-    hyperbolic radius along the common diameter, where the chord equation
-    degenerates.  meta records the branch and the traversal orientation.
-    """
-    if u.cart == v.cart:
-        raise ValueError("geodesic endpoints must be distinct")
-
-    through_origin = u.r < RADIUS_EPS or v.r < RADIUS_EPS
-    dth = float(wrap_angle(v.theta - u.theta))
-    antipodal = (math.pi - abs(dth)) < angle_eps
-    if not through_origin and not antipodal and abs(dth) >= angle_eps:
-        return _polar_chord_curve(u, v, dth)
-    return _diameter_curve(u, v)
-
 
 def chord_rpp(r, rp, dth):
     """Second radial derivative of a geodesic traversed at constant angular speed dth.
@@ -389,60 +212,6 @@ def chord_jet(r1, r2, dth, t):
     rp = dth * np.sinh(r) ** 2 * (
         coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / math.sin(dth)
     return r, rp, chord_rpp(r, rp, dth)
-
-
-def _polar_chord_curve(u, v, dth):
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return polar_chord_radius(u.r, v.r, dth, t), u.theta + t * dth
-
-    def d1(t):
-        t = np.asarray(t, dtype=float)
-        return chord_jet(u.r, v.r, dth, t)[1], np.full_like(t, dth)
-
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        return chord_jet(u.r, v.r, dth, t)[2], np.zeros_like(t)
-
-    meta = {"branch": "polar-chord", "delta_theta": dth,
-            "orientation": "ccw" if dth > 0 else "cw", "swapped": dth < 0}
-    return ParamCurve(eval=ev, d1=d1, d2=d2, start=u, end=v, meta=meta)
-
-
-def _diameter_curve(u, v):
-    # signed hyperbolic radius along the direction of the endpoint farther
-    # from the origin; the polar angle flips by pi at the crossing
-    if u.r >= v.r:
-        direction = u.theta
-    else:
-        direction = v.theta
-
-    def signed(p):
-        if p.r < RADIUS_EPS:
-            return 0.0
-        return p.r if abs(float(wrap_angle(p.theta - direction))) < math.pi / 2 else -p.r
-
-    s1, s2 = signed(u), signed(v)
-    ds = s2 - s1
-    opposite = float(wrap_angle(direction + math.pi))
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        sig = (1.0 - t) * s1 + t * s2
-        return np.abs(sig), np.where(sig >= 0.0, direction, opposite)
-
-    def d1(t):
-        t = np.asarray(t, dtype=float)
-        sig = (1.0 - t) * s1 + t * s2
-        return np.where(sig >= 0.0, ds, -ds), np.zeros_like(t)
-
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t), np.zeros_like(t)
-
-    meta = {"branch": "diameter", "delta_theta": float(wrap_angle(v.theta - u.theta)),
-            "orientation": "none", "swapped": False}
-    return ParamCurve(eval=ev, d1=d1, d2=d2, start=u, end=v, meta=meta)
 
 
 def _libm(f, x):

@@ -12,9 +12,9 @@ means the inequality holds):
 
 The margins share the phi/psi code paths of the curvature module, so that
 substituting (x, y) = (2 r, sqrt(beta)) or (r, sqrt(beta)) reproduces the
-exact inequalities the curvature discriminant bound rests on.  The two
-Taylor-series identities (sinh scaling and coth polynomial) are exposed as
-independent summation routes for cross-checking the direct evaluations.
+exact inequalities the curvature discriminant bound rests on.  The coth
+polynomial margin is summed as its all-positive Taylor series where the
+direct form cancels.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ def lemma_sinh_scaling(x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sinh_scaling_series(x, y, max_terms=SERIES_MAX_TERMS):
-    """The margin as its positive-term Taylor sum y^3 sum x^(2k+1)(1 - y^(2k-2))/(2k+1)!.
-
-    Adaptive truncation: stops once a term falls below 1e-16 of the partial
-    sum.  The k = 1 term vanishes identically.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = np.zeros(np.broadcast(x, y).shape)
-    for k in range(2, max_terms + 1):
-        term = x ** (2 * k + 1) * (1.0 - y ** (2 * k - 2)) / math.factorial(2 * k + 1)
-        total = total + term
-        if np.all(term <= SERIES_REL_STOP * np.abs(total)):
-            break
-    out = y ** 3 * total
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def lemma_coth_ratio(x, y):
     """Margin y^2 phi(2x)/(4(1-y^2)) - x psi(xy) psi(x)/(psi(x) - psi(xy)).
 
@@ -72,30 +54,6 @@ def lemma_coth_ratio(x, y):
     lhs = x * psi(x * y) * psi(x) / denom
     rhs = y ** 2 * phi(2.0 * x) / (4.0 * (1.0 - y) * (1.0 + y))
     out = rhs - lhs
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def coth_ratio_path(x, y):
-    """The auxiliary function whose decrease in y proves the coth ratio bound.
-
-    f(x, y) = (psi(x) - psi(xy)) / (x psi(xy) psi(x)) + 4 (1 - y^-2) / phi(2x);
-    tends to 0 as y -> 1 and is positive and decreasing on y in (0, 1).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = (psi(x) - psi(x * y)) / (x * psi(x * y) * psi(x)) \
-        + 4.0 * (1.0 - y ** -2) / phi(2.0 * x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def coth_poly_I_direct(x):
-    """I(x) = x^3 (sinh(2x)/2 - x) - 6 (x cosh x - sinh x)^2, evaluated directly.
-
-    Cancellation-limited below x ~ 0.5 (the true value is O(x^10) while the
-    operands are O(x^6)); use the series there.
-    """
-    x = np.asarray(x, dtype=float)
-    out = x ** 3 * (np.sinh(2.0 * x) / 2.0 - x) - 6.0 * (x * np.cosh(x) - np.sinh(x)) ** 2
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -137,14 +95,6 @@ def lemma_sin_scaling(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.sin(x * y) - y * np.sin(x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def sin_scaling_slope(x, y):
-    """d/dx of the sin-scaling margin: y (cos(xy) - cos(x)); positive on (0,pi)x(0,1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = y * (np.cos(x * y) - np.cos(x))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -195,27 +145,21 @@ def open_interval_grid(lo, hi, n, open_lo=True, open_hi=True, inset=BOUNDARY_INS
 
 
 def _sweep(lemma_name, margin_fn, xs, ys, grid_desc, max_recorded=20):
-    if ys is None:
-        margins = margin_fn(xs)
-        coords = [("x", xs)]
-    else:
-        margins = margin_fn(xs[:, None], ys[None, :])
-        coords = [("x", xs), ("y", ys)]
-    flat = np.asarray(margins).ravel()
+    coords = [("x", xs)] if ys is None else [("x", xs), ("y", ys)]
+    margins = np.asarray(margin_fn(xs) if ys is None else margin_fn(xs[:, None], ys[None, :]))
+    flat = margins.ravel()
+
+    def at(j):
+        idx = np.unravel_index(int(j), margins.shape)
+        return {name: float(axis[i]) for (name, axis), i in zip(coords, idx)}
+
     idx_min = int(np.argmin(flat))
-    unravel = np.unravel_index(idx_min, np.shape(margins)) if ys is not None else (idx_min,)
-    min_at = {name: float(axis[unravel[k]]) for k, (name, axis) in enumerate(coords)}
-    violations = []
     bad = np.nonzero(flat <= 0.0)[0]
-    for j in bad[:max_recorded]:
-        uv = np.unravel_index(int(j), np.shape(margins)) if ys is not None else (int(j),)
-        rec = {name: float(axis[uv[k]]) for k, (name, axis) in enumerate(coords)}
-        rec["margin"] = float(flat[j])
-        violations.append(rec)
+    violations = [{**at(j), "margin": float(flat[j])} for j in bad[:max_recorded]]
     if len(bad) > max_recorded:
         violations.append({"suppressed": int(len(bad) - max_recorded)})
     return GridReport(lemma=lemma_name, grid=grid_desc,
-                      min_margin=float(flat[idx_min]), min_at=min_at,
+                      min_margin=float(flat[idx_min]), min_at=at(idx_min),
                       n_points=int(flat.size), violations=violations)
 
 

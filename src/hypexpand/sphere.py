@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (SIDEDNESS_TOL, _check_polygon_chart, _chord_plan, _convex_hull_2d,
-                        _edge_ts, _next_rows, _vertex_margins, klein_polygon_contains)
+from .convexity import (_check_polygon_chart, _chord_plan, _convex_hull_2d, _edge_ts,
+                        _next_rows, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 
 CONTRACTION_DEFINITION = (
@@ -136,13 +136,6 @@ class Chart:
         return v / np.linalg.norm(v, axis=-1)[:, None]
 
 
-def s_contract(c: SpherePoint, k1, k2, p: SpherePoint) -> SpherePoint:
-    """Contract p toward c; p must lie in the open hemisphere about c."""
-    if not (0.0 < k1 <= 1.0 and 0.0 < k2 <= 1.0):
-        raise ValueError("contraction factors must lie in (0, 1]")
-    return SpherePoint.from_vec(Chart(c).contract(k1, k2, p.xyz))
-
-
 @dataclass(frozen=True)
 class SphericalPolygon:
     """Convex candidate region: ccw vertices within the open hemisphere about center."""
@@ -164,13 +157,6 @@ class SphericalPolygon:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "convex", _check_polygon_chart(uv))
-
-    def gnomonic_vertices(self):
-        """Gnomonic vertices about the center, shape (V, 2); read-only."""
-        return self._uv
-
-    def is_convex(self, tol=SIDEDNESS_TOL):
-        return bool(np.all(_vertex_margins(self._uv) >= -tol))
 
 
 def great_circle_points(a, b, ts):
@@ -245,7 +231,7 @@ def _exact_membership(region: SphericalRegion, pts):
     return klein_polygon_contains(poly._uv, uv)
 
 
-def s_convexity_defect(region, pair_samples=PAIR_SAMPLES,
+def s_convexity_defect(region: SphericalRegion, pair_samples=PAIR_SAMPLES,
                        segment_samples=SEGMENT_SAMPLES) -> float:
     """Largest angular outside excursion of sampled great-circle chords.
 
@@ -253,8 +239,6 @@ def s_convexity_defect(region, pair_samples=PAIR_SAMPLES,
     gnomonic chart about the polygon's center; outside samples contribute
     their angular distance to the boundary loop.
     """
-    if isinstance(region, SphericalPolygon):
-        region = sample_polygon_boundary(region)
     loop = region.boundary
     ends, i, j, ts = _chord_plan(region, pair_samples, segment_samples)
     ends = loop[ends]

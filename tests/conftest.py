@@ -195,4 +195,4 @@ def stacked_membership_s2(region, pts):
     x, y = pts @ chart.e1, pts @ chart.e2
     uv = stacked_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(np.hypot(x, y), pts @ chart.n),
                        x, y, sphere._gnomonic_radius)
-    return klein_polygon_contains(region.polygon.gnomonic_vertices(), uv)
+    return klein_polygon_contains(region.polygon._uv, uv)

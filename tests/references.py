@@ -1,0 +1,257 @@
+"""Independent references the tests compare the package against.
+
+None of these is on a command's path.  Finite-difference curve derivatives
+check the analytic jets, the polar chord equation and the diameter branch
+give geodesics as curves, hyperbolic distance goes through the disk
+translation and the radial formula, and the lemma margins have Taylor-sum,
+direct and slope forms.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from hypexpand.curvature import phi, psi
+from hypexpand.disk import (RADIUS_EPS, RHO_MAX, DiskPoint, ParamCurve, chord_jet,
+                            mobius_translate, polar_chord_radius, wrap_angle)
+from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
+
+# first-derivative finite-difference step on t; stencils are central and
+# Richardson-extrapolated once.  Second-derivative steps are chosen per
+# evaluation point: the 4*eps/h^2 rounding noise of a second difference and
+# the h^4 truncation error pull in opposite directions, and the balance point
+# tracks the local feature width r(t)/v(t) of the curve (short slow curves
+# want large steps, radial dips near the origin want small ones).
+FD_STEP_D1 = 1e-5
+FD_SCALE_D2 = 0.008
+
+
+@dataclass
+class RecordedCurve(ParamCurve):
+    """A ParamCurve that records how its derivatives are taken and which branch built it."""
+
+    derivative_kind: str = "analytic"
+    meta: dict = field(default_factory=dict)
+
+
+def hyperbolic_distance(u: DiskPoint, v: DiskPoint) -> float:
+    """Distance via translation of u to the origin followed by the radial formula."""
+    w = mobius_translate(-u.xy, v.xy)
+    rho = min(math.hypot(w[0], w[1]), RHO_MAX)
+    return 2.0 * math.atanh(rho)
+
+
+# --- finite-difference derivatives --------------------------------------------
+
+def _fd_d1(f, t, h):
+    def diff(hh):
+        rp, tp = f(t + hh)
+        rm, tm = f(t - hh)
+        return (rp - rm) / (2.0 * hh), (tp - tm) / (2.0 * hh)
+
+    a = diff(h)
+    b = diff(h / 2.0)
+    return (4.0 * b[0] - a[0]) / 3.0, (4.0 * b[1] - a[1]) / 3.0
+
+
+def _fd_d2(f, t, h):
+    r0, t0 = f(t)
+
+    def diff(hh):
+        rp, tp = f(t + hh)
+        rm, tm = f(t - hh)
+        return (rp - 2.0 * r0 + rm) / hh ** 2, (tp - 2.0 * t0 + tm) / hh ** 2
+
+    a = diff(h)
+    b = diff(h / 2.0)
+    return (4.0 * b[0] - a[0]) / 3.0, (4.0 * b[1] - a[1]) / 3.0
+
+
+def from_polar_function(f, h1=FD_STEP_D1, h2=None) -> RecordedCurve:
+    """Wrap a plain t -> (r, theta) function with finite-difference derivatives.
+
+    Derivatives are central differences, Richardson-extrapolated once, and
+    require t and the stencil to stay inside [0, 1].  The radial coordinate
+    is differenced as tanh(r/2), which is bounded, and the jet converted
+    back; differencing r directly loses accuracy at large radii where its
+    derivatives grow like sinh(2r).  The second-derivative step follows
+    the local feature width r(t)/v(t) unless h2 is given explicitly.
+    """
+
+    def bounded(t):
+        r, theta = f(t)
+        return np.tanh(np.asarray(r) / 2.0), theta
+
+    def d2_step(t):
+        if h2 is not None:
+            return np.broadcast_to(h2, np.shape(t)) if np.ndim(t) else h2
+        r, _ = f(t)
+        drho, dtheta = _fd_d1(bounded, t, h1)
+        rho = np.tanh(np.asarray(r) / 2.0)
+        dr = 2.0 * drho / (1.0 - rho ** 2)
+        v = np.sqrt(np.asarray(dr) ** 2 + np.sinh(r) ** 2 * np.asarray(dtheta) ** 2)
+        # two feature scales: the radial dip width r/v of curves passing
+        # near the origin, and 1/|r'| where derivatives grow like e^r
+        width = np.minimum(np.asarray(r) / np.maximum(v, 1e-30),
+                           1.0 / (1.0 + np.abs(dr)))
+        scale = np.clip(FD_SCALE_D2 * width, 1e-8, 0.02)
+        return np.minimum(scale, 0.45 * np.minimum(t, 1.0 - t))
+
+    def d1(t):
+        t = np.asarray(t, dtype=float)
+        rho, _ = bounded(t)
+        drho, dtheta = _fd_d1(bounded, t, h1)
+        return 2.0 * drho / (1.0 - rho ** 2), dtheta
+
+    def d2(t):
+        t = np.asarray(t, dtype=float)
+        rho, _ = bounded(t)
+        drho, _ = _fd_d1(bounded, t, h1)
+        d2rho, d2theta = _fd_d2(bounded, t, d2_step(t))
+        one = 1.0 - rho ** 2
+        return 2.0 * d2rho / one + 4.0 * rho * drho ** 2 / one ** 2, d2theta
+
+    r0, t0 = f(0.0)
+    r1, t1 = f(1.0)
+    return RecordedCurve(
+        eval=f,
+        d1=d1,
+        d2=d2,
+        start=DiskPoint.from_polar(float(r0), float(t0)),
+        end=DiskPoint.from_polar(float(r1), float(t1)),
+        derivative_kind="finite-difference",
+    )
+
+
+# --- geodesics ---------------------------------------------------------------
+
+def geodesic_between(u: DiskPoint, v: DiskPoint, angle_eps=1e-14) -> RecordedCurve:
+    """The geodesic segment from u to v as a curve with analytic derivatives.
+
+    For endpoints subtending an angle in (0, pi) at the origin, the curve uses
+    the polar chord equation
+
+        coth r(t) = (coth r1 sin((1-t) dth) + coth r2 sin(t dth)) / sin(dth)
+
+    with theta(t) = theta1 + t*dth.  Configurations collinear with the origin
+    (dth in {0, pi} or an endpoint at 0) are parametrized by a signed
+    hyperbolic radius along the common diameter, where the chord equation
+    degenerates.  meta records the branch and the traversal orientation.
+    """
+    if u.cart == v.cart:
+        raise ValueError("geodesic endpoints must be distinct")
+
+    through_origin = u.r < RADIUS_EPS or v.r < RADIUS_EPS
+    dth = float(wrap_angle(v.theta - u.theta))
+    antipodal = (math.pi - abs(dth)) < angle_eps
+    if not through_origin and not antipodal and abs(dth) >= angle_eps:
+        return _polar_chord_curve(u, v, dth)
+    return _diameter_curve(u, v)
+
+
+def _polar_chord_curve(u, v, dth):
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        return polar_chord_radius(u.r, v.r, dth, t), u.theta + t * dth
+
+    def d1(t):
+        t = np.asarray(t, dtype=float)
+        return chord_jet(u.r, v.r, dth, t)[1], np.full_like(t, dth)
+
+    def d2(t):
+        t = np.asarray(t, dtype=float)
+        return chord_jet(u.r, v.r, dth, t)[2], np.zeros_like(t)
+
+    meta = {"branch": "polar-chord", "delta_theta": dth,
+            "orientation": "ccw" if dth > 0 else "cw", "swapped": dth < 0}
+    return RecordedCurve(eval=ev, d1=d1, d2=d2, start=u, end=v, meta=meta)
+
+
+def _diameter_curve(u, v):
+    # signed hyperbolic radius along the direction of the endpoint farther
+    # from the origin; the polar angle flips by pi at the crossing
+    if u.r >= v.r:
+        direction = u.theta
+    else:
+        direction = v.theta
+
+    def signed(p):
+        if p.r < RADIUS_EPS:
+            return 0.0
+        return p.r if abs(float(wrap_angle(p.theta - direction))) < math.pi / 2 else -p.r
+
+    s1, s2 = signed(u), signed(v)
+    ds = s2 - s1
+    opposite = float(wrap_angle(direction + math.pi))
+
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        sig = (1.0 - t) * s1 + t * s2
+        return np.abs(sig), np.where(sig >= 0.0, direction, opposite)
+
+    def d1(t):
+        t = np.asarray(t, dtype=float)
+        sig = (1.0 - t) * s1 + t * s2
+        return np.where(sig >= 0.0, ds, -ds), np.zeros_like(t)
+
+    def d2(t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t), np.zeros_like(t)
+
+    meta = {"branch": "diameter", "delta_theta": float(wrap_angle(v.theta - u.theta)),
+            "orientation": "none", "swapped": False}
+    return RecordedCurve(eval=ev, d1=d1, d2=d2, start=u, end=v, meta=meta)
+
+
+# --- lemma margins: Taylor-sum, direct and slope forms ----------------------
+
+def sinh_scaling_series(x, y, max_terms=SERIES_MAX_TERMS):
+    """The sinh-scaling margin as its positive-term Taylor sum.
+
+    y^3 sum_k x^(2k+1) (1 - y^(2k-2)) / (2k+1)!, truncated adaptively: the
+    sum stops once a term falls below 1e-16 of the partial sum.  The k = 1
+    term vanishes identically.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    total = np.zeros(np.broadcast(x, y).shape)
+    for k in range(2, max_terms + 1):
+        term = x ** (2 * k + 1) * (1.0 - y ** (2 * k - 2)) / math.factorial(2 * k + 1)
+        total = total + term
+        if np.all(term <= SERIES_REL_STOP * np.abs(total)):
+            break
+    out = y ** 3 * total
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def coth_ratio_path(x, y):
+    """The auxiliary function whose decrease in y proves the coth ratio bound.
+
+    f(x, y) = (psi(x) - psi(xy)) / (x psi(xy) psi(x)) + 4 (1 - y^-2) / phi(2x);
+    tends to 0 as y -> 1 and is positive and decreasing on y in (0, 1).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = (psi(x) - psi(x * y)) / (x * psi(x * y) * psi(x)) \
+        + 4.0 * (1.0 - y ** -2) / phi(2.0 * x)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def coth_poly_I_direct(x):
+    """I(x) = x^3 (sinh(2x)/2 - x) - 6 (x cosh x - sinh x)^2, evaluated directly.
+
+    Cancellation-limited below x ~ 0.5 (the true value is O(x^10) while the
+    operands are O(x^6)); use the series there.
+    """
+    x = np.asarray(x, dtype=float)
+    out = x ** 3 * (np.sinh(2.0 * x) / 2.0 - x) - 6.0 * (x * np.cosh(x) - np.sinh(x)) ** 2
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def sin_scaling_slope(x, y):
+    """d/dx of the sin-scaling margin: y (cos(xy) - cos(x)); positive on (0,pi)x(0,1)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = y * (np.cos(x * y) - np.cos(x))
+    return float(out) if np.ndim(out) == 0 else out

@@ -17,21 +17,11 @@ from hypexpand.cli import (
     measure_witness,
 )
 from hypexpand.curvature import ChordSpec, p_coefficients_grid, side_ordering
-from hypexpand.dilation import DilationParams, dilate, dilate_inverse, dilate_origin, origin_params
-from hypexpand.disk import (
-    DiskPoint,
-    ParamCurve,
-    geodesic_between,
-    geodesic_curvature,
-    hyperbolic_distance,
-    translate,
-)
-from hypexpand.lemmas import (
-    coth_poly_I_direct,
-    coth_poly_I_series,
-    sinh_scaling_series,
-    verify_all,
-)
+from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
+from hypexpand.disk import DiskPoint, geodesic_curvature, mobius_translate, polar_to_cart
+from hypexpand.lemmas import coth_poly_I_series, verify_all
+from references import (coth_poly_I_direct, from_polar_function, geodesic_between,
+                        hyperbolic_distance, sinh_scaling_series)
 
 
 def _report(name, ok, detail):
@@ -143,20 +133,19 @@ def test_criterion_7_algebraic_identities():
         c = _rand_point(rng, 1.5)
         p = _rand_point(rng, 3.0)
         k1, k2 = rng.uniform(0.3, 4.0, 2)
-        params = DilationParams(c, k1, k2)
-        back = dilate_inverse(params, dilate(params, p))
-        worst_inv = max(worst_inv, float(np.max(np.abs(back.xy - p.xy))))
+        back = dilate_xy(DilationParams(c, 1.0 / k1, 1.0 / k2),
+                         dilate_xy(DilationParams(c, k1, k2), p.xy))
+        worst_inv = max(worst_inv, float(np.max(np.abs(back - p.xy))))
 
         q = _rand_point(rng, 3.0)
-        one = dilate_origin(origin_params(k1, k2), q)
-        two = dilate_origin(origin_params(k1, 1.0),
-                            dilate_origin(origin_params(1.0, k2), q))
-        worst_comp = max(worst_comp, float(np.max(np.abs(one.xy - two.xy))))
+        one = polar_to_cart(*dilate_origin_polar(k1, k2, q.r, q.theta))
+        mid = dilate_origin_polar(1.0, k2, q.r, q.theta)
+        two = polar_to_cart(*dilate_origin_polar(k1, 1.0, *mid))
+        worst_comp = max(worst_comp, float(np.max(np.abs(one - two))))
 
         u, v = _rand_point(rng), _rand_point(rng)
-        worst_iso = max(worst_iso, abs(
-            hyperbolic_distance(translate(c, u), translate(c, v))
-            - hyperbolic_distance(u, v)))
+        cu, cv = (DiskPoint.from_cart(*mobius_translate(c.xy, x.xy)) for x in (u, v))
+        worst_iso = max(worst_iso, abs(hyperbolic_distance(cu, cv) - hyperbolic_distance(u, v)))
     ok = worst_inv < 1e-10 and worst_comp < 1e-11 and worst_iso < 1e-11
     _report("7 algebraic identities", ok,
             f"inverse {worst_inv:.2e} (<1e-10), composition {worst_comp:.2e} "
@@ -175,14 +164,14 @@ def test_criterion_8_geodesic_oracle():
     rejected = 0
     while accepted < 100:
         u, v = _rand_point(rng), _rand_point(rng)
-        if u.isclose(v):
+        if np.max(np.abs(u.xy - v.xy)) <= 1e-12:
             continue
         g = geodesic_between(u, v)
         if float(np.min(g.eval(ts)[0])) < 0.05:
             rejected += 1
             continue
         accepted += 1
-        fd = ParamCurve.from_polar_function(g.eval)
+        fd = from_polar_function(g.eval)
         worst = max(worst, float(np.max(np.abs(geodesic_curvature(fd, ts)))))
     ok = worst < 1e-6
     _report("8 geodesic oracle", ok,

@@ -54,6 +54,14 @@ class TestVerifyTheorem:
         report = run_verify_theorem(seed=1, trials=5, k1=3.0, k2=3.0)
         assert report["passed"]
 
+    def test_k_range_is_reported_whenever_a_factor_is_drawn(self):
+        for forced in ({}, {"k1": 2.0}, {"k2": 2.0}):
+            report = run_verify_theorem(seed=1, trials=2, **forced)
+            assert report["k_range"] == [1.0, 4.0]
+            drawn = [r[k] for r in report["results"] for k in ("k1", "k2") if k not in forced]
+            assert drawn and all(1.0 <= k <= 4.0 for k in drawn)
+        assert run_verify_theorem(seed=1, trials=2, k1=2.0, k2=3.0)["k_range"] is None
+
     def test_deterministic(self):
         a = json.dumps(run_verify_theorem(seed=5, trials=6), sort_keys=True)
         b = json.dumps(run_verify_theorem(seed=5, trials=6), sort_keys=True)

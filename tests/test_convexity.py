@@ -20,9 +20,7 @@ from hypexpand.convexity import (
     convexity_defect,
     dilate_region,
     from_klein,
-    from_klein_point,
     hyperbolic_hull,
-    is_hconvex,
     klein_polygon_contains,
     max_polyline_distance,
     polygon_region,
@@ -30,10 +28,9 @@ from hypexpand.convexity import (
     random_hconvex_polygon,
     to_klein,
 )
-from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy, origin_params
+from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
 from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_chord_vectors,
-                            hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart,
-                            translate)
+                            hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart)
 
 
 def carts(points):
@@ -45,13 +42,28 @@ def rand_point(rng, r_max=3.0):
     return DiskPoint.from_polar(rng.uniform(0.1, r_max), rng.uniform(-math.pi, math.pi))
 
 
+def klein_points(kverts):
+    """The DiskPoints with Klein coordinates kverts (V, 2)."""
+    return [DiskPoint.from_cart(x, y) for x, y in from_klein(np.asarray(kverts)).tolist()]
+
+
+def translated(c, points):
+    """The DiskPoints moved by the disk translation carrying 0 to c."""
+    return tuple(DiskPoint.from_cart(*mobius_translate(c.xy, p.xy)) for p in points)
+
+
+def contains(poly, p):
+    """Half-plane membership of the DiskPoint p in the h-convex polygon."""
+    return bool(klein_polygon_contains(poly.klein(), to_klein(p.xy))[0])
+
+
 class TestKleinChart:
     def test_origin_fixed(self):
-        assert np.allclose(to_klein(ORIGIN), [0.0, 0.0])
+        assert np.allclose(to_klein(ORIGIN.xy), [0.0, 0.0])
         assert np.allclose(from_klein(np.zeros(2)), [0.0, 0.0])
 
     def test_axis_value(self):
-        q = to_klein(DiskPoint.from_cart(0.5, 0.0))
+        q = to_klein(DiskPoint.from_cart(0.5, 0.0).xy)
         assert q[0] == pytest.approx(0.8, abs=1e-15)
         assert q[1] == 0.0
 
@@ -111,44 +123,34 @@ class TestHull:
 class TestConvexityPredicate:
     def test_triangle(self):
         poly = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
-        assert is_hconvex(poly)
+        assert poly.hconvex
 
     def test_reflex_quad(self):
         # push one hull vertex inward past the opposite diagonal; the result
         # is a simple dart with one reflex vertex
         k = 0.6
-        dart = GeodesicPolygon.from_points([
-            from_klein_point(np.array([0.05, 0.0])),
-            from_klein_point(np.array([0.0, -k])),
-            from_klein_point(np.array([k, 0.0])),
-            from_klein_point(np.array([0.0, k])),
-        ])
-        assert not is_hconvex(dart)
+        dart = GeodesicPolygon(tuple(klein_points([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])))
+        assert not dart.hconvex
         # no region is built from it, so none is measured without exact membership
         with pytest.raises(ValueError, match="h-convex polygon"):
             polygon_region(dart, samples_per_edge=64)
         with pytest.raises(ValueError, match="h-convex polygon"):
-            dilate_region(dart, origin_params(0.25, 1.0))
+            dilate_region(dart, DilationParams(ORIGIN, 0.25, 1.0))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             poly = random_hconvex_polygon(rng)
             c = rand_point(rng, 1.0)
-            moved = GeodesicPolygon.from_points([translate(c, v) for v in poly.vertices])
-            assert is_hconvex(poly) == is_hconvex(moved) == True  # noqa: E712
+            moved = GeodesicPolygon(translated(c, poly.vertices))
+            assert poly.hconvex == moved.hconvex == True  # noqa: E712
 
     def test_translation_invariance_nonconvex(self):
         k = 0.6
-        dart = GeodesicPolygon.from_points([
-            from_klein_point(np.array([0.05, 0.0])),
-            from_klein_point(np.array([0.0, -k])),
-            from_klein_point(np.array([k, 0.0])),
-            from_klein_point(np.array([0.0, k])),
-        ])
+        dart = GeodesicPolygon(tuple(klein_points([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])))
         c = DiskPoint.from_cart(0.25, -0.15)
-        moved = GeodesicPolygon.from_points([translate(c, v) for v in dart.vertices])
-        assert is_hconvex(dart) == is_hconvex(moved) == False  # noqa: E712
+        moved = GeodesicPolygon(translated(c, dart.vertices))
+        assert dart.hconvex == moved.hconvex == False  # noqa: E712
 
     def test_klein_equivalence(self):
         # convex in the hyperbolic sense iff the straight-edge projective
@@ -162,7 +164,7 @@ class TestConvexityPredicate:
             cross = np.array([
                 e[i, 0] * (k[(i + 2) % n, 1] - k[i, 1]) - e[i, 1] * (k[(i + 2) % n, 0] - k[i, 0])
                 for i in range(n)])
-            assert np.all(cross >= -1e-12) == is_hconvex(poly)
+            assert np.all(cross >= -1e-12) == poly.hconvex
 
     def test_validation_rejects_clockwise(self):
         with pytest.raises(ValueError):
@@ -208,9 +210,9 @@ def per_point_hconvex_polygon(rng, center):
     radii = rng.uniform(0.2, 3.0, m)
     pts = [DiskPoint.from_polar(r, th) for r, th in zip(radii, thetas)]
     if center.r > 0.0:
-        pts = [translate(center, p) for p in pts]
-    hull = numpy_row_hull(np.array([to_klein(p) for p in pts]))
-    return [from_klein_point(q) for q in hull]
+        pts = translated(center, pts)
+    hull = numpy_row_hull(np.array([to_klein(p.xy) for p in pts]))
+    return [DiskPoint.from_cart(*from_klein(q)) for q in hull]
 
 
 def numpy_row_hull(pts):
@@ -290,11 +292,10 @@ class TestBatchedPolygonLayer:
         # counterclockwise by signed area (unequal lobes), but two edges cross
         k = [(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)]
         with pytest.raises(ValueError, match="self-intersect"):
-            GeodesicPolygon.from_points([from_klein_point(np.array(q)) for q in k])
+            GeodesicPolygon(tuple(klein_points(k)))
         # a polygon from outside, such as a witness, keeps the crossing test
         with pytest.raises(ValueError, match="self-intersect"):
-            GeodesicPolygon.from_polar([(from_klein_point(np.array(q)).r,
-                                         from_klein_point(np.array(q)).theta) for q in k])
+            GeodesicPolygon.from_polar([(p.r, p.theta) for p in klein_points(k)])
 
     def test_strictly_convex_polygons_skip_the_crossing_test(self, monkeypatch):
         calls = []
@@ -318,7 +319,7 @@ class TestBatchedPolygonLayer:
             k = np.array(k)
             assert convexity._klein_signed_area(k) > 0.0 and pairwise_edges_cross(k)
             with pytest.raises(ValueError, match="self-intersect"):
-                GeodesicPolygon.from_points([from_klein_point(q) for q in k])
+                GeodesicPolygon(tuple(klein_points(k)))
         assert np.all(convexity._vertex_margins(k) >= 0.0)
         assert calls == [4, 6]
 
@@ -326,7 +327,7 @@ class TestBatchedPolygonLayer:
         rng = np.random.default_rng(53)
         for _ in range(50):
             poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
-            assert np.array_equal(poly.klein(), np.array([to_klein(v) for v in poly.vertices]))
+            assert np.array_equal(poly.klein(), np.array([to_klein(v.xy) for v in poly.vertices]))
 
     def test_klein_vertices_are_read_only(self):
         poly = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
@@ -350,7 +351,7 @@ class TestBatchedPolygonLayer:
             c = rand_point(rng, 3.0)
             pts = [rand_point(rng, 3.0) for _ in range(int(rng.integers(3, 13)))]
             rows = convexity._translate_rows(c.xy, np.array([p.cart for p in pts]))
-            assert rows.tolist() == [list(translate(c, p).cart) for p in pts]
+            assert rows.tolist() == [mobius_translate(c.xy, p.xy).tolist() for p in pts]
 
 class TestRegionMembership:
     """The winding-number oracle of the tests, on bare loops and against exact membership."""
@@ -378,7 +379,7 @@ class TestRegionMembership:
             if float(polyline_distance(region.boundary, p.xy[None, :])[0]) < 1e-3:
                 continue
             checked += 1
-            if region_contains(region.boundary, p) != poly.contains(p):
+            if region_contains(region.boundary, p) != contains(poly, p):
                 disagreements += 1
         assert disagreements == 0
 
@@ -458,7 +459,7 @@ class TestPolylineDistance:
             region = dilate_region(poly, params)
             self.assert_exact(region.boundary, near_and_far_probes(region.boundary, rng))
             thin = dilate_region(_directed_thin_polygon(rng),
-                                 origin_params(rng.uniform(0.25, 0.97), 1.0))
+                                 DilationParams(ORIGIN, rng.uniform(0.25, 0.97), 1.0))
             self.assert_exact(thin.boundary, near_and_far_probes(thin.boundary, rng))
 
     def test_one_long_segment(self):
@@ -517,6 +518,13 @@ class TestPolylineDistance:
         assert math.isnan(max_polyline_distance(loop, probes))
         assert math.isnan(float(np.max(broadcast_distance(loop, probes))))
 
+    def test_no_probes_raise_as_the_all_pairs_maximum_does(self):
+        loop = circle_loop(100)
+        for route in (lambda p: float(np.max(polyline_distance(loop, p))),
+                      lambda p: max_polyline_distance(loop, p)):
+            with pytest.raises(ValueError):
+                route(np.empty((0, 2)))
+
     def test_single_probe(self):
         loop = circle_loop(100)
         got = polyline_distance(loop, np.array([0.1, 0.2]))
@@ -561,7 +569,7 @@ class TestDefect:
         # a contraction image, which is not convex: more pairs and more samples
         # per chord extend the probe set, so the defect cannot fall
         region = dilate_region(_directed_thin_polygon(np.random.default_rng(37)),
-                               origin_params(0.25, 1.0))
+                               DilationParams(ORIGIN, 0.25, 1.0))
         d1 = convexity_defect(region, 32, 16)
         d2 = convexity_defect(region, 64, 16)
         d3 = convexity_defect(region, 64, 32)
@@ -596,7 +604,7 @@ class TestDefect:
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
                 polygon_region(poly, samples_per_edge=per_edge)
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
-                dilate_region(poly, origin_params(0.5, 1.0), samples_per_edge=per_edge)
+                dilate_region(poly, DilationParams(ORIGIN, 0.5, 1.0), samples_per_edge=per_edge)
 
 
 def rebuilt_oracle(region):
@@ -643,7 +651,7 @@ class TestCarriedPolygon:
         # the map and the sampling are fields without defaults: a region that
         # names neither is not built, rather than measured as the bare polygon
         poly = _directed_thin_polygon(np.random.default_rng(37))
-        img = dilate_region(poly, origin_params(0.25, 1.0))
+        img = dilate_region(poly, DilationParams(ORIGIN, 0.25, 1.0))
         assert convexity_defect(img) > 1e-3
         with pytest.raises(TypeError):
             SampledRegion(img.boundary, {"samples_per_edge": 32}, poly)
@@ -732,7 +740,7 @@ class TestProjectiveMembership:
             region = dilate_region(poly, DilationParams(center, k1, k2))
             # probes in the preimage's centered Klein chart, mapped forward
             pre = from_klein(edge_probes(rng, centered_klein_vertices(poly, center), spread=0.7))
-            img = dilate_xy(origin_params(k1, k2), pre)
+            img = dilate_xy(DilationParams(ORIGIN, k1, k2), pre)
             if center.r > 0.0:
                 img = mobius_translate(center.xy, img)
             pts = np.vstack([hyperboloid_lift(*cart_to_polar(img)),
@@ -784,7 +792,7 @@ class TestProjectiveMembership:
         for k1 in (0.5, 2.0, 3.0):
             convexity_defect(dilate_region(poly, DilationParams(center, k1, 1.5)))
         assert len(calls) == 1 and calls[0] is poly.klein() and poly.hconvex is True
-        assert poly.hconvex == is_hconvex(poly, SIDEDNESS_TOL)
+        assert poly.hconvex == bool(np.all(margins(poly.klein()) >= -SIDEDNESS_TOL))
         with pytest.raises(dataclasses.FrozenInstanceError):
             poly.hconvex = False
 
@@ -793,7 +801,7 @@ class TestDilateRegion:
     def test_identity_keeps_vertices(self):
         rng = np.random.default_rng(29)
         poly = random_hconvex_polygon(rng)
-        region = dilate_region(poly, origin_params(1.0, 1.0), samples_per_edge=32)
+        region = dilate_region(poly, DilationParams(ORIGIN, 1.0, 1.0), samples_per_edge=32)
         assert convexity_defect(region) < 1e-9
         for i, v in enumerate(poly.vertices):
             assert np.max(np.abs(region.boundary[i * 32] - v.xy)) < 1e-12
@@ -801,7 +809,7 @@ class TestDilateRegion:
     def test_symmetric_expansion_convex(self):
         rng = np.random.default_rng(30)
         poly = random_hconvex_polygon(rng)
-        region = dilate_region(poly, origin_params(2.0, 2.0))
+        region = dilate_region(poly, DilationParams(ORIGIN, 2.0, 2.0))
         assert convexity_defect(region) < 1e-6
 
     def test_asymmetric_expansion_about_interior_center(self):
@@ -844,6 +852,6 @@ class TestGenerator:
         for _ in range(50):
             c = rand_point(rng, 1.5)
             poly = random_hconvex_polygon(rng, center=c)
-            assert poly.contains(c)
-            assert is_hconvex(poly)
+            assert contains(poly, c)
+            assert poly.hconvex
             assert 3 <= len(poly.vertices) <= 12

@@ -6,11 +6,9 @@ import pytest
 
 from hypexpand.curvature import (
     ChordSpec,
-    beta,
     chord_radius,
     gamma_curvature_closed_form,
     gamma_curve,
-    p_coefficients,
     p_coefficients_grid,
     phi,
     preimage_curve,
@@ -18,13 +16,8 @@ from hypexpand.curvature import (
     psi,
     side_ordering,
 )
-from hypexpand.disk import (
-    DiskPoint,
-    ParamCurve,
-    chord_jet,
-    curvature_from_derivatives,
-    geodesic_curvature,
-)
+from hypexpand.disk import DiskPoint, chord_jet, curvature_from_derivatives, geodesic_curvature
+from references import from_polar_function
 
 
 # --- references: the hand-expanded chains the one jet chain replaced ----------
@@ -160,6 +153,12 @@ class TestAuxiliaryFunctions:
         assert np.all(np.diff(psi(a)) > 0.0)
 
 
+def beta(theta_hat, s):
+    """beta = s^2 cos^2 + sin^2 of the decomposition at theta_hat."""
+    b = p_coefficients_grid(1.0, theta_hat, s, 0.0, 1.0)["beta"]
+    return float(b) if np.ndim(b) == 0 else b
+
+
 class TestBeta:
     def test_axis_values(self):
         assert beta(0.0, 0.5) == pytest.approx(0.25, abs=1e-15)
@@ -178,8 +177,9 @@ class TestBeta:
         assert np.max(np.abs((1.0 - b) - (1 - s * s) * np.cos(th) ** 2)) < 1e-15
 
     def test_rejects_bad_s(self):
+        # the range of s is checked where a preimage is formed
         with pytest.raises(ValueError):
-            beta(0.3, 1.0)
+            preimage_state(ChordSpec(1.0, 1.0, -0.5, 0.5), 1.0, 0.3)
 
 
 class TestChord:
@@ -240,7 +240,7 @@ class TestChord:
             t = np.asarray(t, float)
             return chord_radius(spec, t), spec.theta(t)
 
-        curve = ParamCurve.from_polar_function(f)
+        curve = from_polar_function(f)
         ts = np.linspace(0.02, 0.98, 50)
         assert float(np.max(np.abs(geodesic_curvature(curve, ts)))) < 1e-7
 
@@ -283,7 +283,7 @@ class TestPreimageCurve:
             th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
             spec = ChordSpec(rng.uniform(0.3, 3.5), rng.uniform(0.3, 3.5), th1, th2)
             pre = preimage_curve(spec, rng.uniform(0.1, 0.9))
-            fd = ParamCurve.from_polar_function(pre.eval)
+            fd = from_polar_function(pre.eval)
             for a, b in zip(pre.d1(ts) + pre.d2(ts), fd.d1(ts) + fd.d2(ts)):
                 scaled = np.abs(np.asarray(b) - np.asarray(a)) / (1.0 + np.abs(np.asarray(a)))
                 assert float(np.max(scaled)) < 1e-6
@@ -344,20 +344,21 @@ class TestDecomposition:
     def test_negative_first_coefficient(self):
         # beta = 0.5 at s = 0.5 when sin^2 = 1/3
         theta = math.asin(math.sqrt(1.0 / 3.0))
-        pc = p_coefficients(1.0, theta, 0.5, 0.3, 1.0)
-        assert pc.beta == pytest.approx(0.5, rel=1e-12)
-        assert pc.p1 < 0.0
-        assert pc.p0 > 0.0
+        pc = p_coefficients_grid(1.0, theta, 0.5, 0.3, 1.0)
+        assert float(pc["beta"]) == pytest.approx(0.5, rel=1e-12)
+        assert pc["p1"] < 0.0
+        assert pc["p0"] > 0.0
 
     def test_square_consistency(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
-            pc = p_coefficients(rng.uniform(0.05, 10.0),
-                                rng.uniform(-math.pi / 2 + 0.005, math.pi / 2 - 0.005),
-                                rng.uniform(0.05, 0.95),
-                                rng.uniform(-3.0, 3.0),
-                                rng.uniform(0.05, 3.0))
-            assert pc.p2_sq == pytest.approx(pc.p2 ** 2, rel=1e-10, abs=1e-300)
+            pc = p_coefficients_grid(rng.uniform(0.05, 10.0),
+                                     rng.uniform(-math.pi / 2 + 0.005, math.pi / 2 - 0.005),
+                                     rng.uniform(0.05, 0.95),
+                                     rng.uniform(-3.0, 3.0),
+                                     rng.uniform(0.05, 3.0))
+            p2, p2_sq = float(pc["p2"]), float(pc["p2_sq"])
+            assert p2_sq == pytest.approx(p2 ** 2, rel=1e-10, abs=1e-300)
 
     def test_discriminant_negative_on_grid(self):
         r_hat = np.geomspace(0.1, 10.0, 24)
@@ -381,14 +382,6 @@ class TestDecomposition:
         rel = np.abs(out["kg_closed"] - out["kg_generic"]) / np.abs(out["kg_generic"])
         assert float(np.max(rel)) < 1e-8
 
-    def test_scalar_object_matches_grid_path(self):
-        pc = p_coefficients(1.7, 0.4, 0.45, -0.8, 1.2)
-        grid = p_coefficients_grid(1.7, 0.4, 0.45, -0.8, 1.2)
-        assert pc.curvature() == pytest.approx(float(grid["kg_closed"]), rel=1e-14)
-        assert pc.discriminant() == pytest.approx(float(grid["discriminant"]), rel=1e-12)
-        for key in ("p0", "p1", "p2", "p2_sq", "p3", "beta", "v"):
-            assert getattr(pc, key) == float(grid[key]), key
-
     @pytest.mark.parametrize("states", [sweep_grid, random_states])
     def test_grid_is_the_reference_chains_bitwise(self, states):
         args = states()
@@ -397,12 +390,6 @@ class TestDecomposition:
             assert np.array_equal(out[key], value), key
         assert out["kg_generic"].dtype == np.float64
         assert np.array_equal(out["kg_generic"], reference_generic_curvature_extended(*args))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            p_coefficients(-1.0, 0.0, 0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            p_coefficients(1.0, 0.0, 0.5, 0.0, 4.0)
 
 
 class TestComparisonCurve:
@@ -415,8 +402,8 @@ class TestComparisonCurve:
         x1 = DiskPoint.from_polar(1.0, -0.5)
         x2 = DiskPoint.from_polar(2.0, 0.8)
         g = gamma_curve(x1, x2)
-        assert g.point(0.0).isclose(x1, tol=1e-12)
-        assert g.point(1.0).isclose(x2, tol=1e-12)
+        for t, x in ((0.0, x1), (1.0, x2)):
+            assert np.max(np.abs(DiskPoint.from_polar(*g.eval(t)).xy - x.xy)) <= 1e-12
 
     def test_closed_form_matches_raw_formula(self):
         rng = np.random.default_rng(45)

@@ -5,22 +5,19 @@ import pytest
 
 from hypexpand.curvature import phi, psi
 from hypexpand.lemmas import (
-    coth_poly_I_direct,
     coth_poly_I_series,
-    coth_ratio_path,
     lemma_coth_poly,
     lemma_coth_ratio,
     lemma_sin_scaling,
     lemma_sinh_scaling,
     open_interval_grid,
-    sin_scaling_slope,
-    sinh_scaling_series,
     verify_all,
     verify_coth_poly,
     verify_coth_ratio,
     verify_sin_scaling,
     verify_sinh_scaling,
 )
+from references import coth_poly_I_direct, coth_ratio_path, sin_scaling_slope, sinh_scaling_series
 
 
 class TestSinhScaling:
