@@ -11,19 +11,10 @@ from .convexity import (
     random_hconvex_polygon,
     to_klein,
 )
-from .curvature import (
-    ChordSpec,
-    chord_radius,
-    gamma_curve,
-    phi,
-    preimage_curve,
-    psi,
-    side_ordering,
-)
+from .curvature import ChordSpec, chord_radius, phi, psi, side_ordering
 from .dilation import DilationParams
-from .disk import DiskPoint, ORIGIN, ParamCurve, geodesic_curvature
+from .disk import DiskPoint, ORIGIN
 from .lemmas import (
-    GridReport,
     lemma_coth_poly,
     lemma_coth_ratio,
     lemma_sin_scaling,

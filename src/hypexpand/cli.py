@@ -1,8 +1,10 @@
 """Command-line front end: experiment drivers, counterexample search, rendering.
 
 Exit codes: 0 on pass, 1 on a property violation, 2 on usage or config
-errors.  Every command but verify-lemmas takes a seed and is deterministic
-for it; per-trial random streams are derived from (seed, trial index).
+errors, a factor that carries a region past the float64 Poincare chart
+included.  Every command but verify-lemmas and the render trace takes a
+seed and is deterministic for it; per-trial random streams are derived from
+(seed, trial index).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .convexity import (
     random_hconvex_polygon,
 )
 from .dilation import DilationParams
-from .disk import DiskPoint, ORIGIN, polar_to_cart
+from .disk import DiskPoint, ORIGIN, curvature_from_derivatives, polar_to_cart
 from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
@@ -35,6 +37,10 @@ CSV_BLOCK_ROWS = 1024
 # Sampling of verify-theorem and the search, recorded in reports and witnesses:
 # boundary samples per polygon edge, random chord pairs, samples per chord
 SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
+
+# curvature-sweep: s values of the decomposition grid, and samples per
+# side-ordering chord
+SWEEP_N_S, ORDERING_SAMPLES = 9, 64
 
 
 def _dumps(obj) -> str:
@@ -228,9 +234,8 @@ def run_replay(witness_path, tol=1e-9):
 def run_verify_lemmas(grid_n=500):
     reports = lemmas.verify_all(grid_n)
     return {
-        "command": "verify-lemmas", "grid_n": grid_n,
-        "reports": [r.to_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
+        "command": "verify-lemmas", "grid_n": grid_n, "reports": reports,
+        "passed": all(r["passed"] for r in reports),
     }
 
 
@@ -246,11 +251,10 @@ def lemma_table(report_doc) -> str:
 
 # --- curvature-sweep ---------------------------------------------------------
 
-def run_curvature_sweep(seed=0, n_r=50, n_theta=50, n_s=9, specs=100,
-                        samples=64, rel_tol=1e-8):
-    r_hat = np.geomspace(0.05, 10.0, n_r)
-    theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, n_theta)
-    s_vals = np.linspace(0.1, 0.9, n_s)
+def run_curvature_sweep(seed=0, grid_n=50, specs=100, rel_tol=1e-8):
+    r_hat = np.geomspace(0.05, 10.0, grid_n)
+    theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, grid_n)
+    s_vals = np.linspace(0.1, 0.9, SWEEP_N_S)
     rng = np.random.default_rng(seed)
     R, T, S = np.meshgrid(r_hat, theta_hat, s_vals, indexing="ij")
     RP = rng.uniform(-2.0, 2.0, size=R.shape)
@@ -275,17 +279,12 @@ def run_curvature_sweep(seed=0, n_r=50, n_theta=50, n_s=9, specs=100,
         th2 = srng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
         spec = curvature.ChordSpec(srng.uniform(0.2, 4.0), srng.uniform(0.2, 4.0),
                                    th1, th2)
-        rep = curvature.side_ordering(spec, srng.uniform(0.05, 0.95), samples=samples)
-        ordering.append({
-            "spec": [spec.r1, spec.r2, spec.theta1, spec.theta2], "s": rep.s,
-            "min_chord_gap": rep.min_chord_gap, "min_gamma_gap": rep.min_gamma_gap,
-            "max_kg_preimage": rep.max_kg_preimage, "min_kg_gamma": rep.min_kg_gamma,
-            "violations": rep.violations,
-        })
+        ordering.append(curvature.side_ordering(spec, srng.uniform(0.05, 0.95),
+                                                ORDERING_SAMPLES))
     ordering_bad = sum(bool(o["violations"]) for o in ordering)
     return {
         "command": "curvature-sweep", "seed": seed,
-        "grid": {"n_r": n_r, "n_theta": n_theta, "n_s": n_s},
+        "grid": {"n_r": grid_n, "n_theta": grid_n, "n_s": SWEEP_N_S},
         "max_rel_mismatch": float(np.max(rel)),
         "sign_violations": sign_bad,
         "ordering_specs": specs, "ordering_violations": ordering_bad,
@@ -305,52 +304,51 @@ def run_sphere_conjecture(seed=0, trials=500):
 
 # --- render ------------------------------------------------------------------
 
-def curve_trace_csv(curve, n=128) -> str:
-    """Trace of a parametric curve with columns t, r, theta, x, y, kg."""
-    ts = np.linspace(0.0, 1.0, n)
-    r, theta = curve.eval(ts)
-    xy = polar_to_cart(r, theta)
-    kg = curve.curvature(ts)
-    return _csv_text("t,r,theta,x,y,kg", np.stack([ts, r, theta, xy[:, 0], xy[:, 1], kg], axis=1))
+# the rendered geodesic chord
+RENDER_CHORD = curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)
 
 
-def _render_scene(seed, k1, k2):
-    rng = np.random.default_rng(seed)
-    poly = random_hconvex_polygon(rng, center=ORIGIN, r_range=(0.4, 2.0))
-    params = DilationParams(ORIGIN, k1, k2)
+def _render_preimage(k1, n):
+    """preimage_state of the rendered chord at n samples.
+
+    The preimage is under the x-axis contraction by 1/k1 for k1 > 1, by 1/2
+    otherwise.
+    """
     s = 1.0 / k1 if k1 > 1.0 else 0.5
-    spec = curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)
-    pre = curvature.preimage_curve(spec, s)
-    gamma = curvature.gamma_curve(pre.start, pre.end)
-    return poly, params, spec, pre, gamma
+    return curvature.preimage_state(RENDER_CHORD, s, np.linspace(0.0, 1.0, n))
 
 
 def run_render(seed=0, k1=2.0, k2=1.0):
-    poly, params, spec, pre, gamma = _render_scene(seed, k1, k2)
+    rng = np.random.default_rng(seed)
+    poly = random_hconvex_polygon(rng, center=ORIGIN, r_range=(0.4, 2.0))
     source = polygon_region(poly, samples_per_edge=64)
-    image = dilate_region(poly, params, samples_per_edge=64)
+    image = dilate_region(poly, DilationParams(ORIGIN, k1, k2), samples_per_edge=64)
 
     canvas = SvgCanvas()
     canvas.circle(0.0, 0.0, 1.0, stroke="#444444", width=0.003)
     canvas.polyline(source.boundary, stroke="#1f77b4", close=False)
     canvas.polyline(image.boundary, stroke="#d62728", close=False)
 
-    # chord, its contraction image, and the comparison curve
-    ts = np.linspace(0.0, 1.0, 128)
-    chord = polar_to_cart(curvature.chord_radius(spec, ts), spec.theta(ts))
-    pr, pth = pre.eval(ts)
-    gr, gth = gamma.eval(ts)
+    # the chord, its contraction image, and the comparison curve: polar-linear
+    # between the image's end samples, as side_ordering builds it
+    pre = _render_preimage(k1, 128)
+    ts, r, theta = pre["t"], pre["r"], pre["theta"]
+    chord = polar_to_cart(curvature.chord_radius(RENDER_CHORD, ts), RENDER_CHORD.theta(ts))
+    gamma = polar_to_cart((1.0 - ts) * r[0] + ts * r[-1], theta[0] + ts * (theta[-1] - theta[0]))
     canvas.polyline(chord, stroke="#2ca02c", width=0.004)
-    canvas.polyline(polar_to_cart(pr, pth), stroke="#9467bd", width=0.004)
-    canvas.polyline(polar_to_cart(gr, gth), stroke="#ff7f0e", width=0.004, dash="0.02,0.012")
+    canvas.polyline(polar_to_cart(r, theta), stroke="#9467bd", width=0.004)
+    canvas.polyline(gamma, stroke="#ff7f0e", width=0.004, dash="0.02,0.012")
     canvas.dot(0.0, 0.0, radius=0.008, fill="#444444")
     return canvas.render()
 
 
-def run_render_trace(seed=0, k1=2.0, k2=1.0, n=128):
-    """The rendered chord-image curve as a CSV trace."""
-    _, _, _, pre, _ = _render_scene(seed, k1, k2)
-    return curve_trace_csv(pre, n)
+def run_render_trace(k1=2.0, n=128):
+    """The rendered chord-image curve as a CSV trace: t, r, theta, x, y, kg."""
+    pre = _render_preimage(k1, n)
+    xy = polar_to_cart(pre["r"], pre["theta"])
+    kg = curvature_from_derivatives(pre["r"], pre["rp"], pre["rpp"], pre["thp"], pre["thpp"])
+    return _csv_text("t,r,theta,x,y,kg",
+                     np.stack([pre["t"], pre["r"], pre["theta"], xy[:, 0], xy[:, 1], kg], axis=1))
 
 
 # --- argument parsing --------------------------------------------------------
@@ -361,6 +359,8 @@ class UsageError(Exception):
 
 # search-counterexample options, each named as its run_search_counterexample argument
 SEARCH_OPTIONS = ("seed", "trials", "k1", "k2", "tol")
+# render options the SVG takes and the CSV trace does not, named as run_render's arguments
+RENDER_SVG_OPTIONS = ("seed", "k2")
 
 
 def _positive_float(text):
@@ -425,7 +425,9 @@ def build_parser():
     add_common(p)
     p.add_argument("--format", type=str, default="svg", choices=["svg", "csv"])
     p.add_argument("--k1", type=_positive_float, default=2.0)
-    p.add_argument("--k2", type=_positive_float, default=1.0)
+    p.add_argument("--k2", type=_positive_float)
+    # None marks an option not given: the trace takes none, the SVG its defaults
+    p.set_defaults(**dict.fromkeys(RENDER_SVG_OPTIONS))
     return parser
 
 
@@ -460,10 +462,8 @@ def main(argv=None) -> int:
             return PASS if report["passed"] else VIOLATION
 
         if args.command == "curvature-sweep":
-            report, csv_text = run_curvature_sweep(seed=args.seed, n_r=args.grid_n,
-                                                   n_theta=args.grid_n,
-                                                   specs=args.trials,
-                                                   rel_tol=args.tol)
+            report, csv_text = run_curvature_sweep(seed=args.seed, grid_n=args.grid_n,
+                                                   specs=args.trials, rel_tol=args.tol)
             if args.format == "csv":
                 _write(args.out, csv_text)
             else:
@@ -479,12 +479,17 @@ def main(argv=None) -> int:
             return PASS if report["passed"] else VIOLATION
 
         if args.command == "render":
+            given = {k: getattr(args, k) for k in RENDER_SVG_OPTIONS
+                     if getattr(args, k) is not None}
             if args.format == "csv":
-                _write(args.out, run_render_trace(seed=args.seed, k1=args.k1, k2=args.k2))
+                if given:
+                    raise UsageError("render --format csv takes none of "
+                                     + ", ".join(f"--{k}" for k in given))
+                _write(args.out, run_render_trace(k1=args.k1))
             else:
-                _write(args.out, run_render(seed=args.seed, k1=args.k1, k2=args.k2))
+                _write(args.out, run_render(k1=args.k1, **given))
             return PASS
-    except UsageError as exc:
+    except (UsageError, convexity.ChartSaturation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
     return USAGE

@@ -203,6 +203,14 @@ def hyperbolic_hull(xy) -> GeodesicPolygon:
 
 # --- sampled regions ---------------------------------------------------------
 
+class ChartSaturation(ValueError):
+    """A region's boundary leaves the float64 Poincare chart.
+
+    tanh(r/2) rounds to 1.0 from r ~ 38, so a dilation that carries the
+    boundary that far puts it on the unit circle.  The message names the map.
+    """
+
+
 @dataclass
 class SampledRegion:
     """Sampled boundary loop of the image of an h-convex polygon under a dilation.
@@ -232,7 +240,9 @@ class SampledRegion:
         if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
             raise ValueError("boundary loop is not closed")
         if np.any(np.hypot(self.boundary[:, 0], self.boundary[:, 1]) >= 1.0):
-            raise ValueError("boundary leaves the open unit disk")
+            raise ChartSaturation(
+                f"factors k1={self.k1!r}, k2={self.k2!r} carry the boundary past the "
+                "float64 Poincare chart (tanh(r/2) rounds to 1 from r ~ 38)")
 
 
 def _loop_segments(loop):

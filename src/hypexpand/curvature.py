@@ -9,24 +9,27 @@ preimage curve of the chord under the axis dilation has geodesic curvature
 where rp is the chord radius derivative and dth the (constant) angular speed.
 P0 is positive, P1 negative, and the discriminant P2^2 - 4 P1 P3 negative, so
 k_g is strictly negative: the preimage bends toward the origin everywhere.
-This module exposes every ingredient of that decomposition as a computable
-object, together with the comparison curve (linear in polar coordinates) that
-bends away from the origin.
+This module computes every ingredient of that decomposition on arrays, and
+checks the preimage against the chord and the comparison curve (linear in
+polar coordinates between the preimage's ends), which bends away from the
+origin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (DiskPoint, ParamCurve, chord_jet, chord_rpp, curvature_from_derivatives,
-                   polar_chord_radius)
+from .disk import chord_jet, chord_rpp, curvature_from_derivatives, polar_chord_radius
 
 # series branch for the auxiliary functions below this argument; the direct
 # forms lose ~eps/a^2 relative accuracy to cancellation as a -> 0
 SERIES_CUTOFF = 0.1
+
+# side_ordering's tolerance on the curvature signs and the radial gaps
+ORDERING_SLACK = 1e-9
 
 
 def phi(a):
@@ -132,30 +135,6 @@ def preimage_state(spec: ChordSpec, s, t):
             "theta": np.arctan2(jet["st"], s * jet["ct"])}
 
 
-def preimage_curve(spec: ChordSpec, s) -> ParamCurve:
-    """Preimage of the chord under the axis dilation, with analytic derivatives."""
-
-    def ev(t):
-        st = preimage_state(spec, s, t)
-        return st["r"], st["theta"]
-
-    def d1(t):
-        st = preimage_state(spec, s, t)
-        return st["rp"], st["thp"]
-
-    def d2(t):
-        st = preimage_state(spec, s, t)
-        return st["rpp"], st["thpp"]
-
-    s0 = preimage_state(spec, s, 0.0)
-    s1 = preimage_state(spec, s, 1.0)
-    return ParamCurve(
-        eval=ev, d1=d1, d2=d2,
-        start=DiskPoint.from_polar(float(s0["r"]), float(s0["theta"])),
-        end=DiskPoint.from_polar(float(s1["r"]), float(s1["theta"])),
-    )
-
-
 def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
     """Curvature decomposition over broadcastable chord states.
 
@@ -207,32 +186,6 @@ def _raw_curvature(r_hat, theta_hat, s, rp_hat, dth):
 
 # --- comparison curve --------------------------------------------------------
 
-def gamma_curve(x1: DiskPoint, x2: DiskPoint) -> ParamCurve:
-    """Curve linear in polar coordinates from x1 to x2; bends away from the origin."""
-    if x1.r <= 0.0 or x2.r <= 0.0:
-        raise ValueError("endpoints must be off the origin")
-    if x1.cart == x2.cart:
-        raise ValueError("endpoints must be distinct")
-    r1, r2 = x1.r, x2.r
-    th1 = x1.theta
-    dth = float(x2.theta - x1.theta)
-    dr = r2 - r1
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 - t) * r1 + t * r2, th1 + t * dth
-
-    def d1(t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, dr), np.full_like(t, dth)
-
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t), np.zeros_like(t)
-
-    return ParamCurve(eval=ev, d1=d1, d2=d2, start=x1, end=x2)
-
-
 def gamma_curvature_closed_form(r1, r2, theta1, theta2, t):
     """Closed-form curvature of the polar-linear curve.
 
@@ -251,43 +204,20 @@ def gamma_curvature_closed_form(r1, r2, theta1, theta2, t):
 
 # --- side ordering -----------------------------------------------------------
 
-@dataclass
-class SideOrderingReport:
-    """Outcome of the three-curve ordering check for one chord spec.
-
-    Verifies, at each sample, that the preimage curve has negative curvature,
-    the polar-linear curve positive curvature, and that at matched angles the
-    radii order as preimage <= chord <= polar-linear (preimage on the origin
-    side, comparison curve opposite).
-    """
-
-    spec: ChordSpec
-    s: float
-    samples: int
-    slack: float
-    min_chord_gap: float = math.inf
-    min_gamma_gap: float = math.inf
-    max_kg_preimage: float = -math.inf
-    min_kg_gamma: float = math.inf
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.violations
-
-
-def side_ordering(spec: ChordSpec, s, samples=64, slack=1e-9) -> SideOrderingReport:
+def side_ordering(spec: ChordSpec, s, samples) -> dict:
     """Check curvature signs and the radial ordering of the three curves.
 
-    The chord and the polar-linear comparison curve share the linear angle
-    parameter, while the preimage curve does not; radii are therefore compared
-    at matched angles, interpolating the other two curves at the preimage's
-    angle. Records every violating sample with its full context.
+    At each of the samples, the preimage curve must have negative curvature,
+    the polar-linear curve positive curvature, and at matched angles the radii
+    must order as preimage <= chord <= polar-linear (preimage on the origin
+    side, comparison curve opposite), each to ORDERING_SLACK.  The chord and
+    the comparison curve join the preimage's end samples and share the linear
+    angle parameter, while the preimage curve does not; radii are therefore
+    compared at the preimage's angles.  Returns the report entry of the spec,
+    with every violating sample and its full context.
     """
     if samples < 2:
         raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
-    report = SideOrderingReport(spec=spec, s=float(s), samples=int(samples),
-                                slack=float(slack))
     ts = np.linspace(0.0, 1.0, samples)
     state = preimage_state(spec, s, ts)
 
@@ -300,27 +230,24 @@ def side_ordering(spec: ChordSpec, s, samples=64, slack=1e-9) -> SideOrderingRep
     dth = th2 - th1
 
     u = (state["theta"] - th1) / dth
-    chord = ChordSpec(r1, r2, th1, th2)
-    r_chord = chord_radius(chord, u)
+    r_chord = chord_radius(ChordSpec(r1, r2, th1, th2), u)
     r_gamma = (1.0 - u) * r1 + u * r2
     kg_gamma = gamma_curvature_closed_form(r1, r2, th1, th2, u)
 
     chord_gap = r_chord - state["r"]
     gamma_gap = r_gamma - r_chord
-    report.min_chord_gap = float(np.min(chord_gap))
-    report.min_gamma_gap = float(np.min(gamma_gap))
-    report.max_kg_preimage = float(np.max(kg_pre))
-    report.min_kg_gamma = float(np.min(kg_gamma))
-
-    bad = (kg_pre >= slack) | (kg_gamma <= -slack) \
-        | (chord_gap < -slack) | (gamma_gap < -slack)
-    for idx in np.nonzero(bad)[0]:
-        report.violations.append({
+    bad = (kg_pre >= ORDERING_SLACK) | (kg_gamma <= -ORDERING_SLACK) \
+        | (chord_gap < -ORDERING_SLACK) | (gamma_gap < -ORDERING_SLACK)
+    return {
+        "spec": [spec.r1, spec.r2, spec.theta1, spec.theta2], "s": float(s),
+        "min_chord_gap": float(np.min(chord_gap)), "min_gamma_gap": float(np.min(gamma_gap)),
+        "max_kg_preimage": float(np.max(kg_pre)), "min_kg_gamma": float(np.min(kg_gamma)),
+        "violations": [{
             "t": float(ts[idx]),
             "r_preimage": float(state["r"][idx]),
             "r_chord": float(r_chord[idx]),
             "r_gamma": float(r_gamma[idx]),
             "kg_preimage": float(kg_pre[idx]),
             "kg_gamma": float(kg_gamma[idx]),
-        })
-    return report
+        } for idx in np.nonzero(bad)[0]],
+    }

@@ -7,7 +7,7 @@ is ds^2 = dr^2 + sinh^2(r) dtheta^2.
 
 The module provides the disk translation (the Mobius-style isometry carrying 0
 to c), the polar chord equation of geodesics, geodesic sampling on the
-hyperboloid sheet, and the signed geodesic curvature of a polar curve.
+hyperboloid sheet, and the signed geodesic curvature of a polar 2-jet.
 Counterclockwise circles about the origin have positive curvature (interior to
 the left).
 """
@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 RHO_MAX = float(np.nextafter(1.0, 0.0))  # the largest Cartesian radius inside the disk
 
-# below these, curvature evaluation is treated as degenerate
-SPEED_EPS = 1e-12
-RADIUS_EPS = 1e-12
 
 def wrap_angle(theta):
     """Reduce an angle (scalar or array) to [-pi, pi)."""
@@ -119,26 +115,7 @@ def mobius_translate(c, x):
     return num / den[..., None]
 
 
-# --- parametric curves ------------------------------------------------------
-
-@dataclass
-class ParamCurve:
-    """A twice-differentiable curve t in [0,1] -> (r(t), theta(t)).
-
-    eval returns a pair of arrays; theta is kept continuous (unwrapped) along
-    the curve so that derivatives are meaningful.  d1 and d2 return the first
-    and second derivative pairs.
-    """
-
-    eval: Callable
-    d1: Callable
-    d2: Callable
-    start: DiskPoint
-    end: DiskPoint
-
-    def curvature(self, t):
-        return geodesic_curvature(self, t)
-
+# --- curvature ---------------------------------------------------------------
 
 def curvature_from_derivatives(r, dr, d2r, dtheta, d2theta):
     """Signed geodesic curvature from a polar 2-jet.
@@ -154,23 +131,6 @@ def curvature_from_derivatives(r, dr, d2r, dtheta, d2theta):
     bracket = ((G_r / G) * dr ** 2 * dtheta + 0.5 * G_r * np.asarray(dtheta) ** 3
                + dr * d2theta - d2r * dtheta)
     return np.sqrt(G) * bracket / v ** 3
-
-
-def geodesic_curvature(curve: ParamCurve, t):
-    """Geodesic curvature of a curve at parameter t (scalar or array).
-
-    Raises ValueError on degenerate evaluation (speed or radius below 1e-12,
-    where the polar chart or the normalization breaks down).
-    """
-    r, _ = curve.eval(t)
-    dr, dth = curve.d1(t)
-    d2r, d2th = curve.d2(t)
-    r = np.asarray(r, dtype=float)
-    v = np.sqrt(np.asarray(dr) ** 2 + np.sinh(r) ** 2 * np.asarray(dth) ** 2)
-    if np.any(v < SPEED_EPS) or np.any(r < RADIUS_EPS):
-        raise ValueError("degenerate curvature evaluation: speed or radius below 1e-12")
-    out = curvature_from_derivatives(r, dr, d2r, dth, d2th)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # --- geodesics ---------------------------------------------------------------

@@ -20,7 +20,6 @@ direct form cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .curvature import phi, psi
 BOUNDARY_INSET = 1e-3
 SERIES_REL_STOP = 1e-16
 SERIES_MAX_TERMS = 200
+MAX_RECORDED = 20  # violations a report lists; the rest are counted
 
 
 def lemma_sinh_scaling(x, y):
@@ -100,51 +100,23 @@ def lemma_sin_scaling(x, y):
 
 # --- grid reports ------------------------------------------------------------
 
-@dataclass
-class GridReport:
-    """Result of sweeping one inequality margin over a parameter grid."""
-
-    lemma: str
-    grid: dict
-    min_margin: float
-    min_at: dict
-    n_points: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.violations and self.min_margin > 0.0
-
-    def to_dict(self):
-        return {
-            "lemma": self.lemma,
-            "grid": self.grid,
-            "n_points": self.n_points,
-            "min_margin": self.min_margin,
-            "min_at": self.min_at,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
-
-
-def open_interval_grid(lo, hi, n, open_lo=True, open_hi=True, inset=BOUNDARY_INSET):
-    """n-ish points of [lo, hi] inset from open endpoints, log-refined toward them.
+def open_interval_grid(lo, hi, n, open_hi=True):
+    """n-ish points of (lo, hi), or (lo, hi], inset from open ends, log-refined toward them.
 
     Strict inequalities degenerate at the closure of their domain; the
     refinement distinguishes margins tending to zero from violations.
     """
-    a = lo + inset if open_lo else lo
-    b = hi - inset if open_hi else hi
-    parts = [np.linspace(a, b, max(n - 16, 2))]
+    a = lo + BOUNDARY_INSET
+    b = hi - BOUNDARY_INSET if open_hi else hi
     span = min(1.0, (b - a) / 4.0)
-    if open_lo:
-        parts.append(lo + np.geomspace(inset, span, 8))
+    parts = [np.linspace(a, b, max(n - 16, 2)), lo + np.geomspace(BOUNDARY_INSET, span, 8)]
     if open_hi:
-        parts.append(hi - np.geomspace(inset, span, 8))
+        parts.append(hi - np.geomspace(BOUNDARY_INSET, span, 8))
     return np.unique(np.concatenate(parts))
 
 
-def _sweep(lemma_name, margin_fn, xs, ys, grid_desc, max_recorded=20):
+def _sweep(lemma_name, margin_fn, xs, ys, grid_desc):
+    """Report dict of one inequality margin over the grid xs (x ys)."""
     coords = [("x", xs)] if ys is None else [("x", xs), ("y", ys)]
     margins = np.asarray(margin_fn(xs) if ys is None else margin_fn(xs[:, None], ys[None, :]))
     flat = margins.ravel()
@@ -154,42 +126,27 @@ def _sweep(lemma_name, margin_fn, xs, ys, grid_desc, max_recorded=20):
         return {name: float(axis[i]) for (name, axis), i in zip(coords, idx)}
 
     idx_min = int(np.argmin(flat))
+    min_margin = float(flat[idx_min])
     bad = np.nonzero(flat <= 0.0)[0]
-    violations = [{**at(j), "margin": float(flat[j])} for j in bad[:max_recorded]]
-    if len(bad) > max_recorded:
-        violations.append({"suppressed": int(len(bad) - max_recorded)})
-    return GridReport(lemma=lemma_name, grid=grid_desc,
-                      min_margin=float(flat[idx_min]), min_at=at(idx_min),
-                      n_points=int(flat.size), violations=violations)
-
-
-def verify_sinh_scaling(n=500):
-    xs = open_interval_grid(0.0, 10.0, n, open_lo=True, open_hi=False)
-    ys = open_interval_grid(0.0, 1.0, n)
-    return _sweep("sinh-scaling", lemma_sinh_scaling, xs, ys,
-                  {"x": [0.0, 10.0], "y": [0.0, 1.0], "n": n, "inset": BOUNDARY_INSET})
-
-
-def verify_coth_ratio(n=500):
-    xs = open_interval_grid(0.0, 10.0, n, open_lo=True, open_hi=False)
-    ys = open_interval_grid(0.0, 1.0, n)
-    return _sweep("coth-ratio", lemma_coth_ratio, xs, ys,
-                  {"x": [0.0, 10.0], "y": [0.0, 1.0], "n": n, "inset": BOUNDARY_INSET})
-
-
-def verify_coth_poly(n=500):
-    xs = open_interval_grid(0.0, 10.0, n, open_lo=True, open_hi=False)
-    return _sweep("coth-polynomial", lemma_coth_poly, xs, None,
-                  {"x": [0.0, 10.0], "n": n, "inset": BOUNDARY_INSET})
-
-
-def verify_sin_scaling(n=500):
-    xs = open_interval_grid(0.0, math.pi, n)
-    ys = open_interval_grid(0.0, 1.0, n)
-    return _sweep("sin-scaling", lemma_sin_scaling, xs, ys,
-                  {"x": [0.0, math.pi], "y": [0.0, 1.0], "n": n, "inset": BOUNDARY_INSET})
+    violations = [{**at(j), "margin": float(flat[j])} for j in bad[:MAX_RECORDED]]
+    if len(bad) > MAX_RECORDED:
+        violations.append({"suppressed": int(len(bad) - MAX_RECORDED)})
+    return {"lemma": lemma_name, "grid": grid_desc, "n_points": int(flat.size),
+            "min_margin": min_margin, "min_at": at(idx_min), "violations": violations,
+            "passed": not violations and min_margin > 0.0}
 
 
 def verify_all(n=500):
-    return [verify_sinh_scaling(n), verify_coth_ratio(n),
-            verify_coth_poly(n), verify_sin_scaling(n)]
+    """Report dicts of the four inequality sweeps, about n grid points per axis."""
+    def grid(**axes):
+        return {**axes, "n": n, "inset": BOUNDARY_INSET}
+
+    xs = open_interval_grid(0.0, 10.0, n, open_hi=False)
+    ys = open_interval_grid(0.0, 1.0, n)
+    return [
+        _sweep("sinh-scaling", lemma_sinh_scaling, xs, ys, grid(x=[0.0, 10.0], y=[0.0, 1.0])),
+        _sweep("coth-ratio", lemma_coth_ratio, xs, ys, grid(x=[0.0, 10.0], y=[0.0, 1.0])),
+        _sweep("coth-polynomial", lemma_coth_poly, xs, None, grid(x=[0.0, 10.0])),
+        _sweep("sin-scaling", lemma_sin_scaling, open_interval_grid(0.0, math.pi, n), ys,
+               grid(x=[0.0, math.pi], y=[0.0, 1.0])),
+    ]

@@ -1,19 +1,21 @@
 """Independent references the tests compare the package against.
 
-None of these is on a command's path.  Finite-difference curve derivatives
-check the analytic jets, the polar chord equation and the diameter branch
-give geodesics as curves, hyperbolic distance goes through the disk
-translation and the radial formula, and the lemma margins have Taylor-sum,
-direct and slope forms.
+None of these is on a command's path.  Curves are closures t -> (r, theta)
+with their derivatives, whose geodesic curvature is checked against the
+package's jets; finite-difference curve derivatives check the analytic jets,
+the polar chord equation and the diameter branch give geodesics as curves,
+hyperbolic distance goes through the disk translation and the radial
+formula, and the lemma margins have Taylor-sum, direct and slope forms.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from hypexpand.curvature import phi, psi
-from hypexpand.disk import (RADIUS_EPS, RHO_MAX, DiskPoint, ParamCurve, chord_jet,
+from hypexpand.disk import (RHO_MAX, DiskPoint, chord_jet, curvature_from_derivatives,
                             mobius_translate, polar_chord_radius, wrap_angle)
 from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
 
@@ -25,6 +27,43 @@ from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
 # want large steps, radial dips near the origin want small ones).
 FD_STEP_D1 = 1e-5
 FD_SCALE_D2 = 0.008
+
+# below these, curvature evaluation is treated as degenerate
+SPEED_EPS = 1e-12
+RADIUS_EPS = 1e-12
+
+
+@dataclass
+class ParamCurve:
+    """A twice-differentiable curve t in [0,1] -> (r(t), theta(t)).
+
+    eval returns a pair of arrays; theta is kept continuous (unwrapped) along
+    the curve so that derivatives are meaningful.  d1 and d2 return the first
+    and second derivative pairs.
+    """
+
+    eval: Callable
+    d1: Callable
+    d2: Callable
+    start: DiskPoint
+    end: DiskPoint
+
+
+def geodesic_curvature(curve: ParamCurve, t):
+    """Geodesic curvature of a curve at parameter t (scalar or array).
+
+    Raises ValueError on degenerate evaluation (speed or radius below 1e-12,
+    where the polar chart or the normalization breaks down).
+    """
+    r, _ = curve.eval(t)
+    dr, dth = curve.d1(t)
+    d2r, d2th = curve.d2(t)
+    r = np.asarray(r, dtype=float)
+    v = np.sqrt(np.asarray(dr) ** 2 + np.sinh(r) ** 2 * np.asarray(dth) ** 2)
+    if np.any(v < SPEED_EPS) or np.any(r < RADIUS_EPS):
+        raise ValueError("degenerate curvature evaluation: speed or radius below 1e-12")
+    out = curvature_from_derivatives(r, dr, d2r, dth, d2th)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass

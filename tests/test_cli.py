@@ -9,7 +9,6 @@ from hypexpand import cli, curvature
 from hypexpand.cli import (
     CSV_BLOCK_ROWS,
     _csv_text,
-    _render_scene,
     build_parser,
     main,
     measure_witness,
@@ -24,7 +23,7 @@ from hypexpand.cli import (
 )
 from hypexpand.convexity import GeodesicPolygon, convexity_defect, dilate_region
 from hypexpand.dilation import DilationParams
-from hypexpand.disk import DiskPoint, polar_to_cart
+from hypexpand.disk import DiskPoint, curvature_from_derivatives, polar_to_cart
 
 
 def reference_csv(header, rows):
@@ -208,24 +207,25 @@ class TestLemmaCommand:
 
 class TestCurvatureSweep:
     def test_small_sweep(self):
-        report, csv_text = run_curvature_sweep(seed=0, n_r=12, n_theta=12, n_s=5,
-                                               specs=10, samples=32)
+        report, csv_text = run_curvature_sweep(seed=0, grid_n=12, specs=10)
         assert report["passed"]
+        assert report["grid"] == {"n_r": 12, "n_theta": 12, "n_s": 9}
         assert report["sign_violations"] == 0
         assert report["ordering_violations"] == 0
         header = csv_text.splitlines()[0]
         assert header == "r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic"
-        assert len(csv_text.splitlines()) == 1 + 12 * 12 * 5
+        assert len(csv_text.splitlines()) == 1 + 12 * 12 * 9
 
     def test_discriminant_column_negative(self):
-        _, csv_text = run_curvature_sweep(seed=1, n_r=8, n_theta=8, n_s=3, specs=2)
+        _, csv_text = run_curvature_sweep(seed=1, grid_n=8, specs=2)
         rows = [line.split(",") for line in csv_text.splitlines()[1:]]
         disc = np.array([float(r[7]) for r in rows])
         assert np.all(disc < 0.0)
 
-    @pytest.mark.parametrize("seed, n_r, n_theta, n_s", [(3, 11, 11, 9), (5, 7, 5, 3)])
+    @pytest.mark.parametrize("seed, n_r, n_theta, n_s", [(3, 11, 11, 9), (5, 7, 7, 9)])
     def test_csv_matches_per_value_formatting(self, seed, n_r, n_theta, n_s):
-        # the sweep's grid, rebuilt as the per-row formatter saw it
+        # the sweep's grid, rebuilt as the per-row formatter saw it: --grid-n
+        # sets both the r and the theta axis, and there are 9 values of s
         r_hat = np.geomspace(0.05, 10.0, n_r)
         theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, n_theta)
         s_vals = np.linspace(0.1, 0.9, n_s)
@@ -236,8 +236,7 @@ class TestCurvatureSweep:
                                                 "kg_closed", "kg_generic")]
         rows = np.stack([c.ravel() for c in columns], axis=1)
         assert len(rows) % CSV_BLOCK_ROWS != 0
-        _, csv_text = run_curvature_sweep(seed=seed, n_r=n_r, n_theta=n_theta, n_s=n_s,
-                                          specs=1, samples=8)
+        _, csv_text = run_curvature_sweep(seed=seed, grid_n=n_r, specs=1)
         header = "r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic"
         assert csv_lines(csv_text) == csv_lines(reference_csv(header, rows))
 
@@ -266,8 +265,7 @@ class TestRender:
         assert run_render(seed=3) == run_render(seed=3)
 
     def test_curve_trace_csv(self):
-        from hypexpand.cli import run_render_trace
-        text = run_render_trace(seed=0, k1=2.0, k2=1.0, n=64)
+        text = run_render_trace(k1=2.0, n=64)
         lines = text.splitlines()
         assert lines[0] == "t,r,theta,x,y,kg"
         assert len(lines) == 65
@@ -280,12 +278,14 @@ class TestRender:
 
     @pytest.mark.parametrize("n", [1, 3, CSV_BLOCK_ROWS + 1])
     def test_curve_trace_matches_per_value_formatting(self, n):
-        _, _, _, pre, _ = _render_scene(4, 2.5, 1.0)
+        # the rendered chord's preimage under the x-axis contraction by 1/2.5
         ts = np.linspace(0.0, 1.0, n)
-        r, theta = pre.eval(ts)
+        state = curvature.preimage_state(curvature.ChordSpec(1.8, 2.3, -0.6, 0.8), 1.0 / 2.5, ts)
+        r, theta = state["r"], state["theta"]
         xy = polar_to_cart(r, theta)
-        rows = zip(ts, r, theta, xy[:, 0], xy[:, 1], pre.curvature(ts))
-        assert (csv_lines(run_render_trace(seed=4, k1=2.5, k2=1.0, n=n))
+        kg = curvature_from_derivatives(r, state["rp"], state["rpp"], state["thp"], state["thpp"])
+        rows = zip(ts, r, theta, xy[:, 0], xy[:, 1], kg)
+        assert (csv_lines(run_render_trace(k1=2.5, n=n))
                 == csv_lines(reference_csv("t,r,theta,x,y,kg", rows)))
 
     def test_format_selects_svg_or_trace(self, tmp_path):
@@ -294,6 +294,14 @@ class TestRender:
         assert main(["render", "--format", "csv", "--out", str(trace)]) == 0
         assert svg.read_text() == run_render()
         assert trace.read_text() == run_render_trace()
+
+    @pytest.mark.parametrize("option", [["--seed", "7"], ["--k2", "3.5"], ["--seed", "0"],
+                                        ["--seed", "3", "--k2", "1.0"]])
+    def test_trace_takes_no_seed_or_k2(self, option, capsys):
+        # the trace is the chord's preimage alone, which neither option changes
+        assert main(["render", "--format", "csv", *option]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: render --format csv takes none of --") and err.count("\n") == 1
 
     def test_identity_factors_overlay(self):
         svg = run_render(seed=0, k1=1.0, k2=1.0)
@@ -339,6 +347,17 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["no-such-command"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-theorem", "--k1", "13", "--trials", "200"],
+        ["search-counterexample", "--k1", "0.5", "--k2", "40", "--trials", "3"],
+        ["render", "--k1", "40"],
+    ])
+    def test_a_factor_past_the_poincare_chart_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: factors k1=") and captured.err.count("\n") == 1
 
     def test_cli_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -4,20 +4,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hypexpand import curvature
 from hypexpand.curvature import (
     ChordSpec,
     chord_radius,
     gamma_curvature_closed_form,
-    gamma_curve,
     p_coefficients_grid,
     phi,
-    preimage_curve,
     preimage_state,
     psi,
     side_ordering,
 )
-from hypexpand.disk import DiskPoint, chord_jet, curvature_from_derivatives, geodesic_curvature
-from references import from_polar_function
+from hypexpand.disk import chord_jet, curvature_from_derivatives
+from references import from_polar_function, geodesic_curvature
 
 
 # --- references: the hand-expanded chains the one jet chain replaced ----------
@@ -103,6 +102,20 @@ def reference_generic_curvature_extended(r_hat, theta_hat, s, rp_hat, dth):
     out = np.sqrt(G) * ((G_r / G) * rp ** 2 * thp + 0.5 * G_r * thp ** 3
                         + rp * thpp - rpp * thp) / v ** 3
     return out.astype(float)
+
+
+def preimage_polar(spec, s):
+    """t -> (r, theta) of the preimage curve, the function finite differences wrap."""
+    def f(t):
+        state = preimage_state(spec, s, t)
+        return state["r"], state["theta"]
+    return f
+
+
+def polar_linear_jet(r1, r2, th1, th2, t):
+    """(r, r', r'', theta', theta'') of the curve linear in polar coordinates."""
+    t = np.asarray(t, dtype=float)
+    return (1.0 - t) * r1 + t * r2, r2 - r1, 0.0, th2 - th1, 0.0
 
 
 def sweep_grid():
@@ -251,12 +264,11 @@ class TestPreimageCurve:
         # chord endpoints, computed here from scratch
         spec = ChordSpec(1.2, 2.6, -0.4, 1.0)
         s = 0.35
-        pre = preimage_curve(spec, s)
         for t, (r_hat, th_hat) in ((0.0, (1.2, -0.4)), (1.0, (2.6, 1.0))):
             b = s * s * math.cos(th_hat) ** 2 + math.sin(th_hat) ** 2
             r_exp = r_hat * math.sqrt(b)
             th_exp = math.atan2(math.sin(th_hat), s * math.cos(th_hat))
-            r, th = pre.eval(t)
+            r, th = preimage_polar(spec, s)(t)
             assert float(r) == pytest.approx(r_exp, rel=1e-14)
             assert float(th) == pytest.approx(th_exp, rel=1e-14)
 
@@ -282,15 +294,17 @@ class TestPreimageCurve:
             th1 = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.1)
             th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
             spec = ChordSpec(rng.uniform(0.3, 3.5), rng.uniform(0.3, 3.5), th1, th2)
-            pre = preimage_curve(spec, rng.uniform(0.1, 0.9))
-            fd = from_polar_function(pre.eval)
-            for a, b in zip(pre.d1(ts) + pre.d2(ts), fd.d1(ts) + fd.d2(ts)):
+            s = rng.uniform(0.1, 0.9)
+            state = preimage_state(spec, s, ts)
+            fd = from_polar_function(preimage_polar(spec, s))
+            for a, b in zip([state[k] for k in ("rp", "thp", "rpp", "thpp")],
+                            fd.d1(ts) + fd.d2(ts)):
                 scaled = np.abs(np.asarray(b) - np.asarray(a)) / (1.0 + np.abs(np.asarray(a)))
                 assert float(np.max(scaled)) < 1e-6
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
-            preimage_curve(ChordSpec(1.0, 1.0, -0.5, 0.5), 1.5)
+            preimage_state(ChordSpec(1.0, 1.0, -0.5, 0.5), 1.5, np.linspace(0.0, 1.0, 5))
 
 
 class TestDerivativeChain:
@@ -394,16 +408,9 @@ class TestDecomposition:
 
 class TestComparisonCurve:
     def test_circular_arc_case(self):
-        g = gamma_curve(DiskPoint.from_polar(1.5, -0.4), DiskPoint.from_polar(1.5, 0.7))
         for t in (0.0, 0.3, 0.9):
-            assert geodesic_curvature(g, t) == pytest.approx(1.0 / math.tanh(1.5), rel=1e-12)
-
-    def test_endpoints(self):
-        x1 = DiskPoint.from_polar(1.0, -0.5)
-        x2 = DiskPoint.from_polar(2.0, 0.8)
-        g = gamma_curve(x1, x2)
-        for t, x in ((0.0, x1), (1.0, x2)):
-            assert np.max(np.abs(DiskPoint.from_polar(*g.eval(t)).xy - x.xy)) <= 1e-12
+            kg = curvature_from_derivatives(*polar_linear_jet(1.5, 1.5, -0.4, 0.7, t))
+            assert float(kg) == pytest.approx(1.0 / math.tanh(1.5), rel=1e-12)
 
     def test_closed_form_matches_raw_formula(self):
         rng = np.random.default_rng(45)
@@ -411,9 +418,8 @@ class TestComparisonCurve:
             r1, r2 = rng.uniform(0.3, 3.0, 2)
             th1 = rng.uniform(-1.0, 0.0)
             th2 = rng.uniform(0.1, 1.2)
-            g = gamma_curve(DiskPoint.from_polar(r1, th1), DiskPoint.from_polar(r2, th2))
             ts = np.linspace(0.0, 1.0, 11)
-            raw = geodesic_curvature(g, ts)
+            raw = curvature_from_derivatives(*polar_linear_jet(r1, r2, th1, th2, ts))
             closed = gamma_curvature_closed_form(r1, r2, th1, th2, ts)
             assert np.max(np.abs(raw - closed)) < 1e-9
             assert np.all(closed > 0.0)
@@ -430,20 +436,16 @@ class TestComparisonCurve:
         r_chord = chord_radius(inner, ts)
         assert np.all(r_gamma - r_chord > -1e-12)
 
-    def test_rejects_origin_endpoint(self):
-        with pytest.raises(ValueError):
-            gamma_curve(DiskPoint.from_polar(0.0, 0.0), DiskPoint.from_polar(1.0, 0.0))
-
 
 class TestSideOrdering:
     def test_golden_configuration(self):
         # frozen from the first run of this configuration
         rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=64)
-        assert rep.passed
-        assert rep.max_kg_preimage == pytest.approx(-0.0560617474949, rel=1e-9)
-        assert rep.min_kg_gamma == pytest.approx(1.29818019221, rel=1e-9)
-        assert rep.min_chord_gap > -1e-9
-        assert rep.min_gamma_gap > -1e-9
+        assert rep["violations"] == []
+        assert rep["max_kg_preimage"] == pytest.approx(-0.0560617474949, rel=1e-9)
+        assert rep["min_kg_gamma"] == pytest.approx(1.29818019221, rel=1e-9)
+        assert rep["min_chord_gap"] > -1e-9
+        assert rep["min_gamma_gap"] > -1e-9
         # strict ordering away from the endpoints
         ts = np.linspace(0.1, 0.9, 17)
         state = preimage_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, ts)
@@ -463,19 +465,25 @@ class TestSideOrdering:
             th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
             spec = ChordSpec(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0), th1, th2)
             rep = side_ordering(spec, rng.uniform(0.05, 0.95), samples=64)
-            assert rep.passed, rep.violations[:1]
+            assert rep["violations"] == [], rep["violations"][:1]
 
     def test_near_identity_collapse(self):
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
         rep = side_ordering(spec, 1.0 - 1e-6, samples=33)
-        assert rep.passed
+        assert rep["violations"] == []
         # preimage and chord pinch together
-        assert rep.min_chord_gap < 1e-6
+        assert rep["min_chord_gap"] < 1e-6
 
-    def test_violation_reporting_shape(self):
-        rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=16, slack=1e-9)
-        assert rep.violations == []
-        assert rep.samples == 16
+    def test_violation_reporting_shape(self, monkeypatch):
+        rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=16)
+        assert rep["violations"] == []
+        assert rep["spec"] == [2.0, 2.0, -0.5, 0.5] and rep["s"] == 0.2
+        # a slack below every margin makes each of the 16 samples a violation
+        monkeypatch.setattr(curvature, "ORDERING_SLACK", -10.0)
+        rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=16)
+        assert len(rep["violations"]) == 16
+        assert set(rep["violations"][0]) == {"t", "r_preimage", "r_chord", "r_gamma",
+                                             "kg_preimage", "kg_gamma"}
 
     def test_ends_come_from_the_sample_array(self):
         # the chord's ends are the samples at t = 0 and 1, so one sample is refused
@@ -484,7 +492,8 @@ class TestSideOrdering:
             side_ordering(spec, 0.4, samples=1)
         rep = side_ordering(spec, 0.4, samples=2)
         # at the ends the three curves meet, up to the chord radius's rounding
-        assert rep.passed and max(abs(rep.min_chord_gap), abs(rep.min_gamma_gap)) < 1e-15
+        assert rep["violations"] == []
+        assert max(abs(rep["min_chord_gap"]), abs(rep["min_gamma_gap"])) < 1e-15
 
 
 class TestCurvatureDtype:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypexpand.convexity import ChartSaturation, GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
 from hypexpand.disk import DiskPoint, ORIGIN, mobius_translate, polar_to_cart
 
@@ -58,17 +59,21 @@ class TestOriginDilation:
         m_shift = dilate_origin_polar(k1, k2, np.ones_like(thetas), thetas + math.pi)[0]
         assert np.max(np.abs(m - m_shift)) < 1e-12
 
-    def test_saturation_warning(self):
-        with pytest.warns(RuntimeWarning):
-            dilate_xy(DilationParams(ORIGIN, 4.0, 1.0), DiskPoint.from_polar(15.0, 0.0).xy)
-
-    def test_saturation_warning_comes_from_the_poincare_chart_callers(self):
-        xy = polar_to_cart(np.array([15.0, 1.0]), np.array([0.0, 0.5]))
+    def test_saturation_is_an_error_naming_the_factors(self):
+        # tanh(r/2) rounds to 1.0 from r ~ 38, so k1 = 13 carries a boundary at
+        # r = 4 onto the unit circle, and the region refuses it
+        poly = GeodesicPolygon.from_polar([(4.0, 0.0), (4.0, 2.0), (4.0, -2.0)])
         for center in (ORIGIN, DiskPoint.from_polar(0.3, 1.0)):
-            with pytest.warns(RuntimeWarning, match="exceeds 50"):
-                dilate_xy(DilationParams(center, 4.0, 1.0), xy)
+            with pytest.raises(ChartSaturation, match=r"k1=13\.0, k2=1\.0"):
+                dilate_region(poly, DilationParams(center, 13.0, 1.0))
+
+    def test_the_chart_saturates_without_a_warning(self):
+        xy = polar_to_cart(np.array([15.0, 1.0]), np.array([0.0, 0.5]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            for center in (ORIGIN, DiskPoint.from_polar(0.3, 1.0)):
+                out = dilate_xy(DilationParams(center, 4.0, 1.0), xy)
+                assert math.hypot(*out[0]) == pytest.approx(1.0, abs=1e-12)  # r' = 60
             r, _ = dilate_origin_polar(4.0, 1.0, 15.0, 0.0)  # the polar map alone is chart-free
             assert r == 60.0
 

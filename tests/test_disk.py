@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypexpand.disk import (
     DiskPoint,
     ORIGIN,
-    ParamCurve,
+    curvature_from_derivatives,
     geodesic_chord_points,
-    geodesic_curvature,
     hyperboloid_chord_vectors,
     hyperboloid_lift,
     hyperboloid_polar,
@@ -17,7 +16,8 @@ from hypexpand.disk import (
     mobius_translate,
 )
 from conftest import broadcast_chord_vectors, curvature_via_conformal, stacked_translate
-from references import from_polar_function, geodesic_between, hyperbolic_distance
+from references import (ParamCurve, from_polar_function, geodesic_between, geodesic_curvature,
+                        hyperbolic_distance)
 
 RADII = st.floats(min_value=1e-3, max_value=8.0)
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
@@ -393,10 +393,9 @@ class TestCurvature:
                     1.0 / math.tanh(r), rel=1e-12)
 
     def test_polar_linear_curve_curves_left(self):
-        from hypexpand.curvature import gamma_curve
-        g = gamma_curve(DiskPoint.from_polar(1.0, -0.5), DiskPoint.from_polar(2.0, 0.8))
+        # r from 1 to 2 while theta turns from -0.5 to 0.8, both linear in t
         ts = np.linspace(0.0, 1.0, 21)
-        assert np.all(geodesic_curvature(g, ts) > 0.0)
+        assert np.all(curvature_from_derivatives(1.0 + ts, 1.0, 0.0, 1.3, 0.0) > 0.0)
 
     def test_degenerate_raises(self):
         stationary = ParamCurve(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from hypexpand.curvature import phi, psi
 from hypexpand.lemmas import (
+    MAX_RECORDED,
     coth_poly_I_series,
     lemma_coth_poly,
     lemma_coth_ratio,
@@ -12,12 +14,13 @@ from hypexpand.lemmas import (
     lemma_sinh_scaling,
     open_interval_grid,
     verify_all,
-    verify_coth_poly,
-    verify_coth_ratio,
-    verify_sin_scaling,
-    verify_sinh_scaling,
 )
 from references import coth_poly_I_direct, coth_ratio_path, sin_scaling_slope, sinh_scaling_series
+
+
+def lemma_report(lemma, n):
+    """The report dict verify_all(n) gives the named lemma."""
+    return next(rep for rep in verify_all(n) if rep["lemma"] == lemma)
 
 
 class TestSinhScaling:
@@ -56,9 +59,9 @@ class TestSinhScaling:
         assert float(np.max(np.abs(m - s) / np.abs(s))) < 1e-9
 
     def test_grid(self):
-        rep = verify_sinh_scaling(120)
-        assert rep.passed
-        assert rep.min_margin > 0.0
+        rep = lemma_report("sinh-scaling", 120)
+        assert rep["passed"]
+        assert rep["min_margin"] > 0.0
 
 
 class TestCothRatio:
@@ -72,8 +75,8 @@ class TestCothRatio:
         assert margin > 0.0
 
     def test_grid(self):
-        rep = verify_coth_ratio(120)
-        assert rep.passed
+        rep = lemma_report("coth-ratio", 120)
+        assert rep["passed"]
 
     def test_path_function_decreasing(self):
         # the auxiliary path tends to zero at y -> 1 and decreases in y
@@ -144,9 +147,9 @@ class TestCothPolynomial:
         assert float(np.max(rel)) < 1e-9
 
     def test_grid(self):
-        rep = verify_coth_poly(200)
-        assert rep.passed
-        assert rep.min_margin > 0.0
+        rep = lemma_report("coth-polynomial", 200)
+        assert rep["passed"]
+        assert rep["min_margin"] > 0.0
 
 
 class TestSinScaling:
@@ -164,8 +167,8 @@ class TestSinScaling:
         assert np.all(sin_scaling_slope(x[:, None], y[None, :]) > 0.0)
 
     def test_grid(self):
-        rep = verify_sin_scaling(120)
-        assert rep.passed
+        rep = lemma_report("sin-scaling", 120)
+        assert rep["passed"]
 
 
 class TestGridMachinery:
@@ -177,9 +180,10 @@ class TestGridMachinery:
 
     def test_reports_serialize(self):
         reps = verify_all(60)
-        assert len(reps) == 4
-        for rep in reps:
-            doc = rep.to_dict()
+        assert [rep["lemma"] for rep in reps] == ["sinh-scaling", "coth-ratio",
+                                                  "coth-polynomial", "sin-scaling"]
+        for doc in reps:
+            assert json.loads(json.dumps(doc)) == doc
             assert doc["passed"] is True
             assert doc["violations"] == []
             assert doc["min_margin"] > 0.0
@@ -191,5 +195,8 @@ class TestGridMachinery:
         xs = np.linspace(0.1, 1.0, 10)
         ys = np.linspace(0.1, 0.9, 10)
         rep = _sweep("bogus", lambda x, y: x - y - 0.5, xs, ys, {})
-        assert not rep.passed
-        assert rep.violations
+        assert rep["passed"] is False
+        # the first MAX_RECORDED violations are listed, the rest counted
+        n_bad = int(np.sum(xs[:, None] - ys[None, :] - 0.5 <= 0.0))
+        assert len(rep["violations"]) == MAX_RECORDED + 1
+        assert rep["violations"][-1] == {"suppressed": n_bad - MAX_RECORDED}
