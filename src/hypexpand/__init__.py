@@ -13,13 +13,12 @@ from .convexity import (
 )
 from .curvature import ChordSpec, chord_radius, phi, psi, side_ordering
 from .dilation import DilationParams
-from .disk import DiskPoint, ORIGIN
 from .lemmas import (
     lemma_coth_poly,
     lemma_coth_ratio,
     lemma_sin_scaling,
     lemma_sinh_scaling,
 )
-from .sphere import SpherePoint, SphericalPolygon, conjecture_trial, s_convexity_defect
+from .sphere import SphericalPolygon, conjecture_trial, s_convexity_defect
 
 __version__ = "0.1.0"

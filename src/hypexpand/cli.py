@@ -25,7 +25,7 @@ from .convexity import (
     random_hconvex_polygon,
 )
 from .dilation import DilationParams
-from .disk import DiskPoint, ORIGIN, curvature_from_derivatives, polar_to_cart
+from .disk import _polar_points, curvature_from_derivatives, polar_to_cart
 from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
@@ -82,15 +82,16 @@ def _write(path, text):
 
 def _theorem_trial(seed, i, k_range, forced_k1, forced_k2):
     rng = np.random.default_rng([seed, i])
-    center = DiskPoint.from_polar(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
+    (r,), (theta,), (center,) = _polar_points([rng.uniform(0.0, 1.5)],
+                                              [rng.uniform(-math.pi, math.pi)])
     poly = random_hconvex_polygon(rng, center=center)
     k1 = float(rng.uniform(*k_range)) if forced_k1 is None else forced_k1
     k2 = float(rng.uniform(*k_range)) if forced_k2 is None else forced_k2
     params = DilationParams(center, k1, k2)
     region = dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE)
     defect = convexity_defect(region, PAIR_SAMPLES, SEGMENT_SAMPLES)
-    return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.vertices),
-            "center_polar": [center.r, center.theta], "defect": defect}
+    return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.r),
+            "center_polar": [float(r), float(theta)], "defect": defect}
 
 
 def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6):
@@ -120,20 +121,15 @@ def _directed_thin_polygon(rng):
     reach = rng.uniform(1.5, 3.0)
     half_angle = rng.uniform(0.15, 0.7)
     back = rng.uniform(0.4, 1.2)
-    pts = [
-        DiskPoint.from_polar(reach, half_angle),
-        DiskPoint.from_polar(reach, -half_angle),
-        DiskPoint.from_polar(back, math.pi - rng.uniform(0.1, 0.5)),
-        DiskPoint.from_polar(back, -math.pi + rng.uniform(0.1, 0.5)),
-    ]
-    return convexity.hyperbolic_hull(np.array([p.cart for p in pts]))
+    thetas = [half_angle, -half_angle, math.pi - rng.uniform(0.1, 0.5),
+              -math.pi + rng.uniform(0.1, 0.5)]
+    return convexity.hyperbolic_hull(_polar_points([reach, reach, back, back], thetas)[2])
 
 
 def measure_witness(witness, scale=1):
     """Defect of a serialized witness at its own sampling, optionally denser."""
     poly = GeodesicPolygon.from_polar(witness["vertices_polar"])
-    center = DiskPoint.from_cart(*witness["center_cart"])
-    params = DilationParams(center, witness["k1"], witness["k2"])
+    params = DilationParams(witness["center_cart"], witness["k1"], witness["k2"])
     region = dilate_region(poly, params,
                            samples_per_edge=witness["samples_per_edge"] * scale)
     return convexity_defect(region, witness["pair_samples"] * scale,
@@ -151,14 +147,14 @@ def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3):
         if i % 2 == 0:
             poly = _directed_thin_polygon(rng)
         else:
-            poly = random_hconvex_polygon(rng, center=ORIGIN)
-        params = DilationParams(ORIGIN, k1, k2)
+            poly = random_hconvex_polygon(rng)
+        params = DilationParams((0.0, 0.0), k1, k2)
         region = dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE)
         defect = convexity_defect(region, PAIR_SAMPLES, SEGMENT_SAMPLES)
         report["trials_used"] = i + 1
         if defect > tol:
             witness = {
-                "vertices_polar": [[v.r, v.theta] for v in poly.vertices],
+                "vertices_polar": np.column_stack([poly.r, poly.theta]).tolist(),
                 "center_cart": [0.0, 0.0], "k1": k1, "k2": k2,
                 "samples_per_edge": SAMPLES_PER_EDGE,
                 "pair_samples": PAIR_SAMPLES, "segment_samples": SEGMENT_SAMPLES,
@@ -199,11 +195,10 @@ def _check_witness(witness):
     if not (isinstance(witness["vertices_polar"], list)
             and all(map(_is_pair, witness["vertices_polar"]))):
         raise UsageError("witness vertices_polar must be a list of [r, theta] number pairs")
-    if not _is_pair(witness["center_cart"]):
-        raise UsageError("witness center_cart must be two numbers")
+    if not (_is_pair(witness["center_cart"]) and math.hypot(*witness["center_cart"]) < 1.0):
+        raise UsageError("witness center_cart must be two numbers inside the unit disk")
     try:
         poly = GeodesicPolygon.from_polar(witness["vertices_polar"])
-        DiskPoint.from_cart(*witness["center_cart"])
     except ValueError as exc:
         raise UsageError(f"invalid witness: {exc}") from None
     if not poly.hconvex:
@@ -320,9 +315,9 @@ def _render_preimage(k1, n):
 
 def run_render(seed=0, k1=2.0, k2=1.0):
     rng = np.random.default_rng(seed)
-    poly = random_hconvex_polygon(rng, center=ORIGIN, r_range=(0.4, 2.0))
+    poly = random_hconvex_polygon(rng, r_range=(0.4, 2.0))
     source = polygon_region(poly, samples_per_edge=64)
-    image = dilate_region(poly, DilationParams(ORIGIN, k1, k2), samples_per_edge=64)
+    image = dilate_region(poly, DilationParams((0.0, 0.0), k1, k2), samples_per_edge=64)
 
     canvas = SvgCanvas()
     canvas.circle(0.0, 0.0, 1.0, stroke="#444444", width=0.003)
@@ -387,7 +382,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, trials_default=None):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         if trials_default is not None:
             p.add_argument("--trials", type=_int_at_least(1), default=trials_default)
         p.add_argument("--out", type=str, default=None)

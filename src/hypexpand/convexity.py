@@ -18,9 +18,9 @@ import numpy as np
 
 from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
-    DiskPoint,
-    ORIGIN,
-    _polar_cart,
+    _cart_polar,
+    _polar_points,
+    _read_only,
     cart_to_polar,
     geodesic_chord_points,
     hyperboloid_chord_vectors,
@@ -29,7 +29,6 @@ from .disk import (
     hyperboloid_translate,
     mobius_translate,
     polar_to_cart,
-    wrap_angle,
 )
 
 SIDEDNESS_TOL = 1e-12
@@ -142,30 +141,27 @@ def _check_polygon_chart(verts) -> bool:
 
 # --- geodesic polygons -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicPolygon:
-    """Ordered counterclockwise vertices of a simple geodesic polygon."""
+    """A simple geodesic polygon: read-only polar r, theta (V,) and Cartesian and Klein rows
+    (V, 2) of its counterclockwise vertices, and whether it is h-convex at the default tolerance."""
 
-    vertices: tuple
-    _klein: np.ndarray = field(init=False, repr=False, compare=False)
-    hconvex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
+    r: np.ndarray
+    theta: np.ndarray
+    cart: np.ndarray
+    klein: np.ndarray = field(init=False, repr=False)
+    hconvex: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = to_klein(np.array([v.cart for v in self.vertices], dtype=float).reshape(-1, 2))
-        k.setflags(write=False)
-        object.__setattr__(self, "_klein", k)
-        object.__setattr__(self, "hconvex", _check_polygon_chart(k))
+        for name in ("r", "theta", "cart"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "klein", _read_only(to_klein(self.cart)))
+        object.__setattr__(self, "hconvex", _check_polygon_chart(self.klein))
 
     @classmethod
     def from_polar(cls, pairs):
-        return cls(tuple(DiskPoint.from_polar(r, th) for r, th in pairs))
-
-    def klein(self):
-        """Klein-model vertices, shape (V, 2); read-only."""
-        return self._klein
-
-    def polar(self):
-        return [(v.r, v.theta) for v in self.vertices]
+        """The polygon with the vertices (r, theta) of pairs (V, 2)."""
+        return cls(*_polar_points(*np.array(pairs, dtype=float).reshape(-1, 2).T))
 
 
 def klein_polygon_contains(kverts, probes, tol=SIDEDNESS_TOL):
@@ -198,7 +194,7 @@ def _translate_rows(c, xy):
 def hyperbolic_hull(xy) -> GeodesicPolygon:
     """Minimal h-convex polygon containing the points with Cartesian rows xy (m, 2), by a Klein hull."""
     hull = from_klein(_convex_hull_2d(to_klein(xy)))
-    return GeodesicPolygon(tuple(DiskPoint.from_cart(x, y) for x, y in hull.tolist()))
+    return GeodesicPolygon(*_cart_polar(hull), hull)
 
 
 # --- sampled regions ---------------------------------------------------------
@@ -206,9 +202,16 @@ def hyperbolic_hull(xy) -> GeodesicPolygon:
 class ChartSaturation(ValueError):
     """A region's boundary leaves the float64 Poincare chart.
 
-    tanh(r/2) rounds to 1.0 from r ~ 38, so a dilation that carries the
-    boundary that far puts it on the unit circle.  The message names the map.
+    tanh(r/2) rounds to 1.0 from r ~ 38, so a vertex or a dilation that carries
+    the boundary that far puts it on the unit circle.  The message names which.
     """
+
+
+def _check_chart(xy, cause):
+    """Raise ChartSaturation, naming its cause, if a row of xy (N, 2) is not inside the disk."""
+    if np.any(np.hypot(xy[:, 0], xy[:, 1]) >= 1.0):
+        raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
+                              "(tanh(r/2) rounds to 1 from r ~ 38)")
 
 
 @dataclass
@@ -217,7 +220,7 @@ class SampledRegion:
 
     boundary has shape (N, 2) in Cartesian coordinates, samples_per_edge
     samples per polygon edge, first and last rows coinciding to 1e-12.  The
-    map is the dilation by (k1, k2) about center (the identity has factors 1);
+    map is the dilation by (k1, k2) about the Cartesian center (the identity has factors 1);
     the region carries the validated polygon, and defect measurement tests
     membership exactly through it instead of against the discretized loop.
     """
@@ -227,7 +230,7 @@ class SampledRegion:
     samples_per_edge: int
     k1: float
     k2: float
-    center: DiskPoint
+    center: np.ndarray
 
     def __post_init__(self):
         self.boundary = np.asarray(self.boundary, dtype=float)
@@ -239,10 +242,7 @@ class SampledRegion:
             raise ValueError("boundary needs at least 64 samples")
         if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
             raise ValueError("boundary loop is not closed")
-        if np.any(np.hypot(self.boundary[:, 0], self.boundary[:, 1]) >= 1.0):
-            raise ChartSaturation(
-                f"factors k1={self.k1!r}, k2={self.k2!r} carry the boundary past the "
-                "float64 Poincare chart (tanh(r/2) rounds to 1 from r ~ 38)")
+        _check_chart(self.boundary, f"factors k1={self.k1!r}, k2={self.k2!r} carry")
 
 
 def _loop_segments(loop):
@@ -322,25 +322,25 @@ def _edge_ts(per_edge):
 
 
 def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
-    """Boundary samples of the polygon, samples_per_edge per edge, closed loop."""
+    """Cartesian boundary samples (N, 2), samples_per_edge per edge, not closed, in the chart."""
     ts = _edge_ts(samples_per_edge)
-    r, th = np.array(poly.polar()).T
+    r, th = poly.r, poly.theta
     r, th = geodesic_chord_points(r, th, _next_rows(r), _next_rows(th), ts)
-    return r.ravel(), th.ravel()
+    xy = polar_to_cart(r.ravel(), th.ravel())
+    _check_chart(xy, "the polygon's vertices carry")
+    return xy
 
 
 def polygon_region(poly: GeodesicPolygon, samples_per_edge=32) -> SampledRegion:
     """Densely sampled boundary of a geodesic polygon."""
-    r, th = _sample_polygon_boundary(poly, samples_per_edge)
-    xy = polar_to_cart(r, th)
-    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge, 1.0, 1.0, ORIGIN)
+    xy = _sample_polygon_boundary(poly, samples_per_edge)
+    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge, 1.0, 1.0, np.zeros(2))
 
 
 def dilate_region(poly: GeodesicPolygon, params: DilationParams,
                   samples_per_edge=32) -> SampledRegion:
     """Image of a geodesic polygon under a dilation, as a sampled boundary loop."""
-    r, th = _sample_polygon_boundary(poly, samples_per_edge)
-    xy = dilate_xy(params, polar_to_cart(r, th))
+    xy = dilate_xy(params, _sample_polygon_boundary(poly, samples_per_edge))
     return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge,
                          params.k1, params.k2, params.center)
 
@@ -369,8 +369,8 @@ def _exact_membership(region: SampledRegion, pts):
     boundary sagitta and far above the 1e-6 regime the harness must resolve.
     Probes are boosted to the center, then mapped to the Klein chart.
     """
-    center = region.center.xy
-    verts = region.polygon.klein()
+    center = region.center
+    verts = region.polygon.klein
     if float(center @ center) > 0.0:
         verts = hyperboloid_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
         verts = verts[:, :2] / verts[:, 2:]  # the boost is linear, so Klein rows need no lift
@@ -433,9 +433,8 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
 
 # --- random generation -------------------------------------------------------
 
-def random_hconvex_polygon(rng, center: DiskPoint = ORIGIN,
-                           r_range=(0.2, 3.0)) -> GeodesicPolygon:
-    """Random h-convex polygon strictly containing the requested center.
+def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=(0.2, 3.0)) -> GeodesicPolygon:
+    """Random h-convex polygon strictly containing the requested center, Cartesian (2,).
 
     Points are drawn in polar coordinates of the frame translated to the
     center, with angles stratified over 5 to MAX_VERTICES sectors so that
@@ -445,8 +444,7 @@ def random_hconvex_polygon(rng, center: DiskPoint = ORIGIN,
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     radii = rng.uniform(r_range[0], r_range[1], m)
-    # the Cartesian points DiskPoint.from_polar would hold, without the points
-    xy = np.array([_polar_cart(r, t) for r, t in zip(radii.tolist(), wrap_angle(thetas).tolist())])
-    if center.r > 0.0:
-        xy = _translate_rows(center.xy, xy)
+    xy = _polar_points(radii, thetas)[2]
+    if np.any(center):
+        xy = _translate_rows(center, xy)
     return hyperbolic_hull(xy)

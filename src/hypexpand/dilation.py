@@ -18,20 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskPoint, _component_major, cart_to_polar, mobius_translate, polar_to_cart
+from .disk import _component_major, _read_only, cart_to_polar, mobius_translate, polar_to_cart
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationParams:
-    """Center and per-axis factors of an anisotropic dilation."""
+    """Center, Cartesian (2,) and read-only, and per-axis factors of an anisotropic dilation."""
 
-    center: DiskPoint
+    center: np.ndarray
     k1: float
     k2: float
 
     def __post_init__(self):
         if not (self.k1 > 0.0 and self.k2 > 0.0):
             raise ValueError("dilation factors must be positive")
+        object.__setattr__(self, "center", _read_only(self.center))
 
 
 def dilate_origin_polar(k1, k2, r, theta):
@@ -73,8 +74,8 @@ def dilate_xy(params: DilationParams, xy):
     tanh(r'/2) rounds to 1.0, and the image point lands on the unit circle.
     """
     xy = np.asarray(xy, dtype=float)
-    c = params.center.xy
-    centered = xy if params.center.r == 0.0 else mobius_translate(-c, xy)
-    r, theta = cart_to_polar(centered)
+    c = params.center
+    off = c.any()
+    r, theta = cart_to_polar(mobius_translate(-c, xy) if off else xy)
     out = polar_to_cart(*dilate_origin_polar(params.k1, params.k2, r, theta))
-    return out if params.center.r == 0.0 else mobius_translate(c, out)
+    return mobius_translate(c, out) if off else out

@@ -15,7 +15,6 @@ the left).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,56 +44,32 @@ def cart_to_polar(xy):
     return r, theta
 
 
-def _polar_cart(r, theta):
-    """Cartesian (x, y) of the polar floats (r, theta), through libm scalars."""
-    # tanh(r/2) rounds to 1.0 beyond r ~ 37: keep the point interior, r exact
-    rho = min(math.tanh(r / 2.0), RHO_MAX)
-    return rho * math.cos(theta), rho * math.sin(theta)
+def _read_only(a):
+    """A read-only float copy of the array a."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk in both polar and Cartesian form.
-
-    theta is canonical in [-pi, pi) and is 0 at the origin, where the polar
-    chart is singular.
-    """
-
-    r: float
-    theta: float
-    cart: tuple[float, float]
-
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError("hyperbolic radius must be nonnegative")
-        rho = math.hypot(*self.cart)
-        if rho >= 1.0:
-            raise ValueError("point outside the open unit disk")
-        if abs(rho - math.tanh(self.r / 2.0)) > 1e-12:
-            raise ValueError("inconsistent polar/Cartesian representations")
-
-    @classmethod
-    def from_polar(cls, r, theta):
-        r = float(r)
-        theta = 0.0 if r == 0.0 else float(wrap_angle(theta))
-        return cls(r, theta, _polar_cart(r, theta))
-
-    @classmethod
-    def from_cart(cls, x, y):
-        x, y = float(x), float(y)
-        rho = math.hypot(x, y)
-        if rho >= 1.0:
-            raise ValueError("point outside the open unit disk")
-        if rho == 0.0:
-            return cls(0.0, 0.0, (0.0, 0.0))
-        return cls(2.0 * math.atanh(rho), math.atan2(y, x), (x, y))
-
-    @property
-    def xy(self):
-        return np.array(self.cart)
+def _polar_points(r, theta):
+    """Polar points r, theta (V,): r as given, theta wrapped and 0 where r is 0, with Cartesian
+    rows (V, 2) from libm scalars, which numpy can differ from in the last ulp.  Beyond r ~ 37,
+    where tanh(r/2) rounds to 1.0, a row stays inside the disk at RHO_MAX.  Refuses r < 0."""
+    r = np.array(r, dtype=float).reshape(-1)
+    if (r < 0.0).any():
+        raise ValueError("hyperbolic radius must be nonnegative")
+    theta = np.where(r == 0.0, 0.0, wrap_angle(theta))
+    rho = [min(math.tanh(a / 2.0), RHO_MAX) for a in r.tolist()]
+    xy = [(p * math.cos(t), p * math.sin(t)) for p, t in zip(rho, theta.tolist())]
+    return r, theta, np.array(xy).reshape(-1, 2)
 
 
-ORIGIN = DiskPoint.from_polar(0.0, 0.0)
+def _cart_polar(xy):
+    """Polar (r, theta) arrays, theta 0 at the origin, of Cartesian rows xy (V, 2) in the disk,
+    from libm scalars, which numpy's hypot, arctanh and arctan2 can differ from in the last ulp."""
+    rows = [(math.hypot(x, y), x, y) for x, y in np.asarray(xy, float).reshape(-1, 2).tolist()]
+    return (np.array([2.0 * math.atanh(rho) for rho, _, _ in rows]),
+            np.array([math.atan2(y, x) if rho > 0.0 else 0.0 for rho, x, y in rows]))
 
 
 def mobius_translate(c, x):

@@ -24,6 +24,7 @@ import numpy as np
 from .convexity import (_check_polygon_chart, _chord_plan, _convex_hull_2d, _edge_ts,
                         _next_rows, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
+from .disk import _read_only
 
 CONTRACTION_DEFINITION = (
     "geodesic-polar contraction about the center: rho scales by "
@@ -41,30 +42,12 @@ PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 24, 64, 16
 SYMMETRIC_EVERY = 5
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A unit 3-vector."""
-
-    vec: tuple
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        if not abs(float(v @ v) - 1.0) <= 2e-12:  # nan and inf fail too
-            raise ValueError("sphere point must be a finite unit vector")
-
-    @classmethod
-    def from_vec(cls, v):
-        v = np.asarray(v, dtype=float)
-        n = float(np.linalg.norm(v))
-        if not math.isfinite(n):
-            raise ValueError("vector and its norm must be finite")
-        if n == 0.0:
-            raise ValueError("zero vector")
-        return cls(tuple(v / n))
-
-    @property
-    def xyz(self):
-        return np.array(self.vec)
+def _unit_rows(v):
+    """A read-only float copy of v (..., 3), each of whose rows is checked to be a unit vector."""
+    v = _read_only(v)
+    if not np.all(np.abs(np.sum(v * v, axis=-1) - 1.0) <= 2e-12):  # nan and inf fail too
+        raise ValueError("sphere point must be a finite unit vector")
+    return v
 
 
 def _cross(a, b):
@@ -76,17 +59,16 @@ def _cross(a, b):
 
 def angular_distance(a, b):
     """Angle between unit vectors, robust near 0 and pi."""
-    a = a.xyz if isinstance(a, SpherePoint) else np.asarray(a, dtype=float)
-    b = b.xyz if isinstance(b, SpherePoint) else np.asarray(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     cx, cy, cz = _cross(a, b)
     # the sum order of np.linalg.norm over the last axis
     out = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), np.sum(a * b, axis=-1))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def tangent_frame(c: SpherePoint):
-    """Deterministic orthonormal tangent frame (e1, e2) at c."""
-    n = c.xyz
+def tangent_frame(n):
+    """Deterministic orthonormal tangent frame (e1, e2) at the unit vector n (3,)."""
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = seed - (seed @ n) * n
     e1 /= np.linalg.norm(e1)
@@ -94,11 +76,11 @@ def tangent_frame(c: SpherePoint):
 
 
 class Chart:
-    """Polar and gnomonic maps about a center: one tangent_frame call, built once, passed down."""
+    """Polar and gnomonic maps about the unit center n (3,): one tangent_frame call, built once."""
 
-    def __init__(self, c: SpherePoint):
-        self.n = c.xyz
-        self.e1, self.e2 = tangent_frame(c)
+    def __init__(self, n):
+        self.n = _unit_rows(n)
+        self.e1, self.e2 = tangent_frame(self.n)
 
     def to_polar(self, v):
         """Geodesic polar coordinates (rho, theta) of unit vectors v (..., 3) about the center."""
@@ -136,27 +118,23 @@ class Chart:
         return v / np.linalg.norm(v, axis=-1)[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalPolygon:
-    """Convex candidate region: ccw vertices within the open hemisphere about center."""
+    """Convex candidate region: read-only ccw unit vertices xyz (V, 3) in the open hemisphere about
+    chart.n, their gnomonic rows uv (V, 2), and whether it is convex at the default tolerance."""
 
-    vertices: tuple
-    center: SpherePoint
-    _chart: Chart = field(init=False, repr=False, compare=False)
-    _xyz: np.ndarray = field(init=False, repr=False, compare=False)
-    _uv: np.ndarray = field(init=False, repr=False, compare=False)
-    convex: bool = field(init=False, repr=False, compare=False)  # at the default tolerance
+    xyz: np.ndarray
+    chart: Chart
+    uv: np.ndarray = field(init=False, repr=False)
+    convex: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        verts = np.array([v.vec for v in self.vertices], dtype=float).reshape(-1, 3)
-        if not np.all(angular_distance(verts, self.center) < math.pi / 2 - HEMISPHERE_MARGIN):
+        xyz = _unit_rows(self.xyz).reshape(-1, 3)
+        if not np.all(angular_distance(xyz, self.chart.n) < math.pi / 2 - HEMISPHERE_MARGIN):
             raise ValueError("vertex outside the open hemisphere about the center")
-        object.__setattr__(self, "_chart", Chart(self.center))
-        uv = self._chart.gnomonic(verts)
-        for name, a in (("_xyz", verts), ("_uv", uv)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "convex", _check_polygon_chart(uv))
+        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "uv", _read_only(self.chart.gnomonic(xyz)))
+        object.__setattr__(self, "convex", _check_polygon_chart(self.uv))
 
 
 def great_circle_points(a, b, ts):
@@ -200,7 +178,7 @@ class SphericalRegion:
 
 
 def sample_polygon_boundary(poly: SphericalPolygon, per_edge=PER_EDGE) -> SphericalRegion:
-    verts = poly._xyz
+    verts = poly.xyz
     loop = great_circle_points(verts, _next_rows(verts), _edge_ts(per_edge)).reshape(-1, 3)
     return SphericalRegion(np.vstack([loop, loop[:1]]), poly, per_edge, 1.0, 1.0)
 
@@ -208,7 +186,7 @@ def sample_polygon_boundary(poly: SphericalPolygon, per_edge=PER_EDGE) -> Spheri
 def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:
     """Sampled image of the polygon boundary under the contraction."""
     base = sample_polygon_boundary(poly, per_edge)
-    img = poly._chart.contract(k1, k2, base.boundary)
+    img = poly.chart.contract(k1, k2, base.boundary)
     return SphericalRegion(img, poly, per_edge, float(k1), float(k2))
 
 
@@ -223,12 +201,12 @@ def _exact_membership(region: SphericalRegion, pts):
     Preimages are taken from the chart's (x, y, z) straight to its gnomonic plane.
     """
     poly = region.polygon
-    chart = poly._chart
+    chart = poly.chart
     x, y = pts @ chart.e1, pts @ chart.e2
     n = np.hypot(x, y)
     uv = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(n, pts @ chart.n),
                              x, y, n, _gnomonic_radius)
-    return klein_polygon_contains(poly._uv, uv)
+    return klein_polygon_contains(poly.uv, uv)
 
 
 def s_convexity_defect(region: SphericalRegion, pair_samples=PAIR_SAMPLES,
@@ -253,10 +231,10 @@ def s_convexity_defect(region: SphericalRegion, pair_samples=PAIR_SAMPLES,
 
 
 def random_convex_spherical_polygon(rng, center=None):
-    """Random convex polygon in the open hemisphere about a (random) center."""
+    """Random convex polygon in the open hemisphere about a (random) unit center (3,)."""
     if center is None:
         v = rng.normal(size=3)
-        center = SpherePoint.from_vec(v)
+        center = v / np.linalg.norm(v)
     m = int(rng.integers(5, MAX_VERTICES + 1))
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
@@ -266,7 +244,8 @@ def random_convex_spherical_polygon(rng, center=None):
     uv = chart.gnomonic(pts)
     hull_uv = _convex_hull_2d(uv)
     verts = chart.gnomonic_inverse(hull_uv)
-    return SphericalPolygon(tuple(SpherePoint.from_vec(v) for v in verts), center)
+    # normalized again, row by row: a 1-D norm rounds differently from the batched one
+    return SphericalPolygon(verts / np.array([np.linalg.norm(v) for v in verts])[:, None], chart)
 
 
 def conjecture_trial(seed, trials):
@@ -292,7 +271,7 @@ def conjecture_trial(seed, trials):
             rechecked = s_convexity_defect(region4, 4 * PAIR_SAMPLES, 4 * SEGMENT_SAMPLES)
         results.append({
             "trial": i, "seed": seed, "k1": k1, "k2": k2,
-            "symmetric": symmetric, "n_vertices": len(poly.vertices),
+            "symmetric": symmetric, "n_vertices": len(poly.xyz),
             "defect": defect,
             "defect_recheck_4x": rechecked,
             "exceeds": bool((rechecked if rechecked is not None else defect)

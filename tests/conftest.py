@@ -105,7 +105,7 @@ def winding_contains(loop, probes):
 
 
 def region_contains(loop, p) -> bool:
-    """Winding-number membership of a DiskPoint in a closed loop; within 1e-9 counts inside."""
+    """Winding-number membership of a point in a closed loop; within 1e-9 counts inside."""
     probes = p.xy[None, :]
     inside = winding_contains(loop, probes) | (polyline_distance(loop, probes) < 1e-9)
     return bool(inside[0])
@@ -176,8 +176,8 @@ def stacked_chart(k1, k2, r, x, y, f):
 def stacked_membership_h2(region, pts):
     """convexity._exact_membership of hyperboloid probes (P, 3) through row-major stacks."""
     pts = np.ascontiguousarray(pts)
-    center = np.asarray(region.center.cart, dtype=float)
-    verts = region.polygon.klein()
+    center = region.center
+    verts = region.polygon.klein
     if float(center @ center) > 0.0:
         verts = stacked_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
         verts = verts[:, :2] / verts[:, 2:]
@@ -191,8 +191,8 @@ def stacked_membership_h2(region, pts):
 def stacked_membership_s2(region, pts):
     """sphere._exact_membership of unit vectors (P, 3) through row-major stacks."""
     pts = np.ascontiguousarray(pts)
-    chart = region.polygon._chart
+    chart = region.polygon.chart
     x, y = pts @ chart.e1, pts @ chart.e2
     uv = stacked_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(np.hypot(x, y), pts @ chart.n),
                        x, y, sphere._gnomonic_radius)
-    return klein_polygon_contains(region.polygon._uv, uv)
+    return klein_polygon_contains(region.polygon.uv, uv)

@@ -6,17 +6,20 @@ package's jets; finite-difference curve derivatives check the analytic jets,
 the polar chord equation and the diameter branch give geodesics as curves,
 hyperbolic distance goes through the disk translation and the radial
 formula, and the lemma margins have Taylor-sum, direct and slope forms.
+Points are given in both polar and Cartesian form, as the package's polygon
+helpers form them.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from hypexpand.curvature import phi, psi
-from hypexpand.disk import (RHO_MAX, DiskPoint, chord_jet, curvature_from_derivatives,
-                            mobius_translate, polar_chord_radius, wrap_angle)
+from hypexpand.disk import (RHO_MAX, _cart_polar, _polar_points, chord_jet,
+                            curvature_from_derivatives, mobius_translate, polar_chord_radius,
+                            wrap_angle)
 from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
 
 # first-derivative finite-difference step on t; stencils are central and
@@ -33,6 +36,30 @@ SPEED_EPS = 1e-12
 RADIUS_EPS = 1e-12
 
 
+class Point(NamedTuple):
+    """A point of the disk: polar r and theta, and Cartesian xy (2,)."""
+
+    r: float
+    theta: float
+    xy: np.ndarray
+
+
+def polar_point(r, theta) -> Point:
+    """The point (r, theta), with theta wrapped, as disk._polar_points forms vertices."""
+    (r,), (theta,), (xy,) = _polar_points([r], [theta])
+    return Point(float(r), float(theta), xy)
+
+
+def cart_point(x, y) -> Point:
+    """The point (x, y), as disk._cart_polar forms hull vertices."""
+    xy = np.array([x, y], dtype=float)
+    (r,), (theta,) = _cart_polar(xy)
+    return Point(float(r), float(theta), xy)
+
+
+ZERO = polar_point(0.0, 0.0)
+
+
 @dataclass
 class ParamCurve:
     """A twice-differentiable curve t in [0,1] -> (r(t), theta(t)).
@@ -45,8 +72,8 @@ class ParamCurve:
     eval: Callable
     d1: Callable
     d2: Callable
-    start: DiskPoint
-    end: DiskPoint
+    start: Point
+    end: Point
 
 
 def geodesic_curvature(curve: ParamCurve, t):
@@ -74,7 +101,7 @@ class RecordedCurve(ParamCurve):
     meta: dict = field(default_factory=dict)
 
 
-def hyperbolic_distance(u: DiskPoint, v: DiskPoint) -> float:
+def hyperbolic_distance(u: Point, v: Point) -> float:
     """Distance via translation of u to the origin followed by the radial formula."""
     w = mobius_translate(-u.xy, v.xy)
     rho = min(math.hypot(w[0], w[1]), RHO_MAX)
@@ -157,15 +184,15 @@ def from_polar_function(f, h1=FD_STEP_D1, h2=None) -> RecordedCurve:
         eval=f,
         d1=d1,
         d2=d2,
-        start=DiskPoint.from_polar(float(r0), float(t0)),
-        end=DiskPoint.from_polar(float(r1), float(t1)),
+        start=polar_point(float(r0), float(t0)),
+        end=polar_point(float(r1), float(t1)),
         derivative_kind="finite-difference",
     )
 
 
 # --- geodesics ---------------------------------------------------------------
 
-def geodesic_between(u: DiskPoint, v: DiskPoint, angle_eps=1e-14) -> RecordedCurve:
+def geodesic_between(u: Point, v: Point, angle_eps=1e-14) -> RecordedCurve:
     """The geodesic segment from u to v as a curve with analytic derivatives.
 
     For endpoints subtending an angle in (0, pi) at the origin, the curve uses
@@ -178,7 +205,7 @@ def geodesic_between(u: DiskPoint, v: DiskPoint, angle_eps=1e-14) -> RecordedCur
     hyperbolic radius along the common diameter, where the chord equation
     degenerates.  meta records the branch and the traversal orientation.
     """
-    if u.cart == v.cart:
+    if np.array_equal(u.xy, v.xy):
         raise ValueError("geodesic endpoints must be distinct")
 
     through_origin = u.r < RADIUS_EPS or v.r < RADIUS_EPS

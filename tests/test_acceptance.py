@@ -18,10 +18,11 @@ from hypexpand.cli import (
 )
 from hypexpand.curvature import ORDERING_SLACK, ChordSpec, p_coefficients_grid, side_ordering
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import DiskPoint, mobius_translate, polar_to_cart
+from hypexpand.disk import mobius_translate, polar_to_cart
 from hypexpand.lemmas import coth_poly_I_series, verify_all
-from references import (coth_poly_I_direct, from_polar_function, geodesic_between,
-                        geodesic_curvature, hyperbolic_distance, sinh_scaling_series)
+from references import (cart_point, coth_poly_I_direct, from_polar_function, geodesic_between,
+                        geodesic_curvature, hyperbolic_distance, polar_point,
+                        sinh_scaling_series)
 
 
 def _report(name, ok, detail):
@@ -30,7 +31,7 @@ def _report(name, ok, detail):
 
 
 def _rand_point(rng, r_max=3.0, r_min=0.05):
-    return DiskPoint.from_polar(rng.uniform(r_min, r_max), rng.uniform(-math.pi, math.pi))
+    return polar_point(rng.uniform(r_min, r_max), rng.uniform(-math.pi, math.pi))
 
 
 def test_criterion_1_expansion_preserves_convexity():
@@ -133,8 +134,8 @@ def test_criterion_7_algebraic_identities():
         c = _rand_point(rng, 1.5)
         p = _rand_point(rng, 3.0)
         k1, k2 = rng.uniform(0.3, 4.0, 2)
-        back = dilate_xy(DilationParams(c, 1.0 / k1, 1.0 / k2),
-                         dilate_xy(DilationParams(c, k1, k2), p.xy))
+        back = dilate_xy(DilationParams(c.xy, 1.0 / k1, 1.0 / k2),
+                         dilate_xy(DilationParams(c.xy, k1, k2), p.xy))
         worst_inv = max(worst_inv, float(np.max(np.abs(back - p.xy))))
 
         q = _rand_point(rng, 3.0)
@@ -144,7 +145,7 @@ def test_criterion_7_algebraic_identities():
         worst_comp = max(worst_comp, float(np.max(np.abs(one - two))))
 
         u, v = _rand_point(rng), _rand_point(rng)
-        cu, cv = (DiskPoint.from_cart(*mobius_translate(c.xy, x.xy)) for x in (u, v))
+        cu, cv = (cart_point(*mobius_translate(c.xy, x.xy)) for x in (u, v))
         worst_iso = max(worst_iso, abs(hyperbolic_distance(cu, cv) - hyperbolic_distance(u, v)))
     ok = worst_inv < 1e-10 and worst_comp < 1e-11 and worst_iso < 1e-11
     _report("7 algebraic identities", ok,

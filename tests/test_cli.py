@@ -23,7 +23,7 @@ from hypexpand.cli import (
 )
 from hypexpand.convexity import GeodesicPolygon, convexity_defect, dilate_region
 from hypexpand.dilation import DilationParams
-from hypexpand.disk import DiskPoint, curvature_from_derivatives, polar_to_cart
+from hypexpand.disk import curvature_from_derivatives, polar_to_cart
 
 
 def reference_csv(header, rows):
@@ -88,7 +88,7 @@ class TestSearch:
         report = run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=50)
         w = report["witness"]
         assert (w["samples_per_edge"], w["pair_samples"], w["segment_samples"]) == (32, 128, 16)
-        params = DilationParams(DiskPoint.from_cart(*w["center_cart"]), w["k1"], w["k2"])
+        params = DilationParams(w["center_cart"], w["k1"], w["k2"])
         region = dilate_region(GeodesicPolygon.from_polar(w["vertices_polar"]), params,
                                samples_per_edge=48)
         defect = convexity_defect(region, 160, 24)
@@ -146,6 +146,8 @@ class TestSearch:
         ("center_cart", [0.0]),
         ("center_cart", ["0", 0.0]),
         ("center_cart", [1.5, 0.0]),
+        # past the float64 chart: the boundary samples round onto the unit circle
+        ("vertices_polar", [[38.0, 0.0], [38.0, 2.0], [38.0, 4.0]]),
         # a dart: simple and counterclockwise, but not h-convex
         ("vertices_polar", [[0.05, 0.0], [0.7, -math.pi / 2], [0.7, 0.0], [0.7, math.pi / 2]]),
     ])
@@ -392,6 +394,11 @@ class TestParsing:
         ["curvature-sweep", "--tol", "inf"],
         ["curvature-sweep", "--tol=-inf"],
         ["render", "--k1", "inf"],
+        ["verify-theorem", "--seed", "-1", "--trials", "2"],
+        ["search-counterexample", "--seed", "-1"],
+        ["sphere-conjecture", "--seed", "-1"],
+        ["curvature-sweep", "--seed", "-1"],
+        ["render", "--seed", "-1"],
     ])
     def test_invalid_input_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

@@ -29,41 +29,47 @@ from hypexpand.convexity import (
     to_klein,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (DiskPoint, ORIGIN, cart_to_polar, hyperboloid_chord_vectors,
+from hypexpand.disk import (_cart_polar, cart_to_polar, hyperboloid_chord_vectors,
                             hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart)
+from references import ZERO, cart_point, polar_point
 
 
 def carts(points):
-    """Cartesian rows (m, 2) of DiskPoints, the input of hyperbolic_hull."""
-    return np.array([p.cart for p in points])
+    """Cartesian rows (m, 2) of points, the input of hyperbolic_hull."""
+    return np.array([p.xy for p in points])
 
 
 def rand_point(rng, r_max=3.0):
-    return DiskPoint.from_polar(rng.uniform(0.1, r_max), rng.uniform(-math.pi, math.pi))
+    return polar_point(rng.uniform(0.1, r_max), rng.uniform(-math.pi, math.pi))
 
 
-def klein_points(kverts):
-    """The DiskPoints with Klein coordinates kverts (V, 2)."""
-    return [DiskPoint.from_cart(x, y) for x, y in from_klein(np.asarray(kverts)).tolist()]
+def cart_polygon(xy):
+    """The polygon with Cartesian vertex rows xy (V, 2), their polar forms made as a hull's."""
+    return GeodesicPolygon(*_cart_polar(xy), xy)
 
 
-def translated(c, points):
-    """The DiskPoints moved by the disk translation carrying 0 to c."""
-    return tuple(DiskPoint.from_cart(*mobius_translate(c.xy, p.xy)) for p in points)
+def klein_polygon(kverts):
+    """The polygon with Klein vertex rows kverts (V, 2)."""
+    return cart_polygon(from_klein(np.asarray(kverts)))
+
+
+def translated(c, xy):
+    """Cartesian rows xy (V, 2) moved, one at a time, by the disk translation carrying 0 to c."""
+    return np.array([mobius_translate(c.xy, p) for p in xy])
 
 
 def contains(poly, p):
-    """Half-plane membership of the DiskPoint p in the h-convex polygon."""
-    return bool(klein_polygon_contains(poly.klein(), to_klein(p.xy))[0])
+    """Half-plane membership of the point p in the h-convex polygon."""
+    return bool(klein_polygon_contains(poly.klein, to_klein(p.xy))[0])
 
 
 class TestKleinChart:
     def test_origin_fixed(self):
-        assert np.allclose(to_klein(ORIGIN.xy), [0.0, 0.0])
+        assert np.allclose(to_klein(ZERO.xy), [0.0, 0.0])
         assert np.allclose(from_klein(np.zeros(2)), [0.0, 0.0])
 
     def test_axis_value(self):
-        q = to_klein(DiskPoint.from_cart(0.5, 0.0).xy)
+        q = to_klein(cart_point(0.5, 0.0).xy)
         assert q[0] == pytest.approx(0.8, abs=1e-15)
         assert q[1] == 0.0
 
@@ -82,32 +88,31 @@ class TestKleinChart:
 
 class TestHull:
     def test_triangle_is_its_own_hull(self):
-        pts = [DiskPoint.from_polar(1.0, a) for a in (0.0, 2.0, 4.0)]
+        pts = [polar_point(1.0, a) for a in (0.0, 2.0, 4.0)]
         hull = hyperbolic_hull(carts(pts))
-        assert len(hull.vertices) == 3
+        assert len(hull.r) == 3
 
     def test_interior_point_dropped(self):
-        pts = [DiskPoint.from_polar(1.5, a) for a in (0.3, 1.8, 3.3, 4.8)]
-        pts.append(DiskPoint.from_polar(0.05, 0.0))
+        pts = [polar_point(1.5, a) for a in (0.3, 1.8, 3.3, 4.8)]
+        pts.append(polar_point(0.05, 0.0))
         hull = hyperbolic_hull(carts(pts))
-        assert len(hull.vertices) == 4
-        assert all(v.r > 0.1 for v in hull.vertices)
+        assert len(hull.r) == 4
+        assert np.all(hull.r > 0.1)
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             pts = [rand_point(rng) for _ in range(10)]
             hull = hyperbolic_hull(carts(pts))
-            again = hyperbolic_hull(carts(hull.vertices))
-            assert len(again.vertices) == len(hull.vertices)
-            a = np.array([v.xy for v in hull.vertices])
-            b = np.array([v.xy for v in again.vertices])
+            again = hyperbolic_hull(hull.cart)
+            assert len(again.r) == len(hull.r)
+            a, b = hull.cart, again.cart
             # same cyclic order
             shift = int(np.argmin(np.sum((b - a[0]) ** 2, axis=1)))
             assert np.max(np.abs(np.roll(b, -shift, axis=0) - a)) < 1e-12
 
     def test_collinear_rejected(self):
-        pts = [DiskPoint.from_polar(r, 0.7) for r in (0.5, 1.0, 1.5)]
+        pts = [polar_point(r, 0.7) for r in (0.5, 1.0, 1.5)]
         with pytest.raises(ValueError):
             hyperbolic_hull(carts(pts))
 
@@ -129,27 +134,27 @@ class TestConvexityPredicate:
         # push one hull vertex inward past the opposite diagonal; the result
         # is a simple dart with one reflex vertex
         k = 0.6
-        dart = GeodesicPolygon(tuple(klein_points([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])))
+        dart = klein_polygon([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])
         assert not dart.hconvex
         # no region is built from it, so none is measured without exact membership
         with pytest.raises(ValueError, match="h-convex polygon"):
             polygon_region(dart, samples_per_edge=64)
         with pytest.raises(ValueError, match="h-convex polygon"):
-            dilate_region(dart, DilationParams(ORIGIN, 0.25, 1.0))
+            dilate_region(dart, DilationParams(ZERO.xy, 0.25, 1.0))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             poly = random_hconvex_polygon(rng)
             c = rand_point(rng, 1.0)
-            moved = GeodesicPolygon(translated(c, poly.vertices))
+            moved = cart_polygon(translated(c, poly.cart))
             assert poly.hconvex == moved.hconvex == True  # noqa: E712
 
     def test_translation_invariance_nonconvex(self):
         k = 0.6
-        dart = GeodesicPolygon(tuple(klein_points([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])))
-        c = DiskPoint.from_cart(0.25, -0.15)
-        moved = GeodesicPolygon(translated(c, dart.vertices))
+        dart = klein_polygon([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])
+        c = cart_point(0.25, -0.15)
+        moved = cart_polygon(translated(c, dart.cart))
         assert dart.hconvex == moved.hconvex == False  # noqa: E712
 
     def test_klein_equivalence(self):
@@ -158,7 +163,7 @@ class TestConvexityPredicate:
         rng = np.random.default_rng(24)
         for _ in range(30):
             poly = random_hconvex_polygon(rng)
-            k = poly.klein()
+            k = poly.klein
             n = len(k)
             e = np.roll(k, -1, axis=0) - k
             cross = np.array([
@@ -208,11 +213,11 @@ def per_point_hconvex_polygon(rng, center):
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     radii = rng.uniform(0.2, 3.0, m)
-    pts = [DiskPoint.from_polar(r, th) for r, th in zip(radii, thetas)]
+    xy = carts([polar_point(r, th) for r, th in zip(radii, thetas)])
     if center.r > 0.0:
-        pts = translated(center, pts)
-    hull = numpy_row_hull(np.array([to_klein(p.xy) for p in pts]))
-    return [DiskPoint.from_cart(*from_klein(q)) for q in hull]
+        xy = translated(center, xy)
+    hull = numpy_row_hull(np.array([to_klein(p) for p in xy]))
+    return np.array([from_klein(q) for q in hull])
 
 
 def numpy_row_hull(pts):
@@ -252,7 +257,7 @@ class TestBatchedPolygonLayer:
     def test_membership_matches_the_broadcast_form(self):
         rng = np.random.default_rng(51)
         for _ in range(40):
-            k = random_hconvex_polygon(rng, center=rand_point(rng, 1.5)).klein()
+            k = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy).klein
             e = np.roll(k, -1, axis=0) - k
             t = rng.uniform(0.0, 1.0, (64, 1))
             idx = rng.integers(0, len(k), 64)
@@ -292,10 +297,10 @@ class TestBatchedPolygonLayer:
         # counterclockwise by signed area (unequal lobes), but two edges cross
         k = [(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)]
         with pytest.raises(ValueError, match="self-intersect"):
-            GeodesicPolygon(tuple(klein_points(k)))
+            klein_polygon(k)
         # a polygon from outside, such as a witness, keeps the crossing test
         with pytest.raises(ValueError, match="self-intersect"):
-            GeodesicPolygon.from_polar([(p.r, p.theta) for p in klein_points(k)])
+            GeodesicPolygon.from_polar(np.column_stack(_cart_polar(from_klein(np.array(k)))))
 
     def test_strictly_convex_polygons_skip_the_crossing_test(self, monkeypatch):
         calls = []
@@ -308,9 +313,9 @@ class TestBatchedPolygonLayer:
         monkeypatch.setattr(convexity, "_edges_cross", recording)
         rng = np.random.default_rng(54)
         for _ in range(50):
-            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
-            assert poly.hconvex and GeodesicPolygon(poly.vertices) == poly
-            assert hyperbolic_hull(carts(poly.vertices)).hconvex
+            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+            assert poly.hconvex and GeodesicPolygon(poly.r, poly.theta, poly.cart).hconvex
+            assert hyperbolic_hull(poly.cart).hconvex
         assert calls == []
         # a bowtie, and a triangle traversed twice: every vertex weakly left of
         # every edge (zero margins at the repeats), yet edges cross
@@ -319,38 +324,40 @@ class TestBatchedPolygonLayer:
             k = np.array(k)
             assert convexity._klein_signed_area(k) > 0.0 and pairwise_edges_cross(k)
             with pytest.raises(ValueError, match="self-intersect"):
-                GeodesicPolygon(tuple(klein_points(k)))
+                klein_polygon(k)
         assert np.all(convexity._vertex_margins(k) >= 0.0)
         assert calls == [4, 6]
 
     def test_klein_vertices_match_per_vertex_conversion(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
-            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5))
-            assert np.array_equal(poly.klein(), np.array([to_klein(v.xy) for v in poly.vertices]))
+            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+            assert np.array_equal(poly.klein, np.array([to_klein(p) for p in poly.cart]))
 
     def test_klein_vertices_are_read_only(self):
         poly = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
-        with pytest.raises(ValueError):
-            poly.klein()[0, 0] = 0.0
-        assert poly == GeodesicPolygon.from_polar(poly.polar())
+        for a in (poly.r, poly.theta, poly.cart, poly.klein):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        again = GeodesicPolygon.from_polar(np.column_stack([poly.r, poly.theta]))
+        for name in ("r", "theta", "cart", "klein"):
+            assert np.array_equal(getattr(again, name), getattr(poly, name))
 
     def test_generator_matches_per_point_translation(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            center = rand_point(rng, 1.5) if seed % 4 else ORIGIN
+            center = rand_point(rng, 1.5) if seed % 4 else ZERO
             state = rng.bit_generator.state
-            poly = random_hconvex_polygon(rng, center=center)
+            poly = random_hconvex_polygon(rng, center=center.xy)
             rng.bit_generator.state = state
-            expected = per_point_hconvex_polygon(rng, center)
-            assert [v.cart for v in poly.vertices] == [v.cart for v in expected]
+            assert poly.cart.tolist() == per_point_hconvex_polygon(rng, center).tolist()
 
     def test_row_translation_matches_per_point_translation(self):
         rng = np.random.default_rng(54)
         for _ in range(200):
             c = rand_point(rng, 3.0)
             pts = [rand_point(rng, 3.0) for _ in range(int(rng.integers(3, 13)))]
-            rows = convexity._translate_rows(c.xy, np.array([p.cart for p in pts]))
+            rows = convexity._translate_rows(c.xy, carts(pts))
             assert rows.tolist() == [mobius_translate(c.xy, p.xy).tolist() for p in pts]
 
 class TestRegionMembership:
@@ -359,12 +366,12 @@ class TestRegionMembership:
     def test_disk_center_inside_circle_region(self):
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.2), thetas)
-        assert region_contains(np.vstack([xy, xy[:1]]), ORIGIN)
+        assert region_contains(np.vstack([xy, xy[:1]]), ZERO)
 
     def test_far_point_outside(self):
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.2), thetas)
-        assert not region_contains(np.vstack([xy, xy[:1]]), DiskPoint.from_polar(2.5, 0.3))
+        assert not region_contains(np.vstack([xy, xy[:1]]), polar_point(2.5, 0.3))
 
     def test_agrees_with_half_plane_membership(self):
         rng = np.random.default_rng(25)
@@ -454,12 +461,12 @@ class TestPolylineDistance:
         rng = np.random.default_rng(41)
         for i in range(4):
             center = rand_point(rng, 1.5)
-            poly = random_hconvex_polygon(rng, center=center)
-            params = DilationParams(center, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
+            poly = random_hconvex_polygon(rng, center=center.xy)
+            params = DilationParams(center.xy, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
             region = dilate_region(poly, params)
             self.assert_exact(region.boundary, near_and_far_probes(region.boundary, rng))
             thin = dilate_region(_directed_thin_polygon(rng),
-                                 DilationParams(ORIGIN, rng.uniform(0.25, 0.97), 1.0))
+                                 DilationParams(ZERO.xy, rng.uniform(0.25, 0.97), 1.0))
             self.assert_exact(thin.boundary, near_and_far_probes(thin.boundary, rng))
 
     def test_one_long_segment(self):
@@ -560,8 +567,8 @@ class TestDefect:
         rng = np.random.default_rng(27)
         for _ in range(10):
             c = rand_point(rng, 1.2)
-            poly = random_hconvex_polygon(rng, center=c)
-            params = DilationParams(c, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
+            poly = random_hconvex_polygon(rng, center=c.xy)
+            params = DilationParams(c.xy, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
             region = dilate_region(poly, params)
             assert convexity_defect(region) < 1e-6
 
@@ -569,7 +576,7 @@ class TestDefect:
         # a contraction image, which is not convex: more pairs and more samples
         # per chord extend the probe set, so the defect cannot fall
         region = dilate_region(_directed_thin_polygon(np.random.default_rng(37)),
-                               DilationParams(ORIGIN, 0.25, 1.0))
+                               DilationParams(ZERO.xy, 0.25, 1.0))
         d1 = convexity_defect(region, 32, 16)
         d2 = convexity_defect(region, 64, 16)
         d3 = convexity_defect(region, 64, 32)
@@ -604,17 +611,17 @@ class TestDefect:
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
                 polygon_region(poly, samples_per_edge=per_edge)
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
-                dilate_region(poly, DilationParams(ORIGIN, 0.5, 1.0), samples_per_edge=per_edge)
+                dilate_region(poly, DilationParams(ZERO.xy, 0.5, 1.0), samples_per_edge=per_edge)
 
 
 def rebuilt_oracle(region):
     """Membership oracle rebuilt from the region's map on every call, as measurement once did it."""
-    poly = GeodesicPolygon.from_polar(region.polygon.polar())
+    poly = GeodesicPolygon.from_polar(np.column_stack([region.polygon.r, region.polygon.theta]))
     inv_k1, inv_k2 = 1.0 / region.k1, 1.0 / region.k2
-    center = np.asarray(region.center.cart, dtype=float)
+    center = region.center
     centered_off = float(center @ center) > 0.0
-    verts = poly.klein() if not centered_off else to_klein(
-        convexity._translate_rows(-center, np.array([v.cart for v in poly.vertices])))
+    verts = poly.klein if not centered_off else to_klein(
+        convexity._translate_rows(-center, poly.cart))
 
     def contains(r, th):
         if centered_off:
@@ -629,9 +636,9 @@ def rebuilt_oracle(region):
 
 class TestCarriedPolygon:
     def test_a_region_without_an_hconvex_polygon_is_refused(self):
-        center = DiskPoint.from_polar(0.7, 1.0)
-        poly = random_hconvex_polygon(np.random.default_rng(36), center=center)
-        dilated = dilate_region(poly, DilationParams(center, 0.4, 1.3))
+        center = polar_point(0.7, 1.0)
+        poly = random_hconvex_polygon(np.random.default_rng(36), center=center.xy)
+        dilated = dilate_region(poly, DilationParams(center.xy, 0.4, 1.3))
         assert dilated.polygon is poly
         pts = hyperboloid_lift(*cart_to_polar(dilated.boundary))
         inside = convexity._exact_membership(dilated, pts)
@@ -645,13 +652,13 @@ class TestCarriedPolygon:
         r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
         xy = polar_to_cart(r, thetas)
         with pytest.raises(ValueError, match="h-convex polygon"):
-            SampledRegion(np.vstack([xy, xy[:1]]), None, 32, 1.0, 1.0, ORIGIN)
+            SampledRegion(np.vstack([xy, xy[:1]]), None, 32, 1.0, 1.0, ZERO.xy)
 
     def test_a_region_without_its_map_is_refused_at_construction(self):
         # the map and the sampling are fields without defaults: a region that
         # names neither is not built, rather than measured as the bare polygon
         poly = _directed_thin_polygon(np.random.default_rng(37))
-        img = dilate_region(poly, DilationParams(ORIGIN, 0.25, 1.0))
+        img = dilate_region(poly, DilationParams(ZERO.xy, 0.25, 1.0))
         assert convexity_defect(img) > 1e-3
         with pytest.raises(TypeError):
             SampledRegion(img.boundary, {"samples_per_edge": 32}, poly)
@@ -697,9 +704,8 @@ class TestCarriedPolygon:
 def centered_klein_vertices(poly, center):
     """Klein vertices of the polygon translated by -center."""
     if center.r == 0.0:
-        return poly.klein()
-    return to_klein(convexity._translate_rows(-center.xy,
-                                              np.array([v.cart for v in poly.vertices])))
+        return poly.klein
+    return to_klein(convexity._translate_rows(-center.xy, poly.cart))
 
 
 def exact_margin(region, p):
@@ -708,7 +714,7 @@ def exact_margin(region, p):
     The probe and the polygon's vertices are carried to the center by the disk
     translation in the Poincare chart, at 50 digits, not by the boost under test.
     """
-    cx, cy = (-mp.mpf(c) for c in region.center.cart)
+    cx, cy = (-mp.mpf(c) for c in region.center.tolist())
     cc = cx * cx + cy * cy
 
     def centered(x, y):
@@ -722,7 +728,7 @@ def exact_margin(region, p):
         x, y = centered(x / (1 + z), y / (1 + z))
         u, v = mp_dilate_chart(1 / mp.mpf(region.k1), 1 / mp.mpf(region.k2),
                                x, y, 2 * mp.atanh(mp.hypot(x, y)), mp.tanh)
-        verts = [centered(mp.mpf(a), mp.mpf(b)) for a, b in (q.cart for q in region.polygon.vertices)]
+        verts = [centered(mp.mpf(a), mp.mpf(b)) for a, b in region.polygon.cart.tolist()]
         return mp_margin([(2 * a / (1 + a * a + b * b), 2 * b / (1 + a * a + b * b))
                           for a, b in verts], u, v)
 
@@ -734,13 +740,13 @@ class TestProjectiveMembership:
         rng = np.random.default_rng(37)
         flips = 0
         for trial in range(40):
-            center = ORIGIN if trial % 4 == 0 else rand_point(rng, 1.5)
-            poly = random_hconvex_polygon(rng, center=center)
+            center = ZERO if trial % 4 == 0 else rand_point(rng, 1.5)
+            poly = random_hconvex_polygon(rng, center=center.xy)
             k1, k2 = rng.uniform(0.25, 4.0, 2)
-            region = dilate_region(poly, DilationParams(center, k1, k2))
+            region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             # probes in the preimage's centered Klein chart, mapped forward
             pre = from_klein(edge_probes(rng, centered_klein_vertices(poly, center), spread=0.7))
-            img = dilate_xy(DilationParams(ORIGIN, k1, k2), pre)
+            img = dilate_xy(DilationParams(ZERO.xy, k1, k2), pre)
             if center.r > 0.0:
                 img = mobius_translate(center.xy, img)
             pts = np.vstack([hyperboloid_lift(*cart_to_polar(img)),
@@ -765,11 +771,11 @@ class TestProjectiveMembership:
         rng = np.random.default_rng(39)
         outside = 0
         for trial in range(24):
-            center = ORIGIN if trial % 3 == 0 else rand_point(rng, 1.5)
+            center = ZERO if trial % 3 == 0 else rand_point(rng, 1.5)
             poly = (_directed_thin_polygon(rng) if trial % 3 == 0
-                    else random_hconvex_polygon(rng, center=center))
+                    else random_hconvex_polygon(rng, center=center.xy))
             k1, k2 = rng.uniform(0.25, 4.0, 2)
-            region = dilate_region(poly, DilationParams(center, k1, k2))
+            region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             ends, i, j, ts = convexity._chord_plan(region, 128, 16)
             lifted = hyperboloid_lift(*cart_to_polar(region.boundary[ends]))
             probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
@@ -787,12 +793,12 @@ class TestProjectiveMembership:
 
         margins = convexity._vertex_margins
         monkeypatch.setattr(convexity, "_vertex_margins", recording)
-        center = DiskPoint.from_polar(0.7, 1.0)
-        poly = random_hconvex_polygon(np.random.default_rng(38), center=center)
+        center = polar_point(0.7, 1.0)
+        poly = random_hconvex_polygon(np.random.default_rng(38), center=center.xy)
         for k1 in (0.5, 2.0, 3.0):
-            convexity_defect(dilate_region(poly, DilationParams(center, k1, 1.5)))
-        assert len(calls) == 1 and calls[0] is poly.klein() and poly.hconvex is True
-        assert poly.hconvex == bool(np.all(margins(poly.klein()) >= -SIDEDNESS_TOL))
+            convexity_defect(dilate_region(poly, DilationParams(center.xy, k1, 1.5)))
+        assert len(calls) == 1 and calls[0] is poly.klein and poly.hconvex is True
+        assert poly.hconvex == bool(np.all(margins(poly.klein) >= -SIDEDNESS_TOL))
         with pytest.raises(dataclasses.FrozenInstanceError):
             poly.hconvex = False
 
@@ -801,22 +807,22 @@ class TestDilateRegion:
     def test_identity_keeps_vertices(self):
         rng = np.random.default_rng(29)
         poly = random_hconvex_polygon(rng)
-        region = dilate_region(poly, DilationParams(ORIGIN, 1.0, 1.0), samples_per_edge=32)
+        region = dilate_region(poly, DilationParams(ZERO.xy, 1.0, 1.0), samples_per_edge=32)
         assert convexity_defect(region) < 1e-9
-        for i, v in enumerate(poly.vertices):
-            assert np.max(np.abs(region.boundary[i * 32] - v.xy)) < 1e-12
+        for i, xy in enumerate(poly.cart):
+            assert np.max(np.abs(region.boundary[i * 32] - xy)) < 1e-12
 
     def test_symmetric_expansion_convex(self):
         rng = np.random.default_rng(30)
         poly = random_hconvex_polygon(rng)
-        region = dilate_region(poly, DilationParams(ORIGIN, 2.0, 2.0))
+        region = dilate_region(poly, DilationParams(ZERO.xy, 2.0, 2.0))
         assert convexity_defect(region) < 1e-6
 
     def test_asymmetric_expansion_about_interior_center(self):
         rng = np.random.default_rng(31)
-        c = DiskPoint.from_polar(0.9, 0.4)
-        poly = random_hconvex_polygon(rng, center=c)
-        region = dilate_region(poly, DilationParams(c, 2.0, 1.0))
+        c = polar_point(0.9, 0.4)
+        poly = random_hconvex_polygon(rng, center=c.xy)
+        region = dilate_region(poly, DilationParams(c.xy, 2.0, 1.0))
         assert convexity_defect(region) < 1e-6
         check_simple(region.boundary)
 
@@ -829,13 +835,13 @@ class TestSampledRegionValidation:
         thetas = np.linspace(-math.pi, math.pi, 129)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
         with pytest.raises(ValueError, match="not closed"):
-            SampledRegion(xy[:-1], self.TRIANGLE, 32, 1.0, 1.0, ORIGIN)
+            SampledRegion(xy[:-1], self.TRIANGLE, 32, 1.0, 1.0, ZERO.xy)
 
     def test_requires_minimum_samples(self):
         thetas = np.linspace(-math.pi, math.pi, 33)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
         with pytest.raises(ValueError, match="at least 64 samples"):
-            SampledRegion(np.vstack([xy, xy[:1]]), self.TRIANGLE, 32, 1.0, 1.0, ORIGIN)
+            SampledRegion(np.vstack([xy, xy[:1]]), self.TRIANGLE, 32, 1.0, 1.0, ZERO.xy)
 
     def test_simplicity_check_catches_crossing(self):
         t = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
@@ -851,7 +857,7 @@ class TestGenerator:
         rng = np.random.default_rng(32)
         for _ in range(50):
             c = rand_point(rng, 1.5)
-            poly = random_hconvex_polygon(rng, center=c)
+            poly = random_hconvex_polygon(rng, center=c.xy)
             assert contains(poly, c)
             assert poly.hconvex
-            assert 3 <= len(poly.vertices) <= 12
+            assert 3 <= len(poly.r) <= 12

@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from hypexpand.convexity import ChartSaturation, GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
-from hypexpand.disk import DiskPoint, ORIGIN, mobius_translate, polar_to_cart
+from hypexpand.disk import mobius_translate, polar_to_cart
+from references import ZERO, cart_point, polar_point
 
 
 def rand_point(rng, r_max=3.0):
-    return DiskPoint.from_polar(rng.uniform(0.05, r_max), rng.uniform(-math.pi, math.pi))
+    return polar_point(rng.uniform(0.05, r_max), rng.uniform(-math.pi, math.pi))
 
 
 def dilate_polar(k1, k2, p):
-    """The origin dilation of the DiskPoint p, as a DiskPoint."""
-    return DiskPoint.from_polar(*dilate_origin_polar(k1, k2, p.r, p.theta))
+    """The origin dilation of the point p, as a point."""
+    return polar_point(*dilate_origin_polar(k1, k2, p.r, p.theta))
 
 
 def inverse(params):
@@ -26,18 +27,18 @@ def inverse(params):
 class TestParams:
     def test_positive_factors_required(self):
         with pytest.raises(ValueError):
-            DilationParams(ORIGIN, 0.0, 1.0)
+            DilationParams(ZERO.xy, 0.0, 1.0)
         with pytest.raises(ValueError):
-            DilationParams(ORIGIN, 1.0, -2.0)
+            DilationParams(ZERO.xy, 1.0, -2.0)
 
 
 class TestOriginDilation:
     def test_identity(self):
-        p = DiskPoint.from_polar(1.7, 2.1)
+        p = polar_point(1.7, 2.1)
         assert np.max(np.abs(dilate_polar(1.0, 1.0, p).xy - p.xy)) <= 1e-15
 
     def test_axis_doubling(self):
-        p = DiskPoint.from_polar(0.8, 0.0)
+        p = polar_point(0.8, 0.0)
         q = dilate_polar(2.0, 1.0, p)
         assert q.r == pytest.approx(1.6, abs=1e-14)
         assert q.theta == 0.0
@@ -45,7 +46,7 @@ class TestOriginDilation:
     def test_diagonal_example(self):
         # independently recomputed: r' = sqrt(4*cos^2 + sin^2)/sqrt(2)... at
         # theta = pi/4 the factor is sqrt(5/2); the angle maps to atan(1/2)
-        q = dilate_polar(2.0, 1.0, DiskPoint.from_polar(1.0, math.pi / 4))
+        q = dilate_polar(2.0, 1.0, polar_point(1.0, math.pi / 4))
         assert q.r == pytest.approx(1.5811388300841898, abs=1e-14)
         assert q.theta == pytest.approx(0.46364760900080615, abs=1e-14)
 
@@ -63,16 +64,16 @@ class TestOriginDilation:
         # tanh(r/2) rounds to 1.0 from r ~ 38, so k1 = 13 carries a boundary at
         # r = 4 onto the unit circle, and the region refuses it
         poly = GeodesicPolygon.from_polar([(4.0, 0.0), (4.0, 2.0), (4.0, -2.0)])
-        for center in (ORIGIN, DiskPoint.from_polar(0.3, 1.0)):
+        for center in (ZERO, polar_point(0.3, 1.0)):
             with pytest.raises(ChartSaturation, match=r"k1=13\.0, k2=1\.0"):
-                dilate_region(poly, DilationParams(center, 13.0, 1.0))
+                dilate_region(poly, DilationParams(center.xy, 13.0, 1.0))
 
     def test_the_chart_saturates_without_a_warning(self):
         xy = polar_to_cart(np.array([15.0, 1.0]), np.array([0.0, 0.5]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for center in (ORIGIN, DiskPoint.from_polar(0.3, 1.0)):
-                out = dilate_xy(DilationParams(center, 4.0, 1.0), xy)
+            for center in (ZERO, polar_point(0.3, 1.0)):
+                out = dilate_xy(DilationParams(center.xy, 4.0, 1.0), xy)
                 assert math.hypot(*out[0]) == pytest.approx(1.0, abs=1e-12)  # r' = 60
             r, _ = dilate_origin_polar(4.0, 1.0, 15.0, 0.0)  # the polar map alone is chart-free
             assert r == 60.0
@@ -103,13 +104,13 @@ class TestOriginChartMap:
 
 class TestCenteredDilation:
     def test_center_zero_reduces_to_origin_map(self):
-        p = DiskPoint.from_polar(1.2, 0.7)
-        xy = dilate_xy(DilationParams(ORIGIN, 2.0, 1.3), p.xy)
+        p = polar_point(1.2, 0.7)
+        xy = dilate_xy(DilationParams(ZERO.xy, 2.0, 1.3), p.xy)
         assert np.max(np.abs(xy - dilate_polar(2.0, 1.3, p).xy)) <= 1e-15
 
     def test_center_is_fixed(self):
-        c = DiskPoint.from_cart(0.4, -0.2)
-        params = DilationParams(c, 3.0, 1.5)
+        c = cart_point(0.4, -0.2)
+        params = DilationParams(c.xy, 3.0, 1.5)
         assert np.max(np.abs(dilate_xy(params, c.xy) - c.xy)) <= 1e-12
 
     def test_inverse_roundtrip(self):
@@ -118,20 +119,20 @@ class TestCenteredDilation:
         for _ in range(1000):
             c = rand_point(rng, 1.5)
             p = rand_point(rng, 3.0)
-            params = DilationParams(c, rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0))
+            params = DilationParams(c.xy, rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0))
             back = dilate_xy(inverse(params), dilate_xy(params, p.xy))
             worst = max(worst, float(np.max(np.abs(back - p.xy))))
         assert worst < 1e-10
 
     def test_inverse_example(self):
-        q = DiskPoint.from_polar(math.sqrt(2.5), math.atan(0.5))
-        p = DiskPoint.from_cart(*dilate_xy(inverse(DilationParams(ORIGIN, 2.0, 1.0)), q.xy))
+        q = polar_point(math.sqrt(2.5), math.atan(0.5))
+        p = cart_point(*dilate_xy(inverse(DilationParams(ZERO.xy, 2.0, 1.0)), q.xy))
         assert p.r == pytest.approx(1.0, abs=1e-12)
         assert p.theta == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_identity_inverse(self):
-        p = DiskPoint.from_polar(2.0, -1.0)
-        back = dilate_xy(inverse(DilationParams(ORIGIN, 1.0, 1.0)), p.xy)
+        p = polar_point(2.0, -1.0)
+        back = dilate_xy(inverse(DilationParams(ZERO.xy, 1.0, 1.0)), p.xy)
         assert np.max(np.abs(back - p.xy)) <= 1e-15
 
     def test_conjugation_matches_manual_composition(self):
@@ -140,8 +141,8 @@ class TestCenteredDilation:
             c = rand_point(rng, 1.5)
             p = rand_point(rng, 2.5)
             k1, k2 = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-            params = DilationParams(c, k1, k2)
-            centered = DiskPoint.from_cart(*mobius_translate(-c.xy, p.xy))
+            params = DilationParams(c.xy, k1, k2)
+            centered = cart_point(*mobius_translate(-c.xy, p.xy))
             manual = mobius_translate(c.xy, dilate_polar(k1, k2, centered).xy)
             assert np.max(np.abs(dilate_xy(params, p.xy) - manual)) < 1e-14
 
@@ -171,7 +172,7 @@ class TestAlgebraicProperties:
     def test_rays_map_to_rays(self):
         k1, k2 = 2.0, 0.7
         theta = 0.9
-        angles = [dilate_polar(k1, k2, DiskPoint.from_polar(r, theta)).theta
+        angles = [dilate_polar(k1, k2, polar_point(r, theta)).theta
                   for r in (0.2, 1.0, 2.8)]
         assert max(angles) - min(angles) < 1e-14
 
@@ -189,7 +190,7 @@ class TestAlgebraicProperties:
             q = dilate_polar(k1, k2, p)
             assert q.r >= p.r - 1e-13
         # equality on the axis whose factor is 1
-        p = DiskPoint.from_polar(1.4, 0.0)
+        p = polar_point(1.4, 0.0)
         assert dilate_polar(1.0, 3.0, p).r == pytest.approx(p.r, rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -198,16 +199,16 @@ class TestAlgebraicProperties:
            st.floats(min_value=0.3, max_value=4.0),
            st.floats(min_value=0.3, max_value=4.0))
     def test_inverse_roundtrip_property(self, r, theta, k1, k2):
-        p = DiskPoint.from_polar(r, theta)
-        params = DilationParams(ORIGIN, k1, k2)
+        p = polar_point(r, theta)
+        params = DilationParams(ZERO.xy, k1, k2)
         back = dilate_xy(inverse(params), dilate_xy(params, p.xy))
         assert np.max(np.abs(back - p.xy)) < 1e-10
 
 
 def test_array_path_matches_scalar():
     rng = np.random.default_rng(15)
-    c = DiskPoint.from_cart(0.3, -0.1)
-    params = DilationParams(c, 2.2, 0.8)
+    c = cart_point(0.3, -0.1)
+    params = DilationParams(c.xy, 2.2, 0.8)
     pts = [rand_point(rng, 2.0) for _ in range(40)]
     xy = np.array([p.xy for p in pts])
     batch = dilate_xy(params, xy)

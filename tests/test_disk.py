@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypexpand.convexity import hyperbolic_hull
 from hypexpand.disk import (
-    DiskPoint,
-    ORIGIN,
+    _polar_points,
     curvature_from_derivatives,
     geodesic_chord_points,
     hyperboloid_chord_vectors,
@@ -16,84 +16,89 @@ from hypexpand.disk import (
     mobius_translate,
 )
 from conftest import broadcast_chord_vectors, curvature_via_conformal, stacked_translate
-from references import (ParamCurve, from_polar_function, geodesic_between, geodesic_curvature,
-                        hyperbolic_distance)
+from references import (ZERO, ParamCurve, cart_point, from_polar_function, geodesic_between,
+                        geodesic_curvature, hyperbolic_distance, polar_point)
 
 RADII = st.floats(min_value=1e-3, max_value=8.0)
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
 
 
 def rand_point(rng, r_max=3.0, r_min=0.05):
-    return DiskPoint.from_polar(rng.uniform(r_min, r_max), rng.uniform(-math.pi, math.pi))
+    return polar_point(rng.uniform(r_min, r_max), rng.uniform(-math.pi, math.pi))
 
 
 def translate(c, x):
-    """mobius_translate(c, x) of DiskPoints, as a DiskPoint."""
-    return DiskPoint.from_cart(*mobius_translate(c.xy, x.xy))
+    """mobius_translate(c, x) of points, as a point."""
+    return cart_point(*mobius_translate(c.xy, x.xy))
 
 
 def close(p, q, tol=1e-12):
-    """The Cartesian coordinates of DiskPoints p and q agree to tol."""
+    """The Cartesian coordinates of points p and q agree to tol."""
     return np.max(np.abs(p.xy - q.xy)) <= tol
 
 
 def point_at(curve, t):
-    return DiskPoint.from_polar(*curve.eval(t))
+    return polar_point(*curve.eval(t))
 
 
-class TestDiskPoint:
+class TestPolarForms:
+    """disk._polar_points and disk._cart_polar, which form polygon vertices and centers."""
+
     def test_origin_maps_to_zero(self):
-        p = DiskPoint.from_polar(0.0, 2.3)
-        assert p.cart == (0.0, 0.0)
-        assert p.theta == 0.0
+        p = polar_point(0.0, 2.3)
+        assert p.xy.tolist() == [0.0, 0.0]
+        assert p.theta == 0.0 and cart_point(0.0, 0.0).theta == 0.0
+
+    def test_angles_are_wrapped_and_radii_kept(self):
+        r, theta, _ = _polar_points([1.0, 2.0], [math.pi / 3 + 2 * math.pi, -math.pi - 0.5])
+        assert r.tolist() == [1.0, 2.0]
+        assert np.allclose(theta, [math.pi / 3, math.pi - 0.5], rtol=0.0, atol=1e-12)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _polar_points([1.0, -1e-300], [0.0, 0.0])
 
     def test_axis_point_radius(self):
-        p = DiskPoint.from_cart(0.5, 0.0)
+        p = cart_point(0.5, 0.0)
         assert p.r == pytest.approx(2.0 * math.atanh(0.5), abs=1e-15)
         assert p.theta == 0.0
 
     def test_roundtrip_example(self):
-        p = DiskPoint.from_polar(1.0, math.pi / 3)
+        p = polar_point(1.0, math.pi / 3)
         rho = math.tanh(0.5)
-        assert p.cart[0] == pytest.approx(rho * 0.5, abs=1e-15)
-        assert p.cart[1] == pytest.approx(rho * math.sqrt(3) / 2, abs=1e-15)
-        q = DiskPoint.from_cart(*p.cart)
+        assert p.xy[0] == pytest.approx(rho * 0.5, abs=1e-15)
+        assert p.xy[1] == pytest.approx(rho * math.sqrt(3) / 2, abs=1e-15)
+        q = cart_point(*p.xy)
         assert abs(q.r - p.r) < 1e-12 and abs(q.theta - p.theta) < 1e-12
 
     def test_rejects_outside_disk(self):
-        with pytest.raises(ValueError):
-            DiskPoint.from_cart(1.0, 0.0)
-        with pytest.raises(ValueError):
-            DiskPoint.from_cart(0.8, 0.7)
-
-    def test_rejects_inconsistent_representation(self):
-        with pytest.raises(ValueError):
-            DiskPoint(1.0, 0.0, (0.9, 0.0))
+        # Cartesian rows arrive at the hull
+        for row in ([1.0, 0.0], [0.8, 0.7]):
+            with pytest.raises(ValueError, match="outside the open unit disk"):
+                hyperbolic_hull(np.array([[0.1, 0.0], [0.0, 0.1], row]))
 
     @settings(max_examples=80, deadline=None)
     @given(RADII, ANGLES)
     def test_roundtrip_property(self, r, theta):
-        p = DiskPoint.from_polar(r, theta)
-        q = DiskPoint.from_cart(*p.cart)
+        p = polar_point(r, theta)
+        q = cart_point(*p.xy)
         assert abs(q.r - p.r) < 1e-12
         assert abs(q.theta - p.theta) < 1e-12
-        assert math.hypot(*p.cart) < 1.0
-        assert abs(math.hypot(*p.cart) - math.tanh(p.r / 2.0)) < 1e-12
+        assert math.hypot(*p.xy) < 1.0
+        assert abs(math.hypot(*p.xy) - math.tanh(p.r / 2.0)) < 1e-12
 
 
 class TestTranslate:
     def test_identity_at_origin_parameter(self):
-        x = DiskPoint.from_cart(0.3, -0.4)
-        assert close(translate(ORIGIN, x), x)
+        x = cart_point(0.3, -0.4)
+        assert close(translate(ZERO, x), x)
 
     def test_carries_origin_to_center(self):
-        c = DiskPoint.from_cart(0.5, 0.1)
-        assert close(translate(c, ORIGIN), c)
+        c = cart_point(0.5, 0.1)
+        assert close(translate(c, ZERO), c)
 
     def test_isometry_example(self):
-        c = DiskPoint.from_cart(0.5, 0.0)
-        x = DiskPoint.from_cart(0.0, 0.5)
-        pts = [ORIGIN, x, c]
+        c = cart_point(0.5, 0.0)
+        x = cart_point(0.0, 0.5)
+        pts = [ZERO, x, c]
         for u in pts:
             for v in pts:
                 lhs = hyperbolic_distance(translate(c, u), translate(c, v))
@@ -103,7 +108,7 @@ class TestTranslate:
         rng = np.random.default_rng(0)
         for _ in range(200):
             c, x = rand_point(rng, 2.5), rand_point(rng, 2.5)
-            back = translate(DiskPoint.from_cart(*-c.xy), translate(c, x))
+            back = translate(cart_point(*-c.xy), translate(c, x))
             assert np.max(np.abs(back.xy - x.xy)) < 1e-12
 
     def test_isometry_property(self):
@@ -143,7 +148,7 @@ class TestHyperboloidTranslate:
         assert np.max(np.abs(back - pts) / pts[:, 2:]) < 1e-13
 
     def test_carries_the_apex_to_the_lift_of_the_center(self):
-        c = DiskPoint.from_polar(1.2, -0.7)
+        c = polar_point(1.2, -0.7)
         apex = np.array([0.0, 0.0, 1.0])
         assert np.allclose(hyperboloid_translate(c.xy, apex), hyperboloid_lift(c.r, c.theta),
                            rtol=1e-15, atol=1e-15)
@@ -152,16 +157,16 @@ class TestHyperboloidTranslate:
 class TestDistance:
     def test_radial_distance(self):
         for r in (0.3, 1.0, 2.7):
-            assert hyperbolic_distance(DiskPoint.from_polar(r, 1.2), ORIGIN) == \
+            assert hyperbolic_distance(polar_point(r, 1.2), ZERO) == \
                 pytest.approx(r, abs=1e-12)
 
     def test_zero_iff_equal(self):
-        p = DiskPoint.from_cart(0.2, 0.6)
+        p = cart_point(0.2, 0.6)
         assert hyperbolic_distance(p, p) == 0.0
 
     def test_diameter_adds(self):
-        u = DiskPoint.from_polar(1.0, 0.0)
-        v = DiskPoint.from_polar(1.0, math.pi)
+        u = polar_point(1.0, 0.0)
+        v = polar_point(1.0, math.pi)
         assert hyperbolic_distance(u, v) == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetry_and_triangle(self):
@@ -177,12 +182,12 @@ class TestDistance:
         for _ in range(50):
             u, v = rand_point(rng), rand_point(rng)
             r, th = geodesic_chord_points(u.r, u.theta, v.r, v.theta, np.array([0.4]))
-            mid = DiskPoint.from_polar(float(r[0]), float(th[0]))
+            mid = polar_point(float(r[0]), float(th[0]))
             gap = hyperbolic_distance(u, mid) + hyperbolic_distance(mid, v) \
                 - hyperbolic_distance(u, v)
             assert abs(gap) < 1e-9
             # a point pushed off the geodesic breaks equality
-            off = DiskPoint.from_polar(float(r[0]) + 0.3, float(th[0]))
+            off = polar_point(float(r[0]) + 0.3, float(th[0]))
             gap_off = hyperbolic_distance(u, off) + hyperbolic_distance(off, v) \
                 - hyperbolic_distance(u, v)
             assert gap_off > 1e-9
@@ -190,13 +195,13 @@ class TestDistance:
 
 class TestGeodesic:
     def test_endpoints_reproduce(self):
-        u = DiskPoint.from_polar(1.3, -0.4)
-        v = DiskPoint.from_polar(2.1, 0.9)
+        u = polar_point(1.3, -0.4)
+        v = polar_point(2.1, 0.9)
         g = geodesic_between(u, v)
         assert close(point_at(g, 0.0), u) and close(point_at(g, 1.0), v)
 
     def test_identical_endpoints_rejected(self):
-        p = DiskPoint.from_polar(1.0, 0.3)
+        p = polar_point(1.0, 0.3)
         with pytest.raises(ValueError):
             geodesic_between(p, p)
 
@@ -247,16 +252,16 @@ class TestGeodesic:
 
     def test_symmetric_midpoint(self):
         dth = 1.0
-        u = DiskPoint.from_polar(1.0, 0.0)
-        v = DiskPoint.from_polar(1.0, dth)
+        u = polar_point(1.0, 0.0)
+        v = polar_point(1.0, dth)
         g = geodesic_between(u, v)
         r_mid = float(g.eval(0.5)[0])
         assert 1.0 / math.tanh(r_mid) == pytest.approx(
             (1.0 / math.tanh(1.0)) / math.cos(dth / 2.0), rel=1e-12)
 
     def test_radial_branch(self):
-        u = DiskPoint.from_polar(0.5, 1.1)
-        v = DiskPoint.from_polar(2.0, 1.1)
+        u = polar_point(0.5, 1.1)
+        v = polar_point(2.0, 1.1)
         g = geodesic_between(u, v)
         assert g.meta["branch"] == "diameter"
         r, th = g.eval(0.25)
@@ -264,8 +269,8 @@ class TestGeodesic:
         assert float(th) == pytest.approx(1.1, abs=1e-12)
 
     def test_diameter_branch_through_origin(self):
-        u = DiskPoint.from_polar(1.0, 0.5)
-        v = DiskPoint.from_polar(1.5, 0.5 - math.pi)
+        u = polar_point(1.0, 0.5)
+        v = polar_point(1.5, 0.5 - math.pi)
         g = geodesic_between(u, v)
         assert g.meta["branch"] == "diameter"
         assert close(point_at(g, 0.0), u) and close(point_at(g, 1.0), v)
@@ -274,9 +279,9 @@ class TestGeodesic:
         assert float(g.eval(t_cross)[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_endpoint(self):
-        v = DiskPoint.from_polar(1.7, -2.0)
-        g = geodesic_between(ORIGIN, v)
-        assert close(point_at(g, 0.0), ORIGIN) and close(point_at(g, 1.0), v)
+        v = polar_point(1.7, -2.0)
+        g = geodesic_between(ZERO, v)
+        assert close(point_at(g, 0.0), ZERO) and close(point_at(g, 1.0), v)
 
     def test_samples_collinear_in_klein_model(self):
         # geodesics are straight chords in the projective chart
@@ -297,8 +302,8 @@ class TestGeodesic:
             assert np.max(np.abs(cross)) < 1e-12
 
     def test_matches_hyperboloid_interpolation(self):
-        u = DiskPoint.from_polar(1.3, -0.4)
-        v = DiskPoint.from_polar(2.1, 0.9)
+        u = polar_point(1.3, -0.4)
+        v = polar_point(2.1, 0.9)
         g = geodesic_between(u, v)
         ts = np.linspace(0.0, 1.0, 7)
         r_s, th_s = geodesic_chord_points(u.r, u.theta, v.r, v.theta, ts)
@@ -371,8 +376,8 @@ def test_polar_chord_branch_matches_reference_closures_bitwise():
 
 class TestCurvature:
     def test_radial_segment_is_flat(self):
-        u = DiskPoint.from_polar(0.5, 0.7)
-        v = DiskPoint.from_polar(2.5, 0.7)
+        u = polar_point(0.5, 0.7)
+        v = polar_point(2.5, 0.7)
         g = geodesic_between(u, v)
         assert geodesic_curvature(g, 0.5) == 0.0
 
@@ -385,8 +390,8 @@ class TestCurvature:
                                    np.full_like(np.asarray(t, float), 2 * math.pi)),
                 d2=lambda t: (np.zeros_like(np.asarray(t, float)),
                               np.zeros_like(np.asarray(t, float))),
-                start=DiskPoint.from_polar(r, 0.0),
-                end=DiskPoint.from_polar(r, 0.0),
+                start=polar_point(r, 0.0),
+                end=polar_point(r, 0.0),
             )
             for t in (0.1, 0.5, 0.9):
                 assert geodesic_curvature(circle, t) == pytest.approx(
@@ -405,8 +410,8 @@ class TestCurvature:
                           np.zeros_like(np.asarray(t, float))),
             d2=lambda t: (np.zeros_like(np.asarray(t, float)),
                           np.zeros_like(np.asarray(t, float))),
-            start=DiskPoint.from_polar(1.0, 0.0),
-            end=DiskPoint.from_polar(1.0, 0.0),
+            start=polar_point(1.0, 0.0),
+            end=polar_point(1.0, 0.0),
         )
         with pytest.raises(ValueError):
             geodesic_curvature(stationary, 0.5)
@@ -427,7 +432,7 @@ class TestCurvature:
 
 class TestParamCurve:
     def test_regularity_check(self):
-        g = geodesic_between(DiskPoint.from_polar(1.0, 0.0), DiskPoint.from_polar(1.0, 1.0))
+        g = geodesic_between(polar_point(1.0, 0.0), polar_point(1.0, 1.0))
         ts = np.linspace(0.01, 0.99, 64)
         (r, _), (dr, dth) = g.eval(ts), g.d1(ts)
         assert float(np.min(np.sqrt(dr ** 2 + np.sinh(r) ** 2 * dth ** 2))) > 0.0
