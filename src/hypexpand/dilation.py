@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import _component_major, _read_only, cart_to_polar, mobius_translate, polar_to_cart
+from .disk import (_check_chart, _component_major, _read_only, cart_to_polar, mobius_translate,
+                   polar_to_cart)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +73,14 @@ def dilate_xy(params: DilationParams, xy):
 
     The polar map is chart-free, but the Poincare chart is not: from r' ~ 38
     tanh(r'/2) rounds to 1.0, and the image point lands on the unit circle.
+    Points that the translation to the center carries onto it raise ChartSaturation.
     """
     xy = np.asarray(xy, dtype=float)
     c = params.center
     off = c.any()
-    r, theta = cart_to_polar(mobius_translate(-c, xy) if off else xy)
+    if off:
+        xy = mobius_translate(-c, xy)
+        _check_chart(xy, f"the translation to the center {c.tolist()} carries")
+    r, theta = cart_to_polar(xy)
     out = polar_to_cart(*dilate_origin_polar(params.k1, params.k2, r, theta))
     return mobius_translate(c, out) if off else out

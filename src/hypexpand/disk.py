@@ -44,6 +44,21 @@ def cart_to_polar(xy):
     return r, theta
 
 
+class ChartSaturation(ValueError):
+    """A region's boundary leaves the float64 Poincare chart.
+
+    tanh(r/2) rounds to 1.0 from r ~ 38, so a vertex, a dilation or a translation that
+    carries the boundary that far puts it on the unit circle.  The message names which.
+    """
+
+
+def _check_chart(xy, cause):
+    """Raise ChartSaturation, naming its cause, if a row of xy (..., 2) is not inside the disk."""
+    if np.any(np.hypot(xy[..., 0], xy[..., 1]) >= 1.0):
+        raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
+                              "(tanh(r/2) rounds to 1 from r ~ 38)")
+
+
 def _read_only(a):
     """A read-only float copy of the array a."""
     a = np.array(a, dtype=float)

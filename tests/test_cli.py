@@ -160,6 +160,21 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("radius, x", [(36.5, 0.5), (37.0, 0.9), (37.0, -0.7)])
+    def test_witness_translated_past_the_chart_is_a_usage_error(self, radius, x, tmp_path,
+                                                                capsys):
+        # the boundary samples lie inside the chart, but the translation by the
+        # negated center carries some of them onto the unit circle
+        report = run_search_counterexample(seed=0, k1=0.5, trials=3)
+        for v in report["witness"]["vertices_polar"]:
+            v[0] = radius
+        report["witness"]["center_cart"] = [x, 0.0]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(report))
+        assert main(["search-counterexample", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the translation to the center") and err.count("\n") == 1
+
     @pytest.mark.parametrize("option", [["--seed", "0"], ["--trials", "3"], ["--k1", "0.5"],
                                         ["--k2", "1"], ["--tol", "1e-3"]])
     def test_replay_takes_no_search_option(self, option, tmp_path, capsys):

@@ -452,8 +452,8 @@ class TestPolylineDistance:
         for seed, k1 in [(0, 0.25), (3, 0.6)]:
             assert run_search_counterexample(seed=seed, k1=k1, trials=50)["found"]
         assert len(calls) >= 4
-        # the bounds settle most probes without checking every segment
-        assert sum(exact_rows) < sum(len(p) for _, p in calls)
+        # the bounds settle all but a few probes without checking every segment
+        assert sum(exact_rows) < 0.05 * sum(len(p) for _, p in calls)
         for loop, probes in calls:
             self.assert_exact(loop, probes)
 
@@ -508,16 +508,59 @@ class TestPolylineDistance:
         probes = np.vstack([near_and_far_probes(loop, np.random.default_rng(44)), loop[-1]])
         self.assert_exact(loop, probes)
 
-    def test_probes_spanning_several_bound_blocks(self):
+    def test_many_probes(self):
         loop = circle_loop(700)
         probes = near_and_far_probes(loop, np.random.default_rng(47))
-        assert len(probes) > 3 * convexity.BOUND_BLOCK
+        assert len(probes) > 3072
         self.assert_exact(loop, probes)
 
     def test_short_loop(self):
-        # fewer segments than BOUND_STRIDE: one bounding vertex
+        # three segments: every probe's two bounding segments share a vertex
         loop = circle_loop(3)
         self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(45)))
+
+    def test_loops_not_star_shaped_about_their_mean(self):
+        # a C, whose mean lies in its hollow, and a spiral strip, whose mean lies
+        # outside it: a probe's angle can bracket segments far from it, which
+        # only loosens its bound
+        t = np.linspace(0.3, 2.0 * math.pi - 0.3, 300)
+        c = np.vstack([np.stack([np.cos(t), np.sin(t)], axis=1),
+                       0.8 * np.stack([np.cos(t[::-1]), np.sin(t[::-1])], axis=1)])
+        s = np.linspace(0.0, 3.0 * math.pi, 400)
+        spiral = (0.1 + 0.05 * s)[:, None] * np.stack([np.cos(s), np.sin(s)], axis=1) + [0.3, 0.0]
+        spiral = np.vstack([spiral, spiral[::-1] * 1.02])
+        rng = np.random.default_rng(48)
+        for loop in (np.vstack([c, c[:1]]), np.vstack([spiral, spiral[:1]])):
+            self.assert_exact(loop, near_and_far_probes(loop, rng))
+            self.assert_exact(loop, rng.uniform(-1.5, 1.5, size=(500, 2)))
+
+    def test_farthest_probe_behind_looser_bounds(self):
+        # a thin crescent, whose mean lies outside it: most probes 0.1 beyond
+        # the outer arc are bounded through segments away from them, up to 2x
+        # their distance.  The farthest probe, 0.1001 beyond the arc on the
+        # bisector, is bounded tightly, below those; a bound that undershot a
+        # probe's distance by 1% would drop it after the first chunk
+        t = np.linspace(0.0, 0.5 * math.pi, 200)
+        arc = np.stack([np.cos(t), np.sin(t)], axis=1)
+        loop = np.vstack([arc, 0.995 * arc[::-1], arc[:1]])
+        s = np.linspace(0.1, 0.5 * math.pi - 0.1, 3000)
+        probes = np.vstack([1.1 * np.stack([np.cos(s), np.sin(s)], axis=1),
+                            1.1001 * np.array([[math.cos(math.pi / 4), math.sin(math.pi / 4)]])])
+        self.assert_exact(loop, probes)
+        assert max_polyline_distance(loop, probes) == polyline_distance(loop, probes[-1:])[0]
+
+    def test_probes_at_the_mean_and_opposite_it(self):
+        # arctan2 gives 0 at the mean, and pi and (one ulp below the mean) -pi on
+        # the ray opposite the x-axis, where the angle order wraps
+        loop = circle_loop(64) + [0.2, -0.1]
+        mx, my = np.mean(loop[:-1], axis=0)
+        x = mx - np.array([1e-3, 0.3, 0.5, 2.0])
+        probes = np.vstack([[mx, my], np.stack([x, np.full_like(x, my)], axis=1),
+                            np.stack([x, np.full_like(x, np.nextafter(my, -1.0))], axis=1)])
+        angles = np.arctan2(probes[:, 1] - my, probes[:, 0] - mx)
+        assert {0.0, math.pi, -math.pi} <= set(angles.tolist())
+        self.assert_exact(loop, probes)
+        self.assert_exact(np.vstack([loop[:-1][::-1], loop[:1]]), probes)  # clockwise
 
     def test_non_finite_probes_take_the_dense_path(self):
         loop = circle_loop(100)
