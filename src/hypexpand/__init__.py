@@ -7,7 +7,6 @@ from .convexity import (
     dilate_region,
     from_klein,
     hyperbolic_hull,
-    polygon_region,
     random_hconvex_polygon,
     to_klein,
 )

@@ -17,13 +17,8 @@ import sys
 import numpy as np
 
 from . import convexity, curvature, lemmas, sphere
-from .convexity import (
-    GeodesicPolygon,
-    convexity_defect,
-    dilate_region,
-    polygon_region,
-    random_hconvex_polygon,
-)
+from .convexity import (MIN_SAMPLES, PAIR_SAMPLES, SAMPLES_PER_EDGE, SEGMENT_SAMPLES,
+                        GeodesicPolygon, convexity_defect, dilate_region, random_hconvex_polygon)
 from .dilation import DilationParams
 from .disk import _polar_points, curvature_from_derivatives, polar_to_cart
 from .svg import SvgCanvas
@@ -34,9 +29,7 @@ PASS, VIOLATION, USAGE = 0, 1, 2
 # holds one block, not the whole table, which keeps peak memory down.
 CSV_BLOCK_ROWS = 1024
 
-# Sampling of verify-theorem and the search, recorded in reports and witnesses:
-# boundary samples per polygon edge, random chord pairs, samples per chord
-SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
+REPLAY_TOL = 1e-9  # a replayed defect passes within this of the witness's stored defect
 
 # curvature-sweep: s values of the decomposition grid, and samples per
 # side-ordering chord
@@ -87,9 +80,7 @@ def _theorem_trial(seed, i, k_range, forced_k1, forced_k2):
     poly = random_hconvex_polygon(rng, center=center)
     k1 = float(rng.uniform(*k_range)) if forced_k1 is None else forced_k1
     k2 = float(rng.uniform(*k_range)) if forced_k2 is None else forced_k2
-    params = DilationParams(center, k1, k2)
-    region = dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE)
-    defect = convexity_defect(region, PAIR_SAMPLES, SEGMENT_SAMPLES)
+    defect = convexity_defect(dilate_region(poly, DilationParams(center, k1, k2)))
     return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.r),
             "center_polar": [float(r), float(theta)], "defect": defect}
 
@@ -148,9 +139,7 @@ def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3):
             poly = _directed_thin_polygon(rng)
         else:
             poly = random_hconvex_polygon(rng)
-        params = DilationParams((0.0, 0.0), k1, k2)
-        region = dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE)
-        defect = convexity_defect(region, PAIR_SAMPLES, SEGMENT_SAMPLES)
+        defect = convexity_defect(dilate_region(poly, DilationParams((0.0, 0.0), k1, k2)))
         report["trials_used"] = i + 1
         if defect > tol:
             witness = {
@@ -188,8 +177,8 @@ def _check_witness(witness):
             raise UsageError(f"witness {key} must be a finite number > 0, got {witness[key]!r}")
     for key in ("samples_per_edge", "pair_samples", "segment_samples"):
         value = witness[key]
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 16):
-            raise UsageError(f"witness {key} must be an int >= 16, got {value!r}")
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= MIN_SAMPLES):
+            raise UsageError(f"witness {key} must be an int >= {MIN_SAMPLES}, got {value!r}")
     if not _is_number(witness["defect"]):
         raise UsageError(f"witness defect must be a finite number, got {witness['defect']!r}")
     if not (isinstance(witness["vertices_polar"], list)
@@ -205,7 +194,7 @@ def _check_witness(witness):
         raise UsageError("witness vertices_polar must form an h-convex polygon")
 
 
-def run_replay(witness_path, tol=1e-9):
+def run_replay(witness_path):
     try:
         with open(witness_path) as fh:
             doc = json.load(fh)
@@ -220,7 +209,7 @@ def run_replay(witness_path, tol=1e-9):
         "command": "replay-witness", "path": witness_path,
         "stored_defect": witness["defect"], "replayed_defect": defect,
         "difference": abs(defect - witness["defect"]),
-        "passed": abs(defect - witness["defect"]) <= tol,
+        "passed": abs(defect - witness["defect"]) <= REPLAY_TOL,
     }
 
 
@@ -316,7 +305,7 @@ def _render_preimage(k1, n):
 def run_render(seed=0, k1=2.0, k2=1.0):
     rng = np.random.default_rng(seed)
     poly = random_hconvex_polygon(rng, r_range=(0.4, 2.0))
-    source = polygon_region(poly, samples_per_edge=64)
+    source = dilate_region(poly, DilationParams((0.0, 0.0), 1.0, 1.0), samples_per_edge=64)
     image = dilate_region(poly, DilationParams((0.0, 0.0), k1, k2), samples_per_edge=64)
 
     canvas = SvgCanvas()

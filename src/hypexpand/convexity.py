@@ -25,7 +25,6 @@ from .disk import (
     _read_only,
     cart_to_polar,
     geodesic_chord_points,
-    hyperboloid_chord_vectors,
     hyperboloid_lift,
     hyperboloid_polar,
     hyperboloid_translate,
@@ -37,6 +36,9 @@ SIDEDNESS_TOL = 1e-12
 MIN_SAMPLES = 16  # the fewest samples per edge, chord pairs or samples per chord
 CHUNK_PROBES = 64  # probes max_polyline_distance checks at once; 32 and 128 were 9% and 17% slower
 MAX_VERTICES = 12  # random_hconvex_polygon draws 5 to MAX_VERTICES vertices
+# Sampling of a region and its defect, recorded in reports and witnesses:
+# boundary samples per polygon edge, random chord pairs, samples per chord
+SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
 
 
 # --- Klein model -------------------------------------------------------------
@@ -160,12 +162,12 @@ class GeodesicPolygon:
         return cls(*_polar_points(*np.array(pairs, dtype=float).reshape(-1, 2).T))
 
 
-def klein_polygon_contains(kverts, probes, tol=SIDEDNESS_TOL):
+def klein_polygon_contains(kverts, probes):
     """Half-plane membership of probes (P, 2) in a convex ccw Klein polygon (V, 2).
 
     The test is planar, so the gnomonic vertices of a spherical polygon serve
     as well.  A probe is inside iff its cross product against every directed edge
-    a -> b, (b - a) x (p - a), is at least -tol.  One pass over the edges,
+    a -> b, (b - a) x (p - a), is at least -SIDEDNESS_TOL.  One pass over the edges,
     each on the whole probe array.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -173,7 +175,7 @@ def klein_polygon_contains(kverts, probes, tol=SIDEDNESS_TOL):
     inside = np.ones(len(probes), dtype=bool)
     verts = np.asarray(kverts, dtype=float).tolist()
     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
-        inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= -tol
+        inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= -SIDEDNESS_TOL
     return inside
 
 
@@ -199,8 +201,8 @@ def hyperbolic_hull(xy) -> GeodesicPolygon:
 class SampledRegion:
     """Sampled boundary loop of the image of an h-convex polygon under a dilation.
 
-    boundary has shape (N, 2) in Cartesian coordinates, samples_per_edge
-    samples per polygon edge, first and last rows coinciding to 1e-12.  The
+    boundary has shape (N, 2) in Cartesian coordinates, samples_per_edge (at least
+    MIN_SAMPLES) per polygon edge, first and last rows coinciding to 1e-12.  The
     map is the dilation by (k1, k2) about the Cartesian center (the identity has factors 1);
     the region carries the validated polygon, and defect measurement tests
     membership exactly through it instead of against the discretized loop.
@@ -219,8 +221,6 @@ class SampledRegion:
             raise ValueError("a region must be the image of an h-convex polygon")
         if self.boundary.ndim != 2 or self.boundary.shape[1] != 2:
             raise ValueError("boundary must have shape (N, 2)")
-        if self.boundary.shape[0] < 64:
-            raise ValueError("boundary needs at least 64 samples")
         if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
             raise ValueError("boundary loop is not closed")
         _check_chart(self.boundary, f"factors k1={self.k1!r}, k2={self.k2!r} carry")
@@ -302,24 +302,20 @@ def _edge_ts(per_edge):
 
 
 def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
-    """Cartesian boundary samples (N, 2), samples_per_edge per edge, not closed, in the chart."""
+    """Cartesian boundary samples (N, 2), samples_per_edge per edge, not closed, in the chart;
+    each vertex is lifted to the sheet once, and each edge sampled between its lifted ends."""
     ts = _edge_ts(samples_per_edge)
-    r, th = poly.r, poly.theta
-    r, th = geodesic_chord_points(r, th, _next_rows(r), _next_rows(th), ts)
+    v = hyperboloid_lift(poly.r, poly.theta)
+    r, th = hyperboloid_polar(geodesic_chord_points(v, _next_rows(v), ts))
     xy = polar_to_cart(r.ravel(), th.ravel())
     _check_chart(xy, "the polygon's vertices carry")
     return xy
 
 
-def polygon_region(poly: GeodesicPolygon, samples_per_edge=32) -> SampledRegion:
-    """Densely sampled boundary of a geodesic polygon."""
-    xy = _sample_polygon_boundary(poly, samples_per_edge)
-    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge, 1.0, 1.0, np.zeros(2))
-
-
 def dilate_region(poly: GeodesicPolygon, params: DilationParams,
-                  samples_per_edge=32) -> SampledRegion:
-    """Image of a geodesic polygon under a dilation, as a sampled boundary loop."""
+                  samples_per_edge=SAMPLES_PER_EDGE) -> SampledRegion:
+    """Image of a geodesic polygon under a dilation, as a sampled boundary loop; the identity,
+    DilationParams((0, 0), 1, 1), samples the polygon's own boundary."""
     xy = dilate_xy(params, _sample_polygon_boundary(poly, samples_per_edge))
     return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge,
                          params.k1, params.k2, params.center)
@@ -392,19 +388,20 @@ def _chord_plan(region, pair_samples, segment_samples):
     return ends, at[:, 0], at[:, 1], van_der_corput(segment_samples)
 
 
-def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16) -> float:
+def convexity_defect(region: SampledRegion, pair_samples=PAIR_SAMPLES,
+                     segment_samples=SEGMENT_SAMPLES) -> float:
     """Largest outside excursion of sampled geodesic chords between boundary points.
 
-    Chords are sampled at segment_samples interior points (nested van der
-    Corput parameters along the hyperboloid chord).  A sample inside the
-    region contributes 0; an outside sample contributes its Euclidean distance
-    to the boundary loop.  Zero, up to discretization, for h-convex regions.
+    Chords are sampled between their lifted ends (geodesic_chord_points) at
+    segment_samples interior points, nested van der Corput parameters.  A sample
+    inside the region contributes 0; an outside sample contributes its Euclidean
+    distance to the boundary loop.  Zero, up to discretization, for h-convex regions.
     """
     ends, i, j, ts = _chord_plan(region, pair_samples, segment_samples)
     loop = region.boundary
     lifted = hyperboloid_lift(*cart_to_polar(loop[ends]))
     # (M, T, 3) component-major, so the (P, 3) form is a view
-    probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
+    probes = geodesic_chord_points(lifted[i], lifted[j], ts).reshape(-1, 3)
     outside = ~_exact_membership(region, probes)
     if not np.any(outside):
         return 0.0
@@ -413,18 +410,24 @@ def convexity_defect(region: SampledRegion, pair_samples=128, segment_samples=16
 
 # --- random generation -------------------------------------------------------
 
+def _star_polar(rng, max_vertices, r_range):
+    """Polar (radii, angles) of 5 to max_vertices points drawn about the origin of a chart.
+
+    One angle falls in each of m equal sectors, so consecutive angular gaps stay below pi
+    and the origin is interior to the hull; the radii are uniform in r_range."""
+    m = int(rng.integers(5, max_vertices + 1))
+    sector = 2.0 * math.pi / m
+    thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
+    return rng.uniform(r_range[0], r_range[1], m), thetas
+
+
 def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=(0.2, 3.0)) -> GeodesicPolygon:
     """Random h-convex polygon strictly containing the requested center, Cartesian (2,).
 
-    Points are drawn in polar coordinates of the frame translated to the
-    center, with angles stratified over 5 to MAX_VERTICES sectors so that
-    consecutive angular gaps stay below pi and the center is interior to the hull.
+    Points are drawn in polar coordinates of the frame translated to the center,
+    5 to MAX_VERTICES of them by _star_polar, so the center is interior to the hull.
     """
-    m = int(rng.integers(5, MAX_VERTICES + 1))
-    sector = 2.0 * math.pi / m
-    thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
-    radii = rng.uniform(r_range[0], r_range[1], m)
-    xy = _polar_points(radii, thetas)[2]
+    xy = _polar_points(*_star_polar(rng, MAX_VERTICES, r_range))[2]
     if np.any(center):
         xy = _translate_rows(center, xy)
     return hyperbolic_hull(xy)

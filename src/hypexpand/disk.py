@@ -187,12 +187,14 @@ def _component_major(k, shape):
     return buf, buf.transpose(*range(1, buf.ndim), 0)
 
 
-def hyperboloid_chord_vectors(a, b, ts):
-    """Sample the geodesics between lifted endpoints a, b of shape (..., 3).
+def geodesic_chord_points(a, b, ts):
+    """Samples of the geodesics between points a, b of the hyperboloid sheet (hyperboloid_lift).
 
-    On the hyperboloid sheet the geodesic is a plane section and interpolation
-    is a sinh-weighted combination.  Returns hyperboloid points of shape
-    (..., T, 3), component-major.  Endpoints closer than 1e-9 are interpolated linearly.
+    a and b have shape (..., 3); returns sheet points of shape (..., T, 3), stored
+    component-major, as sphere.great_circle_points returns unit vectors.  A geodesic
+    is a plane section of the sheet and its samples are sinh-weighted combinations of
+    its ends, accurate where the Cartesian chart saturates (r up to ~300).  Endpoints
+    closer than 1e-9 are interpolated linearly.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
@@ -229,15 +231,3 @@ def hyperboloid_translate(c, pts):
     buf[1] = y + d * cy + z * uy
     buf[2] = (1.0 + cc) / (1.0 - cc) * z + d
     return out
-
-
-def geodesic_chord_points(r1, th1, r2, th2, ts):
-    """Sample the geodesics between polar endpoints of shape (...); robust at large radii.
-
-    Samples on the hyperboloid (hyperboloid_chord_vectors) and returns (r, theta)
-    arrays of shape (..., T), accurate where the Cartesian chart saturates (r up to ~300).
-    """
-    r1, th1, r2, th2 = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                             for x in (r1, th1, r2, th2)))
-    return hyperboloid_polar(hyperboloid_chord_vectors(hyperboloid_lift(r1, th1),
-                                                       hyperboloid_lift(r2, th2), ts))

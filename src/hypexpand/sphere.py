@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convexity import (_check_polygon_chart, _chord_plan, _convex_hull_2d, _edge_ts,
-                        _next_rows, klein_polygon_contains)
+                        _next_rows, _star_polar, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 from .disk import _read_only
 
@@ -177,16 +177,13 @@ class SphericalRegion:
             raise ValueError("boundary loop is not closed")
 
 
-def sample_polygon_boundary(poly: SphericalPolygon, per_edge=PER_EDGE) -> SphericalRegion:
+def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:
+    """Image of the polygon under the contraction, as a sampled boundary loop.
+
+    Factors 1, 1 give the polygon's own boundary, up to the rounding of the polar chart."""
     verts = poly.xyz
     loop = great_circle_points(verts, _next_rows(verts), _edge_ts(per_edge)).reshape(-1, 3)
-    return SphericalRegion(np.vstack([loop, loop[:1]]), poly, per_edge, 1.0, 1.0)
-
-
-def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:
-    """Sampled image of the polygon boundary under the contraction."""
-    base = sample_polygon_boundary(poly, per_edge)
-    img = poly.chart.contract(k1, k2, base.boundary)
+    img = poly.chart.contract(k1, k2, np.vstack([loop, loop[:1]]))
     return SphericalRegion(img, poly, per_edge, float(k1), float(k2))
 
 
@@ -235,12 +232,8 @@ def random_convex_spherical_polygon(rng, center=None):
     if center is None:
         v = rng.normal(size=3)
         center = v / np.linalg.norm(v)
-    m = int(rng.integers(5, MAX_VERTICES + 1))
-    sector = 2.0 * math.pi / m
-    thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
-    rhos = rng.uniform(0.1, MAX_RHO, m)
     chart = Chart(center)
-    pts = chart.from_polar(rhos, thetas)
+    pts = chart.from_polar(*_star_polar(rng, MAX_VERTICES, (0.1, MAX_RHO)))
     uv = chart.gnomonic(pts)
     hull_uv = _convex_hull_2d(uv)
     verts = chart.gnomonic_inverse(hull_uv)

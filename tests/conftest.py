@@ -135,7 +135,7 @@ def check_simple(loop):
 # --- stacked membership: the references for the component-major probe path ---
 
 def broadcast_chord_vectors(a, b, ts):
-    """hyperboloid_chord_vectors as one broadcast expression over (..., T, 3)."""
+    """disk.geodesic_chord_points as one broadcast expression over (..., T, 3)."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
     d = _libm(math.acosh, np.maximum(cosh_d, 1.0))[..., None]

@@ -108,6 +108,19 @@ class TestSearch:
         measure_witness(w, scale=4)
         assert seen == [(48, 160, 24), (192, 640, 96)]
 
+    def test_replay_of_a_triangle_at_the_fewest_samples(self, tmp_path, capsys):
+        # 3 edges at 16 samples each: a 48-sample boundary, measured like any other
+        witness = {"vertices_polar": [[1.0, 0.0], [1.2, 2.0], [0.8, 4.0]],
+                   "center_cart": [0.0, 0.0], "k1": 0.5, "k2": 1.0, "samples_per_edge": 16,
+                   "pair_samples": 16, "segment_samples": 16, "defect": 0.0}
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"witness": witness}))
+        assert main(["search-counterexample", "--replay", str(path)]) in (0, 1)
+        out, err = capsys.readouterr()
+        assert err == ""  # neither a traceback nor a usage error
+        report = json.loads(out)
+        assert report["command"] == "replay-witness" and report["replayed_defect"] >= 0.0
+
     @pytest.mark.parametrize("content", [
         None,
         "not json",

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (check_simple, edge_probes, mp_dilate_chart, mp_margin, region_contains,
                       stacked_membership_h2)
-from hypexpand import cli, convexity
+from hypexpand import cli, convexity, disk
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
     SIDEDNESS_TOL,
@@ -23,15 +23,17 @@ from hypexpand.convexity import (
     hyperbolic_hull,
     klein_polygon_contains,
     max_polyline_distance,
-    polygon_region,
     polyline_distance,
     random_hconvex_polygon,
     to_klein,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (_cart_polar, cart_to_polar, hyperboloid_chord_vectors,
+from hypexpand.disk import (_cart_polar, cart_to_polar, geodesic_chord_points,
                             hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart)
 from references import ZERO, cart_point, polar_point
+
+# the dilation whose region is the polygon's own sampled boundary
+IDENTITY = DilationParams(ZERO.xy, 1.0, 1.0)
 
 
 def carts(points):
@@ -120,7 +122,7 @@ class TestHull:
         rng = np.random.default_rng(22)
         pts = [rand_point(rng) for _ in range(12)]
         hull = hyperbolic_hull(carts(pts))
-        region = polygon_region(hull, samples_per_edge=64)
+        region = dilate_region(hull, IDENTITY, samples_per_edge=64)
         for p in pts:
             assert region_contains(region.boundary, p)
 
@@ -138,7 +140,7 @@ class TestConvexityPredicate:
         assert not dart.hconvex
         # no region is built from it, so none is measured without exact membership
         with pytest.raises(ValueError, match="h-convex polygon"):
-            polygon_region(dart, samples_per_edge=64)
+            dilate_region(dart, IDENTITY, samples_per_edge=64)
         with pytest.raises(ValueError, match="h-convex polygon"):
             dilate_region(dart, DilationParams(ZERO.xy, 0.25, 1.0))
 
@@ -376,7 +378,7 @@ class TestRegionMembership:
     def test_agrees_with_half_plane_membership(self):
         rng = np.random.default_rng(25)
         poly = random_hconvex_polygon(rng)
-        region = polygon_region(poly, samples_per_edge=128)
+        region = dilate_region(poly, IDENTITY, samples_per_edge=128)
         checked = 0
         disagreements = 0
         while checked < 1000:
@@ -603,7 +605,7 @@ class TestDefect:
     def test_polygon_region_is_convex(self):
         rng = np.random.default_rng(26)
         poly = random_hconvex_polygon(rng)
-        region = polygon_region(poly, samples_per_edge=64)
+        region = dilate_region(poly, IDENTITY, samples_per_edge=64)
         assert convexity_defect(region) < 1e-9
 
     def test_expansion_image_is_convex(self):
@@ -646,13 +648,11 @@ class TestDefect:
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
         poly = random_hconvex_polygon(rng)
-        region = polygon_region(poly)
+        region = dilate_region(poly, IDENTITY)
         for counts in [(8, 16), (16, 0), (0, 16)]:
             with pytest.raises(ValueError, match="at least 16"):
                 convexity_defect(region, *counts)
         for per_edge in (0, 1, 15):
-            with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
-                polygon_region(poly, samples_per_edge=per_edge)
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
                 dilate_region(poly, DilationParams(ZERO.xy, 0.5, 1.0), samples_per_edge=per_edge)
 
@@ -821,7 +821,7 @@ class TestProjectiveMembership:
             region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             ends, i, j, ts = convexity._chord_plan(region, 128, 16)
             lifted = hyperboloid_lift(*cart_to_polar(region.boundary[ends]))
-            probes = hyperboloid_chord_vectors(lifted[i], lifted[j], ts).reshape(-1, 3)
+            probes = geodesic_chord_points(lifted[i], lifted[j], ts).reshape(-1, 3)
             inside = convexity._exact_membership(region, probes)
             assert np.array_equal(inside, stacked_membership_h2(region, probes))
             outside += np.count_nonzero(~inside)
@@ -869,6 +869,24 @@ class TestDilateRegion:
         assert convexity_defect(region) < 1e-6
         check_simple(region.boundary)
 
+    def test_each_vertex_is_lifted_once(self, monkeypatch):
+        rows = []
+        lift = convexity.hyperboloid_lift
+
+        def counting(r, theta):
+            rows.append(np.size(r))
+            return lift(r, theta)
+
+        # its home module too, so that a lift inside the chord sampler is counted
+        for module in (convexity, disk):
+            monkeypatch.setattr(module, "hyperboloid_lift", counting)
+        rng = np.random.default_rng(33)
+        for center in (ZERO, polar_point(0.8, -1.1)):
+            poly = random_hconvex_polygon(rng, center=center.xy)
+            rows.clear()
+            dilate_region(poly, DilationParams(center.xy, 2.0, 0.5))
+            assert sum(rows) == len(poly.r)
+
 
 class TestSampledRegionValidation:
     # a valid polygon, so that each check below is what refuses the loop
@@ -881,10 +899,20 @@ class TestSampledRegionValidation:
             SampledRegion(xy[:-1], self.TRIANGLE, 32, 1.0, 1.0, ZERO.xy)
 
     def test_requires_minimum_samples(self):
-        thetas = np.linspace(-math.pi, math.pi, 33)
+        # the one rule is MIN_SAMPLES per edge: a triangle at 16 per edge is a region of
+        # 48 + 1 rows that is measured, and 15 per edge is refused where it is sampled
+        # and, for a loop built directly, where it is measured
+        region = dilate_region(self.TRIANGLE, DilationParams(ZERO.xy, 0.5, 1.0),
+                               samples_per_edge=convexity.MIN_SAMPLES)
+        assert region.boundary.shape == (49, 2)
+        assert convexity_defect(region, 16, 16) >= 0.0
+        with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
+            dilate_region(self.TRIANGLE, IDENTITY, samples_per_edge=15)
+        thetas = np.linspace(-math.pi, math.pi, 46)
         xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
-        with pytest.raises(ValueError, match="at least 64 samples"):
-            SampledRegion(np.vstack([xy, xy[:1]]), self.TRIANGLE, 32, 1.0, 1.0, ZERO.xy)
+        coarse = SampledRegion(xy, self.TRIANGLE, 15, 1.0, 1.0, ZERO.xy)
+        with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
+            convexity_defect(coarse, 16, 16)
 
     def test_simplicity_check_catches_crossing(self):
         t = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
@@ -892,7 +920,7 @@ class TestSampledRegionValidation:
         xy = 0.4 * np.stack([np.sin(2.0 * t), np.sin(t)], axis=-1)
         with pytest.raises(ValueError, match="self-intersects"):
             check_simple(np.vstack([xy, xy[:1]]))
-        check_simple(polygon_region(self.TRIANGLE).boundary)
+        check_simple(dilate_region(self.TRIANGLE, IDENTITY).boundary)
 
 
 class TestGenerator:

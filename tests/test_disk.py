@@ -9,7 +9,6 @@ from hypexpand.disk import (
     _polar_points,
     curvature_from_derivatives,
     geodesic_chord_points,
-    hyperboloid_chord_vectors,
     hyperboloid_lift,
     hyperboloid_polar,
     hyperboloid_translate,
@@ -30,6 +29,12 @@ def rand_point(rng, r_max=3.0, r_min=0.05):
 def translate(c, x):
     """mobius_translate(c, x) of points, as a point."""
     return cart_point(*mobius_translate(c.xy, x.xy))
+
+
+def chord_polar(r1, th1, r2, th2, ts):
+    """Polar (r, theta) arrays (..., T) of the chords between lifted polar endpoints."""
+    return hyperboloid_polar(geodesic_chord_points(hyperboloid_lift(r1, th1),
+                                                   hyperboloid_lift(r2, th2), ts))
 
 
 def close(p, q, tol=1e-12):
@@ -181,7 +186,7 @@ class TestDistance:
         rng = np.random.default_rng(3)
         for _ in range(50):
             u, v = rand_point(rng), rand_point(rng)
-            r, th = geodesic_chord_points(u.r, u.theta, v.r, v.theta, np.array([0.4]))
+            r, th = chord_polar(u.r, u.theta, v.r, v.theta, np.array([0.4]))
             mid = polar_point(float(r[0]), float(th[0]))
             gap = hyperbolic_distance(u, mid) + hyperbolic_distance(mid, v) \
                 - hyperbolic_distance(u, v)
@@ -306,7 +311,7 @@ class TestGeodesic:
         v = polar_point(2.1, 0.9)
         g = geodesic_between(u, v)
         ts = np.linspace(0.0, 1.0, 7)
-        r_s, th_s = geodesic_chord_points(u.r, u.theta, v.r, v.theta, ts)
+        r_s, th_s = chord_polar(u.r, u.theta, v.r, v.theta, ts)
         # same geodesic set: chord radii satisfy the curve's radius function
         # at matching angles
         dth = g.meta["delta_theta"]
@@ -447,7 +452,7 @@ def test_mobius_translate_array_shape():
 
 
 def chord_points_per_pair(r1, th1, r2, th2, ts):
-    """Reference: the one-pair-at-a-time form of geodesic_chord_points."""
+    """Reference: the one-pair-at-a-time form of chord_polar."""
     a = np.array([math.sinh(r1) * math.cos(th1), math.sinh(r1) * math.sin(th1), math.cosh(r1)])
     b = np.array([math.sinh(r2) * math.cos(th2), math.sinh(r2) * math.sin(th2), math.cosh(r2)])
     cosh_d = a[2] * b[2] - a[0] * b[0] - a[1] * b[1]
@@ -467,7 +472,7 @@ class TestBatchedChordPoints:
     TS = np.concatenate([[0.0, 1.0], np.random.default_rng(0).uniform(size=14)])
 
     def assert_matches_per_pair(self, r1, th1, r2, th2):
-        r, th = geodesic_chord_points(r1, th1, r2, th2, self.TS)
+        r, th = chord_polar(r1, th1, r2, th2, self.TS)
         assert r.shape == th.shape == r1.shape + self.TS.shape
         for idx in np.ndindex(r1.shape):
             r_ref, th_ref = chord_points_per_pair(r1[idx], th1[idx], r2[idx], th2[idx], self.TS)
@@ -489,8 +494,10 @@ class TestBatchedChordPoints:
         self.assert_matches_per_pair(r1, th1, r2, th2)
 
     def test_scalar_call_keeps_its_shape(self):
-        r, th = geodesic_chord_points(1.3, -0.4, 2.1, 0.9, self.TS)
+        r, th = chord_polar(1.3, -0.4, 2.1, 0.9, self.TS)
         assert r.shape == th.shape == self.TS.shape
+        assert geodesic_chord_points(hyperboloid_lift(1.3, -0.4), hyperboloid_lift(2.1, 0.9),
+                                     self.TS).shape == self.TS.shape + (3,)
 
     def test_chords_of_a_lifted_indexed_boundary(self):
         # a boundary lifted once and indexed per chord, as a defect
@@ -503,7 +510,7 @@ class TestBatchedChordPoints:
         i[:3], j[:3] = (0, 0, 5), (1, 0, 5)
         lifted = hyperboloid_lift(r, th)
         assert lifted.shape == (64, 3)
-        rs, ths = hyperboloid_polar(hyperboloid_chord_vectors(lifted[i], lifted[j], self.TS))
+        rs, ths = hyperboloid_polar(geodesic_chord_points(lifted[i], lifted[j], self.TS))
         assert rs.shape == ths.shape == (300,) + self.TS.shape
         for k in range(300):
             r_ref, th_ref = chord_points_per_pair(r[i[k]], th[i[k]], r[j[k]], th[j[k]], self.TS)
@@ -519,7 +526,7 @@ class TestBatchedChordPoints:
         i[:3], j[:3] = (0, 0, 5), (1, 0, 5)  # a short, an identical and a repeated pair
         for a, b in [(lifted[i], lifted[j]), (lifted[i].reshape(20, 15, 3), lifted[j][0]),
                      (lifted[2], lifted[3]), (lifted[0], lifted[1])]:
-            pts = hyperboloid_chord_vectors(a, b, self.TS)
+            pts = geodesic_chord_points(a, b, self.TS)
             ref = broadcast_chord_vectors(a, b, self.TS)
             assert pts.shape == ref.shape and np.array_equal(pts, ref)
             # each coordinate is one contiguous array, and the flat (P, 3) form a view of it

@@ -21,7 +21,6 @@ from hypexpand.sphere import (
     great_circle_points,
     random_convex_spherical_polygon,
     s_convexity_defect,
-    sample_polygon_boundary,
     tangent_frame,
 )
 
@@ -146,14 +145,14 @@ class TestGnomonic:
 class TestSphericalDefect:
     def test_triangle_convex(self):
         tri = north_polygon(0.9, [0.2, 2.2, 4.4])
-        assert s_convexity_defect(sample_polygon_boundary(tri)) < 1e-9
+        assert s_convexity_defect(contract_polygon(tri, 1.0, 1.0)) < 1e-9
 
     def test_reflex_quad_defect(self):
         # a dart is no region's polygon, so none is measured without exact membership
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
         dart = SphericalPolygon(Chart(NORTH).gnomonic_inverse(dart_uv), Chart(NORTH))
         assert not dart.convex
-        for build in (lambda: sample_polygon_boundary(dart, per_edge=32),
+        for build in (lambda: contract_polygon(dart, 1.0, 1.0, per_edge=32),
                       lambda: contract_polygon(dart, 0.5, 0.5)):
             with pytest.raises(ValueError, match="convex polygon"):
                 build()
@@ -165,8 +164,6 @@ class TestSphericalDefect:
             with pytest.raises(ValueError, match="at least 16"):
                 s_convexity_defect(region, *counts)
         for per_edge in (0, 1, 15):
-            with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
-                sample_polygon_boundary(poly, per_edge)
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
                 contract_polygon(poly, 0.5, 0.8, per_edge=per_edge)
         assert s_convexity_defect(contract_polygon(poly, 0.5, 0.8, per_edge=16), 16, 16) >= 0.0
@@ -463,8 +460,7 @@ class TestBatchedPolygonLayer:
             k1, k2 = rng.uniform(0.05, 1.0, 2)
             if trial % 3 == 1:  # one factor above 1 as well, so one preimage factor is below 1
                 k1 += 1.0
-            region = (sample_polygon_boundary(poly) if trial % 5 == 0
-                      else contract_polygon(poly, k1, k2))
+            region = contract_polygon(poly, *((1.0, 1.0) if trial % 5 == 0 else (k1, k2)))
             # probes in the preimage's chart, so that vertices and edges map onto the polygon's
             pre = poly.chart.gnomonic_inverse(edge_probes(rng, poly.uv))
             probes = (pre if trial % 5 == 0 else
