@@ -235,26 +235,26 @@ def lemma_table(report_doc) -> str:
 
 # --- curvature-sweep ---------------------------------------------------------
 
-def run_curvature_sweep(seed=0, grid_n=50, specs=100, rel_tol=1e-8):
+def _curvature_sweep(seed, grid_n, specs, rel_tol):
+    """The curvature-sweep report, and its CSV table as the arguments of _csv_text."""
     r_hat = np.geomspace(0.05, 10.0, grid_n)
     theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, grid_n)
     s_vals = np.linspace(0.1, 0.9, SWEEP_N_S)
     rng = np.random.default_rng(seed)
-    R, T, S = np.meshgrid(r_hat, theta_hat, s_vals, indexing="ij")
-    RP = rng.uniform(-2.0, 2.0, size=R.shape)
-    out = curvature.p_coefficients_grid(R, T, S, RP, 1.0)
+    rp_hat = rng.uniform(-2.0, 2.0, size=(grid_n, grid_n, SWEEP_N_S))
+    out = curvature.p_coefficients_grid(r_hat[:, None, None], theta_hat[None, :, None], s_vals,
+                                        rp_hat, 1.0)
 
     rel = np.abs(out["kg_closed"] - out["kg_generic"]) / np.abs(out["kg_generic"])
     sign_bad = int(np.sum((out["p0"] <= 0) | (out["p1"] >= 0)
                           | (out["discriminant"] >= 0) | (out["kg_generic"] >= 0)))
     # r_hat, theta_hat and s are the grid axes: format each distinct value
-    # once and build the rows' leading fields in meshgrid "ij" order
+    # once and build the rows' leading fields in "ij" order
     r_txt, t_txt, s_txt = ([f"{v:.17g}" for v in axis] for axis in (r_hat, theta_hat, s_vals))
     prefix = [f"{a},{b},{c}" for a in r_txt for b in t_txt for c in s_txt]
     values = np.stack([out[k].ravel() for k in ("p0", "p1", "p2", "p3", "discriminant",
                                                 "kg_closed", "kg_generic")], axis=1)
-    csv_text = _csv_text("r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic",
-                         values, prefix)
+    table = ("r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic", values, prefix)
 
     ordering = []
     for i in range(specs):
@@ -274,7 +274,13 @@ def run_curvature_sweep(seed=0, grid_n=50, specs=100, rel_tol=1e-8):
         "ordering_specs": specs, "ordering_violations": ordering_bad,
         "side_ordering": ordering,
         "passed": bool(np.max(rel) < rel_tol) and sign_bad == 0 and ordering_bad == 0,
-    }, csv_text
+    }, table
+
+
+def run_curvature_sweep(seed=0, grid_n=50, specs=100, rel_tol=1e-8):
+    """The curvature-sweep report and its CSV text."""
+    report, table = _curvature_sweep(seed, grid_n, specs, rel_tol)
+    return report, _csv_text(*table)
 
 
 # --- sphere-conjecture -------------------------------------------------------
@@ -446,15 +452,19 @@ def main(argv=None) -> int:
             return PASS if report["passed"] else VIOLATION
 
         if args.command == "curvature-sweep":
-            report, csv_text = run_curvature_sweep(seed=args.seed, grid_n=args.grid_n,
-                                                   specs=args.trials, rel_tol=args.tol)
-            if args.format == "csv":
-                _write(args.out, csv_text)
+            sweep = (args.seed, args.grid_n, args.trials, args.tol)
+            if args.format == "json" and not args.out:
+                # the CSV is written nowhere, so it is not formatted
+                report = _curvature_sweep(*sweep)[0]
+                _write(None, _dumps(report))
             else:
-                if args.out:
+                report, csv_text = run_curvature_sweep(*sweep)
+                if args.format == "csv":
+                    _write(args.out, csv_text)
+                else:
                     base = args.out[:-5] if args.out.endswith(".json") else args.out
                     _write(base + ".csv", csv_text)
-                _write(args.out, _dumps(report))
+                    _write(args.out, _dumps(report))
             return PASS if report["passed"] else VIOLATION
 
         if args.command == "sphere-conjecture":

@@ -197,6 +197,16 @@ def hyperbolic_hull(xy) -> GeodesicPolygon:
 
 # --- sampled regions ---------------------------------------------------------
 
+def _check_loop(boundary, samples_per_edge, n_vertices):
+    """Raise ValueError unless boundary is a closed loop of samples_per_edge rows per edge."""
+    if np.max(np.abs(boundary[0] - boundary[-1])) > 1e-12:
+        raise ValueError("boundary loop is not closed")
+    rows = samples_per_edge * n_vertices + 1
+    if len(boundary) != rows:
+        raise ValueError(f"boundary has {len(boundary)} rows, not samples_per_edge x vertices"
+                         f" + 1 = {rows}")
+
+
 @dataclass
 class SampledRegion:
     """Sampled boundary loop of the image of an h-convex polygon under a dilation.
@@ -221,8 +231,7 @@ class SampledRegion:
             raise ValueError("a region must be the image of an h-convex polygon")
         if self.boundary.ndim != 2 or self.boundary.shape[1] != 2:
             raise ValueError("boundary must have shape (N, 2)")
-        if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
-            raise ValueError("boundary loop is not closed")
+        _check_loop(self.boundary, self.samples_per_edge, len(self.polygon.r))
         _check_chart(self.boundary, f"factors k1={self.k1!r}, k2={self.k2!r} carry")
 
 

@@ -33,26 +33,32 @@ ORDERING_SLACK = 1e-9
 
 
 def phi(a):
-    """sinh(a) - a, evaluated by series for small a; positive for a > 0."""
+    """sinh(a) - a, positive for a > 0.
+
+    The series is evaluated only where a < SERIES_CUTOFF.  Pass axes, not a meshgrid."""
     a = np.asarray(a, dtype=float)
-    a2 = a * a
-    series = a * a2 / 6.0 * (1.0 + a2 / 20.0 * (1.0 + a2 / 42.0 * (1.0 + a2 / 72.0)))
     with np.errstate(over="ignore"):
-        direct = np.sinh(a) - a
-    out = np.where(a < SERIES_CUTOFF, series, direct)
-    return float(out) if np.ndim(out) == 0 else out
+        out = np.asarray(np.sinh(a) - a)
+    small = a < SERIES_CUTOFF
+    x = a[small]
+    x2 = x * x
+    out[small] = x * x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0 * (1.0 + x2 / 72.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def psi(a):
-    """a*coth(a) - 1 with psi(0) = 0; increasing and positive for a > 0."""
+    """a*coth(a) - 1 with psi(0) = 0; increasing and positive for a > 0.
+
+    The series is evaluated only where a < SERIES_CUTOFF.  Pass axes, not a meshgrid."""
     a = np.asarray(a, dtype=float)
-    a2 = a * a
-    series = (a2 / 3.0 - a2 ** 2 / 45.0 + 2.0 * a2 ** 3 / 945.0 - a2 ** 4 / 4725.0
-              + 2.0 * a2 ** 5 / 93555.0 - 1382.0 * a2 ** 6 / 638512875.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = a / np.tanh(a) - 1.0
-    out = np.where(a < SERIES_CUTOFF, series, direct)
-    return float(out) if np.ndim(out) == 0 else out
+        out = np.asarray(a / np.tanh(a) - 1.0)
+    small = a < SERIES_CUTOFF
+    x = a[small]
+    x2 = x * x
+    out[small] = (x2 / 3.0 - x2 ** 2 / 45.0 + 2.0 * x2 ** 3 / 945.0 - x2 ** 4 / 4725.0
+                  + 2.0 * x2 ** 5 / 93555.0 - 1382.0 * x2 ** 6 / 638512875.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,18 @@ def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
 
     The chord second derivative is determined by the chord equation, so the
     state (r_hat, theta_hat, s, rp_hat, dth) fixes the full preimage 2-jet.
-    Returns a dict of arrays: p0, p1, p2, p2_sq (the square of p2 in its
-    independent product form), p3, discriminant, kg_closed, kg_generic, the
-    preimage speed v and beta = s^2 cos^2 + sin^2.  kg_generic evaluates the raw
-    polar curvature formula on the chained preimage jet and is the independent
-    route the closed form is checked against.  The raw formula suffers
-    cancellation where the curve is nearly geodesic (its terms are large while
-    k_g is tiny), so the reference is evaluated on the same jet chain in
-    extended precision; the grouped closed form needs no such help.
+    Pass a grid as its axes (r_hat[:, None, None], theta_hat[None, :, None], s),
+    not as a meshgrid, so that each factor of one or two axes (cos theta_hat,
+    beta, psi(r_hat), ...) is computed once per axis value.  Returns a dict of
+    arrays: p0, p1, p2, p2_sq (the square of p2 in its independent product
+    form), p3, discriminant, kg_closed, kg_generic, the preimage speed v and
+    beta = s^2 cos^2 + sin^2 (in the broadcast shape of theta_hat and s).
+    kg_generic evaluates the raw polar curvature formula on the chained
+    preimage jet and is the independent route the closed form is checked
+    against.  The raw formula suffers cancellation where the curve is nearly
+    geodesic (its terms are large while k_g is tiny), so the reference is
+    evaluated on the same jet chain in extended precision; the grouped closed
+    form needs no such help.
     """
     r_hat, theta_hat, s, rp_hat, dth = (np.asarray(x, dtype=float) for x in (
         r_hat, theta_hat, s, rp_hat, delta_theta_hat))

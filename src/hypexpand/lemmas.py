@@ -48,10 +48,11 @@ def lemma_coth_ratio(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    denom = psi(x) - psi(x * y)
+    psi_x, psi_xy = psi(x), psi(x * y)
+    denom = psi_x - psi_xy
     if np.any(denom <= 0.0):
         raise ArithmeticError("psi(x) - psi(xy) must be positive for y < 1")
-    lhs = x * psi(x * y) * psi(x) / denom
+    lhs = x * psi_xy * psi_x / denom
     rhs = y ** 2 * phi(2.0 * x) / (4.0 * (1.0 - y) * (1.0 + y))
     out = rhs - lhs
     return float(out) if np.ndim(out) == 0 else out

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (_check_polygon_chart, _chord_plan, _convex_hull_2d, _edge_ts,
-                        _next_rows, _star_polar, klein_polygon_contains)
+from .convexity import (_check_loop, _check_polygon_chart, _chord_plan, _convex_hull_2d,
+                        _edge_ts, _next_rows, _star_polar, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 from .disk import _read_only
 
@@ -173,8 +173,7 @@ class SphericalRegion:
         self.boundary = np.asarray(self.boundary, dtype=float)
         if not (isinstance(self.polygon, SphericalPolygon) and self.polygon.convex):
             raise ValueError("a region must be the image of a convex polygon")
-        if np.max(np.abs(self.boundary[0] - self.boundary[-1])) > 1e-12:
-            raise ValueError("boundary loop is not closed")
+        _check_loop(self.boundary, self.samples_per_edge, len(self.polygon.xyz))
 
 
 def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:

@@ -5,7 +5,8 @@ with their derivatives, whose geodesic curvature is checked against the
 package's jets; finite-difference curve derivatives check the analytic jets,
 the polar chord equation and the diameter branch give geodesics as curves,
 hyperbolic distance goes through the disk translation and the radial
-formula, and the lemma margins have Taylor-sum, direct and slope forms.
+formula, the lemma margins have Taylor-sum, direct and slope forms, and the
+auxiliary functions phi and psi have the forms that evaluate both branches.
 Points are given in both polar and Cartesian form, as the package's polygon
 helpers form them.
 """
@@ -16,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from hypexpand.curvature import phi, psi
+from hypexpand.curvature import SERIES_CUTOFF, phi, psi
 from hypexpand.disk import (RHO_MAX, _cart_polar, _polar_points, chord_jet,
                             curvature_from_derivatives, mobius_translate, polar_chord_radius,
                             wrap_angle)
@@ -320,4 +321,40 @@ def sin_scaling_slope(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = y * (np.cos(x * y) - np.cos(x))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def coth_ratio_two_calls(x, y):
+    """The coth-ratio margin with psi(x) and psi(xy) each evaluated twice, as they once were."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    denom = psi(x) - psi(x * y)
+    lhs = x * psi(x * y) * psi(x) / denom
+    rhs = y ** 2 * phi(2.0 * x) / (4.0 * (1.0 - y) * (1.0 + y))
+    out = rhs - lhs
+    return float(out) if np.ndim(out) == 0 else out
+
+
+# --- phi and psi with both branches evaluated everywhere ------------------------
+
+def phi_both_branches(a):
+    """phi as np.where of its series and direct forms, each evaluated on the whole array."""
+    a = np.asarray(a, dtype=float)
+    a2 = a * a
+    series = a * a2 / 6.0 * (1.0 + a2 / 20.0 * (1.0 + a2 / 42.0 * (1.0 + a2 / 72.0)))
+    with np.errstate(over="ignore"):
+        direct = np.sinh(a) - a
+    out = np.where(a < SERIES_CUTOFF, series, direct)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def psi_both_branches(a):
+    """psi as np.where of its series and direct forms, each evaluated on the whole array."""
+    a = np.asarray(a, dtype=float)
+    a2 = a * a
+    series = (a2 / 3.0 - a2 ** 2 / 45.0 + 2.0 * a2 ** 3 / 945.0 - a2 ** 4 / 4725.0
+              + 2.0 * a2 ** 5 / 93555.0 - 1382.0 * a2 ** 6 / 638512875.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = a / np.tanh(a) - 1.0
+    out = np.where(a < SERIES_CUTOFF, series, direct)
     return float(out) if np.ndim(out) == 0 else out

@@ -270,6 +270,28 @@ class TestCurvatureSweep:
         header = "r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic"
         assert csv_lines(csv_text) == csv_lines(reference_csv(header, rows))
 
+    def test_json_to_stdout_formats_no_csv(self, monkeypatch, capsys):
+        # without --out the JSON report is the only output, so no CSV is formatted
+        report, _ = run_curvature_sweep(seed=0, grid_n=8, specs=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CSV is written nowhere")
+
+        monkeypatch.setattr(cli, "_csv_text", refuse)
+        assert main(["curvature-sweep", "--grid-n", "8", "--trials", "2"]) in (0, 1)
+        assert capsys.readouterr().out == cli._dumps(report)
+
+    def test_written_csv_is_the_sweep_csv(self, tmp_path, capsys):
+        report, csv_text = run_curvature_sweep(seed=0, grid_n=8, specs=2)
+        args = ["curvature-sweep", "--grid-n", "8", "--trials", "2"]
+        assert main(args + ["--out", str(tmp_path / "sweep.json")]) in (0, 1)
+        assert (tmp_path / "sweep.json").read_text() == cli._dumps(report)
+        assert (tmp_path / "sweep.csv").read_text() == csv_text
+        assert main(args + ["--format", "csv", "--out", str(tmp_path / "grid.csv")]) in (0, 1)
+        assert (tmp_path / "grid.csv").read_text() == csv_text
+        assert main(args + ["--format", "csv"]) in (0, 1)
+        assert capsys.readouterr().out == csv_text
+
 
 class TestSphereCommand:
     def test_small_run(self):

@@ -914,6 +914,16 @@ class TestSampledRegionValidation:
         with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
             convexity_defect(coarse, 16, 16)
 
+    def test_requires_samples_per_edge_rows_per_edge(self):
+        # the 97-row (3 x 32 + 1) image of the triangle, named as 20 per edge, is
+        # refused: the defect would take every 20th row as a vertex
+        img = dilate_region(self.TRIANGLE, DilationParams(ZERO.xy, 0.5, 1.0))
+        assert img.boundary.shape == (97, 2)
+        with pytest.raises(ValueError, match=r"has 97 rows, not samples_per_edge x vertices .* = 61"):
+            SampledRegion(img.boundary, self.TRIANGLE, 20, 0.5, 1.0, ZERO.xy)
+        rebuilt = SampledRegion(img.boundary, self.TRIANGLE, 32, 0.5, 1.0, ZERO.xy)
+        assert convexity_defect(rebuilt) == convexity_defect(img) > 0.0
+
     def test_simplicity_check_catches_crossing(self):
         t = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
         # figure-eight: crosses itself at the origin

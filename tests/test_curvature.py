@@ -16,7 +16,8 @@ from hypexpand.curvature import (
     side_ordering,
 )
 from hypexpand.disk import chord_jet, curvature_from_derivatives
-from references import from_polar_function, geodesic_curvature
+from references import (from_polar_function, geodesic_curvature, phi_both_branches,
+                        psi_both_branches)
 
 
 # --- references: the hand-expanded chains the one jet chain replaced ----------
@@ -118,12 +119,20 @@ def polar_linear_jet(r1, r2, th1, th2, t):
     return (1.0 - t) * r1 + t * r2, r2 - r1, 0.0, th2 - th1, 0.0
 
 
-def sweep_grid():
+def sweep_axes():
+    # the axes curvature-sweep passes at its default grid
     r_hat = np.geomspace(0.05, 10.0, 50)
     theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 50)
     s_vals = np.linspace(0.1, 0.9, 9)
-    R, T, S = np.meshgrid(r_hat, theta_hat, s_vals, indexing="ij")
-    return R, T, S, np.random.default_rng(1).uniform(-2.0, 2.0, size=R.shape), 1.0
+    rp_hat = np.random.default_rng(1).uniform(-2.0, 2.0, size=(50, 50, 9))
+    return r_hat[:, None, None], theta_hat[None, :, None], s_vals, rp_hat, 1.0
+
+
+def sweep_grid():
+    # the same states as a meshgrid, the form the axes must match
+    r_hat, theta_hat, s_vals, rp_hat, dth = sweep_axes()
+    R, T, S = np.meshgrid(r_hat.ravel(), theta_hat.ravel(), s_vals, indexing="ij")
+    return R, T, S, rp_hat, dth
 
 
 def random_states():
@@ -164,6 +173,29 @@ class TestAuxiliaryFunctions:
         a = np.linspace(0.01, 5.0, 200)
         assert np.all(phi(a) > 0.0)
         assert np.all(np.diff(psi(a)) > 0.0)
+
+    @pytest.mark.parametrize("fn, reference", [(phi, phi_both_branches),
+                                               (psi, psi_both_branches)])
+    def test_series_only_where_taken_is_the_both_branch_form_bitwise(self, fn, reference):
+        # each series is evaluated only below the cutoff and written back through
+        # the mask; every value must be the bit pattern of the np.where form
+        cutoff = curvature.SERIES_CUTOFF
+        special = np.array([0.0, 1e-300, 1e-8, 0.05, np.nextafter(cutoff, 0.0), cutoff,
+                            np.nextafter(cutoff, 1.0), 0.3, 1.0, 20.0, 711.0, 800.0, np.nan])
+        a = np.concatenate([special, np.random.default_rng(46).uniform(0.0, 0.3, 500),
+                            np.random.default_rng(47).uniform(0.0, 30.0, 500)])
+
+        def bits(x):
+            return np.asarray(x, dtype=float).view(np.int64)
+
+        for x in (a, a[::3], a[:1000].reshape(2, -1).T, np.broadcast_to(a[:40, None], (40, 5))):
+            out = fn(x)
+            assert out.shape == x.shape
+            assert np.array_equal(bits(out), bits(reference(x)))
+        for x in [*special, np.float64(0.07), np.array(0.07), np.array(3.0)]:
+            out = fn(x)
+            assert type(out) is float
+            assert bits(out) == bits(reference(x))
 
 
 def beta(theta_hat, s):
@@ -396,7 +428,7 @@ class TestDecomposition:
         rel = np.abs(out["kg_closed"] - out["kg_generic"]) / np.abs(out["kg_generic"])
         assert float(np.max(rel)) < 1e-8
 
-    @pytest.mark.parametrize("states", [sweep_grid, random_states])
+    @pytest.mark.parametrize("states", [sweep_grid, sweep_axes, random_states])
     def test_grid_is_the_reference_chains_bitwise(self, states):
         args = states()
         out = p_coefficients_grid(*args)
@@ -404,6 +436,13 @@ class TestDecomposition:
             assert np.array_equal(out[key], value), key
         assert out["kg_generic"].dtype == np.float64
         assert np.array_equal(out["kg_generic"], reference_generic_curvature_extended(*args))
+        if states is sweep_axes:
+            # the grid on its axes gives every output of the meshgrid call, bit for bit
+            grid = p_coefficients_grid(*sweep_grid())
+            assert out.keys() == grid.keys()
+            for key, value in grid.items():
+                assert np.array_equal(np.broadcast_to(out[key], value.shape).view(np.int64),
+                                      value.view(np.int64)), key
 
 
 class TestComparisonCurve:

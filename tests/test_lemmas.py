@@ -15,7 +15,8 @@ from hypexpand.lemmas import (
     open_interval_grid,
     verify_all,
 )
-from references import coth_poly_I_direct, coth_ratio_path, sin_scaling_slope, sinh_scaling_series
+from references import (coth_poly_I_direct, coth_ratio_path, coth_ratio_two_calls,
+                        sin_scaling_slope, sinh_scaling_series)
 
 
 def lemma_report(lemma, n):
@@ -77,6 +78,15 @@ class TestCothRatio:
     def test_grid(self):
         rep = lemma_report("coth-ratio", 120)
         assert rep["passed"]
+
+    def test_each_psi_once_is_the_two_call_form_bitwise(self):
+        # on verify_all's default grid, psi(x) and psi(xy) evaluated once each
+        # give the margins of the form that evaluates each of them twice
+        xs = open_interval_grid(0.0, 10.0, 500, open_hi=False)[:, None]
+        ys = open_interval_grid(0.0, 1.0, 500)[None, :]
+        out = lemma_coth_ratio(xs, ys)
+        assert out.shape == (len(xs), ys.shape[1])
+        assert np.array_equal(out.view(np.int64), coth_ratio_two_calls(xs, ys).view(np.int64))
 
     def test_path_function_decreasing(self):
         # the auxiliary path tends to zero at y -> 1 and decreases in y

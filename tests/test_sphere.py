@@ -306,6 +306,18 @@ def test_region_closure_validation():
         SphericalRegion(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]), tri, 24, 1.0, 1.0)
 
 
+def test_region_row_count_validation():
+    # a loop of 24 rows per edge, named as 20 per edge, is refused: the defect
+    # would take every 20th row as a vertex
+    tri = north_polygon(0.9, [0.2, 2.2, 4.4])
+    region = contract_polygon(tri, 0.5, 1.0, per_edge=24)
+    assert region.boundary.shape == (73, 3)
+    with pytest.raises(ValueError, match=r"has 73 rows, not samples_per_edge x vertices .* = 61"):
+        SphericalRegion(region.boundary, tri, 20, 0.5, 1.0)
+    rebuilt = SphericalRegion(region.boundary, tri, 24, 0.5, 1.0)
+    assert s_convexity_defect(rebuilt) == s_convexity_defect(region)
+
+
 def great_circle_points_per_pair(a, b, ts):
     """Reference: the one-pair-at-a-time form of great_circle_points."""
     omega = angular_distance(a, b)
