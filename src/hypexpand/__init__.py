@@ -5,10 +5,8 @@ from .convexity import (
     SampledRegion,
     convexity_defect,
     dilate_region,
-    from_klein,
     hyperbolic_hull,
     random_hconvex_polygon,
-    to_klein,
 )
 from .curvature import ChordSpec, chord_radius, phi, psi, side_ordering
 from .dilation import DilationParams

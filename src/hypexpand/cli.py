@@ -20,7 +20,7 @@ from . import convexity, curvature, lemmas, sphere
 from .convexity import (MIN_SAMPLES, PAIR_SAMPLES, SAMPLES_PER_EDGE, SEGMENT_SAMPLES,
                         GeodesicPolygon, convexity_defect, dilate_region, random_hconvex_polygon)
 from .dilation import DilationParams
-from .disk import _polar_points, curvature_from_derivatives, polar_to_cart
+from .disk import curvature_from_derivatives, hyperboloid_lift, hyperboloid_polar, polar_to_cart
 from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
@@ -75,13 +75,13 @@ def _write(path, text):
 
 def _theorem_trial(seed, i, k_range, forced_k1, forced_k2):
     rng = np.random.default_rng([seed, i])
-    (r,), (theta,), (center,) = _polar_points([rng.uniform(0.0, 1.5)],
-                                              [rng.uniform(-math.pi, math.pi)])
+    r, theta = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
+    center = polar_to_cart(r, theta)
     poly = random_hconvex_polygon(rng, center=center)
     k1 = float(rng.uniform(*k_range)) if forced_k1 is None else forced_k1
     k2 = float(rng.uniform(*k_range)) if forced_k2 is None else forced_k2
     defect = convexity_defect(dilate_region(poly, DilationParams(center, k1, k2)))
-    return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.r),
+    return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.sheet),
             "center_polar": [float(r), float(theta)], "defect": defect}
 
 
@@ -114,7 +114,7 @@ def _directed_thin_polygon(rng):
     back = rng.uniform(0.4, 1.2)
     thetas = [half_angle, -half_angle, math.pi - rng.uniform(0.1, 0.5),
               -math.pi + rng.uniform(0.1, 0.5)]
-    return convexity.hyperbolic_hull(_polar_points([reach, reach, back, back], thetas)[2])
+    return convexity.hyperbolic_hull(hyperboloid_lift([reach, reach, back, back], thetas))
 
 
 def measure_witness(witness, scale=1):
@@ -143,7 +143,7 @@ def run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=2000, tol=1e-3):
         report["trials_used"] = i + 1
         if defect > tol:
             witness = {
-                "vertices_polar": np.column_stack([poly.r, poly.theta]).tolist(),
+                "vertices_polar": np.column_stack(hyperboloid_polar(poly.sheet)).tolist(),
                 "center_cart": [0.0, 0.0], "k1": k1, "k2": k2,
                 "samples_per_edge": SAMPLES_PER_EDGE,
                 "pair_samples": PAIR_SAMPLES, "segment_samples": SEGMENT_SAMPLES,

@@ -19,16 +19,13 @@ import numpy as np
 from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
     ChartSaturation,  # noqa: F401 (the CLI and the tests name it here)
-    _cart_polar,
     _check_chart,
-    _polar_points,
     _read_only,
     cart_to_polar,
     geodesic_chord_points,
+    hyperboloid_cart,
     hyperboloid_lift,
-    hyperboloid_polar,
     hyperboloid_translate,
-    mobius_translate,
     polar_to_cart,
 )
 
@@ -41,34 +38,18 @@ MAX_VERTICES = 12  # random_hconvex_polygon draws 5 to MAX_VERTICES vertices
 SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
 
 
-# --- Klein model -------------------------------------------------------------
-
-def to_klein(p):
-    """Poincare Cartesian (..., 2) -> Klein: q = 2p / (1 + |p|^2)."""
-    p = np.asarray(p, dtype=float)
-    n2 = np.sum(p * p, axis=-1)
-    if np.any(n2 >= 1.0):
-        raise ValueError("point outside the open unit disk")
-    return 2.0 * p / (1.0 + n2)[..., None]
-
-
-def from_klein(q):
-    """Klein -> Poincare Cartesian: p = q / (1 + sqrt(1 - |q|^2))."""
-    q = np.asarray(q, dtype=float)
-    n2 = np.sum(q * q, axis=-1)
-    if np.any(n2 >= 1.0):
-        raise ValueError("point outside the open unit disk")
-    return q / (1.0 + np.sqrt(1.0 - n2))[..., None]
-
+# --- projective charts -------------------------------------------------------
 
 def _convex_hull_2d(pts):
-    """Monotone-chain convex hull; returns counterclockwise vertices, no repeats."""
+    """Monotone-chain convex hull of the rows pts (m, 2); returns the row indices of its
+    counterclockwise vertices, no repeats."""
     pts = np.asarray(pts, dtype=float)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
     keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 1e-15, axis=1)
-    pts = pts[keep].tolist()  # the chain's scalar arithmetic is faster on floats
+    keep[1:] = np.any(np.abs(np.diff(pts[order], axis=0)) > 1e-15, axis=1)
+    order = order[keep]
+    # (x, y, row) tuples: the chain's scalar arithmetic is faster on floats
+    pts = [(x, y, i) for (x, y), i in zip(pts[order].tolist(), order.tolist())]
     if len(pts) < 3:
         raise ValueError("need at least 3 distinct points for a hull")
 
@@ -84,10 +65,10 @@ def _convex_hull_2d(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
+    hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise ValueError("degenerate (collinear) input")
-    return hull
+    return np.array([p[2] for p in hull])
 
 
 def _next_rows(verts):
@@ -141,25 +122,32 @@ def _check_polygon_chart(verts) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPolygon:
-    """A simple geodesic polygon: read-only polar r, theta (V,) and Cartesian and Klein rows
-    (V, 2) of its counterclockwise vertices, and whether it is h-convex at the default tolerance."""
+    """A simple geodesic polygon: read-only hyperboloid sheet rows (V, 3) of its counterclockwise
+    vertices, their Klein rows (V, 2), and whether it is h-convex at the default tolerance."""
 
-    r: np.ndarray
-    theta: np.ndarray
-    cart: np.ndarray
+    sheet: np.ndarray
     klein: np.ndarray = field(init=False, repr=False)
     hconvex: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("r", "theta", "cart"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        object.__setattr__(self, "klein", _read_only(to_klein(self.cart)))
+        sheet = _read_only(self.sheet).reshape(-1, 3)
+        if not (np.all(np.isfinite(sheet)) and np.all(sheet[:, 2] >= 1.0)):
+            raise ValueError("polygon vertices must be finite points of the hyperboloid sheet")
+        object.__setattr__(self, "sheet", sheet)
+        object.__setattr__(self, "klein", _read_only(sheet[:, :2] / sheet[:, 2:]))
         object.__setattr__(self, "hconvex", _check_polygon_chart(self.klein))
 
     @classmethod
     def from_polar(cls, pairs):
-        """The polygon with the vertices (r, theta) of pairs (V, 2)."""
-        return cls(*_polar_points(*np.array(pairs, dtype=float).reshape(-1, 2).T))
+        """The polygon with the vertices (r, theta) of pairs (V, 2), whose radii tanh(r/2) must
+        lie in the chart: the vertices are the farthest points of its boundary from the origin,
+        and are checked before their lift or the chords between them can overflow."""
+        r, theta = np.array(pairs, dtype=float).reshape(-1, 2).T
+        if (r < 0.0).any():
+            raise ValueError("hyperbolic radius must be nonnegative")
+        # along the x-axis, since cos and sin can round a unit direction below 1
+        _check_chart(polar_to_cart(r, 0.0), "the polygon's vertices carry")
+        return cls(hyperboloid_lift(r, theta))
 
 
 def klein_polygon_contains(kverts, probes):
@@ -179,20 +167,10 @@ def klein_polygon_contains(kverts, probes):
     return inside
 
 
-def _translate_rows(c, xy):
-    """mobius_translate(c, p) for each row p of xy (m, 2), bitwise as one call per row.
-
-    A stack of (1, 2) rows takes one dot product per point, as a single point
-    does; a plain (m, 2) array takes a matrix-vector product, which can round
-    differently.
-    """
-    return mobius_translate(c, xy[:, None, :])[:, 0]
-
-
-def hyperbolic_hull(xy) -> GeodesicPolygon:
-    """Minimal h-convex polygon containing the points with Cartesian rows xy (m, 2), by a Klein hull."""
-    hull = from_klein(_convex_hull_2d(to_klein(xy)))
-    return GeodesicPolygon(*_cart_polar(hull), hull)
+def hyperbolic_hull(pts) -> GeodesicPolygon:
+    """Minimal h-convex polygon containing the hyperboloid points pts (m, 3), by a Klein hull;
+    its vertices are rows of pts."""
+    return GeodesicPolygon(pts[_convex_hull_2d(pts[:, :2] / pts[:, 2:])])
 
 
 # --- sampled regions ---------------------------------------------------------
@@ -231,7 +209,7 @@ class SampledRegion:
             raise ValueError("a region must be the image of an h-convex polygon")
         if self.boundary.ndim != 2 or self.boundary.shape[1] != 2:
             raise ValueError("boundary must have shape (N, 2)")
-        _check_loop(self.boundary, self.samples_per_edge, len(self.polygon.r))
+        _check_loop(self.boundary, self.samples_per_edge, len(self.polygon.sheet))
         _check_chart(self.boundary, f"factors k1={self.k1!r}, k2={self.k2!r} carry")
 
 
@@ -312,11 +290,10 @@ def _edge_ts(per_edge):
 
 def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
     """Cartesian boundary samples (N, 2), samples_per_edge per edge, not closed, in the chart;
-    each vertex is lifted to the sheet once, and each edge sampled between its lifted ends."""
-    ts = _edge_ts(samples_per_edge)
-    v = hyperboloid_lift(poly.r, poly.theta)
-    r, th = hyperboloid_polar(geodesic_chord_points(v, _next_rows(v), ts))
-    xy = polar_to_cart(r.ravel(), th.ravel())
+    each edge is sampled between its ends' sheet rows."""
+    v = poly.sheet
+    xy = hyperboloid_cart(geodesic_chord_points(v, _next_rows(v), _edge_ts(samples_per_edge)))
+    xy = xy.reshape(-1, 2)
     _check_chart(xy, "the polygon's vertices carry")
     return xy
 
@@ -352,13 +329,13 @@ def _exact_membership(region: SampledRegion, pts):
     under the dilation lies in the polygon.  This sidesteps the
     discretization floor of the sampled loop, which is on the order of the
     boundary sagitta and far above the 1e-6 regime the harness must resolve.
-    Probes are boosted to the center, then mapped to the Klein chart.
+    Probes and vertices are boosted to the center, then mapped to the Klein chart.
     """
     center = region.center
     verts = region.polygon.klein
     if float(center @ center) > 0.0:
-        verts = hyperboloid_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
-        verts = verts[:, :2] / verts[:, 2:]  # the boost is linear, so Klein rows need no lift
+        verts = hyperboloid_translate(-center, region.polygon.sheet)
+        verts = verts[:, :2] / verts[:, 2:]
         pts = hyperboloid_translate(-center, pts)
     x, y = pts[:, 0], pts[:, 1]
     n = np.hypot(x, y)
@@ -414,7 +391,7 @@ def convexity_defect(region: SampledRegion, pair_samples=PAIR_SAMPLES,
     outside = ~_exact_membership(region, probes)
     if not np.any(outside):
         return 0.0
-    return max_polyline_distance(loop, polar_to_cart(*hyperboloid_polar(probes[outside])))
+    return max_polyline_distance(loop, hyperboloid_cart(probes[outside]))
 
 
 # --- random generation -------------------------------------------------------
@@ -434,9 +411,10 @@ def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=(0.2, 3.0)) -> Geodes
     """Random h-convex polygon strictly containing the requested center, Cartesian (2,).
 
     Points are drawn in polar coordinates of the frame translated to the center,
-    5 to MAX_VERTICES of them by _star_polar, so the center is interior to the hull.
+    5 to MAX_VERTICES of them by _star_polar, so the center is interior to the hull;
+    they are lifted to the sheet and boosted to the center.
     """
-    xy = _polar_points(*_star_polar(rng, MAX_VERTICES, r_range))[2]
+    pts = hyperboloid_lift(*_star_polar(rng, MAX_VERTICES, r_range))
     if np.any(center):
-        xy = _translate_rows(center, xy)
-    return hyperbolic_hull(xy)
+        pts = hyperboloid_translate(center, pts)
+    return hyperbolic_hull(pts)

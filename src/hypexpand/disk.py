@@ -6,8 +6,9 @@ and in Cartesian coordinates with norm tanh(r/2).  The metric in polar form
 is ds^2 = dr^2 + sinh^2(r) dtheta^2.
 
 The module provides the disk translation (the Mobius-style isometry carrying 0
-to c), the polar chord equation of geodesics, geodesic sampling on the
-hyperboloid sheet, and the signed geodesic curvature of a polar 2-jet.
+to c), the polar chord equation of geodesics, the hyperboloid sheet (its
+points, geodesic samples, boosts, and projection (x, y) / (1 + z) to the
+disk), and the signed geodesic curvature of a polar 2-jet.
 Counterclockwise circles about the origin have positive curvature (interior to
 the left).
 """
@@ -17,15 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
-RHO_MAX = float(np.nextafter(1.0, 0.0))  # the largest Cartesian radius inside the disk
-
-
-def wrap_angle(theta):
-    """Reduce an angle (scalar or array) to [-pi, pi)."""
-    return (np.asarray(theta) + math.pi) % TWO_PI - math.pi
-
 
 def polar_to_cart(r, theta):
     """Map polar (r, theta) to Cartesian points of norm tanh(r/2); shape (..., 2)."""
@@ -47,8 +39,9 @@ def cart_to_polar(xy):
 class ChartSaturation(ValueError):
     """A region's boundary leaves the float64 Poincare chart.
 
-    tanh(r/2) rounds to 1.0 from r ~ 38, so a vertex, a dilation or a translation that
-    carries the boundary that far puts it on the unit circle.  The message names which.
+    The Cartesian norm tanh(r/2) of a point rounds to 1.0 from r ~ 38 to 38.5, depending on its
+    direction, so a vertex, a dilation or a translation that carries the boundary that far puts
+    it on the unit circle.  The message names which.
     """
 
 
@@ -56,7 +49,7 @@ def _check_chart(xy, cause):
     """Raise ChartSaturation, naming its cause, if a row of xy (..., 2) is not inside the disk."""
     if np.any(np.hypot(xy[..., 0], xy[..., 1]) >= 1.0):
         raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
-                              "(tanh(r/2) rounds to 1 from r ~ 38)")
+                              "(its norm tanh(r/2) rounds to 1 from r ~ 38 to 38.5)")
 
 
 def _read_only(a):
@@ -64,27 +57,6 @@ def _read_only(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-def _polar_points(r, theta):
-    """Polar points r, theta (V,): r as given, theta wrapped and 0 where r is 0, with Cartesian
-    rows (V, 2) from libm scalars, which numpy can differ from in the last ulp.  Beyond r ~ 37,
-    where tanh(r/2) rounds to 1.0, a row stays inside the disk at RHO_MAX.  Refuses r < 0."""
-    r = np.array(r, dtype=float).reshape(-1)
-    if (r < 0.0).any():
-        raise ValueError("hyperbolic radius must be nonnegative")
-    theta = np.where(r == 0.0, 0.0, wrap_angle(theta))
-    rho = [min(math.tanh(a / 2.0), RHO_MAX) for a in r.tolist()]
-    xy = [(p * math.cos(t), p * math.sin(t)) for p, t in zip(rho, theta.tolist())]
-    return r, theta, np.array(xy).reshape(-1, 2)
-
-
-def _cart_polar(xy):
-    """Polar (r, theta) arrays, theta 0 at the origin, of Cartesian rows xy (V, 2) in the disk,
-    from libm scalars, which numpy's hypot, arctanh and arctan2 can differ from in the last ulp."""
-    rows = [(math.hypot(x, y), x, y) for x, y in np.asarray(xy, float).reshape(-1, 2).tolist()]
-    return (np.array([2.0 * math.atanh(rho) for rho, _, _ in rows]),
-            np.array([math.atan2(y, x) if rho > 0.0 else 0.0 for rho, x, y in rows]))
 
 
 def mobius_translate(c, x):
@@ -164,21 +136,11 @@ def chord_jet(r1, r2, dth, t):
     return r, rp, chord_rpp(r, rp, dth)
 
 
-def _libm(f, x):
-    """Elementwise libm scalar function f over the array x.
-
-    numpy's sinh/cosh/arccosh can differ from libm in the last ulp, and the
-    endpoint lift fixes every sample of a chord.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
-
-
 def hyperboloid_lift(r, theta):
     """Points (sinh r cos theta, sinh r sin theta, cosh r) of the hyperboloid sheet; shape (..., 3)."""
-    s = _libm(math.sinh, r)
-    return np.stack([s * _libm(math.cos, theta), s * _libm(math.sin, theta),
-                     _libm(math.cosh, r)], axis=-1)
+    r = np.asarray(r, dtype=float)
+    s = np.sinh(r)
+    return np.stack([s * np.cos(theta), s * np.sin(theta), np.cosh(r)], axis=-1)
 
 
 def _component_major(k, shape):
@@ -198,9 +160,9 @@ def geodesic_chord_points(a, b, ts):
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-    d = _libm(math.acosh, np.maximum(cosh_d, 1.0))[..., None]
+    d = np.arccosh(np.maximum(cosh_d, 1.0))[..., None]
     short = d < 1e-9
-    sinh_d = _libm(math.sinh, np.where(short, 1.0, d))
+    sinh_d = np.sinh(np.where(short, 1.0, d))
     ts = np.asarray(ts, dtype=float)
     wa, wb = np.sinh((1.0 - ts) * d) / sinh_d, np.sinh(ts * d) / sinh_d
     buf, pts = _component_major(3, wa.shape)
@@ -215,8 +177,16 @@ def geodesic_chord_points(a, b, ts):
 
 
 def hyperboloid_polar(pts):
-    """Geodesic polar (r, theta) arrays of hyperboloid points (..., 3); elementwise."""
-    return np.arccosh(np.maximum(pts[..., 2], 1.0)), np.arctan2(pts[..., 1], pts[..., 0])
+    """Geodesic polar (r, theta) arrays of hyperboloid points (..., 3); elementwise.
+
+    r is arcsinh |(x, y)|, accurate at every radius, where arccosh z loses digits near 0."""
+    x, y = pts[..., 0], pts[..., 1]
+    return np.arcsinh(np.hypot(x, y)), np.arctan2(y, x)
+
+
+def hyperboloid_cart(pts):
+    """Poincare Cartesian rows (..., 2), of norm tanh(r/2), of hyperboloid points (..., 3)."""
+    return pts[..., :2] / (1.0 + pts[..., 2:])
 
 
 def hyperboloid_translate(c, pts):

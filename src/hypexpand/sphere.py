@@ -112,11 +112,6 @@ class Chart:
             raise ValueError("gnomonic projection requires the open hemisphere")
         return np.stack([v @ self.e1 / z, v @ self.e2 / z], axis=-1)
 
-    def gnomonic_inverse(self, uv):
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        v = self.n + uv[:, 0][:, None] * self.e1 + uv[:, 1][:, None] * self.e2
-        return v / np.linalg.norm(v, axis=-1)[:, None]
-
 
 @dataclass(frozen=True, eq=False)
 class SphericalPolygon:
@@ -227,17 +222,14 @@ def s_convexity_defect(region: SphericalRegion, pair_samples=PAIR_SAMPLES,
 
 
 def random_convex_spherical_polygon(rng, center=None):
-    """Random convex polygon in the open hemisphere about a (random) unit center (3,)."""
+    """Random convex polygon in the open hemisphere about a (random) unit center (3,); its
+    vertices are rows of the drawn points, hulled in the gnomonic chart."""
     if center is None:
         v = rng.normal(size=3)
         center = v / np.linalg.norm(v)
     chart = Chart(center)
     pts = chart.from_polar(*_star_polar(rng, MAX_VERTICES, (0.1, MAX_RHO)))
-    uv = chart.gnomonic(pts)
-    hull_uv = _convex_hull_2d(uv)
-    verts = chart.gnomonic_inverse(hull_uv)
-    # normalized again, row by row: a 1-D norm rounds differently from the batched one
-    return SphericalPolygon(verts / np.array([np.linalg.norm(v) for v in verts])[:, None], chart)
+    return SphericalPolygon(pts[_convex_hull_2d(chart.gnomonic(pts))], chart)
 
 
 def conjecture_trial(seed, trials):

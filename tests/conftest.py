@@ -11,13 +11,10 @@ stored component-major: the references the copy-free forms must match bit
 for bit.
 """
 
-import math
-
 import numpy as np
 
 from hypexpand import sphere
 from hypexpand.convexity import klein_polygon_contains, polyline_distance
-from hypexpand.disk import _libm
 
 
 def conformal_curvature(x, y, dx, dy, d2x, d2y):
@@ -138,9 +135,9 @@ def broadcast_chord_vectors(a, b, ts):
     """disk.geodesic_chord_points as one broadcast expression over (..., T, 3)."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-    d = _libm(math.acosh, np.maximum(cosh_d, 1.0))[..., None]
+    d = np.arccosh(np.maximum(cosh_d, 1.0))[..., None]
     short = d < 1e-9
-    sinh_d = _libm(math.sinh, np.where(short, 1.0, d))
+    sinh_d = np.sinh(np.where(short, 1.0, d))
     ts = np.asarray(ts, dtype=float)
     a, b = a[..., None, :], b[..., None, :]
     pts = (np.sinh((1.0 - ts) * d) / sinh_d)[..., None] * a \
@@ -179,7 +176,7 @@ def stacked_membership_h2(region, pts):
     center = region.center
     verts = region.polygon.klein
     if float(center @ center) > 0.0:
-        verts = stacked_translate(-center, np.column_stack([verts, np.ones(len(verts))]))
+        verts = stacked_translate(-center, region.polygon.sheet)
         verts = verts[:, :2] / verts[:, 2:]
         pts = stacked_translate(-center, pts)
     x, y = pts[:, 0], pts[:, 1]

@@ -7,8 +7,9 @@ the polar chord equation and the diameter branch give geodesics as curves,
 hyperbolic distance goes through the disk translation and the radial
 formula, the lemma margins have Taylor-sum, direct and slope forms, and the
 auxiliary functions phi and psi have the forms that evaluate both branches.
-Points are given in both polar and Cartesian form, as the package's polygon
-helpers form them.
+Points are given in polar, Cartesian and hyperboloid form.  The Klein chart
+maps, the gnomonic inverse and the angle wrap serve the tests only: a
+polygon keeps the surface rows its generator drew.
 """
 
 import math
@@ -18,9 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from hypexpand.curvature import SERIES_CUTOFF, phi, psi
-from hypexpand.disk import (RHO_MAX, _cart_polar, _polar_points, chord_jet,
-                            curvature_from_derivatives, mobius_translate, polar_chord_radius,
-                            wrap_angle)
+from hypexpand.disk import (cart_to_polar, chord_jet, curvature_from_derivatives,
+                            hyperboloid_lift, mobius_translate, polar_chord_radius, polar_to_cart)
 from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
 
 # first-derivative finite-difference step on t; stencils are central and
@@ -35,6 +35,44 @@ FD_SCALE_D2 = 0.008
 # below these, curvature evaluation is treated as degenerate
 SPEED_EPS = 1e-12
 RADIUS_EPS = 1e-12
+RHO_MAX = float(np.nextafter(1.0, 0.0))  # the largest Cartesian radius inside the disk
+
+
+def wrap_angle(theta):
+    """Reduce an angle (scalar or array) to [-pi, pi)."""
+    return (np.asarray(theta) + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def to_klein(p):
+    """Poincare Cartesian (..., 2) -> Klein: q = 2p / (1 + |p|^2)."""
+    p = np.asarray(p, dtype=float)
+    n2 = np.sum(p * p, axis=-1)
+    if np.any(n2 >= 1.0):
+        raise ValueError("point outside the open unit disk")
+    return 2.0 * p / (1.0 + n2)[..., None]
+
+
+def from_klein(q):
+    """Klein -> Poincare Cartesian: p = q / (1 + sqrt(1 - |q|^2))."""
+    q = np.asarray(q, dtype=float)
+    n2 = np.sum(q * q, axis=-1)
+    if np.any(n2 >= 1.0):
+        raise ValueError("point outside the open unit disk")
+    return q / (1.0 + np.sqrt(1.0 - n2))[..., None]
+
+
+def klein_sheet(q):
+    """Hyperboloid rows (..., 3) of Klein rows q (..., 2): (q, 1) / sqrt(1 - |q|^2)."""
+    q = np.asarray(q, dtype=float)
+    w = 1.0 / np.sqrt(1.0 - np.sum(q * q, axis=-1))[..., None]
+    return np.concatenate([q * w, w], axis=-1)
+
+
+def gnomonic_inverse(chart, uv):
+    """Unit vectors (m, 3) of the gnomonic rows uv (m, 2) of a sphere.Chart."""
+    uv = np.atleast_2d(np.asarray(uv, dtype=float))
+    v = chart.n + uv[:, 0][:, None] * chart.e1 + uv[:, 1][:, None] * chart.e2
+    return v / np.linalg.norm(v, axis=-1)[:, None]
 
 
 class Point(NamedTuple):
@@ -44,17 +82,22 @@ class Point(NamedTuple):
     theta: float
     xy: np.ndarray
 
+    @property
+    def sheet(self):
+        """The point's hyperboloid row (3,), hyperboloid_lift(r, theta)."""
+        return hyperboloid_lift(self.r, self.theta)
+
 
 def polar_point(r, theta) -> Point:
-    """The point (r, theta), with theta wrapped, as disk._polar_points forms vertices."""
-    (r,), (theta,), (xy,) = _polar_points([r], [theta])
-    return Point(float(r), float(theta), xy)
+    """The point (r, theta), theta wrapped and 0 at the origin, with its polar_to_cart row."""
+    theta = 0.0 if r == 0.0 else float(wrap_angle(theta))
+    return Point(float(r), theta, polar_to_cart(r, theta))
 
 
 def cart_point(x, y) -> Point:
-    """The point (x, y), as disk._cart_polar forms hull vertices."""
+    """The point (x, y), with its cart_to_polar coordinates."""
     xy = np.array([x, y], dtype=float)
-    (r,), (theta,) = _cart_polar(xy)
+    r, theta = cart_to_polar(xy)
     return Point(float(r), float(theta), xy)
 
 

@@ -159,10 +159,19 @@ class TestSearch:
         ("center_cart", [0.0]),
         ("center_cart", ["0", 0.0]),
         ("center_cart", [1.5, 0.0]),
-        # past the float64 chart: the boundary samples round onto the unit circle
-        ("vertices_polar", [[38.0, 0.0], [38.0, 2.0], [38.0, 4.0]]),
+        # past the float64 chart, whose norm tanh(r/2) rounds to 1 from r ~ 38 to 38.5
+        # depending on the direction and the arithmetic: at 40, numpy's and libm's tanh(r/2)
+        # are both 1
+        ("vertices_polar", [[40.0, 0.0], [40.0, 2.0], [40.0, 4.0]]),
         # a dart: simple and counterclockwise, but not h-convex
         ("vertices_polar", [[0.05, 0.0], [0.7, -math.pi / 2], [0.7, 0.0], [0.7, math.pi / 2]]),
+        # vertices whose lift or chords overflow float64 are refused before either is formed
+        ("vertices_polar", [[400.0, 0.0], [400.0, 2.0], [400.0, 4.0]]),
+        ("vertices_polar", [[720.0, 0.0], [720.0, 2.0], [720.0, 4.0]]),
+        ("vertices_polar", [[1e300, 0.0], [1e300, 2.0], [1e300, 4.0]]),
+        # directions whose Cartesian row keeps a norm below 1 when tanh(r/2) is 1
+        ("vertices_polar", [[1e300, -2.0030794759288524], [1e300, 0.08048760378497022],
+                            [1e300, 2.2003714945742905]]),
     ])
     def test_bad_witness_value_is_a_usage_error(self, key, value, tmp_path, capsys):
         report = run_search_counterexample(seed=0, k1=0.25, k2=1.0, trials=3)
@@ -172,6 +181,15 @@ class TestSearch:
         assert main(["search-counterexample", "--replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed, k1", [(0, 0.25), (1, 0.5), (2, 0.6), (5, 0.8)])
+    def test_stored_vertices_replay_the_stored_defect(self, seed, k1):
+        # the witness stores the polar forms of its polygon's sheet rows
+        witness = run_search_counterexample(seed=seed, k1=k1)["witness"]
+        poly = GeodesicPolygon.from_polar(witness["vertices_polar"])
+        region = dilate_region(poly, DilationParams(witness["center_cart"], k1, witness["k2"]))
+        defect = convexity_defect(region, witness["pair_samples"], witness["segment_samples"])
+        assert abs(defect - witness["defect"]) <= cli.REPLAY_TOL
 
     @pytest.mark.parametrize("radius, x", [(36.5, 0.5), (37.0, 0.9), (37.0, -0.7)])
     def test_witness_translated_past_the_chart_is_a_usage_error(self, radius, x, tmp_path,

@@ -19,45 +19,44 @@ from hypexpand.convexity import (
     SampledRegion,
     convexity_defect,
     dilate_region,
-    from_klein,
     hyperbolic_hull,
     klein_polygon_contains,
     max_polyline_distance,
     polyline_distance,
     random_hconvex_polygon,
-    to_klein,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (_cart_polar, cart_to_polar, geodesic_chord_points,
-                            hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart)
-from references import ZERO, cart_point, polar_point
+from hypexpand.disk import (cart_to_polar, geodesic_chord_points, hyperboloid_cart,
+                            hyperboloid_lift, hyperboloid_polar, hyperboloid_translate,
+                            mobius_translate, polar_to_cart)
+from references import ZERO, cart_point, from_klein, klein_sheet, polar_point, to_klein
 
 # the dilation whose region is the polygon's own sampled boundary
 IDENTITY = DilationParams(ZERO.xy, 1.0, 1.0)
 
 
-def carts(points):
-    """Cartesian rows (m, 2) of points, the input of hyperbolic_hull."""
-    return np.array([p.xy for p in points])
+def sheets(points):
+    """Hyperboloid rows (m, 3) of points, the input of hyperbolic_hull."""
+    return np.array([p.sheet for p in points])
 
 
 def rand_point(rng, r_max=3.0):
     return polar_point(rng.uniform(0.1, r_max), rng.uniform(-math.pi, math.pi))
 
 
-def cart_polygon(xy):
-    """The polygon with Cartesian vertex rows xy (V, 2), their polar forms made as a hull's."""
-    return GeodesicPolygon(*_cart_polar(xy), xy)
-
-
 def klein_polygon(kverts):
     """The polygon with Klein vertex rows kverts (V, 2)."""
-    return cart_polygon(from_klein(np.asarray(kverts)))
+    return GeodesicPolygon(klein_sheet(kverts))
 
 
-def translated(c, xy):
-    """Cartesian rows xy (V, 2) moved, one at a time, by the disk translation carrying 0 to c."""
-    return np.array([mobius_translate(c.xy, p) for p in xy])
+def translated(c, sheet):
+    """Hyperboloid rows (V, 3) moved, one at a time, by the boost carrying the apex to c."""
+    return np.array([hyperboloid_translate(c.xy, v) for v in sheet])
+
+
+def poincare_translated(c, sheet):
+    """Cartesian rows of hyperboloid rows (V, 3), moved one at a time by mobius_translate(c, .)."""
+    return np.array([mobius_translate(c, p) for p in hyperboloid_cart(sheet)])
 
 
 def contains(poly, p):
@@ -91,37 +90,59 @@ class TestKleinChart:
 class TestHull:
     def test_triangle_is_its_own_hull(self):
         pts = [polar_point(1.0, a) for a in (0.0, 2.0, 4.0)]
-        hull = hyperbolic_hull(carts(pts))
-        assert len(hull.r) == 3
+        hull = hyperbolic_hull(sheets(pts))
+        assert len(hull.sheet) == 3
 
     def test_interior_point_dropped(self):
         pts = [polar_point(1.5, a) for a in (0.3, 1.8, 3.3, 4.8)]
         pts.append(polar_point(0.05, 0.0))
-        hull = hyperbolic_hull(carts(pts))
-        assert len(hull.r) == 4
-        assert np.all(hull.r > 0.1)
+        hull = hyperbolic_hull(sheets(pts))
+        assert len(hull.sheet) == 4
+        assert np.all(hull.sheet[:, 2] > math.cosh(0.1))
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             pts = [rand_point(rng) for _ in range(10)]
-            hull = hyperbolic_hull(carts(pts))
-            again = hyperbolic_hull(hull.cart)
-            assert len(again.r) == len(hull.r)
-            a, b = hull.cart, again.cart
-            # same cyclic order
+            hull = hyperbolic_hull(sheets(pts))
+            again = hyperbolic_hull(hull.sheet)
+            assert len(again.sheet) == len(hull.sheet)
+            a, b = hull.sheet, again.sheet
+            # the same rows in the same cyclic order
             shift = int(np.argmin(np.sum((b - a[0]) ** 2, axis=1)))
-            assert np.max(np.abs(np.roll(b, -shift, axis=0) - a)) < 1e-12
+            assert np.array_equal(np.roll(b, -shift, axis=0), a)
 
     def test_collinear_rejected(self):
         pts = [polar_point(r, 0.7) for r in (0.5, 1.0, 1.5)]
         with pytest.raises(ValueError):
-            hyperbolic_hull(carts(pts))
+            hyperbolic_hull(sheets(pts))
+
+    def test_vertices_are_rows_of_the_input(self):
+        rng = np.random.default_rng(56)
+        for _ in range(100):
+            pts = sheets([rand_point(rng) for _ in range(int(rng.integers(3, 13)))])
+            try:
+                hull = hyperbolic_hull(pts)
+            except ValueError:
+                continue
+            rows = pts.tolist()
+            assert all(v in rows for v in hull.sheet.tolist())
+        poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+        assert np.array_equal(hyperbolic_hull(poly.sheet).sheet, poly.sheet)
+
+    def test_klein_rows_are_the_sheet_rows_divided(self):
+        rng = np.random.default_rng(57)
+        for _ in range(50):
+            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+            assert np.array_equal(poly.klein, poly.sheet[:, :2] / poly.sheet[:, 2:])
+            # the Klein row of the vertex's Poincare row, to rounding
+            assert np.allclose(poly.klein, to_klein(hyperboloid_cart(poly.sheet)),
+                               rtol=0.0, atol=1e-15)
 
     def test_contains_all_inputs(self):
         rng = np.random.default_rng(22)
         pts = [rand_point(rng) for _ in range(12)]
-        hull = hyperbolic_hull(carts(pts))
+        hull = hyperbolic_hull(sheets(pts))
         region = dilate_region(hull, IDENTITY, samples_per_edge=64)
         for p in pts:
             assert region_contains(region.boundary, p)
@@ -149,14 +170,14 @@ class TestConvexityPredicate:
         for _ in range(30):
             poly = random_hconvex_polygon(rng)
             c = rand_point(rng, 1.0)
-            moved = cart_polygon(translated(c, poly.cart))
+            moved = GeodesicPolygon(translated(c, poly.sheet))
             assert poly.hconvex == moved.hconvex == True  # noqa: E712
 
     def test_translation_invariance_nonconvex(self):
         k = 0.6
         dart = klein_polygon([[0.05, 0.0], [0.0, -k], [k, 0.0], [0.0, k]])
         c = cart_point(0.25, -0.15)
-        moved = cart_polygon(translated(c, dart.cart))
+        moved = GeodesicPolygon(translated(c, dart.sheet))
         assert dart.hconvex == moved.hconvex == False  # noqa: E712
 
     def test_klein_equivalence(self):
@@ -210,23 +231,24 @@ def pairwise_edges_cross(k):
 
 
 def per_point_hconvex_polygon(rng, center):
-    """random_hconvex_polygon with one translate and one to_klein call per point."""
+    """Sheet rows of random_hconvex_polygon, with one lift, boost and Klein row per point."""
     m = int(rng.integers(5, 13))
     sector = 2.0 * math.pi / m
     thetas = (np.arange(m) + rng.uniform(0.0, 1.0, m)) * sector - math.pi
     radii = rng.uniform(0.2, 3.0, m)
-    xy = carts([polar_point(r, th) for r, th in zip(radii, thetas)])
+    pts = np.array([hyperboloid_lift(r, th) for r, th in zip(radii, thetas)])
     if center.r > 0.0:
-        xy = translated(center, xy)
-    hull = numpy_row_hull(np.array([to_klein(p) for p in xy]))
-    return np.array([from_klein(q) for q in hull])
+        pts = translated(center, pts)
+    return pts[numpy_row_hull(np.array([v[:2] / v[2] for v in pts]))]
 
 
 def numpy_row_hull(pts):
-    """Monotone chain over numpy rows, the reference for _convex_hull_2d."""
+    """Monotone chain over numpy rows, the reference for _convex_hull_2d: the row indices of
+    the hull's vertices."""
+    pts = np.column_stack([pts, np.arange(len(pts))])  # each row carries its index
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 1e-15, axis=1)
+    keep[1:] = np.any(np.abs(np.diff(pts[:, :2], axis=0)) > 1e-15, axis=1)
     pts = pts[keep]
 
     def cross(o, a, b):
@@ -241,7 +263,7 @@ def numpy_row_hull(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return np.array([int(p[2]) for p in lower[:-1] + upper[:-1]])
 
 
 class TestBatchedPolygonLayer:
@@ -302,7 +324,7 @@ class TestBatchedPolygonLayer:
             klein_polygon(k)
         # a polygon from outside, such as a witness, keeps the crossing test
         with pytest.raises(ValueError, match="self-intersect"):
-            GeodesicPolygon.from_polar(np.column_stack(_cart_polar(from_klein(np.array(k)))))
+            GeodesicPolygon.from_polar(np.column_stack(cart_to_polar(from_klein(np.array(k)))))
 
     def test_strictly_convex_polygons_skip_the_crossing_test(self, monkeypatch):
         calls = []
@@ -316,8 +338,8 @@ class TestBatchedPolygonLayer:
         rng = np.random.default_rng(54)
         for _ in range(50):
             poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
-            assert poly.hconvex and GeodesicPolygon(poly.r, poly.theta, poly.cart).hconvex
-            assert hyperbolic_hull(poly.cart).hconvex
+            assert poly.hconvex and GeodesicPolygon(poly.sheet).hconvex
+            assert hyperbolic_hull(poly.sheet).hconvex
         assert calls == []
         # a bowtie, and a triangle traversed twice: every vertex weakly left of
         # every edge (zero margins at the repeats), yet edges cross
@@ -334,16 +356,19 @@ class TestBatchedPolygonLayer:
         rng = np.random.default_rng(53)
         for _ in range(50):
             poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
-            assert np.array_equal(poly.klein, np.array([to_klein(p) for p in poly.cart]))
+            assert np.array_equal(poly.klein, np.array([v[:2] / v[2] for v in poly.sheet]))
 
     def test_klein_vertices_are_read_only(self):
         poly = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
-        for a in (poly.r, poly.theta, poly.cart, poly.klein):
+        for a in (poly.sheet, poly.klein):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        again = GeodesicPolygon.from_polar(np.column_stack([poly.r, poly.theta]))
-        for name in ("r", "theta", "cart", "klein"):
+        again = GeodesicPolygon(poly.sheet)
+        for name in ("sheet", "klein"):
             assert np.array_equal(getattr(again, name), getattr(poly, name))
+        # a witness stores the polar forms of the rows, which rebuild them to rounding
+        replayed = GeodesicPolygon.from_polar(np.column_stack(hyperboloid_polar(poly.sheet)))
+        assert np.allclose(replayed.sheet, poly.sheet, rtol=1e-14, atol=1e-15)
 
     def test_generator_matches_per_point_translation(self):
         for seed in range(100):
@@ -352,15 +377,16 @@ class TestBatchedPolygonLayer:
             state = rng.bit_generator.state
             poly = random_hconvex_polygon(rng, center=center.xy)
             rng.bit_generator.state = state
-            assert poly.cart.tolist() == per_point_hconvex_polygon(rng, center).tolist()
+            assert poly.sheet.tolist() == per_point_hconvex_polygon(rng, center).tolist()
 
     def test_row_translation_matches_per_point_translation(self):
+        # the boost of a stack of sheet rows, against one call per row
         rng = np.random.default_rng(54)
         for _ in range(200):
             c = rand_point(rng, 3.0)
-            pts = [rand_point(rng, 3.0) for _ in range(int(rng.integers(3, 13)))]
-            rows = convexity._translate_rows(c.xy, carts(pts))
-            assert rows.tolist() == [mobius_translate(c.xy, p.xy).tolist() for p in pts]
+            pts = sheets([rand_point(rng, 3.0) for _ in range(int(rng.integers(3, 13)))])
+            rows = hyperboloid_translate(c.xy, pts)
+            assert rows.tolist() == translated(c, pts).tolist()
 
 class TestRegionMembership:
     """The winding-number oracle of the tests, on bare loops and against exact membership."""
@@ -659,12 +685,11 @@ class TestDefect:
 
 def rebuilt_oracle(region):
     """Membership oracle rebuilt from the region's map on every call, as measurement once did it."""
-    poly = GeodesicPolygon.from_polar(np.column_stack([region.polygon.r, region.polygon.theta]))
+    poly = GeodesicPolygon(region.polygon.sheet)
     inv_k1, inv_k2 = 1.0 / region.k1, 1.0 / region.k2
     center = region.center
     centered_off = float(center @ center) > 0.0
-    verts = poly.klein if not centered_off else to_klein(
-        convexity._translate_rows(-center, poly.cart))
+    verts = poly.klein if not centered_off else to_klein(poincare_translated(-center, poly.sheet))
 
     def contains(r, th):
         if centered_off:
@@ -748,7 +773,7 @@ def centered_klein_vertices(poly, center):
     """Klein vertices of the polygon translated by -center."""
     if center.r == 0.0:
         return poly.klein
-    return to_klein(convexity._translate_rows(-center.xy, poly.cart))
+    return to_klein(poincare_translated(-center.xy, poly.sheet))
 
 
 def exact_margin(region, p):
@@ -771,7 +796,8 @@ def exact_margin(region, p):
         x, y = centered(x / (1 + z), y / (1 + z))
         u, v = mp_dilate_chart(1 / mp.mpf(region.k1), 1 / mp.mpf(region.k2),
                                x, y, 2 * mp.atanh(mp.hypot(x, y)), mp.tanh)
-        verts = [centered(mp.mpf(a), mp.mpf(b)) for a, b in region.polygon.cart.tolist()]
+        verts = [centered(mp.mpf(a) / (1 + mp.mpf(c)), mp.mpf(b) / (1 + mp.mpf(c)))
+                 for a, b, c in region.polygon.sheet.tolist()]
         return mp_margin([(2 * a / (1 + a * a + b * b), 2 * b / (1 + a * a + b * b))
                           for a, b in verts], u, v)
 
@@ -852,7 +878,7 @@ class TestDilateRegion:
         poly = random_hconvex_polygon(rng)
         region = dilate_region(poly, DilationParams(ZERO.xy, 1.0, 1.0), samples_per_edge=32)
         assert convexity_defect(region) < 1e-9
-        for i, xy in enumerate(poly.cart):
+        for i, xy in enumerate(hyperboloid_cart(poly.sheet)):
             assert np.max(np.abs(region.boundary[i * 32] - xy)) < 1e-12
 
     def test_symmetric_expansion_convex(self):
@@ -870,22 +896,31 @@ class TestDilateRegion:
         check_simple(region.boundary)
 
     def test_each_vertex_is_lifted_once(self, monkeypatch):
-        rows = []
-        lift = convexity.hyperboloid_lift
+        # where the generator draws it: sampling takes the polygon's sheet rows
+        rows, ends = [], []
+        lift, chords = convexity.hyperboloid_lift, convexity.geodesic_chord_points
 
         def counting(r, theta):
             rows.append(np.size(r))
             return lift(r, theta)
 
+        def recording(a, b, ts):
+            ends.append(a)
+            return chords(a, b, ts)
+
         # its home module too, so that a lift inside the chord sampler is counted
         for module in (convexity, disk):
             monkeypatch.setattr(module, "hyperboloid_lift", counting)
+        monkeypatch.setattr(convexity, "geodesic_chord_points", recording)
         rng = np.random.default_rng(33)
         for center in (ZERO, polar_point(0.8, -1.1)):
-            poly = random_hconvex_polygon(rng, center=center.xy)
             rows.clear()
+            poly = random_hconvex_polygon(rng, center=center.xy)
+            assert len(rows) == 1 and rows[0] >= len(poly.sheet)
+            rows.clear()
+            ends.clear()
             dilate_region(poly, DilationParams(center.xy, 2.0, 0.5))
-            assert sum(rows) == len(poly.r)
+            assert rows == [] and ends[0] is poly.sheet
 
 
 class TestSampledRegionValidation:
@@ -941,4 +976,4 @@ class TestGenerator:
             poly = random_hconvex_polygon(rng, center=c.xy)
             assert contains(poly, c)
             assert poly.hconvex
-            assert 3 <= len(poly.r) <= 12
+            assert 3 <= len(poly.sheet) <= 12

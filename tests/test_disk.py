@@ -1,22 +1,23 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypexpand.convexity import hyperbolic_hull
+from hypexpand.convexity import GeodesicPolygon, hyperbolic_hull
 from hypexpand.disk import (
-    _polar_points,
     curvature_from_derivatives,
     geodesic_chord_points,
     hyperboloid_lift,
     hyperboloid_polar,
     hyperboloid_translate,
     mobius_translate,
+    polar_to_cart,
 )
 from conftest import broadcast_chord_vectors, curvature_via_conformal, stacked_translate
 from references import (ZERO, ParamCurve, cart_point, from_polar_function, geodesic_between,
-                        geodesic_curvature, hyperbolic_distance, polar_point)
+                        geodesic_curvature, hyperbolic_distance, polar_point, to_klein)
 
 RADII = st.floats(min_value=1e-3, max_value=8.0)
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
@@ -47,19 +48,34 @@ def point_at(curve, t):
 
 
 class TestPolarForms:
-    """disk._polar_points and disk._cart_polar, which form polygon vertices and centers."""
+    """Polar forms of points, and the polar vertices a witness stores and a polygon is built
+    from."""
 
     def test_origin_maps_to_zero(self):
         p = polar_point(0.0, 2.3)
         assert p.xy.tolist() == [0.0, 0.0]
         assert p.theta == 0.0 and cart_point(0.0, 0.0).theta == 0.0
+        assert hyperboloid_lift(0.0, 2.3).tolist() == [0.0, 0.0, 1.0]
+        assert [float(a) for a in hyperboloid_polar(np.array([0.0, 0.0, 1.0]))] == [0.0, 0.0]
 
-    def test_angles_are_wrapped_and_radii_kept(self):
-        r, theta, _ = _polar_points([1.0, 2.0], [math.pi / 3 + 2 * math.pi, -math.pi - 0.5])
-        assert r.tolist() == [1.0, 2.0]
-        assert np.allclose(theta, [math.pi / 3, math.pi - 0.5], rtol=0.0, atol=1e-12)
+    def test_turned_angles_give_the_same_vertices_and_radii_are_nonnegative(self):
+        tri = [(1.0, math.pi / 3), (2.0, math.pi - 0.5), (1.5, -math.pi / 2)]
+        turned = [(r, th + 2.0 * math.pi * k) for (r, th), k in zip(tri, (1, -1, 2))]
+        assert np.allclose(GeodesicPolygon.from_polar(turned).sheet,
+                           GeodesicPolygon.from_polar(tri).sheet, rtol=0.0, atol=1e-12)
         with pytest.raises(ValueError, match="nonnegative"):
-            _polar_points([1.0, -1e-300], [0.0, 0.0])
+            GeodesicPolygon.from_polar([(1.0, 0.0), (1.0, 2.0), (-1e-300, 4.0)])
+
+    def test_witness_radii_match_mpmath_at_every_radius(self):
+        # arcsinh |(x, y)| of a sheet row, where arccosh z loses digits near 0
+        r = np.geomspace(1e-8, 300.0, 400)
+        pts = hyperboloid_lift(r, np.random.default_rng(9).uniform(-math.pi, math.pi, r.shape))
+        got, _ = hyperboloid_polar(pts)
+        with mp.workdps(40):
+            ref = [mp.asinh(mp.hypot(mp.mpf(x), mp.mpf(y))) for x, y in pts[:, :2].tolist()]
+            assert max(abs(g - e) / e for g, e in zip(got.tolist(), ref)) < 1e-15
+        # and the row's radius is r to the same accuracy
+        assert np.max(np.abs(got - r) / r) < 1e-15
 
     def test_axis_point_radius(self):
         p = cart_point(0.5, 0.0)
@@ -74,11 +90,17 @@ class TestPolarForms:
         q = cart_point(*p.xy)
         assert abs(q.r - p.r) < 1e-12 and abs(q.theta - p.theta) < 1e-12
 
-    def test_rejects_outside_disk(self):
-        # Cartesian rows arrive at the hull
-        for row in ([1.0, 0.0], [0.8, 0.7]):
-            with pytest.raises(ValueError, match="outside the open unit disk"):
-                hyperbolic_hull(np.array([[0.1, 0.0], [0.0, 0.1], row]))
+    def test_polygons_refuse_rows_off_the_sheet(self):
+        tri = hyperboloid_lift([1.0, 1.2, 0.8], [0.0, 2.0, 4.0])
+        assert GeodesicPolygon(tri).hconvex
+        for k, bad in [(2, 0.999), (2, np.nan), (0, np.inf), (1, np.nan)]:
+            rows = tri.copy()
+            rows[0, k] = bad
+            with pytest.raises(ValueError, match="hyperboloid sheet"):
+                GeodesicPolygon(rows)
+        # the hull's rows arrive at the polygon
+        with pytest.raises(ValueError, match="hyperboloid sheet"):
+            hyperbolic_hull(np.array([[0.1, 0.0, 1.01], [0.0, 0.1, 1.01], [-0.5, -0.5, 0.9]]))
 
     @settings(max_examples=80, deadline=None)
     @given(RADII, ANGLES)
@@ -290,7 +312,6 @@ class TestGeodesic:
 
     def test_samples_collinear_in_klein_model(self):
         # geodesics are straight chords in the projective chart
-        from hypexpand.convexity import to_klein
         rng = np.random.default_rng(7)
         for _ in range(50):
             u, v = rand_point(rng), rand_point(rng)
@@ -299,7 +320,6 @@ class TestGeodesic:
             g = geodesic_between(u, v)
             ts = np.linspace(0.0, 1.0, 9)
             r, th = g.eval(ts)
-            from hypexpand.disk import polar_to_cart
             k = to_klein(polar_to_cart(r, th))
             chord = k[-1] - k[0]
             offsets = k[1:-1] - k[0]
@@ -452,20 +472,21 @@ def test_mobius_translate_array_shape():
 
 
 def chord_points_per_pair(r1, th1, r2, th2, ts):
-    """Reference: the one-pair-at-a-time form of chord_polar."""
-    a = np.array([math.sinh(r1) * math.cos(th1), math.sinh(r1) * math.sin(th1), math.cosh(r1)])
-    b = np.array([math.sinh(r2) * math.cos(th2), math.sinh(r2) * math.sin(th2), math.cosh(r2)])
+    """Reference: the one-pair-at-a-time form of chord_polar, on numpy scalars."""
+    s1, s2 = np.sinh(r1), np.sinh(r2)
+    a = np.array([s1 * np.cos(th1), s1 * np.sin(th1), np.cosh(r1)])
+    b = np.array([s2 * np.cos(th2), s2 * np.sin(th2), np.cosh(r2)])
     cosh_d = a[2] * b[2] - a[0] * b[0] - a[1] * b[1]
-    d = math.acosh(max(cosh_d, 1.0))
+    d = np.arccosh(max(cosh_d, 1.0))
     if d < 1e-9:
         pts = (1.0 - ts)[:, None] * a + ts[:, None] * b
         norm = np.sqrt(np.maximum(pts[:, 2] ** 2 - pts[:, 0] ** 2 - pts[:, 1] ** 2, 1e-300))
         pts = pts / norm[:, None]
     else:
-        sinh_d = math.sinh(d)
+        sinh_d = np.sinh(d)
         pts = (np.sinh((1.0 - ts) * d) / sinh_d)[:, None] * a \
             + (np.sinh(ts * d) / sinh_d)[:, None] * b
-    return np.arccosh(np.maximum(pts[:, 2], 1.0)), np.arctan2(pts[:, 1], pts[:, 0])
+    return np.arcsinh(np.hypot(pts[:, 0], pts[:, 1])), np.arctan2(pts[:, 1], pts[:, 0])
 
 
 class TestBatchedChordPoints:

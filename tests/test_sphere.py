@@ -23,6 +23,7 @@ from hypexpand.sphere import (
     s_convexity_defect,
     tangent_frame,
 )
+from references import gnomonic_inverse
 
 NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -111,7 +112,7 @@ class TestGnomonic:
         c = unit(rng.normal(size=3))
         pts = Chart(c).from_polar(rng.uniform(0.01, 1.5, 200), rng.uniform(-math.pi, math.pi, 200))
         uv = Chart(c).gnomonic(pts)
-        back = Chart(c).gnomonic_inverse(uv)
+        back = gnomonic_inverse(Chart(c), uv)
         assert np.max(np.abs(back - pts)) < 1e-12
 
     def test_rejects_equator(self):
@@ -125,7 +126,7 @@ class TestGnomonic:
         tri = north_polygon(0.8, [0.0, 2.1, 4.2])
         assert tri.convex
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
-        dart = SphericalPolygon(Chart(NORTH).gnomonic_inverse(dart_uv), Chart(NORTH))
+        dart = SphericalPolygon(gnomonic_inverse(Chart(NORTH), dart_uv), Chart(NORTH))
         assert not dart.convex
 
     def test_self_intersecting_order_is_rejected_as_on_the_disk(self):
@@ -150,7 +151,7 @@ class TestSphericalDefect:
     def test_reflex_quad_defect(self):
         # a dart is no region's polygon, so none is measured without exact membership
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
-        dart = SphericalPolygon(Chart(NORTH).gnomonic_inverse(dart_uv), Chart(NORTH))
+        dart = SphericalPolygon(gnomonic_inverse(Chart(NORTH), dart_uv), Chart(NORTH))
         assert not dart.convex
         for build in (lambda: contract_polygon(dart, 1.0, 1.0, per_edge=32),
                       lambda: contract_polygon(dart, 0.5, 0.5)):
@@ -251,6 +252,21 @@ class TestRandomPolygon:
             assert poly.convex
             assert 3 <= len(poly.xyz) <= 10
             assert np.all(angular_distance(poly.xyz, poly.chart.n) < math.pi / 2)
+
+    def test_vertices_are_rows_of_the_drawn_points(self):
+        # the hull is taken in the gnomonic chart and keeps the drawn unit vectors
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            poly = random_convex_spherical_polygon(rng)
+            rng.bit_generator.state = state
+            v = rng.normal(size=3)
+            chart = Chart(v / np.linalg.norm(v))
+            drawn = chart.from_polar(*convexity._star_polar(rng, sphere.MAX_VERTICES,
+                                                            (0.1, sphere.MAX_RHO)))
+            rows = drawn.tolist()
+            assert all(x in rows for x in poly.xyz.tolist())
+            assert np.array_equal(poly.uv, chart.gnomonic(poly.xyz))
 
 
 class TestConjectureTrials:
@@ -455,7 +471,7 @@ class TestBatchedPolygonLayer:
             if rng.uniform() < 0.3:
                 uv[i] = 0.5 * (uv[i - 1] + uv[(i + 1) % len(uv)]) + rng.choice([-1e-12, 0, 1e-12])
             try:
-                bent = SphericalPolygon(poly.chart.gnomonic_inverse(uv), poly.chart)
+                bent = SphericalPolygon(gnomonic_inverse(poly.chart, uv), poly.chart)
             except ValueError:
                 continue
             k = bent.uv
@@ -474,21 +490,23 @@ class TestBatchedPolygonLayer:
                 k1 += 1.0
             region = contract_polygon(poly, *((1.0, 1.0) if trial % 5 == 0 else (k1, k2)))
             # probes in the preimage's chart, so that vertices and edges map onto the polygon's
-            pre = poly.chart.gnomonic_inverse(edge_probes(rng, poly.uv))
+            pre = gnomonic_inverse(poly.chart, edge_probes(rng, poly.uv))
             probes = (pre if trial % 5 == 0 else
                       poly.chart.contract(region.k1, region.k2, pre))
             inside = sphere._exact_membership(region, probes)
             assert inside.dtype == bool and inside.shape == (len(probes),)
             assert np.array_equal(inside, stacked_membership_s2(region, probes))
             old = rebuilt_membership(region, probes)
-            # the two arithmetics differ by rounding: they agree on every probe
-            # whose exact margin is more than 1e-15 from the tolerance, and on
-            # all but a few of the 1e-12-off-edge probes inside that band
+            # the two arithmetics differ by rounding: they agree on all but a few
+            # of the 1e-12-off-edge probes, and where they differ the package
+            # decides as the 50-digit margin does, or that margin is within
+            # 1e-15 of the tolerance
             for k in np.nonzero(inside != old)[0]:
-                assert abs(exact_margin(region, probes[k]) + SIDEDNESS_TOL) < 1e-15
+                margin = exact_margin(region, probes[k]) + SIDEDNESS_TOL
+                assert inside[k] == (margin >= 0) or abs(margin) < 1e-15
             flips += np.count_nonzero(inside != old)
             assert 0 < np.count_nonzero(inside) < len(probes)
-        assert flips <= 1  # of 29,506 probes (0 flips measured)
+        assert flips <= 1  # of 29,506 probes (1 flip measured, the package right)
 
     def test_a_region_without_a_convex_polygon_is_refused(self):
         poly = random_convex_spherical_polygon(np.random.default_rng(74))
