@@ -18,7 +18,8 @@ import numpy as np
 
 from . import convexity, curvature, lemmas, sphere
 from .convexity import (MIN_SAMPLES, PAIR_SAMPLES, SAMPLES_PER_EDGE, SEGMENT_SAMPLES,
-                        GeodesicPolygon, convexity_defect, dilate_region, random_hconvex_polygon)
+                        GeodesicPolygon, _star_polar, convexity_defect, dilate_region,
+                        dilate_regions, random_hconvex_polygon, star_hulls)
 from .dilation import DilationParams
 from .disk import curvature_from_derivatives, hyperboloid_lift, hyperboloid_polar, polar_to_cart
 from .svg import SvgCanvas
@@ -28,6 +29,10 @@ PASS, VIOLATION, USAGE = 0, 1, 2
 # Rows per `%` formatting call of a CSV: the temporary tuple of boxed values
 # holds one block, not the whole table, which keeps peak memory down.
 CSV_BLOCK_ROWS = 1024
+
+# verify-theorem trials whose polygons and regions are built at once: per-trial numpy calls
+# on at most 12 vertices are overhead-bound, and a block bounds the memory they take
+THEOREM_BLOCK = 20
 
 REPLAY_TOL = 1e-9  # a replayed defect passes within this of the witness's stored defect
 
@@ -73,21 +78,34 @@ def _write(path, text):
 
 # --- verify-theorem ----------------------------------------------------------
 
-def _theorem_trial(seed, i, k_range, forced_k1, forced_k2):
+def _theorem_draws(seed, i, k_range, forced_k1, forced_k2):
+    """Trial i's draws from its stream, in order: its polar center, its _star_polar points and
+    its factors; returned with the dilation about that center."""
     rng = np.random.default_rng([seed, i])
     r, theta = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
-    center = polar_to_cart(r, theta)
-    poly = random_hconvex_polygon(rng, center=center)
+    star = _star_polar(rng)
     k1 = float(rng.uniform(*k_range)) if forced_k1 is None else forced_k1
     k2 = float(rng.uniform(*k_range)) if forced_k2 is None else forced_k2
-    defect = convexity_defect(dilate_region(poly, DilationParams(center, k1, k2)))
-    return {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.sheet),
-            "center_polar": [float(r), float(theta)], "defect": defect}
+    return [float(r), float(theta)], star, DilationParams(polar_to_cart(r, theta), k1, k2)
+
+
+def _theorem_regions(seed, trials, k_range, forced_k1, forced_k2):
+    """The trials' polar centers and regions: drawn one trial at a time, built together."""
+    polar, stars, params = zip(*(_theorem_draws(seed, i, k_range, forced_k1, forced_k2)
+                                 for i in trials))
+    polys = star_hulls(stars, [p.center for p in params])
+    return polar, dilate_regions(polys, params)
 
 
 def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6):
     k_range = (1.0, 4.0)
-    results = [_theorem_trial(seed, i, k_range, k1, k2) for i in range(trials)]
+    results = []
+    for start in range(0, trials, THEOREM_BLOCK):
+        block = range(start, min(start + THEOREM_BLOCK, trials))
+        for i, polar, region in zip(block, *_theorem_regions(seed, block, k_range, k1, k2)):
+            results.append({"trial": i, "k1": region.k1, "k2": region.k2,
+                            "n_vertices": len(region.polygon.sheet), "center_polar": polar,
+                            "defect": convexity_defect(region)})
     max_defect = max(r["defect"] for r in results)
     failures = [r["trial"] for r in results if r["defect"] >= tol]
     return {

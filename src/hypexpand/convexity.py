@@ -20,19 +20,20 @@ from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
     ChartSaturation,  # noqa: F401 (the CLI and the tests name it here)
     _check_chart,
+    _check_radii,
     _read_only,
     cart_to_polar,
     geodesic_chord_points,
     hyperboloid_cart,
     hyperboloid_lift,
     hyperboloid_translate,
-    polar_to_cart,
 )
 
 SIDEDNESS_TOL = 1e-12
 MIN_SAMPLES = 16  # the fewest samples per edge, chord pairs or samples per chord
 CHUNK_PROBES = 64  # probes max_polyline_distance checks at once; 32 and 128 were 9% and 17% slower
-MAX_VERTICES = 12  # random_hconvex_polygon draws 5 to MAX_VERTICES vertices
+# random_hconvex_polygon draws 5 to MAX_VERTICES vertices at radii in STAR_RADII
+MAX_VERTICES, STAR_RADII = 12, (0.2, 3.0)
 # Sampling of a region and its defect, recorded in reports and witnesses:
 # boundary samples per polygon edge, random chord pairs, samples per chord
 SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
@@ -72,20 +73,24 @@ def _convex_hull_2d(pts):
 
 
 def _next_rows(verts):
-    """The rows of verts (V, ...) shifted by one, as np.roll(verts, -1, axis=0) has them."""
-    return np.concatenate((verts[1:], verts[:1]))
+    """The rows of verts (..., V, k) shifted by one, as np.roll(verts, -1, axis=-2) has them."""
+    return np.concatenate((verts[..., 1:, :], verts[..., :1, :]), axis=-2)
 
 
 def _klein_signed_area(kverts):
+    """Signed areas (...) of the polygons with vertex rows kverts (..., V, 2)."""
     nxt = _next_rows(kverts)
-    return 0.5 * float(np.dot(kverts[:, 0], nxt[:, 1]) - np.dot(kverts[:, 1], nxt[:, 0]))
+    cross = kverts[..., 0] * nxt[..., 1]
+    cross -= kverts[..., 1] * nxt[..., 0]
+    return 0.5 * cross.sum(axis=-1)
 
 
 def _vertex_margins(kverts):
-    """klein_polygon_contains's margins (b - a) x (k[i] - a): edges j = a -> b by vertices i."""
+    """klein_polygon_contains's margins (b - a) x (k[i] - a) (..., V, V): edges j = a -> b by
+    vertices i, of the polygons kverts (..., V, 2)."""
     e = _next_rows(kverts) - kverts
-    d = kverts[None, :, :] - kverts[:, None, :]
-    return e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0]
+    d = kverts[..., None, :, :] - kverts[..., :, None, :]
+    return e[..., :, None, 0] * d[..., 1] - e[..., :, None, 1] * d[..., 0]
 
 
 def _edges_cross(side) -> bool:
@@ -102,20 +107,24 @@ def _edges_cross(side) -> bool:
     return bool(np.any(splits & splits.T & (gap > 1) & (gap < n - 1)))
 
 
-def _check_polygon_chart(verts) -> bool:
-    """Raise ValueError unless chart vertices (V, 2) form a simple ccw polygon; return convexity.
+def _check_polygon_chart(verts):
+    """Raise ValueError unless each set of chart vertices (..., V, 2) forms a simple ccw polygon;
+    return their convexity flags (...).
 
     A vertex's margins against its own two edges are exactly 0.  If all the others
     are > 0, no two edges can cross, and the crossing test is skipped."""
-    if len(verts) < 3:
+    n = verts.shape[-2]
+    if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    if not _klein_signed_area(verts) > 0.0:
+    if not (_klein_signed_area(verts) > 0.0).all():
         raise ValueError("polygon must be counterclockwise")
     margins = _vertex_margins(verts)
     side = margins > 0
-    if np.count_nonzero(side) < len(verts) * (len(verts) - 2) and _edges_cross(side):
-        raise ValueError("polygon edges self-intersect")
-    return bool(np.all(margins >= -SIDEDNESS_TOL))
+    if np.count_nonzero(side) < side.size // n * (n - 2):  # some polygon is not strictly convex
+        for one in side.reshape(-1, n, n):
+            if np.count_nonzero(one) < n * (n - 2) and _edges_cross(one):
+                raise ValueError("polygon edges self-intersect")
+    return margins.min(axis=(-2, -1)) >= -SIDEDNESS_TOL
 
 
 # --- geodesic polygons -------------------------------------------------------
@@ -130,12 +139,11 @@ class GeodesicPolygon:
     hconvex: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        sheet = _read_only(self.sheet).reshape(-1, 3)
-        if not (np.all(np.isfinite(sheet)) and np.all(sheet[:, 2] >= 1.0)):
-            raise ValueError("polygon vertices must be finite points of the hyperboloid sheet")
-        object.__setattr__(self, "sheet", sheet)
-        object.__setattr__(self, "klein", _read_only(sheet[:, :2] / sheet[:, 2:]))
-        object.__setattr__(self, "hconvex", _check_polygon_chart(self.klein))
+        self._set(*_polygon_rows(_read_only(self.sheet).reshape(-1, 3)))
+
+    def _set(self, sheet, klein, hconvex):
+        for name, value in (("sheet", sheet), ("klein", klein), ("hconvex", bool(hconvex))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_polar(cls, pairs):
@@ -145,9 +153,32 @@ class GeodesicPolygon:
         r, theta = np.array(pairs, dtype=float).reshape(-1, 2).T
         if (r < 0.0).any():
             raise ValueError("hyperbolic radius must be nonnegative")
-        # along the x-axis, since cos and sin can round a unit direction below 1
-        _check_chart(polar_to_cart(r, 0.0), "the polygon's vertices carry")
+        _check_radii(r, "the polygon's vertices carry")
         return cls(hyperboloid_lift(r, theta))
+
+
+def _polygon_rows(sheets):
+    """Read-only sheet rows (..., V, 3), their Klein rows (..., V, 2) and convexity flags (...)
+    of polygons; ValueError unless each is a simple ccw polygon of finite points of the sheet."""
+    if not (np.all(np.isfinite(sheets)) and np.all(sheets[..., 2] >= 1.0)):
+        raise ValueError("polygon vertices must be finite points of the hyperboloid sheet")
+    klein = sheets[..., :2] / sheets[..., 2:]
+    for a in (sheets, klein):
+        a.setflags(write=False)
+    return sheets, klein, _check_polygon_chart(klein)
+
+
+def _polygons(sheets):
+    """GeodesicPolygons of sheet rows (V, 3), one array each of one vertex count, validated
+    together."""
+    if len(sheets) == 1:
+        return [GeodesicPolygon(sheets[0])]
+    polys = []
+    for rows in zip(*_polygon_rows(np.stack(sheets))):
+        poly = object.__new__(GeodesicPolygon)
+        poly._set(*rows)
+        polys.append(poly)
+    return polys
 
 
 def klein_polygon_contains(kverts, probes):
@@ -288,29 +319,70 @@ def _edge_ts(per_edge):
     return np.arange(per_edge, dtype=float) / per_edge
 
 
-def _sample_polygon_boundary(poly: GeodesicPolygon, samples_per_edge: int):
-    """Cartesian boundary samples (N, 2), samples_per_edge per edge, not closed, in the chart;
-    each edge is sampled between its ends' sheet rows."""
-    v = poly.sheet
-    xy = hyperboloid_cart(geodesic_chord_points(v, _next_rows(v), _edge_ts(samples_per_edge)))
-    xy = xy.reshape(-1, 2)
+def _dilate_block(polys, params, per_edge):
+    """dilate_regions without its error order: the first stage that fails raises."""
+    ts = _edge_ts(per_edge)
+    sheets = [poly.sheet for poly in polys]
+    counts = [len(sheet) for sheet in sheets]
+    if len(sheets) == 1:
+        verts, nxt, rows_params = sheets[0], _next_rows(sheets[0]), params[0]
+    else:
+        verts = np.concatenate(sheets)
+        ends = np.cumsum(counts)
+        nxt = np.arange(1, ends[-1] + 1)
+        nxt[ends - 1] = ends - counts  # a polygon's last vertex is followed by its first
+        nxt = verts[nxt]
+        rows = per_edge * np.array(counts)
+        rows_params = DilationParams(np.repeat([p.center for p in params], rows, axis=0),
+                                     np.repeat([p.k1 for p in params], rows),
+                                     np.repeat([p.k2 for p in params], rows))
+    xy = hyperboloid_cart(geodesic_chord_points(verts, nxt, ts)).reshape(-1, 2)
     _check_chart(xy, "the polygon's vertices carry")
-    return xy
+    xy = dilate_xy(rows_params, xy)
+    regions, start = [], 0
+    for poly, p, n in zip(polys, params, counts):
+        stop = start + per_edge * n
+        loop = np.concatenate((xy[start:stop], xy[start:start + 1]))  # closed: its first row again
+        regions.append(SampledRegion(loop, poly, per_edge, p.k1, p.k2, p.center))
+        start = stop
+    return regions
+
+
+def dilate_regions(polys, params, samples_per_edge=SAMPLES_PER_EDGE) -> list[SampledRegion]:
+    """Images of geodesic polygons, each under its own dilation, as sampled boundary loops.
+
+    The regions are built together: one geodesic_chord_points call samples every edge
+    between its ends' sheet rows, and one dilate_xy call, with a center and factors per
+    row, maps every sample, so each region has the bits it has built alone.  An error is
+    the one that building the regions one at a time raises: the first failing region's
+    first failing check (its boundary samples, their translation to its center, its
+    factors).
+    """
+    try:
+        return _dilate_block(polys, params, samples_per_edge)
+    except ValueError:
+        if len(polys) == 1:
+            raise
+        for poly, p in zip(polys, params):
+            _dilate_block([poly], [p], samples_per_edge)
+        raise
 
 
 def dilate_region(poly: GeodesicPolygon, params: DilationParams,
                   samples_per_edge=SAMPLES_PER_EDGE) -> SampledRegion:
-    """Image of a geodesic polygon under a dilation, as a sampled boundary loop; the identity,
-    DilationParams((0, 0), 1, 1), samples the polygon's own boundary."""
-    xy = dilate_xy(params, _sample_polygon_boundary(poly, samples_per_edge))
-    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge,
-                         params.k1, params.k2, params.center)
+    """Image of a geodesic polygon under a dilation, as a sampled boundary loop: the one-region
+    case of dilate_regions.  The identity, DilationParams((0, 0), 1, 1), samples the polygon's
+    own boundary."""
+    return dilate_regions([poly], [params], samples_per_edge)[0]
 
 
 # --- convexity defect --------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def van_der_corput(m):
-    """First m terms of the base-2 van der Corput sequence; nested prefixes in (0, 1)."""
+    """First m terms of the base-2 van der Corput sequence; nested prefixes in (0, 1).
+
+    Cached per m; the array is read-only."""
     out = np.empty(m)
     for i in range(m):
         n, denom, v = i + 1, 1.0, 0.0
@@ -319,6 +391,7 @@ def van_der_corput(m):
             v += (n & 1) / denom
             n >>= 1
         out[i] = v
+    out.setflags(write=False)
     return out
 
 
@@ -396,7 +469,7 @@ def convexity_defect(region: SampledRegion, pair_samples=PAIR_SAMPLES,
 
 # --- random generation -------------------------------------------------------
 
-def _star_polar(rng, max_vertices, r_range):
+def _star_polar(rng, max_vertices=MAX_VERTICES, r_range=STAR_RADII):
     """Polar (radii, angles) of 5 to max_vertices points drawn about the origin of a chart.
 
     One angle falls in each of m equal sectors, so consecutive angular gaps stay below pi
@@ -407,14 +480,33 @@ def _star_polar(rng, max_vertices, r_range):
     return rng.uniform(r_range[0], r_range[1], m), thetas
 
 
-def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=(0.2, 3.0)) -> GeodesicPolygon:
-    """Random h-convex polygon strictly containing the requested center, Cartesian (2,).
+def star_hulls(stars, centers) -> list[GeodesicPolygon]:
+    """The h-convex polygons of star draws, each strictly containing its Cartesian center.
 
-    Points are drawn in polar coordinates of the frame translated to the center,
-    5 to MAX_VERTICES of them by _star_polar, so the center is interior to the hull;
-    they are lifted to the sheet and boosted to the center.
+    stars holds one _star_polar draw (radii, angles) per polygon and centers (T, 2) one
+    center each.  Every point is lifted to the sheet in one call and boosted to its
+    polygon's center in another, so the center is interior to each hull; each polygon's
+    Klein rows are hulled, and the hulls are validated in groups of one vertex count.
     """
-    pts = hyperboloid_lift(*_star_polar(rng, MAX_VERTICES, r_range))
-    if np.any(center):
-        pts = hyperboloid_translate(center, pts)
-    return hyperbolic_hull(pts)
+    counts = [len(radii) for radii, _ in stars]
+    pts = hyperboloid_lift(*(np.concatenate(a) for a in zip(*stars)))
+    centers = np.asarray(centers, dtype=float)
+    if centers.any():
+        pts = hyperboloid_translate(np.repeat(centers, counts, axis=0), pts)
+    klein = pts[:, :2] / pts[:, 2:]
+    hulls, by_count, start = [], {}, 0
+    for t, m in enumerate(counts):
+        hulls.append(start + _convex_hull_2d(klein[start:start + m]))
+        by_count.setdefault(len(hulls[-1]), []).append(t)
+        start += m
+    polys = [None] * len(hulls)
+    for group in by_count.values():
+        for t, poly in zip(group, _polygons([pts[hulls[t]] for t in group])):
+            polys[t] = poly
+    return polys
+
+
+def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=STAR_RADII) -> GeodesicPolygon:
+    """Random h-convex polygon strictly containing the requested center, Cartesian (2,): the
+    one-polygon case of star_hulls, of a _star_polar draw."""
+    return star_hulls([_star_polar(rng, r_range=r_range)], [center])[0]

@@ -18,20 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (_check_chart, _component_major, _read_only, cart_to_polar, mobius_translate,
-                   polar_to_cart)
+from .disk import (_check_chart, _check_radii, _component_major, _read_only, cart_to_polar,
+                   mobius_translate, polar_to_cart)
 
 
 @dataclass(frozen=True, eq=False)
 class DilationParams:
-    """Center, Cartesian (2,) and read-only, and per-axis factors of an anisotropic dilation."""
+    """Center, Cartesian (2,) and read-only, and per-axis factors of an anisotropic dilation.
+
+    The fields may also hold one center (..., 2) and factors (...) per row of the points
+    dilate_xy maps, as a block of regions each with its own dilation has them."""
 
     center: np.ndarray
     k1: float
     k2: float
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0):
+        if not (np.all(np.asarray(self.k1) > 0.0) and np.all(np.asarray(self.k2) > 0.0)):
             raise ValueError("dilation factors must be positive")
         object.__setattr__(self, "center", _read_only(self.center))
 
@@ -72,15 +75,29 @@ def dilate_xy(params: DilationParams, xy):
     """Dilation about an arbitrary center on Cartesian points of shape (..., 2).
 
     The polar map is chart-free, but the Poincare chart is not: from r' ~ 38
-    tanh(r'/2) rounds to 1.0, and the image point lands on the unit circle.
-    Points that the translation to the center carries onto it raise ChartSaturation.
+    tanh(r'/2) rounds to 1.0, and the image point would land on the unit circle.
+    Points that the translation to the center carries onto it, and images whose
+    tanh(r'/2) rounds to 1, raise ChartSaturation, naming the first such row's
+    center or factors.  The arithmetic is elementwise, so a row's image depends on
+    its own point, center and factors alone, except that a row about the origin
+    passed with off-origin rows is translated by 0 with them, which turns a
+    coordinate -0.0 into 0.0.
     """
     xy = np.asarray(xy, dtype=float)
-    c = params.center
+    c, k1, k2 = params.center, params.k1, params.k2
+    rows = xy.shape[:-1]
+
+    def row_of(a, i, *shape):
+        """Entry i, in xy's flattened rows, of a value given for every row or for each."""
+        return np.broadcast_to(a, rows + shape).reshape((-1,) + shape)[i]
+
     off = c.any()
     if off:
         xy = mobius_translate(-c, xy)
-        _check_chart(xy, f"the translation to the center {c.tolist()} carries")
-    r, theta = cart_to_polar(xy)
-    out = polar_to_cart(*dilate_origin_polar(params.k1, params.k2, r, theta))
+        _check_chart(xy, lambda i: "the translation to the center "
+                                   f"{row_of(c, i, 2).tolist()} carries")
+    r, theta = dilate_origin_polar(k1, k2, *cart_to_polar(xy))
+    _check_radii(r, lambda i: f"factors k1={float(row_of(k1, i))!r}, "
+                              f"k2={float(row_of(k2, i))!r} carry")
+    out = polar_to_cart(r, theta)
     return mobius_translate(c, out) if off else out

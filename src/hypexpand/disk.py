@@ -45,11 +45,30 @@ class ChartSaturation(ValueError):
     """
 
 
-def _check_chart(xy, cause):
-    """Raise ChartSaturation, naming its cause, if a row of xy (..., 2) is not inside the disk."""
-    if np.any(np.hypot(xy[..., 0], xy[..., 1]) >= 1.0):
+def _saturation(outside, cause):
+    """Raise ChartSaturation if a flag of outside (...) is set.
+
+    cause names what carried the boundary past the chart: a string, or a function of the
+    index of the first set flag in outside.reshape(-1), for rows that each have their own."""
+    outside = np.asarray(outside)
+    if np.any(outside):
+        if callable(cause):
+            cause = cause(int(np.argmax(outside.reshape(-1))))
         raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
                               "(its norm tanh(r/2) rounds to 1 from r ~ 38 to 38.5)")
+
+
+def _check_chart(xy, cause):
+    """Raise ChartSaturation, naming its cause, if a row of xy (..., 2) is not inside the disk."""
+    _saturation(np.hypot(xy[..., 0], xy[..., 1]) >= 1.0, cause)
+
+
+def _check_radii(r, cause):
+    """Raise ChartSaturation, naming its cause, if a radius of r (...) has tanh(r/2) rounded to 1.
+
+    Such a point's row along the x-axis is on the unit circle; along other directions cos and
+    sin can round its norm to 1 - 1.1e-16, where _check_chart would pass it."""
+    _saturation(np.tanh(np.asarray(r, dtype=float) / 2.0) >= 1.0, cause)
 
 
 def _read_only(a):
@@ -65,14 +84,17 @@ def mobius_translate(c, x):
     tau_c(x) = ((1 + 2 c.x + |x|^2) c + (1 - |c|^2) x) / (1 + 2 c.x + |c|^2 |x|^2)
 
     This is an orientation-preserving hyperbolic isometry with tau_c(0) = c,
-    and its inverse is tau_{-c}.
+    and its inverse is tau_{-c}.  c (..., 2) broadcasts against x: one center for
+    every row, or one per row.  The dot products are formed elementwise, so a row's
+    image does not depend on the rows passed with it.
     """
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
-    cc = float(c @ c)
-    dot = x @ c
+    cx, cy = c[..., 0], c[..., 1]
+    cc = cx * cx + cy * cy
+    dot = x[..., 0] * cx + x[..., 1] * cy
     nx = np.sum(x * x, axis=-1)
-    num = (1.0 + 2.0 * dot + nx)[..., None] * c + (1.0 - cc) * x
+    num = (1.0 + 2.0 * dot + nx)[..., None] * c + (1.0 - cc)[..., None] * x
     den = 1.0 + 2.0 * dot + cc * nx
     return num / den[..., None]
 
@@ -190,8 +212,11 @@ def hyperboloid_cart(pts):
 
 
 def hyperboloid_translate(c, pts):
-    """mobius_translate(c, .) on points (..., 3) of the sheet, component-major: a Lorentz boost."""
-    cx, cy = (float(v) for v in c)
+    """mobius_translate(c, .) on points (..., 3) of the sheet, component-major: a Lorentz boost.
+
+    c (..., 2) broadcasts against the rows of pts: one center for every row, or one per row."""
+    c = np.asarray(c, dtype=float)
+    cx, cy = c[..., 0], c[..., 1]
     cc = cx * cx + cy * cy
     ux, uy = 2.0 * cx / (1.0 - cc), 2.0 * cy / (1.0 - cc)  # (u, (1 + cc) / (1 - cc)) lifts c
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]

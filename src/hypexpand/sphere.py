@@ -129,7 +129,7 @@ class SphericalPolygon:
             raise ValueError("vertex outside the open hemisphere about the center")
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "uv", _read_only(self.chart.gnomonic(xyz)))
-        object.__setattr__(self, "convex", _check_polygon_chart(self.uv))
+        object.__setattr__(self, "convex", bool(_check_polygon_chart(self.uv)))
 
 
 def great_circle_points(a, b, ts):

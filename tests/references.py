@@ -9,7 +9,9 @@ formula, the lemma margins have Taylor-sum, direct and slope forms, and the
 auxiliary functions phi and psi have the forms that evaluate both branches.
 Points are given in polar, Cartesian and hyperboloid form.  The Klein chart
 maps, the gnomonic inverse and the angle wrap serve the tests only: a
-polygon keeps the surface rows its generator drew.
+polygon keeps the surface rows its generator drew.  The H² generator, region
+builder and verify-theorem trial are kept as they ran one trial at a time, the
+bitwise references of the builders that take a block of trials.
 """
 
 import math
@@ -18,9 +20,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from hypexpand.convexity import (SAMPLES_PER_EDGE, SampledRegion, _star_polar, convexity_defect,
+                                 hyperbolic_hull)
 from hypexpand.curvature import SERIES_CUTOFF, phi, psi
-from hypexpand.disk import (cart_to_polar, chord_jet, curvature_from_derivatives,
-                            hyperboloid_lift, mobius_translate, polar_chord_radius, polar_to_cart)
+from hypexpand.dilation import DilationParams, dilate_xy
+from hypexpand.disk import (_check_chart, cart_to_polar, chord_jet, curvature_from_derivatives,
+                            geodesic_chord_points, hyperboloid_cart, hyperboloid_lift,
+                            hyperboloid_translate, mobius_translate, polar_chord_radius,
+                            polar_to_cart)
 from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
 
 # first-derivative finite-difference step on t; stencils are central and
@@ -401,3 +408,41 @@ def psi_both_branches(a):
         direct = a / np.tanh(a) - 1.0
     out = np.where(a < SERIES_CUTOFF, series, direct)
     return float(out) if np.ndim(out) == 0 else out
+
+
+# --- the H² pipeline one trial at a time ----------------------------------------
+
+def per_trial_hconvex_polygon(rng, center=(0.0, 0.0), r_range=(0.2, 3.0)):
+    """random_hconvex_polygon as one polygon's own calls: the star's lift, its boost to the
+    center and its hull."""
+    pts = hyperboloid_lift(*_star_polar(rng, r_range=r_range))
+    if np.any(center):
+        pts = hyperboloid_translate(center, pts)
+    return hyperbolic_hull(pts)
+
+
+def per_trial_dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE):
+    """dilate_region as one region's own calls, in the order of its checks: the boundary
+    samples, then dilate_xy (the translation to the center, then the factors), then the
+    region's own."""
+    v = poly.sheet
+    ts = np.arange(samples_per_edge, dtype=float) / samples_per_edge
+    xy = hyperboloid_cart(geodesic_chord_points(v, np.roll(v, -1, axis=0), ts)).reshape(-1, 2)
+    _check_chart(xy, "the polygon's vertices carry")
+    xy = dilate_xy(params, xy)
+    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge, params.k1, params.k2,
+                         params.center)
+
+
+def per_trial_theorem(seed, i, k_range=(1.0, 4.0), forced_k1=None, forced_k2=None):
+    """verify-theorem's trial i alone: its polygon, its region and its result."""
+    rng = np.random.default_rng([seed, i])
+    r, theta = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
+    center = polar_to_cart(r, theta)
+    poly = per_trial_hconvex_polygon(rng, center=center)
+    k1 = float(rng.uniform(*k_range)) if forced_k1 is None else forced_k1
+    k2 = float(rng.uniform(*k_range)) if forced_k2 is None else forced_k2
+    region = per_trial_dilate_region(poly, DilationParams(center, k1, k2))
+    return poly, region, {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.sheet),
+                          "center_polar": [float(r), float(theta)],
+                          "defect": convexity_defect(region)}

@@ -8,6 +8,7 @@ import pytest
 from hypexpand import cli, curvature
 from hypexpand.cli import (
     CSV_BLOCK_ROWS,
+    THEOREM_BLOCK,
     _csv_text,
     build_parser,
     main,
@@ -21,9 +22,10 @@ from hypexpand.cli import (
     run_verify_lemmas,
     run_verify_theorem,
 )
-from hypexpand.convexity import GeodesicPolygon, convexity_defect, dilate_region
+from hypexpand.convexity import ChartSaturation, GeodesicPolygon, convexity_defect, dilate_region
 from hypexpand.dilation import DilationParams
 from hypexpand.disk import curvature_from_derivatives, polar_to_cart
+from references import per_trial_theorem
 
 
 def reference_csv(header, rows):
@@ -65,6 +67,50 @@ class TestVerifyTheorem:
         a = json.dumps(run_verify_theorem(seed=5, trials=6), sort_keys=True)
         b = json.dumps(run_verify_theorem(seed=5, trials=6), sort_keys=True)
         assert a == b
+
+
+class TestTheoremBlocks:
+    """verify-theorem builds a block of trials at once; references.per_trial_theorem builds
+    each trial alone."""
+
+    @pytest.mark.parametrize("seed, trials, forced", [
+        (0, THEOREM_BLOCK - 1, {}), (11, THEOREM_BLOCK, {}), (12, THEOREM_BLOCK + 1, {}),
+        (13, THEOREM_BLOCK + 1, {"k1": 2.0}), (0, 200, {}),
+    ])
+    def test_blocks_build_the_per_trial_polygons_and_regions(self, seed, trials, forced,
+                                                             monkeypatch):
+        regions = []
+
+        def spy(region):
+            regions.append(region)
+            return convexity_defect(region)
+
+        monkeypatch.setattr(cli, "convexity_defect", spy)
+        report = run_verify_theorem(seed=seed, trials=trials, **forced)
+        assert len(regions) == trials
+        for i, region in enumerate(regions):
+            poly, ref, result = per_trial_theorem(
+                seed, i, forced_k1=forced.get("k1"), forced_k2=forced.get("k2"))
+            assert np.array_equal(region.polygon.sheet, poly.sheet)
+            assert region.polygon.hconvex is poly.hconvex
+            assert np.array_equal(region.boundary, ref.boundary)
+            assert report["results"][i] == result
+
+    @pytest.mark.parametrize("k1, trials", [(40.0, 3), (13.0, 200), (13.0, 2 * THEOREM_BLOCK)])
+    def test_a_saturated_block_names_what_the_per_trial_loop_names(self, k1, trials):
+        with pytest.raises(ChartSaturation) as block:
+            run_verify_theorem(seed=0, trials=trials, k1=k1)
+        with pytest.raises(ChartSaturation) as alone:
+            for i in range(trials):
+                per_trial_theorem(0, i, forced_k1=k1)
+        assert str(block.value) == str(alone.value)
+
+    def test_trial_0_at_k1_40_is_named(self, capsys):
+        # r' ~ 100, far past the radius where tanh(r'/2) rounds to 1 on any platform
+        assert main(["verify-theorem", "--k1", "40", "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: factors k1=40.0, k2=2.624383660747275 carry")
 
 
 class TestSearch:

@@ -15,6 +15,7 @@ from hypexpand import cli, convexity, disk
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
     SIDEDNESS_TOL,
+    ChartSaturation,
     GeodesicPolygon,
     SampledRegion,
     convexity_defect,
@@ -29,7 +30,8 @@ from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
 from hypexpand.disk import (cart_to_polar, geodesic_chord_points, hyperboloid_cart,
                             hyperboloid_lift, hyperboloid_polar, hyperboloid_translate,
                             mobius_translate, polar_to_cart)
-from references import ZERO, cart_point, from_klein, klein_sheet, polar_point, to_klein
+from references import (ZERO, cart_point, from_klein, klein_sheet, per_trial_dilate_region,
+                        per_trial_hconvex_polygon, polar_point, to_klein)
 
 # the dilation whose region is the polygon's own sampled boundary
 IDENTITY = DilationParams(ZERO.xy, 1.0, 1.0)
@@ -671,6 +673,11 @@ class TestDefect:
             again = convexity._chord_pairs(160, 64, per_edge)
             assert again[0] is ends and again[1] is at
 
+    def test_chord_parameters_are_cached_and_read_only(self):
+        ts = convexity.van_der_corput(16)
+        assert ts is convexity.van_der_corput(16) and not ts.flags.writeable
+        assert ts[:7].tolist() == [0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
+
     def test_counts_validated(self):
         rng = np.random.default_rng(28)
         poly = random_hconvex_polygon(rng)
@@ -921,6 +928,91 @@ class TestDilateRegion:
             ends.clear()
             dilate_region(poly, DilationParams(center.xy, 2.0, 0.5))
             assert rows == [] and ends[0] is poly.sheet
+
+
+class TestRegionBlocks:
+    """dilate_regions against building each region alone (references.per_trial_dilate_region)."""
+
+    # regions that fail one check each: their factors (r' ~ 100), their own boundary
+    # (vertices at r = 40), its translation to the center (r = 36 carried about 2.9 out),
+    # and the boundary and the factors both
+    FINE = (GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)]),
+            DilationParams((0.2, -0.1), 2.0, 1.5))
+    FACTORS = (GeodesicPolygon.from_polar([(2.5, 0.0), (2.5, 2.1), (2.5, -2.1)]),
+               DilationParams((0.1, 0.2), 40.0, 1.0))
+    BOUNDARY = (GeodesicPolygon(hyperboloid_lift([40.0] * 3, [0.0, 2.1, -2.1])),
+                DilationParams((0.0, 0.0), 1.5, 1.0))
+    TRANSLATION = (GeodesicPolygon.from_polar([(36.0, 0.0), (36.0, 2.1), (36.0, -2.1)]),
+                   DilationParams((0.9, 0.0), 1.0, 1.0))
+    BOTH = (BOUNDARY[0], DilationParams((0.0, 0.0), 40.0, 1.0))
+
+    @pytest.mark.parametrize("names, cause", [
+        (("FACTORS",), "factors k1=40.0, k2=1.0 carry"),
+        (("BOUNDARY",), "the polygon's vertices carry"),
+        (("TRANSLATION",), "the translation to the center [0.9, 0.0] carries"),
+        (("BOTH",), "the polygon's vertices carry"),
+        # an earlier region fails a later check, a later region an earlier one
+        (("FINE", "FACTORS", "BOUNDARY"), "factors k1=40.0, k2=1.0 carry"),
+        (("FINE", "TRANSLATION", "BOUNDARY"), "the translation to the center [0.9, 0.0] carries"),
+        (("FACTORS", "TRANSLATION", "FINE"), "factors k1=40.0, k2=1.0 carry"),
+        (("FINE", "FINE", "BOTH", "FACTORS"), "the polygon's vertices carry"),
+    ])
+    def test_a_block_raises_what_building_one_region_at_a_time_raises(self, names, cause):
+        polys, params = zip(*(getattr(self, name) for name in names))
+        with pytest.raises(ChartSaturation) as alone:
+            for poly, p in zip(polys, params):
+                per_trial_dilate_region(poly, p)
+        with pytest.raises(ChartSaturation) as block:
+            convexity.dilate_regions(polys, params)
+        assert str(block.value) == str(alone.value)
+        assert str(block.value).startswith(cause)
+
+    def test_a_block_of_fine_regions_is_built_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        polys, params = [], []
+        for i in range(25):
+            c = rand_point(rng, 1.5) if i % 4 else ZERO
+            polys.append(random_hconvex_polygon(rng, center=c.xy))
+            params.append(DilationParams(c.xy, rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0)))
+        for per_edge in (16, 32):
+            regions = convexity.dilate_regions(polys, params, per_edge)
+            for region, poly, p in zip(regions, polys, params):
+                ref = per_trial_dilate_region(poly, p, per_edge)
+                assert region.polygon is poly and region.center is p.center
+                assert (region.k1, region.k2) == (p.k1, p.k2)
+                assert np.array_equal(region.boundary, ref.boundary)
+
+    def test_one_region_about_the_origin_is_the_per_trial_region(self):
+        # contraction, replay and render build one region about the origin at a time
+        rng = np.random.default_rng(34)
+        for k1, k2, per_edge in [(0.25, 1.0, 32), (1.0, 1.0, 64), (0.5, 0.9, 16), (2.0, 1.3, 32)]:
+            poly = random_hconvex_polygon(rng)
+            params = DilationParams(ZERO.xy, k1, k2)
+            ref = per_trial_dilate_region(poly, params, per_edge)
+            assert np.array_equal(dilate_region(poly, params, per_edge).boundary, ref.boundary)
+        thin = _directed_thin_polygon(np.random.default_rng(37))
+        params = DilationParams(ZERO.xy, 0.25, 1.0)
+        assert np.array_equal(dilate_region(thin, params).boundary,
+                              per_trial_dilate_region(thin, params).boundary)
+
+    def test_star_hulls_are_the_per_trial_polygons(self):
+        for seed in range(60):
+            rngs = [np.random.default_rng([seed, i]) for i in range(3)]
+            centers = [rand_point(rng, 1.5).xy if (seed + i) % 5 else ZERO.xy
+                       for i, rng in enumerate(rngs)]
+            states = [rng.bit_generator.state for rng in rngs]
+            stars = [convexity._star_polar(rng) for rng in rngs]
+            block = convexity.star_hulls(stars, centers)
+            for rng, state, center, poly in zip(rngs, states, centers, block):
+                rng.bit_generator.state = state
+                ref = per_trial_hconvex_polygon(rng, center)
+                assert np.array_equal(poly.sheet, ref.sheet) and poly.hconvex == ref.hconvex
+                assert np.array_equal(poly.klein, ref.klein)
+                assert not (poly.sheet.flags.writeable or poly.klein.flags.writeable)
+            rng = np.random.default_rng(seed)
+            alone = random_hconvex_polygon(rng, center=centers[0])
+            ref = per_trial_hconvex_polygon(np.random.default_rng(seed), centers[0])
+            assert np.array_equal(alone.sheet, ref.sheet)
 
 
 class TestSampledRegionValidation:

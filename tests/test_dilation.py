@@ -73,10 +73,45 @@ class TestOriginDilation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for center in (ZERO, polar_point(0.3, 1.0)):
-                out = dilate_xy(DilationParams(center.xy, 4.0, 1.0), xy)
-                assert math.hypot(*out[0]) == pytest.approx(1.0, abs=1e-12)  # r' = 60
+                with pytest.raises(ChartSaturation, match=r"factors k1=4\.0, k2=1\.0"):
+                    dilate_xy(DilationParams(center.xy, 4.0, 1.0), xy)  # r' = 60
             r, _ = dilate_origin_polar(4.0, 1.0, 15.0, 0.0)  # the polar map alone is chart-free
             assert r == 60.0
+
+    def test_a_saturated_image_is_refused_where_its_row_stays_inside(self):
+        # in about 1.4% of directions cos and sin round a unit direction below 1, so the
+        # row of an image whose tanh(r'/2) is 1 keeps the norm 1 - 1.1e-16, and a check of
+        # Cartesian norms alone passes it; the dilated radius itself is checked
+        thetas = np.linspace(-math.pi, math.pi, 2001)
+        r2, th2 = dilate_origin_polar(50.0, 50.0, 2.0, thetas)  # r' = 100
+        inside = np.hypot(*polar_to_cart(r2, th2).T) < 1.0
+        assert np.tanh(50.0) == 1.0 and np.any(inside)
+        points = polar_to_cart(2.0, thetas[inside])
+        for center in (ZERO, polar_point(0.3, 1.0)):
+            params = DilationParams(center.xy, 50.0, 50.0)
+            for xy in (points, *points):  # together and each alone
+                moved = mobius_translate(center.xy, xy) if center.r else xy
+                with pytest.raises(ChartSaturation, match=r"^factors k1=50\.0, k2=50\.0 carry"):
+                    dilate_xy(params, moved)
+
+    def test_rows_with_their_own_dilations_are_each_dilated_alone(self):
+        rng = np.random.default_rng(61)
+        pts = [rand_point(rng, 2.0) for _ in range(30)]
+        params = [DilationParams(rand_point(rng, 1.5).xy if i % 3 else ZERO.xy,
+                                 rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0))
+                  for i in range(30)]
+        rows = DilationParams(np.array([p.center for p in params]),
+                              np.array([p.k1 for p in params]), np.array([p.k2 for p in params]))
+        out = dilate_xy(rows, np.array([p.xy for p in pts]))
+        alone = np.array([dilate_xy(p, q.xy) for p, q in zip(params, pts)])
+        # the origin rows are translated by 0 with the others, which is exact here
+        assert np.array_equal(out, alone)
+        # a saturated row names its own factors, the first in row order (rows 9 and 21 lie
+        # about the origin at r >= 0.05, so factors of 1000 or more carry them past r' = 50)
+        k = np.array([rows.k1, rows.k2])
+        k[:, [9, 21]] = [[1000.0, 2000.0], [1500.0, 2500.0]]
+        with pytest.raises(ChartSaturation, match=r"^factors k1=1000\.0, k2=1500\.0 carry"):
+            dilate_xy(DilationParams(rows.center, *k), np.array([p.xy for p in pts]))
 
 
 class TestOriginChartMap:
