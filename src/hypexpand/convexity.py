@@ -157,28 +157,18 @@ class GeodesicPolygon:
         return cls(hyperboloid_lift(r, theta))
 
 
-def _polygon_rows(sheets):
+def _polygon_rows(sheets, klein=None):
     """Read-only sheet rows (..., V, 3), their Klein rows (..., V, 2) and convexity flags (...)
-    of polygons; ValueError unless each is a simple ccw polygon of finite points of the sheet."""
+    of polygons; ValueError unless each is a simple ccw polygon of finite points of the sheet.
+
+    The Klein rows are the sheet rows divided, x/z and y/z: formed here unless given."""
     if not (np.all(np.isfinite(sheets)) and np.all(sheets[..., 2] >= 1.0)):
         raise ValueError("polygon vertices must be finite points of the hyperboloid sheet")
-    klein = sheets[..., :2] / sheets[..., 2:]
+    if klein is None:
+        klein = sheets[..., :2] / sheets[..., 2:]
     for a in (sheets, klein):
         a.setflags(write=False)
     return sheets, klein, _check_polygon_chart(klein)
-
-
-def _polygons(sheets):
-    """GeodesicPolygons of sheet rows (V, 3), one array each of one vertex count, validated
-    together."""
-    if len(sheets) == 1:
-        return [GeodesicPolygon(sheets[0])]
-    polys = []
-    for rows in zip(*_polygon_rows(np.stack(sheets))):
-        poly = object.__new__(GeodesicPolygon)
-        poly._set(*rows)
-        polys.append(poly)
-    return polys
 
 
 def klein_polygon_contains(kverts, probes):
@@ -198,10 +188,32 @@ def klein_polygon_contains(kverts, probes):
     return inside
 
 
+def _hulls(pts, counts):
+    """Minimal h-convex polygons containing runs of the hyperboloid points pts (m, 3), the first
+    counts[0] rows, the next counts[1], ...; each by a Klein hull, its vertices rows of pts.
+
+    The points are divided to the Klein chart once; the hulls are validated in groups of one
+    vertex count, with the Klein rows they were hulled by."""
+    pts = np.asarray(pts, dtype=float)
+    klein = pts[:, :2] / pts[:, 2:]
+    hulls, by_count, start = [], {}, 0
+    for t, m in enumerate(counts):
+        hulls.append(start + _convex_hull_2d(klein[start:start + m]))
+        by_count.setdefault(len(hulls[-1]), []).append(t)
+        start += m
+    polys = [None] * len(hulls)
+    for group in by_count.values():
+        rows = np.stack([hulls[t] for t in group])
+        for t, fields in zip(group, zip(*_polygon_rows(pts[rows], klein[rows]))):
+            polys[t] = object.__new__(GeodesicPolygon)
+            polys[t]._set(*fields)
+    return polys
+
+
 def hyperbolic_hull(pts) -> GeodesicPolygon:
     """Minimal h-convex polygon containing the hyperboloid points pts (m, 3), by a Klein hull;
-    its vertices are rows of pts."""
-    return GeodesicPolygon(pts[_convex_hull_2d(pts[:, :2] / pts[:, 2:])])
+    its vertices are rows of pts.  The one-polygon case of _hulls."""
+    return _hulls(pts, [len(pts)])[0]
 
 
 # --- sampled regions ---------------------------------------------------------
@@ -322,29 +334,20 @@ def _edge_ts(per_edge):
 def _dilate_block(polys, params, per_edge):
     """dilate_regions without its error order: the first stage that fails raises."""
     ts = _edge_ts(per_edge)
-    sheets = [poly.sheet for poly in polys]
-    counts = [len(sheet) for sheet in sheets]
-    if len(sheets) == 1:
-        verts, nxt, rows_params = sheets[0], _next_rows(sheets[0]), params[0]
-    else:
-        verts = np.concatenate(sheets)
-        ends = np.cumsum(counts)
-        nxt = np.arange(1, ends[-1] + 1)
-        nxt[ends - 1] = ends - counts  # a polygon's last vertex is followed by its first
-        nxt = verts[nxt]
-        rows = per_edge * np.array(counts)
-        rows_params = DilationParams(np.repeat([p.center for p in params], rows, axis=0),
-                                     np.repeat([p.k1 for p in params], rows),
-                                     np.repeat([p.k2 for p in params], rows))
+    verts = np.concatenate([poly.sheet for poly in polys])
+    nxt = np.concatenate([_next_rows(poly.sheet) for poly in polys])
     xy = hyperboloid_cart(geodesic_chord_points(verts, nxt, ts)).reshape(-1, 2)
     _check_chart(xy, "the polygon's vertices carry")
-    xy = dilate_xy(rows_params, xy)
+    rows = [per_edge * len(poly.sheet) for poly in polys]
+    xy = dilate_xy(DilationParams(np.repeat([p.center for p in params], rows, axis=0),
+                                  np.repeat([p.k1 for p in params], rows),
+                                  np.repeat([p.k2 for p in params], rows)), xy)
     regions, start = [], 0
-    for poly, p, n in zip(polys, params, counts):
-        stop = start + per_edge * n
-        loop = np.concatenate((xy[start:stop], xy[start:start + 1]))  # closed: its first row again
+    for poly, p, n in zip(polys, params, rows):
+        # closed: the region's first row again
+        loop = np.concatenate((xy[start:start + n], xy[start:start + 1]))
         regions.append(SampledRegion(loop, poly, per_edge, p.k1, p.k2, p.center))
-        start = stop
+        start += n
     return regions
 
 
@@ -361,8 +364,6 @@ def dilate_regions(polys, params, samples_per_edge=SAMPLES_PER_EDGE) -> list[Sam
     try:
         return _dilate_block(polys, params, samples_per_edge)
     except ValueError:
-        if len(polys) == 1:
-            raise
         for poly, p in zip(polys, params):
             _dilate_block([poly], [p], samples_per_edge)
         raise
@@ -485,25 +486,15 @@ def star_hulls(stars, centers) -> list[GeodesicPolygon]:
 
     stars holds one _star_polar draw (radii, angles) per polygon and centers (T, 2) one
     center each.  Every point is lifted to the sheet in one call and boosted to its
-    polygon's center in another, so the center is interior to each hull; each polygon's
-    Klein rows are hulled, and the hulls are validated in groups of one vertex count.
+    polygon's center in another, so the center is interior to each hull; then each
+    polygon's points are hulled (_hulls).
     """
     counts = [len(radii) for radii, _ in stars]
     pts = hyperboloid_lift(*(np.concatenate(a) for a in zip(*stars)))
     centers = np.asarray(centers, dtype=float)
     if centers.any():
         pts = hyperboloid_translate(np.repeat(centers, counts, axis=0), pts)
-    klein = pts[:, :2] / pts[:, 2:]
-    hulls, by_count, start = [], {}, 0
-    for t, m in enumerate(counts):
-        hulls.append(start + _convex_hull_2d(klein[start:start + m]))
-        by_count.setdefault(len(hulls[-1]), []).append(t)
-        start += m
-    polys = [None] * len(hulls)
-    for group in by_count.values():
-        for t, poly in zip(group, _polygons([pts[hulls[t]] for t in group])):
-            polys[t] = poly
-    return polys
+    return _hulls(pts, counts)
 
 
 def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=STAR_RADII) -> GeodesicPolygon:

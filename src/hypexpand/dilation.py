@@ -76,28 +76,20 @@ def dilate_xy(params: DilationParams, xy):
 
     The polar map is chart-free, but the Poincare chart is not: from r' ~ 38
     tanh(r'/2) rounds to 1.0, and the image point would land on the unit circle.
-    Points that the translation to the center carries onto it, and images whose
-    tanh(r'/2) rounds to 1, raise ChartSaturation, naming the first such row's
-    center or factors.  The arithmetic is elementwise, so a row's image depends on
-    its own point, center and factors alone, except that a row about the origin
-    passed with off-origin rows is translated by 0 with them, which turns a
-    coordinate -0.0 into 0.0.
+    Points that the translation to the center carries onto it, and images whose radius
+    r' about the center has tanh(r'/2) rounded to 1, raise ChartSaturation, naming the
+    center or the factors of the first row: every row's, where the rows share one
+    dilation.  The arithmetic is elementwise, so a row's image depends on its own point,
+    center and factors alone, except that a row about the origin passed with off-origin
+    rows is translated by 0 with them, which turns a coordinate -0.0 into 0.0.
     """
     xy = np.asarray(xy, dtype=float)
     c, k1, k2 = params.center, params.k1, params.k2
-    rows = xy.shape[:-1]
-
-    def row_of(a, i, *shape):
-        """Entry i, in xy's flattened rows, of a value given for every row or for each."""
-        return np.broadcast_to(a, rows + shape).reshape((-1,) + shape)[i]
-
     off = c.any()
     if off:
         xy = mobius_translate(-c, xy)
-        _check_chart(xy, lambda i: "the translation to the center "
-                                   f"{row_of(c, i, 2).tolist()} carries")
+        _check_chart(xy, f"the translation to the center {c.reshape(-1, 2)[0].tolist()} carries")
     r, theta = dilate_origin_polar(k1, k2, *cart_to_polar(xy))
-    _check_radii(r, lambda i: f"factors k1={float(row_of(k1, i))!r}, "
-                              f"k2={float(row_of(k2, i))!r} carry")
+    _check_radii(r, f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r} carry")
     out = polar_to_cart(r, theta)
     return mobius_translate(c, out) if off else out

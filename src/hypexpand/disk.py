@@ -46,14 +46,9 @@ class ChartSaturation(ValueError):
 
 
 def _saturation(outside, cause):
-    """Raise ChartSaturation if a flag of outside (...) is set.
-
-    cause names what carried the boundary past the chart: a string, or a function of the
-    index of the first set flag in outside.reshape(-1), for rows that each have their own."""
-    outside = np.asarray(outside)
+    """Raise ChartSaturation if a flag of outside (...) is set; cause names what carried the
+    boundary past the chart."""
     if np.any(outside):
-        if callable(cause):
-            cause = cause(int(np.argmax(outside.reshape(-1))))
         raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
                               "(its norm tanh(r/2) rounds to 1 from r ~ 38 to 38.5)")
 

@@ -106,12 +106,6 @@ class TestOriginDilation:
         alone = np.array([dilate_xy(p, q.xy) for p, q in zip(params, pts)])
         # the origin rows are translated by 0 with the others, which is exact here
         assert np.array_equal(out, alone)
-        # a saturated row names its own factors, the first in row order (rows 9 and 21 lie
-        # about the origin at r >= 0.05, so factors of 1000 or more carry them past r' = 50)
-        k = np.array([rows.k1, rows.k2])
-        k[:, [9, 21]] = [[1000.0, 2000.0], [1500.0, 2500.0]]
-        with pytest.raises(ChartSaturation, match=r"^factors k1=1000\.0, k2=1500\.0 carry"):
-            dilate_xy(DilationParams(rows.center, *k), np.array([p.xy for p in pts]))
 
 
 class TestOriginChartMap:
