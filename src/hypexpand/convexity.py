@@ -146,6 +146,13 @@ class GeodesicPolygon:
             object.__setattr__(self, name, value)
 
     @classmethod
+    def _of(cls, *fields):
+        """The polygon of validated fields (sheet, klein, hconvex), as _polygon_rows returns them."""
+        poly = object.__new__(cls)
+        poly._set(*fields)
+        return poly
+
+    @classmethod
     def from_polar(cls, pairs):
         """The polygon with the vertices (r, theta) of pairs (V, 2), whose radii tanh(r/2) must
         lie in the chart: the vertices are the farthest points of its boundary from the origin,
@@ -188,32 +195,61 @@ def klein_polygon_contains(kverts, probes):
     return inside
 
 
-def _hulls(pts, counts):
-    """Minimal h-convex polygons containing runs of the hyperboloid points pts (m, 3), the first
-    counts[0] rows, the next counts[1], ...; each by a Klein hull, its vertices rows of pts.
-
-    The points are divided to the Klein chart once; the hulls are validated in groups of one
-    vertex count, with the Klein rows they were hulled by."""
-    pts = np.asarray(pts, dtype=float)
-    klein = pts[:, :2] / pts[:, 2:]
-    hulls, by_count, start = [], {}, 0
+def _by_count(counts):
+    """The positions of counts grouped by value, {count: [positions]}, in order of first sight."""
+    groups = {}
     for t, m in enumerate(counts):
-        hulls.append(start + _convex_hull_2d(klein[start:start + m]))
-        by_count.setdefault(len(hulls[-1]), []).append(t)
+        groups.setdefault(m, []).append(t)
+    return groups
+
+
+def _hulls(chart, counts, polygons):
+    """The polygons hulling runs of the 2-D chart rows chart (m, 2): the first counts[0] rows, the
+    next counts[1], ...; the hull step of both surfaces' generators.
+
+    Each run is hulled by _convex_hull_2d.  polygons(group, rows) validates and builds the
+    polygons of one vertex count at once, from the positions of their runs and their hulls'
+    row indices (G, V) into chart, and returns them in the order of group."""
+    hulls, start = [], 0
+    for m in counts:
+        hulls.append(start + _convex_hull_2d(chart[start:start + m]))
         start += m
     polys = [None] * len(hulls)
-    for group in by_count.values():
-        rows = np.stack([hulls[t] for t in group])
-        for t, fields in zip(group, zip(*_polygon_rows(pts[rows], klein[rows]))):
-            polys[t] = object.__new__(GeodesicPolygon)
-            polys[t]._set(*fields)
+    for group in _by_count(map(len, hulls)).values():
+        for t, poly in zip(group, polygons(group, np.stack([hulls[t] for t in group]))):
+            polys[t] = poly
     return polys
+
+
+def _in_trial_order(build, *columns):
+    """build(*columns), whose columns hold one entry per trial of a block; an error is the one
+    that building the trials one at a time raises, the first failing trial's first failing check.
+
+    A block that fails is built again one trial at a time, to find that error."""
+    try:
+        return build(*columns)
+    except ValueError:
+        for row in zip(*columns):
+            build(*([x] for x in row))
+        raise
+
+
+def _klein_hulls(pts, counts):
+    """Minimal h-convex polygons containing runs of the hyperboloid points pts (m, 3), as _hulls
+    takes runs; each by a Klein hull, its vertices rows of pts.
+
+    The points are divided to the Klein chart once; each group of one vertex count is validated
+    with the Klein rows it was hulled by."""
+    pts = np.asarray(pts, dtype=float)
+    klein = pts[:, :2] / pts[:, 2:]
+    return _hulls(klein, counts, lambda group, rows: map(
+        GeodesicPolygon._of, *_polygon_rows(pts[rows], klein[rows])))
 
 
 def hyperbolic_hull(pts) -> GeodesicPolygon:
     """Minimal h-convex polygon containing the hyperboloid points pts (m, 3), by a Klein hull;
-    its vertices are rows of pts.  The one-polygon case of _hulls."""
-    return _hulls(pts, [len(pts)])[0]
+    its vertices are rows of pts.  The one-polygon case of _klein_hulls."""
+    return _klein_hulls(pts, [len(pts)])[0]
 
 
 # --- sampled regions ---------------------------------------------------------
@@ -361,12 +397,7 @@ def dilate_regions(polys, params, samples_per_edge=SAMPLES_PER_EDGE) -> list[Sam
     first failing check (its boundary samples, their translation to its center, its
     factors).
     """
-    try:
-        return _dilate_block(polys, params, samples_per_edge)
-    except ValueError:
-        for poly, p in zip(polys, params):
-            _dilate_block([poly], [p], samples_per_edge)
-        raise
+    return _in_trial_order(lambda *block: _dilate_block(*block, samples_per_edge), polys, params)
 
 
 def dilate_region(poly: GeodesicPolygon, params: DilationParams,
@@ -487,14 +518,14 @@ def star_hulls(stars, centers) -> list[GeodesicPolygon]:
     stars holds one _star_polar draw (radii, angles) per polygon and centers (T, 2) one
     center each.  Every point is lifted to the sheet in one call and boosted to its
     polygon's center in another, so the center is interior to each hull; then each
-    polygon's points are hulled (_hulls).
+    polygon's points are hulled (_klein_hulls).
     """
     counts = [len(radii) for radii, _ in stars]
     pts = hyperboloid_lift(*(np.concatenate(a) for a in zip(*stars)))
     centers = np.asarray(centers, dtype=float)
     if centers.any():
         pts = hyperboloid_translate(np.repeat(centers, counts, axis=0), pts)
-    return _hulls(pts, counts)
+    return _klein_hulls(pts, counts)
 
 
 def random_hconvex_polygon(rng, center=(0.0, 0.0), r_range=STAR_RADII) -> GeodesicPolygon:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import (_check_chart, _check_radii, _component_major, _read_only, cart_to_polar,
-                   mobius_translate, polar_to_cart)
+                   hyperboloid_lift, hyperboloid_translate, mobius_translate, polar_to_cart)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,19 +77,31 @@ def dilate_xy(params: DilationParams, xy):
     The polar map is chart-free, but the Poincare chart is not: from r' ~ 38
     tanh(r'/2) rounds to 1.0, and the image point would land on the unit circle.
     Points that the translation to the center carries onto it, and images whose radius
-    r' about the center has tanh(r'/2) rounded to 1, raise ChartSaturation, naming the
-    center or the factors of the first row: every row's, where the rows share one
-    dilation.  The arithmetic is elementwise, so a row's image depends on its own point,
-    center and factors alone, except that a row about the origin passed with off-origin
-    rows is translated by 0 with them, which turns a coordinate -0.0 into 0.0.
+    r' about the center, or whose distance from the origin, has tanh(r/2) rounded to 1,
+    raise ChartSaturation, naming the center or the factors of the first row: every row's,
+    where the rows share one dilation.  The arithmetic is elementwise, so a row's image
+    depends on its own point, center and factors alone, except that a row about the origin
+    passed with off-origin rows is translated by 0 with them, which turns a coordinate -0.0
+    into 0.0.
     """
     xy = np.asarray(xy, dtype=float)
     c, k1, k2 = params.center, params.k1, params.k2
+    first = c.reshape(-1, 2)[0].tolist()
     off = c.any()
     if off:
         xy = mobius_translate(-c, xy)
-        _check_chart(xy, f"the translation to the center {c.reshape(-1, 2)[0].tolist()} carries")
+        _check_chart(xy, f"the translation to the center {first} carries")
     r, theta = dilate_origin_polar(k1, k2, *cart_to_polar(xy))
-    _check_radii(r, f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r} carry")
+    factors = f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r}"
+    _check_radii(r, f"{factors} carry")
     out = polar_to_cart(r, theta)
-    return mobius_translate(c, out) if off else out
+    if not off:
+        return out
+    # An image row lies at most d(0, c) + r' from the origin.  Only where that bound saturates is
+    # its distance taken exactly, as arccosh z of its sheet row boosted to the center.
+    far = np.tanh(r / 2.0 + np.arctanh(np.hypot(c[..., 0], c[..., 1]))) >= 1.0
+    if far.any():
+        sheet = hyperboloid_translate(np.broadcast_to(c, out.shape)[far],
+                                      hyperboloid_lift(r[far], theta[far]))
+        _check_radii(np.arccosh(sheet[:, 2]), f"{factors} about the center {first} carry")
+    return mobius_translate(c, out)

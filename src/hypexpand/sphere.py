@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (_check_loop, _check_polygon_chart, _chord_plan, _convex_hull_2d,
-                        _edge_ts, _next_rows, _star_polar, klein_polygon_contains)
+from .convexity import (_by_count, _check_loop, _check_polygon_chart, _chord_plan, _edge_ts,
+                        _hulls, _in_trial_order, _next_rows, _star_polar, klein_polygon_contains)
 from .dilation import dilate_origin_chart, dilate_origin_polar
 from .disk import _read_only
 
@@ -40,6 +40,8 @@ MAX_VERTICES, MAX_RHO = 10, 1.2
 # sampling of conjecture_trial (4x on a recheck); every SYMMETRIC_EVERY-th trial has k1 == k2
 PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 24, 64, 16
 SYMMETRIC_EVERY = 5
+# conjecture_trial's trials whose polygons and regions are built at once, as cli.THEOREM_BLOCK's
+CONJECTURE_BLOCK = 20
 
 
 def _unit_rows(v):
@@ -55,6 +57,15 @@ def _cross(a, b):
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _along(v, a):
+    """The products v @ a of rows v (..., m, 3) with an axis a (3,), or one axis per stack of rows
+    (G, 1, 3) for v (G, m, 3); shape (..., m).
+
+    matmul runs a stack's products as v @ a runs them for that stack alone; elementwise sums and
+    single-row products round differently."""
+    return np.matmul(v, np.swapaxes(np.atleast_2d(a), -1, -2))[..., 0]
 
 
 def angular_distance(a, b):
@@ -82,11 +93,18 @@ class Chart:
         self.n = _unit_rows(n)
         self.e1, self.e2 = tangent_frame(self.n)
 
+    @classmethod
+    def _stack(cls, charts):
+        """The charts as one whose frame vectors are stacked (G, 1, 3): its maps take a stack of
+        rows (G, m, ...) per chart, and give each the bits its own chart gives it."""
+        chart = object.__new__(cls)
+        for name in ("n", "e1", "e2"):
+            setattr(chart, name, np.stack([getattr(c, name) for c in charts])[:, None])
+        return chart
+
     def to_polar(self, v):
         """Geodesic polar coordinates (rho, theta) of unit vectors v (..., 3) about the center."""
-        x = v @ self.e1
-        y = v @ self.e2
-        z = v @ self.n
+        x, y, z = (_along(v, a) for a in (self.e1, self.e2, self.n))
         return np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
 
     def from_polar(self, rho, theta):
@@ -107,10 +125,10 @@ class Chart:
     def gnomonic(self, pts):
         """Central projection to the tangent plane at c; great circles map to straight lines."""
         v = np.atleast_2d(np.asarray(pts, dtype=float))
-        z = v @ self.n
+        z = _along(v, self.n)
         if not np.all(z > HEMISPHERE_MARGIN):
             raise ValueError("gnomonic projection requires the open hemisphere")
-        return np.stack([v @ self.e1 / z, v @ self.e2 / z], axis=-1)
+        return np.stack([_along(v, self.e1) / z, _along(v, self.e2) / z], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +142,32 @@ class SphericalPolygon:
     convex: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        xyz = _unit_rows(self.xyz).reshape(-1, 3)
-        if not np.all(angular_distance(xyz, self.chart.n) < math.pi / 2 - HEMISPHERE_MARGIN):
-            raise ValueError("vertex outside the open hemisphere about the center")
-        object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "uv", _read_only(self.chart.gnomonic(xyz)))
-        object.__setattr__(self, "convex", bool(_check_polygon_chart(self.uv)))
+        self._set(*_polygon_rows(np.reshape(self.xyz, (-1, 3)), self.chart))
+
+    def _set(self, xyz, uv, convex):
+        for name, value in (("xyz", xyz), ("uv", uv), ("convex", bool(convex))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, chart, *fields):
+        """The polygon in chart of validated fields (xyz, uv, convex), as _polygon_rows returns
+        them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "chart", chart)
+        poly._set(*fields)
+        return poly
+
+
+def _polygon_rows(xyz, chart):
+    """Read-only unit rows xyz (..., V, 3), their gnomonic rows (..., V, 2) and convexity flags
+    (...) of polygons in chart, one chart or a stack of one per polygon; ValueError unless each
+    is a simple ccw polygon in the open hemisphere about its center."""
+    xyz = _unit_rows(xyz)
+    if not np.all(angular_distance(xyz, chart.n) < math.pi / 2 - HEMISPHERE_MARGIN):
+        raise ValueError("vertex outside the open hemisphere about the center")
+    uv = chart.gnomonic(xyz)
+    uv.setflags(write=False)
+    return xyz, uv, _check_polygon_chart(uv)
 
 
 def great_circle_points(a, b, ts):
@@ -171,14 +209,39 @@ class SphericalRegion:
         _check_loop(self.boundary, self.samples_per_edge, len(self.polygon.xyz))
 
 
-def contract_polygon(poly: SphericalPolygon, k1, k2, per_edge=PER_EDGE) -> SphericalRegion:
-    """Image of the polygon under the contraction, as a sampled boundary loop.
+def _contract_block(polys, k1, k2, per_edge):
+    """contract_polygon of a block without its error order: the first stage that fails raises."""
+    ts = _edge_ts(per_edge)
+    counts = [len(poly.xyz) for poly in polys]
+    loop = great_circle_points(np.concatenate([poly.xyz for poly in polys]),
+                               np.concatenate([_next_rows(poly.xyz) for poly in polys]), ts)
+    starts = np.cumsum([0] + counts)
+    regions = [None] * len(polys)
+    for v, group in _by_count(counts).items():
+        samples = loop[starts[group][:, None] + np.arange(v)].reshape(len(group), v * per_edge, 3)
+        # closed: each region's first row again
+        img = Chart._stack([polys[t].chart for t in group]).contract(
+            *(np.array([k[t] for t in group], dtype=float)[:, None] for k in (k1, k2)),
+            np.concatenate((samples, samples[:, :1]), axis=1))
+        for t, boundary in zip(group, img):
+            regions[t] = SphericalRegion(boundary, polys[t], per_edge, float(k1[t]), float(k2[t]))
+    return regions
 
-    Factors 1, 1 give the polygon's own boundary, up to the rounding of the polar chart."""
-    verts = poly.xyz
-    loop = great_circle_points(verts, _next_rows(verts), _edge_ts(per_edge)).reshape(-1, 3)
-    img = poly.chart.contract(k1, k2, np.vstack([loop, loop[:1]]))
-    return SphericalRegion(img, poly, per_edge, float(k1), float(k2))
+
+def contract_polygon(poly, k1, k2, per_edge=PER_EDGE):
+    """Images of the polygons of the sequence poly, each under the contraction by its own
+    factors k1[t], k2[t], as sampled boundary loops.  Factors 1, 1 give a polygon's own
+    boundary, up to the rounding of the polar chart.
+
+    The regions are built together: one great_circle_points call samples every edge, and each
+    group of one vertex count is contracted in its stack of charts, so each region has the bits
+    it has built alone.  An error is the one that building the regions one at a time raises.  A
+    SphericalPolygon with scalar factors is the block of one and returns one region."""
+    one = isinstance(poly, SphericalPolygon)
+    if one:
+        poly, k1, k2 = [poly], [k1], [k2]
+    regions = _in_trial_order(lambda *block: _contract_block(*block, per_edge), poly, k1, k2)
+    return regions[0] if one else regions
 
 
 def _gnomonic_radius(rho):
@@ -221,15 +284,46 @@ def s_convexity_defect(region: SphericalRegion, pair_samples=PAIR_SAMPLES,
     return float(np.max(dist))
 
 
+def _polygon_block(centers, stars):
+    """random_convex_spherical_polygon of a block's draws without its error order."""
+    charts = [Chart(center) for center in centers]
+    counts = [len(radii) for radii, _ in stars]
+    starts = np.cumsum([0] + counts)
+    pts, uv = np.empty((starts[-1], 3)), np.empty((starts[-1], 2))
+    for m, group in _by_count(counts).items():
+        chart = Chart._stack([charts[t] for t in group])
+        drawn = chart.from_polar(*(np.stack(a) for a in zip(*(stars[t] for t in group))))
+        rows = starts[group][:, None] + np.arange(m)
+        pts[rows], uv[rows] = drawn, chart.gnomonic(drawn)
+
+    def polygons(group, rows):
+        fields = _polygon_rows(pts[rows], Chart._stack([charts[t] for t in group]))
+        return map(SphericalPolygon._of, (charts[t] for t in group), *fields)
+    return _hulls(uv, counts, polygons)
+
+
 def random_convex_spherical_polygon(rng, center=None):
-    """Random convex polygon in the open hemisphere about a (random) unit center (3,); its
-    vertices are rows of the drawn points, hulled in the gnomonic chart."""
-    if center is None:
-        v = rng.normal(size=3)
-        center = v / np.linalg.norm(v)
-    chart = Chart(center)
-    pts = chart.from_polar(*_star_polar(rng, MAX_VERTICES, (0.1, MAX_RHO)))
-    return SphericalPolygon(pts[_convex_hull_2d(chart.gnomonic(pts))], chart)
+    """Random convex polygons, one per generator of the sequence rng, each in the open
+    hemisphere about its unit center (3,): center[t], or drawn from the generator.  A polygon's
+    vertices are rows of its drawn points, hulled in its gnomonic chart.
+
+    Each generator draws what it draws alone: its center, then its _star_polar points.  The
+    points are mapped from polar and projected in groups of one point count, in a stack of
+    their charts, and hulled by the hull step the H² generator runs (convexity._hulls), so each
+    polygon has the bits it has built alone.  An error is the one that building the polygons
+    one at a time raises.  A bare Generator, with one center or none, is the block of one and
+    returns one polygon."""
+    one = isinstance(rng, np.random.Generator)
+    if one:
+        rng, center = [rng], None if center is None else [center]
+    drawn, stars = [], []
+    for gen in rng:
+        if center is None:
+            v = gen.normal(size=3)
+            drawn.append(v / np.linalg.norm(v))
+        stars.append(_star_polar(gen, MAX_VERTICES, (0.1, MAX_RHO)))
+    polys = _in_trial_order(_polygon_block, drawn if center is None else center, stars)
+    return polys[0] if one else polys
 
 
 def conjecture_trial(seed, trials):
@@ -242,25 +336,28 @@ def conjecture_trial(seed, trials):
     by (seed, trial index).
     """
     results = []
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        poly = random_convex_spherical_polygon(rng)
-        k1 = float(rng.uniform(0.01, 1.0))
-        symmetric = (i % SYMMETRIC_EVERY == 0)
-        k2 = k1 if symmetric else float(rng.uniform(0.01, 1.0))
-        defect = s_convexity_defect(contract_polygon(poly, k1, k2))
-        rechecked = None
-        if defect > DEFECT_EXCEEDANCE:
-            region4 = contract_polygon(poly, k1, k2, per_edge=4 * PER_EDGE)
-            rechecked = s_convexity_defect(region4, 4 * PAIR_SAMPLES, 4 * SEGMENT_SAMPLES)
-        results.append({
-            "trial": i, "seed": seed, "k1": k1, "k2": k2,
-            "symmetric": symmetric, "n_vertices": len(poly.xyz),
-            "defect": defect,
-            "defect_recheck_4x": rechecked,
-            "exceeds": bool((rechecked if rechecked is not None else defect)
-                            > DEFECT_EXCEEDANCE),
-        })
+    for start in range(0, trials, CONJECTURE_BLOCK):
+        block = range(start, min(start + CONJECTURE_BLOCK, trials))
+        rngs = [np.random.default_rng([seed, i]) for i in block]
+        polys = random_convex_spherical_polygon(rngs)
+        k1 = [float(rng.uniform(0.01, 1.0)) for rng in rngs]
+        k2 = [k if i % SYMMETRIC_EVERY == 0 else float(rng.uniform(0.01, 1.0))
+              for i, k, rng in zip(block, k1, rngs)]
+        for i, region in zip(block, contract_polygon(polys, k1, k2)):
+            defect = s_convexity_defect(region)
+            rechecked = None
+            if defect > DEFECT_EXCEEDANCE:
+                region4 = contract_polygon(region.polygon, region.k1, region.k2,
+                                           per_edge=4 * PER_EDGE)
+                rechecked = s_convexity_defect(region4, 4 * PAIR_SAMPLES, 4 * SEGMENT_SAMPLES)
+            results.append({
+                "trial": i, "seed": seed, "k1": region.k1, "k2": region.k2,
+                "symmetric": i % SYMMETRIC_EVERY == 0, "n_vertices": len(region.polygon.xyz),
+                "defect": defect,
+                "defect_recheck_4x": rechecked,
+                "exceeds": bool((rechecked if rechecked is not None else defect)
+                                > DEFECT_EXCEEDANCE),
+            })
 
     def summary(rs):
         return {"max_defect": max((r["defect"] for r in rs), default=0.0),

@@ -9,9 +9,10 @@ formula, the lemma margins have Taylor-sum, direct and slope forms, and the
 auxiliary functions phi and psi have the forms that evaluate both branches.
 Points are given in polar, Cartesian and hyperboloid form.  The Klein chart
 maps, the gnomonic inverse and the angle wrap serve the tests only: a
-polygon keeps the surface rows its generator drew.  The H² generator, region
-builder and verify-theorem trial are kept as they ran one trial at a time, the
-bitwise references of the builders that take a block of trials.
+polygon keeps the surface rows its generator drew.  The generator, region
+builder and trial of verify-theorem (H²) and of sphere-conjecture (S²) are kept
+as they ran one trial at a time, the bitwise references of the builders that
+take a block of trials.
 """
 
 import math
@@ -20,15 +21,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from hypexpand.convexity import (SAMPLES_PER_EDGE, SampledRegion, _star_polar, convexity_defect,
-                                 hyperbolic_hull)
+from hypexpand import sphere
+from hypexpand.convexity import (SAMPLES_PER_EDGE, SampledRegion, _check_polygon_chart,
+                                 _convex_hull_2d, _star_polar, convexity_defect, hyperbolic_hull)
 from hypexpand.curvature import SERIES_CUTOFF, phi, psi
-from hypexpand.dilation import DilationParams, dilate_xy
+from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
 from hypexpand.disk import (_check_chart, cart_to_polar, chord_jet, curvature_from_derivatives,
                             geodesic_chord_points, hyperboloid_cart, hyperboloid_lift,
                             hyperboloid_translate, mobius_translate, polar_chord_radius,
                             polar_to_cart)
 from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
+from hypexpand.sphere import Chart, SphericalPolygon, SphericalRegion, great_circle_points
 
 # first-derivative finite-difference step on t; stencils are central and
 # Richardson-extrapolated once.  Second-derivative steps are chosen per
@@ -446,3 +449,85 @@ def per_trial_theorem(seed, i, k_range=(1.0, 4.0), forced_k1=None, forced_k2=Non
     return poly, region, {"trial": i, "k1": k1, "k2": k2, "n_vertices": len(poly.sheet),
                           "center_polar": [float(r), float(theta)],
                           "defect": convexity_defect(region)}
+
+
+# --- the S² pipeline one trial at a time ----------------------------------------
+
+def _s2_from_polar(chart, rho, theta):
+    """Chart.from_polar of one chart: unit rows (m, 3) of the polar rows (rho, theta)."""
+    sr = np.sin(rho)
+    return (np.cos(rho)[:, None] * chart.n + (sr * np.cos(theta))[:, None] * chart.e1
+            + (sr * np.sin(theta))[:, None] * chart.e2)
+
+
+def _s2_gnomonic(chart, v):
+    """Chart.gnomonic of one chart, by one matrix-vector product per frame vector."""
+    z = v @ chart.n
+    assert np.all(z > sphere.HEMISPHERE_MARGIN)
+    return np.stack([v @ chart.e1 / z, v @ chart.e2 / z], axis=-1)
+
+
+class S2Polygon(NamedTuple):
+    """A spherical polygon as random_convex_spherical_polygon built it alone."""
+
+    xyz: np.ndarray
+    uv: np.ndarray
+    convex: bool
+    chart: Chart
+
+
+def per_trial_spherical_polygon(rng, center=None):
+    """random_convex_spherical_polygon as one polygon's own calls: its center and chart, its
+    star's points, their gnomonic rows, their hull, and the hull's gnomonic rows."""
+    if center is None:
+        v = rng.normal(size=3)
+        center = v / np.linalg.norm(v)
+    chart = Chart(center)
+    pts = _s2_from_polar(chart, *_star_polar(rng, sphere.MAX_VERTICES, (0.1, sphere.MAX_RHO)))
+    xyz = pts[_convex_hull_2d(_s2_gnomonic(chart, pts))]
+    uv = _s2_gnomonic(chart, xyz)
+    return S2Polygon(xyz, uv, bool(_check_polygon_chart(uv)), chart)
+
+
+def per_trial_contraction(xyz, chart, k1, k2, per_edge=sphere.PER_EDGE):
+    """contract_polygon's boundary (N + 1, 3) as one region's own calls: its edge samples, closed,
+    their polar rows by one matrix-vector product per frame vector, and the polar map."""
+    ts = np.arange(per_edge, dtype=float) / per_edge
+    loop = great_circle_points(xyz, np.roll(xyz, -1, axis=0), ts).reshape(-1, 3)
+    v = np.vstack([loop, loop[:1]])
+    x, y, z = v @ chart.e1, v @ chart.e2, v @ chart.n
+    rho = np.arctan2(np.hypot(x, y), z)
+    if not np.all(rho < math.pi / 2):
+        raise ValueError("points outside the open hemisphere about the center")
+    return _s2_from_polar(chart, *dilate_origin_polar(k1, k2, rho, np.arctan2(y, x)))
+
+
+def per_trial_conjecture(seed, i):
+    """sphere-conjecture's trial i alone: its polygon, its region, its 4x region (None unless
+    the defect is rechecked) and its result."""
+    rng = np.random.default_rng([seed, i])
+    poly = per_trial_spherical_polygon(rng)
+    k1 = float(rng.uniform(0.01, 1.0))
+    symmetric = (i % sphere.SYMMETRIC_EVERY == 0)
+    k2 = k1 if symmetric else float(rng.uniform(0.01, 1.0))
+    polygon = SphericalPolygon(poly.xyz, poly.chart)
+
+    def region(per_edge):
+        boundary = per_trial_contraction(poly.xyz, poly.chart, k1, k2, per_edge)
+        return SphericalRegion(boundary, polygon, per_edge, k1, k2)
+
+    region1, region4 = region(sphere.PER_EDGE), None
+    defect = sphere.s_convexity_defect(region1)
+    rechecked = None
+    if defect > sphere.DEFECT_EXCEEDANCE:
+        region4 = region(4 * sphere.PER_EDGE)
+        rechecked = sphere.s_convexity_defect(region4, 4 * sphere.PAIR_SAMPLES,
+                                              4 * sphere.SEGMENT_SAMPLES)
+    return poly, region1, region4, {
+        "trial": i, "seed": seed, "k1": k1, "k2": k2,
+        "symmetric": symmetric, "n_vertices": len(poly.xyz),
+        "defect": defect,
+        "defect_recheck_4x": rechecked,
+        "exceeds": bool((rechecked if rechecked is not None else defect)
+                        > sphere.DEFECT_EXCEEDANCE),
+    }

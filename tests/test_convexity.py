@@ -946,6 +946,10 @@ class TestRegionBlocks:
     TRANSLATION = (GeodesicPolygon.from_polar([(36.0, 0.0), (36.0, 2.1), (36.0, -2.1)]),
                    DilationParams((0.9, 0.0), 1.0, 1.0))
     BOTH = (BOUNDARY[0], DilationParams((0.0, 0.0), 40.0, 1.0))
+    # r' = 37 about a center 1.5 out, whose vertex facing away reaches 38.5 from the origin
+    FINAL = (GeodesicPolygon.from_polar(np.column_stack(cart_to_polar(mobius_translate(
+        polar_to_cart(1.5, 0.3), polar_to_cart(3.7, [0.3, 2.4, -1.8]))))),
+        DilationParams(polar_to_cart(1.5, 0.3), 10.0, 10.0))
 
     @pytest.mark.parametrize("names, cause", [
         (("FACTORS",), "factors k1=40.0, k2=1.0 carry"),
@@ -957,6 +961,8 @@ class TestRegionBlocks:
         (("FINE", "TRANSLATION", "BOUNDARY"), "the translation to the center [0.9, 0.0] carries"),
         (("FACTORS", "TRANSLATION", "FINE"), "factors k1=40.0, k2=1.0 carry"),
         (("FINE", "FINE", "BOTH", "FACTORS"), "the polygon's vertices carry"),
+        (("FINAL",), "factors k1=10.0, k2=10.0 about the center"),
+        (("FINE", "FINAL", "FACTORS"), "factors k1=10.0, k2=10.0 about the center"),
     ])
     def test_a_block_raises_what_building_one_region_at_a_time_raises(self, names, cause):
         polys, params = zip(*(getattr(self, name) for name in names))

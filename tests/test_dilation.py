@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -93,6 +94,19 @@ class TestOriginDilation:
                 moved = mobius_translate(center.xy, xy) if center.r else xy
                 with pytest.raises(ChartSaturation, match=r"^factors k1=50\.0, k2=50\.0 carry"):
                     dilate_xy(params, moved)
+
+    def test_an_image_the_translation_back_carries_past_the_chart_is_refused(self):
+        # about a center 1.5 from the origin, r' = 37 keeps tanh(r'/2) below 1, yet the image
+        # rows lie up to 38.5 from the origin: without a check of their distance from the
+        # origin every row came back, 12,872 of the 20,001 with norm >= 1
+        center = polar_point(1.5, 0.3)
+        thetas = np.linspace(-math.pi, math.pi, 20001)
+        xy = mobius_translate(center.xy, polar_to_cart(3.7, thetas))
+        r2, _ = dilate_origin_polar(10.0, 10.0, 3.7, thetas)
+        assert np.all(np.tanh(r2 / 2.0) < 1.0)
+        cause = re.escape(f"factors k1=10.0, k2=10.0 about the center {center.xy.tolist()} carry")
+        with pytest.raises(ChartSaturation, match="^" + cause):
+            dilate_xy(DilationParams(center.xy, 10.0, 10.0), xy)
 
     def test_rows_with_their_own_dilations_are_each_dilated_alone(self):
         rng = np.random.default_rng(61)

@@ -12,6 +12,7 @@ from hypexpand import convexity, sphere
 from hypexpand.convexity import SIDEDNESS_TOL, GeodesicPolygon
 from hypexpand.dilation import dilate_origin_polar
 from hypexpand.sphere import (
+    CONJECTURE_BLOCK,
     Chart,
     SphericalPolygon,
     SphericalRegion,
@@ -23,7 +24,8 @@ from hypexpand.sphere import (
     s_convexity_defect,
     tangent_frame,
 )
-from references import gnomonic_inverse
+from references import (gnomonic_inverse, per_trial_conjecture, per_trial_contraction,
+                        per_trial_spherical_polygon)
 
 NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -608,3 +610,97 @@ class TestBatchedPolygonLayer:
         report = conjecture_trial(0, 10)
         assert any(r["defect_recheck_4x"] is not None for r in report["results"])
         assert len(calls) == 10  # the chart a polygon is drawn in is the one it holds
+
+
+class TestSphereBlocks:
+    """conjecture_trial builds a block of trials at once; references.per_trial_conjecture builds
+    each trial alone."""
+
+    @staticmethod
+    def assert_same_polygon(poly, ref):
+        assert np.array_equal(poly.xyz, ref.xyz)
+        assert np.array_equal(poly.uv, ref.uv)
+        assert poly.convex is ref.convex
+        for name in ("n", "e1", "e2"):
+            assert np.array_equal(getattr(poly.chart, name), getattr(ref.chart, name))
+
+    @pytest.mark.parametrize("seed, trials", [
+        (0, CONJECTURE_BLOCK - 1), (3, CONJECTURE_BLOCK), (7, CONJECTURE_BLOCK + 1), (11, 500),
+    ])
+    def test_blocks_build_the_per_trial_polygons_and_regions(self, seed, trials, monkeypatch):
+        regions = []
+
+        def spy(region, *sampling):
+            regions.append(region)
+            return s_convexity_defect(region, *sampling)
+
+        monkeypatch.setattr(sphere, "s_convexity_defect", spy)
+        report = conjecture_trial(seed, trials)
+        monkeypatch.undo()
+        for i in range(trials):
+            poly, ref, ref4, result = per_trial_conjecture(seed, i)
+            region = regions.pop(0)
+            self.assert_same_polygon(region.polygon, poly)
+            assert np.array_equal(region.boundary, ref.boundary)
+            if ref4 is not None:
+                region4 = regions.pop(0)
+                assert region4.polygon is region.polygon
+                assert np.array_equal(region4.boundary, ref4.boundary)
+            assert report["results"][i] == result
+        assert regions == []
+
+    def test_given_centers_build_the_per_trial_polygons(self):
+        centers = [unit(c) for c in np.random.default_rng(78).normal(size=(CONJECTURE_BLOCK, 3))]
+        polys = random_convex_spherical_polygon(
+            [np.random.default_rng([78, i]) for i in range(len(centers))], centers)
+        for i, (poly, center) in enumerate(zip(polys, centers)):
+            ref = per_trial_spherical_polygon(np.random.default_rng([78, i]), center)
+            self.assert_same_polygon(poly, ref)
+        one = random_convex_spherical_polygon(np.random.default_rng([78, 0]), centers[0])
+        self.assert_same_polygon(one, per_trial_spherical_polygon(np.random.default_rng([78, 0]),
+                                                                  centers[0]))
+
+    # hand-built polygons whose images under factors > 1 leave the hemisphere about their
+    # centers, which the contraction does not check, and a dart, which a region refuses
+    @staticmethod
+    def hand_built():
+        wide = north_polygon(1.4, [0.2, 2.2, 4.4])
+        chart = Chart(unit([0.3, -0.2, 1.0]))
+        tilted = SphericalPolygon(chart.from_polar(np.array([1.1, 1.3, 0.9, 1.2]),
+                                                   np.array([0.1, 1.7, 3.0, 4.6])), chart)
+        dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
+        dart = SphericalPolygon(gnomonic_inverse(Chart(NORTH), dart_uv), Chart(NORTH))
+        return wide, tilted, dart
+
+    def test_regions_past_the_hemisphere_are_built_as_one_at_a_time(self):
+        wide, tilted, _ = self.hand_built()
+        polys, k1, k2 = [wide, tilted, wide], [2.0, 3.0, 1.2], [2.0, 0.5, 1.0]
+        for per_edge in (16, 24):
+            regions = contract_polygon(polys, k1, k2, per_edge)
+            for region, poly, a, b in zip(regions, polys, k1, k2):
+                assert region.polygon is poly and (region.k1, region.k2) == (a, b)
+                ref = per_trial_contraction(poly.xyz, poly.chart, a, b, per_edge)
+                assert np.array_equal(region.boundary, ref)
+            rho = [np.max(r.polygon.chart.to_polar(r.boundary)[0]) for r in regions]
+            assert rho[0] > 2.5 and rho[1] > 3.0 and rho[2] > math.pi / 2
+
+    @pytest.mark.parametrize("order", [(2,), (0, 2), (2, 0), (0, 1, 2, 2), (1, 0, 2)])
+    def test_a_block_raises_what_building_one_region_at_a_time_raises(self, order, monkeypatch):
+        built = self.hand_built()
+        polys = [built[t] for t in order]
+        k1 = [2.0 + t for t in order]
+
+        def raised(build):
+            with pytest.raises(ValueError) as error:
+                build()
+            return str(error.value)
+
+        alone = raised(lambda: [contract_polygon(p, k, 1.0) for p, k in zip(polys, k1)])
+        # the block is built again one region at a time: the regions built before the failing
+        # one are the ones the per-trial loop builds before it raises
+        calls = []
+        block = sphere._contract_block
+        monkeypatch.setattr(sphere, "_contract_block", lambda *a: calls.append(a[0]) or block(*a))
+        assert raised(lambda: contract_polygon(polys, k1, [1.0] * len(polys))) == alone
+        assert [len(c) for c in calls[1:]] == [1] * (order.index(2) + 1)
+        assert [c[0] for c in calls[1:]] == polys[:order.index(2) + 1]
