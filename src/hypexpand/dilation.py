@@ -97,10 +97,13 @@ def dilate_xy(params: DilationParams, xy):
     out = polar_to_cart(r, theta)
     if not off:
         return out
-    # An image row lies at most d(0, c) + r' from the origin.  Only where that bound saturates is
-    # its distance taken exactly, as arccosh z of its sheet row boosted to the center.
-    far = np.tanh(r / 2.0 + np.arctanh(np.hypot(c[..., 0], c[..., 1]))) >= 1.0
-    if far.any():
+    # An image row lies at most d(0, c) + r' from the origin, so no farther than the largest r'
+    # and the farthest center together.  Only where that bound saturates is a row's own bound
+    # formed, and only where that saturates is its distance taken exactly, as arccosh z of its
+    # sheet row boosted to the center.
+    cc = c[..., 0] * c[..., 0] + c[..., 1] * c[..., 1]
+    if np.tanh(np.max(r, initial=0.0) / 2.0 + np.arctanh(np.sqrt(np.max(cc)))) >= 1.0:
+        far = np.tanh(r / 2.0 + np.arctanh(np.sqrt(cc))) >= 1.0
         sheet = hyperboloid_translate(np.broadcast_to(c, out.shape)[far],
                                       hyperboloid_lift(r[far], theta[far]))
         _check_radii(np.arccosh(sheet[:, 2]), f"{factors} about the center {first} carry")
