@@ -26,8 +26,8 @@ from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
 
-# Rows per `%` formatting call of a CSV: the temporary tuple of boxed values
-# holds one block, not the whole table, which keeps peak memory down.
+# Rows per block of the CSV kernel: its index arrays (25 per value) and its text hold one
+# block of rows, not the whole table, which keeps peak memory down.
 CSV_BLOCK_ROWS = 1024
 
 # verify-theorem trials whose polygons and regions are built at once: per-trial numpy calls
@@ -45,26 +45,148 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# --- %.17g of a block of doubles ---------------------------------------------
+#
+# '%.17g' % x writes 17 significant digits: N = x * 10^(16 - k) rounded half-even, with
+# k = floor(log10 |x|).  Where 10^-6 <= |x| < 10^17, 10^(16 - k) is an exact double (10^p is for
+# p <= 22), so Dekker's two-product gives x * 10^(16 - k) exactly as hi + lo.  hi, in
+# [10^16, 10^17], is an even integer, so N = hi + rint(lo), rounded half-even, is exact in int64.
+# The text is then taken byte by byte from N's digits and a few constants by a template per
+# (exponent, sign, significant digits): that text with the digits written A..Q.  Zeros,
+# non-finite values and other exponents are formatted by Python, and so would be a value whose
+# N rounds up to 10^17; in this range none does (only the double just below a power of ten
+# could, and none of 10^-5 .. 10^17 has one within half a unit of its 17th digit).
+_G17_K_MIN, _G17_K_MAX = -6, 16
+_G17_SLOT = 25  # bytes per value: its text (at most 24, as -2.2250738585072014e-308), padding, ','
+# a value's source row: its 17 digits, which a template writes A..Q, then these constants
+_G17_SOURCE = "ABCDEFGHIJKLMNOPQ\0-.e+,0123456789"
+_G17_CONST = np.frombuffer(_G17_SOURCE[17:].encode(), np.uint8)
+_POW10 = 10.0 ** np.arange(23)
+_VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two 26-bit halves
+_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digit_tables():
+    """The four ASCII digits of each of 0..9999 as one uint32, and its trailing zeros (4 for
+    0000)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8)  # most significant first
+    ascii4 = np.stack(digits + ord("0"), axis=-1).reshape(10000, 4).view(np.uint32).ravel()
+    zeros = np.cumprod(digits[::-1] == 0, axis=0, dtype=np.uint8).sum(axis=0, dtype=np.uint8)
+    return ascii4, zeros.ravel()
+
+
+_DIGITS4, _TRAILING_ZEROS4 = _digit_tables()
+
+
+def _g17_template(exp, negative, n_digits):
+    """The text of a value with this decimal exponent, sign and number of significant digits,
+    its digits written A..Q."""
+    digits = _G17_SOURCE[:n_digits]
+    if exp < -4:  # '%.17g' takes its exponent form below 10^-4 (and from 10^17)
+        text = digits[0] + ("." + digits[1:] if n_digits > 1 else "") + "e%+03d" % exp
+    elif exp < 0:
+        text = "0." + "0" * (-exp - 1) + digits
+    elif n_digits <= exp + 1:
+        text = digits + "0" * (exp + 1 - n_digits)
+    else:
+        text = digits[:exp + 1] + "." + digits[exp + 1:]
+    return "-" + text if negative else text
+
+
+def _g17_templates():
+    """Source-row indices of every template, padded with NUL to its slot and ended by a comma;
+    row ((exp - _G17_K_MIN) * 2 + negative) * 17 + n_digits - 1."""
+    text = "".join(_g17_template(exp, negative, n_digits).ljust(_G17_SLOT - 1, "\0") + ","
+                   for exp in range(_G17_K_MIN, _G17_K_MAX + 1) for negative in (0, 1)
+                   for n_digits in range(1, 18))
+    index = text.translate({ord(c): i for i, c in enumerate(_G17_SOURCE)})
+    return np.frombuffer(index.encode("latin-1"), np.uint8).reshape(-1, _G17_SLOT)
+
+
+_G17_TEMPLATES = _g17_templates()
+
+
+def _times_pow10(a, p):
+    """hi, lo with hi + lo = a * 10^p exactly, for 0 <= p <= 22 and a >= 10^-6 (Dekker)."""
+    hi = a * _POW10[p]
+    c = _VELTKAMP * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _g17_slots(x):
+    """The '%.17g' text of each double of x (n,), in a (n, _G17_SLOT) uint8 slot each: the text,
+    NUL padding and a comma."""
+    n = len(x)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))
+    exact = (k >= _G17_K_MIN) & (k <= _G17_K_MAX)  # false for 0, nan and inf
+    k = np.where(exact, k, 0).astype(np.intp)
+    a = np.where(exact, a, 1.0)
+    hi, lo = _times_pow10(a, 16 - k)
+    # log10 can round across a power of ten: the exact product moves k by one
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    moved = np.flatnonzero(low | high)
+    if len(moved):
+        k[moved] += np.where(high[moved], 1, -1)
+        inside = (k[moved] >= _G17_K_MIN) & (k[moved] <= _G17_K_MAX)
+        exact[moved] = inside
+        k[moved[~inside]], a[moved[~inside]] = 0, 1.0
+        hi[moved], lo[moved] = _times_pow10(a[moved], 16 - k[moved])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # in [10^16, 10^17]
+    exact &= digits < 10 ** 17
+    # the leading digit, then four groups of four digits: two halves of 8 digits in int32
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    halves = np.empty((n, 2), np.int32)
+    halves[:, 0] = rest // 10 ** 8
+    halves[:, 1] = rest - halves[:, 0].astype(np.int64) * 10 ** 8
+    groups = np.empty((n, 2, 2), np.intp)
+    groups[..., 0] = halves // 10 ** 4
+    groups[..., 1] = halves - groups[..., 0] * 10 ** 4
+    groups = groups.reshape(n, 4)
+    zeros = _TRAILING_ZEROS4.take(groups)
+    trailing = zeros[:, 0]
+    for j in (1, 2, 3):
+        trailing = zeros[:, j] + (zeros[:, j] == 4) * trailing
+    src = np.empty((n, len(_G17_SOURCE)), np.uint8)
+    src[:, 0] = lead + ord("0")
+    src[:, 1:17] = _DIGITS4.take(groups).view(np.uint8)
+    src[:, 17:] = _G17_CONST
+    template = ((k - _G17_K_MIN) * 2 + np.signbit(x)) * 17 + (16 - trailing)
+    index = np.take(_G17_TEMPLATES, template, axis=0).astype(np.intp)
+    index += np.arange(0, n * len(_G17_SOURCE), len(_G17_SOURCE))[:, None]
+    slots = src.ravel().take(index)
+    other = np.flatnonzero(~exact)
+    if len(other):
+        text = np.array(["%.17g" % v for v in x[other].tolist()], dtype="S24")
+        slots[other, :24] = text.view(np.uint8).reshape(len(other), 24)
+    return slots
+
+
 def _csv_text(header, values, prefix=None) -> str:
     """CSV of a header line and the rows of a 2-D float array.
 
-    Each value is written as ``%.17g``, which round-trips to the same double.
-    ``prefix``, if given, holds one preformatted string per row that is
-    written, followed by a comma, before the row's values.
+    Each value is written as ``%.17g`` writes it, which round-trips to the same double.
+    ``prefix``, if given, holds one preformatted ASCII text per row (strings, or a bytes
+    array) that is written, followed by a comma, before the row's values.
     """
     n_rows, n_cols = values.shape
-    row = ",".join(["%.17g"] * n_cols) + "\n"
-    if prefix is not None:
-        row = "%s," + row
     parts = [header + "\n"]
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
         block = values[start:start + CSV_BLOCK_ROWS]
+        rows = _g17_slots(block.ravel()).reshape(len(block), n_cols * _G17_SLOT)
+        rows[:, -1] = ord("\n")
         if prefix is not None:
-            cells = np.empty((len(block), n_cols + 1), dtype=object)
-            cells[:, 0] = prefix[start:start + CSV_BLOCK_ROWS]
-            cells[:, 1:] = block
-            block = cells
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+            lead = np.asarray(prefix[start:start + CSV_BLOCK_ROWS], dtype=bytes)
+            rows = np.concatenate([lead.view(np.uint8).reshape(len(block), lead.itemsize),
+                                   np.full((len(block), 1), ord(","), np.uint8), rows], axis=1)
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 
@@ -253,6 +375,20 @@ def lemma_table(report_doc) -> str:
 
 # --- curvature-sweep ---------------------------------------------------------
 
+def _ordering_chords(seed, n):
+    """The sweep's n side-ordering chords and one factor each, chord i drawn from its own
+    stream default_rng([seed, i])."""
+    chords, factors = [], []
+    for i in range(n):
+        srng = np.random.default_rng([seed, i])
+        th1 = srng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.1)
+        th2 = srng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
+        chords.append(curvature.ChordSpec(srng.uniform(0.2, 4.0), srng.uniform(0.2, 4.0),
+                                          th1, th2))
+        factors.append(srng.uniform(0.05, 0.95))
+    return chords, factors
+
+
 def _curvature_sweep(seed, grid_n, specs, rel_tol):
     """The curvature-sweep report, and its CSV table as the arguments of _csv_text."""
     r_hat = np.geomspace(0.05, 10.0, grid_n)
@@ -268,21 +404,15 @@ def _curvature_sweep(seed, grid_n, specs, rel_tol):
                           | (out["discriminant"] >= 0) | (out["kg_generic"] >= 0)))
     # r_hat, theta_hat and s are the grid axes: format each distinct value
     # once and build the rows' leading fields in "ij" order
-    r_txt, t_txt, s_txt = ([f"{v:.17g}" for v in axis] for axis in (r_hat, theta_hat, s_vals))
-    prefix = [f"{a},{b},{c}" for a in r_txt for b in t_txt for c in s_txt]
+    r_txt, t_txt, s_txt = (np.array([f"{v:.17g}" for v in axis], dtype=bytes)
+                           for axis in (r_hat, theta_hat, s_vals))
+    prefix = np.char.add(np.char.add(np.char.add(r_txt[:, None, None], b","),
+                                     np.char.add(t_txt[None, :, None], b",")), s_txt).ravel()
     values = np.stack([out[k].ravel() for k in ("p0", "p1", "p2", "p3", "discriminant",
                                                 "kg_closed", "kg_generic")], axis=1)
     table = ("r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic", values, prefix)
 
-    ordering = []
-    for i in range(specs):
-        srng = np.random.default_rng([seed, i])
-        th1 = srng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.1)
-        th2 = srng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
-        spec = curvature.ChordSpec(srng.uniform(0.2, 4.0), srng.uniform(0.2, 4.0),
-                                   th1, th2)
-        ordering.append(curvature.side_ordering(spec, srng.uniform(0.05, 0.95),
-                                                ORDERING_SAMPLES))
+    ordering = curvature.side_ordering(*_ordering_chords(seed, specs), ORDERING_SAMPLES)
     ordering_bad = sum(bool(o["violations"]) for o in ordering)
     return {
         "command": "curvature-sweep", "seed": seed,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import chord_jet, chord_rpp, curvature_from_derivatives, polar_chord_radius
+from .disk import (_per_chord, _square, chord_jet, chord_rpp, curvature_from_derivatives,
+                   polar_chord_radius)
 
 # series branch for the auxiliary functions below this argument; the direct
 # forms lose ~eps/a^2 relative accuracy to cancellation as a -> 0
@@ -88,16 +89,28 @@ class ChordSpec:
         return self.theta1 + np.asarray(t, dtype=float) * self.delta_theta
 
 
-def chord_radius(spec: ChordSpec, t):
-    """Radius of the chord at parameter t, from the cancellation-free disk.polar_chord_radius."""
-    out = polar_chord_radius(spec.r1, spec.r2, spec.delta_theta, t)
+def _ends(spec):
+    """r1, r2, theta1, theta2 of a ChordSpec, as its floats, or of a sequence of them, as
+    (S, 1) columns."""
+    if isinstance(spec, ChordSpec):
+        return spec.r1, spec.r2, spec.theta1, spec.theta2
+    ends = np.array([[c.r1, c.r2, c.theta1, c.theta2] for c in spec], dtype=float).reshape(-1, 4)
+    return tuple(ends[:, j:j + 1] for j in range(4))
+
+
+def chord_radius(spec, t):
+    """Radius of the chord at parameter t, from the cancellation-free disk.polar_chord_radius.
+
+    spec may be a sequence of ChordSpecs, each with its row of t."""
+    r1, r2, theta1, theta2 = _ends(spec)
+    out = polar_chord_radius(r1, r2, theta2 - theta1, t)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth):
+def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth, dth_sq):
     """Preimage 2-jet of a chord 2-jet under the axis dilation, in the inputs' dtype.
 
-    The chord sits at angle theta_hat and turns at the constant rate dth.
+    The chord sits at angle theta_hat and turns at the constant rate dth (dth_sq = dth^2).
     Returns beta and its derivatives (bp, bpp), the preimage jet (r, rp, rpp,
     thp, thpp) and the pieces the decomposition reuses (ct, st, sb = sqrt(beta),
     one_m_s2 = 1 - s^2).  beta - s^2 and 1 - beta are formed from their product
@@ -109,7 +122,7 @@ def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth):
     b = (s * ct) ** 2 + st ** 2
     sb = np.sqrt(b)
     bp = one_m_s2 * dth * 2.0 * st * ct
-    bpp = 2.0 * one_m_s2 * dth ** 2 * (ct * ct - st * st)
+    bpp = 2.0 * one_m_s2 * dth_sq * (ct * ct - st * st)
     thp = s * dth / b
     return {
         "ct": ct, "st": st, "one_m_s2": one_m_s2, "sb": sb,
@@ -123,19 +136,24 @@ def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth):
     }
 
 
-def preimage_state(spec: ChordSpec, s, t):
+def preimage_state(spec, s, t):
     """Full derivative chain of the preimage curve at t.
 
-    Returns a dict with the chord jet (r_hat, rp_hat, rpp_hat), theta_hat, the
+    spec is a ChordSpec and s its factor, or spec a sequence of S ChordSpecs and s one factor
+    each: every array then has a row per chord ((S, T) for t (T,)), with the bits the chord
+    has alone.  Returns a dict with the chord jet (r_hat, rp_hat, rpp_hat), theta_hat, the
     preimage angle theta, and everything _preimage_jet returns.
     """
-    if not 0.0 < s < 1.0:
+    r1, r2, theta1, theta2 = _ends(spec)
+    if not isinstance(spec, ChordSpec):
+        s = np.asarray(s, dtype=float).reshape(-1, 1)
+    if not np.all((s > 0.0) & (s < 1.0)):
         raise ValueError("s must lie in (0, 1)")
-    dth = spec.delta_theta
+    dth = theta2 - theta1
     t = np.asarray(t, dtype=float)
-    th_hat = spec.theta(t)
-    r_hat, rp_hat, rpp_hat = chord_jet(spec.r1, spec.r2, dth, t)
-    jet = _preimage_jet(r_hat, rp_hat, rpp_hat, th_hat, s, dth)
+    th_hat = theta1 + t * dth
+    r_hat, rp_hat, rpp_hat = chord_jet(r1, r2, dth, t)
+    jet = _preimage_jet(r_hat, rp_hat, rpp_hat, th_hat, s, dth, _per_chord(_square, dth))
     return {**jet, "t": t, "theta_hat": th_hat,
             "r_hat": r_hat, "rp_hat": rp_hat, "rpp_hat": rpp_hat,
             "theta": np.arctan2(jet["st"], s * jet["ct"])}
@@ -161,7 +179,8 @@ def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
     """
     r_hat, theta_hat, s, rp_hat, dth = (np.asarray(x, dtype=float) for x in (
         r_hat, theta_hat, s, rp_hat, delta_theta_hat))
-    j = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth), theta_hat, s, dth)
+    dth_sq = dth ** 2
+    j = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth_sq), theta_hat, s, dth, dth_sq)
     b, sb, one_m_s2 = j["beta"], j["sb"], j["one_m_s2"]
     b_m_s2, one_m_b = j["beta_minus_s2"], j["one_minus_beta"]
     v = np.sqrt(j["rp"] ** 2 + np.sinh(j["r"]) ** 2 * j["thp"] ** 2)
@@ -190,7 +209,8 @@ def _raw_curvature(r_hat, theta_hat, s, rp_hat, dth):
 
     Its own function so the extended-precision jet is freed on return (peak RSS).
     """
-    e = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth), theta_hat, s, dth)
+    dth_sq = dth ** 2
+    e = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth_sq), theta_hat, s, dth, dth_sq)
     return curvature_from_derivatives(e["r"], e["rp"], e["rpp"], e["thp"], e["thpp"])
 
 
@@ -200,21 +220,23 @@ def gamma_curvature_closed_form(r1, r2, theta1, theta2, t):
     """Closed-form curvature of the polar-linear curve.
 
     (dth * sinh r / v^3) * (2 coth(r) dr^2 + (sinh 2r / 2) dth^2), with
-    r = (1-t) r1 + t r2.  Positive whenever dth > 0.
+    r = (1-t) r1 + t r2.  Positive whenever dth > 0.  The ends may be (S, 1)
+    columns of S curves, as polar_chord_radius takes them.
     """
     t = np.asarray(t, dtype=float)
     dr = r2 - r1
     dth = theta2 - theta1
+    dr_sq, dth_sq = _per_chord(_square, dr), _per_chord(_square, dth)
     r = (1.0 - t) * r1 + t * r2
-    v = np.sqrt(dr ** 2 + np.sinh(r) ** 2 * dth ** 2)
+    v = np.sqrt(dr_sq + np.sinh(r) ** 2 * dth_sq)
     out = (dth * np.sinh(r) / v ** 3) * (
-        2.0 * dr ** 2 / np.tanh(r) + np.sinh(2.0 * r) / 2.0 * dth ** 2)
+        2.0 * dr_sq / np.tanh(r) + np.sinh(2.0 * r) / 2.0 * dth_sq)
     return float(out) if np.ndim(out) == 0 else out
 
 
 # --- side ordering -----------------------------------------------------------
 
-def side_ordering(spec: ChordSpec, s, samples) -> dict:
+def side_ordering(spec, s, samples):
     """Check curvature signs and the radial ordering of the three curves.
 
     At each of the samples, the preimage curve must have negative curvature,
@@ -223,41 +245,51 @@ def side_ordering(spec: ChordSpec, s, samples) -> dict:
     side, comparison curve opposite), each to ORDERING_SLACK.  The chord and
     the comparison curve join the preimage's end samples and share the linear
     angle parameter, while the preimage curve does not; radii are therefore
-    compared at the preimage's angles.  Returns the report entry of the spec,
-    with every violating sample and its full context.
+    compared at the preimage's angles.
+
+    spec is a sequence of ChordSpecs and s one factor each, evaluated as one (chords, samples)
+    stack; returns the report entry of each, with every violating sample and its full context,
+    as the chord gives it alone.  A ChordSpec with its factor is the block of one and returns
+    its entry.
     """
     if samples < 2:
         raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
+    one = isinstance(spec, ChordSpec)
+    specs, s = ([spec], [s]) if one else (list(spec), list(s))
     ts = np.linspace(0.0, 1.0, samples)
-    state = preimage_state(spec, s, ts)
+    state = preimage_state(specs, s, ts)
+    r, theta = state["r"], state["theta"]
 
-    kg_pre = curvature_from_derivatives(state["r"], state["rp"], state["rpp"],
-                                        state["thp"], state["thpp"])
+    kg_pre = curvature_from_derivatives(r, state["rp"], state["rpp"], state["thp"], state["thpp"])
 
     # the preimage's end samples (t = 0, 1) define the inner chord and the comparison curve
-    r1, th1 = float(state["r"][0]), float(state["theta"][0])
-    r2, th2 = float(state["r"][-1]), float(state["theta"][-1])
-    dth = th2 - th1
-
-    u = (state["theta"] - th1) / dth
-    r_chord = chord_radius(ChordSpec(r1, r2, th1, th2), u)
+    inner = [ChordSpec(*ends) for ends in zip(r[:, 0].tolist(), r[:, -1].tolist(),
+                                               theta[:, 0].tolist(), theta[:, -1].tolist())]
+    r1, r2, th1, th2 = _ends(inner)
+    u = (theta - th1) / (th2 - th1)
+    r_chord = chord_radius(inner, u)
     r_gamma = (1.0 - u) * r1 + u * r2
     kg_gamma = gamma_curvature_closed_form(r1, r2, th1, th2, u)
 
-    chord_gap = r_chord - state["r"]
+    chord_gap = r_chord - r
     gamma_gap = r_gamma - r_chord
     bad = (kg_pre >= ORDERING_SLACK) | (kg_gamma <= -ORDERING_SLACK) \
         | (chord_gap < -ORDERING_SLACK) | (gamma_gap < -ORDERING_SLACK)
-    return {
-        "spec": [spec.r1, spec.r2, spec.theta1, spec.theta2], "s": float(s),
-        "min_chord_gap": float(np.min(chord_gap)), "min_gamma_gap": float(np.min(gamma_gap)),
-        "max_kg_preimage": float(np.max(kg_pre)), "min_kg_gamma": float(np.min(kg_gamma)),
-        "violations": [{
+    entries = [{
+        "spec": [c.r1, c.r2, c.theta1, c.theta2], "s": float(f),
+        "min_chord_gap": chord_min, "min_gamma_gap": gamma_min,
+        "max_kg_preimage": kg_pre_max, "min_kg_gamma": kg_gamma_min,
+        "violations": [],
+    } for c, f, chord_min, gamma_min, kg_pre_max, kg_gamma_min in zip(
+        specs, s, *(np.min(chord_gap, axis=1).tolist(), np.min(gamma_gap, axis=1).tolist(),
+                    np.max(kg_pre, axis=1).tolist(), np.min(kg_gamma, axis=1).tolist()))]
+    for row, idx in zip(*np.nonzero(bad)):
+        entries[row]["violations"].append({
             "t": float(ts[idx]),
-            "r_preimage": float(state["r"][idx]),
-            "r_chord": float(r_chord[idx]),
-            "r_gamma": float(r_gamma[idx]),
-            "kg_preimage": float(kg_pre[idx]),
-            "kg_gamma": float(kg_gamma[idx]),
-        } for idx in np.nonzero(bad)[0]],
-    }
+            "r_preimage": float(r[row, idx]),
+            "r_chord": float(r_chord[row, idx]),
+            "r_gamma": float(r_gamma[row, idx]),
+            "kg_preimage": float(kg_pre[row, idx]),
+            "kg_gamma": float(kg_gamma[row, idx]),
+        })
+    return entries[0] if one else entries

@@ -34,9 +34,14 @@ class DilationParams:
     k2: float
 
     def __post_init__(self):
-        if not (np.all(np.asarray(self.k1) > 0.0) and np.all(np.asarray(self.k2) > 0.0)):
-            raise ValueError("dilation factors must be positive")
+        _check_factors(self.k1, self.k2)
         object.__setattr__(self, "center", _read_only(self.center))
+
+
+def _check_factors(k1, k2):
+    """Raise ValueError unless every factor of k1 and k2 (scalars or arrays) is > 0, not nan."""
+    if not (np.all(np.asarray(k1) > 0.0) and np.all(np.asarray(k2) > 0.0)):
+        raise ValueError("dilation factors must be positive")
 
 
 def dilate_origin_polar(k1, k2, r, theta):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .convexity import (_by_count, _check_loop, _check_polygon_chart, _chord_plan, _edge_ts,
                         _hulls, _in_trial_order, _next_rows, _star_polar, klein_polygon_contains)
-from .dilation import dilate_origin_chart, dilate_origin_polar
+from .dilation import _check_factors, dilate_origin_chart, dilate_origin_polar
 from .disk import _read_only
 
 CONTRACTION_DEFINITION = (
@@ -211,6 +211,7 @@ class SphericalRegion:
 
 def _contract_block(polys, k1, k2, per_edge):
     """contract_polygon of a block without its error order: the first stage that fails raises."""
+    _check_factors(k1, k2)
     ts = _edge_ts(per_edge)
     counts = [len(poly.xyz) for poly in polys]
     loop = great_circle_points(np.concatenate([poly.xyz for poly in polys]),
@@ -235,8 +236,9 @@ def contract_polygon(poly, k1, k2, per_edge=PER_EDGE):
 
     The regions are built together: one great_circle_points call samples every edge, and each
     group of one vertex count is contracted in its stack of charts, so each region has the bits
-    it has built alone.  An error is the one that building the regions one at a time raises.  A
-    SphericalPolygon with scalar factors is the block of one and returns one region."""
+    it has built alone.  An error is the one that building the regions one at a time raises;
+    factors must be > 0, as DilationParams has them on H² (ValueError).  A SphericalPolygon
+    with scalar factors is the block of one and returns one region."""
     one = isinstance(poly, SphericalPolygon)
     if one:
         poly, k1, k2 = [poly], [k1], [k2]

@@ -12,7 +12,8 @@ maps, the gnomonic inverse and the angle wrap serve the tests only: a
 polygon keeps the surface rows its generator drew.  The generator, region
 builder and trial of verify-theorem (H²) and of sphere-conjecture (S²) are kept
 as they ran one trial at a time, the bitwise references of the builders that
-take a block of trials.
+take a block of trials, and curvature-sweep's side ordering as it ran one chord
+at a time, the bitwise reference of the stack of chords.
 """
 
 import math
@@ -21,10 +22,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from hypexpand import sphere
+from hypexpand import curvature, sphere
 from hypexpand.convexity import (SAMPLES_PER_EDGE, SampledRegion, _check_polygon_chart,
                                  _convex_hull_2d, _star_polar, convexity_defect, hyperbolic_hull)
-from hypexpand.curvature import SERIES_CUTOFF, phi, psi
+from hypexpand.curvature import (SERIES_CUTOFF, ChordSpec, chord_radius,
+                                  gamma_curvature_closed_form, phi, preimage_state, psi)
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
 from hypexpand.disk import (_check_chart, cart_to_polar, chord_jet, curvature_from_derivatives,
                             geodesic_chord_points, hyperboloid_cart, hyperboloid_lift,
@@ -530,4 +532,45 @@ def per_trial_conjecture(seed, i):
         "defect_recheck_4x": rechecked,
         "exceeds": bool((rechecked if rechecked is not None else defect)
                         > sphere.DEFECT_EXCEEDANCE),
+    }
+
+
+# --- curvature-sweep's side ordering one chord at a time --------------------------
+
+def per_spec_side_ordering(spec, s, samples):
+    """side_ordering's report entry of one ChordSpec, as it was computed one chord at a time:
+    the inner chord's ends are floats."""
+    if samples < 2:
+        raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
+    ts = np.linspace(0.0, 1.0, samples)
+    state = preimage_state(spec, s, ts)
+
+    kg_pre = curvature_from_derivatives(state["r"], state["rp"], state["rpp"],
+                                        state["thp"], state["thpp"])
+
+    r1, th1 = float(state["r"][0]), float(state["theta"][0])
+    r2, th2 = float(state["r"][-1]), float(state["theta"][-1])
+    dth = th2 - th1
+
+    u = (state["theta"] - th1) / dth
+    r_chord = chord_radius(ChordSpec(r1, r2, th1, th2), u)
+    r_gamma = (1.0 - u) * r1 + u * r2
+    kg_gamma = gamma_curvature_closed_form(r1, r2, th1, th2, u)
+
+    chord_gap = r_chord - state["r"]
+    gamma_gap = r_gamma - r_chord
+    slack = curvature.ORDERING_SLACK
+    bad = (kg_pre >= slack) | (kg_gamma <= -slack) | (chord_gap < -slack) | (gamma_gap < -slack)
+    return {
+        "spec": [spec.r1, spec.r2, spec.theta1, spec.theta2], "s": float(s),
+        "min_chord_gap": float(np.min(chord_gap)), "min_gamma_gap": float(np.min(gamma_gap)),
+        "max_kg_preimage": float(np.max(kg_pre)), "min_kg_gamma": float(np.min(kg_gamma)),
+        "violations": [{
+            "t": float(ts[idx]),
+            "r_preimage": float(state["r"][idx]),
+            "r_chord": float(r_chord[idx]),
+            "r_gamma": float(r_gamma[idx]),
+            "kg_preimage": float(kg_pre[idx]),
+            "kg_gamma": float(kg_gamma[idx]),
+        } for idx in np.nonzero(bad)[0]],
     }

@@ -1,9 +1,12 @@
 import json
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypexpand import cli, curvature
 from hypexpand.cli import (
@@ -454,8 +457,65 @@ class TestCsvText:
         values = np.random.default_rng(n_rows).standard_normal((n_rows, 2))
         prefix = [str(i) for i in range(n_rows)]
         assert csv_lines(_csv_text("a,b", values)) == csv_lines(reference_csv("a,b", values))
-        assert (csv_lines(_csv_text("i,a,b", values, prefix))
-                == csv_lines(reference_csv("i,a,b", [[i, *row] for i, row in enumerate(values)])))
+        expected = csv_lines(reference_csv("i,a,b", [[i, *row] for i, row in enumerate(values)]))
+        assert csv_lines(_csv_text("i,a,b", values, prefix)) == expected
+        # the sweep passes its prefix as a bytes array
+        assert csv_lines(_csv_text("i,a,b", values, np.array(prefix, dtype=bytes))) == expected
+
+    @staticmethod
+    def assert_formats(values, n_cols=3):
+        """Both signs of values, as rows of n_cols, as Python's '%.17g' writes them."""
+        values = np.concatenate([values, -np.asarray(values, dtype=float)])
+        values = np.resize(values, (-(-len(values) // n_cols), n_cols))
+        assert csv_lines(_csv_text("a,b,c", values)) == csv_lines(reference_csv("a,b,c", values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
+        st.floats(width=64), st.floats(1e-7, 1e18)), min_size=1, max_size=60))
+    def test_every_bit_pattern(self, values):
+        # any double: nan, infinities, zeros and subnormals go through Python's '%.17g', and
+        # the kernel's range [1e-6, 1e17) is drawn densely on its own
+        self.assert_formats(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 may round across a power of ten, and 1e-6 itself has exponent -7
+        powers = [float(f"1e{k}") for k in range(-30, 31)]
+        self.assert_formats([x for p in powers
+                             for x in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))])
+
+    def test_exact_ties_round_half_even(self):
+        # x = m / 2^(p+1) for odd m has x * 10^p = m * 5^p / 2, half an odd integer: a tie at the
+        # 18th significant digit, which '%.17g' rounds to even
+        ties = [1234567890123456.25, 1234567890123456.75]
+        rng = np.random.default_rng(24)
+        for p in range(1, 23):
+            low, high = 10 ** (16 - p) * 2 ** (p + 1), min(10 ** (17 - p) * 2 ** (p + 1), 2 ** 53)
+            ties += [float(m) / 2.0 ** (p + 1) for m in rng.integers(low, high, 20) | 1]
+        for x in ties:
+            p = 16 - Decimal(x).adjusted()
+            assert (Fraction(x) * 10 ** p).denominator == 2 and 1 <= p <= 22
+        self.assert_formats(ties)
+
+    def test_integers_past_two_to_the_53(self):
+        self.assert_formats(np.random.default_rng(53).integers(2 ** 53, 10 ** 17, 3000)
+                            .astype(float).tolist() + [2.0 ** 53, 1e17 - 16, 1e16 - 2])
+
+    def test_values_that_round_up_to_the_next_power_of_ten(self):
+        # each of these doubles lies below its power of ten by less than half a unit of the
+        # 17th digit, so '%.17g' writes the power: the 14 doubles next to a power of ten from
+        # 1e-320 to 1e308 that do, none in the kernel's range
+        carries = [1e-305, 1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14,
+                   1e98, 1e129, 1e153, 1e220]
+        for x in carries:
+            assert Decimal(x).adjusted() + 1 == Decimal("%.17g" % x).adjusted()
+        self.assert_formats(carries)
+
+    def test_three_digit_exponents(self):
+        rng = np.random.default_rng(100)
+        self.assert_formats((rng.uniform(1.0, 10.0, 300)
+                             * 10.0 ** rng.choice([100, 101, 200, 307, -100, -200, -307], 300))
+                            .tolist() + [np.finfo(float).max, np.finfo(float).tiny, 5e-324])
 
 
 class TestParsing:

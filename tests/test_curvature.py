@@ -1,10 +1,11 @@
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from hypexpand import curvature
+from hypexpand import cli, curvature
 from hypexpand.curvature import (
     ChordSpec,
     chord_radius,
@@ -16,8 +17,8 @@ from hypexpand.curvature import (
     side_ordering,
 )
 from hypexpand.disk import chord_jet, curvature_from_derivatives
-from references import (from_polar_function, geodesic_curvature, phi_both_branches,
-                        psi_both_branches)
+from references import (from_polar_function, geodesic_curvature, per_spec_side_ordering,
+                        phi_both_branches, psi_both_branches)
 
 
 # --- references: the hand-expanded chains the one jet chain replaced ----------
@@ -533,6 +534,64 @@ class TestSideOrdering:
         # at the ends the three curves meet, up to the chord radius's rounding
         assert rep["violations"] == []
         assert max(abs(rep["min_chord_gap"]), abs(rep["min_gamma_gap"])) < 1e-15
+
+
+class TestStackedSideOrdering:
+    """side_ordering evaluates a sequence of chords as one (chords, samples) stack;
+    references.per_spec_side_ordering evaluates each chord alone."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 41, 104729])
+    def test_the_sweep_chords_report_as_each_chord_alone(self, seed):
+        chords, factors = cli._ordering_chords(seed, 100)
+        for samples in (2, 16, 33, 64):
+            alone = [per_spec_side_ordering(c, f, samples) for c, f in zip(chords, factors)]
+            assert json.dumps(side_ordering(chords, factors, samples)) == json.dumps(alone)
+
+    def test_chords_whose_angle_squares_differently_under_pow(self):
+        # a chord's dth ** 2 is Python's pow(dth, 2), which on some libms differs from numpy's
+        # dth * dth for about one double in a thousand; the stack must take pow's
+        rng = np.random.default_rng(90)
+        th1, th2 = rng.uniform(-1.5, 0.0, 20000).tolist(), rng.uniform(0.05, 1.5, 20000).tolist()
+        odd = [i for i, (a, b) in enumerate(zip(th1, th2)) if (b - a) ** 2 != (b - a) * (b - a)]
+        odd = odd[:12] + [0, 1]
+        chords = [ChordSpec(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0), th1[i], th2[i])
+                  for i in odd]
+        factors = rng.uniform(0.05, 0.95, len(chords)).tolist()
+        alone = [per_spec_side_ordering(c, f, 16) for c, f in zip(chords, factors)]
+        assert json.dumps(side_ordering(chords, factors, 16)) == json.dumps(alone)
+
+    def test_violations_are_reported_as_each_chord_alone(self, monkeypatch):
+        chords, factors = cli._ordering_chords(3, 20)
+        # a slack between the margins makes some samples, not all, violations
+        monkeypatch.setattr(curvature, "ORDERING_SLACK", -0.05)
+        alone = [per_spec_side_ordering(c, f, 33) for c, f in zip(chords, factors)]
+        assert 0 < sum(len(a["violations"]) for a in alone) < 20 * 33
+        assert json.dumps(side_ordering(chords, factors, 33)) == json.dumps(alone)
+
+    def test_a_chord_spec_is_the_block_of_one(self):
+        spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
+        for samples in (2, 16, 33, 64):
+            one = side_ordering(spec, 0.4, samples)
+            assert json.dumps(one) == json.dumps(per_spec_side_ordering(spec, 0.4, samples))
+            assert side_ordering([spec], [0.4], samples) == [one]
+        assert side_ordering([], [], 16) == []
+        for chords in (spec, [spec]):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                side_ordering(chords, 0.4 if chords is spec else [0.4], samples=1)
+
+    def test_stacked_preimage_rows_are_each_chord_alone(self):
+        chords, factors = cli._ordering_chords(7, 12)
+        ts = np.linspace(0.0, 1.0, 33)
+        block = preimage_state(chords, factors, ts)
+        for i, (chord, s) in enumerate(zip(chords, factors)):
+            alone = preimage_state(chord, s, ts)
+            assert block.keys() == alone.keys()
+            for key, value in alone.items():
+                row = np.broadcast_to(block[key], (len(chords), len(ts)))[i]
+                assert np.array_equal(row.view(np.int64),
+                                      np.broadcast_to(value, ts.shape).view(np.int64)), key
+        with pytest.raises(ValueError, match="s must lie in"):
+            preimage_state(chords, factors[:-1] + [1.0], ts)
 
 
 class TestCurvatureDtype:

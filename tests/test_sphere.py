@@ -704,3 +704,33 @@ class TestSphereBlocks:
         assert raised(lambda: contract_polygon(polys, k1, [1.0] * len(polys))) == alone
         assert [len(c) for c in calls[1:]] == [1] * (order.index(2) + 1)
         assert [c[0] for c in calls[1:]] == polys[:order.index(2) + 1]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+    def test_factors_that_are_not_positive_are_refused(self, bad, monkeypatch):
+        # k1 = 0 built a region whose defect divided by zero, k1 = -0.5 a mirrored one
+        tri = north_polygon(1.0, [0.0, 2.1, 4.2])
+        for k1, k2 in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="^dilation factors must be positive$"):
+                contract_polygon(tri, k1, k2)
+        polys = random_convex_spherical_polygon(
+            [np.random.default_rng([80, i]) for i in range(CONJECTURE_BLOCK)])
+        dart = self.hand_built()[2]
+        # a block of 20 raises what building its regions one at a time raises: the bad factor
+        # of trial 7, or the dart of trial 5 (whose factors are good) before it
+        for darts in ([], [5]):
+            block = [dart if t in darts else p for t, p in enumerate(polys)]
+            k1 = [bad if t == 7 else 0.5 for t in range(len(block))]
+            alone = []
+            with pytest.raises(ValueError) as error:
+                for p, k in zip(block, k1):
+                    alone.append(contract_polygon(p, k, 0.9))
+            assert len(alone) == (darts or [7])[0]
+            calls = []
+            build = sphere._contract_block
+            monkeypatch.setattr(sphere, "_contract_block",
+                                lambda *a: calls.append(len(a[0])) or build(*a))
+            with pytest.raises(ValueError) as block_error:
+                contract_polygon(block, k1, [0.9] * len(block))
+            monkeypatch.undo()
+            assert str(block_error.value) == str(error.value)
+            assert calls == [len(block)] + [1] * (len(alone) + 1)
