@@ -18,10 +18,11 @@ import numpy as np
 
 from . import convexity, curvature, lemmas, sphere
 from .convexity import (MIN_SAMPLES, PAIR_SAMPLES, SAMPLES_PER_EDGE, SEGMENT_SAMPLES,
-                        GeodesicPolygon, _star_polar, convexity_defect, dilate_region,
-                        dilate_regions, random_hconvex_polygon, star_hulls)
+                        TRIAL_BLOCK, GeodesicPolygon, _star_polar, convexity_defect,
+                        dilate_region, dilate_regions, random_hconvex_polygon, star_hulls)
 from .dilation import DilationParams
-from .disk import curvature_from_derivatives, hyperboloid_lift, hyperboloid_polar, polar_to_cart
+from .disk import (ChartSaturation, curvature_from_derivatives, hyperboloid_lift,
+                   hyperboloid_polar, polar_to_cart)
 from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
@@ -29,10 +30,6 @@ PASS, VIOLATION, USAGE = 0, 1, 2
 # Rows per block of the CSV kernel: its index arrays (25 per value) and its text hold one
 # block of rows, not the whole table, which keeps peak memory down.
 CSV_BLOCK_ROWS = 1024
-
-# verify-theorem trials whose polygons and regions are built at once: per-trial numpy calls
-# on at most 12 vertices are overhead-bound, and a block bounds the memory they take
-THEOREM_BLOCK = 20
 
 REPLAY_TOL = 1e-9  # a replayed defect passes within this of the witness's stored defect
 
@@ -220,10 +217,14 @@ def _theorem_regions(seed, trials, k_range, forced_k1, forced_k2):
 
 
 def run_verify_theorem(seed=0, trials=200, k1=None, k2=None, tol=1e-6):
+    below = [f"{name}={k!r}" for name, k in (("k1", k1), ("k2", k2)) if k is not None and k < 1.0]
+    if below:
+        raise UsageError("verify-theorem checks the theorem's hypothesis k1, k2 >= 1, got "
+                         + ", ".join(below))
     k_range = (1.0, 4.0)
     results = []
-    for start in range(0, trials, THEOREM_BLOCK):
-        block = range(start, min(start + THEOREM_BLOCK, trials))
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = range(start, min(start + TRIAL_BLOCK, trials))
         for i, polar, region in zip(block, *_theorem_regions(seed, block, k_range, k1, k2)):
             results.append({"trial": i, "k1": region.k1, "k2": region.k2,
                             "n_vertices": len(region.polygon.sheet), "center_polar": polar,
@@ -447,13 +448,16 @@ RENDER_CHORD = curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)
 
 
 def _render_preimage(k1, n):
-    """preimage_state of the rendered chord at n samples.
+    """The n samples t of the rendered chord and its preimage_state rows of r, theta and their
+    derivatives.
 
     The preimage is under the x-axis contraction by 1/k1 for k1 > 1, by 1/2
     otherwise.
     """
     s = 1.0 / k1 if k1 > 1.0 else 0.5
-    return curvature.preimage_state(RENDER_CHORD, s, np.linspace(0.0, 1.0, n))
+    ts = np.linspace(0.0, 1.0, n)
+    state = curvature.preimage_state([RENDER_CHORD], [s], ts)
+    return {"t": ts, **{key: state[key][0] for key in ("r", "rp", "rpp", "theta", "thp", "thpp")}}
 
 
 def run_render(seed=0, k1=2.0, k2=1.0):
@@ -471,7 +475,7 @@ def run_render(seed=0, k1=2.0, k2=1.0):
     # between the image's end samples, as side_ordering builds it
     pre = _render_preimage(k1, 128)
     ts, r, theta = pre["t"], pre["r"], pre["theta"]
-    chord = polar_to_cart(curvature.chord_radius(RENDER_CHORD, ts), RENDER_CHORD.theta(ts))
+    chord = polar_to_cart(curvature.chord_radius([RENDER_CHORD], ts)[0], RENDER_CHORD.theta(ts))
     gamma = polar_to_cart((1.0 - ts) * r[0] + ts * r[-1], theta[0] + ts * (theta[-1] - theta[0]))
     canvas.polyline(chord, stroke="#2ca02c", width=0.004)
     canvas.polyline(polar_to_cart(r, theta), stroke="#9467bd", width=0.004)
@@ -631,7 +635,7 @@ def main(argv=None) -> int:
             else:
                 _write(args.out, run_render(k1=args.k1, **given))
             return PASS
-    except (UsageError, convexity.ChartSaturation) as exc:
+    except (UsageError, ChartSaturation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
     return USAGE

@@ -18,7 +18,6 @@ import numpy as np
 
 from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
-    ChartSaturation,  # noqa: F401 (the CLI and the tests name it here)
     _check_chart,
     _check_radii,
     _read_only,
@@ -37,6 +36,10 @@ MAX_VERTICES, STAR_RADII = 12, (0.2, 3.0)
 # Sampling of a region and its defect, recorded in reports and witnesses:
 # boundary samples per polygon edge, random chord pairs, samples per chord
 SAMPLES_PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 32, 128, 16
+# verify-theorem and sphere-conjecture trials whose polygons and regions are built at once:
+# per-trial numpy calls on at most 12 vertices are overhead-bound, and a block bounds the
+# memory they take
+TRIAL_BLOCK = 20
 
 
 # --- projective charts -------------------------------------------------------

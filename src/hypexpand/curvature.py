@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (_per_chord, _square, chord_jet, chord_rpp, curvature_from_derivatives,
-                   polar_chord_radius)
+from .disk import chord_jet, chord_rpp, curvature_from_derivatives, polar_chord_radius
 
 # series branch for the auxiliary functions below this argument; the direct
 # forms lose ~eps/a^2 relative accuracy to cancellation as a -> 0
@@ -89,22 +88,19 @@ class ChordSpec:
         return self.theta1 + np.asarray(t, dtype=float) * self.delta_theta
 
 
-def _ends(spec):
-    """r1, r2, theta1, theta2 of a ChordSpec, as its floats, or of a sequence of them, as
-    (S, 1) columns."""
-    if isinstance(spec, ChordSpec):
-        return spec.r1, spec.r2, spec.theta1, spec.theta2
-    ends = np.array([[c.r1, c.r2, c.theta1, c.theta2] for c in spec], dtype=float).reshape(-1, 4)
-    return tuple(ends[:, j:j + 1] for j in range(4))
+def _ends(specs):
+    """r1, r2, theta1, theta2 of a sequence of S ChordSpecs, as (S, 1) columns, each contiguous
+    as a block of one's is, so that numpy runs one loop over a chord's factors however many
+    chords come with it."""
+    ends = np.array([[c.r1, c.r2, c.theta1, c.theta2] for c in specs], dtype=float).reshape(-1, 4)
+    return tuple(np.ascontiguousarray(ends[:, j:j + 1]) for j in range(4))
 
 
-def chord_radius(spec, t):
-    """Radius of the chord at parameter t, from the cancellation-free disk.polar_chord_radius.
-
-    spec may be a sequence of ChordSpecs, each with its row of t."""
-    r1, r2, theta1, theta2 = _ends(spec)
-    out = polar_chord_radius(r1, r2, theta2 - theta1, t)
-    return float(out) if np.ndim(out) == 0 else out
+def chord_radius(specs, t):
+    """Radii (S, ...) of a sequence of S chords at parameter t, one row each (or t (S, T), a row
+    of t per chord), from the cancellation-free disk.polar_chord_radius."""
+    r1, r2, theta1, theta2 = _ends(specs)
+    return polar_chord_radius(r1, r2, theta2 - theta1, t)
 
 
 def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth, dth_sq):
@@ -136,24 +132,23 @@ def _preimage_jet(r_hat, rp_hat, rpp_hat, theta_hat, s, dth, dth_sq):
     }
 
 
-def preimage_state(spec, s, t):
-    """Full derivative chain of the preimage curve at t.
+def preimage_state(specs, s, t):
+    """Full derivative chain of the preimage curves of a sequence of S chords at t.
 
-    spec is a ChordSpec and s its factor, or spec a sequence of S ChordSpecs and s one factor
-    each: every array then has a row per chord ((S, T) for t (T,)), with the bits the chord
-    has alone.  Returns a dict with the chord jet (r_hat, rp_hat, rpp_hat), theta_hat, the
-    preimage angle theta, and everything _preimage_jet returns.
+    s holds one factor per chord.  Every array has a row per chord ((S, T) for t (T,), or
+    (S, 1) for a chord's own values), with the bits the chord has in a block of one.  Returns a
+    dict with the chord jet (r_hat, rp_hat, rpp_hat), theta_hat, the preimage angle theta, and
+    everything _preimage_jet returns.
     """
-    r1, r2, theta1, theta2 = _ends(spec)
-    if not isinstance(spec, ChordSpec):
-        s = np.asarray(s, dtype=float).reshape(-1, 1)
+    r1, r2, theta1, theta2 = _ends(specs)
+    s = np.asarray(s, dtype=float).reshape(-1, 1)
     if not np.all((s > 0.0) & (s < 1.0)):
         raise ValueError("s must lie in (0, 1)")
     dth = theta2 - theta1
     t = np.asarray(t, dtype=float)
     th_hat = theta1 + t * dth
     r_hat, rp_hat, rpp_hat = chord_jet(r1, r2, dth, t)
-    jet = _preimage_jet(r_hat, rp_hat, rpp_hat, th_hat, s, dth, _per_chord(_square, dth))
+    jet = _preimage_jet(r_hat, rp_hat, rpp_hat, th_hat, s, dth, dth ** 2)
     return {**jet, "t": t, "theta_hat": th_hat,
             "r_hat": r_hat, "rp_hat": rp_hat, "rpp_hat": rpp_hat,
             "theta": np.arctan2(jet["st"], s * jet["ct"])}
@@ -226,17 +221,15 @@ def gamma_curvature_closed_form(r1, r2, theta1, theta2, t):
     t = np.asarray(t, dtype=float)
     dr = r2 - r1
     dth = theta2 - theta1
-    dr_sq, dth_sq = _per_chord(_square, dr), _per_chord(_square, dth)
     r = (1.0 - t) * r1 + t * r2
-    v = np.sqrt(dr_sq + np.sinh(r) ** 2 * dth_sq)
-    out = (dth * np.sinh(r) / v ** 3) * (
-        2.0 * dr_sq / np.tanh(r) + np.sinh(2.0 * r) / 2.0 * dth_sq)
-    return float(out) if np.ndim(out) == 0 else out
+    v = np.sqrt(dr ** 2 + np.sinh(r) ** 2 * dth ** 2)
+    return (dth * np.sinh(r) / v ** 3) * (
+        2.0 * dr ** 2 / np.tanh(r) + np.sinh(2.0 * r) / 2.0 * dth ** 2)
 
 
 # --- side ordering -----------------------------------------------------------
 
-def side_ordering(spec, s, samples):
+def side_ordering(specs, s, samples):
     """Check curvature signs and the radial ordering of the three curves.
 
     At each of the samples, the preimage curve must have negative curvature,
@@ -247,15 +240,13 @@ def side_ordering(spec, s, samples):
     angle parameter, while the preimage curve does not; radii are therefore
     compared at the preimage's angles.
 
-    spec is a sequence of ChordSpecs and s one factor each, evaluated as one (chords, samples)
+    specs is a sequence of ChordSpecs and s one factor each, evaluated as one (chords, samples)
     stack; returns the report entry of each, with every violating sample and its full context,
-    as the chord gives it alone.  A ChordSpec with its factor is the block of one and returns
-    its entry.
+    as the chord gives it in a block of one.
     """
     if samples < 2:
         raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
-    one = isinstance(spec, ChordSpec)
-    specs, s = ([spec], [s]) if one else (list(spec), list(s))
+    specs, s = list(specs), list(s)  # each is read twice
     ts = np.linspace(0.0, 1.0, samples)
     state = preimage_state(specs, s, ts)
     r, theta = state["r"], state["theta"]
@@ -292,4 +283,4 @@ def side_ordering(spec, s, samples):
             "kg_preimage": float(kg_pre[row, idx]),
             "kg_gamma": float(kg_gamma[row, idx]),
         })
-    return entries[0] if one else entries
+    return entries

@@ -15,8 +15,6 @@ the left).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 def polar_to_cart(r, theta):
@@ -124,24 +122,6 @@ def chord_rpp(r, rp, dth_sq):
     return 2.0 * rp ** 2 / np.tanh(r) + dth_sq * np.sinh(2.0 * r) / 2.0
 
 
-def _per_chord(fn, x):
-    """fn, a function of one float, at the scalar x, or at each element of the array x.
-
-    A chord's own factors (math's expm1, sin and tanh of its ends, the square of its angle) go
-    through it, so they keep the bits of Python's float arithmetic whether the chord comes
-    alone, its ends scalars, or in a block, its ends (S, 1) columns: numpy's sin, and its x ** 2
-    (x * x, where Python's takes pow), can round them differently.
-    """
-    if np.ndim(x) == 0:
-        return fn(x)
-    return np.array([fn(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
-def _square(v):
-    """v ** 2 as Python computes it (pow for a float), for _per_chord."""
-    return v ** 2
-
-
 def polar_chord_radius(r1, r2, dth, t):
     """r(t) of the polar chord from (r1, 0) to (r2, dth), 0 < |dth| < pi.
 
@@ -150,15 +130,14 @@ def polar_chord_radius(r1, r2, dth, t):
     positive terms only: naive evaluation of arctanh(1/c) loses ~eps*e^(2r)
     absolute accuracy, which finite differencing of the curve then amplifies
     by 1/h^2.  r1, r2 and dth may be (S, 1) columns of S chords, each row with
-    the bits its chord has alone (_per_chord).
+    the bits its chord has alone.
     """
     t = np.asarray(t, dtype=float)
-    a = abs(dth)
-    q1 = 2.0 / _per_chord(math.expm1, 2.0 * r1)
-    q2 = 2.0 / _per_chord(math.expm1, 2.0 * r2)
+    a = np.abs(dth)
+    q1, q2 = 2.0 / np.expm1(2.0 * r1), 2.0 / np.expm1(2.0 * r2)
     ua, ta = (1.0 - t) * a, t * a
-    bracket = 4.0 * _per_chord(math.sin, a / 2.0) * np.sin(ua / 2.0) * np.sin(ta / 2.0)
-    delta = (q1 * np.sin(ua) + q2 * np.sin(ta) + bracket) / _per_chord(math.sin, a)
+    bracket = 4.0 * np.sin(a / 2.0) * np.sin(ua / 2.0) * np.sin(ta / 2.0)
+    delta = (q1 * np.sin(ua) + q2 * np.sin(ta) + bracket) / np.sin(a)
     w = np.sqrt(delta * (2.0 + delta)) - delta  # w = 1 - tanh(r/2)
     return np.log((2.0 - w) / w)
 
@@ -167,10 +146,10 @@ def chord_jet(r1, r2, dth, t):
     """(r, r', r'') at t of the chord of polar_chord_radius, which may be columns too."""
     t = np.asarray(t, dtype=float)
     r = polar_chord_radius(r1, r2, dth, t)
-    coth1, coth2 = 1.0 / _per_chord(math.tanh, r1), 1.0 / _per_chord(math.tanh, r2)
+    coth1, coth2 = 1.0 / np.tanh(r1), 1.0 / np.tanh(r2)
     rp = dth * np.sinh(r) ** 2 * (
-        coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / _per_chord(math.sin, dth)
-    return r, rp, chord_rpp(r, rp, _per_chord(_square, dth))
+        coth1 * np.cos((1.0 - t) * dth) - coth2 * np.cos(t * dth)) / np.sin(dth)
+    return r, rp, chord_rpp(r, rp, dth ** 2)
 
 
 def hyperboloid_lift(r, theta):

@@ -79,16 +79,16 @@ def coth_poly_I_series(x, max_terms=SERIES_MAX_TERMS):
 def lemma_coth_poly(x):
     """Margin x^3 (coth x + x (1 - coth^2 x)) - 6 (x coth x - 1)^2; positive for x > 0.
 
-    Equals I(x)/sinh^2(x); the series route is used below x = 0.5 where the
+    Equals I(x)/sinh^2(x); the series route is evaluated only below x = 0.5, where the
     direct form is destroyed by cancellation.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         coth = 1.0 / np.tanh(x)
-        direct = x ** 3 * (coth + x * (1.0 - coth ** 2)) - 6.0 * (x * coth - 1.0) ** 2
-    series = coth_poly_I_series(x) / np.sinh(x) ** 2
-    out = np.where(x < 0.5, series, direct)
-    return float(out) if np.ndim(out) == 0 else out
+        out = np.asarray(x ** 3 * (coth + x * (1.0 - coth ** 2)) - 6.0 * (x * coth - 1.0) ** 2)
+    small = x < 0.5
+    out[small] = coth_poly_I_series(x[small]) / np.sinh(x[small]) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def lemma_sin_scaling(x, y):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (_by_count, _check_loop, _check_polygon_chart, _chord_plan, _edge_ts,
-                        _hulls, _in_trial_order, _next_rows, _star_polar, klein_polygon_contains)
+from .convexity import (TRIAL_BLOCK, _by_count, _check_loop, _check_polygon_chart, _chord_plan,
+                        _edge_ts, _hulls, _in_trial_order, _next_rows, _star_polar,
+                        klein_polygon_contains)
 from .dilation import _check_factors, dilate_origin_chart, dilate_origin_polar
 from .disk import _read_only
 
@@ -40,8 +41,6 @@ MAX_VERTICES, MAX_RHO = 10, 1.2
 # sampling of conjecture_trial (4x on a recheck); every SYMMETRIC_EVERY-th trial has k1 == k2
 PER_EDGE, PAIR_SAMPLES, SEGMENT_SAMPLES = 24, 64, 16
 SYMMETRIC_EVERY = 5
-# conjecture_trial's trials whose polygons and regions are built at once, as cli.THEOREM_BLOCK's
-CONJECTURE_BLOCK = 20
 
 
 def _unit_rows(v):
@@ -229,21 +228,16 @@ def _contract_block(polys, k1, k2, per_edge):
     return regions
 
 
-def contract_polygon(poly, k1, k2, per_edge=PER_EDGE):
-    """Images of the polygons of the sequence poly, each under the contraction by its own
+def contract_polygon(polys, k1, k2, per_edge=PER_EDGE):
+    """Images of the polygons of the sequence polys, each under the contraction by its own
     factors k1[t], k2[t], as sampled boundary loops.  Factors 1, 1 give a polygon's own
     boundary, up to the rounding of the polar chart.
 
     The regions are built together: one great_circle_points call samples every edge, and each
     group of one vertex count is contracted in its stack of charts, so each region has the bits
     it has built alone.  An error is the one that building the regions one at a time raises;
-    factors must be > 0, as DilationParams has them on H² (ValueError).  A SphericalPolygon
-    with scalar factors is the block of one and returns one region."""
-    one = isinstance(poly, SphericalPolygon)
-    if one:
-        poly, k1, k2 = [poly], [k1], [k2]
-    regions = _in_trial_order(lambda *block: _contract_block(*block, per_edge), poly, k1, k2)
-    return regions[0] if one else regions
+    factors must be > 0, as DilationParams has them on H² (ValueError)."""
+    return _in_trial_order(lambda *block: _contract_block(*block, per_edge), polys, k1, k2)
 
 
 def _gnomonic_radius(rho):
@@ -304,28 +298,23 @@ def _polygon_block(centers, stars):
     return _hulls(uv, counts, polygons)
 
 
-def random_convex_spherical_polygon(rng, center=None):
-    """Random convex polygons, one per generator of the sequence rng, each in the open
-    hemisphere about its unit center (3,): center[t], or drawn from the generator.  A polygon's
+def random_convex_spherical_polygon(rngs, centers=None):
+    """Random convex polygons, one per generator of the sequence rngs, each in the open
+    hemisphere about its unit center (3,): centers[t], or drawn from the generator.  A polygon's
     vertices are rows of its drawn points, hulled in its gnomonic chart.
 
     Each generator draws what it draws alone: its center, then its _star_polar points.  The
     points are mapped from polar and projected in groups of one point count, in a stack of
     their charts, and hulled by the hull step the H² generator runs (convexity._hulls), so each
     polygon has the bits it has built alone.  An error is the one that building the polygons
-    one at a time raises.  A bare Generator, with one center or none, is the block of one and
-    returns one polygon."""
-    one = isinstance(rng, np.random.Generator)
-    if one:
-        rng, center = [rng], None if center is None else [center]
+    one at a time raises."""
     drawn, stars = [], []
-    for gen in rng:
-        if center is None:
+    for gen in rngs:
+        if centers is None:
             v = gen.normal(size=3)
             drawn.append(v / np.linalg.norm(v))
         stars.append(_star_polar(gen, MAX_VERTICES, (0.1, MAX_RHO)))
-    polys = _in_trial_order(_polygon_block, drawn if center is None else center, stars)
-    return polys[0] if one else polys
+    return _in_trial_order(_polygon_block, drawn if centers is None else centers, stars)
 
 
 def conjecture_trial(seed, trials):
@@ -338,8 +327,8 @@ def conjecture_trial(seed, trials):
     by (seed, trial index).
     """
     results = []
-    for start in range(0, trials, CONJECTURE_BLOCK):
-        block = range(start, min(start + CONJECTURE_BLOCK, trials))
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = range(start, min(start + TRIAL_BLOCK, trials))
         rngs = [np.random.default_rng([seed, i]) for i in block]
         polys = random_convex_spherical_polygon(rngs)
         k1 = [float(rng.uniform(0.01, 1.0)) for rng in rngs]
@@ -349,8 +338,8 @@ def conjecture_trial(seed, trials):
             defect = s_convexity_defect(region)
             rechecked = None
             if defect > DEFECT_EXCEEDANCE:
-                region4 = contract_polygon(region.polygon, region.k1, region.k2,
-                                           per_edge=4 * PER_EDGE)
+                region4 = contract_polygon([region.polygon], [region.k1], [region.k2],
+                                           per_edge=4 * PER_EDGE)[0]
                 rechecked = s_convexity_defect(region4, 4 * PAIR_SAMPLES, 4 * SEGMENT_SAMPLES)
             results.append({
                 "trial": i, "seed": seed, "k1": region.k1, "k2": region.k2,

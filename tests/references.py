@@ -539,25 +539,23 @@ def per_trial_conjecture(seed, i):
 
 def per_spec_side_ordering(spec, s, samples):
     """side_ordering's report entry of one ChordSpec, as it was computed one chord at a time:
-    the inner chord's ends are floats."""
+    the chord, and the inner chord between its preimage's ends, each a stack of one, whose
+    arrays are (1, samples) rows and whose ends are (1, 1) columns."""
     if samples < 2:
         raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
     ts = np.linspace(0.0, 1.0, samples)
-    state = preimage_state(spec, s, ts)
+    state = preimage_state([spec], [s], ts)
+    r, theta = state["r"], state["theta"]
 
-    kg_pre = curvature_from_derivatives(state["r"], state["rp"], state["rpp"],
-                                        state["thp"], state["thpp"])
+    kg_pre = curvature_from_derivatives(r, state["rp"], state["rpp"], state["thp"], state["thpp"])
 
-    r1, th1 = float(state["r"][0]), float(state["theta"][0])
-    r2, th2 = float(state["r"][-1]), float(state["theta"][-1])
-    dth = th2 - th1
-
-    u = (state["theta"] - th1) / dth
-    r_chord = chord_radius(ChordSpec(r1, r2, th1, th2), u)
+    r1, th1, r2, th2 = r[:, :1], theta[:, :1], r[:, -1:], theta[:, -1:]
+    u = (theta - th1) / (th2 - th1)
+    r_chord = chord_radius([ChordSpec(r[0, 0], r[0, -1], theta[0, 0], theta[0, -1])], u)
     r_gamma = (1.0 - u) * r1 + u * r2
     kg_gamma = gamma_curvature_closed_form(r1, r2, th1, th2, u)
 
-    chord_gap = r_chord - state["r"]
+    chord_gap = r_chord - r
     gamma_gap = r_gamma - r_chord
     slack = curvature.ORDERING_SLACK
     bad = (kg_pre >= slack) | (kg_gamma <= -slack) | (chord_gap < -slack) | (gamma_gap < -slack)
@@ -567,10 +565,10 @@ def per_spec_side_ordering(spec, s, samples):
         "max_kg_preimage": float(np.max(kg_pre)), "min_kg_gamma": float(np.min(kg_gamma)),
         "violations": [{
             "t": float(ts[idx]),
-            "r_preimage": float(state["r"][idx]),
-            "r_chord": float(r_chord[idx]),
-            "r_gamma": float(r_gamma[idx]),
-            "kg_preimage": float(kg_pre[idx]),
-            "kg_gamma": float(kg_gamma[idx]),
-        } for idx in np.nonzero(bad)[0]],
+            "r_preimage": float(r[0, idx]),
+            "r_chord": float(r_chord[0, idx]),
+            "r_gamma": float(r_gamma[0, idx]),
+            "kg_preimage": float(kg_pre[0, idx]),
+            "kg_gamma": float(kg_gamma[0, idx]),
+        } for idx in np.nonzero(bad[0])[0]],
     }

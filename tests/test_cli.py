@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from hypexpand import cli, curvature
 from hypexpand.cli import (
     CSV_BLOCK_ROWS,
-    THEOREM_BLOCK,
     _csv_text,
     build_parser,
     main,
@@ -25,9 +24,9 @@ from hypexpand.cli import (
     run_verify_lemmas,
     run_verify_theorem,
 )
-from hypexpand.convexity import ChartSaturation, GeodesicPolygon, convexity_defect, dilate_region
+from hypexpand.convexity import TRIAL_BLOCK, GeodesicPolygon, convexity_defect, dilate_region
 from hypexpand.dilation import DilationParams
-from hypexpand.disk import curvature_from_derivatives, polar_to_cart
+from hypexpand.disk import ChartSaturation, curvature_from_derivatives, polar_to_cart
 from references import per_trial_theorem
 
 
@@ -66,6 +65,19 @@ class TestVerifyTheorem:
             assert drawn and all(1.0 <= k <= 4.0 for k in drawn)
         assert run_verify_theorem(seed=1, trials=2, k1=2.0, k2=3.0)["k_range"] is None
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--k1", "2", "--k2", "0.99"], "k2=0.99"),
+        (["--k1", "0.5"], "k1=0.5"),
+        (["--k1", "0.999", "--k2", "0.5", "--trials", "1"], "k1=0.999, k2=0.5"),
+    ])
+    def test_a_forced_factor_below_1_is_outside_the_hypothesis(self, argv, named, capsys):
+        # at (2, 0.99) a polygon on the worst line measures a defect of 1.2e-5, where the
+        # random trials all measure 0: the command refuses the pair rather than pass it
+        assert main(["verify-theorem"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "hypothesis k1, k2 >= 1" in captured.err and captured.err.endswith(named + "\n")
+
     def test_deterministic(self):
         a = json.dumps(run_verify_theorem(seed=5, trials=6), sort_keys=True)
         b = json.dumps(run_verify_theorem(seed=5, trials=6), sort_keys=True)
@@ -77,8 +89,8 @@ class TestTheoremBlocks:
     each trial alone."""
 
     @pytest.mark.parametrize("seed, trials, forced", [
-        (0, THEOREM_BLOCK - 1, {}), (11, THEOREM_BLOCK, {}), (12, THEOREM_BLOCK + 1, {}),
-        (13, THEOREM_BLOCK + 1, {"k1": 2.0}), (0, 200, {}),
+        (0, TRIAL_BLOCK - 1, {}), (11, TRIAL_BLOCK, {}), (12, TRIAL_BLOCK + 1, {}),
+        (13, TRIAL_BLOCK + 1, {"k1": 2.0}), (0, 200, {}),
     ])
     def test_blocks_build_the_per_trial_polygons_and_regions(self, seed, trials, forced,
                                                              monkeypatch):
@@ -99,7 +111,7 @@ class TestTheoremBlocks:
             assert np.array_equal(region.boundary, ref.boundary)
             assert report["results"][i] == result
 
-    @pytest.mark.parametrize("k1, trials", [(40.0, 3), (13.0, 200), (13.0, 2 * THEOREM_BLOCK)])
+    @pytest.mark.parametrize("k1, trials", [(40.0, 3), (13.0, 200), (13.0, 2 * TRIAL_BLOCK)])
     def test_a_saturated_block_names_what_the_per_trial_loop_names(self, k1, trials):
         with pytest.raises(ChartSaturation) as block:
             run_verify_theorem(seed=0, trials=trials, k1=k1)
@@ -399,10 +411,11 @@ class TestRender:
     def test_curve_trace_matches_per_value_formatting(self, n):
         # the rendered chord's preimage under the x-axis contraction by 1/2.5
         ts = np.linspace(0.0, 1.0, n)
-        state = curvature.preimage_state(curvature.ChordSpec(1.8, 2.3, -0.6, 0.8), 1.0 / 2.5, ts)
-        r, theta = state["r"], state["theta"]
+        state = curvature.preimage_state([curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)], [1.0 / 2.5],
+                                         ts)
+        r, theta = state["r"][0], state["theta"][0]
         xy = polar_to_cart(r, theta)
-        kg = curvature_from_derivatives(r, state["rp"], state["rpp"], state["thp"], state["thpp"])
+        kg = curvature_from_derivatives(r, *(state[k][0] for k in ("rp", "rpp", "thp", "thpp")))
         rows = zip(ts, r, theta, xy[:, 0], xy[:, 1], kg)
         assert (csv_lines(run_render_trace(k1=2.5, n=n))
                 == csv_lines(reference_csv("t,r,theta,x,y,kg", rows)))

@@ -15,7 +15,6 @@ from hypexpand import cli, convexity, disk
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
     SIDEDNESS_TOL,
-    ChartSaturation,
     GeodesicPolygon,
     SampledRegion,
     convexity_defect,
@@ -27,9 +26,9 @@ from hypexpand.convexity import (
     random_hconvex_polygon,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (cart_to_polar, geodesic_chord_points, hyperboloid_cart,
-                            hyperboloid_lift, hyperboloid_polar, hyperboloid_translate,
-                            mobius_translate, polar_to_cart)
+from hypexpand.disk import (ChartSaturation, cart_to_polar, geodesic_chord_points,
+                            hyperboloid_cart, hyperboloid_lift, hyperboloid_polar,
+                            hyperboloid_translate, mobius_translate, polar_to_cart)
 from references import (ZERO, cart_point, from_klein, klein_sheet, per_trial_dilate_region,
                         per_trial_hconvex_polygon, polar_point, to_klein)
 

@@ -106,10 +106,25 @@ def reference_generic_curvature_extended(r_hat, theta_hat, s, rp_hat, dth):
     return out.astype(float)
 
 
+def chord_state(spec, s, t):
+    """preimage_state of the one chord spec, as a block of one: each array's row, in the shape
+    of t."""
+    t = np.asarray(t, dtype=float)
+    state = preimage_state([spec], [s], t.reshape(-1))
+    return {key: np.broadcast_to(value, (1, t.size)).reshape(t.shape)
+            for key, value in state.items()}
+
+
+def radius(spec, t):
+    """chord_radius of the one chord spec, in the shape of t."""
+    t = np.asarray(t, dtype=float)
+    return chord_radius([spec], t.reshape(-1))[0].reshape(t.shape)
+
+
 def preimage_polar(spec, s):
     """t -> (r, theta) of the preimage curve, the function finite differences wrap."""
     def f(t):
-        state = preimage_state(spec, s, t)
+        state = chord_state(spec, s, t)
         return state["r"], state["theta"]
     return f
 
@@ -225,7 +240,7 @@ class TestBeta:
     def test_rejects_bad_s(self):
         # the range of s is checked where a preimage is formed
         with pytest.raises(ValueError):
-            preimage_state(ChordSpec(1.0, 1.0, -0.5, 0.5), 1.0, 0.3)
+            preimage_state([ChordSpec(1.0, 1.0, -0.5, 0.5)], [1.0], 0.3)
 
 
 class TestChord:
@@ -239,12 +254,12 @@ class TestChord:
 
     def test_endpoints(self):
         spec = ChordSpec(1.3, 2.4, -0.7, 1.1)
-        assert chord_radius(spec, 0.0) == pytest.approx(1.3, abs=1e-12)
-        assert chord_radius(spec, 1.0) == pytest.approx(2.4, abs=1e-12)
+        assert radius(spec, 0.0) == pytest.approx(1.3, abs=1e-12)
+        assert radius(spec, 1.0) == pytest.approx(2.4, abs=1e-12)
 
     def test_symmetric_midpoint(self):
         spec = ChordSpec(1.0, 1.0, -0.5, 0.5)
-        r_mid = chord_radius(spec, 0.5)
+        r_mid = radius(spec, 0.5)
         assert 1.0 / math.tanh(r_mid) == pytest.approx(
             (1.0 / math.tanh(1.0)) / math.cos(0.5), rel=1e-13)
 
@@ -260,7 +275,7 @@ class TestChord:
                 spec = ChordSpec(rng.uniform(5.0, 30.0), rng.uniform(5.0, 30.0), th1, th2)
                 ts = rng.uniform(0.0, 1.0, 8)
                 dth = mp.mpf(spec.delta_theta)
-                for t, got in zip(ts, chord_radius(spec, ts)):
+                for t, got in zip(ts, radius(spec, ts)):
                     c = (mp.coth(spec.r1) * mp.sin((1 - mp.mpf(t)) * dth)
                          + mp.coth(spec.r2) * mp.sin(mp.mpf(t) * dth)) / mp.sin(dth)
                     ref = mp.acoth(c)
@@ -274,17 +289,17 @@ class TestChord:
             spec = ChordSpec(rng.uniform(0.01, 30.0), rng.uniform(0.01, 30.0),
                              th1, rng.uniform(th1 + 0.01, math.pi / 2 - 0.001))
             ts = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
-            jet_r = chord_jet(spec.r1, spec.r2, spec.delta_theta, ts)[0]
-            assert np.array_equal(chord_radius(spec, ts), jet_r)
-            assert chord_radius(spec, ts[5]) == chord_jet(spec.r1, spec.r2, spec.delta_theta,
-                                                          ts[5])[0]
+            r1, r2, th1, th2 = curvature._ends([spec])
+            assert np.array_equal(chord_radius([spec], ts), chord_jet(r1, r2, th2 - th1, ts)[0])
+            assert np.array_equal(chord_radius([spec], ts[5]),
+                                  chord_jet(r1, r2, th2 - th1, ts[5])[0])
 
     def test_chord_is_a_geodesic(self):
         spec = ChordSpec(1.5, 2.2, -0.6, 0.9)
 
         def f(t):
             t = np.asarray(t, float)
-            return chord_radius(spec, t), spec.theta(t)
+            return radius(spec, t), spec.theta(t)
 
         curve = from_polar_function(f)
         ts = np.linspace(0.02, 0.98, 50)
@@ -309,16 +324,16 @@ class TestPreimageCurve:
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
         s = 1.0 - 1e-6
         ts = np.linspace(0.0, 1.0, 33)
-        state = preimage_state(spec, s, ts)
+        state = chord_state(spec, s, ts)
         # curve endpoints approach the chord endpoints
-        assert abs(float(preimage_state(spec, s, 0.0)["r"]) - 2.0) < 1e-5
+        assert abs(float(chord_state(spec, s, 0.0)["r"]) - 2.0) < 1e-5
         # the mapped curve coincides with the chord between its own endpoints
-        e0 = preimage_state(spec, s, 0.0)
-        e1 = preimage_state(spec, s, 1.0)
+        e0 = chord_state(spec, s, 0.0)
+        e1 = chord_state(spec, s, 1.0)
         inner = ChordSpec(float(e0["r"]), float(e1["r"]),
                           float(e0["theta"]), float(e1["theta"]))
         u = (state["theta"] - inner.theta1) / inner.delta_theta
-        assert np.max(np.abs(state["r"] - chord_radius(inner, u))) < 1e-6
+        assert np.max(np.abs(state["r"] - radius(inner, u))) < 1e-6
 
     def test_analytic_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(41)
@@ -328,7 +343,7 @@ class TestPreimageCurve:
             th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
             spec = ChordSpec(rng.uniform(0.3, 3.5), rng.uniform(0.3, 3.5), th1, th2)
             s = rng.uniform(0.1, 0.9)
-            state = preimage_state(spec, s, ts)
+            state = chord_state(spec, s, ts)
             fd = from_polar_function(preimage_polar(spec, s))
             for a, b in zip([state[k] for k in ("rp", "thp", "rpp", "thpp")],
                             fd.d1(ts) + fd.d2(ts)):
@@ -337,7 +352,7 @@ class TestPreimageCurve:
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
-            preimage_state(ChordSpec(1.0, 1.0, -0.5, 0.5), 1.5, np.linspace(0.0, 1.0, 5))
+            preimage_state([ChordSpec(1.0, 1.0, -0.5, 0.5)], [1.5], np.linspace(0.0, 1.0, 5))
 
 
 class TestDerivativeChain:
@@ -348,7 +363,7 @@ class TestDerivativeChain:
         h = 1e-6
 
         def state_at(t):
-            return preimage_state(spec, s, t)
+            return chord_state(spec, s, t)
 
         plus, minus, mid = state_at(ts + h), state_at(ts - h), state_at(ts)
         pairs = [
@@ -366,9 +381,10 @@ class TestDerivativeChain:
     def test_jet_is_the_reference_chain_on_the_chord_jet(self, t):
         spec = ChordSpec(1.4, 2.1, -0.5, 0.9)
         s = 0.4
-        state = preimage_state(spec, s, t)
-        chord = chord_jet(spec.r1, spec.r2, spec.delta_theta, t)
-        ref = reference_preimage_chain(*chord, spec.theta(t), s, spec.delta_theta)
+        state = preimage_state([spec], [s], t)
+        r1, r2, th1, th2 = curvature._ends([spec])
+        chord = chord_jet(r1, r2, th2 - th1, t)
+        ref = reference_preimage_chain(*chord, spec.theta(t), np.array([[s]]), th2 - th1)
         for key, value in zip(("r_hat", "rp_hat", "rpp_hat"), chord):
             assert np.array_equal(state[key], value), key
         for key, value in ref.items():
@@ -381,7 +397,7 @@ class TestDerivativeChain:
             th2 = rng.uniform(th1 + 0.02, math.pi / 2 - 0.005)
             spec = ChordSpec(1.0, 1.0, th1, th2)
             s = rng.uniform(0.05, 0.95)
-            st = preimage_state(spec, s, rng.uniform(0.0, 1.0))
+            st = chord_state(spec, s, rng.uniform(0.0, 1.0))
             lhs = st["bp"] ** 2
             rhs = 4.0 * st["beta_minus_s2"] * st["one_minus_beta"] * spec.delta_theta ** 2
             assert float(lhs) == pytest.approx(float(rhs), rel=1e-12, abs=1e-300)
@@ -467,20 +483,20 @@ class TestComparisonCurve:
     def test_stays_outside_the_chord(self):
         spec = ChordSpec(1.8, 2.3, -0.6, 0.8)
         s = 0.3
-        e0 = preimage_state(spec, s, 0.0)
-        e1 = preimage_state(spec, s, 1.0)
+        e0 = chord_state(spec, s, 0.0)
+        e1 = chord_state(spec, s, 1.0)
         inner = ChordSpec(float(e0["r"]), float(e1["r"]),
                           float(e0["theta"]), float(e1["theta"]))
         ts = np.linspace(0.0, 1.0, 65)
         r_gamma = (1.0 - ts) * inner.r1 + ts * inner.r2
-        r_chord = chord_radius(inner, ts)
+        r_chord = radius(inner, ts)
         assert np.all(r_gamma - r_chord > -1e-12)
 
 
 class TestSideOrdering:
     def test_golden_configuration(self):
         # frozen from the first run of this configuration
-        rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=64)
+        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2], samples=64)
         assert rep["violations"] == []
         assert rep["max_kg_preimage"] == pytest.approx(-0.0560617474949, rel=1e-9)
         assert rep["min_kg_gamma"] == pytest.approx(1.29818019221, rel=1e-9)
@@ -488,39 +504,41 @@ class TestSideOrdering:
         assert rep["min_gamma_gap"] > -1e-9
         # strict ordering away from the endpoints
         ts = np.linspace(0.1, 0.9, 17)
-        state = preimage_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, ts)
-        e0 = preimage_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, 0.0)
-        e1 = preimage_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, 1.0)
+        state = chord_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, ts)
+        e0 = chord_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, 0.0)
+        e1 = chord_state(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, 1.0)
         inner = ChordSpec(float(e0["r"]), float(e1["r"]),
                           float(e0["theta"]), float(e1["theta"]))
         u = (state["theta"] - inner.theta1) / inner.delta_theta
-        r_chord = chord_radius(inner, u)
+        r_chord = radius(inner, u)
         assert np.min(r_chord - state["r"]) > 1e-3
         assert np.min((1 - u) * inner.r1 + u * inner.r2 - r_chord) > 1e-3
 
     def test_random_grid_clean(self):
         rng = np.random.default_rng(46)
+        specs, factors = [], []
         for _ in range(100):
             th1 = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.1)
             th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
-            spec = ChordSpec(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0), th1, th2)
-            rep = side_ordering(spec, rng.uniform(0.05, 0.95), samples=64)
+            specs.append(ChordSpec(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0), th1, th2))
+            factors.append(rng.uniform(0.05, 0.95))
+        for rep in side_ordering(specs, factors, samples=64):
             assert rep["violations"] == [], rep["violations"][:1]
 
     def test_near_identity_collapse(self):
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
-        rep = side_ordering(spec, 1.0 - 1e-6, samples=33)
+        rep, = side_ordering([spec], [1.0 - 1e-6], samples=33)
         assert rep["violations"] == []
         # preimage and chord pinch together
         assert rep["min_chord_gap"] < 1e-6
 
     def test_violation_reporting_shape(self, monkeypatch):
-        rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=16)
+        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2], samples=16)
         assert rep["violations"] == []
         assert rep["spec"] == [2.0, 2.0, -0.5, 0.5] and rep["s"] == 0.2
         # a slack below every margin makes each of the 16 samples a violation
         monkeypatch.setattr(curvature, "ORDERING_SLACK", -10.0)
-        rep = side_ordering(ChordSpec(2.0, 2.0, -0.5, 0.5), 0.2, samples=16)
+        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2], samples=16)
         assert len(rep["violations"]) == 16
         assert set(rep["violations"][0]) == {"t", "r_preimage", "r_chord", "r_gamma",
                                              "kg_preimage", "kg_gamma"}
@@ -529,8 +547,8 @@ class TestSideOrdering:
         # the chord's ends are the samples at t = 0 and 1, so one sample is refused
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
         with pytest.raises(ValueError):
-            side_ordering(spec, 0.4, samples=1)
-        rep = side_ordering(spec, 0.4, samples=2)
+            side_ordering([spec], [0.4], samples=1)
+        rep, = side_ordering([spec], [0.4], samples=2)
         # at the ends the three curves meet, up to the chord radius's rounding
         assert rep["violations"] == []
         assert max(abs(rep["min_chord_gap"]), abs(rep["min_gamma_gap"])) < 1e-15
@@ -548,8 +566,8 @@ class TestStackedSideOrdering:
             assert json.dumps(side_ordering(chords, factors, samples)) == json.dumps(alone)
 
     def test_chords_whose_angle_squares_differently_under_pow(self):
-        # a chord's dth ** 2 is Python's pow(dth, 2), which on some libms differs from numpy's
-        # dth * dth for about one double in a thousand; the stack must take pow's
+        # Python's pow(dth, 2) differs from dth * dth for about one double in a thousand on
+        # some libms; a chord squares its angle alike in a block of one and in the stack
         rng = np.random.default_rng(90)
         th1, th2 = rng.uniform(-1.5, 0.0, 20000).tolist(), rng.uniform(0.05, 1.5, 20000).tolist()
         odd = [i for i, (a, b) in enumerate(zip(th1, th2)) if (b - a) ** 2 != (b - a) * (b - a)]
@@ -568,28 +586,28 @@ class TestStackedSideOrdering:
         assert 0 < sum(len(a["violations"]) for a in alone) < 20 * 33
         assert json.dumps(side_ordering(chords, factors, 33)) == json.dumps(alone)
 
-    def test_a_chord_spec_is_the_block_of_one(self):
+    def test_a_block_of_one_chord(self):
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
         for samples in (2, 16, 33, 64):
-            one = side_ordering(spec, 0.4, samples)
-            assert json.dumps(one) == json.dumps(per_spec_side_ordering(spec, 0.4, samples))
-            assert side_ordering([spec], [0.4], samples) == [one]
+            assert (json.dumps(side_ordering([spec], [0.4], samples))
+                    == json.dumps([per_spec_side_ordering(spec, 0.4, samples)]))
         assert side_ordering([], [], 16) == []
-        for chords in (spec, [spec]):
-            with pytest.raises(ValueError, match="at least 2 samples"):
-                side_ordering(chords, 0.4 if chords is spec else [0.4], samples=1)
+        # the chords and factors are each read twice, so one-shot iterables are taken too
+        assert side_ordering(iter([spec]), iter([0.4]), 16) == side_ordering([spec], [0.4], 16)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            side_ordering([spec], [0.4], samples=1)
 
     def test_stacked_preimage_rows_are_each_chord_alone(self):
         chords, factors = cli._ordering_chords(7, 12)
         ts = np.linspace(0.0, 1.0, 33)
         block = preimage_state(chords, factors, ts)
         for i, (chord, s) in enumerate(zip(chords, factors)):
-            alone = preimage_state(chord, s, ts)
+            alone = preimage_state([chord], [s], ts)
             assert block.keys() == alone.keys()
             for key, value in alone.items():
                 row = np.broadcast_to(block[key], (len(chords), len(ts)))[i]
                 assert np.array_equal(row.view(np.int64),
-                                      np.broadcast_to(value, ts.shape).view(np.int64)), key
+                                      np.broadcast_to(value, (1, len(ts)))[0].view(np.int64)), key
         with pytest.raises(ValueError, match="s must lie in"):
             preimage_state(chords, factors[:-1] + [1.0], ts)
 

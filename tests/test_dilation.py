@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypexpand.convexity import ChartSaturation, GeodesicPolygon, dilate_region
+from hypexpand.convexity import GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
-from hypexpand.disk import mobius_translate, polar_to_cart
+from hypexpand.disk import ChartSaturation, mobius_translate, polar_to_cart
 from references import ZERO, cart_point, polar_point
 
 

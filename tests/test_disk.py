@@ -341,16 +341,17 @@ class TestGeodesic:
 
 
 def reference_polar_chord_closures(u, v, dth):
-    """eval, d1 and d2 of the polar-chord branch as written before the shared chord jet."""
+    """eval, d1 and d2 of the polar-chord branch as written before the shared chord jet, with
+    the chord's own factors from numpy's elementary functions, as the jet takes them."""
     r1, r2 = u.r, v.r
     th1 = u.theta
-    coth1, coth2 = 1.0 / math.tanh(r1), 1.0 / math.tanh(r2)
-    sin_dth = math.sin(dth)
+    coth1, coth2 = 1.0 / np.tanh(r1), 1.0 / np.tanh(r2)
+    sin_dth = np.sin(dth)
     a = abs(dth)
-    sin_a = math.sin(a)
-    q1 = 2.0 / math.expm1(2.0 * r1)
-    q2 = 2.0 / math.expm1(2.0 * r2)
-    half = math.sin(a / 2.0)
+    sin_a = np.sin(a)
+    q1 = 2.0 / np.expm1(2.0 * r1)
+    q2 = 2.0 / np.expm1(2.0 * r2)
+    half = np.sin(a / 2.0)
 
     def radius(t):
         t = np.asarray(t, dtype=float)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ class TestCothPolynomial:
         rel = np.abs(lemma_coth_poly(x) * np.sinh(x) ** 2 - coth_poly_I_direct(x)) \
             / coth_poly_I_direct(x)
         assert float(np.max(rel)) < 1e-9
+
+    def test_series_is_summed_only_below_the_cutoff(self):
+        # the series at x = 50, which the direct form replaces, overflowed in its sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = lemma_coth_poly(np.array([0.1, 50.0])).tolist()
+            alone = [lemma_coth_poly(0.1), lemma_coth_poly(50.0)]
+        # coth(50) rounds to 1: 50^3 - 6 * 49^2 exactly
+        assert both == alone == [coth_poly_I_series(0.1) / np.sinh(0.1) ** 2, 110594.0]
 
     def test_grid(self):
         rep = lemma_report("coth-polynomial", 200)

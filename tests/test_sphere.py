@@ -9,10 +9,9 @@ import pytest
 
 from conftest import edge_probes, mp_dilate_chart, mp_margin, stacked_membership_s2
 from hypexpand import convexity, sphere
-from hypexpand.convexity import SIDEDNESS_TOL, GeodesicPolygon
+from hypexpand.convexity import SIDEDNESS_TOL, TRIAL_BLOCK, GeodesicPolygon
 from hypexpand.dilation import dilate_origin_polar
 from hypexpand.sphere import (
-    CONJECTURE_BLOCK,
     Chart,
     SphericalPolygon,
     SphericalRegion,
@@ -34,6 +33,17 @@ def unit(v):
     return np.asarray(v, dtype=float) / np.linalg.norm(v)
 
 
+def one_polygon(rng, center=None):
+    """random_convex_spherical_polygon of the one generator rng (and its center), a block of
+    one."""
+    return random_convex_spherical_polygon([rng], None if center is None else [center])[0]
+
+
+def one_region(poly, k1, k2, per_edge=sphere.PER_EDGE):
+    """contract_polygon of the one polygon poly, a block of one."""
+    return contract_polygon([poly], [k1], [k2], per_edge)[0]
+
+
 def north_polygon(rho, thetas):
     """The polygon with vertices at (rho, theta) about NORTH, in its chart."""
     return SphericalPolygon(Chart(NORTH).from_polar(rho, np.asarray(thetas)), Chart(NORTH))
@@ -48,7 +58,7 @@ class TestUnitVectors:
         with pytest.raises(ValueError, match="unit vector"):
             SphericalPolygon(2.0 * Chart(NORTH).from_polar(0.5, np.array([0.0, 2.1, 4.2])),
                              Chart(NORTH))
-        poly = random_convex_spherical_polygon(np.random.default_rng(3))
+        poly = one_polygon(np.random.default_rng(3))
         for v in (*poly.xyz, poly.chart.n):
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
 
@@ -148,35 +158,35 @@ class TestGnomonic:
 class TestSphericalDefect:
     def test_triangle_convex(self):
         tri = north_polygon(0.9, [0.2, 2.2, 4.4])
-        assert s_convexity_defect(contract_polygon(tri, 1.0, 1.0)) < 1e-9
+        assert s_convexity_defect(one_region(tri, 1.0, 1.0)) < 1e-9
 
     def test_reflex_quad_defect(self):
         # a dart is no region's polygon, so none is measured without exact membership
         dart_uv = np.array([[0.05, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]])
         dart = SphericalPolygon(gnomonic_inverse(Chart(NORTH), dart_uv), Chart(NORTH))
         assert not dart.convex
-        for build in (lambda: contract_polygon(dart, 1.0, 1.0, per_edge=32),
-                      lambda: contract_polygon(dart, 0.5, 0.5)):
+        for build in (lambda: one_region(dart, 1.0, 1.0, per_edge=32),
+                      lambda: one_region(dart, 0.5, 0.5)):
             with pytest.raises(ValueError, match="convex polygon"):
                 build()
 
     def test_counts_validated(self):
-        poly = random_convex_spherical_polygon(np.random.default_rng(68), center=NORTH)
-        region = contract_polygon(poly, 0.5, 0.8)
+        poly = one_polygon(np.random.default_rng(68), NORTH)
+        region = one_region(poly, 0.5, 0.8)
         for counts in [(64, 0), (8, 16), (16, 15)]:
             with pytest.raises(ValueError, match="at least 16"):
                 s_convexity_defect(region, *counts)
         for per_edge in (0, 1, 15):
             with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
-                contract_polygon(poly, 0.5, 0.8, per_edge=per_edge)
-        assert s_convexity_defect(contract_polygon(poly, 0.5, 0.8, per_edge=16), 16, 16) >= 0.0
+                one_region(poly, 0.5, 0.8, per_edge=per_edge)
+        assert s_convexity_defect(one_region(poly, 0.5, 0.8, per_edge=16), 16, 16) >= 0.0
 
     def test_symmetric_contraction_stays_convex(self):
         rng = np.random.default_rng(66)
         for _ in range(20):
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             k = float(rng.uniform(0.1, 1.0))
-            region = contract_polygon(poly, k, k)
+            region = one_region(poly, k, k)
             assert s_convexity_defect(region) < 1e-6
 
     def test_asymmetric_contraction_can_break_convexity(self):
@@ -184,10 +194,10 @@ class TestSphericalDefect:
         # straddling the strongly contracted axis bends toward the center,
         # so chords across it leave the image
         rng = np.random.default_rng([0, 7])
-        poly = random_convex_spherical_polygon(rng)
+        poly = one_polygon(rng)
         k1 = float(rng.uniform(0.01, 1.0))
         k2 = float(rng.uniform(0.01, 1.0))
-        region = contract_polygon(poly, k1, k2, per_edge=96)
+        region = one_region(poly, k1, k2, per_edge=96)
         assert s_convexity_defect(region, 256, 64) > 1e-4
 
     def test_asymmetric_violation_confirmed_from_scratch(self):
@@ -195,7 +205,7 @@ class TestSphericalDefect:
         # with the library: rebuild the contraction from its definition and
         # test membership by spherical sidedness determinants
         rng = np.random.default_rng([0, 7])
-        poly = random_convex_spherical_polygon(rng)
+        poly = one_polygon(rng)
         k1 = float(rng.uniform(0.01, 1.0))
         k2 = float(rng.uniform(0.01, 1.0))
         n = poly.chart.n
@@ -250,7 +260,7 @@ class TestRandomPolygon:
     def test_well_formed(self):
         rng = np.random.default_rng(67)
         for _ in range(50):
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             assert poly.convex
             assert 3 <= len(poly.xyz) <= 10
             assert np.all(angular_distance(poly.xyz, poly.chart.n) < math.pi / 2)
@@ -260,7 +270,7 @@ class TestRandomPolygon:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             rng.bit_generator.state = state
             v = rng.normal(size=3)
             chart = Chart(v / np.linalg.norm(v))
@@ -328,7 +338,7 @@ def test_region_row_count_validation():
     # a loop of 24 rows per edge, named as 20 per edge, is refused: the defect
     # would take every 20th row as a vertex
     tri = north_polygon(0.9, [0.2, 2.2, 4.4])
-    region = contract_polygon(tri, 0.5, 1.0, per_edge=24)
+    region = one_region(tri, 0.5, 1.0, per_edge=24)
     assert region.boundary.shape == (73, 3)
     with pytest.raises(ValueError, match=r"has 73 rows, not samples_per_edge x vertices .* = 61"):
         SphericalRegion(region.boundary, tri, 20, 0.5, 1.0)
@@ -466,7 +476,7 @@ class TestBatchedPolygonLayer:
         rng = np.random.default_rng(72)
         convex = 0
         for _ in range(200):
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             uv = poly.uv.copy()
             uv[rng.integers(len(uv))] *= rng.choice([1.0, 0.6, 0.9])  # pull a vertex in
             i = int(rng.integers(len(uv)))  # or move one onto, or 1e-12 off, its chord
@@ -486,11 +496,11 @@ class TestBatchedPolygonLayer:
         rng = np.random.default_rng(73)
         flips = 0
         for trial in range(40):
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             k1, k2 = rng.uniform(0.05, 1.0, 2)
             if trial % 3 == 1:  # one factor above 1 as well, so one preimage factor is below 1
                 k1 += 1.0
-            region = contract_polygon(poly, *((1.0, 1.0) if trial % 5 == 0 else (k1, k2)))
+            region = one_region(poly, *((1.0, 1.0) if trial % 5 == 0 else (k1, k2)))
             # probes in the preimage's chart, so that vertices and edges map onto the polygon's
             pre = gnomonic_inverse(poly.chart, edge_probes(rng, poly.uv))
             probes = (pre if trial % 5 == 0 else
@@ -511,8 +521,8 @@ class TestBatchedPolygonLayer:
         assert flips <= 1  # of 29,506 probes (1 flip measured, the package right)
 
     def test_a_region_without_a_convex_polygon_is_refused(self):
-        poly = random_convex_spherical_polygon(np.random.default_rng(74))
-        contracted = contract_polygon(poly, 0.3, 0.8)
+        poly = one_polygon(np.random.default_rng(74))
+        contracted = one_region(poly, 0.3, 0.8)
         assert contracted.polygon is poly
         inside = sphere._exact_membership(contracted, contracted.boundary)
         assert inside.dtype == bool and inside.shape == (len(contracted.boundary),)
@@ -533,10 +543,10 @@ class TestBatchedPolygonLayer:
         # ones with chord samples outside the image
         for trial in (0, 5, 7, 10, 77, 116):
             rng = np.random.default_rng([0, trial])
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             k1 = float(rng.uniform(0.01, 1.0))
             k2 = k1 if trial % sphere.SYMMETRIC_EVERY == 0 else float(rng.uniform(0.01, 1.0))
-            region = contract_polygon(poly, k1, k2)
+            region = one_region(poly, k1, k2)
             ends, i, j, ts = sphere._chord_plan(region, 64, 16)
             ends = region.boundary[ends]
             probes = great_circle_points(ends[i], ends[j], ts).reshape(-1, 3)
@@ -556,7 +566,7 @@ class TestBatchedPolygonLayer:
         monkeypatch.setattr(convexity, "_edges_cross", recording)
         rng = np.random.default_rng(79)
         for _ in range(50):
-            poly = random_convex_spherical_polygon(rng)
+            poly = one_polygon(rng)
             again = SphericalPolygon(poly.xyz, poly.chart)
             moved = SphericalPolygon(poly.xyz, Chart(unit(poly.chart.n + 0.01)))
             assert poly.convex and again.convex and moved.convex
@@ -569,8 +579,8 @@ class TestBatchedPolygonLayer:
     def test_membership_does_not_warn_past_the_disk_saturation_radius(self):
         # the polar map is shared with the disk, whose Cartesian chart saturates
         # past r' = 50; no such chart is involved here
-        poly = random_convex_spherical_polygon(np.random.default_rng(76), center=NORTH)
-        region = contract_polygon(poly, 0.01, 0.01)
+        poly = one_polygon(np.random.default_rng(76), NORTH)
+        region = one_region(poly, 0.01, 0.01)
         thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         rho = np.full_like(thetas, 1.55)
         assert np.all(dilate_origin_polar(100.0, 100.0, rho, thetas)[0] > 50.0)
@@ -581,8 +591,8 @@ class TestBatchedPolygonLayer:
 
     def test_preimages_past_the_hemisphere_are_outside(self):
         # tan has period pi: unmasked, a preimage at rho = pi + 0.05 would land by the center
-        poly = random_convex_spherical_polygon(np.random.default_rng(77), center=NORTH)
-        region = contract_polygon(poly, 0.3, 0.3)
+        poly = one_polygon(np.random.default_rng(77), NORTH)
+        region = one_region(poly, 0.3, 0.3)
         thetas = np.linspace(-math.pi, math.pi, 16, endpoint=False)
         rho = np.full_like(thetas, 0.3 * (math.pi + 0.05))
         # the antipode lies on every direction's geodesic, at rho = pi
@@ -593,7 +603,7 @@ class TestBatchedPolygonLayer:
         assert not np.any(inside[:-1]) and inside[-1]  # the center itself is inside
 
     def test_gnomonic_vertices_are_stored_and_read_only(self):
-        poly = random_convex_spherical_polygon(np.random.default_rng(75))
+        poly = one_polygon(np.random.default_rng(75))
         assert np.array_equal(poly.uv, poly.chart.gnomonic(poly.xyz))
         for a in (poly.uv, poly.xyz):
             with pytest.raises(ValueError):
@@ -625,7 +635,7 @@ class TestSphereBlocks:
             assert np.array_equal(getattr(poly.chart, name), getattr(ref.chart, name))
 
     @pytest.mark.parametrize("seed, trials", [
-        (0, CONJECTURE_BLOCK - 1), (3, CONJECTURE_BLOCK), (7, CONJECTURE_BLOCK + 1), (11, 500),
+        (0, TRIAL_BLOCK - 1), (3, TRIAL_BLOCK), (7, TRIAL_BLOCK + 1), (11, 500),
     ])
     def test_blocks_build_the_per_trial_polygons_and_regions(self, seed, trials, monkeypatch):
         regions = []
@@ -650,13 +660,13 @@ class TestSphereBlocks:
         assert regions == []
 
     def test_given_centers_build_the_per_trial_polygons(self):
-        centers = [unit(c) for c in np.random.default_rng(78).normal(size=(CONJECTURE_BLOCK, 3))]
+        centers = [unit(c) for c in np.random.default_rng(78).normal(size=(TRIAL_BLOCK, 3))]
         polys = random_convex_spherical_polygon(
             [np.random.default_rng([78, i]) for i in range(len(centers))], centers)
         for i, (poly, center) in enumerate(zip(polys, centers)):
             ref = per_trial_spherical_polygon(np.random.default_rng([78, i]), center)
             self.assert_same_polygon(poly, ref)
-        one = random_convex_spherical_polygon(np.random.default_rng([78, 0]), centers[0])
+        one = one_polygon(np.random.default_rng([78, 0]), centers[0])
         self.assert_same_polygon(one, per_trial_spherical_polygon(np.random.default_rng([78, 0]),
                                                                   centers[0]))
 
@@ -695,7 +705,7 @@ class TestSphereBlocks:
                 build()
             return str(error.value)
 
-        alone = raised(lambda: [contract_polygon(p, k, 1.0) for p, k in zip(polys, k1)])
+        alone = raised(lambda: [one_region(p, k, 1.0) for p, k in zip(polys, k1)])
         # the block is built again one region at a time: the regions built before the failing
         # one are the ones the per-trial loop builds before it raises
         calls = []
@@ -711,9 +721,9 @@ class TestSphereBlocks:
         tri = north_polygon(1.0, [0.0, 2.1, 4.2])
         for k1, k2 in ((bad, 0.5), (0.5, bad)):
             with pytest.raises(ValueError, match="^dilation factors must be positive$"):
-                contract_polygon(tri, k1, k2)
+                one_region(tri, k1, k2)
         polys = random_convex_spherical_polygon(
-            [np.random.default_rng([80, i]) for i in range(CONJECTURE_BLOCK)])
+            [np.random.default_rng([80, i]) for i in range(TRIAL_BLOCK)])
         dart = self.hand_built()[2]
         # a block of 20 raises what building its regions one at a time raises: the bad factor
         # of trial 7, or the dart of trial 5 (whose factors are good) before it
@@ -723,7 +733,7 @@ class TestSphereBlocks:
             alone = []
             with pytest.raises(ValueError) as error:
                 for p, k in zip(block, k1):
-                    alone.append(contract_polygon(p, k, 0.9))
+                    alone.append(one_region(p, k, 0.9))
             assert len(alone) == (darts or [7])[0]
             calls = []
             build = sphere._contract_block
