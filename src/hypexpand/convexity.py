@@ -446,7 +446,7 @@ def _exact_membership(region: SampledRegion, pts):
         verts = verts[:, :2] / verts[:, 2:]
         pts = hyperboloid_translate(-center, pts)
     x, y = pts[:, 0], pts[:, 1]
-    n = np.hypot(x, y)
+    n = np.sqrt(x * x + y * y)
     q = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arcsinh(n), x, y, n, np.tanh)
     return klein_polygon_contains(verts, q)
 

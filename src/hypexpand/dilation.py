@@ -60,14 +60,21 @@ def dilate_origin_polar(k1, k2, r, theta):
 def dilate_origin_chart(k1, k2, r, x, y, n, f):
     """dilate_origin_polar of the point at distance r along (x, y), in the chart f; shape (..., 2).
 
-    n is |(x, y)|, which callers have formed.  The chart maps (r', theta') to f(r') (cos
-    theta', sin theta'): np.tanh for Klein, np.tan for gnomonic.  Computed without angles;
-    (x, y) = 0 maps to 0 * f(r): 0 at the center, nan where f(r) is nan (the sphere's
-    antipode).  Stored component-major.
+    n is |(x, y)|, which callers have formed as np.sqrt(x * x + y * y).  The chart maps
+    (r', theta') to f(r') (cos theta', sin theta'): np.tanh for Klein, np.tan for gnomonic.
+    Computed without angles; (x, y) = 0 maps to 0 * f(r): 0 at the center, nan where f(r) is
+    nan (the sphere's antipode).  So does a probe either of whose norms, |(x, y)| or
+    |(k1 x, k2 y)|, is 0 because its squares underflow (below ~1.5e-162).  Stored
+    component-major.
+
+    The norms are formed from squares, which overflow past 1.34e154: on the hyperboloid
+    sheet, where |(x, y)| = sinh r, past r ~ 355.6, or ln k less for a factor k > 1 (354.9 at
+    k = 2).  The Poincare chart the regions are drawn in stops at r ~ 38 (dilate_xy).
     """
     kx, ky = k1 * x, k2 * y
-    kn = np.hypot(kx, ky)
-    off = kn > 0.0
+    kn = np.sqrt(kx * kx + ky * ky)
+    # a square underflows to 0 below ~1.5e-162 while k * x may not: either norm 0 is the center
+    off = (kn > 0.0) & (n > 0.0)
     kn = np.where(off, kn, 1.0)
     s = f(r * kn / np.where(off, n, 1.0)) / kn
     buf, out = _component_major(2, s.shape)

@@ -25,7 +25,7 @@ from .convexity import (TRIAL_BLOCK, _by_count, _check_loop, _check_polygon_char
                         _edge_ts, _hulls, _in_trial_order, _next_rows, _star_polar,
                         klein_polygon_contains)
 from .dilation import _check_factors, dilate_origin_chart, dilate_origin_polar
-from .disk import _read_only
+from .disk import _component_major, _read_only
 
 CONTRACTION_DEFINITION = (
     "geodesic-polar contraction about the center: rho scales by "
@@ -72,8 +72,9 @@ def angular_distance(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     cx, cy, cz = _cross(a, b)
-    # the sum order of np.linalg.norm over the last axis
-    out = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), np.sum(a * b, axis=-1))
+    # the sum orders of np.linalg.norm and np.sum over the last axis
+    out = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz),
+                     a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -172,20 +173,25 @@ def _polygon_rows(xyz, chart):
 def great_circle_points(a, b, ts):
     """Samples of the minor great-circle arcs between unit vectors a and b.
 
-    a and b have shape (..., 3); returns shape (..., T, 3).  Endpoints closer
-    than 1e-12 are interpolated linearly.
+    a and b have shape (..., 3); returns unit vectors of shape (..., T, 3), stored
+    component-major, as disk.geodesic_chord_points returns sheet points.  The samples are
+    sin-weighted combinations of the ends, normalized.  Endpoints closer than 1e-12 are
+    interpolated linearly.
     """
-    a = np.asarray(a, dtype=float)[..., None, :]
-    b = np.asarray(b, dtype=float)[..., None, :]
-    omega = angular_distance(a, b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    omega = np.asarray(angular_distance(a, b))[..., None]
     short = omega < 1e-12
     so = np.sin(np.where(short, 1.0, omega))
     ts = np.asarray(ts, dtype=float)
-    pts = (np.sin((1.0 - ts) * omega) / so)[..., None] * a \
-        + (np.sin(ts * omega) / so)[..., None] * b
+    wa, wb = np.sin((1.0 - ts) * omega) / so, np.sin(ts * omega) / so
     if np.any(short):
-        pts = np.where(short[..., None], (1.0 - ts)[:, None] * a + ts[:, None] * b, pts)
-    return pts / np.linalg.norm(pts, axis=-1)[..., None]
+        wa, wb = np.where(short, 1.0 - ts, wa), np.where(short, ts, wb)
+    buf, pts = _component_major(3, wa.shape)
+    for k, out in enumerate(buf):
+        np.add(wa * a[..., k, None], wb * b[..., k, None], out=out)
+    # the sum order of np.linalg.norm over the last axis
+    buf /= np.sqrt(buf[0] * buf[0] + buf[1] * buf[1] + buf[2] * buf[2])
+    return pts
 
 
 # --- sampled spherical regions ----------------------------------------------
@@ -253,7 +259,7 @@ def _exact_membership(region: SphericalRegion, pts):
     poly = region.polygon
     chart = poly.chart
     x, y = pts @ chart.e1, pts @ chart.e2
-    n = np.hypot(x, y)
+    n = np.sqrt(x * x + y * y)
     uv = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(n, pts @ chart.n),
                              x, y, n, _gnomonic_radius)
     return klein_polygon_contains(poly.uv, uv)

@@ -161,7 +161,10 @@ def stacked_translate(c, pts):
 
 
 def stacked_chart(k1, k2, r, x, y, f):
-    """dilate_origin_chart with |(x, y)| formed again and its result stacked row-major."""
+    """dilate_origin_chart with both norms formed by np.hypot and its result stacked row-major.
+
+    The package forms them from squares, so a comparison with this route also checks that the
+    squares decide every probe as np.hypot does."""
     kx, ky = k1 * x, k2 * y
     kn = np.hypot(kx, ky)
     off = kn > 0.0
@@ -171,7 +174,8 @@ def stacked_chart(k1, k2, r, x, y, f):
 
 
 def stacked_membership_h2(region, pts):
-    """convexity._exact_membership of hyperboloid probes (P, 3) through row-major stacks."""
+    """convexity._exact_membership of hyperboloid probes (P, 3) through row-major stacks and
+    np.hypot norms."""
     pts = np.ascontiguousarray(pts)
     center = region.center
     verts = region.polygon.klein
@@ -186,7 +190,8 @@ def stacked_membership_h2(region, pts):
 
 
 def stacked_membership_s2(region, pts):
-    """sphere._exact_membership of unit vectors (P, 3) through row-major stacks."""
+    """sphere._exact_membership of unit vectors (P, 3) through row-major stacks and np.hypot
+    norms."""
     pts = np.ascontiguousarray(pts)
     chart = region.polygon.chart
     x, y = pts @ chart.e1, pts @ chart.e2

@@ -496,7 +496,9 @@ def per_trial_contraction(xyz, chart, k1, k2, per_edge=sphere.PER_EDGE):
     their polar rows by one matrix-vector product per frame vector, and the polar map."""
     ts = np.arange(per_edge, dtype=float) / per_edge
     loop = great_circle_points(xyz, np.roll(xyz, -1, axis=0), ts).reshape(-1, 3)
-    v = np.vstack([loop, loop[:1]])
+    # C-ordered rows, as the block path hands them to _along: vstack keeps the sampler's
+    # component-major order, and a matrix-vector product over it rounds differently
+    v = np.ascontiguousarray(np.vstack([loop, loop[:1]]))
     x, y, z = v @ chart.e1, v @ chart.e2, v @ chart.n
     rho = np.arctan2(np.hypot(x, y), z)
     if not np.all(rho < math.pi / 2):

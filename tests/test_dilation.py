@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import stacked_membership_h2, stacked_membership_s2
+from hypexpand import convexity, sphere
 from hypexpand.convexity import GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
 from hypexpand.disk import ChartSaturation, mobius_translate, polar_to_cart
+from hypexpand.sphere import Chart, SphericalPolygon, contract_polygon
 from references import ZERO, cart_point, polar_point
 
 
@@ -143,6 +146,74 @@ class TestOriginChartMap:
             out = dilate_origin_chart(2.0, 0.5, np.array([0.0, 0.36, 0.0]), x, y, np.hypot(x, y),
                                       np.tanh)
         assert np.array_equal(out[[0, 2]], np.zeros((2, 2))) and np.all(out[1] != 0.0)
+
+
+class TestCenterGuard:
+    """Probes so near the center that x * x underflows to 0 (below ~1.5e-162) while k * x may
+    not, or the other way round, through both surfaces' exact membership."""
+
+    OFFSETS = [1e-150, 1e-161, 3e-162, 1e-162, 1e-170, 0.0]
+    INVERSE = [(0.25, 0.25), (4.0, 4.0), (100.0, 100.0), (100.0, 0.25), (0.25, 4.0)]
+    THETAS = np.array([0.0, 0.5 * math.pi, -math.pi, 0.3, 2.0, -1.1])
+
+    def offsets(self):
+        """Chart coordinates x, y of the probes at each offset in each direction, and the
+        offsets."""
+        d = np.repeat(self.OFFSETS, len(self.THETAS))
+        th = np.tile(self.THETAS, len(self.OFFSETS))
+        return d * np.cos(th), d * np.sin(th), d
+
+    @staticmethod
+    def chart_rows(inv1, inv2, x, y, r_of, f):
+        """dilate_origin_chart of the probes at x, y, as membership forms its arguments."""
+        n = np.sqrt(x * x + y * y)
+        return dilate_origin_chart(inv1, inv2, r_of(n), x, y, n, f)
+
+    def assert_inside_as_by_hypot(self, inside, hypot, rows, d, inv1, inv2):
+        assert np.all(inside) and np.array_equal(inside, hypot)
+        assert np.all(np.isfinite(rows))
+        # the image of a probe at d from the center lies within max(k) * d of it; squares in
+        # the subnormal range keep a few digits, so the rows there are off by up to ~10%
+        assert np.all(np.hypot(*rows.T) <= 2.0 * max(inv1, inv2) * d)
+
+    @pytest.mark.parametrize("inv1, inv2", INVERSE)
+    def test_h2_probes_at_the_center(self, inv1, inv2):
+        poly = GeodesicPolygon.from_polar([(0.5, t) for t in (0.0, 1.3, 2.5, -2.6, -1.2)])
+        region = dilate_region(poly, DilationParams(ZERO.xy, 1.0 / inv1, 1.0 / inv2))
+        x, y, d = self.offsets()
+        pts = np.stack([x, y, np.sqrt(1.0 + x * x + y * y)], axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = convexity._exact_membership(region, pts)
+            rows = self.chart_rows(inv1, inv2, x, y, np.arcsinh, np.tanh)
+            hypot = stacked_membership_h2(region, pts)
+        self.assert_inside_as_by_hypot(inside, hypot, rows, d, inv1, inv2)
+
+    @pytest.mark.parametrize("inv1, inv2", INVERSE)
+    def test_s2_probes_at_the_center(self, inv1, inv2):
+        chart = Chart(np.array([0.0, 0.0, 1.0]))
+        poly = SphericalPolygon(chart.from_polar(0.25, np.array([0.0, 1.3, 2.5, -2.6, -1.2])),
+                                chart)
+        region = contract_polygon([poly], [1.0 / inv1], [1.0 / inv2])[0]
+        x, y, d = self.offsets()
+        pts = chart.from_polar(d, np.arctan2(y, x))
+        assert np.array_equal(pts @ chart.e1, x) and np.array_equal(pts @ chart.e2, y)
+        # the antipode of the center, and probes as near it, are outside: f(r = pi) is nan
+        far = -pts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = sphere._exact_membership(region, pts)
+            rows = self.chart_rows(inv1, inv2, x, y, lambda n: np.arctan2(n, 1.0),
+                                   sphere._gnomonic_radius)
+            hypot = stacked_membership_s2(region, pts)
+            outside = sphere._exact_membership(region, far)
+            far_rows = self.chart_rows(inv1, inv2, -x, -y, lambda n: np.arctan2(n, -1.0),
+                                       sphere._gnomonic_radius)
+            assert np.array_equal(outside, stacked_membership_s2(region, far))
+        self.assert_inside_as_by_hypot(inside, hypot, rows, d, inv1, inv2)
+        assert not np.any(outside)
+        tiny = np.sqrt(x * x + y * y) == 0.0
+        assert np.all(np.isnan(far_rows[tiny])) and np.any(d[tiny] > 0.0)
 
 
 class TestCenteredDilation:

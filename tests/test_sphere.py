@@ -364,8 +364,13 @@ class TestBatchedGreatCirclePoints:
     def assert_matches_per_pair(self, a, b):
         pts = great_circle_points(a, b, self.TS)
         assert pts.shape == a.shape[:-1] + (len(self.TS), 3)
+        b = np.broadcast_to(b, a.shape)
         for idx in np.ndindex(a.shape[:-1]):
             assert np.array_equal(pts[idx], great_circle_points_per_pair(a[idx], b[idx], self.TS))
+        # stored component-major: each coordinate is one contiguous array, and the flat (P, 3)
+        # form a view of it
+        assert all(pts[..., k].flags.c_contiguous for k in range(3))
+        assert np.shares_memory(pts.reshape(-1, 3), pts)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(43)
@@ -389,6 +394,11 @@ class TestBatchedGreatCirclePoints:
         a = Chart(NORTH).from_polar(0.8, 0.3)
         b = Chart(NORTH).from_polar(1.1, 2.0)
         assert great_circle_points(a, b, self.TS).shape == (len(self.TS), 3)
+
+    def test_a_stack_of_pairs_with_one_end_and_a_single_pair(self):
+        a, b = unit_rows(np.random.default_rng(45).normal(size=(2, 300, 3)))
+        self.assert_matches_per_pair(a.reshape(20, 15, 3), b[7])
+        self.assert_matches_per_pair(a[2], b[3])
 
 
 # --- reference copies of the per-call polygon layer, for bitwise comparison ---
