@@ -468,8 +468,8 @@ def run_render(seed=0, k1=2.0, k2=1.0):
 
     canvas = SvgCanvas()
     canvas.circle(0.0, 0.0, 1.0, stroke="#444444", width=0.003)
-    canvas.polyline(source.boundary, stroke="#1f77b4", close=False)
-    canvas.polyline(image.boundary, stroke="#d62728", close=False)
+    canvas.polyline(source.boundary, stroke="#1f77b4")
+    canvas.polyline(image.boundary, stroke="#d62728")
 
     # the chord, its contraction image, and the comparison curve: polar-linear
     # between the image's end samples, as side_ordering builds it

@@ -198,14 +198,6 @@ def klein_polygon_contains(kverts, probes):
     return inside
 
 
-def _by_count(counts):
-    """The positions of counts grouped by value, {count: [positions]}, in order of first sight."""
-    groups = {}
-    for t, m in enumerate(counts):
-        groups.setdefault(m, []).append(t)
-    return groups
-
-
 def _hulls(chart, counts, polygons):
     """The polygons hulling runs of the 2-D chart rows chart (m, 2): the first counts[0] rows, the
     next counts[1], ...; the hull step of both surfaces' generators.
@@ -217,11 +209,20 @@ def _hulls(chart, counts, polygons):
     for m in counts:
         hulls.append(start + _convex_hull_2d(chart[start:start + m]))
         start += m
+    groups = {}  # positions by vertex count, in order of first sight
+    for t, hull in enumerate(hulls):
+        groups.setdefault(len(hull), []).append(t)
     polys = [None] * len(hulls)
-    for group in _by_count(map(len, hulls)).values():
+    for group in groups.values():
         for t, poly in zip(group, polygons(group, np.stack([hulls[t] for t in group]))):
             polys[t] = poly
     return polys
+
+
+def _closed_runs(rows, counts):
+    """Runs of rows (m, k), the first counts[0] rows, the next counts[1], ..., each closed: its
+    first row again at its end; the boundary loops of both surfaces' block builders."""
+    return [np.concatenate((run, run[:1])) for run in np.split(rows, np.cumsum(counts)[:-1])]
 
 
 def _in_trial_order(build, *columns):
@@ -381,13 +382,8 @@ def _dilate_block(polys, params, per_edge):
     xy = dilate_xy(DilationParams(np.repeat([p.center for p in params], rows, axis=0),
                                   np.repeat([p.k1 for p in params], rows),
                                   np.repeat([p.k2 for p in params], rows)), xy)
-    regions, start = [], 0
-    for poly, p, n in zip(polys, params, rows):
-        # closed: the region's first row again
-        loop = np.concatenate((xy[start:start + n], xy[start:start + 1]))
-        regions.append(SampledRegion(loop, poly, per_edge, p.k1, p.k2, p.center))
-        start += n
-    return regions
+    return [SampledRegion(loop, poly, per_edge, p.k1, p.k2, p.center)
+            for loop, poly, p in zip(_closed_runs(xy, rows), polys, params)]
 
 
 def dilate_regions(polys, params, samples_per_edge=SAMPLES_PER_EDGE) -> list[SampledRegion]:

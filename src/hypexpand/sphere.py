@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import (TRIAL_BLOCK, _by_count, _check_loop, _check_polygon_chart, _chord_plan,
-                        _edge_ts, _hulls, _in_trial_order, _next_rows, _star_polar,
+from .convexity import (TRIAL_BLOCK, _check_loop, _check_polygon_chart, _chord_plan,
+                        _closed_runs, _edge_ts, _hulls, _in_trial_order, _next_rows, _star_polar,
                         klein_polygon_contains)
 from .dilation import _check_factors, dilate_origin_chart, dilate_origin_polar
 from .disk import _component_major, _read_only
@@ -58,13 +58,10 @@ def _cross(a, b):
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def _along(v, a):
-    """The products v @ a of rows v (..., m, 3) with an axis a (3,), or one axis per stack of rows
-    (G, 1, 3) for v (G, m, 3); shape (..., m).
-
-    matmul runs a stack's products as v @ a runs them for that stack alone; elementwise sums and
-    single-row products round differently."""
-    return np.matmul(v, np.swapaxes(np.atleast_2d(a), -1, -2))[..., 0]
+def _dot(v, a):
+    """The products v0*a0 + v1*a1 + v2*a2 of rows v (..., 3) with an axis a (3,), or one axis per
+    row (..., 3): elementwise, so a value depends neither on the other rows nor on memory order."""
+    return v[..., 0] * a[..., 0] + v[..., 1] * a[..., 1] + v[..., 2] * a[..., 2]
 
 
 def angular_distance(a, b):
@@ -81,8 +78,8 @@ def angular_distance(a, b):
 def tangent_frame(n):
     """Deterministic orthonormal tangent frame (e1, e2) at the unit vector n (3,)."""
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = seed - (seed @ n) * n
-    e1 /= np.linalg.norm(e1)
+    e1 = seed - _dot(seed, n) * n
+    e1 /= np.sqrt(_dot(e1, e1))
     return e1, np.array(_cross(n, e1))
 
 
@@ -94,17 +91,17 @@ class Chart:
         self.e1, self.e2 = tangent_frame(self.n)
 
     @classmethod
-    def _stack(cls, charts):
-        """The charts as one whose frame vectors are stacked (G, 1, 3): its maps take a stack of
-        rows (G, m, ...) per chart, and give each the bits its own chart gives it."""
+    def _stack(cls, charts, at):
+        """The charts as one whose frame vectors are charts[at] (..., 3), one chart per row: its
+        maps take rows (..., 3) of the shape of at, and give each the bits its own chart gives."""
         chart = object.__new__(cls)
         for name in ("n", "e1", "e2"):
-            setattr(chart, name, np.stack([getattr(c, name) for c in charts])[:, None])
+            setattr(chart, name, np.stack([getattr(c, name) for c in charts])[at])
         return chart
 
     def to_polar(self, v):
         """Geodesic polar coordinates (rho, theta) of unit vectors v (..., 3) about the center."""
-        x, y, z = (_along(v, a) for a in (self.e1, self.e2, self.n))
+        x, y, z = (_dot(v, a) for a in (self.e1, self.e2, self.n))
         return np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
 
     def from_polar(self, rho, theta):
@@ -125,10 +122,10 @@ class Chart:
     def gnomonic(self, pts):
         """Central projection to the tangent plane at c; great circles map to straight lines."""
         v = np.atleast_2d(np.asarray(pts, dtype=float))
-        z = _along(v, self.n)
+        z = _dot(v, self.n)
         if not np.all(z > HEMISPHERE_MARGIN):
             raise ValueError("gnomonic projection requires the open hemisphere")
-        return np.stack([_along(v, self.e1) / z, _along(v, self.e2) / z], axis=-1)
+        return np.stack([_dot(v, self.e1) / z, _dot(v, self.e2) / z], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,20 +215,14 @@ def _contract_block(polys, k1, k2, per_edge):
     """contract_polygon of a block without its error order: the first stage that fails raises."""
     _check_factors(k1, k2)
     ts = _edge_ts(per_edge)
-    counts = [len(poly.xyz) for poly in polys]
     loop = great_circle_points(np.concatenate([poly.xyz for poly in polys]),
                                np.concatenate([_next_rows(poly.xyz) for poly in polys]), ts)
-    starts = np.cumsum([0] + counts)
-    regions = [None] * len(polys)
-    for v, group in _by_count(counts).items():
-        samples = loop[starts[group][:, None] + np.arange(v)].reshape(len(group), v * per_edge, 3)
-        # closed: each region's first row again
-        img = Chart._stack([polys[t].chart for t in group]).contract(
-            *(np.array([k[t] for t in group], dtype=float)[:, None] for k in (k1, k2)),
-            np.concatenate((samples, samples[:, :1]), axis=1))
-        for t, boundary in zip(group, img):
-            regions[t] = SphericalRegion(boundary, polys[t], per_edge, float(k1[t]), float(k2[t]))
-    return regions
+    rows = [per_edge * len(poly.xyz) for poly in polys]
+    at = np.repeat(np.arange(len(polys)), rows)
+    img = Chart._stack([poly.chart for poly in polys], at).contract(
+        *(np.asarray(k, dtype=float)[at] for k in (k1, k2)), loop.reshape(-1, 3))
+    return [SphericalRegion(boundary, poly, per_edge, float(a), float(b))
+            for boundary, poly, a, b in zip(_closed_runs(img, rows), polys, k1, k2)]
 
 
 def contract_polygon(polys, k1, k2, per_edge=PER_EDGE):
@@ -239,9 +230,9 @@ def contract_polygon(polys, k1, k2, per_edge=PER_EDGE):
     factors k1[t], k2[t], as sampled boundary loops.  Factors 1, 1 give a polygon's own
     boundary, up to the rounding of the polar chart.
 
-    The regions are built together: one great_circle_points call samples every edge, and each
-    group of one vertex count is contracted in its stack of charts, so each region has the bits
-    it has built alone.  An error is the one that building the regions one at a time raises;
+    The regions are built together: one great_circle_points call samples every edge, and one
+    contract call, with a chart and factors per row, maps every sample, so each region has the
+    bits it has built alone.  An error is the one that building the regions one at a time raises;
     factors must be > 0, as DilationParams has them on H² (ValueError)."""
     return _in_trial_order(lambda *block: _contract_block(*block, per_edge), polys, k1, k2)
 
@@ -258,9 +249,9 @@ def _exact_membership(region: SphericalRegion, pts):
     """
     poly = region.polygon
     chart = poly.chart
-    x, y = pts @ chart.e1, pts @ chart.e2
+    x, y = _dot(pts, chart.e1), _dot(pts, chart.e2)
     n = np.sqrt(x * x + y * y)
-    uv = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(n, pts @ chart.n),
+    uv = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(n, _dot(pts, chart.n)),
                              x, y, n, _gnomonic_radius)
     return klein_polygon_contains(poly.uv, uv)
 
@@ -290,16 +281,13 @@ def _polygon_block(centers, stars):
     """random_convex_spherical_polygon of a block's draws without its error order."""
     charts = [Chart(center) for center in centers]
     counts = [len(radii) for radii, _ in stars]
-    starts = np.cumsum([0] + counts)
-    pts, uv = np.empty((starts[-1], 3)), np.empty((starts[-1], 2))
-    for m, group in _by_count(counts).items():
-        chart = Chart._stack([charts[t] for t in group])
-        drawn = chart.from_polar(*(np.stack(a) for a in zip(*(stars[t] for t in group))))
-        rows = starts[group][:, None] + np.arange(m)
-        pts[rows], uv[rows] = drawn, chart.gnomonic(drawn)
+    at = np.repeat(np.arange(len(charts)), counts)
+    chart = Chart._stack(charts, at)
+    pts = chart.from_polar(*(np.concatenate(a) for a in zip(*stars)))
+    uv = chart.gnomonic(pts)
 
     def polygons(group, rows):
-        fields = _polygon_rows(pts[rows], Chart._stack([charts[t] for t in group]))
+        fields = _polygon_rows(pts[rows], Chart._stack(charts, at[rows]))
         return map(SphericalPolygon._of, (charts[t] for t in group), *fields)
     return _hulls(uv, counts, polygons)
 
@@ -310,15 +298,14 @@ def random_convex_spherical_polygon(rngs, centers=None):
     vertices are rows of its drawn points, hulled in its gnomonic chart.
 
     Each generator draws what it draws alone: its center, then its _star_polar points.  The
-    points are mapped from polar and projected in groups of one point count, in a stack of
-    their charts, and hulled by the hull step the H² generator runs (convexity._hulls), so each
-    polygon has the bits it has built alone.  An error is the one that building the polygons
-    one at a time raises."""
+    points are mapped from polar and projected at once, each in its own chart, and hulled by the
+    hull step the H² generator runs (convexity._hulls), so each polygon has the bits it has
+    built alone.  An error is the one that building the polygons one at a time raises."""
     drawn, stars = [], []
     for gen in rngs:
         if centers is None:
             v = gen.normal(size=3)
-            drawn.append(v / np.linalg.norm(v))
+            drawn.append(v / np.sqrt(_dot(v, v)))
         stars.append(_star_polar(gen, MAX_VERTICES, (0.1, MAX_RHO)))
     return _in_trial_order(_polygon_block, drawn if centers is None else centers, stars)
 

@@ -22,20 +22,19 @@ class SvgCanvas:
     def __init__(self):
         self.elements = []
 
-    def circle(self, cx, cy, radius, stroke="#888888", width=0.004, fill="none"):
+    def circle(self, cx, cy, radius, stroke="#888888", width=0.004):
         self.elements.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
+            f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
 
-    def polyline(self, points, stroke="#000000", width=0.006, dash=None, close=False):
+    def polyline(self, points, stroke="#000000", width=0.006, dash=None):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        tag = "polygon" if close else "polyline"
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
-    def dot(self, x, y, radius=0.012, fill="#000000"):
+    def dot(self, x, y, radius, fill="#000000"):
         self.elements.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{fill}"/>')
 

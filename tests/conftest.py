@@ -8,7 +8,8 @@ the polyline simplicity test check sampled loops without the polygon they
 were sampled from.  The stacked membership formulas are exact membership as
 it was computed with (P, 3) and (P, 2) probe stacks, before the probes were
 stored component-major: the references the copy-free forms must match bit
-for bit.
+for bit.  S² products with a frame vector are sums of components (dot3),
+as the package forms them.
 """
 
 import numpy as np
@@ -160,6 +161,11 @@ def stacked_translate(c, pts):
                      (1.0 + cc) / (1.0 - cc) * z + d], axis=-1)
 
 
+def dot3(v, a):
+    """The products v0*a0 + v1*a1 + v2*a2 of rows v (..., 3) with a vector a (3,)."""
+    return v[..., 0] * a[0] + v[..., 1] * a[1] + v[..., 2] * a[2]
+
+
 def stacked_chart(k1, k2, r, x, y, f):
     """dilate_origin_chart with both norms formed by np.hypot and its result stacked row-major.
 
@@ -190,11 +196,11 @@ def stacked_membership_h2(region, pts):
 
 
 def stacked_membership_s2(region, pts):
-    """sphere._exact_membership of unit vectors (P, 3) through row-major stacks and np.hypot
+    """sphere._exact_membership of unit vectors (P, 3) through a row-major stack and np.hypot
     norms."""
-    pts = np.ascontiguousarray(pts)
     chart = region.polygon.chart
-    x, y = pts @ chart.e1, pts @ chart.e2
-    uv = stacked_chart(1.0 / region.k1, 1.0 / region.k2, np.arctan2(np.hypot(x, y), pts @ chart.n),
-                       x, y, sphere._gnomonic_radius)
+    x, y = dot3(pts, chart.e1), dot3(pts, chart.e2)
+    uv = stacked_chart(1.0 / region.k1, 1.0 / region.k2,
+                       np.arctan2(np.hypot(x, y), dot3(pts, chart.n)), x, y,
+                       sphere._gnomonic_radius)
     return klein_polygon_contains(region.polygon.uv, uv)

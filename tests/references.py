@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from conftest import dot3
 from hypexpand import curvature, sphere
 from hypexpand.convexity import (SAMPLES_PER_EDGE, SampledRegion, _check_polygon_chart,
                                  _convex_hull_2d, _star_polar, convexity_defect, hyperbolic_hull)
@@ -463,10 +464,10 @@ def _s2_from_polar(chart, rho, theta):
 
 
 def _s2_gnomonic(chart, v):
-    """Chart.gnomonic of one chart, by one matrix-vector product per frame vector."""
-    z = v @ chart.n
+    """Chart.gnomonic of one chart, by one component sum per frame vector."""
+    z = dot3(v, chart.n)
     assert np.all(z > sphere.HEMISPHERE_MARGIN)
-    return np.stack([v @ chart.e1 / z, v @ chart.e2 / z], axis=-1)
+    return np.stack([dot3(v, chart.e1) / z, dot3(v, chart.e2) / z], axis=-1)
 
 
 class S2Polygon(NamedTuple):
@@ -483,7 +484,7 @@ def per_trial_spherical_polygon(rng, center=None):
     star's points, their gnomonic rows, their hull, and the hull's gnomonic rows."""
     if center is None:
         v = rng.normal(size=3)
-        center = v / np.linalg.norm(v)
+        center = v / np.sqrt(dot3(v, v))
     chart = Chart(center)
     pts = _s2_from_polar(chart, *_star_polar(rng, sphere.MAX_VERTICES, (0.1, sphere.MAX_RHO)))
     xyz = pts[_convex_hull_2d(_s2_gnomonic(chart, pts))]
@@ -493,13 +494,11 @@ def per_trial_spherical_polygon(rng, center=None):
 
 def per_trial_contraction(xyz, chart, k1, k2, per_edge=sphere.PER_EDGE):
     """contract_polygon's boundary (N + 1, 3) as one region's own calls: its edge samples, closed,
-    their polar rows by one matrix-vector product per frame vector, and the polar map."""
+    their polar rows by one component sum per frame vector, and the polar map."""
     ts = np.arange(per_edge, dtype=float) / per_edge
     loop = great_circle_points(xyz, np.roll(xyz, -1, axis=0), ts).reshape(-1, 3)
-    # C-ordered rows, as the block path hands them to _along: vstack keeps the sampler's
-    # component-major order, and a matrix-vector product over it rounds differently
-    v = np.ascontiguousarray(np.vstack([loop, loop[:1]]))
-    x, y, z = v @ chart.e1, v @ chart.e2, v @ chart.n
+    v = np.vstack([loop, loop[:1]])
+    x, y, z = dot3(v, chart.e1), dot3(v, chart.e2), dot3(v, chart.n)
     rho = np.arctan2(np.hypot(x, y), z)
     if not np.all(rho < math.pi / 2):
         raise ValueError("points outside the open hemisphere about the center")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stacked_membership_h2, stacked_membership_s2
+from conftest import dot3, stacked_membership_h2, stacked_membership_s2
 from hypexpand import convexity, sphere
 from hypexpand.convexity import GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
@@ -197,7 +197,7 @@ class TestCenterGuard:
         region = contract_polygon([poly], [1.0 / inv1], [1.0 / inv2])[0]
         x, y, d = self.offsets()
         pts = chart.from_polar(d, np.arctan2(y, x))
-        assert np.array_equal(pts @ chart.e1, x) and np.array_equal(pts @ chart.e2, y)
+        assert np.array_equal(dot3(pts, chart.e1), x) and np.array_equal(dot3(pts, chart.e2), y)
         # the antipode of the center, and probes as near it, are outside: f(r = pi) is nan
         far = -pts
         with warnings.catch_warnings():

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import edge_probes, mp_dilate_chart, mp_margin, stacked_membership_s2
+from conftest import dot3, edge_probes, mp_dilate_chart, mp_margin, stacked_membership_s2
 from hypexpand import convexity, sphere
 from hypexpand.convexity import SIDEDNESS_TOL, TRIAL_BLOCK, GeodesicPolygon
 from hypexpand.dilation import dilate_origin_polar
@@ -273,7 +273,7 @@ class TestRandomPolygon:
             poly = one_polygon(rng)
             rng.bit_generator.state = state
             v = rng.normal(size=3)
-            chart = Chart(v / np.linalg.norm(v))
+            chart = Chart(v / np.sqrt(dot3(v, v)))
             drawn = chart.from_polar(*convexity._star_polar(rng, sphere.MAX_VERTICES,
                                                             (0.1, sphere.MAX_RHO)))
             rows = drawn.tolist()
@@ -413,7 +413,7 @@ def cross_tangent_frame(n):
     """tangent_frame through np.cross."""
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = seed - (seed @ n) * n
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.sqrt(dot3(e1, e1))
     return e1, np.cross(n, e1)
 
 
@@ -754,3 +754,50 @@ class TestSphereBlocks:
             monkeypatch.undo()
             assert str(block_error.value) == str(error.value)
             assert calls == [len(block)] + [1] * (len(alone) + 1)
+
+
+class TestElementwiseBlocks:
+    """Every S² block value is elementwise: a row's bits depend neither on the memory order of
+    the rows passed with it nor on the other polygons of its block."""
+
+    def test_chart_maps_and_membership_do_not_depend_on_memory_order(self):
+        # a matrix-vector product rounds C- and Fortran-ordered rows differently
+        polys = random_convex_spherical_polygon(
+            [np.random.default_rng([81, i]) for i in range(TRIAL_BLOCK)])
+        rng = np.random.default_rng(81)
+        k1, k2 = rng.uniform(0.05, 1.0, (2, TRIAL_BLOCK))
+        for poly, a, b in zip(polys, k1, k2):
+            region = one_region(poly, a, b)
+            ends, i, j, ts = sphere._chord_plan(region, 64, 16)
+            ends = region.boundary[ends]
+            # chord probes, and probes on, near and 1e-12 off the image of an edge
+            pre = gnomonic_inverse(poly.chart, edge_probes(rng, poly.uv))
+            pts = np.vstack([great_circle_points(ends[i], ends[j], ts).reshape(-1, 3),
+                             poly.chart.contract(a, b, pre)])
+            c, f = np.ascontiguousarray(pts), np.asfortranarray(pts)
+            assert c.flags.c_contiguous and not f.flags.c_contiguous
+            chart = poly.chart
+            assert np.array_equal(chart.gnomonic(c), chart.gnomonic(f))
+            for x, y in zip(chart.to_polar(c), chart.to_polar(f)):
+                assert np.array_equal(x, y)
+            assert np.array_equal(chart.contract(a, b, c), chart.contract(a, b, f))
+            inside = sphere._exact_membership(region, c)
+            assert np.array_equal(inside, sphere._exact_membership(region, f))
+            assert 0 < np.count_nonzero(inside) < len(pts)
+
+    def test_a_block_of_5_to_10_vertex_polygons_contracts_as_each_alone(self):
+        rng = np.random.default_rng(82)
+        polys = []
+        for v in rng.permutation(np.repeat(np.arange(5, 11), 2)):
+            # one angle per sector at one radius: every vertex is on the hull, in its own chart
+            chart = Chart(unit(rng.normal(size=3)))
+            thetas = (np.arange(v) + rng.uniform(0.0, 1.0, v)) * (2.0 * math.pi / v) - math.pi
+            polys.append(SphericalPolygon(chart.from_polar(rng.uniform(0.3, 1.2), thetas), chart))
+        assert sorted(len(p.xyz) for p in polys) == sorted(list(range(5, 11)) * 2)
+        k1, k2 = rng.uniform(0.05, 1.0, (2, len(polys)))
+        for per_edge in (16, 24):
+            block = contract_polygon(polys, k1, k2, per_edge)
+            for region, poly, a, b in zip(block, polys, k1, k2):
+                alone = one_region(poly, a, b, per_edge)
+                assert region.polygon is poly and (region.k1, region.k2) == (a, b)
+                assert np.array_equal(region.boundary, alone.boundary)
