@@ -96,7 +96,7 @@ class Chart:
         maps take rows (..., 3) of the shape of at, and give each the bits its own chart gives."""
         chart = object.__new__(cls)
         for name in ("n", "e1", "e2"):
-            setattr(chart, name, np.stack([getattr(c, name) for c in charts])[at])
+            setattr(chart, name, np.array([getattr(c, name) for c in charts])[at])
         return chart
 
     def to_polar(self, v):

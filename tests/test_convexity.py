@@ -420,8 +420,9 @@ class TestRegionMembership:
         assert disagreements == 0
 
 
-def broadcast_distance(loop, probes):
-    """The P x N broadcast formula polyline_distance was written from."""
+def broadcast_offsets(loop, probes):
+    """The P x N offsets (dx, dy) from each probe to its nearest point on each segment, by the
+    broadcast formula polyline_distance was written from."""
     a, b = loop[:-1], loop[1:]
     e = b - a
     ee = np.sum(e * e, axis=1)
@@ -429,8 +430,26 @@ def broadcast_distance(loop, probes):
     d = probes[:, None, :] - a[None, :, :]
     t = np.clip(np.sum(d * e[None, :, :], axis=2) / ee[None, :], 0.0, 1.0)
     proj = a[None, :, :] + t[:, :, None] * e[None, :, :]
-    return np.min(np.hypot(probes[:, None, 0] - proj[:, :, 0],
-                           probes[:, None, 1] - proj[:, :, 1]), axis=1)
+    return probes[:, None, 0] - proj[:, :, 0], probes[:, None, 1] - proj[:, :, 1]
+
+
+def broadcast_distance(loop, probes):
+    """The P x N broadcast formula polyline_distance was written from, its minimum per probe."""
+    dx, dy = broadcast_offsets(loop, probes)
+    return np.min(np.sqrt(dx * dx + dy * dy), axis=1)
+
+
+def mp_polyline_distance(loop, probe):
+    """The 50-digit distance from the probe (2,) to the closed polyline, from its float inputs."""
+    with mp.workdps(50):
+        px, py = (mp.mpf(v) for v in probe.tolist())
+        best = mp.inf
+        for (ax, ay), (bx, by) in zip(loop[:-1].tolist(), loop[1:].tolist()):
+            ex, ey = mp.mpf(bx) - ax, mp.mpf(by) - ay
+            ee = ex * ex + ey * ey
+            t = min(max(((px - ax) * ex + (py - ay) * ey) / ee, 0), 1) if ee else 0
+            best = min(best, mp.hypot(px - ax - t * ex, py - ay - t * ey))
+        return best
 
 
 def circle_loop(n, radius=0.5, gap=0.0):
@@ -445,6 +464,15 @@ def near_and_far_probes(loop, rng):
     jitter = [verts + rng.normal(scale=s, size=verts.shape) for s in (1e-9, 1e-4, 1e-2, 0.1)]
     far = 40.0 * rng.normal(size=(32, 2))
     return np.vstack([verts] + jitter + [far])
+
+
+def opposite_ray_probes(loop):
+    """Probes at the mean of the loop's starts, and on the ray opposite the x-axis from it, at
+    y equal to the mean's (angle pi) and one ulp below it (angle -pi)."""
+    mx, my = np.mean(loop[:-1, 0]), np.mean(loop[:-1, 1])
+    x = mx - np.array([1e-3, 0.3, 0.5, 2.0])
+    return np.vstack([[mx, my], np.stack([x, np.full_like(x, my)], axis=1),
+                      np.stack([x, np.full_like(x, np.nextafter(my, -1.0))], axis=1)])
 
 
 class TestPolylineDistance:
@@ -486,6 +514,33 @@ class TestPolylineDistance:
         for loop, probes in calls:
             self.assert_exact(loop, probes)
 
+    def test_accuracy_against_50_digits(self):
+        # The distance is the norm sqrt(dx * dx + dy * dy) of the float offset (dx, dy) to the
+        # nearest point of a segment, within 2 ulps of its 50-digit value.  The offset itself
+        # rounds at the scale of the coordinates (the nearest point a + t e), so against the
+        # 50-digit distance from the same float inputs the error is within 2 ulps of the
+        # largest magnitude among the coordinates and the distance: relative to the distance
+        # only where it is not far below the coordinates.  Squares underflow below about
+        # 1.5e-154, where the norm loses its 2 ulps, far below any gate.
+        rng = np.random.default_rng(49)
+        region = dilate_region(random_hconvex_polygon(rng), IDENTITY, samples_per_edge=16)
+        loop = region.boundary
+        verts = loop[:-1]
+        for probes in (rng.uniform(-1.0, 1.0, size=(60, 2)),
+                       verts[:60] + rng.normal(scale=1e-9, size=verts[:60].shape),
+                       40.0 * rng.normal(size=(30, 2))):
+            got = polyline_distance(loop, probes)
+            dx, dy = broadcast_offsets(loop, probes)
+            with mp.workdps(50):
+                norm = [min(mp.hypot(x, y) for x, y in zip(rx, ry))
+                        for rx, ry in zip(dx.tolist(), dy.tolist())]
+            for g, n in zip(got.tolist(), norm):
+                assert abs(g - n) <= 2 * math.ulp(g)
+            top = float(np.max(np.abs(loop)))
+            for p, g in zip(probes, got.tolist()):
+                scale = max(top, float(np.max(np.abs(p))), g)
+                assert abs(g - mp_polyline_distance(loop, p)) <= 2 * math.ulp(scale)
+
     def test_dilated_regions(self):
         rng = np.random.default_rng(41)
         for i in range(4):
@@ -517,6 +572,7 @@ class TestPolylineDistance:
         probes = np.stack([xs, np.zeros_like(xs)], axis=1)
         self.assert_exact(loop, probes)
         assert max_polyline_distance(loop, probes) < 1e-15
+        self.assert_exact(loop, opposite_ray_probes(loop))
 
     def test_wide_closure_gap(self):
         # the probe is the loop's last point, 0.05 from the first vertex; only
@@ -536,6 +592,7 @@ class TestPolylineDistance:
         loop = circle_loop(120, gap=1e-12)
         probes = np.vstack([near_and_far_probes(loop, np.random.default_rng(44)), loop[-1]])
         self.assert_exact(loop, probes)
+        self.assert_exact(loop, opposite_ray_probes(loop))
 
     def test_many_probes(self):
         loop = circle_loop(700)
@@ -580,16 +637,47 @@ class TestPolylineDistance:
 
     def test_probes_at_the_mean_and_opposite_it(self):
         # arctan2 gives 0 at the mean, and pi and (one ulp below the mean) -pi on
-        # the ray opposite the x-axis, where the angle order wraps
+        # the ray opposite the x-axis, where the angle order wraps and an angle of
+        # pi is past the last bin of the angle table
         loop = circle_loop(64) + [0.2, -0.1]
-        mx, my = np.mean(loop[:-1], axis=0)
-        x = mx - np.array([1e-3, 0.3, 0.5, 2.0])
-        probes = np.vstack([[mx, my], np.stack([x, np.full_like(x, my)], axis=1),
-                            np.stack([x, np.full_like(x, np.nextafter(my, -1.0))], axis=1)])
+        probes = opposite_ray_probes(loop)
+        mx, my = np.mean(loop[:-1, 0]), np.mean(loop[:-1, 1])
         angles = np.arctan2(probes[:, 1] - my, probes[:, 0] - mx)
         assert {0.0, math.pi, -math.pi} <= set(angles.tolist())
         self.assert_exact(loop, probes)
         self.assert_exact(np.vstack([loop[:-1][::-1], loop[:1]]), probes)  # clockwise
+
+    def test_probes_opposite_a_mean_of_zero(self):
+        # dyadic starts whose y's sum to exactly 0, two of them on the ray
+        # opposite the x-axis (y = +0.0 at angle pi, y = -0.0 at -pi): probes
+        # there with y = +0.0 and y = -0.0 are at angles pi and -pi
+        verts = np.array([[1.0, 0.0], [0.75, 0.5], [0.0, 1.0], [-0.75, 0.5], [-1.0, 0.0],
+                          [-1.0, -0.0], [-0.75, -0.5], [0.0, -1.0], [0.75, -0.5]])
+        mx, my = np.mean(verts[:, 0]), np.mean(verts[:, 1])
+        assert my == 0.0 and math.copysign(1.0, my) == 1.0
+        x = np.array([-0.5, -1.0, -1.5, -3.0])
+        probes = np.vstack([np.stack([x, np.full_like(x, y)], axis=1) for y in (0.0, -0.0)])
+        angles = np.arctan2(probes[:, 1] - my, probes[:, 0] - mx)
+        assert set(angles.tolist()) == {math.pi, -math.pi}
+        for loop in (np.vstack([verts, verts[:1]]), np.vstack([verts[::-1], verts[-1:]])):
+            self.assert_exact(loop, probes)
+            self.assert_exact(loop, near_and_far_probes(loop, np.random.default_rng(50)))
+
+    def test_starts_crowded_into_one_or_two_bins(self):
+        # 500 starts within 1e-6 rad of one another on the unit circle and three
+        # far ones: the mean lies about 0.006 from the crowd, whose angles about it
+        # fall in one or two of the 8 * 503 bins, so most bins hold the same start
+        rng = np.random.default_rng(51)
+        t = np.concatenate([0.7 + np.linspace(0.0, 1e-6, 500), 0.7 + np.array([2.0, 3.5, 5.0])])
+        loop = np.stack([np.cos(t), np.sin(t)], axis=1)
+        loop = np.vstack([loop, loop[:1]])
+        mx, my = np.mean(loop[:-1, 0]), np.mean(loop[:-1, 1])
+        at = np.floor((np.arctan2(loop[:500, 1] - my, loop[:500, 0] - mx) + math.pi)
+                      * (8 * 503 / (2.0 * math.pi)))
+        assert len(set(at.tolist())) <= 2
+        for probes in (near_and_far_probes(loop, rng), rng.uniform(-1.5, 1.5, size=(500, 2)),
+                       opposite_ray_probes(loop)):
+            self.assert_exact(loop, probes)
 
     def test_non_finite_probes_take_the_dense_path(self):
         loop = circle_loop(100)
