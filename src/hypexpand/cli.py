@@ -21,8 +21,8 @@ from .convexity import (MIN_SAMPLES, PAIR_SAMPLES, SAMPLES_PER_EDGE, SEGMENT_SAM
                         TRIAL_BLOCK, GeodesicPolygon, _star_polar, convexity_defect,
                         dilate_region, dilate_regions, random_hconvex_polygon, star_hulls)
 from .dilation import DilationParams
-from .disk import (ChartSaturation, curvature_from_derivatives, hyperboloid_lift,
-                   hyperboloid_polar, polar_to_cart)
+from .disk import (ChartSaturation, curvature_from_derivatives, hyperboloid_cart,
+                   hyperboloid_lift, hyperboloid_polar, polar_to_cart)
 from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
@@ -468,8 +468,8 @@ def run_render(seed=0, k1=2.0, k2=1.0):
 
     canvas = SvgCanvas()
     canvas.circle(0.0, 0.0, 1.0, stroke="#444444", width=0.003)
-    canvas.polyline(source.boundary, stroke="#1f77b4")
-    canvas.polyline(image.boundary, stroke="#d62728")
+    canvas.polyline(hyperboloid_cart(source.boundary), stroke="#1f77b4")
+    canvas.polyline(hyperboloid_cart(image.boundary), stroke="#d62728")
 
     # the chord, its contraction image, and the comparison curve: polar-linear
     # between the image's end samples, as side_ordering builds it

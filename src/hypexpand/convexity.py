@@ -21,7 +21,6 @@ from .disk import (
     _check_chart,
     _check_radii,
     _read_only,
-    cart_to_polar,
     geodesic_chord_points,
     hyperboloid_cart,
     hyperboloid_lift,
@@ -167,13 +166,18 @@ class GeodesicPolygon:
         return cls(hyperboloid_lift(r, theta))
 
 
+def _check_sheet(rows, what):
+    """Raise ValueError, naming what, unless each row (..., 3) is a finite point of the sheet."""
+    if not (np.all(np.isfinite(rows)) and np.all(rows[..., 2] >= 1.0)):
+        raise ValueError(f"{what} must be finite points of the hyperboloid sheet")
+
+
 def _polygon_rows(sheets, klein=None):
     """Read-only sheet rows (..., V, 3), their Klein rows (..., V, 2) and convexity flags (...)
     of polygons; ValueError unless each is a simple ccw polygon of finite points of the sheet.
 
     The Klein rows are the sheet rows divided, x/z and y/z: formed here unless given."""
-    if not (np.all(np.isfinite(sheets)) and np.all(sheets[..., 2] >= 1.0)):
-        raise ValueError("polygon vertices must be finite points of the hyperboloid sheet")
+    _check_sheet(sheets, "polygon vertices")
     if klein is None:
         klein = sheets[..., :2] / sheets[..., 2:]
     for a in (sheets, klein):
@@ -272,11 +276,11 @@ def _check_loop(boundary, samples_per_edge, n_vertices):
 class SampledRegion:
     """Sampled boundary loop of the image of an h-convex polygon under a dilation.
 
-    boundary has shape (N, 2) in Cartesian coordinates, samples_per_edge (at least
-    MIN_SAMPLES) per polygon edge, first and last rows coinciding to 1e-12.  The
-    map is the dilation by (k1, k2) about the Cartesian center (the identity has factors 1);
-    the region carries the validated polygon, and defect measurement tests
-    membership exactly through it instead of against the discretized loop.
+    boundary has shape (N, 3), rows of the hyperboloid sheet inside the Poincare chart (arccosh z
+    exact), samples_per_edge (at least MIN_SAMPLES) per polygon edge, first and last rows
+    coinciding to 1e-12.  The map is the dilation by (k1, k2) about the Cartesian center (the
+    identity has factors 1); the region carries the validated polygon, and defect measurement
+    tests membership exactly through it instead of against the discretized loop.
     """
 
     boundary: np.ndarray
@@ -290,10 +294,12 @@ class SampledRegion:
         self.boundary = np.asarray(self.boundary, dtype=float)
         if not (isinstance(self.polygon, GeodesicPolygon) and self.polygon.hconvex):
             raise ValueError("a region must be the image of an h-convex polygon")
-        if self.boundary.ndim != 2 or self.boundary.shape[1] != 2:
-            raise ValueError("boundary must have shape (N, 2)")
+        if self.boundary.ndim != 2 or self.boundary.shape[1] != 3:
+            raise ValueError("boundary must have shape (N, 3)")
+        _check_sheet(self.boundary, "boundary rows")
         _check_loop(self.boundary, self.samples_per_edge, len(self.polygon.sheet))
-        _check_chart(self.boundary, f"factors k1={self.k1!r}, k2={self.k2!r} carry")
+        _check_radii(np.arccosh(self.boundary[:, 2]),
+                     f"factors k1={self.k1!r}, k2={self.k2!r} carry")
 
 
 def _loop_segments(loop):
@@ -392,11 +398,11 @@ def _dilate_block(polys, params, per_edge):
     xy = hyperboloid_cart(geodesic_chord_points(verts, nxt, ts)).reshape(-1, 2)
     _check_chart(xy, "the polygon's vertices carry")
     rows = [per_edge * len(poly.sheet) for poly in polys]
-    xy = dilate_xy(DilationParams(np.repeat([p.center for p in params], rows, axis=0),
-                                  np.repeat([p.k1 for p in params], rows),
-                                  np.repeat([p.k2 for p in params], rows)), xy)
+    sheet = dilate_xy(DilationParams(np.repeat([p.center for p in params], rows, axis=0),
+                                     np.repeat([p.k1 for p in params], rows),
+                                     np.repeat([p.k2 for p in params], rows)), xy)
     return [SampledRegion(loop, poly, per_edge, p.k1, p.k2, p.center)
-            for loop, poly, p in zip(_closed_runs(xy, rows), polys, params)]
+            for loop, poly, p in zip(_closed_runs(sheet, rows), polys, params)]
 
 
 def dilate_regions(polys, params, samples_per_edge=SAMPLES_PER_EDGE) -> list[SampledRegion]:
@@ -495,20 +501,20 @@ def convexity_defect(region: SampledRegion, pair_samples=PAIR_SAMPLES,
                      segment_samples=SEGMENT_SAMPLES) -> float:
     """Largest outside excursion of sampled geodesic chords between boundary points.
 
-    Chords are sampled between their lifted ends (geodesic_chord_points) at
-    segment_samples interior points, nested van der Corput parameters.  A sample
-    inside the region contributes 0; an outside sample contributes its Euclidean
-    distance to the boundary loop.  Zero, up to discretization, for h-convex regions.
+    Chords are sampled between boundary rows (geodesic_chord_points) at segment_samples
+    interior points, nested van der Corput parameters.  A sample inside the region
+    contributes 0; an outside sample contributes its Euclidean distance to the boundary
+    loop, both in the Poincare chart.  Zero, up to discretization, for h-convex regions.
     """
-    ends, i, j, ts = _chord_plan(region, pair_samples, segment_samples)
     loop = region.boundary
-    lifted = hyperboloid_lift(*cart_to_polar(loop[ends]))
+    ends, i, j, ts = _chord_plan(region, pair_samples, segment_samples)
+    ends = loop[ends]
     # (M, T, 3) component-major, so the (P, 3) form is a view
-    probes = geodesic_chord_points(lifted[i], lifted[j], ts).reshape(-1, 3)
+    probes = geodesic_chord_points(ends[i], ends[j], ts).reshape(-1, 3)
     outside = ~_exact_membership(region, probes)
     if not np.any(outside):
         return 0.0
-    return max_polyline_distance(loop, hyperboloid_cart(probes[outside]))
+    return max_polyline_distance(hyperboloid_cart(loop), hyperboloid_cart(probes[outside]))
 
 
 # --- random generation -------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import (_check_chart, _check_radii, _component_major, _read_only, cart_to_polar,
-                   hyperboloid_lift, hyperboloid_translate, mobius_translate, polar_to_cart)
+                   hyperboloid_lift, hyperboloid_translate, mobius_translate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,8 @@ def dilate_origin_polar(k1, k2, r, theta):
     theta = np.asarray(theta, dtype=float)
     kc = k1 * np.cos(theta)
     ks = k2 * np.sin(theta)
-    return r * np.hypot(kc, ks), np.arctan2(ks, kc)
+    with np.errstate(over="ignore"):  # an infinite radius fails the callers' chart checks
+        return r * np.hypot(kc, ks), np.arctan2(ks, kc)
 
 
 def dilate_origin_chart(k1, k2, r, x, y, n, f):
@@ -84,17 +85,18 @@ def dilate_origin_chart(k1, k2, r, x, y, n, f):
 
 
 def dilate_xy(params: DilationParams, xy):
-    """Dilation about an arbitrary center on Cartesian points of shape (..., 2).
+    """Dilation about an arbitrary center on Cartesian points (..., 2); returns their images as
+    rows (..., 3) of the hyperboloid sheet (hyperboloid_lift).
 
     The polar map is chart-free, but the Poincare chart is not: from r' ~ 38
     tanh(r'/2) rounds to 1.0, and the image point would land on the unit circle.
-    Points that the translation to the center carries onto it, and images whose radius
-    r' about the center, or whose distance from the origin, has tanh(r/2) rounded to 1,
-    raise ChartSaturation, naming the center or the factors of the first row: every row's,
-    where the rows share one dilation.  The arithmetic is elementwise, so a row's image
-    depends on its own point, center and factors alone, except that a row about the origin
-    passed with off-origin rows is translated by 0 with them, which turns a coordinate -0.0
-    into 0.0.
+    Points that the translation to the center carries onto it, and images whose radius r'
+    about the center, or whose distance from the origin (arccosh z of its row, exact), has
+    tanh(r/2) rounded to 1, raise ChartSaturation, naming the center or the factors of the
+    first row: every row's, where the rows share one dilation.  The arithmetic is
+    elementwise, so a row's image depends on its own point, center and factors alone, except
+    that a row about the origin passed with off-origin rows is boosted by 0 with them, which
+    turns a coordinate -0.0 into 0.0.
     """
     xy = np.asarray(xy, dtype=float)
     c, k1, k2 = params.center, params.k1, params.k2
@@ -106,17 +108,8 @@ def dilate_xy(params: DilationParams, xy):
     r, theta = dilate_origin_polar(k1, k2, *cart_to_polar(xy))
     factors = f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r}"
     _check_radii(r, f"{factors} carry")
-    out = polar_to_cart(r, theta)
-    if not off:
-        return out
-    # An image row lies at most d(0, c) + r' from the origin, so no farther than the largest r'
-    # and the farthest center together.  Only where that bound saturates is a row's own bound
-    # formed, and only where that saturates is its distance taken exactly, as arccosh z of its
-    # sheet row boosted to the center.
-    cc = c[..., 0] * c[..., 0] + c[..., 1] * c[..., 1]
-    if np.tanh(np.max(r, initial=0.0) / 2.0 + np.arctanh(np.sqrt(np.max(cc)))) >= 1.0:
-        far = np.tanh(r / 2.0 + np.arctanh(np.sqrt(cc))) >= 1.0
-        sheet = hyperboloid_translate(np.broadcast_to(c, out.shape)[far],
-                                      hyperboloid_lift(r[far], theta[far]))
-        _check_radii(np.arccosh(sheet[:, 2]), f"{factors} about the center {first} carry")
-    return mobius_translate(c, out)
+    out = hyperboloid_lift(r, theta)
+    if off:
+        out = hyperboloid_translate(c, out)
+        _check_radii(np.arccosh(out[..., 2]), f"{factors} about the center {first} carry")
+    return out

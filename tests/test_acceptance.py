@@ -18,7 +18,7 @@ from hypexpand.cli import (
 )
 from hypexpand.curvature import ORDERING_SLACK, ChordSpec, p_coefficients_grid, side_ordering
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import mobius_translate, polar_to_cart
+from hypexpand.disk import hyperboloid_cart, mobius_translate, polar_to_cart
 from hypexpand.lemmas import coth_poly_I_series, verify_all
 from references import (cart_point, coth_poly_I_direct, from_polar_function, geodesic_between,
                         geodesic_curvature, hyperbolic_distance, polar_point,
@@ -134,8 +134,8 @@ def test_criterion_7_algebraic_identities():
         c = _rand_point(rng, 1.5)
         p = _rand_point(rng, 3.0)
         k1, k2 = rng.uniform(0.3, 4.0, 2)
-        back = dilate_xy(DilationParams(c.xy, 1.0 / k1, 1.0 / k2),
-                         dilate_xy(DilationParams(c.xy, k1, k2), p.xy))
+        there = hyperboloid_cart(dilate_xy(DilationParams(c.xy, k1, k2), p.xy))
+        back = hyperboloid_cart(dilate_xy(DilationParams(c.xy, 1.0 / k1, 1.0 / k2), there))
         worst_inv = max(worst_inv, float(np.max(np.abs(back - p.xy))))
 
         q = _rand_point(rng, 3.0)

@@ -111,7 +111,7 @@ class TestTheoremBlocks:
             assert np.array_equal(region.boundary, ref.boundary)
             assert report["results"][i] == result
 
-    @pytest.mark.parametrize("k1, trials", [(40.0, 3), (13.0, 200), (13.0, 2 * TRIAL_BLOCK)])
+    @pytest.mark.parametrize("k1, trials", [(40.0, 3), (13.0, 200), (13.5, 2 * TRIAL_BLOCK)])
     def test_a_saturated_block_names_what_the_per_trial_loop_names(self, k1, trials):
         with pytest.raises(ChartSaturation) as block:
             run_verify_theorem(seed=0, trials=trials, k1=k1)
@@ -119,6 +119,14 @@ class TestTheoremBlocks:
             for i in range(trials):
                 per_trial_theorem(0, i, forced_k1=k1)
         assert str(block.value) == str(alone.value)
+
+    def test_a_huge_factor_is_a_usage_error(self, capsys):
+        # r' = r * 1e308 overflows to inf, which the factors' chart check refuses, without a
+        # RuntimeWarning (an error under pytest's filter and CI's)
+        assert main(["verify-theorem", "--k1", "1e308", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: factors k1=1e+308")
 
     def test_trial_0_at_k1_40_is_named(self, capsys):
         # r' ~ 100, far past the radius where tanh(r'/2) rounds to 1 on any platform

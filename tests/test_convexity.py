@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (check_simple, edge_probes, mp_dilate_chart, mp_margin, region_contains,
                       stacked_membership_h2)
-from hypexpand import cli, convexity, disk
+from hypexpand import cli, convexity, dilation, disk, sphere
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
     SIDEDNESS_TOL,
@@ -144,9 +144,9 @@ class TestHull:
         rng = np.random.default_rng(22)
         pts = [rand_point(rng) for _ in range(12)]
         hull = hyperbolic_hull(sheets(pts))
-        region = dilate_region(hull, IDENTITY, samples_per_edge=64)
+        loop = hyperboloid_cart(dilate_region(hull, IDENTITY, samples_per_edge=64).boundary)
         for p in pts:
-            assert region_contains(region.boundary, p)
+            assert region_contains(loop, p)
 
 
 class TestConvexityPredicate:
@@ -405,17 +405,17 @@ class TestRegionMembership:
     def test_agrees_with_half_plane_membership(self):
         rng = np.random.default_rng(25)
         poly = random_hconvex_polygon(rng)
-        region = dilate_region(poly, IDENTITY, samples_per_edge=128)
+        loop = hyperboloid_cart(dilate_region(poly, IDENTITY, samples_per_edge=128).boundary)
         checked = 0
         disagreements = 0
         while checked < 1000:
             p = rand_point(rng, 3.4)
             # the sampled loop resolves the true boundary to its sagitta;
             # probes inside that band are not decidable by either route
-            if float(polyline_distance(region.boundary, p.xy[None, :])[0]) < 1e-3:
+            if float(polyline_distance(loop, p.xy[None, :])[0]) < 1e-3:
                 continue
             checked += 1
-            if region_contains(region.boundary, p) != contains(poly, p):
+            if region_contains(loop, p) != contains(poly, p):
                 disagreements += 1
         assert disagreements == 0
 
@@ -524,7 +524,7 @@ class TestPolylineDistance:
         # 1.5e-154, where the norm loses its 2 ulps, far below any gate.
         rng = np.random.default_rng(49)
         region = dilate_region(random_hconvex_polygon(rng), IDENTITY, samples_per_edge=16)
-        loop = region.boundary
+        loop = hyperboloid_cart(region.boundary)
         verts = loop[:-1]
         for probes in (rng.uniform(-1.0, 1.0, size=(60, 2)),
                        verts[:60] + rng.normal(scale=1e-9, size=verts[:60].shape),
@@ -547,11 +547,12 @@ class TestPolylineDistance:
             center = rand_point(rng, 1.5)
             poly = random_hconvex_polygon(rng, center=center.xy)
             params = DilationParams(center.xy, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
-            region = dilate_region(poly, params)
-            self.assert_exact(region.boundary, near_and_far_probes(region.boundary, rng))
+            loop = hyperboloid_cart(dilate_region(poly, params).boundary)
+            self.assert_exact(loop, near_and_far_probes(loop, rng))
             thin = dilate_region(_directed_thin_polygon(rng),
                                  DilationParams(ZERO.xy, rng.uniform(0.25, 0.97), 1.0))
-            self.assert_exact(thin.boundary, near_and_far_probes(thin.boundary, rng))
+            loop = hyperboloid_cart(thin.boundary)
+            self.assert_exact(loop, near_and_far_probes(loop, rng))
 
     def test_one_long_segment(self):
         # an arc of short segments closed by one long chord
@@ -744,6 +745,37 @@ class TestDefect:
         assert d2 >= d1
         assert d3 >= d2
 
+    def test_chord_ends_are_rows_of_the_boundary(self, monkeypatch):
+        # the defect samples its chords between the stored sheet rows, bit for bit, and lifts
+        # nothing: no polar round trip between the boundary and the chord sampler
+        calls, lifts = [], []
+        chords, lift = convexity.geodesic_chord_points, disk.hyperboloid_lift
+
+        def recording(a, b, ts):
+            calls.append((a, b))
+            return chords(a, b, ts)
+
+        def counting(r, theta):
+            lifts.append(np.size(r))
+            return lift(r, theta)
+
+        rng = np.random.default_rng(34)
+        for center, k1 in ((ZERO, 0.4), (rand_point(rng, 1.5), 2.5)):
+            poly = random_hconvex_polygon(rng, center=center.xy)
+            region = dilate_region(poly, DilationParams(center.xy, k1, 1.3))
+            monkeypatch.setattr(convexity, "geodesic_chord_points", recording)
+            for module in (convexity, disk, dilation):
+                monkeypatch.setattr(module, "hyperboloid_lift", counting)
+            convexity_defect(region)
+            monkeypatch.undo()
+            (a, b), = calls
+            ends, i, j, _ = convexity._chord_plan(region, convexity.PAIR_SAMPLES,
+                                                  convexity.SEGMENT_SAMPLES)
+            assert np.array_equal(a, region.boundary[ends[i]])
+            assert np.array_equal(b, region.boundary[ends[j]])
+            assert lifts == []
+            calls.clear()
+
     def test_chord_pairs_match_the_list_form(self):
         for per_edge, vertex_indices in [
             (32, [0, 32, 64, 96, 128]),
@@ -802,7 +834,7 @@ class TestCarriedPolygon:
         poly = random_hconvex_polygon(np.random.default_rng(36), center=center.xy)
         dilated = dilate_region(poly, DilationParams(center.xy, 0.4, 1.3))
         assert dilated.polygon is poly
-        pts = hyperboloid_lift(*cart_to_polar(dilated.boundary))
+        pts = dilated.boundary
         inside = convexity._exact_membership(dilated, pts)
         assert inside.dtype == bool and inside.shape == (len(pts),)
         with pytest.raises(ValueError, match="h-convex polygon"):
@@ -812,9 +844,9 @@ class TestCarriedPolygon:
         r = np.full_like(thetas, 1.5)
         dent = np.abs(thetas) < 0.8
         r[dent] -= 0.5 * np.cos(thetas[dent] * math.pi / 1.6) ** 2
-        xy = polar_to_cart(r, thetas)
+        rows = hyperboloid_lift(r, thetas)
         with pytest.raises(ValueError, match="h-convex polygon"):
-            SampledRegion(np.vstack([xy, xy[:1]]), None, 32, 1.0, 1.0, ZERO.xy)
+            SampledRegion(np.vstack([rows, rows[:1]]), None, 32, 1.0, 1.0, ZERO.xy)
 
     def test_a_region_without_its_map_is_refused_at_construction(self):
         # the map and the sampling are fields without defaults: a region that
@@ -911,9 +943,8 @@ class TestProjectiveMembership:
             pre = from_klein(edge_probes(rng, centered_klein_vertices(poly, center), spread=0.7))
             img = dilate_xy(DilationParams(ZERO.xy, k1, k2), pre)
             if center.r > 0.0:
-                img = mobius_translate(center.xy, img)
-            pts = np.vstack([hyperboloid_lift(*cart_to_polar(img)),
-                             hyperboloid_lift(center.r, center.theta)])  # the center itself
+                img = hyperboloid_translate(center.xy, img)
+            pts = np.vstack([img, hyperboloid_lift(center.r, center.theta)])  # the center itself
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 inside = convexity._exact_membership(region, pts)
@@ -940,8 +971,8 @@ class TestProjectiveMembership:
             k1, k2 = rng.uniform(0.25, 4.0, 2)
             region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             ends, i, j, ts = convexity._chord_plan(region, 128, 16)
-            lifted = hyperboloid_lift(*cart_to_polar(region.boundary[ends]))
-            probes = geodesic_chord_points(lifted[i], lifted[j], ts).reshape(-1, 3)
+            ends = region.boundary[ends]
+            probes = geodesic_chord_points(ends[i], ends[j], ts).reshape(-1, 3)
             inside = convexity._exact_membership(region, probes)
             assert np.array_equal(inside, stacked_membership_h2(region, probes))
             outside += np.count_nonzero(~inside)
@@ -973,8 +1004,9 @@ class TestDilateRegion:
         poly = random_hconvex_polygon(rng)
         region = dilate_region(poly, DilationParams(ZERO.xy, 1.0, 1.0), samples_per_edge=32)
         assert convexity_defect(region) < 1e-9
+        loop = hyperboloid_cart(region.boundary)
         for i, xy in enumerate(hyperboloid_cart(poly.sheet)):
-            assert np.max(np.abs(region.boundary[i * 32] - xy)) < 1e-12
+            assert np.max(np.abs(loop[i * 32] - xy)) < 1e-12
 
     def test_symmetric_expansion_convex(self):
         rng = np.random.default_rng(30)
@@ -988,7 +1020,7 @@ class TestDilateRegion:
         poly = random_hconvex_polygon(rng, center=c.xy)
         region = dilate_region(poly, DilationParams(c.xy, 2.0, 1.0))
         assert convexity_defect(region) < 1e-6
-        check_simple(region.boundary)
+        check_simple(hyperboloid_cart(region.boundary))
 
     def test_each_vertex_is_lifted_once(self, monkeypatch):
         # where the generator draws it: sampling takes the polygon's sheet rows
@@ -1115,11 +1147,49 @@ class TestSampledRegionValidation:
     # a valid polygon, so that each check below is what refuses the loop
     TRIANGLE = GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)])
 
+    def test_both_surfaces_carry_3_vector_rows(self):
+        # sheet rows on H^2 (z^2 - x^2 - y^2 = 1), unit vectors on S^2
+        h2 = dilate_region(self.TRIANGLE, DilationParams(polar_point(0.3, 1.0).xy, 2.0, 0.5))
+        s2 = sphere.contract_polygon(
+            [sphere.random_convex_spherical_polygon([np.random.default_rng(35)])[0]],
+            [0.5], [0.8])[0]
+        for region, poly in ((h2, h2.polygon.sheet), (s2, s2.polygon.xyz)):
+            assert region.boundary.shape == (region.samples_per_edge * len(poly) + 1, 3)
+        x, y, z = h2.boundary.T
+        assert np.allclose(z * z - x * x - y * y, 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(s2.boundary, axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_requires_finite_rows_of_the_sheet(self):
+        img = dilate_region(self.TRIANGLE, DilationParams(ZERO.xy, 0.5, 1.0))
+        for k, bad in ((0, np.nan), (1, np.inf), (2, 0.5), (2, -np.inf)):  # z < 1: below it
+            rows = img.boundary.copy()
+            rows[5, k] = bad
+            with pytest.raises(ValueError, match="boundary rows must be finite points of the "
+                                                 "hyperboloid sheet"):
+                SampledRegion(rows, self.TRIANGLE, 32, 0.5, 1.0, ZERO.xy)
+        with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+            SampledRegion(hyperboloid_cart(img.boundary), self.TRIANGLE, 32, 0.5, 1.0, ZERO.xy)
+
+    def test_refuses_a_boundary_past_the_chart_by_its_exact_distance(self):
+        # arccosh z of every row is its distance from the origin, exact where the Poincare
+        # row x / (1 + z), with tanh(r/2) rounded to 1, can keep a norm below 1
+        thetas = np.linspace(-math.pi, math.pi, 97)[:-1]
+
+        def circle(r):
+            rows = hyperboloid_lift(np.full_like(thetas, r), thetas)
+            return np.vstack([rows, rows[:1]])
+
+        SampledRegion(circle(36.0), self.TRIANGLE, 32, 3.0, 1.0, ZERO.xy)
+        for r in (38.5, 100.0):
+            assert np.any(np.hypot(*hyperboloid_cart(circle(r)).T) < 1.0)
+            with pytest.raises(ChartSaturation, match=r"^factors k1=3\.0, k2=1\.0 carry"):
+                SampledRegion(circle(r), self.TRIANGLE, 32, 3.0, 1.0, ZERO.xy)
+
     def test_requires_closure(self):
         thetas = np.linspace(-math.pi, math.pi, 129)
-        xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
+        rows = hyperboloid_lift(np.full_like(thetas, 1.0), thetas)
         with pytest.raises(ValueError, match="not closed"):
-            SampledRegion(xy[:-1], self.TRIANGLE, 32, 1.0, 1.0, ZERO.xy)
+            SampledRegion(rows[:-1], self.TRIANGLE, 32, 1.0, 1.0, ZERO.xy)
 
     def test_requires_minimum_samples(self):
         # the one rule is MIN_SAMPLES per edge: a triangle at 16 per edge is a region of
@@ -1127,13 +1197,13 @@ class TestSampledRegionValidation:
         # and, for a loop built directly, where it is measured
         region = dilate_region(self.TRIANGLE, DilationParams(ZERO.xy, 0.5, 1.0),
                                samples_per_edge=convexity.MIN_SAMPLES)
-        assert region.boundary.shape == (49, 2)
+        assert region.boundary.shape == (49, 3)
         assert convexity_defect(region, 16, 16) >= 0.0
         with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
             dilate_region(self.TRIANGLE, IDENTITY, samples_per_edge=15)
         thetas = np.linspace(-math.pi, math.pi, 46)
-        xy = polar_to_cart(np.full_like(thetas, 1.0), thetas)
-        coarse = SampledRegion(xy, self.TRIANGLE, 15, 1.0, 1.0, ZERO.xy)
+        rows = hyperboloid_lift(np.full_like(thetas, 1.0), thetas)
+        coarse = SampledRegion(rows, self.TRIANGLE, 15, 1.0, 1.0, ZERO.xy)
         with pytest.raises(ValueError, match="samples_per_edge must be at least 16"):
             convexity_defect(coarse, 16, 16)
 
@@ -1141,7 +1211,7 @@ class TestSampledRegionValidation:
         # the 97-row (3 x 32 + 1) image of the triangle, named as 20 per edge, is
         # refused: the defect would take every 20th row as a vertex
         img = dilate_region(self.TRIANGLE, DilationParams(ZERO.xy, 0.5, 1.0))
-        assert img.boundary.shape == (97, 2)
+        assert img.boundary.shape == (97, 3)
         with pytest.raises(ValueError, match=r"has 97 rows, not samples_per_edge x vertices .* = 61"):
             SampledRegion(img.boundary, self.TRIANGLE, 20, 0.5, 1.0, ZERO.xy)
         rebuilt = SampledRegion(img.boundary, self.TRIANGLE, 32, 0.5, 1.0, ZERO.xy)
@@ -1153,7 +1223,7 @@ class TestSampledRegionValidation:
         xy = 0.4 * np.stack([np.sin(2.0 * t), np.sin(t)], axis=-1)
         with pytest.raises(ValueError, match="self-intersects"):
             check_simple(np.vstack([xy, xy[:1]]))
-        check_simple(dilate_region(self.TRIANGLE, IDENTITY).boundary)
+        check_simple(hyperboloid_cart(dilate_region(self.TRIANGLE, IDENTITY).boundary))
 
 
 class TestGenerator:

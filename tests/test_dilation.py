@@ -10,7 +10,8 @@ from conftest import dot3, stacked_membership_h2, stacked_membership_s2
 from hypexpand import convexity, sphere
 from hypexpand.convexity import GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
-from hypexpand.disk import ChartSaturation, mobius_translate, polar_to_cart
+from hypexpand.disk import (ChartSaturation, hyperboloid_cart, hyperboloid_lift,
+                            hyperboloid_translate, mobius_translate, polar_to_cart)
 from hypexpand.sphere import Chart, SphericalPolygon, contract_polygon
 from references import ZERO, cart_point, polar_point
 
@@ -26,6 +27,11 @@ def dilate_polar(k1, k2, p):
 
 def inverse(params):
     return DilationParams(params.center, 1.0 / params.k1, 1.0 / params.k2)
+
+
+def dilate_cart(params, xy):
+    """dilate_xy's sheet rows, projected to Poincare Cartesian rows."""
+    return hyperboloid_cart(dilate_xy(params, xy))
 
 
 class TestParams:
@@ -100,8 +106,8 @@ class TestOriginDilation:
 
     def test_an_image_the_translation_back_carries_past_the_chart_is_refused(self):
         # about a center 1.5 from the origin, r' = 37 keeps tanh(r'/2) below 1, yet the image
-        # rows lie up to 38.5 from the origin: without a check of their distance from the
-        # origin every row came back, 12,872 of the 20,001 with norm >= 1
+        # rows, boosted back to the center, lie up to 38.5 from the origin: their exact
+        # distance, arccosh z, is checked
         center = polar_point(1.5, 0.3)
         thetas = np.linspace(-math.pi, math.pi, 20001)
         xy = mobius_translate(center.xy, polar_to_cart(3.7, thetas))
@@ -110,6 +116,20 @@ class TestOriginDilation:
         cause = re.escape(f"factors k1=10.0, k2=10.0 about the center {center.xy.tolist()} carry")
         with pytest.raises(ChartSaturation, match="^" + cause):
             dilate_xy(DilationParams(center.xy, 10.0, 10.0), xy)
+
+    @pytest.mark.parametrize("s, d", [(0.3, 3.65), (0.3, 3.7), (0.6, 3.65)])
+    def test_a_boundary_inside_the_chart_about_a_far_center_builds(self, s, d):
+        # triangles on the origin side of a center 1.5 out, dilated by 10: r' up to 37 about the
+        # center, but the boundary stays 35.4 to 36.0 from the origin, 4 ulps or more inside
+        # the chart.  Their images, formed as Cartesian rows about the center and translated
+        # back, kept only the last bits of 1 - tanh(r'/2) and landed past the unit circle.
+        center = polar_point(1.5, 0.3)
+        sheet = hyperboloid_lift(np.full(3, d), math.pi + 0.3 + np.array([-s, 0.0, s]))
+        poly = GeodesicPolygon(hyperboloid_translate(center.xy, sheet))
+        region = dilate_region(poly, DilationParams(center.xy, 10.0, 10.0))
+        far = float(np.max(np.arccosh(region.boundary[:, 2])))
+        assert 35.3 < far < 36.0 and 1.0 - math.tanh(far / 2.0) >= 4 * 2.0 ** -53
+        assert math.isfinite(convexity.convexity_defect(region))
 
     def test_rows_with_their_own_dilations_are_each_dilated_alone(self):
         rng = np.random.default_rng(61)
@@ -219,13 +239,13 @@ class TestCenterGuard:
 class TestCenteredDilation:
     def test_center_zero_reduces_to_origin_map(self):
         p = polar_point(1.2, 0.7)
-        xy = dilate_xy(DilationParams(ZERO.xy, 2.0, 1.3), p.xy)
+        xy = dilate_cart(DilationParams(ZERO.xy, 2.0, 1.3), p.xy)
         assert np.max(np.abs(xy - dilate_polar(2.0, 1.3, p).xy)) <= 1e-15
 
     def test_center_is_fixed(self):
         c = cart_point(0.4, -0.2)
         params = DilationParams(c.xy, 3.0, 1.5)
-        assert np.max(np.abs(dilate_xy(params, c.xy) - c.xy)) <= 1e-12
+        assert np.max(np.abs(dilate_cart(params, c.xy) - c.xy)) <= 1e-12
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(10)
@@ -234,19 +254,19 @@ class TestCenteredDilation:
             c = rand_point(rng, 1.5)
             p = rand_point(rng, 3.0)
             params = DilationParams(c.xy, rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0))
-            back = dilate_xy(inverse(params), dilate_xy(params, p.xy))
+            back = dilate_cart(inverse(params), dilate_cart(params, p.xy))
             worst = max(worst, float(np.max(np.abs(back - p.xy))))
         assert worst < 1e-10
 
     def test_inverse_example(self):
         q = polar_point(math.sqrt(2.5), math.atan(0.5))
-        p = cart_point(*dilate_xy(inverse(DilationParams(ZERO.xy, 2.0, 1.0)), q.xy))
+        p = cart_point(*dilate_cart(inverse(DilationParams(ZERO.xy, 2.0, 1.0)), q.xy))
         assert p.r == pytest.approx(1.0, abs=1e-12)
         assert p.theta == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_identity_inverse(self):
         p = polar_point(2.0, -1.0)
-        back = dilate_xy(inverse(DilationParams(ZERO.xy, 1.0, 1.0)), p.xy)
+        back = dilate_cart(inverse(DilationParams(ZERO.xy, 1.0, 1.0)), p.xy)
         assert np.max(np.abs(back - p.xy)) <= 1e-15
 
     def test_conjugation_matches_manual_composition(self):
@@ -258,7 +278,7 @@ class TestCenteredDilation:
             params = DilationParams(c.xy, k1, k2)
             centered = cart_point(*mobius_translate(-c.xy, p.xy))
             manual = mobius_translate(c.xy, dilate_polar(k1, k2, centered).xy)
-            assert np.max(np.abs(dilate_xy(params, p.xy) - manual)) < 1e-14
+            assert np.max(np.abs(dilate_cart(params, p.xy) - manual)) < 1e-14
 
 
 class TestAlgebraicProperties:
@@ -315,7 +335,7 @@ class TestAlgebraicProperties:
     def test_inverse_roundtrip_property(self, r, theta, k1, k2):
         p = polar_point(r, theta)
         params = DilationParams(ZERO.xy, k1, k2)
-        back = dilate_xy(inverse(params), dilate_xy(params, p.xy))
+        back = dilate_cart(inverse(params), dilate_cart(params, p.xy))
         assert np.max(np.abs(back - p.xy)) < 1e-10
 
 

@@ -522,8 +522,8 @@ class TestBatchedChordPoints:
                                      self.TS).shape == self.TS.shape + (3,)
 
     def test_chords_of_a_lifted_indexed_boundary(self):
-        # a boundary lifted once and indexed per chord, as a defect
-        # measurement samples it, with repeated and identical endpoints
+        # sheet rows indexed per chord, as a defect measurement samples its stored
+        # boundary, with repeated and identical endpoints
         rng = np.random.default_rng(43)
         r = rng.uniform(0.0, 30.0, 64)
         th = rng.uniform(-math.pi, math.pi, 64)
