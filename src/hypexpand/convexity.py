@@ -18,13 +18,12 @@ import numpy as np
 
 from .dilation import DilationParams, dilate_origin_chart, dilate_xy
 from .disk import (
-    _check_chart,
     _check_radii,
     _read_only,
     geodesic_chord_points,
     hyperboloid_cart,
     hyperboloid_lift,
-    hyperboloid_translate,
+    mobius_translate,
 )
 
 SIDEDNESS_TOL = 1e-12
@@ -394,13 +393,14 @@ def _dilate_block(polys, params, per_edge):
     """dilate_regions without its error order: the first stage that fails raises."""
     ts = _edge_ts(per_edge)
     verts = np.concatenate([poly.sheet for poly in polys])
+    # distance from the origin is convex along geodesics: the vertices are the farthest samples
+    _check_radii(np.arccosh(verts[:, 2]), "the polygon's vertices carry")
     nxt = np.concatenate([_next_rows(poly.sheet) for poly in polys])
-    xy = hyperboloid_cart(geodesic_chord_points(verts, nxt, ts)).reshape(-1, 2)
-    _check_chart(xy, "the polygon's vertices carry")
+    samples = geodesic_chord_points(verts, nxt, ts).reshape(-1, 3)
     rows = [per_edge * len(poly.sheet) for poly in polys]
     sheet = dilate_xy(DilationParams(np.repeat([p.center for p in params], rows, axis=0),
                                      np.repeat([p.k1 for p in params], rows),
-                                     np.repeat([p.k2 for p in params], rows)), xy)
+                                     np.repeat([p.k2 for p in params], rows)), samples)
     return [SampledRegion(loop, poly, per_edge, p.k1, p.k2, p.center)
             for loop, poly, p in zip(_closed_runs(sheet, rows), polys, params)]
 
@@ -412,8 +412,7 @@ def dilate_regions(polys, params, samples_per_edge=SAMPLES_PER_EDGE) -> list[Sam
     between its ends' sheet rows, and one dilate_xy call, with a center and factors per
     row, maps every sample, so each region has the bits it has built alone.  An error is
     the one that building the regions one at a time raises: the first failing region's
-    first failing check (its boundary samples, their translation to its center, its
-    factors).
+    first failing check (its vertices, then its image).
     """
     return _in_trial_order(lambda *block: _dilate_block(*block, samples_per_edge), polys, params)
 
@@ -457,9 +456,9 @@ def _exact_membership(region: SampledRegion, pts):
     center = region.center
     verts = region.polygon.klein
     if float(center @ center) > 0.0:
-        verts = hyperboloid_translate(-center, region.polygon.sheet)
+        verts = mobius_translate(-center, region.polygon.sheet)
         verts = verts[:, :2] / verts[:, 2:]
-        pts = hyperboloid_translate(-center, pts)
+        pts = mobius_translate(-center, pts)
     x, y = pts[:, 0], pts[:, 1]
     n = np.sqrt(x * x + y * y)
     q = dilate_origin_chart(1.0 / region.k1, 1.0 / region.k2, np.arcsinh(n), x, y, n, np.tanh)
@@ -542,7 +541,7 @@ def star_hulls(stars, centers) -> list[GeodesicPolygon]:
     pts = hyperboloid_lift(*(np.concatenate(a) for a in zip(*stars)))
     centers = np.asarray(centers, dtype=float)
     if centers.any():
-        pts = hyperboloid_translate(np.repeat(centers, counts, axis=0), pts)
+        pts = mobius_translate(np.repeat(centers, counts, axis=0), pts)
     return _klein_hulls(pts, counts)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (_check_chart, _check_radii, _component_major, _read_only, cart_to_polar,
-                   hyperboloid_lift, hyperboloid_translate, mobius_translate)
+from .disk import (_check_radii, _component_major, _read_only, hyperboloid_lift,
+                   hyperboloid_polar, mobius_translate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,32 +84,32 @@ def dilate_origin_chart(k1, k2, r, x, y, n, f):
     return out
 
 
-def dilate_xy(params: DilationParams, xy):
-    """Dilation about an arbitrary center on Cartesian points (..., 2); returns their images as
-    rows (..., 3) of the hyperboloid sheet (hyperboloid_lift).
+def dilate_xy(params: DilationParams, rows):
+    """Dilation about an arbitrary center on rows (..., 3) of the hyperboloid sheet
+    (hyperboloid_lift); returns their images as rows of the sheet.
 
-    The polar map is chart-free, but the Poincare chart is not: from r' ~ 38
-    tanh(r'/2) rounds to 1.0, and the image point would land on the unit circle.
-    Points that the translation to the center carries onto it, and images whose radius r'
-    about the center, or whose distance from the origin (arccosh z of its row, exact), has
-    tanh(r/2) rounded to 1, raise ChartSaturation, naming the center or the factors of the
-    first row: every row's, where the rows share one dilation.  The arithmetic is
-    elementwise, so a row's image depends on its own point, center and factors alone, except
-    that a row about the origin passed with off-origin rows is boosted by 0 with them, which
-    turns a coordinate -0.0 into 0.0.
+    Off the origin, the rows are boosted to the center (mobius_translate(-c, .)), dilated in
+    polar form about the origin (hyperboloid_polar, dilate_origin_polar, hyperboloid_lift) and
+    boosted back.  The polar map is chart-free, but the Poincare chart is not: from r ~ 38
+    tanh(r/2) rounds to 1.0, and the image would land on the unit circle.  One exact check of
+    the output, its distance arccosh z from the origin, refuses such images, and non-finite
+    ones, with ChartSaturation naming the factors and, off the origin, the center of the first
+    row: every row's, where the rows share one dilation.  The arithmetic is elementwise, so a
+    row's image depends on its own point, center and factors alone, except that a row about
+    the origin passed with off-origin rows is boosted by 0 with them, which turns a
+    coordinate -0.0 into 0.0.
     """
-    xy = np.asarray(xy, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     c, k1, k2 = params.center, params.k1, params.k2
-    first = c.reshape(-1, 2)[0].tolist()
     off = c.any()
-    if off:
-        xy = mobius_translate(-c, xy)
-        _check_chart(xy, f"the translation to the center {first} carries")
-    r, theta = dilate_origin_polar(k1, k2, *cart_to_polar(xy))
-    factors = f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r}"
-    _check_radii(r, f"{factors} carry")
-    out = hyperboloid_lift(r, theta)
-    if off:
-        out = hyperboloid_translate(c, out)
-        _check_radii(np.arccosh(out[..., 2]), f"{factors} about the center {first} carry")
+    cause = f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r}"
+    # a radius past ~710 lifts to inf, which the boost turns into nan; both fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if off:
+            rows = mobius_translate(-c, rows)
+        out = hyperboloid_lift(*dilate_origin_polar(k1, k2, *hyperboloid_polar(rows)))
+        if off:
+            out = mobius_translate(c, out)
+            cause += f" about the center {c.reshape(-1, 2)[0].tolist()}"
+    _check_radii(np.arccosh(np.maximum(out[..., 2], 1.0)), cause + " carry")
     return out

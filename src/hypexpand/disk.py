@@ -1,16 +1,16 @@
 """Poincare disk primitives.
 
-Points live in the open unit disk and are carried both in geodesic polar
+Points live in the open unit disk and are carried in geodesic polar
 coordinates (r, theta), where r is the hyperbolic distance from the origin,
-and in Cartesian coordinates with norm tanh(r/2).  The metric in polar form
-is ds^2 = dr^2 + sinh^2(r) dtheta^2.
+and as rows of the hyperboloid sheet; Poincare Cartesian rows, of norm
+tanh(r/2), are projections of sheet rows, which nothing carries back.  The
+metric in polar form is ds^2 = dr^2 + sinh^2(r) dtheta^2.
 
-The module provides the disk translation (the Mobius-style isometry carrying 0
-to c), the polar chord equation of geodesics, the hyperboloid sheet (its
-points, geodesic samples, boosts, and projection (x, y) / (1 + z) to the
-disk), and the signed geodesic curvature of a polar 2-jet.
-Counterclockwise circles about the origin have positive curvature (interior to
-the left).
+The module provides the polar chord equation of geodesics, the hyperboloid
+sheet (its points, geodesic samples, the disk translation carrying 0 to c as
+a Lorentz boost, and the projection (x, y) / (1 + z) to the disk), and the
+signed geodesic curvature of a polar 2-jet.  Counterclockwise circles about
+the origin have positive curvature (interior to the left).
 """
 
 from __future__ import annotations
@@ -23,45 +23,24 @@ def polar_to_cart(r, theta):
     return np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
 
 
-def cart_to_polar(xy):
-    """Map Cartesian points strictly inside the disk to (r, theta) arrays."""
-    xy = np.asarray(xy, dtype=float)
-    rho = np.hypot(xy[..., 0], xy[..., 1])
-    if np.any(rho >= 1.0):
-        raise ValueError("point outside the open unit disk")
-    r = 2.0 * np.arctanh(rho)
-    theta = np.where(rho > 0.0, np.arctan2(xy[..., 1], xy[..., 0]), 0.0)
-    return r, theta
-
-
 class ChartSaturation(ValueError):
     """A region's boundary leaves the float64 Poincare chart.
 
     The Cartesian norm tanh(r/2) of a point rounds to 1.0 from r ~ 38 to 38.5, depending on its
-    direction, so a vertex, a dilation or a translation that carries the boundary that far puts
-    it on the unit circle.  The message names which.
+    direction, so a vertex or a dilation that carries the boundary that far puts it on the unit
+    circle.  The message names which.
     """
 
 
-def _saturation(outside, cause):
-    """Raise ChartSaturation if a flag of outside (...) is set; cause names what carried the
-    boundary past the chart."""
-    if np.any(outside):
-        raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
-                              "(its norm tanh(r/2) rounds to 1 from r ~ 38 to 38.5)")
-
-
-def _check_chart(xy, cause):
-    """Raise ChartSaturation, naming its cause, if a row of xy (..., 2) is not inside the disk."""
-    _saturation(np.hypot(xy[..., 0], xy[..., 1]) >= 1.0, cause)
-
-
 def _check_radii(r, cause):
-    """Raise ChartSaturation, naming its cause, if a radius of r (...) has tanh(r/2) rounded to 1.
+    """Raise ChartSaturation, naming what carried the boundary past the chart, if a distance of
+    r (...) from the origin has tanh(r/2) rounded to 1 or is nan.
 
     Such a point's row along the x-axis is on the unit circle; along other directions cos and
-    sin can round its norm to 1 - 1.1e-16, where _check_chart would pass it."""
-    _saturation(np.tanh(np.asarray(r, dtype=float) / 2.0) >= 1.0, cause)
+    sin can round its norm to 1 - 1.1e-16, where a check of Cartesian norms would pass it."""
+    if not np.all(np.tanh(np.asarray(r, dtype=float) / 2.0) < 1.0):
+        raise ChartSaturation(f"{cause} the boundary past the float64 Poincare chart "
+                              "(its norm tanh(r/2) rounds to 1 from r ~ 38 to 38.5)")
 
 
 def _read_only(a):
@@ -69,27 +48,6 @@ def _read_only(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-def mobius_translate(c, x):
-    """Disk translation carrying 0 to c, applied to x (shape (..., 2)).
-
-    tau_c(x) = ((1 + 2 c.x + |x|^2) c + (1 - |c|^2) x) / (1 + 2 c.x + |c|^2 |x|^2)
-
-    This is an orientation-preserving hyperbolic isometry with tau_c(0) = c,
-    and its inverse is tau_{-c}.  c (..., 2) broadcasts against x: one center for
-    every row, or one per row.  The dot products are formed elementwise, so a row's
-    image does not depend on the rows passed with it.
-    """
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=float)
-    cx, cy = c[..., 0], c[..., 1]
-    cc = cx * cx + cy * cy
-    dot = x[..., 0] * cx + x[..., 1] * cy
-    nx = np.sum(x * x, axis=-1)
-    num = (1.0 + 2.0 * dot + nx)[..., None] * c + (1.0 - cc)[..., None] * x
-    den = 1.0 + 2.0 * dot + cc * nx
-    return num / den[..., None]
 
 
 # --- curvature ---------------------------------------------------------------
@@ -171,24 +129,33 @@ def geodesic_chord_points(a, b, ts):
     a and b have shape (..., 3); returns sheet points of shape (..., T, 3), stored
     component-major, as sphere.great_circle_points returns unit vectors.  A geodesic
     is a plane section of the sheet and its samples are sinh-weighted combinations of
-    its ends, accurate where the Cartesian chart saturates (r up to ~300).  Endpoints
-    closer than 1e-9 are interpolated linearly.
+    its ends, accurate where the Cartesian chart saturates (r up to ~300).
+
+    The length d of a chord is formed from positive terms,
+
+        sinh^2(d/2) = sinh^2((r_a - r_b)/2) + |A| |B| |A/|A| - B/|B||^2 / 4,
+
+    with A, B the rows' (x, y) parts, r = arcsinh |A| and
+    sinh((r_a - r_b)/2) = (|A| - |B|) / sqrt(2 (1 + a_z b_z + |A| |B|)): cosh d =
+    a_z b_z - A.B cancels to about eps a_z b_z far from the origin.  Equal ends have
+    d = 0, taken as 1e-200, so their weights are 1 - t and t.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-    d = np.arccosh(np.maximum(cosh_d, 1.0))[..., None]
-    short = d < 1e-9
-    sinh_d = np.sinh(np.where(short, 1.0, d))
+    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    na, nb = np.hypot(ax, ay), np.hypot(bx, by)
+    nn = na * nb
+    # a row at the origin has A = 0, and its term nn |...|^2 is 0 for any finite direction
+    sa, sb = np.maximum(na, 1e-300), np.maximum(nb, 1e-300)
+    ux, uy = ax / sa - bx / sb, ay / sa - by / sb
+    q = na - nb
+    half = q * q / (2.0 * (1.0 + a[..., 2] * b[..., 2] + nn)) + 0.25 * nn * (ux * ux + uy * uy)
+    d = np.maximum(2.0 * np.arcsinh(np.sqrt(half)), 1e-200)[..., None]
+    sinh_d = np.sinh(d)
     ts = np.asarray(ts, dtype=float)
     wa, wb = np.sinh((1.0 - ts) * d) / sinh_d, np.sinh(ts * d) / sinh_d
     buf, pts = _component_major(3, wa.shape)
     for k, out in enumerate(buf):
         np.add(wa * a[..., k, None], wb * b[..., k, None], out=out)
-    if np.any(short):
-        a, b = a[..., None, :], b[..., None, :]
-        lin = (1.0 - ts)[:, None] * a + ts[:, None] * b
-        norm = np.sqrt(np.maximum(lin[..., 2] ** 2 - lin[..., 0] ** 2 - lin[..., 1] ** 2, 1e-300))
-        pts[...] = np.where(short[..., None], lin / norm[..., None], pts)
     return pts
 
 
@@ -205,10 +172,12 @@ def hyperboloid_cart(pts):
     return pts[..., :2] / (1.0 + pts[..., 2:])
 
 
-def hyperboloid_translate(c, pts):
-    """mobius_translate(c, .) on points (..., 3) of the sheet, component-major: a Lorentz boost.
+def mobius_translate(c, pts):
+    """The disk translation carrying 0 to the Cartesian center c, on points (..., 3) of the
+    sheet: a Lorentz boost, stored component-major.  Its inverse is mobius_translate(-c, .).
 
-    c (..., 2) broadcasts against the rows of pts: one center for every row, or one per row."""
+    c (..., 2) broadcasts against the rows of pts: one center for every row, or one per row.
+    Each row's image is formed elementwise, from its own point and center alone."""
     c = np.asarray(c, dtype=float)
     cx, cy = c[..., 0], c[..., 1]
     cc = cx * cx + cy * cy

@@ -135,23 +135,20 @@ def check_simple(loop):
 def broadcast_chord_vectors(a, b, ts):
     """disk.geodesic_chord_points as one broadcast expression over (..., T, 3)."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    cosh_d = a[..., 2] * b[..., 2] - a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-    d = np.arccosh(np.maximum(cosh_d, 1.0))[..., None]
-    short = d < 1e-9
-    sinh_d = np.sinh(np.where(short, 1.0, d))
+    na, nb = np.hypot(a[..., 0], a[..., 1]), np.hypot(b[..., 0], b[..., 1])
+    sa, sb = np.maximum(na, 1e-300)[..., None], np.maximum(nb, 1e-300)[..., None]
+    u = a[..., :2] / sa - b[..., :2] / sb
+    half = (na - nb) ** 2 / (2.0 * (1.0 + a[..., 2] * b[..., 2] + na * nb)) \
+        + 0.25 * (na * nb) * (u[..., 0] ** 2 + u[..., 1] ** 2)
+    d = np.maximum(2.0 * np.arcsinh(np.sqrt(half)), 1e-200)[..., None]
     ts = np.asarray(ts, dtype=float)
     a, b = a[..., None, :], b[..., None, :]
-    pts = (np.sinh((1.0 - ts) * d) / sinh_d)[..., None] * a \
-        + (np.sinh(ts * d) / sinh_d)[..., None] * b
-    if np.any(short):
-        lin = (1.0 - ts)[:, None] * a + ts[:, None] * b
-        norm = np.sqrt(np.maximum(lin[..., 2] ** 2 - lin[..., 0] ** 2 - lin[..., 1] ** 2, 1e-300))
-        pts = np.where(short[..., None], lin / norm[..., None], pts)
-    return pts
+    return (np.sinh((1.0 - ts) * d) / np.sinh(d))[..., None] * a \
+        + (np.sinh(ts * d) / np.sinh(d))[..., None] * b
 
 
 def stacked_translate(c, pts):
-    """hyperboloid_translate with its result stacked row-major."""
+    """disk.mobius_translate with its result stacked row-major."""
     cx, cy = (float(v) for v in c)
     cc = cx * cx + cy * cy
     ux, uy = 2.0 * cx / (1.0 - cc), 2.0 * cy / (1.0 - cc)

@@ -4,8 +4,8 @@ None of these is on a command's path.  Curves are closures t -> (r, theta)
 with their derivatives, whose geodesic curvature is checked against the
 package's jets; finite-difference curve derivatives check the analytic jets,
 the polar chord equation and the diameter branch give geodesics as curves,
-hyperbolic distance goes through the disk translation and the radial
-formula, the lemma margins have Taylor-sum, direct and slope forms, and the
+hyperbolic distance goes through the disk translation's Cartesian formula
+(the reference of the package's boost on sheet rows) and the radial formula, the lemma margins have Taylor-sum, direct and slope forms, and the
 auxiliary functions phi and psi have the forms that evaluate both branches.
 Points are given in polar, Cartesian and hyperboloid form.  The Klein chart
 maps, the gnomonic inverse and the angle wrap serve the tests only: a
@@ -29,10 +29,9 @@ from hypexpand.convexity import (SAMPLES_PER_EDGE, SampledRegion, _check_polygon
 from hypexpand.curvature import (SERIES_CUTOFF, ChordSpec, chord_radius,
                                   gamma_curvature_closed_form, phi, preimage_state, psi)
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (_check_chart, cart_to_polar, chord_jet, curvature_from_derivatives,
-                            geodesic_chord_points, hyperboloid_cart, hyperboloid_lift,
-                            hyperboloid_translate, mobius_translate, polar_chord_radius,
-                            polar_to_cart)
+from hypexpand.disk import (_check_radii, chord_jet, curvature_from_derivatives,
+                            geodesic_chord_points, hyperboloid_lift, mobius_translate,
+                            polar_chord_radius, polar_to_cart)
 from hypexpand.lemmas import SERIES_MAX_TERMS, SERIES_REL_STOP
 from hypexpand.sphere import Chart, SphericalPolygon, SphericalRegion, great_circle_points
 
@@ -79,6 +78,37 @@ def klein_sheet(q):
     q = np.asarray(q, dtype=float)
     w = 1.0 / np.sqrt(1.0 - np.sum(q * q, axis=-1))[..., None]
     return np.concatenate([q * w, w], axis=-1)
+
+
+def cart_to_polar(xy):
+    """Map Cartesian points strictly inside the disk to (r, theta) arrays."""
+    xy = np.asarray(xy, dtype=float)
+    rho = np.hypot(xy[..., 0], xy[..., 1])
+    if np.any(rho >= 1.0):
+        raise ValueError("point outside the open unit disk")
+    r = 2.0 * np.arctanh(rho)
+    theta = np.where(rho > 0.0, np.arctan2(xy[..., 1], xy[..., 0]), 0.0)
+    return r, theta
+
+
+def cart_mobius_translate(c, x):
+    """Disk translation carrying 0 to c, applied to Cartesian points x (shape (..., 2)).
+
+    tau_c(x) = ((1 + 2 c.x + |x|^2) c + (1 - |c|^2) x) / (1 + 2 c.x + |c|^2 |x|^2)
+
+    This is an orientation-preserving hyperbolic isometry with tau_c(0) = c,
+    and its inverse is tau_{-c}: disk.mobius_translate on the Poincare rows of
+    sheet points.  c (..., 2) broadcasts against x.
+    """
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(x, dtype=float)
+    cx, cy = c[..., 0], c[..., 1]
+    cc = cx * cx + cy * cy
+    dot = x[..., 0] * cx + x[..., 1] * cy
+    nx = np.sum(x * x, axis=-1)
+    num = (1.0 + 2.0 * dot + nx)[..., None] * c + (1.0 - cc)[..., None] * x
+    den = 1.0 + 2.0 * dot + cc * nx
+    return num / den[..., None]
 
 
 def gnomonic_inverse(chart, uv):
@@ -160,7 +190,7 @@ class RecordedCurve(ParamCurve):
 
 def hyperbolic_distance(u: Point, v: Point) -> float:
     """Distance via translation of u to the origin followed by the radial formula."""
-    w = mobius_translate(-u.xy, v.xy)
+    w = cart_mobius_translate(-u.xy, v.xy)
     rho = min(math.hypot(w[0], w[1]), RHO_MAX)
     return 2.0 * math.atanh(rho)
 
@@ -423,21 +453,19 @@ def per_trial_hconvex_polygon(rng, center=(0.0, 0.0), r_range=(0.2, 3.0)):
     center and its hull."""
     pts = hyperboloid_lift(*_star_polar(rng, r_range=r_range))
     if np.any(center):
-        pts = hyperboloid_translate(center, pts)
+        pts = mobius_translate(center, pts)
     return hyperbolic_hull(pts)
 
 
 def per_trial_dilate_region(poly, params, samples_per_edge=SAMPLES_PER_EDGE):
-    """dilate_region as one region's own calls, in the order of its checks: the boundary
-    samples, then dilate_xy (the translation to the center, then the factors), then the
-    region's own."""
+    """dilate_region as one region's own calls, in the order of its checks: the vertices, then
+    dilate_xy of the edge samples, then the region's own."""
     v = poly.sheet
+    _check_radii(np.arccosh(v[:, 2]), "the polygon's vertices carry")
     ts = np.arange(samples_per_edge, dtype=float) / samples_per_edge
-    xy = hyperboloid_cart(geodesic_chord_points(v, np.roll(v, -1, axis=0), ts)).reshape(-1, 2)
-    _check_chart(xy, "the polygon's vertices carry")
-    xy = dilate_xy(params, xy)
-    return SampledRegion(np.vstack([xy, xy[:1]]), poly, samples_per_edge, params.k1, params.k2,
-                         params.center)
+    rows = dilate_xy(params, geodesic_chord_points(v, np.roll(v, -1, axis=0), ts).reshape(-1, 3))
+    return SampledRegion(np.vstack([rows, rows[:1]]), poly, samples_per_edge, params.k1,
+                         params.k2, params.center)
 
 
 def per_trial_theorem(seed, i, k_range=(1.0, 4.0), forced_k1=None, forced_k2=None):

@@ -134,7 +134,7 @@ def test_criterion_7_algebraic_identities():
         c = _rand_point(rng, 1.5)
         p = _rand_point(rng, 3.0)
         k1, k2 = rng.uniform(0.3, 4.0, 2)
-        there = hyperboloid_cart(dilate_xy(DilationParams(c.xy, k1, k2), p.xy))
+        there = dilate_xy(DilationParams(c.xy, k1, k2), p.sheet)
         back = hyperboloid_cart(dilate_xy(DilationParams(c.xy, 1.0 / k1, 1.0 / k2), there))
         worst_inv = max(worst_inv, float(np.max(np.abs(back - p.xy))))
 
@@ -145,7 +145,7 @@ def test_criterion_7_algebraic_identities():
         worst_comp = max(worst_comp, float(np.max(np.abs(one - two))))
 
         u, v = _rand_point(rng), _rand_point(rng)
-        cu, cv = (cart_point(*mobius_translate(c.xy, x.xy)) for x in (u, v))
+        cu, cv = (cart_point(*hyperboloid_cart(mobius_translate(c.xy, x.sheet))) for x in (u, v))
         worst_iso = max(worst_iso, abs(hyperbolic_distance(cu, cv) - hyperbolic_distance(u, v)))
     ok = worst_inv < 1e-10 and worst_comp < 1e-11 and worst_iso < 1e-11
     _report("7 algebraic identities", ok,

@@ -119,21 +119,27 @@ class TestTheoremBlocks:
             for i in range(trials):
                 per_trial_theorem(0, i, forced_k1=k1)
         assert str(block.value) == str(alone.value)
+        # every trial's center is off the origin: its image is checked about it
+        message = str(block.value)
+        assert message.startswith(f"factors k1={k1!r}, k2=") and " about the center [" in message
 
     def test_a_huge_factor_is_a_usage_error(self, capsys):
-        # r' = r * 1e308 overflows to inf, which the factors' chart check refuses, without a
-        # RuntimeWarning (an error under pytest's filter and CI's)
+        # r' = r * 1e308 overflows to inf, and the boost back to the center turns its lift into
+        # nan rows, which the image's chart check refuses, without a RuntimeWarning (an error
+        # under pytest's filter and CI's)
         assert main(["verify-theorem", "--k1", "1e308", "--trials", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("error: factors k1=1e+308")
+        assert captured.err.startswith("error: factors k1=1e+308, k2=")
+        assert " about the center [" in captured.err
 
     def test_trial_0_at_k1_40_is_named(self, capsys):
         # r' ~ 100, far past the radius where tanh(r'/2) rounds to 1 on any platform
         assert main(["verify-theorem", "--k1", "40", "--trials", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("error: factors k1=40.0, k2=2.624383660747275 carry")
+        assert re.match(r"error: factors k1=40\.0, k2=2\.624383660747275 about the center "
+                        r"\[\S+, \S+\] carry", captured.err)
 
 
 class TestSearch:
@@ -261,19 +267,40 @@ class TestSearch:
         assert abs(defect - witness["defect"]) <= cli.REPLAY_TOL
 
     @pytest.mark.parametrize("radius, x", [(36.5, 0.5), (37.0, 0.9), (37.0, -0.7)])
-    def test_witness_translated_past_the_chart_is_a_usage_error(self, radius, x, tmp_path,
-                                                                capsys):
-        # the boundary samples lie inside the chart, but the translation by the
-        # negated center carries some of them onto the unit circle
+    def test_witness_translated_far_from_the_origin_replays(self, radius, x, tmp_path, capsys):
+        # the boundary and its image lie inside the chart, though the boundary's Cartesian rows,
+        # translated to the center, land on the unit circle.  The stored defect is the
+        # unmodified witness's, so the replay differs from it (exit 1)
+        report = run_search_counterexample(seed=0, k1=0.5, trials=3)
+        witness = report["witness"]
+        for v in witness["vertices_polar"]:
+            v[0] = radius
+        witness["center_cart"] = [x, 0.0]
+        region = dilate_region(GeodesicPolygon.from_polar(witness["vertices_polar"]),
+                               DilationParams(witness["center_cart"], 0.5, 1.0))
+        assert math.tanh(float(np.max(np.arccosh(region.boundary[:, 2]))) / 2.0) < 1.0
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(report))
+        assert main(["search-counterexample", "--replay", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        replay = json.loads(captured.out)
+        assert not replay["passed"] and replay["replayed_defect"] > 0.0
+
+    @pytest.mark.parametrize("radius", [25.0, 30.0, 36.0, 37.5])
+    def test_a_far_identity_witness_replays_without_a_warning(self, radius, tmp_path, capsys):
+        # a convex polygon, every vertex far from the origin, under the identity: defect 0.
+        # Its chords need lengths from positive terms: cosh d = a_z b_z - A.B cancels this far
+        # out, and samples formed from it overflow membership's squares
         report = run_search_counterexample(seed=0, k1=0.5, trials=3)
         for v in report["witness"]["vertices_polar"]:
             v[0] = radius
-        report["witness"]["center_cart"] = [x, 0.0]
+        report["witness"].update(k1=1.0, k2=1.0, defect=0.0)
         path = tmp_path / "witness.json"
         path.write_text(json.dumps(report))
-        assert main(["search-counterexample", "--replay", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the translation to the center") and err.count("\n") == 1
+        assert main(["search-counterexample", "--replay", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["replayed_defect"] == 0.0
 
     @pytest.mark.parametrize("option", [["--seed", "0"], ["--trials", "3"], ["--k1", "0.5"],
                                         ["--k2", "1"], ["--tol", "1e-3"]])

@@ -26,11 +26,11 @@ from hypexpand.convexity import (
     random_hconvex_polygon,
 )
 from hypexpand.dilation import DilationParams, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (ChartSaturation, cart_to_polar, geodesic_chord_points,
-                            hyperboloid_cart, hyperboloid_lift, hyperboloid_polar,
-                            hyperboloid_translate, mobius_translate, polar_to_cart)
-from references import (ZERO, cart_point, from_klein, klein_sheet, per_trial_dilate_region,
-                        per_trial_hconvex_polygon, polar_point, to_klein)
+from hypexpand.disk import (ChartSaturation, geodesic_chord_points, hyperboloid_cart,
+                            hyperboloid_lift, hyperboloid_polar, mobius_translate, polar_to_cart)
+from references import (ZERO, cart_mobius_translate, cart_point, cart_to_polar, from_klein,
+                        klein_sheet, per_trial_dilate_region, per_trial_hconvex_polygon,
+                        polar_point, to_klein)
 
 # the dilation whose region is the polygon's own sampled boundary
 IDENTITY = DilationParams(ZERO.xy, 1.0, 1.0)
@@ -52,12 +52,13 @@ def klein_polygon(kverts):
 
 def translated(c, sheet):
     """Hyperboloid rows (V, 3) moved, one at a time, by the boost carrying the apex to c."""
-    return np.array([hyperboloid_translate(c.xy, v) for v in sheet])
+    return np.array([mobius_translate(c.xy, v) for v in sheet])
 
 
 def poincare_translated(c, sheet):
-    """Cartesian rows of hyperboloid rows (V, 3), moved one at a time by mobius_translate(c, .)."""
-    return np.array([mobius_translate(c, p) for p in hyperboloid_cart(sheet)])
+    """Cartesian rows of hyperboloid rows (V, 3), moved one at a time by the Cartesian formula of
+    the disk translation carrying 0 to c."""
+    return np.array([cart_mobius_translate(c, p) for p in hyperboloid_cart(sheet)])
 
 
 def contains(poly, p):
@@ -386,7 +387,7 @@ class TestBatchedPolygonLayer:
         for _ in range(200):
             c = rand_point(rng, 3.0)
             pts = sheets([rand_point(rng, 3.0) for _ in range(int(rng.integers(3, 13)))])
-            rows = hyperboloid_translate(c.xy, pts)
+            rows = mobius_translate(c.xy, pts)
             assert rows.tolist() == translated(c, pts).tolist()
 
 class TestRegionMembership:
@@ -819,7 +820,7 @@ def rebuilt_oracle(region):
 
     def contains(r, th):
         if centered_off:
-            xy = mobius_translate(-center, polar_to_cart(r, th))
+            xy = cart_mobius_translate(-center, polar_to_cart(r, th))
             r, th = cart_to_polar(xy)
         r2, th2 = dilate_origin_polar(inv_k1, inv_k2, r, th)
         q = to_klein(polar_to_cart(r2, th2))
@@ -940,10 +941,10 @@ class TestProjectiveMembership:
             k1, k2 = rng.uniform(0.25, 4.0, 2)
             region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             # probes in the preimage's centered Klein chart, mapped forward
-            pre = from_klein(edge_probes(rng, centered_klein_vertices(poly, center), spread=0.7))
+            pre = klein_sheet(edge_probes(rng, centered_klein_vertices(poly, center), spread=0.7))
             img = dilate_xy(DilationParams(ZERO.xy, k1, k2), pre)
             if center.r > 0.0:
-                img = hyperboloid_translate(center.xy, img)
+                img = mobius_translate(center.xy, img)
             pts = np.vstack([img, hyperboloid_lift(center.r, center.theta)])  # the center itself
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -1053,32 +1054,37 @@ class TestDilateRegion:
 class TestRegionBlocks:
     """dilate_regions against building each region alone (references.per_trial_dilate_region)."""
 
-    # regions that fail one check each: their factors (r' ~ 100), their own boundary
-    # (vertices at r = 40), its translation to the center (r = 36 carried about 2.9 out),
-    # and the boundary and the factors both
+    # regions that fail one check each: their factors (r' ~ 100 about a center near the
+    # origin), their own boundary (vertices at r = 40), and the boundary and the factors both
     FINE = (GeodesicPolygon.from_polar([(1.0, 0.0), (1.2, 2.0), (0.8, 4.0)]),
             DilationParams((0.2, -0.1), 2.0, 1.5))
     FACTORS = (GeodesicPolygon.from_polar([(2.5, 0.0), (2.5, 2.1), (2.5, -2.1)]),
                DilationParams((0.1, 0.2), 40.0, 1.0))
     BOUNDARY = (GeodesicPolygon(hyperboloid_lift([40.0] * 3, [0.0, 2.1, -2.1])),
                 DilationParams((0.0, 0.0), 1.5, 1.0))
+    BOTH = (BOUNDARY[0], DilationParams((0.0, 0.0), 40.0, 1.0))
+    # the identity about a center 2.9 out of a triangle 36 out: its boundary lies inside the
+    # chart, though its Cartesian rows, translated to the center, land on the unit circle
     TRANSLATION = (GeodesicPolygon.from_polar([(36.0, 0.0), (36.0, 2.1), (36.0, -2.1)]),
                    DilationParams((0.9, 0.0), 1.0, 1.0))
-    BOTH = (BOUNDARY[0], DilationParams((0.0, 0.0), 40.0, 1.0))
+    # the same triangle stretched by 1.1 about that center: its image reaches 39.8 from the
+    # origin
+    CENTER = (TRANSLATION[0], DilationParams((0.9, 0.0), 1.1, 1.0))
     # r' = 37 about a center 1.5 out, whose vertex facing away reaches 38.5 from the origin
-    FINAL = (GeodesicPolygon.from_polar(np.column_stack(cart_to_polar(mobius_translate(
-        polar_to_cart(1.5, 0.3), polar_to_cart(3.7, [0.3, 2.4, -1.8]))))),
+    FINAL = (GeodesicPolygon.from_polar(np.column_stack(hyperboloid_polar(mobius_translate(
+        polar_to_cart(1.5, 0.3), hyperboloid_lift(np.full(3, 3.7), [0.3, 2.4, -1.8]))))),
         DilationParams(polar_to_cart(1.5, 0.3), 10.0, 10.0))
 
     @pytest.mark.parametrize("names, cause", [
-        (("FACTORS",), "factors k1=40.0, k2=1.0 carry"),
+        (("FACTORS",), "factors k1=40.0, k2=1.0 about the center [0.1, 0.2] carry"),
         (("BOUNDARY",), "the polygon's vertices carry"),
-        (("TRANSLATION",), "the translation to the center [0.9, 0.0] carries"),
+        (("CENTER",), "factors k1=1.1, k2=1.0 about the center [0.9, 0.0] carry"),
         (("BOTH",), "the polygon's vertices carry"),
         # an earlier region fails a later check, a later region an earlier one
-        (("FINE", "FACTORS", "BOUNDARY"), "factors k1=40.0, k2=1.0 carry"),
-        (("FINE", "TRANSLATION", "BOUNDARY"), "the translation to the center [0.9, 0.0] carries"),
-        (("FACTORS", "TRANSLATION", "FINE"), "factors k1=40.0, k2=1.0 carry"),
+        (("FINE", "FACTORS", "BOUNDARY"), "factors k1=40.0, k2=1.0 about the center"),
+        (("FINE", "CENTER", "BOUNDARY"), "factors k1=1.1, k2=1.0 about the center [0.9, 0.0]"),
+        (("TRANSLATION", "CENTER", "BOUNDARY"), "factors k1=1.1, k2=1.0 about the center"),
+        (("FACTORS", "TRANSLATION", "FINE"), "factors k1=40.0, k2=1.0 about the center"),
         (("FINE", "FINE", "BOTH", "FACTORS"), "the polygon's vertices carry"),
         (("FINAL",), "factors k1=10.0, k2=10.0 about the center"),
         (("FINE", "FINAL", "FACTORS"), "factors k1=10.0, k2=10.0 about the center"),
@@ -1092,6 +1098,17 @@ class TestRegionBlocks:
             convexity.dilate_regions(polys, params)
         assert str(block.value) == str(alone.value)
         assert str(block.value).startswith(cause)
+
+    def test_a_boundary_inside_the_chart_about_a_far_center_builds(self):
+        # the identity maps the triangle to itself: its vertices stay 36 from the origin, and
+        # the chords between its boundary rows stay inside it
+        for block in ([self.TRANSLATION], [self.FINE, self.TRANSLATION]):
+            region = convexity.dilate_regions(*zip(*block))[-1]
+            far = float(np.max(np.arccosh(region.boundary[:, 2])))
+            assert abs(far - 36.0) < 1e-9 and math.tanh(far / 2.0) < 1.0
+            assert np.array_equal(region.boundary,
+                                  per_trial_dilate_region(*self.TRANSLATION).boundary)
+            assert convexity.convexity_defect(region) == 0.0
 
     def test_a_block_of_fine_regions_is_built_bit_for_bit(self):
         rng = np.random.default_rng(62)

@@ -10,10 +10,10 @@ from conftest import dot3, stacked_membership_h2, stacked_membership_s2
 from hypexpand import convexity, sphere
 from hypexpand.convexity import GeodesicPolygon, dilate_region
 from hypexpand.dilation import DilationParams, dilate_origin_chart, dilate_origin_polar, dilate_xy
-from hypexpand.disk import (ChartSaturation, hyperboloid_cart, hyperboloid_lift,
-                            hyperboloid_translate, mobius_translate, polar_to_cart)
+from hypexpand.disk import (ChartSaturation, hyperboloid_cart, hyperboloid_lift, mobius_translate,
+                            polar_to_cart)
 from hypexpand.sphere import Chart, SphericalPolygon, contract_polygon
-from references import ZERO, cart_point, polar_point
+from references import ZERO, cart_mobius_translate, cart_point, polar_point
 
 
 def rand_point(rng, r_max=3.0):
@@ -29,9 +29,9 @@ def inverse(params):
     return DilationParams(params.center, 1.0 / params.k1, 1.0 / params.k2)
 
 
-def dilate_cart(params, xy):
-    """dilate_xy's sheet rows, projected to Poincare Cartesian rows."""
-    return hyperboloid_cart(dilate_xy(params, xy))
+def dilate_cart(params, rows):
+    """dilate_xy's images of sheet rows, projected to Poincare Cartesian rows."""
+    return hyperboloid_cart(dilate_xy(params, rows))
 
 
 class TestParams:
@@ -78,30 +78,37 @@ class TestOriginDilation:
             with pytest.raises(ChartSaturation, match=r"k1=13\.0, k2=1\.0"):
                 dilate_region(poly, DilationParams(center.xy, 13.0, 1.0))
 
-    def test_the_chart_saturates_without_a_warning(self):
-        xy = polar_to_cart(np.array([15.0, 1.0]), np.array([0.0, 0.5]))
+    @pytest.mark.parametrize("k1", [4.0, 1e308])
+    def test_the_chart_saturates_without_a_warning(self, k1):
+        # k1 = 4 gives r' = 60.  k1 = 1e308 overflows r' to inf, whose lift the boost back to a
+        # center turns into nan rows: tanh(nan / 2) < 1 is False, so the check refuses them too
+        rows = hyperboloid_lift(np.array([15.0, 1.0]), np.array([0.0, 0.5]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for center in (ZERO, polar_point(0.3, 1.0)):
-                with pytest.raises(ChartSaturation, match=r"factors k1=4\.0, k2=1\.0"):
-                    dilate_xy(DilationParams(center.xy, 4.0, 1.0), xy)  # r' = 60
+                about = f" about the center {center.xy.tolist()}" if center.r else ""
+                cause = "^" + re.escape(f"factors k1={k1!r}, k2=1.0{about} carry")
+                with pytest.raises(ChartSaturation, match=cause):
+                    dilate_xy(DilationParams(center.xy, k1, 1.0), rows)
             r, _ = dilate_origin_polar(4.0, 1.0, 15.0, 0.0)  # the polar map alone is chart-free
             assert r == 60.0
 
     def test_a_saturated_image_is_refused_where_its_row_stays_inside(self):
         # in about 1.4% of directions cos and sin round a unit direction below 1, so the
         # row of an image whose tanh(r'/2) is 1 keeps the norm 1 - 1.1e-16, and a check of
-        # Cartesian norms alone passes it; the dilated radius itself is checked
+        # Cartesian norms alone passes it; the image's distance from the origin is checked
         thetas = np.linspace(-math.pi, math.pi, 2001)
         r2, th2 = dilate_origin_polar(50.0, 50.0, 2.0, thetas)  # r' = 100
         inside = np.hypot(*polar_to_cart(r2, th2).T) < 1.0
         assert np.tanh(50.0) == 1.0 and np.any(inside)
-        points = polar_to_cart(2.0, thetas[inside])
+        points = hyperboloid_lift(np.full(np.count_nonzero(inside), 2.0), thetas[inside])
         for center in (ZERO, polar_point(0.3, 1.0)):
             params = DilationParams(center.xy, 50.0, 50.0)
-            for xy in (points, *points):  # together and each alone
-                moved = mobius_translate(center.xy, xy) if center.r else xy
-                with pytest.raises(ChartSaturation, match=r"^factors k1=50\.0, k2=50\.0 carry"):
+            about = f" about the center {center.xy.tolist()}" if center.r else ""
+            cause = "^" + re.escape(f"factors k1=50.0, k2=50.0{about} carry")
+            for rows in (points, *points):  # together and each alone
+                moved = mobius_translate(center.xy, rows) if center.r else rows
+                with pytest.raises(ChartSaturation, match=cause):
                     dilate_xy(params, moved)
 
     def test_an_image_the_translation_back_carries_past_the_chart_is_refused(self):
@@ -110,12 +117,12 @@ class TestOriginDilation:
         # distance, arccosh z, is checked
         center = polar_point(1.5, 0.3)
         thetas = np.linspace(-math.pi, math.pi, 20001)
-        xy = mobius_translate(center.xy, polar_to_cart(3.7, thetas))
+        rows = mobius_translate(center.xy, hyperboloid_lift(np.full(thetas.shape, 3.7), thetas))
         r2, _ = dilate_origin_polar(10.0, 10.0, 3.7, thetas)
         assert np.all(np.tanh(r2 / 2.0) < 1.0)
         cause = re.escape(f"factors k1=10.0, k2=10.0 about the center {center.xy.tolist()} carry")
         with pytest.raises(ChartSaturation, match="^" + cause):
-            dilate_xy(DilationParams(center.xy, 10.0, 10.0), xy)
+            dilate_xy(DilationParams(center.xy, 10.0, 10.0), rows)
 
     @pytest.mark.parametrize("s, d", [(0.3, 3.65), (0.3, 3.7), (0.6, 3.65)])
     def test_a_boundary_inside_the_chart_about_a_far_center_builds(self, s, d):
@@ -125,7 +132,7 @@ class TestOriginDilation:
         # back, kept only the last bits of 1 - tanh(r'/2) and landed past the unit circle.
         center = polar_point(1.5, 0.3)
         sheet = hyperboloid_lift(np.full(3, d), math.pi + 0.3 + np.array([-s, 0.0, s]))
-        poly = GeodesicPolygon(hyperboloid_translate(center.xy, sheet))
+        poly = GeodesicPolygon(mobius_translate(center.xy, sheet))
         region = dilate_region(poly, DilationParams(center.xy, 10.0, 10.0))
         far = float(np.max(np.arccosh(region.boundary[:, 2])))
         assert 35.3 < far < 36.0 and 1.0 - math.tanh(far / 2.0) >= 4 * 2.0 ** -53
@@ -139,8 +146,8 @@ class TestOriginDilation:
                   for i in range(30)]
         rows = DilationParams(np.array([p.center for p in params]),
                               np.array([p.k1 for p in params]), np.array([p.k2 for p in params]))
-        out = dilate_xy(rows, np.array([p.xy for p in pts]))
-        alone = np.array([dilate_xy(p, q.xy) for p, q in zip(params, pts)])
+        out = dilate_xy(rows, np.array([p.sheet for p in pts]))
+        alone = np.array([dilate_xy(p, q.sheet) for p, q in zip(params, pts)])
         # the origin rows are translated by 0 with the others, which is exact here
         assert np.array_equal(out, alone)
 
@@ -239,13 +246,13 @@ class TestCenterGuard:
 class TestCenteredDilation:
     def test_center_zero_reduces_to_origin_map(self):
         p = polar_point(1.2, 0.7)
-        xy = dilate_cart(DilationParams(ZERO.xy, 2.0, 1.3), p.xy)
+        xy = dilate_cart(DilationParams(ZERO.xy, 2.0, 1.3), p.sheet)
         assert np.max(np.abs(xy - dilate_polar(2.0, 1.3, p).xy)) <= 1e-15
 
     def test_center_is_fixed(self):
         c = cart_point(0.4, -0.2)
         params = DilationParams(c.xy, 3.0, 1.5)
-        assert np.max(np.abs(dilate_cart(params, c.xy) - c.xy)) <= 1e-12
+        assert np.max(np.abs(dilate_cart(params, c.sheet) - c.xy)) <= 1e-12
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(10)
@@ -254,19 +261,19 @@ class TestCenteredDilation:
             c = rand_point(rng, 1.5)
             p = rand_point(rng, 3.0)
             params = DilationParams(c.xy, rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0))
-            back = dilate_cart(inverse(params), dilate_cart(params, p.xy))
+            back = dilate_cart(inverse(params), dilate_xy(params, p.sheet))
             worst = max(worst, float(np.max(np.abs(back - p.xy))))
         assert worst < 1e-10
 
     def test_inverse_example(self):
         q = polar_point(math.sqrt(2.5), math.atan(0.5))
-        p = cart_point(*dilate_cart(inverse(DilationParams(ZERO.xy, 2.0, 1.0)), q.xy))
+        p = cart_point(*dilate_cart(inverse(DilationParams(ZERO.xy, 2.0, 1.0)), q.sheet))
         assert p.r == pytest.approx(1.0, abs=1e-12)
         assert p.theta == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_identity_inverse(self):
         p = polar_point(2.0, -1.0)
-        back = dilate_cart(inverse(DilationParams(ZERO.xy, 1.0, 1.0)), p.xy)
+        back = dilate_cart(inverse(DilationParams(ZERO.xy, 1.0, 1.0)), p.sheet)
         assert np.max(np.abs(back - p.xy)) <= 1e-15
 
     def test_conjugation_matches_manual_composition(self):
@@ -276,9 +283,9 @@ class TestCenteredDilation:
             p = rand_point(rng, 2.5)
             k1, k2 = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
             params = DilationParams(c.xy, k1, k2)
-            centered = cart_point(*mobius_translate(-c.xy, p.xy))
-            manual = mobius_translate(c.xy, dilate_polar(k1, k2, centered).xy)
-            assert np.max(np.abs(dilate_cart(params, p.xy) - manual)) < 1e-14
+            centered = cart_point(*cart_mobius_translate(-c.xy, p.xy))
+            manual = cart_mobius_translate(c.xy, dilate_polar(k1, k2, centered).xy)
+            assert np.max(np.abs(dilate_cart(params, p.sheet) - manual)) < 1e-14
 
 
 class TestAlgebraicProperties:
@@ -335,7 +342,7 @@ class TestAlgebraicProperties:
     def test_inverse_roundtrip_property(self, r, theta, k1, k2):
         p = polar_point(r, theta)
         params = DilationParams(ZERO.xy, k1, k2)
-        back = dilate_cart(inverse(params), dilate_cart(params, p.xy))
+        back = dilate_cart(inverse(params), dilate_xy(params, p.sheet))
         assert np.max(np.abs(back - p.xy)) < 1e-10
 
 
@@ -344,7 +351,6 @@ def test_array_path_matches_scalar():
     c = cart_point(0.3, -0.1)
     params = DilationParams(c.xy, 2.2, 0.8)
     pts = [rand_point(rng, 2.0) for _ in range(40)]
-    xy = np.array([p.xy for p in pts])
-    batch = dilate_xy(params, xy)
+    batch = dilate_xy(params, np.array([p.sheet for p in pts]))
     for row, p in zip(batch, pts):
-        assert np.max(np.abs(row - dilate_xy(params, p.xy))) < 1e-15
+        assert np.max(np.abs(row - dilate_xy(params, p.sheet))) < 1e-15

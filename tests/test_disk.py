@@ -9,15 +9,16 @@ from hypexpand.convexity import GeodesicPolygon, hyperbolic_hull
 from hypexpand.disk import (
     curvature_from_derivatives,
     geodesic_chord_points,
+    hyperboloid_cart,
     hyperboloid_lift,
     hyperboloid_polar,
-    hyperboloid_translate,
     mobius_translate,
     polar_to_cart,
 )
 from conftest import broadcast_chord_vectors, curvature_via_conformal, stacked_translate
-from references import (ZERO, ParamCurve, cart_point, from_polar_function, geodesic_between,
-                        geodesic_curvature, hyperbolic_distance, polar_point, to_klein)
+from references import (ZERO, ParamCurve, cart_mobius_translate, cart_point, from_polar_function,
+                        geodesic_between, geodesic_curvature, hyperbolic_distance, polar_point,
+                        to_klein)
 
 RADII = st.floats(min_value=1e-3, max_value=8.0)
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
@@ -28,8 +29,8 @@ def rand_point(rng, r_max=3.0, r_min=0.05):
 
 
 def translate(c, x):
-    """mobius_translate(c, x) of points, as a point."""
-    return cart_point(*mobius_translate(c.xy, x.xy))
+    """mobius_translate(c, .) of the point x's sheet row, as a point."""
+    return cart_point(*hyperboloid_cart(mobius_translate(c.xy, x.sheet)))
 
 
 def chord_polar(r1, th1, r2, th2, ts):
@@ -149,17 +150,17 @@ class TestTranslate:
         assert worst < 1e-11
 
 
-class TestHyperboloidTranslate:
-    def test_matches_mobius_translate_to_a_few_ulps(self):
+class TestSheetTranslate:
+    def test_matches_the_cartesian_formula_to_a_few_ulps(self):
         rng = np.random.default_rng(44)
         worst = 0.0
         for _ in range(300):
             c = rand_point(rng, 1.0, 0.0)
             r, th = rng.uniform(0.0, 2.0, 20), rng.uniform(-math.pi, math.pi, 20)
-            moved = hyperboloid_translate(c.xy, hyperboloid_lift(r, th))
+            moved = mobius_translate(c.xy, hyperboloid_lift(r, th))
             poincare = moved[:, :2] / (1.0 + moved[:, 2:])
-            ref = mobius_translate(c.xy, np.stack([np.tanh(r / 2) * np.cos(th),
-                                                   np.tanh(r / 2) * np.sin(th)], axis=-1))
+            ref = cart_mobius_translate(c.xy, np.stack([np.tanh(r / 2) * np.cos(th),
+                                                        np.tanh(r / 2) * np.sin(th)], axis=-1))
             worst = max(worst, float(np.max(np.abs(poincare - ref))))
         assert worst < 8 * np.finfo(float).eps
 
@@ -167,17 +168,17 @@ class TestHyperboloidTranslate:
         rng = np.random.default_rng(45)
         c = rand_point(rng, 1.5)
         pts = hyperboloid_lift(rng.uniform(29.0, 31.0, 200), rng.uniform(-math.pi, math.pi, 200))
-        moved = hyperboloid_translate(c.xy, pts)
+        moved = mobius_translate(c.xy, pts)
         assert np.all(np.isfinite(moved))
         sheet = moved[:, 2] ** 2 - moved[:, 0] ** 2 - moved[:, 1] ** 2
         assert np.max(np.abs(sheet - 1.0) / moved[:, 2] ** 2) < 1e-13
-        back = hyperboloid_translate(-c.xy, moved)
+        back = mobius_translate(-c.xy, moved)
         assert np.max(np.abs(back - pts) / pts[:, 2:]) < 1e-13
 
     def test_carries_the_apex_to_the_lift_of_the_center(self):
         c = polar_point(1.2, -0.7)
         apex = np.array([0.0, 0.0, 1.0])
-        assert np.allclose(hyperboloid_translate(c.xy, apex), hyperboloid_lift(c.r, c.theta),
+        assert np.allclose(mobius_translate(c.xy, apex), hyperboloid_lift(c.r, c.theta),
                            rtol=1e-15, atol=1e-15)
 
 
@@ -466,10 +467,12 @@ class TestParamCurve:
 
 def test_mobius_translate_array_shape():
     c = np.array([0.3, 0.1])
-    pts = np.random.default_rng(8).uniform(-0.5, 0.5, size=(17, 2))
-    out = mobius_translate(c, pts)
-    assert out.shape == (17, 2)
-    assert np.all(np.hypot(out[:, 0], out[:, 1]) < 1.0)
+    rng = np.random.default_rng(8)
+    out = mobius_translate(c, hyperboloid_lift(rng.uniform(0.0, 2.0, 17),
+                                               rng.uniform(-math.pi, math.pi, 17)))
+    assert out.shape == (17, 3)
+    assert np.allclose(out[:, 2] ** 2 - out[:, 0] ** 2 - out[:, 1] ** 2, 1.0, rtol=0.0,
+                       atol=1e-12)
 
 
 def chord_points_per_pair(r1, th1, r2, th2, ts):
@@ -477,16 +480,16 @@ def chord_points_per_pair(r1, th1, r2, th2, ts):
     s1, s2 = np.sinh(r1), np.sinh(r2)
     a = np.array([s1 * np.cos(th1), s1 * np.sin(th1), np.cosh(r1)])
     b = np.array([s2 * np.cos(th2), s2 * np.sin(th2), np.cosh(r2)])
-    cosh_d = a[2] * b[2] - a[0] * b[0] - a[1] * b[1]
-    d = np.arccosh(max(cosh_d, 1.0))
-    if d < 1e-9:
-        pts = (1.0 - ts)[:, None] * a + ts[:, None] * b
-        norm = np.sqrt(np.maximum(pts[:, 2] ** 2 - pts[:, 0] ** 2 - pts[:, 1] ** 2, 1e-300))
-        pts = pts / norm[:, None]
-    else:
-        sinh_d = np.sinh(d)
-        pts = (np.sinh((1.0 - ts) * d) / sinh_d)[:, None] * a \
-            + (np.sinh(ts * d) / sinh_d)[:, None] * b
+    na, nb = np.hypot(a[0], a[1]), np.hypot(b[0], b[1])
+    ua = a[:2] / max(na, 1e-300)
+    ub = b[:2] / max(nb, 1e-300)
+    u = ua - ub
+    half = (na - nb) ** 2 / (2.0 * (1.0 + a[2] * b[2] + na * nb)) \
+        + 0.25 * (na * nb) * (u[0] ** 2 + u[1] ** 2)
+    d = max(2.0 * np.arcsinh(np.sqrt(half)), 1e-200)
+    sinh_d = np.sinh(d)
+    pts = (np.sinh((1.0 - ts) * d) / sinh_d)[:, None] * a \
+        + (np.sinh(ts * d) / sinh_d)[:, None] * b
     return np.arcsinh(np.hypot(pts[:, 0], pts[:, 1])), np.arctan2(pts[:, 1], pts[:, 0])
 
 
@@ -538,6 +541,16 @@ class TestBatchedChordPoints:
             r_ref, th_ref = chord_points_per_pair(r[i[k]], th[i[k]], r[j[k]], th[j[k]], self.TS)
             assert np.array_equal(rs[k], r_ref) and np.array_equal(ths[k], th_ref)
 
+    @pytest.mark.parametrize("r", [20.0, 25.0, 30.0])
+    def test_chords_between_equal_rows_far_out_stay_on_the_row(self, r):
+        # cosh d = a_z b_z - A.B cancels to about eps a_z b_z this far out, and samples formed
+        # from it land near r ~ 365; the chord length from positive terms is 0 here
+        th = np.linspace(-math.pi, math.pi, 7)
+        row = hyperboloid_lift(np.full(7, r), th)
+        rs, ths = hyperboloid_polar(geodesic_chord_points(row, row, self.TS))
+        assert np.max(np.abs(rs - r)) <= 4 * np.spacing(r)
+        assert np.max(np.abs(ths - hyperboloid_polar(row)[1][:, None])) <= 4 * np.spacing(math.pi)
+
     def test_component_major_vectors_match_the_broadcast_formula(self):
         rng = np.random.default_rng(44)
         r = rng.uniform(0.0, 30.0, 64)
@@ -555,6 +568,6 @@ class TestBatchedChordPoints:
             assert pts[..., 0].flags.c_contiguous
             assert np.shares_memory(pts.reshape(-1, 3), pts)
             c = rand_point(rng)
-            moved = hyperboloid_translate(c.xy, pts)
+            moved = mobius_translate(c.xy, pts)
             assert np.array_equal(moved, stacked_translate(c.xy, pts))
             assert moved[..., 2].flags.c_contiguous
