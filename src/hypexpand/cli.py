@@ -48,20 +48,38 @@ def _dumps(obj) -> str:
 # k = floor(log10 |x|).  Where 10^-6 <= |x| < 10^17, 10^(16 - k) is an exact double (10^p is for
 # p <= 22), so Dekker's two-product gives x * 10^(16 - k) exactly as hi + lo.  hi, in
 # [10^16, 10^17], is an even integer, so N = hi + rint(lo), rounded half-even, is exact in int64.
+# Where 10^-22 <= |x| < 10^-6, 10^p (23 <= p <= 38) is the exact double-double
+# float(10^p) + its remainder (5^38 < 2^106), and N is rounded from the exact sum of two
+# two-products, hi + lo + hi2 + lo2, by TwoSums and an exact test for a tie at the half.
 # The text is then taken byte by byte from N's digits and a few constants by a template per
 # (exponent, sign, significant digits): that text with the digits written A..Q.  Zeros,
-# non-finite values and other exponents are formatted by Python, and so would be a value whose
-# N rounds up to 10^17; in this range none does (only the double just below a power of ten
-# could, and none of 10^-5 .. 10^17 has one within half a unit of its 17th digit).
-_G17_K_MIN, _G17_K_MAX = -6, 16
+# non-finite values and other exponents are formatted by Python, and so is a value whose N
+# rounds up to 10^17 (only the double just below a power of ten can, as 1e-14 does) or, below
+# 10^-6, is 10^16 (one of the doubles nearest a power of ten).
+_G17_K_MIN, _G17_K_MAX = -22, 16
 _G17_SLOT = 25  # bytes per value: its text (at most 24, as -2.2250738585072014e-308), padding, ','
 # a value's source row: its 17 digits, which a template writes A..Q, then these constants
 _G17_SOURCE = "ABCDEFGHIJKLMNOPQ\0-.e+,0123456789"
 _G17_CONST = np.frombuffer(_G17_SOURCE[17:].encode(), np.uint8)
-_POW10 = 10.0 ** np.arange(23)
 _VELTKAMP = 2.0 ** 27 + 1.0  # splits a double into two 26-bit halves
-_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+
+
+def _split(a):
+    """a_hi, a_lo with a_hi + a_lo = a, each of at most 26 significant bits (Veltkamp)."""
+    c = _VELTKAMP * a
+    a_hi = c - (c - a)
+    return a_hi, a - a_hi
+
+
+def _split_table(values):
+    """The doubles, and their Veltkamp halves, as rows 0..2 of a (3, n) table."""
+    values = np.array(values)
+    return np.stack([values, *_split(values)])
+
+
+# 10^p as a double for 0 <= p <= 38 (exact to p = 22), and the exact remainder 10^p - that
+_POW10 = _split_table([float(10 ** p) for p in range(39)])
+_POW10_REM = _split_table([float(10 ** p - int(float(10 ** p))) for p in range(39)])
 
 
 def _digit_tables():
@@ -104,14 +122,38 @@ def _g17_templates():
 _G17_TEMPLATES = _g17_templates()
 
 
-def _times_pow10(a, p):
-    """hi, lo with hi + lo = a * 10^p exactly, for 0 <= p <= 22 and a >= 10^-6 (Dekker)."""
-    hi = a * _POW10[p]
-    c = _VELTKAMP * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+def _times(a, table, p):
+    """hi, lo with hi + lo = a * table[0, p] exactly, for a >= 10^-22 (Dekker)."""
+    b, b_hi, b_lo = table[:, p]
+    hi = a * b
+    a_hi, a_lo = _split(a)
     return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a, b):
+    """s, e with s + e = a + b exactly, s = fl(a + b) (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _round_small(a, p, hi, lo):
+    """N = a * 10^p rounded half-even, for 23 <= p <= 38, where hi + lo = a * float(10^p).
+
+    hi is an even integer.  lo + a * (10^p - float(10^p)) = s + t + u exactly, and
+    N = hi + r + step with r = rint(s): step is the sign of c = fl((s - r) + t) where
+    |c| > 1/2, and where |c| = 1/2 it follows the sign of the exact rest d + u, the tie
+    (rest 0) going to the even N.
+    """
+    hi2, lo2 = _times(a, _POW10_REM, p)
+    s, e = _two_sum(lo, hi2)  # |s| < 16
+    t, u = _two_sum(e, lo2)  # |t| < 2^-49, |u| <= ulp(t) / 2
+    r = np.rint(s)
+    c, d = _two_sum(s - r, t)  # d is 0 or a multiple of ulp(t) where |c| = 1/2
+    rest = np.where(d != 0.0, d, u)
+    half = np.abs(c) == 0.5
+    step = (np.abs(c) > 0.5) | half & ((rest * c > 0.0) | (rest == 0.0) & (r % 2.0 != 0.0))
+    return hi.astype(np.int64) + (r + step * np.sign(c)).astype(np.int64)
 
 
 def _g17_slots(x):
@@ -124,7 +166,7 @@ def _g17_slots(x):
     exact = (k >= _G17_K_MIN) & (k <= _G17_K_MAX)  # false for 0, nan and inf
     k = np.where(exact, k, 0).astype(np.intp)
     a = np.where(exact, a, 1.0)
-    hi, lo = _times_pow10(a, 16 - k)
+    hi, lo = _times(a, _POW10, 16 - k)
     # log10 can round across a power of ten: the exact product moves k by one
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
@@ -134,8 +176,13 @@ def _g17_slots(x):
         inside = (k[moved] >= _G17_K_MIN) & (k[moved] <= _G17_K_MAX)
         exact[moved] = inside
         k[moved[~inside]], a[moved[~inside]] = 0, 1.0
-        hi[moved], lo[moved] = _times_pow10(a[moved], 16 - k[moved])
+        hi[moved], lo[moved] = _times(a[moved], _POW10, 16 - k[moved])
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # in [10^16, 10^17]
+    small = np.flatnonzero(k < -6)  # k is 0 for the values Python formats
+    if len(small):
+        digits[small] = _round_small(a[small], 16 - k[small], hi[small], lo[small])
+        # float(10^p) decided k, so N = 10^16 may be x * 10^p just under it: Python writes it
+        exact[small] &= digits[small] > 10 ** 16
     exact &= digits < 10 ** 17
     # the leading digit, then four groups of four digits: two halves of 8 digits in int32
     lead = digits // 10 ** 16

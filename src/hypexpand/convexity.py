@@ -318,9 +318,19 @@ def _segment_distances(px, py, ax, ay, ex, ey, ee):
     are passed with it.  Formed from correctly rounded IEEE-754 operations alone
     (sqrt, not libm's hypot), so it is the same bits on every IEEE-754 platform.
     """
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / ee, 0.0, 1.0)
-    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
-    return np.sqrt(dx * dx + dy * dy)
+    shape = np.broadcast_shapes(np.shape(px), np.shape(ax))
+    t, w = np.subtract(px, ax, out=np.empty(shape)), np.subtract(py, ay, out=np.empty(shape))
+    t *= ex
+    w *= ey
+    t += w
+    t /= ee
+    np.clip(t, 0.0, 1.0, out=t)
+    w = np.subtract(px, np.add(ax, np.multiply(t, ex, out=w), out=w), out=w)  # dx
+    t = np.subtract(py, np.add(ay, np.multiply(t, ey, out=t), out=t), out=t)  # dy
+    w *= w
+    t *= t
+    w += t
+    return np.sqrt(w, out=w)
 
 
 def polyline_distance(loop, probes):

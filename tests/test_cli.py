@@ -27,6 +27,7 @@ from hypexpand.cli import (
 from hypexpand.convexity import TRIAL_BLOCK, GeodesicPolygon, convexity_defect, dilate_region
 from hypexpand.dilation import DilationParams
 from hypexpand.disk import ChartSaturation, curvature_from_derivatives, polar_to_cart
+from hypexpand.svg import SvgCanvas
 from references import per_trial_theorem
 
 
@@ -470,6 +471,17 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("error: render --format csv takes none of --") and err.count("\n") == 1
 
+    def test_polyline_writes_each_coordinate_as_10g(self):
+        # one '%.10g,%.10g' template per point writes what a per-value f"{v:.10g}" wrote
+        rng = np.random.default_rng(10)
+        points = np.vstack([[[-0.0, 1e-300], [1e300, np.nan], [np.inf, -np.inf], [0.0, -1e-5]],
+                            rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-8, 8, (300, 2))])
+        for pts in (points, points[:1], points[:0], points.tolist()):
+            canvas = SvgCanvas()
+            canvas.polyline(pts)
+            coords = " ".join(f"{x:.10g},{y:.10g}" for x, y in pts)
+            assert f'points="{coords}"' in canvas.elements[0]
+
     def test_identity_factors_overlay(self):
         svg = run_render(seed=0, k1=1.0, k2=1.0)
         pts = re.findall(r'points="([^"]+)"', svg)
@@ -520,11 +532,18 @@ class TestCsvText:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).map(
         lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
-        st.floats(width=64), st.floats(1e-7, 1e18)), min_size=1, max_size=60))
+        st.floats(width=64), st.floats(1e-23, 1e18)), min_size=1, max_size=60))
     def test_every_bit_pattern(self, values):
         # any double: nan, infinities, zeros and subnormals go through Python's '%.17g', and
-        # the kernel's range [1e-6, 1e17) is drawn densely on its own
+        # the kernel's range [1e-22, 1e17), the double-double powers below 1e-6 included, is
+        # drawn densely on its own
         self.assert_formats(values)
+
+    def test_every_decade_below_1e_minus_6(self):
+        # 10^-22 <= |x| < 10^-6, where 10^(16 - k) is the double-double float(10^p) + remainder
+        rng = np.random.default_rng(22)
+        self.assert_formats((rng.uniform(1.0, 10.0, (16, 400))
+                             * 10.0 ** np.arange(-22, -6)[:, None]).ravel().tolist())
 
     def test_powers_of_ten_and_their_neighbours(self):
         # log10 may round across a power of ten, and 1e-6 itself has exponent -7
@@ -545,6 +564,34 @@ class TestCsvText:
             assert (Fraction(x) * 10 ** p).denominator == 2 and 1 <= p <= 22
         self.assert_formats(ties)
 
+    def test_exact_ties_below_1e_minus_6(self):
+        # the same ties x = m / 2^(p+1) where 10^p is a double-double, 23 <= p <= 38: m * 5^p / 2
+        # is in [10^16, 10^17) only for m = 3..15 at p = 23 and m = 1, 3 at p = 24
+        ties = [m / 2.0 ** (p + 1) for p in range(23, 39) for m in range(1, 41, 2)
+                if 10 ** 16 <= Fraction(m * 5 ** p, 2) < 10 ** 17]
+        assert len(ties) == 9 and 1.7881393432617188e-07 in ties
+        for x in ties:
+            p = 16 - Decimal(x).adjusted()
+            assert (Fraction(x) * 10 ** p).denominator == 2 and 23 <= p <= 38
+        self.assert_formats(ties)
+
+    def test_near_ties_below_1e_minus_6(self):
+        # one double for each 23 <= p <= 38 whose x * 10^p is within 2^-50 of a half-integer
+        # but not on one (found by lattice reduction): a sum of the products' parts in floats
+        # misrounds some of them, the exact tie test does not
+        near = [1.0501678632788782e-07, 1.0076000255121024e-08, 4.974148370910348e-09,
+                4.974148370910348e-10, 6.83280278535067e-11, 6.83280278535067e-12,
+                1.1959468262253353e-13, 8.839990188244671e-14, 8.839990188244671e-15,
+                1.5396250336741378e-16, 9.162887696157053e-17, 1.0985718958397732e-18,
+                8.6130941296439e-19, 1.3055059111721069e-20, 1.3055059111721069e-21,
+                1.3055059111721069e-22]
+        for x, p in zip(near, range(23, 39)):
+            assert 16 - Decimal(x).adjusted() == p
+            scaled = Fraction(x) * 10 ** p
+            assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 2 ** 50)
+        self.assert_formats([v for x in near for v in (x, np.nextafter(x, 0.0),
+                                                       np.nextafter(x, 1.0))])
+
     def test_integers_past_two_to_the_53(self):
         self.assert_formats(np.random.default_rng(53).integers(2 ** 53, 10 ** 17, 3000)
                             .astype(float).tolist() + [2.0 ** 53, 1e17 - 16, 1e16 - 2])
@@ -552,7 +599,8 @@ class TestCsvText:
     def test_values_that_round_up_to_the_next_power_of_ten(self):
         # each of these doubles lies below its power of ten by less than half a unit of the
         # 17th digit, so '%.17g' writes the power: the 14 doubles next to a power of ten from
-        # 1e-320 to 1e308 that do, none in the kernel's range
+        # 1e-320 to 1e308 that do.  1e-14 is in the kernel's range, whose carry to 10^17
+        # hands it to Python
         carries = [1e-305, 1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14,
                    1e98, 1e129, 1e153, 1e220]
         for x in carries:

@@ -499,6 +499,26 @@ class TestPolylineDistance:
         got = max_polyline_distance(loop, probes)
         assert type(got) is float and got == float(np.max(ref))
 
+    def test_segment_distances_in_buffers_keep_the_bits(self):
+        # _segment_distances forms its result in two preallocated arrays; the expression it
+        # was written from allocates one per step and gives the same bits, for a P x N grid
+        # (the exact chunks) and for P probes against one segment each (the bounds)
+        def expression(px, py, ax, ay, ex, ey, ee):
+            t = np.clip(((px - ax) * ex + (py - ay) * ey) / ee, 0.0, 1.0)
+            dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+            return np.sqrt(dx * dx + dy * dy)
+
+        rng = np.random.default_rng(314)
+        loop = circle_loop(512, gap=1e-3)
+        loop[::7] = loop[1::7][:len(loop[::7])]  # zero-length segments, whose ee is 1
+        probes = near_and_far_probes(loop, rng)
+        segments = convexity._loop_segments(loop)
+        grid = (probes[:, 0, None], probes[:, 1, None], *segments)
+        assert np.array_equal(convexity._segment_distances(*grid), expression(*grid))
+        k = rng.integers(0, len(segments[0]), len(probes))
+        pairs = (probes[:, 0], probes[:, 1], *(c.take(k) for c in segments))
+        assert np.array_equal(convexity._segment_distances(*pairs), expression(*pairs))
+
     def test_search_probes(self, monkeypatch, exact_rows):
         calls = []
 

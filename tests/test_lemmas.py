@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from hypexpand.curvature import phi, psi
+from hypexpand import lemmas
 from hypexpand.lemmas import (
+    LEMMA_BLOCK_ROWS,
     MAX_RECORDED,
     coth_poly_I_series,
     lemma_coth_poly,
@@ -23,6 +25,30 @@ from references import (coth_poly_I_direct, coth_ratio_path, coth_ratio_two_call
 def lemma_report(lemma, n):
     """The report dict verify_all(n) gives the named lemma."""
     return next(rep for rep in verify_all(n) if rep["lemma"] == lemma)
+
+
+@pytest.mark.parametrize("margin_fn, x_hi", [(lemma_sinh_scaling, 10.0),
+                                             (lemma_coth_ratio, 10.0),
+                                             (lemma_sin_scaling, math.pi)])
+@pytest.mark.parametrize("n", [40, 500])
+def test_row_blocks_give_the_whole_grids_margins(margin_fn, x_hi, n):
+    # each 2-D margin is evaluated LEMMA_BLOCK_ROWS grid rows at a time; the blocks put
+    # together are the whole grid's margins bit for bit, on verify_all's grids, whose row
+    # counts are not multiples of the block
+    xs = open_interval_grid(0.0, x_hi, n, open_hi=x_hi != 10.0)
+    ys = open_interval_grid(0.0, 1.0, n)
+    assert len(xs) % LEMMA_BLOCK_ROWS != 0
+    blocks = []
+
+    def recording(x, y):
+        blocks.append(margin_fn(x, y))
+        return blocks[-1]
+
+    report = lemmas._sweep("lemma", recording, xs, ys, {})
+    whole = margin_fn(xs[:, None], ys[None, :])
+    assert len(blocks) == -(-len(xs) // LEMMA_BLOCK_ROWS)
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert report["n_points"] == whole.size and report["min_margin"] == float(np.min(whole))
 
 
 class TestSinhScaling:
