@@ -48,9 +48,12 @@ def _dumps(obj) -> str:
 # k = floor(log10 |x|).  Where 10^-6 <= |x| < 10^17, 10^(16 - k) is an exact double (10^p is for
 # p <= 22), so Dekker's two-product gives x * 10^(16 - k) exactly as hi + lo.  hi, in
 # [10^16, 10^17], is an even integer, so N = hi + rint(lo), rounded half-even, is exact in int64.
-# Where 10^-22 <= |x| < 10^-6, 10^p (23 <= p <= 38) is the exact double-double
-# float(10^p) + its remainder (5^38 < 2^106), and N is rounded from the exact sum of two
-# two-products, hi + lo + hi2 + lo2, by TwoSums and an exact test for a tie at the half.
+# Where 10^-22 <= |x| < 10^-6, 10^p (23 <= p <= 38) is the exact double-double float(10^p) +
+# its remainder (5^38 < 2^106), so x * 10^p = hi + lo + hi2 + lo2 by two two-products.  With
+# lo + hi2 = s + e (TwoSum) and r = rint(s), N = hi + r + step: the fraction (s - r) + fl(e + lo2)
+# = c + d (TwoSum) steps N by the sign of c where |c| > 1/2 and, where |c| = 1/2, of d, d = 0 being
+# a tie.  fl(e + lo2) is off by less than 2^-102 (|e + lo2| < 2^-49), which cannot carry a
+# fraction of x * 10^p, a multiple of 2^-89, across or onto the half.
 # The text is then taken byte by byte from N's digits and a few constants by a template per
 # (exponent, sign, significant digits): that text with the digits written A..Q.  Zeros,
 # non-finite values and other exponents are formatted by Python, and so is a value whose N
@@ -71,15 +74,10 @@ def _split(a):
     return a_hi, a - a_hi
 
 
-def _split_table(values):
-    """The doubles, and their Veltkamp halves, as rows 0..2 of a (3, n) table."""
-    values = np.array(values)
-    return np.stack([values, *_split(values)])
-
-
-# 10^p as a double for 0 <= p <= 38 (exact to p = 22), and the exact remainder 10^p - that
-_POW10 = _split_table([float(10 ** p) for p in range(39)])
-_POW10_REM = _split_table([float(10 ** p - int(float(10 ** p))) for p in range(39)])
+# 10^p as a double for 0 <= p <= 38 (exact to p = 22), and the exact remainder 10^p - that,
+# each as rows of the double and its Veltkamp halves
+_POW10, _POW10_REM = (np.stack([v, *_split(v)]) for v in np.array(
+    [[float(10 ** p), float(10 ** p - int(float(10 ** p)))] for p in range(39)]).T)
 
 
 def _digit_tables():
@@ -138,21 +136,12 @@ def _two_sum(a, b):
 
 
 def _round_small(a, p, hi, lo):
-    """N = a * 10^p rounded half-even, for 23 <= p <= 38, where hi + lo = a * float(10^p).
-
-    hi is an even integer.  lo + a * (10^p - float(10^p)) = s + t + u exactly, and
-    N = hi + r + step with r = rint(s): step is the sign of c = fl((s - r) + t) where
-    |c| > 1/2, and where |c| = 1/2 it follows the sign of the exact rest d + u, the tie
-    (rest 0) going to the even N.
-    """
+    """N = a * 10^p rounded half-even, for 23 <= p <= 38, where hi + lo = a * float(10^p)."""
     hi2, lo2 = _times(a, _POW10_REM, p)
     s, e = _two_sum(lo, hi2)  # |s| < 16
-    t, u = _two_sum(e, lo2)  # |t| < 2^-49, |u| <= ulp(t) / 2
     r = np.rint(s)
-    c, d = _two_sum(s - r, t)  # d is 0 or a multiple of ulp(t) where |c| = 1/2
-    rest = np.where(d != 0.0, d, u)
-    half = np.abs(c) == 0.5
-    step = (np.abs(c) > 0.5) | half & ((rest * c > 0.0) | (rest == 0.0) & (r % 2.0 != 0.0))
+    c, d = _two_sum(s - r, e + lo2)  # d is 0 or at least ulp(e + lo2) where |c| = 1/2
+    step = (np.abs(c) > 0.5) | (np.abs(c) == 0.5) & ((d * c > 0.0) | (d == 0.0) & (r % 2.0 != 0.0))
     return hi.astype(np.int64) + (r + step * np.sign(c)).astype(np.int64)
 
 

@@ -318,8 +318,7 @@ def _segment_distances(px, py, ax, ay, ex, ey, ee):
     are passed with it.  Formed from correctly rounded IEEE-754 operations alone
     (sqrt, not libm's hypot), so it is the same bits on every IEEE-754 platform.
     """
-    shape = np.broadcast_shapes(np.shape(px), np.shape(ax))
-    t, w = np.subtract(px, ax, out=np.empty(shape)), np.subtract(py, ay, out=np.empty(shape))
+    t, w = px - ax, py - ay  # the two arrays of the broadcast shape that every step writes into
     t *= ex
     w *= ey
     t += w

