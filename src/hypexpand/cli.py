@@ -520,9 +520,9 @@ def run_render(seed=0, k1=2.0, k2=1.0):
     return canvas.render()
 
 
-def run_render_trace(k1=2.0, n=128):
+def run_render_trace(k1=2.0):
     """The rendered chord-image curve as a CSV trace: t, r, theta, x, y, kg."""
-    pre = _render_preimage(k1, n)
+    pre = _render_preimage(k1, 128)
     xy = polar_to_cart(pre["r"], pre["theta"])
     kg = curvature_from_derivatives(pre["r"], pre["rp"], pre["rpp"], pre["thp"], pre["thpp"])
     return _csv_text("t,r,theta,x,y,kg",

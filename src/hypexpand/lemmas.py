@@ -59,7 +59,7 @@ def lemma_coth_ratio(x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def coth_poly_I_series(x, max_terms=SERIES_MAX_TERMS):
+def coth_poly_I_series(x):
     """I(x) as its all-positive Taylor sum over k >= 3.
 
     sum 2^(2k+2) x^(2k+4) (2k+3)(k-1)(k-2) / (2k+4)!; every term through x^8
@@ -68,7 +68,7 @@ def coth_poly_I_series(x, max_terms=SERIES_MAX_TERMS):
     """
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
-    for k in range(3, max_terms + 1):
+    for k in range(3, SERIES_MAX_TERMS + 1):
         term = (2.0 ** (2 * k + 2) * x ** (2 * k + 4)
                 * (2 * k + 3) * (k - 1) * (k - 2) / math.factorial(2 * k + 4))
         total = total + term

@@ -172,17 +172,14 @@ def great_circle_points(a, b, ts):
 
     a and b have shape (..., 3); returns unit vectors of shape (..., T, 3), stored
     component-major, as disk.geodesic_chord_points returns sheet points.  The samples are
-    sin-weighted combinations of the ends, normalized.  Endpoints closer than 1e-12 are
-    interpolated linearly.
+    sin-weighted combinations of the ends, normalized.  Equal ends have the angle 0, taken as
+    1e-200 as geodesic_chord_points takes d, so their weights are 1 - t and t to rounding.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    omega = np.asarray(angular_distance(a, b))[..., None]
-    short = omega < 1e-12
-    so = np.sin(np.where(short, 1.0, omega))
+    omega = np.maximum(angular_distance(a, b), 1e-200)[..., None]
+    so = np.sin(omega)
     ts = np.asarray(ts, dtype=float)
     wa, wb = np.sin((1.0 - ts) * omega) / so, np.sin(ts * omega) / so
-    if np.any(short):
-        wa, wb = np.where(short, 1.0 - ts, wa), np.where(short, ts, wb)
     buf, pts = _component_major(3, wa.shape)
     for k, out in enumerate(buf):
         np.add(wa * a[..., k, None], wb * b[..., k, None], out=out)
@@ -292,22 +289,21 @@ def _polygon_block(centers, stars):
     return _hulls(uv, counts, polygons)
 
 
-def random_convex_spherical_polygon(rngs, centers=None):
+def random_convex_spherical_polygon(rngs):
     """Random convex polygons, one per generator of the sequence rngs, each in the open
-    hemisphere about its unit center (3,): centers[t], or drawn from the generator.  A polygon's
-    vertices are rows of its drawn points, hulled in its gnomonic chart.
+    hemisphere about a unit center (3,) drawn from the generator.  A polygon's vertices are rows
+    of its drawn points, hulled in its gnomonic chart.
 
     Each generator draws what it draws alone: its center, then its _star_polar points.  The
     points are mapped from polar and projected at once, each in its own chart, and hulled by the
     hull step the H² generator runs (convexity._hulls), so each polygon has the bits it has
     built alone.  An error is the one that building the polygons one at a time raises."""
-    drawn, stars = [], []
+    centers, stars = [], []
     for gen in rngs:
-        if centers is None:
-            v = gen.normal(size=3)
-            drawn.append(v / np.sqrt(_dot(v, v)))
+        v = gen.normal(size=3)
+        centers.append(v / np.sqrt(_dot(v, v)))
         stars.append(_star_polar(gen, MAX_VERTICES, (0.1, MAX_RHO)))
-    return _in_trial_order(_polygon_block, drawn if centers is None else centers, stars)
+    return _in_trial_order(_polygon_block, centers, stars)
 
 
 def conjecture_trial(seed, trials):

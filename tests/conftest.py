@@ -5,17 +5,18 @@ curvature: it never touches the polar metric formula, going instead through
 Euclidean curvature plus the normal derivative of the conformal factor
 2/(1 - |z|^2), with the leftward normal convention.  The winding number and
 the polyline simplicity test check sampled loops without the polygon they
-were sampled from.  The stacked membership formulas are exact membership as
-it was computed with (P, 3) and (P, 2) probe stacks, before the probes were
-stored component-major: the references the copy-free forms must match bit
-for bit.  S² products with a frame vector are sums of components (dot3),
-as the package forms them.
+were sampled from.  The polygon builders draw the generators' polygons about
+a given center, which the generators themselves do not take.  The stacked
+membership formulas are exact membership as it was computed with (P, 3) and
+(P, 2) probe stacks, before the probes were stored component-major: the
+references the copy-free forms must match bit for bit.  S² products with a
+frame vector are sums of components (dot3), as the package forms them.
 """
 
 import numpy as np
 
 from hypexpand import sphere
-from hypexpand.convexity import klein_polygon_contains, polyline_distance
+from hypexpand.convexity import _star_polar, klein_polygon_contains, polyline_distance, star_hulls
 
 
 def conformal_curvature(x, y, dx, dy, d2x, d2y):
@@ -128,6 +129,21 @@ def check_simple(loop):
             & ((orient(c, d, a[i]) > 0) != (orient(c, d, b[i]) > 0))
         if np.any(hit):
             raise ValueError(f"loop self-intersects near segment {i}")
+
+
+# --- polygons about a given center ---
+
+def hconvex_polygon(rng, center):
+    """random_hconvex_polygon's polygon of rng's draw, about the Cartesian center (2,) in place
+    of the origin: the one-polygon case of star_hulls."""
+    return star_hulls([_star_polar(rng)], [center])[0]
+
+
+def spherical_polygons(rngs, centers):
+    """random_convex_spherical_polygon's polygons, each about the unit center centers[t] (3,) in
+    place of one drawn: each generator draws its _star_polar points alone."""
+    stars = [_star_polar(gen, sphere.MAX_VERTICES, (0.1, sphere.MAX_RHO)) for gen in rngs]
+    return sphere._polygon_block(centers, stars)
 
 
 # --- stacked membership: the references for the component-major probe path ---

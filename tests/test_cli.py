@@ -432,10 +432,10 @@ class TestRender:
         assert run_render(seed=3) == run_render(seed=3)
 
     def test_curve_trace_csv(self):
-        text = run_render_trace(k1=2.0, n=64)
+        text = run_render_trace(k1=2.0)
         lines = text.splitlines()
         assert lines[0] == "t,r,theta,x,y,kg"
-        assert len(lines) == 65
+        assert len(lines) == 129
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         # columns consistent: cartesian matches polar, all inside the disk,
         # and the traced image of a geodesic chord bends toward the origin
@@ -443,9 +443,10 @@ class TestRender:
         assert np.all(np.hypot(rows[:, 3], rows[:, 4]) < 1.0)
         assert np.all(rows[:, 5] < 0.0)
 
-    @pytest.mark.parametrize("n", [1, 3, CSV_BLOCK_ROWS + 1])
-    def test_curve_trace_matches_per_value_formatting(self, n):
-        # the rendered chord's preimage under the x-axis contraction by 1/2.5
+    @pytest.mark.parametrize("n", [1, 3, 128, CSV_BLOCK_ROWS + 1])
+    def test_curve_trace_matches_per_value_formatting(self, monkeypatch, n):
+        # the rendered chord's preimage under the x-axis contraction by 1/2.5, at the trace's
+        # 128 samples and, through its _render_preimage call, at other sizes
         ts = np.linspace(0.0, 1.0, n)
         state = curvature.preimage_state([curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)], [1.0 / 2.5],
                                          ts)
@@ -453,7 +454,9 @@ class TestRender:
         xy = polar_to_cart(r, theta)
         kg = curvature_from_derivatives(r, *(state[k][0] for k in ("rp", "rpp", "thp", "thpp")))
         rows = zip(ts, r, theta, xy[:, 0], xy[:, 1], kg)
-        assert (csv_lines(run_render_trace(k1=2.5, n=n))
+        preimage = cli._render_preimage
+        monkeypatch.setattr(cli, "_render_preimage", lambda k1, _: preimage(k1, n))
+        assert (csv_lines(run_render_trace(k1=2.5))
                 == csv_lines(reference_csv("t,r,theta,x,y,kg", rows)))
 
     def test_format_selects_svg_or_trace(self, tmp_path):

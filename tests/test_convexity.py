@@ -9,8 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import (check_simple, edge_probes, mp_dilate_chart, mp_margin, region_contains,
-                      stacked_membership_h2)
+from conftest import (check_simple, edge_probes, hconvex_polygon, mp_dilate_chart, mp_margin,
+                      region_contains, stacked_membership_h2)
 from hypexpand import cli, convexity, dilation, disk, sphere
 from hypexpand.cli import _directed_thin_polygon, run_search_counterexample
 from hypexpand.convexity import (
@@ -129,13 +129,13 @@ class TestHull:
                 continue
             rows = pts.tolist()
             assert all(v in rows for v in hull.sheet.tolist())
-        poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+        poly = hconvex_polygon(rng, rand_point(rng, 1.5).xy)
         assert np.array_equal(hyperbolic_hull(poly.sheet).sheet, poly.sheet)
 
     def test_klein_rows_are_the_sheet_rows_divided(self):
         rng = np.random.default_rng(57)
         for _ in range(50):
-            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+            poly = hconvex_polygon(rng, rand_point(rng, 1.5).xy)
             assert np.array_equal(poly.klein, poly.sheet[:, :2] / poly.sheet[:, 2:])
             # the Klein row of the vertex's Poincare row, to rounding
             assert np.allclose(poly.klein, to_klein(hyperboloid_cart(poly.sheet)),
@@ -283,7 +283,7 @@ class TestBatchedPolygonLayer:
     def test_membership_matches_the_broadcast_form(self):
         rng = np.random.default_rng(51)
         for _ in range(40):
-            k = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy).klein
+            k = hconvex_polygon(rng, rand_point(rng, 1.5).xy).klein
             e = np.roll(k, -1, axis=0) - k
             t = rng.uniform(0.0, 1.0, (64, 1))
             idx = rng.integers(0, len(k), 64)
@@ -309,15 +309,83 @@ class TestBatchedPolygonLayer:
         assert inside.tolist() == [True, False, True, True]
         assert np.array_equal(inside, broadcast_contains(k, probes))
 
-    def test_edge_crossing_matches_the_pairwise_loop(self):
+    @staticmethod
+    def crossing_pool(rng, n):
+        """Counterclockwise chart polygons (V, 2) of n vertices: strictly convex ones of both
+        generators and on circles, one with a collinear vertex, random ones (some crossing),
+        and at n = 6 a doubly traversed triangle, at n = 4 a bow-tie."""
+        pool = [hconvex_polygon(rng, rand_point(rng, 1.5).xy).klein for _ in range(60)]
+        pool += [p.uv for p in sphere.random_convex_spherical_polygon(
+            [np.random.default_rng([52, i]) for i in range(60)])]
+        pool = [k for k in pool if len(k) == n]
+        for _ in range(10):
+            th = np.sort(rng.uniform(-math.pi, math.pi, n))
+            pool.append(0.5 * np.column_stack([np.cos(th), np.sin(th)]))
+        th = np.sort(rng.uniform(-0.25 * math.pi, 1.25 * math.pi, n - 3))  # an exact bottom edge
+        arc = math.sqrt(0.5) * np.column_stack([np.cos(th), np.sin(th)])
+        pool.append(np.concatenate([[(-0.5, -0.5), (0.0, -0.5), (0.5, -0.5)], arc]))
+        pool += [rng.uniform(-0.7, 0.7, (n, 2)) for _ in range(40)]
+        tri = [(-0.3, -0.3), (0.0, -0.3), (-0.3, 0.0)]
+        pool += {4: [np.array([(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)])],
+                 6: [np.array(tri + tri)]}.get(n, [])
+        return [k for k in pool if convexity._klein_signed_area(k) > 0.0]
+
+    def test_a_stack_raises_iff_some_polygon_has_crossing_edges(self, monkeypatch):
+        # one crossing test covers a whole stack (..., V, 2), against the pairwise loop
         rng = np.random.default_rng(52)
-        crossed = 0
-        for _ in range(200):
-            k = rng.uniform(-0.7, 0.7, (int(rng.integers(3, 13)), 2))
-            expected = pairwise_edges_cross(k)
-            assert convexity._edges_cross(convexity._vertex_margins(k) > 0) == expected
-            crossed += expected
-        assert 0 < crossed < 200
+        crossed = stacks = 0
+        for n in range(4, 13):
+            pool = self.crossing_pool(rng, n)
+            cross = [pairwise_edges_cross(k) for k in pool]
+            strict = [np.count_nonzero(convexity._vertex_margins(k) > 0) == n * (n - 2)
+                      for k in pool]
+            assert any(cross) and not all(cross) and any(strict)
+            assert not any(c and s for c, s in zip(cross, strict))
+            # stacks that mix a strictly convex polygon, the one with a collinear vertex (weakly
+            # convex, no crossing), and the pool's last (at n = 4 the bow-tie, at 6 the doubly
+            # traversed triangle) with a crossing one
+            weak = [t for t, (c, s) in enumerate(zip(cross, strict)) if not (c or s)]
+            picks = [[strict.index(True), weak[0], strict.index(True)],
+                     [strict.index(True), weak[0], len(pool) - 1, cross.index(True)]]
+            picks += [rng.choice(len(pool), size) for size in (1, 2, 3, 4, 6) for _ in range(30)]
+            for pick in picks:
+                stack = np.stack([pool[t] for t in pick])
+                if len(pick) % 2 == 0:
+                    stack = stack.reshape(2, len(pick) // 2, n, 2)
+                if any(cross[t] for t in pick):
+                    with pytest.raises(ValueError, match="self-intersect"):
+                        convexity._check_polygon_chart(stack)
+                    crossed += 1
+                else:
+                    flags = convexity._check_polygon_chart(stack)
+                    assert flags.shape == stack.shape[:-2]
+                    assert flags.ravel().tolist() == [
+                        bool(convexity._check_polygon_chart(pool[t])) for t in pick]
+                stacks += 1
+        assert 0 < crossed < stacks
+        # every hull is strictly convex and skips the crossing test, the only swapaxes call
+        calls = []
+        swapaxes = np.swapaxes
+        monkeypatch.setattr(np, "swapaxes", lambda *a: calls.append(a) or swapaxes(*a))
+        for _ in range(50):
+            poly = hconvex_polygon(rng, rand_point(rng, 1.5).xy)
+            assert poly.hconvex and GeodesicPolygon(poly.sheet).hconvex
+            assert hyperbolic_hull(poly.sheet).hconvex
+        for s in sphere.random_convex_spherical_polygon(
+                [np.random.default_rng([79, i]) for i in range(50)]):
+            moved = sphere.Chart((s.chart.n + 0.01) / np.linalg.norm(s.chart.n + 0.01))
+            assert s.convex and sphere.SphericalPolygon(s.xyz, moved).convex
+        assert calls == []
+        # a bow-tie and a doubly traversed triangle (weakly left of every edge) take it
+        tri = [(-0.3, -0.3), (0.0, -0.3), (-0.3, 0.0)]
+        assert np.all(convexity._vertex_margins(np.array(tri + tri)) >= 0.0)
+        for k in ([(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)], tri + tri):
+            with pytest.raises(ValueError, match="self-intersect"):
+                klein_polygon(k)
+        with pytest.raises(ValueError, match="self-intersect"):
+            chart = sphere.Chart([0.0, 0.0, 1.0])
+            sphere.SphericalPolygon(chart.from_polar(0.8, np.array([0.0, 2.1, 4.2] * 2)), chart)
+        assert len(calls) == 3
 
     def test_bowtie_still_raises(self):
         # counterclockwise by signed area (unequal lobes), but two edges cross
@@ -328,36 +396,10 @@ class TestBatchedPolygonLayer:
         with pytest.raises(ValueError, match="self-intersect"):
             GeodesicPolygon.from_polar(np.column_stack(cart_to_polar(from_klein(np.array(k)))))
 
-    def test_strictly_convex_polygons_skip_the_crossing_test(self, monkeypatch):
-        calls = []
-
-        def recording(side):
-            calls.append(len(side))
-            return edges_cross(side)
-
-        edges_cross = convexity._edges_cross
-        monkeypatch.setattr(convexity, "_edges_cross", recording)
-        rng = np.random.default_rng(54)
-        for _ in range(50):
-            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
-            assert poly.hconvex and GeodesicPolygon(poly.sheet).hconvex
-            assert hyperbolic_hull(poly.sheet).hconvex
-        assert calls == []
-        # a bowtie, and a triangle traversed twice: every vertex weakly left of
-        # every edge (zero margins at the repeats), yet edges cross
-        tri = [(-0.3, -0.3), (0.0, -0.3), (-0.3, 0.0)]
-        for k in ([(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)], tri + tri):
-            k = np.array(k)
-            assert convexity._klein_signed_area(k) > 0.0 and pairwise_edges_cross(k)
-            with pytest.raises(ValueError, match="self-intersect"):
-                klein_polygon(k)
-        assert np.all(convexity._vertex_margins(k) >= 0.0)
-        assert calls == [4, 6]
-
     def test_klein_vertices_match_per_vertex_conversion(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
-            poly = random_hconvex_polygon(rng, center=rand_point(rng, 1.5).xy)
+            poly = hconvex_polygon(rng, rand_point(rng, 1.5).xy)
             assert np.array_equal(poly.klein, np.array([v[:2] / v[2] for v in poly.sheet]))
 
     def test_klein_vertices_are_read_only(self):
@@ -377,7 +419,7 @@ class TestBatchedPolygonLayer:
             rng = np.random.default_rng(seed)
             center = rand_point(rng, 1.5) if seed % 4 else ZERO
             state = rng.bit_generator.state
-            poly = random_hconvex_polygon(rng, center=center.xy)
+            poly = hconvex_polygon(rng, center.xy) if seed % 4 else random_hconvex_polygon(rng)
             rng.bit_generator.state = state
             assert poly.sheet.tolist() == per_point_hconvex_polygon(rng, center).tolist()
 
@@ -566,7 +608,7 @@ class TestPolylineDistance:
         rng = np.random.default_rng(41)
         for i in range(4):
             center = rand_point(rng, 1.5)
-            poly = random_hconvex_polygon(rng, center=center.xy)
+            poly = hconvex_polygon(rng, center.xy)
             params = DilationParams(center.xy, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
             loop = hyperboloid_cart(dilate_region(poly, params).boundary)
             self.assert_exact(loop, near_and_far_probes(loop, rng))
@@ -749,7 +791,7 @@ class TestDefect:
         rng = np.random.default_rng(27)
         for _ in range(10):
             c = rand_point(rng, 1.2)
-            poly = random_hconvex_polygon(rng, center=c.xy)
+            poly = hconvex_polygon(rng, c.xy)
             params = DilationParams(c.xy, rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
             region = dilate_region(poly, params)
             assert convexity_defect(region) < 1e-6
@@ -782,7 +824,7 @@ class TestDefect:
 
         rng = np.random.default_rng(34)
         for center, k1 in ((ZERO, 0.4), (rand_point(rng, 1.5), 2.5)):
-            poly = random_hconvex_polygon(rng, center=center.xy)
+            poly = hconvex_polygon(rng, center.xy)
             region = dilate_region(poly, DilationParams(center.xy, k1, 1.3))
             monkeypatch.setattr(convexity, "geodesic_chord_points", recording)
             for module in (convexity, disk, dilation):
@@ -852,7 +894,7 @@ def rebuilt_oracle(region):
 class TestCarriedPolygon:
     def test_a_region_without_an_hconvex_polygon_is_refused(self):
         center = polar_point(0.7, 1.0)
-        poly = random_hconvex_polygon(np.random.default_rng(36), center=center.xy)
+        poly = hconvex_polygon(np.random.default_rng(36), center.xy)
         dilated = dilate_region(poly, DilationParams(center.xy, 0.4, 1.3))
         assert dilated.polygon is poly
         pts = dilated.boundary
@@ -957,7 +999,7 @@ class TestProjectiveMembership:
         flips = 0
         for trial in range(40):
             center = ZERO if trial % 4 == 0 else rand_point(rng, 1.5)
-            poly = random_hconvex_polygon(rng, center=center.xy)
+            poly = hconvex_polygon(rng, center.xy)
             k1, k2 = rng.uniform(0.25, 4.0, 2)
             region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             # probes in the preimage's centered Klein chart, mapped forward
@@ -988,7 +1030,7 @@ class TestProjectiveMembership:
         for trial in range(24):
             center = ZERO if trial % 3 == 0 else rand_point(rng, 1.5)
             poly = (_directed_thin_polygon(rng) if trial % 3 == 0
-                    else random_hconvex_polygon(rng, center=center.xy))
+                    else hconvex_polygon(rng, center.xy))
             k1, k2 = rng.uniform(0.25, 4.0, 2)
             region = dilate_region(poly, DilationParams(center.xy, k1, k2))
             ends, i, j, ts = convexity._chord_plan(region, 128, 16)
@@ -1009,7 +1051,7 @@ class TestProjectiveMembership:
         margins = convexity._vertex_margins
         monkeypatch.setattr(convexity, "_vertex_margins", recording)
         center = polar_point(0.7, 1.0)
-        poly = random_hconvex_polygon(np.random.default_rng(38), center=center.xy)
+        poly = hconvex_polygon(np.random.default_rng(38), center.xy)
         for k1 in (0.5, 2.0, 3.0):
             convexity_defect(dilate_region(poly, DilationParams(center.xy, k1, 1.5)))
         # once, when the generator validated the polygon's group, on the rows it keeps
@@ -1038,7 +1080,7 @@ class TestDilateRegion:
     def test_asymmetric_expansion_about_interior_center(self):
         rng = np.random.default_rng(31)
         c = polar_point(0.9, 0.4)
-        poly = random_hconvex_polygon(rng, center=c.xy)
+        poly = hconvex_polygon(rng, c.xy)
         region = dilate_region(poly, DilationParams(c.xy, 2.0, 1.0))
         assert convexity_defect(region) < 1e-6
         check_simple(hyperboloid_cart(region.boundary))
@@ -1063,7 +1105,7 @@ class TestDilateRegion:
         rng = np.random.default_rng(33)
         for center in (ZERO, polar_point(0.8, -1.1)):
             rows.clear()
-            poly = random_hconvex_polygon(rng, center=center.xy)
+            poly = hconvex_polygon(rng, center.xy)
             assert len(rows) == 1 and rows[0] >= len(poly.sheet)
             rows.clear()
             ends.clear()
@@ -1135,7 +1177,7 @@ class TestRegionBlocks:
         polys, params = [], []
         for i in range(25):
             c = rand_point(rng, 1.5) if i % 4 else ZERO
-            polys.append(random_hconvex_polygon(rng, center=c.xy))
+            polys.append(hconvex_polygon(rng, c.xy))
             params.append(DilationParams(c.xy, rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0)))
         for per_edge in (16, 32):
             regions = convexity.dilate_regions(polys, params, per_edge)
@@ -1151,7 +1193,7 @@ class TestRegionBlocks:
         rng = np.random.default_rng(34)
         for k1, k2, per_edge in [(0.25, 1.0, 32), (1.0, 1.0, 64), (0.5, 0.9, 16), (2.0, 1.3, 32)]:
             for c in (ZERO, rand_point(rng, 1.5)):
-                poly = random_hconvex_polygon(rng, center=c.xy)
+                poly = hconvex_polygon(rng, c.xy)
                 params = DilationParams(c.xy, k1, k2)
                 ref = per_trial_dilate_region(poly, params, per_edge)
                 assert np.array_equal(dilate_region(poly, params, per_edge).boundary, ref.boundary)
@@ -1174,9 +1216,8 @@ class TestRegionBlocks:
                 assert np.array_equal(poly.sheet, ref.sheet) and poly.hconvex == ref.hconvex
                 assert np.array_equal(poly.klein, ref.klein)
                 assert not (poly.sheet.flags.writeable or poly.klein.flags.writeable)
-            rng = np.random.default_rng(seed)
-            alone = random_hconvex_polygon(rng, center=centers[0])
-            ref = per_trial_hconvex_polygon(np.random.default_rng(seed), centers[0])
+            alone = random_hconvex_polygon(np.random.default_rng(seed))
+            ref = per_trial_hconvex_polygon(np.random.default_rng(seed))
             assert np.array_equal(alone.sheet, ref.sheet)
 
 
@@ -1268,7 +1309,7 @@ class TestGenerator:
         rng = np.random.default_rng(32)
         for _ in range(50):
             c = rand_point(rng, 1.5)
-            poly = random_hconvex_polygon(rng, center=c.xy)
+            poly = hconvex_polygon(rng, c.xy)
             assert contains(poly, c)
             assert poly.hconvex
             assert 3 <= len(poly.sheet) <= 12

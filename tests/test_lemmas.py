@@ -169,12 +169,13 @@ class TestCothPolynomial:
         lead = 4608.0 / math.factorial(10)
         assert coth_poly_I_series(0.01) / 0.01 ** 10 == pytest.approx(lead, rel=1e-3)
 
-    def test_series_matches_direct(self):
+    def test_series_matches_direct(self, monkeypatch):
         # direct evaluation is trustworthy above x ~ 0.5 where the O(x^10)
-        # result is no longer drowned by the O(x^6) operands
+        # result is no longer drowned by the O(x^6) operands; 40 terms suffice
+        monkeypatch.setattr(lemmas, "SERIES_MAX_TERMS", 40)
         x = np.linspace(0.5, 4.0, 60)
         direct = coth_poly_I_direct(x)
-        series = coth_poly_I_series(x, max_terms=40)
+        series = coth_poly_I_series(x)
         assert float(np.max(np.abs(direct - series) / series)) < 1e-9
 
     def test_margin_equals_cleared_form(self):
