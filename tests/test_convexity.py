@@ -376,16 +376,15 @@ class TestBatchedPolygonLayer:
             moved = sphere.Chart((s.chart.n + 0.01) / np.linalg.norm(s.chart.n + 0.01))
             assert s.convex and sphere.SphericalPolygon(s.xyz, moved).convex
         assert calls == []
-        # a bow-tie and a doubly traversed triangle (weakly left of every edge) take it
+        # a doubly traversed triangle, weakly left of every edge, takes it on both surfaces
         tri = [(-0.3, -0.3), (0.0, -0.3), (-0.3, 0.0)]
         assert np.all(convexity._vertex_margins(np.array(tri + tri)) >= 0.0)
-        for k in ([(-0.6, -0.1), (-0.6, 0.1), (0.6, -0.5), (0.6, 0.5)], tri + tri):
-            with pytest.raises(ValueError, match="self-intersect"):
-                klein_polygon(k)
+        with pytest.raises(ValueError, match="self-intersect"):
+            klein_polygon(tri + tri)
         with pytest.raises(ValueError, match="self-intersect"):
             chart = sphere.Chart([0.0, 0.0, 1.0])
             sphere.SphericalPolygon(chart.from_polar(0.8, np.array([0.0, 2.1, 4.2] * 2)), chart)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_bowtie_still_raises(self):
         # counterclockwise by signed area (unequal lobes), but two edges cross
