@@ -23,7 +23,6 @@ from .convexity import (MIN_SAMPLES, PAIR_SAMPLES, SAMPLES_PER_EDGE, SEGMENT_SAM
 from .dilation import DilationParams
 from .disk import (ChartSaturation, curvature_from_derivatives, hyperboloid_cart,
                    hyperboloid_lift, hyperboloid_polar, polar_to_cart)
-from .svg import SvgCanvas
 
 PASS, VIOLATION, USAGE = 0, 1, 2
 
@@ -33,9 +32,7 @@ CSV_BLOCK_ROWS = 1024
 
 REPLAY_TOL = 1e-9  # a replayed defect passes within this of the witness's stored defect
 
-# curvature-sweep: s values of the decomposition grid, and samples per
-# side-ordering chord
-SWEEP_N_S, ORDERING_SAMPLES = 9, 64
+SWEEP_N_S = 9  # curvature-sweep: s values of the decomposition grid
 
 
 def _dumps(obj) -> str:
@@ -434,7 +431,7 @@ def _curvature_sweep(seed, grid_n, specs, rel_tol):
     rng = np.random.default_rng(seed)
     rp_hat = rng.uniform(-2.0, 2.0, size=(grid_n, grid_n, SWEEP_N_S))
     out = curvature.p_coefficients_grid(r_hat[:, None, None], theta_hat[None, :, None], s_vals,
-                                        rp_hat, 1.0)
+                                        rp_hat)
 
     rel = np.abs(out["kg_closed"] - out["kg_generic"]) / np.abs(out["kg_generic"])
     sign_bad = int(np.sum((out["p0"] <= 0) | (out["p1"] >= 0)
@@ -449,7 +446,7 @@ def _curvature_sweep(seed, grid_n, specs, rel_tol):
                                                 "kg_closed", "kg_generic")], axis=1)
     table = ("r_hat,theta_hat,s,p0,p1,p2,p3,discriminant,kg_closed,kg_generic", values, prefix)
 
-    ordering = curvature.side_ordering(*_ordering_chords(seed, specs), ORDERING_SAMPLES)
+    ordering = curvature.side_ordering(*_ordering_chords(seed, specs))
     ordering_bad = sum(bool(o["violations"]) for o in ordering)
     return {
         "command": "curvature-sweep", "seed": seed,
@@ -479,19 +476,36 @@ def run_sphere_conjecture(seed=0, trials=500):
 
 # --- render ------------------------------------------------------------------
 
-# the rendered geodesic chord
+# the rendered geodesic chord, and the samples of it and of its preimage
 RENDER_CHORD = curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)
+RENDER_SAMPLES = 128
+
+# head: a fixed viewBox, a y-flip (disk coordinates upright) and the unit circle; tail: the origin
+_SVG_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+             '<svg xmlns="http://www.w3.org/2000/svg" '
+             'viewBox="-1.05 -1.05 2.1 2.1" width="640" height="640">\n'
+             '<g transform="scale(1,-1)">\n'
+             '<circle cx="0" cy="0" r="1" fill="none" stroke="#444444" stroke-width="0.003"/>\n')
+_SVG_TAIL = '<circle cx="0" cy="0" r="0.008" fill="#444444"/>\n</g>\n</svg>\n'
 
 
-def _render_preimage(k1, n):
-    """The n samples t of the rendered chord and its preimage_state rows of r, theta and their
-    derivatives.
+def _polyline(points, stroke, width="0.006", dash=""):
+    """The SVG polyline of points (n, 2), each coordinate written as '%.10g' writes it."""
+    coords = " ".join(["%.10g,%.10g"] * len(points)) % tuple(points.ravel().tolist())
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{width}"{dash}/>\n')
+
+
+def _render_preimage(k1):
+    """The RENDER_SAMPLES samples t of the rendered chord and its preimage_state rows of r,
+    theta and their derivatives.
 
     The preimage is under the x-axis contraction by 1/k1 for k1 > 1, by 1/2
     otherwise.
     """
     s = 1.0 / k1 if k1 > 1.0 else 0.5
-    ts = np.linspace(0.0, 1.0, n)
+    ts = np.linspace(0.0, 1.0, RENDER_SAMPLES)
     state = curvature.preimage_state([RENDER_CHORD], [s], ts)
     return {"t": ts, **{key: state[key][0] for key in ("r", "rp", "rpp", "theta", "thp", "thpp")}}
 
@@ -502,27 +516,22 @@ def run_render(seed=0, k1=2.0, k2=1.0):
     source = dilate_region(poly, DilationParams((0.0, 0.0), 1.0, 1.0), samples_per_edge=64)
     image = dilate_region(poly, DilationParams((0.0, 0.0), k1, k2), samples_per_edge=64)
 
-    canvas = SvgCanvas()
-    canvas.circle(0.0, 0.0, 1.0, stroke="#444444", width=0.003)
-    canvas.polyline(hyperboloid_cart(source.boundary), stroke="#1f77b4")
-    canvas.polyline(hyperboloid_cart(image.boundary), stroke="#d62728")
-
     # the chord, its contraction image, and the comparison curve: polar-linear
     # between the image's end samples, as side_ordering builds it
-    pre = _render_preimage(k1, 128)
+    pre = _render_preimage(k1)
     ts, r, theta = pre["t"], pre["r"], pre["theta"]
     chord = polar_to_cart(curvature.chord_radius([RENDER_CHORD], ts)[0], RENDER_CHORD.theta(ts))
     gamma = polar_to_cart((1.0 - ts) * r[0] + ts * r[-1], theta[0] + ts * (theta[-1] - theta[0]))
-    canvas.polyline(chord, stroke="#2ca02c", width=0.004)
-    canvas.polyline(polar_to_cart(r, theta), stroke="#9467bd", width=0.004)
-    canvas.polyline(gamma, stroke="#ff7f0e", width=0.004, dash="0.02,0.012")
-    canvas.dot(0.0, 0.0, radius=0.008, fill="#444444")
-    return canvas.render()
+    return (_SVG_HEAD + _polyline(hyperboloid_cart(source.boundary), "#1f77b4")
+            + _polyline(hyperboloid_cart(image.boundary), "#d62728")
+            + _polyline(chord, "#2ca02c", "0.004")
+            + _polyline(polar_to_cart(r, theta), "#9467bd", "0.004")
+            + _polyline(gamma, "#ff7f0e", "0.004", "0.02,0.012") + _SVG_TAIL)
 
 
 def run_render_trace(k1=2.0):
     """The rendered chord-image curve as a CSV trace: t, r, theta, x, y, kg."""
-    pre = _render_preimage(k1, 128)
+    pre = _render_preimage(k1)
     xy = polar_to_cart(pre["r"], pre["theta"])
     kg = curvature_from_derivatives(pre["r"], pre["rp"], pre["rpp"], pre["thp"], pre["thpp"])
     return _csv_text("t,r,theta,x,y,kg",

@@ -28,8 +28,9 @@ from .disk import chord_jet, chord_rpp, curvature_from_derivatives, polar_chord_
 # forms lose ~eps/a^2 relative accuracy to cancellation as a -> 0
 SERIES_CUTOFF = 0.1
 
-# side_ordering's tolerance on the curvature signs and the radial gaps
+# side_ordering's tolerance on the curvature signs and the radial gaps, and samples per chord
 ORDERING_SLACK = 1e-9
+ORDERING_SAMPLES = 64
 
 
 def phi(a):
@@ -154,11 +155,13 @@ def preimage_state(specs, s, t):
             "theta": np.arctan2(jet["st"], s * jet["ct"])}
 
 
-def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
-    """Curvature decomposition over broadcastable chord states.
+def p_coefficients_grid(r_hat, theta_hat, s, rp_hat):
+    """Curvature decomposition over broadcastable chord states, at the angular speed dth = 1.
 
     The chord second derivative is determined by the chord equation, so the
-    state (r_hat, theta_hat, s, rp_hat, dth) fixes the full preimage 2-jet.
+    state (r_hat, theta_hat, s, rp_hat) fixes the full preimage 2-jet.  k_g
+    depends on rp_hat / dth alone, so dth = 1 loses no state, and the products
+    by dth and dth^2, exact at 1, are left out.
     Pass a grid as its axes (r_hat[:, None, None], theta_hat[None, :, None], s),
     not as a meshgrid, so that each factor of one or two axes (cos theta_hat,
     beta, psi(r_hat), ...) is computed once per axis value.  Returns a dict of
@@ -172,10 +175,8 @@ def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
     evaluated on the same jet chain in extended precision; the grouped closed
     form needs no such help.
     """
-    r_hat, theta_hat, s, rp_hat, dth = (np.asarray(x, dtype=float) for x in (
-        r_hat, theta_hat, s, rp_hat, delta_theta_hat))
-    dth_sq = dth ** 2
-    j = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth_sq), theta_hat, s, dth, dth_sq)
+    r_hat, theta_hat, s, rp_hat = (np.asarray(x, float) for x in (r_hat, theta_hat, s, rp_hat))
+    j = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, 1.0), theta_hat, s, 1.0, 1.0)
     b, sb, one_m_s2 = j["beta"], j["sb"], j["one_m_s2"]
     b_m_s2, one_m_b = j["beta_minus_s2"], j["one_minus_beta"]
     v = np.sqrt(j["rp"] ** 2 + np.sinh(j["r"]) ** 2 * j["thp"] ** 2)
@@ -188,10 +189,10 @@ def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
     p3 = (1.0 / (2.0 * b * sb)) * (
         (s * s / sb) * phi(2.0 * r_hat * sb) - b ** 2 * phi(2.0 * r_hat)
         + 4.0 * r_hat * b_m_s2 * one_m_b * psi_rb)
-    kg_closed = p0 * (p1 * rp_hat ** 2 + p2 * rp_hat * dth + p3 * dth ** 2)
+    kg_closed = p0 * (p1 * rp_hat ** 2 + p2 * rp_hat + p3)
 
     kg_generic = _raw_curvature(*(np.asarray(x, dtype=np.longdouble)
-                                  for x in (r_hat, theta_hat, s, rp_hat, dth)))
+                                  for x in (r_hat, theta_hat, s, rp_hat)))
     return {
         "p0": p0, "p1": p1, "p2": p2, "p2_sq": p2_sq, "p3": p3,
         "discriminant": p2_sq - 4.0 * p1 * p3,
@@ -199,13 +200,12 @@ def p_coefficients_grid(r_hat, theta_hat, s, rp_hat, delta_theta_hat):
     }
 
 
-def _raw_curvature(r_hat, theta_hat, s, rp_hat, dth):
-    """Raw polar curvature of the chained preimage jet, in the inputs' dtype.
+def _raw_curvature(r_hat, theta_hat, s, rp_hat):
+    """Raw polar curvature of the chained preimage jet at dth = 1, in the inputs' dtype.
 
     Its own function so the extended-precision jet is freed on return (peak RSS).
     """
-    dth_sq = dth ** 2
-    e = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, dth_sq), theta_hat, s, dth, dth_sq)
+    e = _preimage_jet(r_hat, rp_hat, chord_rpp(r_hat, rp_hat, 1.0), theta_hat, s, 1.0, 1.0)
     return curvature_from_derivatives(e["r"], e["rp"], e["rpp"], e["thp"], e["thpp"])
 
 
@@ -229,10 +229,10 @@ def gamma_curvature_closed_form(r1, r2, theta1, theta2, t):
 
 # --- side ordering -----------------------------------------------------------
 
-def side_ordering(specs, s, samples):
+def side_ordering(specs, s):
     """Check curvature signs and the radial ordering of the three curves.
 
-    At each of the samples, the preimage curve must have negative curvature,
+    At each of ORDERING_SAMPLES samples, the preimage curve must have negative curvature,
     the polar-linear curve positive curvature, and at matched angles the radii
     must order as preimage <= chord <= polar-linear (preimage on the origin
     side, comparison curve opposite), each to ORDERING_SLACK.  The chord and
@@ -244,21 +244,19 @@ def side_ordering(specs, s, samples):
     stack; returns the report entry of each, with every violating sample and its full context,
     as the chord gives it in a block of one.
     """
-    if samples < 2:
-        raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
     specs, s = list(specs), list(s)  # each is read twice
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, ORDERING_SAMPLES)
     state = preimage_state(specs, s, ts)
     r, theta = state["r"], state["theta"]
 
     kg_pre = curvature_from_derivatives(r, state["rp"], state["rpp"], state["thp"], state["thpp"])
 
-    # the preimage's end samples (t = 0, 1) define the inner chord and the comparison curve
-    inner = [ChordSpec(*ends) for ends in zip(r[:, 0].tolist(), r[:, -1].tolist(),
-                                               theta[:, 0].tolist(), theta[:, -1].tolist())]
-    r1, r2, th1, th2 = _ends(inner)
+    # the preimage's end samples (t = 0, 1) define the inner chord and the comparison curve, as
+    # _ends' columns; its radii are positive and theta increases with theta_hat, as a chord's
+    r1, r2, th1, th2 = (np.ascontiguousarray(a) for a in (
+        r[:, :1], r[:, -1:], theta[:, :1], theta[:, -1:]))
     u = (theta - th1) / (th2 - th1)
-    r_chord = chord_radius(inner, u)
+    r_chord = polar_chord_radius(r1, r2, th2 - th1, u)
     r_gamma = (1.0 - u) * r1 + u * r2
     kg_gamma = gamma_curvature_closed_form(r1, r2, th1, th2, u)
 

@@ -101,7 +101,9 @@ def dilate_xy(params: DilationParams, rows):
     """
     rows = np.asarray(rows, dtype=float)
     c, k1, k2 = params.center, params.k1, params.k2
-    off = c.any()  # no boost about the origin; with star_hulls' fork: contraction -0.2 MB RSS
+    # no boost about the origin: contraction -0.2 MB RSS, measured with star_hulls' fork gone
+    # too, which contraction never runs (every pool search stops at trial 0, a thin polygon)
+    off = c.any()
     cause = f"factors k1={float(np.ravel(k1)[0])!r}, k2={float(np.ravel(k2)[0])!r}"
     # a radius past ~710 lifts to inf, which the boost turns into nan; both fail the check
     with np.errstate(over="ignore", invalid="ignore"):

@@ -102,16 +102,15 @@ def lemma_sin_scaling(x, y):
 
 # --- grid reports ------------------------------------------------------------
 
-def open_interval_grid(lo, hi, n, open_hi=True):
-    """n-ish points of (lo, hi), or (lo, hi], inset from open ends, log-refined toward them.
+def open_interval_grid(hi, n, open_hi=True):
+    """n-ish points of (0, hi), or (0, hi], inset from open ends, log-refined toward them.
 
     Strict inequalities degenerate at the closure of their domain; the
     refinement distinguishes margins tending to zero from violations.
     """
-    a = lo + BOUNDARY_INSET
     b = hi - BOUNDARY_INSET if open_hi else hi
-    span = min(1.0, (b - a) / 4.0)
-    parts = [np.linspace(a, b, max(n - 16, 2)), lo + np.geomspace(BOUNDARY_INSET, span, 8)]
+    span = min(1.0, (b - BOUNDARY_INSET) / 4.0)
+    parts = [np.linspace(BOUNDARY_INSET, b, max(n - 16, 2)), np.geomspace(BOUNDARY_INSET, span, 8)]
     if open_hi:
         parts.append(hi - np.geomspace(BOUNDARY_INSET, span, 8))
     return np.unique(np.concatenate(parts))
@@ -145,12 +144,12 @@ def verify_all(n=500):
     def grid(**axes):
         return {**axes, "n": n, "inset": BOUNDARY_INSET}
 
-    xs = open_interval_grid(0.0, 10.0, n, open_hi=False)
-    ys = open_interval_grid(0.0, 1.0, n)
+    xs = open_interval_grid(10.0, n, open_hi=False)
+    ys = open_interval_grid(1.0, n)
     return [
         _sweep("sinh-scaling", lemma_sinh_scaling, xs, ys, grid(x=[0.0, 10.0], y=[0.0, 1.0])),
         _sweep("coth-ratio", lemma_coth_ratio, xs, ys, grid(x=[0.0, 10.0], y=[0.0, 1.0])),
         _sweep("coth-polynomial", lemma_coth_poly, xs, None, grid(x=[0.0, 10.0])),
-        _sweep("sin-scaling", lemma_sin_scaling, open_interval_grid(0.0, math.pi, n), ys,
+        _sweep("sin-scaling", lemma_sin_scaling, open_interval_grid(math.pi, n), ys,
                grid(x=[0.0, math.pi], y=[0.0, 1.0])),
     ]

@@ -570,8 +570,6 @@ def per_spec_side_ordering(spec, s, samples):
     """side_ordering's report entry of one ChordSpec, as it was computed one chord at a time:
     the chord, and the inner chord between its preimage's ends, each a stack of one, whose
     arrays are (1, samples) rows and whose ends are (1, 1) columns."""
-    if samples < 2:
-        raise ValueError("side_ordering needs at least 2 samples, the chord's two ends")
     ts = np.linspace(0.0, 1.0, samples)
     state = preimage_state([spec], [s], ts)
     r, theta = state["r"], state["theta"]

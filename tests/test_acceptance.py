@@ -63,7 +63,7 @@ def _decomposition_grid():
     R, T, S = np.meshgrid(r_hat, theta_hat, s_vals, indexing="ij")
     rng = np.random.default_rng(2026)
     RP = rng.uniform(-2.0, 2.0, size=R.shape)
-    return p_coefficients_grid(R, T, S, RP, 1.0)
+    return p_coefficients_grid(R, T, S, RP)
 
 
 def test_criterion_3_decomposition_identity():
@@ -95,7 +95,7 @@ def test_criterion_5_side_ordering():
         th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
         specs.append(ChordSpec(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0), th1, th2))
         factors.append(rng.uniform(0.05, 0.95))
-    violations = sum(len(rep["violations"]) for rep in side_ordering(specs, factors, samples=64))
+    violations = sum(len(rep["violations"]) for rep in side_ordering(specs, factors))
     ok = violations == 0 and ORDERING_SLACK <= 1e-9  # the criterion's slack
     _report("5 side ordering", ok,
             f"100 specs x 64 samples, slack {ORDERING_SLACK:g}, {violations} violations")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from hypexpand.cli import (
 from hypexpand.convexity import TRIAL_BLOCK, GeodesicPolygon, convexity_defect, dilate_region
 from hypexpand.dilation import DilationParams
 from hypexpand.disk import ChartSaturation, curvature_from_derivatives, polar_to_cart
-from hypexpand.svg import SvgCanvas
 from references import per_trial_theorem
 
 
@@ -376,7 +376,7 @@ class TestCurvatureSweep:
         s_vals = np.linspace(0.1, 0.9, n_s)
         R, T, S = np.meshgrid(r_hat, theta_hat, s_vals, indexing="ij")
         RP = np.random.default_rng(seed).uniform(-2.0, 2.0, size=R.shape)
-        out = curvature.p_coefficients_grid(R, T, S, RP, 1.0)
+        out = curvature.p_coefficients_grid(R, T, S, RP)
         columns = [R, T, S] + [out[k] for k in ("p0", "p1", "p2", "p3", "discriminant",
                                                 "kg_closed", "kg_generic")]
         rows = np.stack([c.ravel() for c in columns], axis=1)
@@ -420,6 +420,12 @@ class TestRender:
         svg = run_render(seed=0, k1=2.0, k2=1.0)
         assert svg.startswith("<?xml")
         assert 'viewBox="-1.05 -1.05 2.1 2.1"' in svg
+        # the unit circle, the five curves and the origin's dot, in one flipped group
+        root = ET.fromstring(svg)
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        group, = root
+        tags = [e.tag.rpartition("}")[2] for e in group]
+        assert tags == ["circle"] + ["polyline"] * 5 + ["circle"]
         # every plotted coordinate stays inside the closed unit square of the
         # disk; the unit circle itself is the only radius-1 element
         pts = re.findall(r'points="([^"]+)"', svg)
@@ -446,7 +452,7 @@ class TestRender:
     @pytest.mark.parametrize("n", [1, 3, 128, CSV_BLOCK_ROWS + 1])
     def test_curve_trace_matches_per_value_formatting(self, monkeypatch, n):
         # the rendered chord's preimage under the x-axis contraction by 1/2.5, at the trace's
-        # 128 samples and, through its _render_preimage call, at other sizes
+        # 128 samples and, through RENDER_SAMPLES, at other sizes
         ts = np.linspace(0.0, 1.0, n)
         state = curvature.preimage_state([curvature.ChordSpec(1.8, 2.3, -0.6, 0.8)], [1.0 / 2.5],
                                          ts)
@@ -454,8 +460,7 @@ class TestRender:
         xy = polar_to_cart(r, theta)
         kg = curvature_from_derivatives(r, *(state[k][0] for k in ("rp", "rpp", "thp", "thpp")))
         rows = zip(ts, r, theta, xy[:, 0], xy[:, 1], kg)
-        preimage = cli._render_preimage
-        monkeypatch.setattr(cli, "_render_preimage", lambda k1, _: preimage(k1, n))
+        monkeypatch.setattr(cli, "RENDER_SAMPLES", n)
         assert (csv_lines(run_render_trace(k1=2.5))
                 == csv_lines(reference_csv("t,r,theta,x,y,kg", rows)))
 
@@ -480,10 +485,8 @@ class TestRender:
         points = np.vstack([[[-0.0, 1e-300], [1e300, np.nan], [np.inf, -np.inf], [0.0, -1e-5]],
                             rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-8, 8, (300, 2))])
         for pts in (points, points[:1], points[:0]):
-            canvas = SvgCanvas()
-            canvas.polyline(pts)
             coords = " ".join(f"{x:.10g},{y:.10g}" for x, y in pts)
-            assert f'points="{coords}"' in canvas.elements[0]
+            assert f'points="{coords}"' in cli._polyline(pts, "#000000")
 
     def test_identity_factors_overlay(self):
         svg = run_render(seed=0, k1=1.0, k2=1.0)

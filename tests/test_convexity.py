@@ -1219,6 +1219,19 @@ class TestRegionBlocks:
             ref = per_trial_hconvex_polygon(np.random.default_rng(seed))
             assert np.array_equal(alone.sheet, ref.sheet)
 
+    def test_star_hulls_about_the_origin_are_the_unboosted_hulls_bitwise(self):
+        # star_hulls boosts about the origin too: the boost by the zero center keeps the bits
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            stars = [convexity._star_polar(rng) for _ in range(seed % 3 + 1)]
+            lift = hyperboloid_lift(*(np.concatenate(a) for a in zip(*stars)))
+            block = convexity.star_hulls(stars, [ZERO.xy] * len(stars))
+            unboosted = convexity._klein_hulls(lift, [len(radii) for radii, _ in stars])
+            for poly, ref in zip(block, unboosted, strict=True):
+                for a, b in ((poly.sheet, ref.sheet), (poly.klein, ref.klein)):
+                    assert np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                                          np.ascontiguousarray(b).view(np.int64))
+
 
 class TestSampledRegionValidation:
     # a valid polygon, so that each check below is what refuses the loop

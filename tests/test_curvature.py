@@ -141,14 +141,14 @@ def sweep_axes():
     theta_hat = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 50)
     s_vals = np.linspace(0.1, 0.9, 9)
     rp_hat = np.random.default_rng(1).uniform(-2.0, 2.0, size=(50, 50, 9))
-    return r_hat[:, None, None], theta_hat[None, :, None], s_vals, rp_hat, 1.0
+    return r_hat[:, None, None], theta_hat[None, :, None], s_vals, rp_hat
 
 
 def sweep_grid():
     # the same states as a meshgrid, the form the axes must match
-    r_hat, theta_hat, s_vals, rp_hat, dth = sweep_axes()
+    r_hat, theta_hat, s_vals, rp_hat = sweep_axes()
     R, T, S = np.meshgrid(r_hat.ravel(), theta_hat.ravel(), s_vals, indexing="ij")
-    return R, T, S, rp_hat, dth
+    return R, T, S, rp_hat
 
 
 def random_states():
@@ -158,7 +158,7 @@ def random_states():
     T = rng.uniform(-math.pi / 2 + 0.005, math.pi / 2 - 0.005, 4000)
     S = rng.uniform(0.05, 0.95, 4000)
     RP = rng.uniform(-3.0, 3.0, 4000)
-    return R, T, S, RP, 1.0
+    return R, T, S, RP
 
 
 class TestAuxiliaryFunctions:
@@ -216,7 +216,7 @@ class TestAuxiliaryFunctions:
 
 def beta(theta_hat, s):
     """beta = s^2 cos^2 + sin^2 of the decomposition at theta_hat."""
-    b = p_coefficients_grid(1.0, theta_hat, s, 0.0, 1.0)["beta"]
+    b = p_coefficients_grid(1.0, theta_hat, s, 0.0)["beta"]
     return float(b) if np.ndim(b) == 0 else b
 
 
@@ -407,19 +407,20 @@ class TestDecomposition:
     def test_negative_first_coefficient(self):
         # beta = 0.5 at s = 0.5 when sin^2 = 1/3
         theta = math.asin(math.sqrt(1.0 / 3.0))
-        pc = p_coefficients_grid(1.0, theta, 0.5, 0.3, 1.0)
+        pc = p_coefficients_grid(1.0, theta, 0.5, 0.3)
         assert float(pc["beta"]) == pytest.approx(0.5, rel=1e-12)
         assert pc["p1"] < 0.0
         assert pc["p0"] > 0.0
 
     def test_square_consistency(self):
+        # at the grid's dth = 1, rp_hat reaches the ratios rp_hat / dth of up to 60 that
+        # rp_hat in [-3, 3] and dth in [0.05, 3] gave
         rng = np.random.default_rng(43)
         for _ in range(300):
             pc = p_coefficients_grid(rng.uniform(0.05, 10.0),
                                      rng.uniform(-math.pi / 2 + 0.005, math.pi / 2 - 0.005),
                                      rng.uniform(0.05, 0.95),
-                                     rng.uniform(-3.0, 3.0),
-                                     rng.uniform(0.05, 3.0))
+                                     rng.uniform(-60.0, 60.0))
             p2, p2_sq = float(pc["p2"]), float(pc["p2_sq"])
             assert p2_sq == pytest.approx(p2 ** 2, rel=1e-10, abs=1e-300)
 
@@ -428,7 +429,7 @@ class TestDecomposition:
         theta = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 24)
         s = np.linspace(0.1, 0.9, 9)
         R, T, S = np.meshgrid(r_hat, theta, s, indexing="ij")
-        out = p_coefficients_grid(R, T, S, 0.6, 1.0)
+        out = p_coefficients_grid(R, T, S, 0.6)
         assert np.all(out["p0"] > 0.0)
         assert np.all(out["p1"] < 0.0)
         assert np.all(out["discriminant"] < 0.0)
@@ -441,7 +442,7 @@ class TestDecomposition:
         T = rng.uniform(-math.pi / 2 + 0.005, math.pi / 2 - 0.005, 4000)
         S = rng.uniform(0.05, 0.95, 4000)
         RP = rng.uniform(-3.0, 3.0, 4000)
-        out = p_coefficients_grid(R, T, S, RP, 1.0)
+        out = p_coefficients_grid(R, T, S, RP)
         rel = np.abs(out["kg_closed"] - out["kg_generic"]) / np.abs(out["kg_generic"])
         assert float(np.max(rel)) < 1e-8
 
@@ -449,10 +450,10 @@ class TestDecomposition:
     def test_grid_is_the_reference_chains_bitwise(self, states):
         args = states()
         out = p_coefficients_grid(*args)
-        for key, value in reference_closed_form(*args).items():
+        for key, value in reference_closed_form(*args, 1.0).items():
             assert np.array_equal(out[key], value), key
         assert out["kg_generic"].dtype == np.float64
-        assert np.array_equal(out["kg_generic"], reference_generic_curvature_extended(*args))
+        assert np.array_equal(out["kg_generic"], reference_generic_curvature_extended(*args, 1.0))
         if states is sweep_axes:
             # the grid on its axes gives every output of the meshgrid call, bit for bit
             grid = p_coefficients_grid(*sweep_grid())
@@ -496,7 +497,7 @@ class TestComparisonCurve:
 class TestSideOrdering:
     def test_golden_configuration(self):
         # frozen from the first run of this configuration
-        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2], samples=64)
+        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2])
         assert rep["violations"] == []
         assert rep["max_kg_preimage"] == pytest.approx(-0.0560617474949, rel=1e-9)
         assert rep["min_kg_gamma"] == pytest.approx(1.29818019221, rel=1e-9)
@@ -522,33 +523,34 @@ class TestSideOrdering:
             th2 = rng.uniform(th1 + 0.05, math.pi / 2 - 0.01)
             specs.append(ChordSpec(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0), th1, th2))
             factors.append(rng.uniform(0.05, 0.95))
-        for rep in side_ordering(specs, factors, samples=64):
+        for rep in side_ordering(specs, factors):
             assert rep["violations"] == [], rep["violations"][:1]
 
-    def test_near_identity_collapse(self):
+    def test_near_identity_collapse(self, monkeypatch):
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
-        rep, = side_ordering([spec], [1.0 - 1e-6], samples=33)
+        monkeypatch.setattr(curvature, "ORDERING_SAMPLES", 33)
+        rep, = side_ordering([spec], [1.0 - 1e-6])
         assert rep["violations"] == []
         # preimage and chord pinch together
         assert rep["min_chord_gap"] < 1e-6
 
     def test_violation_reporting_shape(self, monkeypatch):
-        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2], samples=16)
+        monkeypatch.setattr(curvature, "ORDERING_SAMPLES", 16)
+        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2])
         assert rep["violations"] == []
         assert rep["spec"] == [2.0, 2.0, -0.5, 0.5] and rep["s"] == 0.2
         # a slack below every margin makes each of the 16 samples a violation
         monkeypatch.setattr(curvature, "ORDERING_SLACK", -10.0)
-        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2], samples=16)
+        rep, = side_ordering([ChordSpec(2.0, 2.0, -0.5, 0.5)], [0.2])
         assert len(rep["violations"]) == 16
         assert set(rep["violations"][0]) == {"t", "r_preimage", "r_chord", "r_gamma",
                                              "kg_preimage", "kg_gamma"}
 
-    def test_ends_come_from_the_sample_array(self):
-        # the chord's ends are the samples at t = 0 and 1, so one sample is refused
+    def test_ends_come_from_the_sample_array(self, monkeypatch):
+        # the chord's ends are the samples at t = 0 and 1
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
-        with pytest.raises(ValueError):
-            side_ordering([spec], [0.4], samples=1)
-        rep, = side_ordering([spec], [0.4], samples=2)
+        monkeypatch.setattr(curvature, "ORDERING_SAMPLES", 2)
+        rep, = side_ordering([spec], [0.4])
         # at the ends the three curves meet, up to the chord radius's rounding
         assert rep["violations"] == []
         assert max(abs(rep["min_chord_gap"]), abs(rep["min_gamma_gap"])) < 1e-15
@@ -559,13 +561,14 @@ class TestStackedSideOrdering:
     references.per_spec_side_ordering evaluates each chord alone."""
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 41, 104729])
-    def test_the_sweep_chords_report_as_each_chord_alone(self, seed):
+    def test_the_sweep_chords_report_as_each_chord_alone(self, seed, monkeypatch):
         chords, factors = cli._ordering_chords(seed, 100)
         for samples in (2, 16, 33, 64):
+            monkeypatch.setattr(curvature, "ORDERING_SAMPLES", samples)
             alone = [per_spec_side_ordering(c, f, samples) for c, f in zip(chords, factors)]
-            assert json.dumps(side_ordering(chords, factors, samples)) == json.dumps(alone)
+            assert json.dumps(side_ordering(chords, factors)) == json.dumps(alone)
 
-    def test_chords_whose_angle_squares_differently_under_pow(self):
+    def test_chords_whose_angle_squares_differently_under_pow(self, monkeypatch):
         # Python's pow(dth, 2) differs from dth * dth for about one double in a thousand on
         # some libms; a chord squares its angle alike in a block of one and in the stack
         rng = np.random.default_rng(90)
@@ -576,7 +579,8 @@ class TestStackedSideOrdering:
                   for i in odd]
         factors = rng.uniform(0.05, 0.95, len(chords)).tolist()
         alone = [per_spec_side_ordering(c, f, 16) for c, f in zip(chords, factors)]
-        assert json.dumps(side_ordering(chords, factors, 16)) == json.dumps(alone)
+        monkeypatch.setattr(curvature, "ORDERING_SAMPLES", 16)
+        assert json.dumps(side_ordering(chords, factors)) == json.dumps(alone)
 
     def test_violations_are_reported_as_each_chord_alone(self, monkeypatch):
         chords, factors = cli._ordering_chords(3, 20)
@@ -584,18 +588,18 @@ class TestStackedSideOrdering:
         monkeypatch.setattr(curvature, "ORDERING_SLACK", -0.05)
         alone = [per_spec_side_ordering(c, f, 33) for c, f in zip(chords, factors)]
         assert 0 < sum(len(a["violations"]) for a in alone) < 20 * 33
-        assert json.dumps(side_ordering(chords, factors, 33)) == json.dumps(alone)
+        monkeypatch.setattr(curvature, "ORDERING_SAMPLES", 33)
+        assert json.dumps(side_ordering(chords, factors)) == json.dumps(alone)
 
-    def test_a_block_of_one_chord(self):
+    def test_a_block_of_one_chord(self, monkeypatch):
         spec = ChordSpec(2.0, 2.5, -0.6, 0.8)
         for samples in (2, 16, 33, 64):
-            assert (json.dumps(side_ordering([spec], [0.4], samples))
+            monkeypatch.setattr(curvature, "ORDERING_SAMPLES", samples)
+            assert (json.dumps(side_ordering([spec], [0.4]))
                     == json.dumps([per_spec_side_ordering(spec, 0.4, samples)]))
-        assert side_ordering([], [], 16) == []
+        assert side_ordering([], []) == []
         # the chords and factors are each read twice, so one-shot iterables are taken too
-        assert side_ordering(iter([spec]), iter([0.4]), 16) == side_ordering([spec], [0.4], 16)
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            side_ordering([spec], [0.4], samples=1)
+        assert side_ordering(iter([spec]), iter([0.4])) == side_ordering([spec], [0.4])
 
     def test_stacked_preimage_rows_are_each_chord_alone(self):
         chords, factors = cli._ordering_chords(7, 12)

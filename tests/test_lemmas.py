@@ -35,8 +35,8 @@ def test_row_blocks_give_the_whole_grids_margins(margin_fn, x_hi, n):
     # each 2-D margin is evaluated LEMMA_BLOCK_ROWS grid rows at a time; the blocks put
     # together are the whole grid's margins bit for bit, on verify_all's grids, whose row
     # counts are not multiples of the block
-    xs = open_interval_grid(0.0, x_hi, n, open_hi=x_hi != 10.0)
-    ys = open_interval_grid(0.0, 1.0, n)
+    xs = open_interval_grid(x_hi, n, open_hi=x_hi != 10.0)
+    ys = open_interval_grid(1.0, n)
     assert len(xs) % LEMMA_BLOCK_ROWS != 0
     blocks = []
 
@@ -109,8 +109,8 @@ class TestCothRatio:
     def test_each_psi_once_is_the_two_call_form_bitwise(self):
         # on verify_all's default grid, psi(x) and psi(xy) evaluated once each
         # give the margins of the form that evaluates each of them twice
-        xs = open_interval_grid(0.0, 10.0, 500, open_hi=False)[:, None]
-        ys = open_interval_grid(0.0, 1.0, 500)[None, :]
+        xs = open_interval_grid(10.0, 500, open_hi=False)[:, None]
+        ys = open_interval_grid(1.0, 500)[None, :]
         out = lemma_coth_ratio(xs, ys)
         assert out.shape == (len(xs), ys.shape[1])
         assert np.array_equal(out.view(np.int64), coth_ratio_two_calls(xs, ys).view(np.int64))
@@ -220,7 +220,7 @@ class TestSinScaling:
 
 class TestGridMachinery:
     def test_open_interval_grid_respects_insets(self):
-        g = open_interval_grid(0.0, 1.0, 50)
+        g = open_interval_grid(1.0, 50)
         assert g.min() >= 1e-3
         assert g.max() <= 1.0 - 1e-3
         assert np.all(np.diff(g) > 0.0)
